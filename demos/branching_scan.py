@@ -37,5 +37,6 @@ for subgroup in ("g2", "g1"):
     print()
 
 print("note: the target 1/2 on g2 has degree 0 while the ambient degree is 1;")
-print("the plain restriction pairing vanishes by parity there, and the")
-print("witness scan (a twisted pairing) is what certifies the nonzero hom.")
+print("the plain restriction pairing vanishes by parity there, and the K-type")
+print("witness (the leading normal trace of the harmonic projection of u * Z_0,")
+print("paired with Z_0) is what certifies the nonzero hom.")

@@ -2,7 +2,7 @@
 
 The branching layer of the library: restriction pairings between a degree-a
 zonal harmonic on S^{n-1} and degree-b zonal harmonics on the equatorial
-subsphere S^{n-2}, together with a witness scan certifying when the degree-b
+subsphere S^{n-2}, together with a K-type witness certifying when the degree-b
 component of the restricted K-type can be reached at all.
 """
 
@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 import numpy as np
 
@@ -32,21 +31,31 @@ __all__ = [
 _DEFAULT_SPEC = QuadratureSpec()
 
 
+def _gegenbauer_series(n: int, nu: float, x: np.ndarray):
+    """Yield C_0^nu(x), ..., C_n^nu(x) by the three-term recurrence.
+
+    k * C_k = 2(k+nu-1) x C_{k-1} - (k+2nu-2) C_{k-2},  C_0 = 1,  C_1 = 2 nu x.
+    """
+    c_prev = np.ones_like(x)
+    yield c_prev
+    if n == 0:
+        return
+    c = 2.0 * nu * x
+    yield c
+    for k in range(2, n + 1):
+        c, c_prev = (2.0 * (k + nu - 1.0) * x * c - (k + 2.0 * nu - 2.0) * c_prev) / k, c
+        yield c
+
+
 def gegenbauer(n: int, nu: float, x):
     """Evaluate the Gegenbauer polynomial C_n^nu(x) by the three-term recurrence.
 
-    n * C_n = 2(n+nu-1) x C_{n-1} - (n+2nu-2) C_{n-2},  C_0 = 1,  C_1 = 2 nu x.
     Accepts scalar or ndarray x.
     """
     if n < 0:
         raise ValueError("degree must be non-negative")
-    x = np.asarray(x, dtype=float)
-    c_prev = np.ones_like(x)
-    if n == 0:
-        return c_prev if c_prev.ndim else float(c_prev)
-    c = 2.0 * nu * x
-    for k in range(2, n + 1):
-        c, c_prev = (2.0 * (k + nu - 1.0) * x * c - (k + 2.0 * nu - 2.0) * c_prev) / k, c
+    for c in _gegenbauer_series(n, nu, np.asarray(x, dtype=float)):
+        pass
     return c if c.ndim else float(c)
 
 
@@ -162,128 +171,18 @@ def so_branching_multiplicity(a: int, b: int) -> int:
     return 1 if b <= a else 0
 
 
-# ---------------------------------------------------------------------------
-# Witness machinery: harmonic polynomials invariant under rotations of the
-# equatorial band, written in the variables
-#   u = coordinate normal to the subsphere,
-#   s = pole coordinate,
-#   w = squared radius of the remaining n-2 band coordinates.
-# A monomial u^i s^j w^k is stored as {(i, j, k): coeff} and has degree i+j+2k.
-# ---------------------------------------------------------------------------
+def _witness_gram_row(a: int, b: int, n: int, spec: QuadratureSpec):
+    """Gram row of the zonal harmonics Z_0..Z_a against Z_b on S^{n-2}.
 
-
-def _poly_laplacian(poly: dict, n: int) -> dict:
-    out: dict = {}
-    for (i, j, k), c in poly.items():
-        if i >= 2:
-            key = (i - 2, j, k)
-            out[key] = out.get(key, 0.0) + c * i * (i - 1)
-        if j >= 2:
-            key = (i, j - 2, k)
-            out[key] = out.get(key, 0.0) + c * j * (j - 1)
-        if k >= 1:
-            key = (i, j, k - 1)
-            out[key] = out.get(key, 0.0) + c * 2 * k * (n + 2 * k - 4)
-    return {key: c for key, c in out.items() if c != 0.0}
-
-
-def _poly_mul_r2(poly: dict) -> dict:
-    # multiply by r^2 = u^2 + s^2 + w
-    out: dict = {}
-    for (i, j, k), c in poly.items():
-        for key in ((i + 2, j, k), (i, j + 2, k), (i, j, k + 1)):
-            out[key] = out.get(key, 0.0) + c
-    return out
-
-
-def _monomials(degree: int):
-    for k in range(degree // 2 + 1):
-        rest = degree - 2 * k
-        for i in range(rest + 1):
-            yield (i, rest - i, k)
-
-
-def _harmonic_projection(poly: dict, degree: int, n: int) -> dict:
-    """Degree-`degree` harmonic component of a homogeneous band-invariant poly.
-
-    Solves Delta(P - r^2 Q) = 0 for Q; the map Q -> Delta(r^2 Q) on the
-    degree-(degree-2) space is invertible.
+    Returns (|<Z_k, Z_b>| / (|Z_k| |Z_b|), <Z_k, Z_b>) for k = 0..a, both on
+    the sphere rule.
     """
-    if degree < 2:
-        return dict(poly)
-    basis = list(_monomials(degree - 2))
-    index = {mono: idx for idx, mono in enumerate(basis)}
-    mat = np.zeros((len(basis), len(basis)))
-    for col, mono in enumerate(basis):
-        image = _poly_laplacian(_poly_mul_r2({mono: 1.0}), n)
-        for key, c in image.items():
-            mat[index[key], col] = c
-    rhs = np.zeros(len(basis))
-    for key, c in _poly_laplacian(poly, n).items():
-        rhs[index[key]] = c
-    q = np.linalg.solve(mat, rhs)
-    out = dict(poly)
-    correction = _poly_mul_r2({mono: coef for mono, coef in zip(basis, q) if coef != 0.0})
-    for key, c in correction.items():
-        out[key] = out.get(key, 0.0) - c
-    return {key: c for key, c in out.items() if abs(c) > 1e-14}
-
-
-def _solid_subsphere_zonal(degree: int, sub_dim: int) -> dict:
-    """Homogeneous zonal harmonic of R^{sub_dim} in the (s, w) variables.
-
-    Homogenized Gegenbauer recurrence with t^2 = s^2 + w; the result is a
-    harmonic polynomial of the subsphere variables (u-degree zero).
-    """
-    nu = (sub_dim - 2) / 2.0
-    p_prev = {(0, 0, 0): 1.0}
-    if degree == 0:
-        return p_prev
-    p = {(0, 1, 0): 2.0 * nu}
-    for d in range(2, degree + 1):
-        nxt: dict = {}
-        for (i, j, k), c in p.items():
-            key = (i, j + 1, k)
-            nxt[key] = nxt.get(key, 0.0) + 2.0 * (d + nu - 1.0) * c / d
-        for (i, j, k), c in p_prev.items():
-            for key in ((i, j + 2, k), (i, j, k + 1)):
-                nxt[key] = nxt.get(key, 0.0) - (d + 2.0 * nu - 2.0) * c / d
-        p, p_prev = nxt, p
-    return p
-
-
-@lru_cache(maxsize=None)
-def _witness_harmonics(a: int, n: int):
-    """Spanning family of degree-a band-invariant harmonics on S^{n-1}.
-
-    Member j is the harmonic projection of u^j times the solid degree-(a-j)
-    zonal harmonic of the subsphere space R^{n-1}.
-    """
-    out = []
-    for j in range(a + 1):
-        pre = {(j, s, k): c for (_, s, k), c in _solid_subsphere_zonal(a - j, n - 1).items()}
-        out.append(_harmonic_projection(pre, a, n))
-    return tuple(out)
-
-
-def _normal_trace(poly: dict, m: int):
-    """The m-th normal-derivative trace on the subsphere, as a function of s.
-
-    Collects the u^m part, applies m!, and substitutes w = 1 - s^2 (the
-    subsphere constraint with u = 0).
-    """
-    terms = [(j, k, c * math.factorial(m)) for (i, j, k), c in poly.items() if i == m]
-    if not terms:
-        return None
-
-    def f(x):
-        x = np.asarray(x, dtype=float)
-        acc = np.zeros_like(x)
-        for j, k, c in terms:
-            acc = acc + c * x**j * (1.0 - x * x) ** k
-        return acc
-
-    return f
+    theta, w = gauss_legendre_on(0.0, math.pi, spec.sphere_nodes)
+    weight = sphere_area(n - 2) * w * np.sin(theta) ** (n - 3)
+    zonals = np.array(list(_gegenbauer_series(max(a, b), (n - 3) / 2.0, np.cos(theta))))
+    norms_sq = zonals**2 @ weight
+    gram = zonals[: a + 1] @ (weight * zonals[b])
+    return np.abs(gram) / np.sqrt(norms_sq[: a + 1] * norms_sq[b]), gram
 
 
 def ktype_pairing_nonzero(
@@ -291,37 +190,28 @@ def ktype_pairing_nonzero(
 ) -> tuple[bool, float]:
     """Certify whether the degree-b subsphere type is reachable from degree a.
 
-    Scans the spanning witness family of degree-a harmonics on S^{n-1}; for
-    each member, every normal-derivative trace on the subsphere is paired
-    against the degree-b zonal harmonic of S^{n-2}.  A pairing is accepted
-    when it exceeds 1e-8 times the product of the L^2 norms of the two
-    factors (scale-free threshold).  True exactly when 0 <= b <= a.
+    The witness family spans the degree-a harmonics on S^{n-1} invariant
+    under the equatorial band: member j = a - k is the harmonic projection of
+    u^j Z_k, with u the coordinate normal to the subsphere S^{n-2} and Z_k its
+    degree-k zonal harmonic.  That projection is a multiple of
+    r^j C_j^lam(u/r) Z_k with lam = k + (n-2)/2 (Axler, Bourdon & Ramey,
+    Harmonic Function Theory, ch. 5), so every normal-derivative trace of
+    member j on S^{n-2} is a multiple of Z_k.  Pairing the traces against Z_b
+    therefore reduces to the normalised Gram row |<Z_k, Z_b>| / (|Z_k| |Z_b|),
+    k = 0..a, on the sphere rule.  The type is reachable when the row's
+    maximum exceeds 1e-8 (scale-free threshold): true exactly when
+    0 <= b <= a.
 
-    Returns (nonzero, witness_value) where witness_value is the pairing of
-    the best witness.
+    Returns (nonzero, witness_value).  witness_value is the pairing with Z_b
+    of the leading (j-th) normal trace K Z_k of the best member k, where
+    K = j! (2 lam)_j / (2^j (lam)_j).
     """
     if n < 4:
         raise InvalidParameterError("ktype_pairing_nonzero requires n >= 4")
     if a < 0 or b < 0:
         raise InvalidParameterError("degrees must be non-negative")
-    nu_sub = (n - 3) / 2.0
-    zb = lambda x: gegenbauer(b, nu_sub, x)
-    zb_norm = math.sqrt(zonal_norm_sq(b, n - 1, spec))
-    area = sphere_area(n - 2)
-    nodes = spec.sphere_nodes
-    best_ratio = 0.0
-    best_value = 0.0
-    for harmonic in _witness_harmonics(a, n):
-        for m in range(a + 1):
-            trace = _normal_trace(harmonic, m)
-            if trace is None:
-                continue
-            t_norm_sq = area * weighted_cos_integral(lambda x: trace(x) ** 2, n - 4, nodes)
-            if t_norm_sq <= 0.0:
-                continue
-            pairing = area * weighted_cos_integral(lambda x: trace(x) * zb(x), n - 4, nodes)
-            ratio = abs(pairing) / (math.sqrt(t_norm_sq) * zb_norm)
-            if ratio > best_ratio:
-                best_ratio = ratio
-                best_value = pairing
-    return best_ratio > 1e-8, best_value
+    ratios, gram = _witness_gram_row(a, b, n, spec)
+    k = int(np.argmax(ratios))
+    lam = k + (n - 2) / 2.0
+    leading = math.prod((i + 1) * (2.0 * lam + i) / (2.0 * (lam + i)) for i in range(a - k))
+    return bool(ratios[k] > 1e-8), leading * float(gram[k])

@@ -3,7 +3,7 @@
 The pairing of two generating functions over a codimension-one orbit factors
 exactly in the chart: a full-sphere area, a one-dimensional sphere pairing,
 and a radial cosh-power integral.  The non-vanishing verdict is always
-decided from the K-type witness scan (the twisted pairing); the closed-form
+decided from the K-type witness (the twisted pairing); the closed-form
 predicates provide the independent cross-check.
 """
 
@@ -132,7 +132,8 @@ def period_integral_G2(
 
     Factored value: sphere_area(p) * [subsphere pairing on S^{q-2}] *
     R(p-1, (q-2) + e_lambda + e_mu).  With `use_witness`, the pairing factor
-    is the best twisted witness instead of the plain zonal restriction.
+    is the K-type witness value (its leading normal trace paired with the
+    target zonal harmonic) instead of the plain zonal restriction.
     """
     lam, mu = _as_halfint(lam), _as_halfint(mu)
     if not converges_G2(lam, mu):

@@ -18,7 +18,6 @@ from hypbranch.geometry import (
     radial_integral_closed,
     radial_integral_numeric,
     radial_integral_truncated,
-    random_group_element,
     scale,
 )
 from hypbranch.harmonics import ZonalHarmonic, ktype_pairing_nonzero, so_branching_multiplicity, zonal_norm_sq
@@ -42,6 +41,7 @@ from hypbranch.periods import (
     period_integral_G2,
     valid_targets,
 )
+from group_elements import random_group_element
 
 H = HalfInt.from_twice
 

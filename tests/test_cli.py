@@ -2,11 +2,15 @@ import csv
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 import time
 from pathlib import Path
 
 import pytest
 
+import hypbranch
 from hypbranch.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -197,3 +201,14 @@ class TestOutFile(object):
         assert code == 0
         assert out == ""
         assert json.loads(target.read_text())["a"] == 1
+
+
+def test_import_leaves_scipy_out():
+    # scipy is a test dependency only; the installed CLI runs on numpy alone
+    path = [str(Path(hypbranch.__file__).parents[1]), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+    probe = "import sys, hypbranch.cli; print('scipy' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "False"

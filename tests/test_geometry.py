@@ -18,11 +18,11 @@ from hypbranch.geometry import (
     radial_integral_closed,
     radial_integral_numeric,
     radial_integral_truncated,
-    random_group_element,
     scale,
     suborbit,
 )
 from hypbranch.numerics import QuadratureSpec
+from group_elements import random_group_element
 
 
 def random_unit(rng, n):

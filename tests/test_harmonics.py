@@ -7,6 +7,7 @@ from scipy.special import eval_gegenbauer
 from hypbranch.errors import InvalidParameterError
 from hypbranch.harmonics import (
     ZonalHarmonic,
+    _witness_gram_row,
     gegenbauer,
     ktype_pairing_nonzero,
     pairing_subsphere,
@@ -16,7 +17,8 @@ from hypbranch.harmonics import (
     zonal_norm_sq,
     zonal_norm_sq_closed,
 )
-from hypbranch.numerics import beta
+from hypbranch.numerics import QuadratureSpec, beta
+from witness_oracle import witness_pairings, witness_scan
 
 
 class TestGegenbauer:
@@ -186,6 +188,33 @@ class TestKTypeWitness:
                 for b in range(7):
                     nonzero, _ = ktype_pairing_nonzero(a, b, n)
                     assert nonzero == (so_branching_multiplicity(a, b) == 1), (a, b, n)
+
+    def test_matches_scan_oracle(self):
+        # the brute-force scan over every (member j, trace m) pairing: same
+        # verdict, same best ratio, and the value is its leading trace pairing
+        for n in range(4, 8):
+            for a in range(11):
+                for b in range(a + 3):
+                    nonzero, value = ktype_pairing_nonzero(a, b, n)
+                    scan_nonzero, _, scan_ratio = witness_scan(a, b, n)
+                    ratios, _ = _witness_gram_row(a, b, n, QuadratureSpec())
+                    assert nonzero == scan_nonzero, (a, b, n)
+                    assert abs(ratios.max() - scan_ratio) <= 1e-9, (a, b, n)
+                    if b <= a:
+                        leading = witness_pairings(a, b, n)[a - b, a - b][0]
+                        assert value == pytest.approx(leading, rel=1e-9), (a, b, n)
+
+    def test_value_is_leading_trace_closed_form(self):
+        # K <Z_b, Z_b> with K = j! (2 lam)_j / (2^j (lam)_j), j = a - b, lam = b + (n-2)/2
+        for a, b, n in ((20, 7, 6), (48, 20, 8)):
+            j, lam = a - b, b + (n - 2) / 2.0
+            log_k = (
+                math.lgamma(j + 1) + math.lgamma(2 * lam + j) - math.lgamma(2 * lam)
+                - j * math.log(2.0) - math.lgamma(lam + j) + math.lgamma(lam)
+            )
+            nonzero, value = ktype_pairing_nonzero(a, b, n)
+            assert nonzero
+            assert value == pytest.approx(math.exp(log_k) * zonal_norm_sq_closed(b, n - 1), rel=1e-9)
 
     def test_guards(self):
         with pytest.raises(InvalidParameterError):
