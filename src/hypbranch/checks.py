@@ -63,7 +63,7 @@ def harmonics_suite(seed: int = 0) -> list[CheckResult]:
         sin_power = int(round(2 * nu - 1))
         norms = [
             harmonics.weighted_cos_integral(
-                lambda x, m=m: harmonics.gegenbauer(m, nu, x) ** 2, sin_power, 128
+                lambda x, m=m: harmonics.gegenbauer(m, nu, x) ** 2, sin_power, 2 * m
             )
             for m in range(9)
         ]
@@ -72,7 +72,7 @@ def harmonics_suite(seed: int = 0) -> list[CheckResult]:
                 val = harmonics.weighted_cos_integral(
                     lambda x: harmonics.gegenbauer(m, nu, x) * harmonics.gegenbauer(n, nu, x),
                     sin_power,
-                    128,
+                    m + n,
                 )
                 worst = max(worst, abs(val) / math.sqrt(norms[m] * norms[n]))
     out.append(_result("gegenbauer_orthogonality", worst <= 1e-10, f"max normalized {worst:.2e}"))

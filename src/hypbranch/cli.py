@@ -2,7 +2,8 @@
 
 Half-integer flags use the doubled-integer convention (`--lambda-x2 3` means
 lambda = 3/2) so no parameter ever passes through float parsing.  Exit codes:
-0 success, 1 property failure, 2 invalid parameters, 3 divergent integral.
+0 success, 1 property failure, 2 invalid parameters, 3 divergent integral,
+4 numeric tolerance not met.
 """
 
 from __future__ import annotations
@@ -14,14 +15,12 @@ import json
 import sys
 
 from .checks import run_suite
-from .errors import DivergenceError, InvalidParameterError
+from .errors import DivergenceError, InvalidParameterError, ToleranceError
 from .fjrep import SpaceTag, make_fj_param
 from .numerics import HalfInt, QuadratureSpec
 from .packets import RealForm, arthur_packet, pure_inner_forms, relevant_pairs
 from .periods import (
     branching_verdict,
-    converges_G1,
-    converges_G2,
     period_integral_G1,
     period_integral_G2,
     valid_targets,
@@ -60,7 +59,7 @@ def _quad_spec(args) -> QuadratureSpec:
     nodes = getattr(args, "nodes", None)
     if nodes is None:
         return QuadratureSpec()
-    return QuadratureSpec(radial_nodes=nodes, sphere_nodes=max(nodes, 32))
+    return QuadratureSpec(radial_nodes=nodes)
 
 
 def cmd_fj(args) -> int:
@@ -115,13 +114,6 @@ def cmd_branch(args) -> int:
 def cmd_period(args) -> int:
     lam = HalfInt.from_twice(args.lambda_x2)
     target = HalfInt.from_twice(args.target_x2)
-    converges = converges_G1(lam, target) if args.subgroup == "g1" else converges_G2(lam, target)
-    if not converges:
-        print(
-            f"period diverges: lambda + target = {lam + target} is not > -1/2",
-            file=sys.stderr,
-        )
-        return 3
     spec = _quad_spec(args)
     if args.subgroup == "g1":
         verdict = period_integral_G1(args.p, args.q, lam, target, spec)
@@ -195,7 +187,7 @@ def build_parser() -> argparse.ArgumentParser:
     branch.add_argument("--subgroup", choices=("g1", "g2"), required=True)
     branch.add_argument("--max-target-x2", dest="max_target_x2", type=int, required=True)
     branch.add_argument("--format", choices=("json", "csv"), default="json")
-    branch.add_argument("--nodes", type=int)
+    branch.add_argument("--nodes", type=int, help="radial rule node count")
     branch.add_argument("--out")
     branch.set_defaults(func=cmd_branch)
 
@@ -205,7 +197,7 @@ def build_parser() -> argparse.ArgumentParser:
     period.add_argument("--lambda-x2", dest="lambda_x2", type=int, required=True)
     period.add_argument("--target-x2", dest="target_x2", type=int, required=True)
     period.add_argument("--subgroup", choices=("g1", "g2"), required=True)
-    period.add_argument("--nodes", type=int)
+    period.add_argument("--nodes", type=int, help="radial rule node count")
     period.add_argument("--witness", action="store_true", help="use the twisted witness pairing")
     period.add_argument("--out")
     period.set_defaults(func=cmd_period)
@@ -241,6 +233,9 @@ def main(argv=None) -> int:
     except DivergenceError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
+    except ToleranceError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 4
     except ValueError as exc:  # InvalidParameterError and friends
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -16,7 +16,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import InvalidParameterError
+from .errors import InvalidParameterError, ToleranceError
 from .geometry import radial_integral_closed, radial_integral_numeric
 from .harmonics import ZonalHarmonic, sphere_area, zonal_norm_sq
 from .numerics import HalfInt, QuadratureSpec
@@ -34,7 +34,6 @@ __all__ = [
 ]
 
 _DEFAULT_SPEC = QuadratureSpec()
-_HALF = HalfInt.from_twice(1)
 
 
 class SpaceTag(Enum):
@@ -165,8 +164,8 @@ def l2_norm_sq(param: FJParam, spec: QuadratureSpec = _DEFAULT_SPEC) -> float:
     value, _ = radial_integral_numeric(a_exp, c_exp, spec)
     closed = radial_integral_closed(a_exp, c_exp)
     if abs(value - closed) > max(spec.abs_tol, spec.rel_tol * abs(closed)) * 10:
-        raise ArithmeticError("radial factor disagrees with its closed form")
-    return sphere_area(sp) * zonal_norm_sq(param.degree, sq, spec) * value
+        raise ToleranceError("radial factor disagrees with its closed form", abs(value - closed))
+    return sphere_area(sp) * zonal_norm_sq(param.degree, sq) * value
 
 
 def inf_char(param: FJParam) -> InfChar:

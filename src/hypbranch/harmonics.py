@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InvalidParameterError
-from .numerics import QuadratureSpec, gauss_legendre_on, log_gamma
+from .numerics import log_gamma, sphere_rule
 
 __all__ = [
     "gegenbauer",
@@ -27,9 +27,6 @@ __all__ = [
     "so_branching_multiplicity",
     "ktype_pairing_nonzero",
 ]
-
-_DEFAULT_SPEC = QuadratureSpec()
-
 
 def _gegenbauer_series(n: int, nu: float, x: np.ndarray):
     """Yield C_0^nu(x), ..., C_n^nu(x) by the three-term recurrence.
@@ -110,25 +107,22 @@ class ZonalHarmonic:
         return self.value_at_cos(y @ self.pole)
 
 
-def weighted_cos_integral(f, sin_power: int, nodes: int) -> float:
+def weighted_cos_integral(f, sin_power: int, degree: int) -> float:
     """Integral of f(x) (1-x^2)^{sin_power/2} over [-1, 1].
 
-    Uses x = cos(theta); for polynomial f and integer sin_power >= 0 the
-    theta-integrand is a trigonometric polynomial, so the rule is
-    effectively exact.
+    Exact (up to rounding) when f is a polynomial of degree <= degree.
     """
-    theta, w = gauss_legendre_on(0.0, math.pi, nodes)
-    x = np.cos(theta)
-    return float(np.sum(w * np.asarray(f(x), dtype=float) * np.sin(theta) ** (sin_power + 1)))
+    x, w = sphere_rule(degree, sin_power)
+    return float(np.sum(w * np.asarray(f(x), dtype=float)))
 
 
-def zonal_norm_sq(a: int, n: int, spec: QuadratureSpec = _DEFAULT_SPEC) -> float:
+def zonal_norm_sq(a: int, n: int) -> float:
     """L^2(S^{n-1}) norm squared of the degree-a zonal harmonic, by quadrature."""
     if n < 3:
         raise InvalidParameterError("zonal_norm_sq requires sphere_dim >= 3")
     nu = (n - 2) / 2.0
     return sphere_area(n - 1) * weighted_cos_integral(
-        lambda x: gegenbauer(a, nu, x) ** 2, n - 3, spec.sphere_nodes
+        lambda x: gegenbauer(a, nu, x) ** 2, n - 3, 2 * a
     )
 
 
@@ -146,7 +140,7 @@ def zonal_norm_sq_closed(a: int, n: int) -> float:
     return sphere_area(n - 1) * line
 
 
-def pairing_subsphere(a: int, b: int, n: int, spec: QuadratureSpec = _DEFAULT_SPEC) -> float:
+def pairing_subsphere(a: int, b: int, n: int) -> float:
     """Restriction pairing of zonal harmonics across the equatorial subsphere.
 
     The degree-a zonal harmonic of S^{n-1} (pole inside the subsphere) is
@@ -160,7 +154,7 @@ def pairing_subsphere(a: int, b: int, n: int, spec: QuadratureSpec = _DEFAULT_SP
     return sphere_area(n - 2) * weighted_cos_integral(
         lambda x: gegenbauer(a, nu_big, x) * gegenbauer(b, nu_sub, x),
         n - 4,
-        spec.sphere_nodes,
+        a + b,
     )
 
 
@@ -171,23 +165,22 @@ def so_branching_multiplicity(a: int, b: int) -> int:
     return 1 if b <= a else 0
 
 
-def _witness_gram_row(a: int, b: int, n: int, spec: QuadratureSpec):
+def _witness_gram_row(a: int, b: int, n: int):
     """Gram row of the zonal harmonics Z_0..Z_a against Z_b on S^{n-2}.
 
     Returns (|<Z_k, Z_b>| / (|Z_k| |Z_b|), <Z_k, Z_b>) for k = 0..a, both on
-    the sphere rule.
+    the sphere rule exact to degree 2 max(a, b).
     """
-    theta, w = gauss_legendre_on(0.0, math.pi, spec.sphere_nodes)
-    weight = sphere_area(n - 2) * w * np.sin(theta) ** (n - 3)
-    zonals = np.array(list(_gegenbauer_series(max(a, b), (n - 3) / 2.0, np.cos(theta))))
+    top = max(a, b)
+    x, w = sphere_rule(2 * top, n - 4)
+    weight = sphere_area(n - 2) * w
+    zonals = np.array(list(_gegenbauer_series(top, (n - 3) / 2.0, x)))
     norms_sq = zonals**2 @ weight
     gram = zonals[: a + 1] @ (weight * zonals[b])
     return np.abs(gram) / np.sqrt(norms_sq[: a + 1] * norms_sq[b]), gram
 
 
-def ktype_pairing_nonzero(
-    a: int, b: int, n: int, spec: QuadratureSpec = _DEFAULT_SPEC
-) -> tuple[bool, float]:
+def ktype_pairing_nonzero(a: int, b: int, n: int) -> tuple[bool, float]:
     """Certify whether the degree-b subsphere type is reachable from degree a.
 
     The witness family spans the degree-a harmonics on S^{n-1} invariant
@@ -210,7 +203,7 @@ def ktype_pairing_nonzero(
         raise InvalidParameterError("ktype_pairing_nonzero requires n >= 4")
     if a < 0 or b < 0:
         raise InvalidParameterError("degrees must be non-negative")
-    ratios, gram = _witness_gram_row(a, b, n, spec)
+    ratios, gram = _witness_gram_row(a, b, n)
     k = int(np.argmax(ratios))
     lam = k + (n - 2) / 2.0
     leading = math.prod((i + 1) * (2.0 * lam + i) / (2.0 * (lam + i)) for i in range(a - k))

@@ -1,4 +1,4 @@
-"""Exact half-integer scalars, Gauss-Legendre rules, and Gamma/Beta helpers.
+"""Exact half-integer scalars, Gauss rules, and Gamma/Beta helpers.
 
 Every representation-theoretic parameter in this library (spectral parameters,
 harmonic degrees, decay exponents) is a half-integer and is kept exact through
@@ -19,6 +19,7 @@ __all__ = [
     "QuadratureSpec",
     "gauss_legendre_rule",
     "gauss_legendre_on",
+    "sphere_rule",
     "log_gamma",
     "beta",
 ]
@@ -145,19 +146,26 @@ HALF = HalfInt.from_twice(1)
 
 @dataclass(frozen=True)
 class QuadratureSpec:
-    """Node counts and tolerances for every integral in the library."""
+    """Node count and tolerances of the radial rule (sphere rules follow the degree)."""
 
     radial_nodes: int = 200
-    sphere_nodes: int = 128
     abs_tol: float = 1e-10
     rel_tol: float = 1e-10
 
     def __post_init__(self):
-        if self.radial_nodes < 2 or self.sphere_nodes < 2:
+        if self.radial_nodes < 2:
             raise ValueError("node counts must be >= 2")
         for tol in (self.abs_tol, self.rel_tol):
             if not (math.isfinite(tol) and tol >= 0):
                 raise ValueError("tolerances must be finite and non-negative")
+
+
+def _legendre_and_derivative(n: int, x):
+    # P_n(x) and P_n'(x) by the three-term recurrence
+    p_prev, p = np.zeros_like(x), np.ones_like(x)
+    for j in range(1, n + 1):
+        p, p_prev = ((2 * j - 1) * x * p - (j - 1) * p_prev) / j, p
+    return p, n * (p_prev - x * p) / (1.0 - x * x)
 
 
 @lru_cache(maxsize=256)
@@ -165,24 +173,14 @@ def _legendre_rule(n: int):
     # Newton iteration on the three-term recurrence; deterministic, no tables.
     if n < 1:
         raise ValueError("node count must be >= 1")
-    k = np.arange(n)
-    x = np.cos(math.pi * (k + 0.75) / (n + 0.5))
+    x = np.cos(math.pi * (np.arange(n) + 0.75) / (n + 0.5))
     for _ in range(100):
-        p_prev = np.zeros_like(x)
-        p = np.ones_like(x)
-        for j in range(1, n + 1):
-            p, p_prev = ((2 * j - 1) * x * p - (j - 1) * p_prev) / j, p
-        dp = n * (p_prev - x * p) / (1.0 - x * x)
+        p, dp = _legendre_and_derivative(n, x)
         dx = p / dp
         x = x - dx
         if np.max(np.abs(dx)) < 1e-15:
             break
-    # final recompute of the derivative at converged nodes
-    p_prev = np.zeros_like(x)
-    p = np.ones_like(x)
-    for j in range(1, n + 1):
-        p, p_prev = ((2 * j - 1) * x * p - (j - 1) * p_prev) / j, p
-    dp = n * (p_prev - x * p) / (1.0 - x * x)
+    _, dp = _legendre_and_derivative(n, x)  # derivative at the converged nodes
     w = 2.0 / ((1.0 - x * x) * dp * dp)
     order = np.argsort(x)
     x, w = x[order], w[order]
@@ -206,6 +204,30 @@ def gauss_legendre_on(a: float, b: float, n: int):
     x, w = _legendre_rule(int(n))
     half = 0.5 * (b - a)
     return a + half * (x + 1.0), half * w.copy()
+
+
+@lru_cache(maxsize=256)
+def sphere_rule(degree: int, sin_power: int):
+    """Nodes and weights on [-1, 1] for int f(x) (1-x^2)^{sin_power/2} dx.
+
+    Exact whenever f is a polynomial of degree <= degree.  Even sin_power:
+    Gauss-Legendre with the weight folded in; odd sin_power: Gauss-Chebyshev
+    of the second kind, whose weight carries the half-odd power (DLMF 3.5(v)).
+    Arrays are read-only and shared between calls.
+    """
+    if degree < 0 or sin_power < 0:
+        raise ValueError("degree and sin_power must be >= 0")
+    if sin_power % 2 == 0:
+        x, w = _legendre_rule((degree + sin_power) // 2 + 1)
+        w = w * ((1.0 - x) * (1.0 + x)) ** (sin_power // 2)
+    else:
+        n = (degree + sin_power - 1) // 2 + 1
+        theta = np.pi * np.arange(n, 0, -1) / (n + 1)
+        x = np.cos(theta)
+        w = np.pi / (n + 1) * np.sin(theta) ** (sin_power + 1)
+        x.setflags(write=False)
+    w.setflags(write=False)
+    return x, w
 
 
 def log_gamma(x: float) -> float:

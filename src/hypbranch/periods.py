@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import DivergenceError, InvalidParameterError
+from .errors import DivergenceError, InvalidParameterError, ToleranceError
 from .fjrep import FJParam, SpaceTag, inf_char, make_fj_param
 from .geometry import radial_integral_numeric
 from .harmonics import (
@@ -23,7 +23,7 @@ from .harmonics import (
     weighted_cos_integral,
     zonal_norm_sq,
 )
-from .numerics import HalfInt, QuadratureSpec
+from .numerics import HALF, HalfInt, QuadratureSpec
 from .packets import InterlaceClass, interlace_classify
 
 __all__ = [
@@ -41,7 +41,6 @@ __all__ = [
 ]
 
 _DEFAULT_SPEC = QuadratureSpec()
-_HALF = HalfInt.from_twice(1)
 _NEG_HALF = HalfInt.from_twice(-1)
 
 
@@ -67,20 +66,9 @@ class PeriodVerdict:
     witness_used: bool
 
     def to_json_dict(self) -> dict:
-        return {
-            "converges": self.converges,
-            "parity_match": self.parity_match,
-            "degree_a": self.degree_pair[0],
-            "degree_target": self.degree_pair[1],
-            "value": self.value,
-            "err_est": self.err_est,
-            "nonzero": self.nonzero,
-            "predicate_nonzero": self.predicate_nonzero,
-            "sphere_factor": self.sphere_factor,
-            "pairing_factor": self.pairing_factor,
-            "radial_factor": self.radial_factor,
-            "witness_used": self.witness_used,
-        }
+        out = dict(vars(self))
+        out["degree_a"], out["degree_target"] = out.pop("degree_pair")
+        return out
 
 
 def _as_halfint(v) -> HalfInt:
@@ -116,7 +104,8 @@ def nonvanishing_G1(p: int, q: int, lam, nu) -> bool:
     ambient = make_fj_param(p, q, lam)
     target = make_fj_param(p, q, nu, SpaceTag.G1_SPACE)
     same_degree = target.degree == ambient.degree
-    assert same_degree == (target.lam == ambient.lam + _HALF)
+    if same_degree != (target.lam == ambient.lam + HALF):
+        raise RuntimeError("degree match disagrees with nu = lambda + 1/2")
     return same_degree
 
 
@@ -144,12 +133,14 @@ def period_integral_G2(
     target = make_fj_param(p, q, mu, SpaceTag.G2_SPACE)
     a, b = ambient.degree, target.degree
     sphere = sphere_area(p)
-    zonal_pairing = pairing_subsphere(a, b, q, spec)
-    witness_ok, witness_value = ktype_pairing_nonzero(a, b, q, spec)
+    zonal_pairing = pairing_subsphere(a, b, q)
+    witness_ok, witness_value = ktype_pairing_nonzero(a, b, q)
     pairing = witness_value if use_witness else zonal_pairing
     c_exp = float(q - 2 + ambient.decay_exponent + target.decay_exponent)
     radial, err = radial_integral_numeric(p - 1, c_exp, spec)
     value = sphere * pairing * radial
+    if not math.isfinite(value):
+        raise ToleranceError(f"period value {value} is not finite at degrees ({a}, {b})", math.inf)
     return PeriodVerdict(
         converges=True,
         parity_match=(a - b) % 2 == 0,
@@ -188,9 +179,9 @@ def period_integral_G1(
     sphere = sphere_area(p - 1)
     order = (q - 2) / 2.0
     pairing = sphere_area(q - 1) * weighted_cos_integral(
-        lambda x: gegenbauer(a, order, x) * gegenbauer(c, order, x), q - 3, spec.sphere_nodes
+        lambda x: gegenbauer(a, order, x) * gegenbauer(c, order, x), q - 3, a + c
     )
-    norm_scale = math.sqrt(zonal_norm_sq(a, q, spec) * zonal_norm_sq(c, q, spec))
+    norm_scale = math.sqrt(zonal_norm_sq(a, q) * zonal_norm_sq(c, q))
     nonzero = abs(pairing) > 1e-8 * norm_scale
     c_exp = float(q - 1 + ambient.decay_exponent + target.decay_exponent)
     radial, err = radial_integral_numeric(p - 2, c_exp, spec)

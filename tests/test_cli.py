@@ -1,3 +1,4 @@
+import ast
 import csv
 import io
 import json
@@ -125,6 +126,20 @@ class TestBranch:
             assert isinstance(row["nonzero"], bool)
             assert isinstance(row["predicate"], bool)
 
+    def test_high_degree_g1_verdicts_match_predicate(self, capsys):
+        # ambient degree a = 100, target degrees c up to 102: exact only with a rule of degree a + c
+        code, out, _ = run_cli(
+            capsys,
+            "branch", "--p", "5", "--q", "4", "--lambda-x2", "201",
+            "--subgroup", "g1", "--max-target-x2", "206",
+        )
+        assert code == 0
+        rows = json.loads(out)
+        assert [r["target_x2"] for r in rows if r["nonzero"]] == [202]
+        for row in rows:
+            assert row["nonzero"] == row["predicate"], row["target_x2"]
+        assert rows[-1]["target_x2"] == 206 and not rows[-1]["nonzero"]
+
 
 class TestExitCodes:
     def test_invalid_lambda(self, capsys):
@@ -145,6 +160,22 @@ class TestExitCodes:
         )
         assert code == 3
         assert "-1/2" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            # the radial rule cannot meet its tolerance with 2 nodes
+            ("--p", "4", "--q", "4", "--lambda-x2", "4", "--nodes", "2"),
+            # the degree-200 leading-trace witness value overflows
+            ("--p", "4", "--q", "6", "--lambda-x2", "404", "--witness"),
+        ],
+        ids=["radial_tolerance", "witness_overflow"],
+    )
+    def test_numeric_failure_exits_4(self, capsys, argv):
+        code, out, err = run_cli(capsys, "period", *argv, "--target-x2", "3", "--subgroup", "g2")
+        assert code == 4
+        assert out == ""
+        assert err.startswith("error: ") and len(err.strip().splitlines()) == 1
 
     def test_packet_odd_signature(self, capsys):
         code, _, _ = run_cli(capsys, "packet", "--p", "3", "--q", "3")
@@ -212,3 +243,10 @@ def test_import_leaves_scipy_out():
         [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
     )
     assert out.stdout.strip() == "False"
+
+
+def test_runtime_has_no_assert():
+    # checks on the runtime path must survive python -O
+    for path in Path(hypbranch.__file__).parent.glob("*.py"):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        assert not any(isinstance(node, ast.Assert) for node in ast.walk(tree)), path.name

@@ -6,7 +6,7 @@ import pytest
 from hypbranch.errors import DivergenceError, InvalidParameterError
 from hypbranch.fjrep import InfChar, SpaceTag, fj_eval, inf_char, is_self_dual, l2_norm_sq, make_fj_param
 from hypbranch.geometry import radial_integral_closed, radial_integral_truncated
-from hypbranch.harmonics import ZonalHarmonic
+from hypbranch.harmonics import ZonalHarmonic, sphere_area, zonal_norm_sq_closed
 from hypbranch.numerics import HalfInt
 
 H = HalfInt.from_twice
@@ -115,6 +115,21 @@ class TestL2Norm:
                     continue
                 value = l2_norm_sq(param)
                 assert math.isfinite(value) and value > 0
+
+    @pytest.mark.parametrize("p, q", [(4, 4), (5, 9), (9, 6), (16, 4), (4, 16), (16, 16)])
+    def test_closed_form_in_checked_range(self, p, q):
+        # sphere_area(p) |f_a|^2 R(p-1, q-1+2e), harmonic degree up to 400
+        for a in (0, 4, 16, 100, 400):
+            if 2 * a + 2 <= p - q:
+                continue  # lambda would not be positive
+            param = make_fj_param(p, q, H(2 * a + 2 - (p - q)))
+            e_x2 = param.decay_exponent.twice
+            closed = (
+                sphere_area(p)
+                * zonal_norm_sq_closed(a, q)
+                * radial_integral_closed(p - 1, q - 1 + e_x2)
+            )
+            assert l2_norm_sq(param) == pytest.approx(closed, rel=1e-10)
 
     def test_truncation_cauchy(self):
         # radial truncations settle; final step below 1e-7 relative

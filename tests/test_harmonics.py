@@ -17,7 +17,7 @@ from hypbranch.harmonics import (
     zonal_norm_sq,
     zonal_norm_sq_closed,
 )
-from hypbranch.numerics import QuadratureSpec, beta
+from hypbranch.numerics import beta
 from witness_oracle import witness_pairings, witness_scan
 
 
@@ -108,19 +108,25 @@ class TestZonalNorm:
                 quadrature = zonal_norm_sq(a, n)
                 assert quadrature == pytest.approx(closed, rel=1e-10)
 
+    @pytest.mark.parametrize("n", range(4, 17))
+    def test_closed_form_to_degree_400(self, n):
+        # the sphere rule follows the degree, so high degrees stay exact
+        for a in (0, 4, 16, 48, 100, 200, 400):
+            assert zonal_norm_sq(a, n) == pytest.approx(zonal_norm_sq_closed(a, n), rel=1e-10)
+
 
 class TestOrthogonality:
     def test_gegenbauer_orthogonality(self):
         for nu in (0.5, 1.0, 1.5, 2.0):
             sin_power = int(round(2 * nu - 1))
             norms = [
-                weighted_cos_integral(lambda x, m=m: gegenbauer(m, nu, x) ** 2, sin_power, 128)
+                weighted_cos_integral(lambda x, m=m: gegenbauer(m, nu, x) ** 2, sin_power, 2 * m)
                 for m in range(9)
             ]
             for m in range(9):
                 for n in range(m + 1, 9):
                     val = weighted_cos_integral(
-                        lambda x: gegenbauer(m, nu, x) * gegenbauer(n, nu, x), sin_power, 128
+                        lambda x: gegenbauer(m, nu, x) * gegenbauer(n, nu, x), sin_power, m + n
                     )
                     assert abs(val) / math.sqrt(norms[m] * norms[n]) < 1e-10
 
@@ -197,7 +203,7 @@ class TestKTypeWitness:
                 for b in range(a + 3):
                     nonzero, value = ktype_pairing_nonzero(a, b, n)
                     scan_nonzero, _, scan_ratio = witness_scan(a, b, n)
-                    ratios, _ = _witness_gram_row(a, b, n, QuadratureSpec())
+                    ratios, _ = _witness_gram_row(a, b, n)
                     assert nonzero == scan_nonzero, (a, b, n)
                     assert abs(ratios.max() - scan_ratio) <= 1e-9, (a, b, n)
                     if b <= a:
@@ -215,6 +221,11 @@ class TestKTypeWitness:
             nonzero, value = ktype_pairing_nonzero(a, b, n)
             assert nonzero
             assert value == pytest.approx(math.exp(log_k) * zonal_norm_sq_closed(b, n - 1), rel=1e-9)
+
+    @pytest.mark.parametrize("b", [199, 200, 201])
+    def test_high_degree_matches_branching(self, b):
+        nonzero, _ = ktype_pairing_nonzero(200, b, 6)
+        assert nonzero == (0 <= b <= 200)
 
     def test_guards(self):
         with pytest.raises(InvalidParameterError):

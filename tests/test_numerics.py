@@ -4,7 +4,14 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from hypbranch.numerics import HalfInt, QuadratureSpec, beta, gauss_legendre_rule, log_gamma
+from hypbranch.numerics import (
+    HalfInt,
+    QuadratureSpec,
+    beta,
+    gauss_legendre_rule,
+    log_gamma,
+    sphere_rule,
+)
 
 
 class TestHalfInt:
@@ -75,7 +82,6 @@ class TestQuadratureSpec:
     def test_defaults(self):
         spec = QuadratureSpec()
         assert spec.radial_nodes == 200
-        assert spec.sphere_nodes == 128
         assert spec.abs_tol == 1e-10
         assert spec.rel_tol == 1e-10
 
@@ -83,7 +89,6 @@ class TestQuadratureSpec:
         "kwargs",
         [
             {"radial_nodes": 1},
-            {"sphere_nodes": 0},
             {"abs_tol": -1e-3},
             {"rel_tol": float("inf")},
             {"abs_tol": float("nan")},
@@ -136,6 +141,27 @@ class TestGaussLegendre:
     def test_invalid_count(self):
         with pytest.raises(ValueError):
             gauss_legendre_rule(0)
+
+
+class TestSphereRule:
+    @pytest.mark.parametrize("sin_power", [0, 1, 2, 3, 6, 13])
+    def test_exact_to_its_degree(self, sin_power):
+        # int x^k (1-x^2)^{s/2} dx = B((k+1)/2, s/2 + 1) for even k, 0 for odd k
+        for degree in (0, 1, 2, 7, 30, 101):
+            x, w = sphere_rule(degree, sin_power)
+            assert np.all(w > 0) and np.all(np.abs(x) < 1.0)
+            for k in range(degree + 1):
+                exact = 0.0 if k % 2 else beta((k + 1) / 2.0, sin_power / 2.0 + 1.0)
+                assert float(np.sum(w * x**k)) == pytest.approx(exact, abs=1e-13)
+
+    def test_node_count_follows_degree(self):
+        assert len(sphere_rule(0, 0)[0]) == 1
+        assert len(sphere_rule(800, 13)[0]) == 407
+
+    def test_invalid_arguments(self):
+        for degree, sin_power in ((-1, 0), (0, -1)):
+            with pytest.raises(ValueError):
+                sphere_rule(degree, sin_power)
 
 
 class TestLogGamma:

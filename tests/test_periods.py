@@ -106,6 +106,17 @@ class TestPeriodG1:
             scale = math.sqrt(zonal_norm_sq(a, 4) * zonal_norm_sq(c, 4))
             assert abs(verdict.pairing_factor) <= 1e-10 * scale
 
+    @pytest.mark.parametrize("a", [100, 200, 400])
+    def test_off_diagonal_orthogonality_high_degree(self, a):
+        # lambda_x2 = 2a + 1 at (5, 4); the target nu_x2 = 2c + 2 has degree c
+        for c in (a - 2, a + 2):
+            lam, nu = HalfInt.from_twice(2 * a + 1), HalfInt.from_twice(2 * c + 2)
+            verdict = period_integral_G1(5, 4, lam, nu)
+            assert verdict.degree_pair == (a, c)
+            scale = math.sqrt(zonal_norm_sq(a, 4) * zonal_norm_sq(c, 4))
+            assert abs(verdict.pairing_factor) / scale <= 1e-12
+            assert not verdict.nonzero
+
     def test_integer_lambda_invalid_at_5_4(self):
         # the ambient degree lambda - 1/2 is non-integral for integer lambda
         with pytest.raises(InvalidParameterError):

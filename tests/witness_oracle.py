@@ -17,9 +17,6 @@ from functools import lru_cache
 import numpy as np
 
 from hypbranch.harmonics import gegenbauer, sphere_area, weighted_cos_integral, zonal_norm_sq
-from hypbranch.numerics import QuadratureSpec
-
-_DEFAULT_SPEC = QuadratureSpec()
 
 
 # ---------------------------------------------------------------------------
@@ -146,33 +143,32 @@ def _normal_trace(poly: dict, m: int):
     return f
 
 
-def witness_pairings(a: int, b: int, n: int, spec: QuadratureSpec = _DEFAULT_SPEC) -> dict:
+def witness_pairings(a: int, b: int, n: int) -> dict:
     """Every (member j, trace m) pairing of the scan, as (pairing, ratio).
 
     The ratio is |pairing| over the product of the L^2 norms of the trace and
     of the degree-b zonal harmonic on S^{n-2}.  Traces that are absent or of
-    zero norm are left out.
+    zero norm are left out.  The m-th trace is a polynomial of degree a - m.
     """
     nu_sub = (n - 3) / 2.0
     zb = lambda x: gegenbauer(b, nu_sub, x)
-    zb_norm = math.sqrt(zonal_norm_sq(b, n - 1, spec))
+    zb_norm = math.sqrt(zonal_norm_sq(b, n - 1))
     area = sphere_area(n - 2)
-    nodes = spec.sphere_nodes
     out = {}
     for j, harmonic in enumerate(_witness_harmonics(a, n)):
         for m in range(a + 1):
             trace = _normal_trace(harmonic, m)
             if trace is None:
                 continue
-            t_norm_sq = area * weighted_cos_integral(lambda x: trace(x) ** 2, n - 4, nodes)
+            t_norm_sq = area * weighted_cos_integral(lambda x: trace(x) ** 2, n - 4, 2 * (a - m))
             if t_norm_sq <= 0.0:
                 continue
-            pairing = area * weighted_cos_integral(lambda x: trace(x) * zb(x), n - 4, nodes)
+            pairing = area * weighted_cos_integral(lambda x: trace(x) * zb(x), n - 4, a - m + b)
             out[j, m] = (pairing, abs(pairing) / (math.sqrt(t_norm_sq) * zb_norm))
     return out
 
 
-def witness_scan(a: int, b: int, n: int, spec: QuadratureSpec = _DEFAULT_SPEC):
+def witness_scan(a: int, b: int, n: int):
     """The scan's (nonzero, value, best_ratio).
 
     The first pairing, in (j, m) order, of the largest ratio is the best
@@ -180,7 +176,7 @@ def witness_scan(a: int, b: int, n: int, spec: QuadratureSpec = _DEFAULT_SPEC):
     """
     best_ratio = 0.0
     best_value = 0.0
-    for pairing, ratio in witness_pairings(a, b, n, spec).values():
+    for pairing, ratio in witness_pairings(a, b, n).values():
         if ratio > best_ratio:
             best_ratio = ratio
             best_value = pairing
