@@ -89,6 +89,7 @@ class TestQuadratureSpec:
         "kwargs",
         [
             {"radial_nodes": 1},
+            {"radial_nodes": 0},
             {"abs_tol": -1e-3},
             {"rel_tol": float("inf")},
             {"abs_tol": float("nan")},
