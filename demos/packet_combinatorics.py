@@ -1,13 +1,14 @@
 """The combinatorial layer: packets, inner forms, and predicate disjointness.
 
-The two-element packet comes out of a double-coset count in the type-D
-signed-permutation group; the explorer then checks that the model-level
-supports of the two members never overlap on a target grid.
+The two-element packet comes out of the double cosets of the type-D
+signed-permutation group, one per block of signed basis vectors; the
+explorer then checks that the model-level supports of the two members never
+overlap on a target grid.
 """
 
 from hypbranch import arthur_packet, conjecture_explore, pure_inner_forms, relevant_pairs
 from hypbranch.numerics import HalfInt
-from hypbranch.packets import RealForm, WeylGroup, double_cosets, double_cosets_brute
+from hypbranch.packets import RealForm, WeylGroup, double_cosets
 
 H = HalfInt.from_twice
 
@@ -15,14 +16,14 @@ print("== double cosets behind the packet size ==")
 for p, q in ((4, 4), (4, 6), (6, 6)):
     m = (p + q) // 2
     left = (WeylGroup("D", p // 2), WeylGroup("D", q // 2))
-    mid, right = WeylGroup("D", m), WeylGroup("D", m - 1)
-    fast = double_cosets(left, mid, right)
-    brute = double_cosets_brute(left, mid, right)
+    cosets = double_cosets(left, WeylGroup("D", m), WeylGroup("D", m - 1))
     print(
-        f"  (p, q) = ({p}, {q}):  orbit count = {fast.count}  "
-        f"(brute force over all {mid.order()} elements: {brute});  "
-        f"coset space size = {fast.coset_space_size}"
+        f"  (p, q) = ({p}, {q}):  orbit count = {cosets.count}  "
+        f"(coset space size = {cosets.coset_space_size})"
     )
+    for orbit, rep in zip(cosets.orbits, cosets.representatives):
+        targets = [i for i, sign in orbit if sign == 1]
+        print(f"    coset of {list(rep.images)}: sends e_1 to +-e_i, i in {targets}")
 
 print()
 print("== the packet at (4, 4) ==")

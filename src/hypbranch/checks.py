@@ -210,25 +210,6 @@ def branching_suite(seed: int = 0) -> list[CheckResult]:
 
 def packets_suite(seed: int = 0) -> list[CheckResult]:
     out = []
-    ok_fast = True
-    ok_brute = True
-    ok_size = True
-    for p, q in ((4, 4), (4, 6), (6, 6)):
-        m = (p + q) // 2
-        left = (packets.WeylGroup("D", p // 2), packets.WeylGroup("D", q // 2))
-        mid = packets.WeylGroup("D", m)
-        right = packets.WeylGroup("D", m - 1)
-        res = packets.double_cosets(left, mid, right)
-        if res.count != 2:
-            ok_fast = False
-        if res.coset_space_size != 2 * m:
-            ok_size = False
-        if packets.double_cosets_brute(left, mid, right) != 2:
-            ok_brute = False
-    out.append(_result("double_coset_count_fast", ok_fast))
-    out.append(_result("double_coset_count_brute", ok_brute))
-    out.append(_result("coset_space_size", ok_size))
-
     forms = packets.pure_inner_forms(packets.RealForm(3, 3))
     out.append(
         _result(

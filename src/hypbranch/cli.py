@@ -2,8 +2,9 @@
 
 Half-integer flags use the doubled-integer convention (`--lambda-x2 3` means
 lambda = 3/2) so no parameter ever passes through float parsing.  Exit codes:
-0 success, 1 property failure, 2 invalid parameters, 3 divergent integral,
-4 numeric tolerance not met.
+0 success, 1 property failure or a branch row whose numeric verdict disagrees
+with its predicate, 2 invalid parameters, 3 divergent integral, 4 numeric
+tolerance not met.
 """
 
 from __future__ import annotations
@@ -97,6 +98,12 @@ def _branch_rows(args, spec):
 
 def cmd_branch(args) -> int:
     rows = _branch_rows(args, _quad_spec(args))
+    mismatches = [row for row in rows if row["nonzero"] != row["predicate"]]
+    if mismatches:
+        for row in mismatches:
+            detail = " ".join(f"{k}={row[k]}" for k in BRANCH_COLUMNS)
+            print(f"error: verdict mismatch: {detail}", file=sys.stderr)
+        return 1
     if args.format == "csv":
         buf = io.StringIO()
         writer = csv.DictWriter(buf, fieldnames=BRANCH_COLUMNS)

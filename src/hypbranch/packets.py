@@ -24,7 +24,6 @@ __all__ = [
     "weyl_conjugate",
     "DoubleCosetResult",
     "double_cosets",
-    "double_cosets_brute",
     "arthur_packet",
     "pure_inner_forms",
     "relevant_pairs",
@@ -248,108 +247,27 @@ def _validate_coset_setup(left, mid: WeylGroup, right: WeylGroup):
         raise AssumptionError("left block ranks must be >= 2 (p, q >= 4)")
 
 
-def _left_generators_on_blocks(r1: int, r2: int, m: int) -> list[SignedPermutation]:
-    gens = []
-    for offset, rank in ((0, r1), (r1, r2)):
-        for i in range(1, rank):
-            images = list(range(1, m + 1))
-            images[offset + i - 1], images[offset + i] = images[offset + i], images[offset + i - 1]
-            gens.append(SignedPermutation(images))
-        images = list(range(1, m + 1))
-        images[offset + rank - 2], images[offset + rank - 1] = (
-            -images[offset + rank - 1],
-            -images[offset + rank - 2],
-        )
-        gens.append(SignedPermutation(images))
-    return gens
-
-
-def _coset_representative(dest: tuple[int, int], m: int) -> SignedPermutation:
-    """A type-D element sending e_1 to sign * e_index."""
-    index, sign = dest
-    images = list(range(1, m + 1))
-    if index == 1 and sign == 1:
-        return SignedPermutation(images)
-    images[0], images[index - 1] = sign * index, sign * 1
-    if index == 1:
-        # e_1 -> -e_1 needs a second flip to stay in type D
-        images[1] = -images[1]
-    return SignedPermutation(images)
-
-
 def double_cosets(left: tuple[WeylGroup, WeylGroup], mid: WeylGroup, right: WeylGroup) -> DoubleCosetResult:
-    """Count left\\mid/right double cosets via the destination-of-e_1 model.
+    """The left\\mid/right double cosets in closed form.
 
     The right factor is the stabilizer of e_1 in mid = D_m, so mid/right is
-    the 2m signed basis vectors; the block-diagonal left group acts on those
-    destinations and its orbits are the double cosets.
+    the 2m signed basis vectors, and the double cosets are the orbits of the
+    block-diagonal left group on them.  D_r with r >= 2 is transitive on the
+    2r signed basis vectors of its block, so there are two orbits, one per
+    block: the identity coset and the coset of the transposition
+    e_1 <-> e_{r1+1}.
     """
     _validate_coset_setup(left, mid, right)
-    m = mid.rank
-    r1 = left[0].rank
-    gens = _left_generators_on_blocks(r1, left[1].rank, m)
-    destinations = [(i, s) for i in range(1, m + 1) for s in (1, -1)]
-    seen: dict[tuple[int, int], int] = {}
-    orbits: list[list[tuple[int, int]]] = []
-    for dest in destinations:
-        if dest in seen:
-            continue
-        orbit = [dest]
-        seen[dest] = len(orbits)
-        frontier = [dest]
-        while frontier:
-            cur = frontier.pop()
-            for g in gens:
-                nxt = g.apply_signed_index(*cur)
-                if nxt not in seen:
-                    seen[nxt] = len(orbits)
-                    orbit.append(nxt)
-                    frontier.append(nxt)
-        orbits.append(orbit)
-    # identity coset first
-    orbits.sort(key=lambda orb: (1, 1) not in orb)
-    reps = tuple(_coset_representative(sorted(orb, key=lambda d: (d[0], -d[1]))[0], m) for orb in orbits)
+    m, r1 = mid.rank, left[0].rank
+    swap = list(range(1, m + 1))
+    swap[0], swap[r1] = r1 + 1, 1
+    blocks = (range(1, r1 + 1), range(r1 + 1, m + 1))
     return DoubleCosetResult(
-        count=len(orbits),
-        representatives=reps,
-        coset_space_size=len(destinations),
-        orbits=tuple(tuple(sorted(orb)) for orb in orbits),
+        count=len(blocks),
+        representatives=(SignedPermutation.identity(m), SignedPermutation(swap)),
+        coset_space_size=2 * m,
+        orbits=tuple(tuple((i, s) for i in block for s in (-1, 1)) for block in blocks),
     )
-
-
-def double_cosets_brute(left: tuple[WeylGroup, WeylGroup], mid: WeylGroup, right: WeylGroup) -> int:
-    """Slow oracle: component count of the full group under left/right moves."""
-    _validate_coset_setup(left, mid, right)
-    m = mid.rank
-    left_gens = _left_generators_on_blocks(left[0].rank, left[1].rank, m)
-    right_gens = right_generators_fixing_first(m)
-    remaining = {w.images: w for w in mid.elements()}
-    count = 0
-    while remaining:
-        _, w = remaining.popitem()
-        count += 1
-        frontier = [w]
-        while frontier:
-            cur = frontier.pop()
-            neighbors = [g * cur for g in left_gens] + [cur * g for g in right_gens]
-            for nxt in neighbors:
-                if nxt.images in remaining:
-                    del remaining[nxt.images]
-                    frontier.append(nxt)
-    return count
-
-
-def right_generators_fixing_first(m: int) -> list[SignedPermutation]:
-    """Generators of the D_{m-1} acting on coordinates 2..m."""
-    gens = []
-    for i in range(2, m):
-        images = list(range(1, m + 1))
-        images[i - 1], images[i] = images[i], images[i - 1]
-        gens.append(SignedPermutation(images))
-    images = list(range(1, m + 1))
-    images[m - 2], images[m - 1] = -images[m - 1], -images[m - 2]
-    gens.append(SignedPermutation(images))
-    return gens
 
 
 def arthur_packet(p: int, q: int, lam) -> dict:

@@ -133,9 +133,8 @@ def period_integral_G2(
     target = make_fj_param(p, q, mu, SpaceTag.G2_SPACE)
     a, b = ambient.degree, target.degree
     sphere = sphere_area(p)
-    zonal_pairing = pairing_subsphere(a, b, q)
     witness_ok, witness_value = ktype_pairing_nonzero(a, b, q)
-    pairing = witness_value if use_witness else zonal_pairing
+    pairing = witness_value if use_witness else pairing_subsphere(a, b, q)
     c_exp = float(q - 2 + ambient.decay_exponent + target.decay_exponent)
     radial, err = radial_integral_numeric(p - 1, c_exp, spec)
     value = sphere * pairing * radial

@@ -29,7 +29,6 @@ from hypbranch.packets import (
     admissibility_table,
     conjecture_explore,
     double_cosets,
-    double_cosets_brute,
     pure_inner_forms,
     relevant_pairs,
 )
@@ -41,6 +40,7 @@ from hypbranch.periods import (
     period_integral_G2,
     valid_targets,
 )
+from coset_oracle import double_cosets_brute
 from group_elements import random_group_element
 
 H = HalfInt.from_twice

@@ -1,5 +1,6 @@
 import ast
 import csv
+import dataclasses
 import io
 import json
 import math
@@ -12,7 +13,9 @@ from pathlib import Path
 import pytest
 
 import hypbranch
+from hypbranch.checks import SUITES, run_suite
 from hypbranch.cli import main
+from hypbranch.periods import branching_verdict
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -126,6 +129,28 @@ class TestBranch:
             assert isinstance(row["nonzero"], bool)
             assert isinstance(row["predicate"], bool)
 
+    def test_disagreeing_verdict_exits_1(self, capsys, monkeypatch):
+        def flip_target_5(p, q, lam, subgroup, target, spec):
+            result = branching_verdict(p, q, lam, subgroup, target, spec)
+            if target.twice != 5:
+                return result
+            verdict = dataclasses.replace(result.verdict, nonzero=not result.verdict.nonzero)
+            return dataclasses.replace(result, verdict=verdict)
+
+        monkeypatch.setattr("hypbranch.cli.branching_verdict", flip_target_5)
+        code, out, err = run_cli(
+            capsys,
+            "branch", "--p", "4", "--q", "4", "--lambda-x2", "4",
+            "--subgroup", "g2", "--max-target-x2", "7", "--format", "csv",
+        )
+        assert code == 1
+        assert out == ""
+        lines = err.strip().splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("error: verdict mismatch: ")
+        assert " target_x2=5 " in lines[0]
+        assert " nonzero=True predicate=False " in lines[0]
+
     def test_high_degree_g1_verdicts_match_predicate(self, capsys):
         # ambient degree a = 100, target degrees c up to 102: exact only with a rule of degree a + c
         code, out, _ = run_cli(
@@ -222,6 +247,12 @@ class TestCheck:
         code, _, _ = run_cli(capsys, "check", "--suite", "conjecture")
         assert code == 0
 
+    @pytest.mark.parametrize("name", list(SUITES))
+    def test_every_suite_passes(self, name):
+        results = run_suite(name)
+        assert results
+        assert [r.name for r in results if not r.passed] == []
+
 
 class TestOutFile(object):
     def test_out_flag(self, tmp_path, capsys):
@@ -234,15 +265,29 @@ class TestOutFile(object):
         assert json.loads(target.read_text())["a"] == 1
 
 
+def _subprocess_env():
+    path = [str(Path(hypbranch.__file__).parents[1]), os.environ.get("PYTHONPATH")]
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+
+
 def test_import_leaves_scipy_out():
     # scipy is a test dependency only; the installed CLI runs on numpy alone
-    path = [str(Path(hypbranch.__file__).parents[1]), os.environ.get("PYTHONPATH")]
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+    env = _subprocess_env()
     probe = "import sys, hypbranch.cli; print('scipy' in sys.modules)"
     out = subprocess.run(
         [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
     )
     assert out.stdout.strip() == "False"
+
+
+def test_demos_run():
+    demos = sorted((Path(__file__).parents[1] / "demos").glob("*.py"))
+    assert demos
+    for demo in demos:
+        out = subprocess.run(
+            [sys.executable, str(demo)], env=_subprocess_env(), capture_output=True, text=True
+        )
+        assert out.returncode == 0, (demo.name, out.stderr)
 
 
 def test_runtime_has_no_assert():

@@ -12,13 +12,13 @@ from hypbranch.packets import (
     conjecture_explore,
     default_support_predicates,
     double_cosets,
-    double_cosets_brute,
     interlace_classify,
     pure_inner_forms,
     relevant_pairs,
     weyl_conjugate,
     weyl_order,
 )
+from coset_oracle import double_cosets_bfs, double_cosets_brute
 
 H = HalfInt.from_twice
 
@@ -148,7 +148,14 @@ class TestDoubleCosets:
     @pytest.mark.parametrize("pq", [(4, 4), (4, 6), (4, 8), (6, 6)])
     def test_brute_oracle_agrees(self, pq):
         p, q = pq
-        assert double_cosets_brute(*_setup(p, q)) == 2
+        setup = _setup(p, q)
+        assert double_cosets_brute(*setup) == double_cosets(*setup).count == 2
+
+    @pytest.mark.parametrize("r1", range(2, 9))
+    def test_closed_form_matches_bfs_oracle(self, r1):
+        for r2 in range(2, 9):
+            setup = _setup(2 * r1, 2 * r2)
+            assert double_cosets(*setup) == double_cosets_bfs(*setup), (r1, r2)
 
     def test_representatives(self):
         res = double_cosets(*_setup(4, 4))
