@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import sys
@@ -20,12 +21,7 @@ from .errors import DivergenceError, InvalidParameterError, ToleranceError
 from .fjrep import SpaceTag, make_fj_param
 from .numerics import HalfInt, QuadratureSpec
 from .packets import RealForm, arthur_packet, pure_inner_forms, relevant_pairs
-from .periods import (
-    branching_verdict,
-    period_integral_G1,
-    period_integral_G2,
-    valid_targets,
-)
+from .periods import branching_verdicts, period_integral_G1, period_integral_G2, valid_targets
 
 BRANCH_COLUMNS = [
     "p",
@@ -72,9 +68,10 @@ def cmd_fj(args) -> int:
 def _branch_rows(args, spec):
     lam = HalfInt.from_twice(args.lambda_x2)
     make_fj_param(args.p, args.q, lam)
+    targets = valid_targets(args.p, args.q, args.subgroup, args.max_target_x2)
+    results = branching_verdicts(args.p, args.q, lam, args.subgroup, targets, spec)
     rows = []
-    for target in valid_targets(args.p, args.q, args.subgroup, args.max_target_x2):
-        result = branching_verdict(args.p, args.q, lam, args.subgroup, target, spec)
+    for target, result in zip(targets, results):
         v = result.verdict
         rows.append(
             {
@@ -228,10 +225,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# main reuses one parser per process: building it costs more than ten parses
+_main_parser = functools.cache(build_parser)
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _main_parser().parse_args(argv)
     except SystemExit as exc:
         # argparse exits with 2 on bad flags, which matches the contract
         return int(exc.code) if exc.code else 0

@@ -23,6 +23,7 @@ __all__ = [
     "weighted_cos_integral",
     "zonal_norm_sq",
     "zonal_norm_sq_closed",
+    "zonal_gram",
     "pairing_subsphere",
     "so_branching_multiplicity",
     "ktype_pairing_nonzero",
@@ -116,14 +117,27 @@ def weighted_cos_integral(f, sin_power: int, degree: int) -> float:
     return float(np.sum(w * np.asarray(f(x), dtype=float)))
 
 
+def zonal_gram(a: int, targets, n: int):
+    """Pairings of the degree-a zonal harmonic with the degree sequence `targets` on S^{n-1}.
+
+    Returns (<Z_a, Z_c> for each c, |Z_a|^2, |Z_c|^2 for each c) as quadratures from
+    one Gegenbauer pass up to top = max(a, targets) on the sphere rule exact to degree
+    2 top, keeping only the rows of a and of the targets.
+    """
+    if n < 3:
+        raise InvalidParameterError("zonal harmonics require sphere_dim >= 3")
+    top = max([a, *targets])
+    x, w = sphere_rule(2 * top, n - 3)
+    weight = sphere_area(n - 1) * w
+    wanted = {a, *targets}
+    rows = {k: z for k, z in enumerate(_gegenbauer_series(top, (n - 2) / 2.0, x)) if k in wanted}
+    zonals = np.array([rows[c] for c in targets]).reshape(len(targets), len(x))
+    return zonals @ (weight * rows[a]), float(rows[a] ** 2 @ weight), zonals**2 @ weight
+
+
 def zonal_norm_sq(a: int, n: int) -> float:
     """L^2(S^{n-1}) norm squared of the degree-a zonal harmonic, by quadrature."""
-    if n < 3:
-        raise InvalidParameterError("zonal_norm_sq requires sphere_dim >= 3")
-    nu = (n - 2) / 2.0
-    return sphere_area(n - 1) * weighted_cos_integral(
-        lambda x: gegenbauer(a, nu, x) ** 2, n - 3, 2 * a
-    )
+    return zonal_gram(a, (), n)[1]
 
 
 def zonal_norm_sq_closed(a: int, n: int) -> float:
@@ -166,18 +180,9 @@ def so_branching_multiplicity(a: int, b: int) -> int:
 
 
 def _witness_gram_row(a: int, b: int, n: int):
-    """Gram row of the zonal harmonics Z_0..Z_a against Z_b on S^{n-2}.
-
-    Returns (|<Z_k, Z_b>| / (|Z_k| |Z_b|), <Z_k, Z_b>) for k = 0..a, both on
-    the sphere rule exact to degree 2 max(a, b).
-    """
-    top = max(a, b)
-    x, w = sphere_rule(2 * top, n - 4)
-    weight = sphere_area(n - 2) * w
-    zonals = np.array(list(_gegenbauer_series(top, (n - 3) / 2.0, x)))
-    norms_sq = zonals**2 @ weight
-    gram = zonals[: a + 1] @ (weight * zonals[b])
-    return np.abs(gram) / np.sqrt(norms_sq[: a + 1] * norms_sq[b]), gram
+    """(|<Z_k, Z_b>| / (|Z_k| |Z_b|), <Z_k, Z_b>) for the zonals Z_0..Z_a on S^{n-2}."""
+    gram, norm_b, norms_sq = zonal_gram(b, range(a + 1), n - 1)
+    return np.abs(gram) / np.sqrt(norms_sq * norm_b), gram
 
 
 def ktype_pairing_nonzero(a: int, b: int, n: int) -> tuple[bool, float]:

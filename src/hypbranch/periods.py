@@ -15,14 +15,7 @@ from dataclasses import dataclass
 from .errors import DivergenceError, InvalidParameterError, ToleranceError
 from .fjrep import FJParam, SpaceTag, inf_char, make_fj_param
 from .geometry import radial_integral_numeric
-from .harmonics import (
-    gegenbauer,
-    ktype_pairing_nonzero,
-    pairing_subsphere,
-    sphere_area,
-    weighted_cos_integral,
-    zonal_norm_sq,
-)
+from .harmonics import ktype_pairing_nonzero, pairing_subsphere, sphere_area, zonal_gram
 from .numerics import HALF, HalfInt, QuadratureSpec
 from .packets import InterlaceClass, interlace_classify
 
@@ -34,8 +27,10 @@ __all__ = [
     "nonvanishing_G1",
     "nonvanishing_G2",
     "period_integral_G1",
+    "period_integrals_G1",
     "period_integral_G2",
     "branching_verdict",
+    "branching_verdicts",
     "valid_targets",
     "interlace_class_for_pair",
 ]
@@ -155,6 +150,50 @@ def period_integral_G2(
     )
 
 
+def period_integrals_G1(
+    p: int,
+    q: int,
+    lam,
+    nus,
+    spec: QuadratureSpec = _DEFAULT_SPEC,
+) -> list[PeriodVerdict]:
+    """Periods of the (lambda, nu) pairs over the suborbit X(p-1, q), one per nu.
+
+    Factored value: sphere_area(p-1) * [full-sphere pairing on S^{q-1},
+    which is delta_{a,c} |f_a|^2 by orthogonality] * R(p-2, (q-1)+e_lambda+e_nu).
+    The pairings and the norms of the scale-free nonzero test come from one
+    Gegenbauer pass over all target degrees (`zonal_gram`).
+    """
+    lam, nus = _as_halfint(lam), [_as_halfint(nu) for nu in nus]
+    for nu in nus:
+        if not converges_G1(lam, nu):
+            raise DivergenceError(
+                f"period diverges: lambda + nu = {lam + nu} fails the > -1/2 threshold"
+            )
+    ambient = make_fj_param(p, q, lam)
+    targets = [make_fj_param(p, q, nu, SpaceTag.G1_SPACE) for nu in nus]
+    exponents = [float(q - 1 + ambient.decay_exponent + t.decay_exponent) for t in targets]
+    radials = [radial_integral_numeric(p - 2, c_exp, spec) for c_exp in exponents]
+    a, sphere = ambient.degree, sphere_area(p - 1)
+    pairings, norm_a, norms_c = zonal_gram(a, [t.degree for t in targets], q)
+    return [
+        PeriodVerdict(
+            converges=True,
+            parity_match=(a - t.degree) % 2 == 0,
+            degree_pair=(a, t.degree),
+            value=sphere * pairing * radial,
+            err_est=abs(sphere * pairing) * err,
+            nonzero=abs(pairing) > 1e-8 * math.sqrt(norm_a * norm_c),
+            predicate_nonzero=nonvanishing_G1(p, q, lam, t.lam),
+            sphere_factor=sphere,
+            pairing_factor=pairing,
+            radial_factor=radial,
+            witness_used=False,
+        )
+        for t, (radial, err), pairing, norm_c in zip(targets, radials, pairings.tolist(), norms_c)
+    ]
+
+
 def period_integral_G1(
     p: int,
     q: int,
@@ -162,42 +201,8 @@ def period_integral_G1(
     nu,
     spec: QuadratureSpec = _DEFAULT_SPEC,
 ) -> PeriodVerdict:
-    """Period of the (lambda, nu) pair over the suborbit X(p-1, q).
-
-    Factored value: sphere_area(p-1) * [full-sphere pairing on S^{q-1},
-    which is delta_{a,c} |f_a|^2 by orthogonality] * R(p-2, (q-1)+e_lambda+e_nu).
-    """
-    lam, nu = _as_halfint(lam), _as_halfint(nu)
-    if not converges_G1(lam, nu):
-        raise DivergenceError(
-            f"period diverges: lambda + nu = {lam + nu} fails the > -1/2 threshold"
-        )
-    ambient = make_fj_param(p, q, lam)
-    target = make_fj_param(p, q, nu, SpaceTag.G1_SPACE)
-    a, c = ambient.degree, target.degree
-    sphere = sphere_area(p - 1)
-    order = (q - 2) / 2.0
-    pairing = sphere_area(q - 1) * weighted_cos_integral(
-        lambda x: gegenbauer(a, order, x) * gegenbauer(c, order, x), q - 3, a + c
-    )
-    norm_scale = math.sqrt(zonal_norm_sq(a, q) * zonal_norm_sq(c, q))
-    nonzero = abs(pairing) > 1e-8 * norm_scale
-    c_exp = float(q - 1 + ambient.decay_exponent + target.decay_exponent)
-    radial, err = radial_integral_numeric(p - 2, c_exp, spec)
-    value = sphere * pairing * radial
-    return PeriodVerdict(
-        converges=True,
-        parity_match=(a - c) % 2 == 0,
-        degree_pair=(a, c),
-        value=value,
-        err_est=abs(sphere * pairing) * err,
-        nonzero=nonzero,
-        predicate_nonzero=nonvanishing_G1(p, q, lam, nu),
-        sphere_factor=sphere,
-        pairing_factor=pairing,
-        radial_factor=radial,
-        witness_used=False,
-    )
+    """Period of the (lambda, nu) pair over the suborbit X(p-1, q): see `period_integrals_G1`."""
+    return period_integrals_G1(p, q, lam, [nu], spec)[0]
 
 
 @dataclass(frozen=True)
@@ -215,6 +220,40 @@ def interlace_class_for_pair(p: int, q: int, lam, target, subgroup: str) -> Inte
     return interlace_classify(inf_char(ambient), inf_char(sub))
 
 
+def branching_verdicts(
+    p: int,
+    q: int,
+    lam,
+    subgroup: str,
+    targets,
+    spec: QuadratureSpec = _DEFAULT_SPEC,
+) -> list[BranchingVerdict]:
+    """Full verdicts for one ambient parameter and subgroup, one per target.
+
+    The restriction to SO0(p-1, q) is admissible, the one to SO0(p, q-1) is
+    not (encoded branching data); the hom decision is the matching
+    closed-form predicate, cross-checked by the numeric verdict.  The g1
+    periods of the whole target list share one Gegenbauer pass.
+    """
+    sub = subgroup.lower()
+    targets = list(targets)
+    if sub == "g1":
+        verdicts = period_integrals_G1(p, q, lam, targets, spec)
+    elif sub == "g2":
+        verdicts = [period_integral_G2(p, q, lam, t, spec, use_witness=True) for t in targets]
+    else:
+        raise InvalidParameterError("subgroup must be 'g1' or 'g2'")
+    return [
+        BranchingVerdict(
+            hom_nonzero=verdict.predicate_nonzero,
+            verdict=verdict,
+            admissible_restriction=sub == "g1",
+            interlace=interlace_class_for_pair(p, q, lam, target, sub),
+        )
+        for target, verdict in zip(targets, verdicts)
+    ]
+
+
 def branching_verdict(
     p: int,
     q: int,
@@ -223,29 +262,8 @@ def branching_verdict(
     target,
     spec: QuadratureSpec = _DEFAULT_SPEC,
 ) -> BranchingVerdict:
-    """Full verdict for one (ambient, subgroup, target) triple.
-
-    The restriction to SO0(p-1, q) is admissible, the one to SO0(p, q-1) is
-    not (encoded branching data); the hom decision is the matching
-    closed-form predicate, cross-checked by the numeric verdict.
-    """
-    sub = subgroup.lower()
-    if sub == "g1":
-        verdict = period_integral_G1(p, q, lam, target, spec)
-        hom = nonvanishing_G1(p, q, lam, target)
-        admissible = True
-    elif sub == "g2":
-        verdict = period_integral_G2(p, q, lam, target, spec, use_witness=True)
-        hom = nonvanishing_G2(p, q, lam, target)
-        admissible = False
-    else:
-        raise InvalidParameterError("subgroup must be 'g1' or 'g2'")
-    return BranchingVerdict(
-        hom_nonzero=hom,
-        verdict=verdict,
-        admissible_restriction=admissible,
-        interlace=interlace_class_for_pair(p, q, lam, target, sub),
-    )
+    """Full verdict for one (ambient, subgroup, target) triple: see `branching_verdicts`."""
+    return branching_verdicts(p, q, lam, subgroup, [target], spec)[0]
 
 
 def valid_targets(p: int, q: int, subgroup: str, max_twice: int) -> list[HalfInt]:

@@ -15,7 +15,7 @@ import pytest
 import hypbranch
 from hypbranch.checks import SUITES, run_suite
 from hypbranch.cli import main
-from hypbranch.periods import branching_verdict
+from hypbranch.periods import branching_verdicts
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -129,15 +129,20 @@ class TestBranch:
             assert isinstance(row["nonzero"], bool)
             assert isinstance(row["predicate"], bool)
 
-    def test_disagreeing_verdict_exits_1(self, capsys, monkeypatch):
-        def flip_target_5(p, q, lam, subgroup, target, spec):
-            result = branching_verdict(p, q, lam, subgroup, target, spec)
-            if target.twice != 5:
-                return result
-            verdict = dataclasses.replace(result.verdict, nonzero=not result.verdict.nonzero)
-            return dataclasses.replace(result, verdict=verdict)
+    @staticmethod
+    def _flip_target_5(monkeypatch):
+        def flip_target_5(p, q, lam, subgroup, targets, spec):
+            results = branching_verdicts(p, q, lam, subgroup, targets, spec)
+            for i, (target, result) in enumerate(zip(targets, results)):
+                if target.twice == 5:
+                    verdict = dataclasses.replace(result.verdict, nonzero=not result.verdict.nonzero)
+                    results[i] = dataclasses.replace(result, verdict=verdict)
+            return results
 
-        monkeypatch.setattr("hypbranch.cli.branching_verdict", flip_target_5)
+        monkeypatch.setattr("hypbranch.cli.branching_verdicts", flip_target_5)
+
+    def test_disagreeing_verdict_exits_1(self, capsys, monkeypatch):
+        self._flip_target_5(monkeypatch)
         code, out, err = run_cli(
             capsys,
             "branch", "--p", "4", "--q", "4", "--lambda-x2", "4",
@@ -150,6 +155,21 @@ class TestBranch:
         assert lines[0].startswith("error: verdict mismatch: ")
         assert " target_x2=5 " in lines[0]
         assert " nonzero=True predicate=False " in lines[0]
+
+    def test_disagreeing_g1_verdict_exits_1(self, capsys, monkeypatch):
+        self._flip_target_5(monkeypatch)
+        code, out, err = run_cli(
+            capsys,
+            "branch", "--p", "4", "--q", "4", "--lambda-x2", "4",
+            "--subgroup", "g1", "--max-target-x2", "7", "--format", "csv",
+        )
+        assert code == 1
+        assert out == ""
+        lines = err.strip().splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("error: verdict mismatch: ")
+        assert " target_x2=5 " in lines[0]
+        assert " nonzero=False predicate=True " in lines[0]
 
     def test_high_degree_g1_verdicts_match_predicate(self, capsys):
         # ambient degree a = 100, target degrees c up to 102: exact only with a rule of degree a + c

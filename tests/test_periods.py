@@ -2,13 +2,17 @@ import math
 
 import pytest
 
+from hypbranch import harmonics
+from hypbranch.cli import main
 from hypbranch.errors import DivergenceError, InvalidParameterError
 from hypbranch.fjrep import SpaceTag, inf_char, make_fj_param
-from hypbranch.harmonics import zonal_norm_sq
+from hypbranch.geometry import radial_integral_closed
+from hypbranch.harmonics import sphere_area, zonal_norm_sq, zonal_norm_sq_closed
 from hypbranch.numerics import HalfInt
 from hypbranch.packets import InterlaceClass
 from hypbranch.periods import (
     branching_verdict,
+    branching_verdicts,
     converges_G1,
     converges_G2,
     interlace_class_for_pair,
@@ -16,6 +20,7 @@ from hypbranch.periods import (
     nonvanishing_G2,
     period_integral_G1,
     period_integral_G2,
+    period_integrals_G1,
     valid_targets,
 )
 
@@ -125,6 +130,59 @@ class TestPeriodG1:
     def test_divergence(self):
         with pytest.raises(DivergenceError):
             period_integral_G1(5, 4, HalfInt(-2), HalfInt(1))
+
+
+class TestPeriodsG1Batched:
+    @pytest.mark.parametrize("a", [0, 4, 16, 48, 100])
+    def test_matches_per_target_and_closed_form(self, a):
+        for p in (5, 6, 7):
+            for q in (4, 5, 6, 7):
+                lam = H(2 * a + 2 - (p - q))
+                if not lam > 0:
+                    continue
+                top = 2 * (a + 2) + 2 - (p - 1 - q)  # target degrees c = 0..a+2
+                nus = valid_targets(p, q, "g1", top)
+                batch = period_integrals_G1(p, q, lam, nus)
+                ambient = make_fj_param(p, q, lam)
+                assert [v.degree_pair for v in batch] == [(a, c) for c in range(a + 3 - len(nus), a + 3)]
+                for nu, v in zip(nus, batch):
+                    single = period_integral_G1(p, q, lam, nu)
+                    assert v.nonzero == single.nonzero == v.predicate_nonzero, (p, q, a, nu)
+                    assert v.degree_pair == single.degree_pair
+                    target = make_fj_param(p, q, nu, SpaceTag.G1_SPACE)
+                    c_exp = q - 1 + ambient.decay_exponent + target.decay_exponent
+                    scale = (
+                        sphere_area(p - 1)
+                        * zonal_norm_sq_closed(a, q)
+                        * radial_integral_closed(p - 2, float(c_exp))
+                    )
+                    if v.predicate_nonzero:
+                        assert abs(v.value - scale) <= 1e-12 * scale, (p, q, a, nu)
+                        assert abs(single.value - scale) <= 1e-12 * scale, (p, q, a, nu)
+                    else:
+                        assert abs(v.value) <= 1e-12 * scale, (p, q, a, nu)
+                        assert abs(single.value) <= 1e-12 * scale, (p, q, a, nu)
+
+    def test_one_gegenbauer_pass(self, monkeypatch, capsys):
+        calls = []
+        series = harmonics._gegenbauer_series
+
+        def counted(*args):
+            calls.append(args[:2])
+            return series(*args)
+
+        monkeypatch.setattr(harmonics, "_gegenbauer_series", counted)
+        lam = H(2 * 16 + 1)  # a = 16 at (5, 4)
+        nus = valid_targets(5, 4, "g1", 2 * 18 + 2)
+        assert len(period_integrals_G1(5, 4, lam, nus)) == 19
+        assert len(branching_verdicts(5, 4, lam, "g1", nus)) == 19
+        period_integral_G1(5, 4, lam, nus[16])
+        assert main(["branch", "--p", "5", "--q", "4", "--lambda-x2", "33",
+                     "--subgroup", "g1", "--max-target-x2", "38"]) == 0
+        assert main(["period", "--p", "5", "--q", "4", "--lambda-x2", "33",
+                     "--target-x2", "34", "--subgroup", "g1"]) == 0
+        capsys.readouterr()
+        assert calls == [(18, 1.0), (18, 1.0), (16, 1.0), (18, 1.0), (16, 1.0)]
 
 
 class TestBranchingVerdict:
