@@ -50,7 +50,6 @@ from .packets import (
     interlace_classify,
     pure_inner_forms,
     relevant_pairs,
-    weyl_order,
 )
 from .periods import (
     BranchingVerdict,

@@ -154,17 +154,6 @@ def decay_suite(seed: int = 0) -> list[CheckResult]:
     return out
 
 
-def _valid_lambdas(p: int, q: int, grid) -> list[HalfInt]:
-    out = []
-    for lam in grid:
-        try:
-            fjrep.make_fj_param(p, q, lam)
-        except Exception:
-            continue
-        out.append(lam)
-    return out
-
-
 def branching_suite(seed: int = 0) -> list[CheckResult]:
     grid = [HalfInt(1), HalfInt.from_twice(3), HalfInt(2), HalfInt(3)]
     agree_g2 = True
@@ -173,7 +162,7 @@ def branching_suite(seed: int = 0) -> list[CheckResult]:
     interlace_g1 = True
     for p in (4, 5, 6):
         for q in (4, 5, 6):
-            for lam in _valid_lambdas(p, q, grid):
+            for lam in [lam for lam in fjrep.valid_lambdas(p, q, 6) if lam in grid]:
                 ambient = fjrep.make_fj_param(p, q, lam)
                 max_twice = (ambient.degree + 8) * 2
                 for mu in periods.valid_targets(p, q, "g2", max_twice):

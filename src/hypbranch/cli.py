@@ -18,7 +18,7 @@ import sys
 
 from .checks import run_suite
 from .errors import DivergenceError, InvalidParameterError, ToleranceError
-from .fjrep import SpaceTag, make_fj_param
+from .fjrep import make_fj_param
 from .numerics import HalfInt, QuadratureSpec
 from .packets import RealForm, arthur_packet, pure_inner_forms, relevant_pairs
 from .periods import branching_verdicts, period_integral_G1, period_integral_G2, valid_targets
@@ -67,7 +67,6 @@ def cmd_fj(args) -> int:
 
 def _branch_rows(args, spec):
     lam = HalfInt.from_twice(args.lambda_x2)
-    make_fj_param(args.p, args.q, lam)
     targets = valid_targets(args.p, args.q, args.subgroup, args.max_target_x2)
     results = branching_verdicts(args.p, args.q, lam, args.subgroup, targets, spec)
     rows = []

@@ -27,6 +27,7 @@ __all__ = [
     "FJParam",
     "InfChar",
     "make_fj_param",
+    "valid_lambdas",
     "fj_eval",
     "l2_norm_sq",
     "inf_char",
@@ -61,8 +62,7 @@ class FJParam:
 
     @property
     def degree(self) -> int:
-        sp, sq = self.space_signature
-        return (self.lam - 1 + HalfInt.from_twice(sp - sq)).as_integer()
+        return self.min_ktype.as_integer()
 
     @property
     def decay_exponent(self) -> HalfInt:
@@ -122,21 +122,31 @@ def make_fj_param(p: int, q: int, lam, tag: SpaceTag = SpaceTag.G_ON_H) -> FJPar
     harmonic degree (the generating function needs an actual spherical
     harmonic of that degree).
     """
-    if not isinstance(tag, SpaceTag):
-        tag = SpaceTag(tag)
     if p < 4 or q < 4:
         raise InvalidParameterError(f"standing assumption p, q >= 4 violated: ({p}, {q})")
     lam = lam if isinstance(lam, HalfInt) else HalfInt(lam)
     if not lam > 0:
         raise InvalidParameterError(f"lambda must be positive, got {lam}")
-    param = FJParam(p, q, lam, tag)
-    sp, sq = param.space_signature
-    a = lam - 1 + HalfInt.from_twice(sp - sq)
+    param = FJParam(p, q, lam, SpaceTag(tag))
+    a = param.min_ktype
     if not a.is_integer or a < 0:
         raise InvalidParameterError(
             f"harmonic degree a = lambda - 1 + (p-q)/2 = {a} must be a non-negative integer"
         )
     return param
+
+
+def valid_lambdas(p: int, q: int, max_twice: int, tag: SpaceTag = SpaceTag.G_ON_H) -> list[HalfInt]:
+    """Every lambda that `make_fj_param` accepts, with doubled value up to max_twice.
+
+    On the tag's space X(sp, sq) these are lambda = c + 1 - (sp - sq)/2 > 0
+    for degrees c >= 0: every other doubled value from the first positive one.
+    """
+    if p < 4 or q < 4:
+        return []
+    sp, sq = FJParam(p, q, HalfInt(1), SpaceTag(tag)).space_signature
+    first = max(2 - (sp - sq), 2 - (sp - sq) % 2)
+    return [HalfInt.from_twice(twice) for twice in range(first, max_twice + 1, 2)]
 
 
 def fj_eval(param: FJParam, y_prime, t) -> float:
@@ -165,7 +175,10 @@ def l2_norm_sq(param: FJParam, spec: QuadratureSpec = _DEFAULT_SPEC) -> float:
     closed = radial_integral_closed(a_exp, c_exp)
     if abs(value - closed) > max(spec.abs_tol, spec.rel_tol * abs(closed)) * 10:
         raise ToleranceError("radial factor disagrees with its closed form", abs(value - closed))
-    return sphere_area(sp) * zonal_norm_sq(param.degree, sq) * value
+    norm_sq = sphere_area(sp) * zonal_norm_sq(param.degree, sq) * value
+    if not math.isfinite(norm_sq):
+        raise ToleranceError(f"L2 norm {norm_sq} is not finite at degree {param.degree}", math.inf)
+    return norm_sq
 
 
 def inf_char(param: FJParam) -> InfChar:

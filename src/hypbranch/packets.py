@@ -7,7 +7,7 @@ admissibility table, and the predicate-disjointness explorer.
 
 from __future__ import annotations
 
-import itertools
+import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -20,7 +20,6 @@ __all__ = [
     "InterlaceClass",
     "RealForm",
     "interlace_classify",
-    "weyl_order",
     "weyl_conjugate",
     "DoubleCosetResult",
     "double_cosets",
@@ -108,40 +107,7 @@ class WeylGroup:
         base = 2**self.rank
         if self.family == "D":
             base //= 2
-        import math
-
         return base * math.factorial(self.rank)
-
-    def elements(self):
-        """Iterate all elements; intended for rank <= 6 brute-force oracles."""
-        n = self.rank
-        for perm in itertools.permutations(range(1, n + 1)):
-            for signs in itertools.product((1, -1), repeat=n):
-                if self.family == "D" and signs.count(-1) % 2 == 1:
-                    continue
-                yield SignedPermutation(s * v for s, v in zip(signs, perm))
-
-    def generators(self) -> list[SignedPermutation]:
-        n = self.rank
-        gens = []
-        for i in range(1, n):
-            images = list(range(1, n + 1))
-            images[i - 1], images[i] = images[i], images[i - 1]
-            gens.append(SignedPermutation(images))
-        if self.family == "B":
-            images = list(range(1, n + 1))
-            images[-1] = -images[-1]
-            gens.append(SignedPermutation(images))
-        elif n >= 2:
-            # sign-swap of the last two coordinates keeps the flip count even
-            images = list(range(1, n + 1))
-            images[-2], images[-1] = -images[-1], -images[-2]
-            gens.append(SignedPermutation(images))
-        return gens
-
-
-def weyl_order(w: WeylGroup) -> int:
-    return w.order()
 
 
 def weyl_conjugate(seq_a, seq_b, family: str) -> bool:

@@ -13,10 +13,10 @@ import math
 from dataclasses import dataclass
 
 from .errors import DivergenceError, InvalidParameterError, ToleranceError
-from .fjrep import FJParam, SpaceTag, inf_char, make_fj_param
+from .fjrep import FJParam, SpaceTag, inf_char, make_fj_param, valid_lambdas
 from .geometry import radial_integral_numeric
 from .harmonics import ktype_pairing_nonzero, pairing_subsphere, sphere_area, zonal_gram
-from .numerics import HALF, HalfInt, QuadratureSpec
+from .numerics import HalfInt, QuadratureSpec
 from .packets import InterlaceClass, interlace_classify
 
 __all__ = [
@@ -70,14 +70,24 @@ def _as_halfint(v) -> HalfInt:
     return v if isinstance(v, HalfInt) else HalfInt(v)
 
 
-def converges_G2(lam, mu) -> bool:
-    """Convergence of the X(p, q-1) period: lambda + mu > -1/2, exactly."""
-    return _as_halfint(lam) + _as_halfint(mu) > _NEG_HALF
+def _tag(subgroup: str) -> SpaceTag:
+    if subgroup.lower() not in ("g1", "g2"):
+        raise InvalidParameterError("subgroup must be 'g1' or 'g2'")
+    return SpaceTag(subgroup.lower())
 
 
-def converges_G1(lam, nu) -> bool:
-    """Convergence of the X(p-1, q) period: lambda + nu > -1/2, exactly."""
-    return _as_halfint(lam) + _as_halfint(nu) > _NEG_HALF
+def _converges(lam, target) -> bool:
+    """Convergence of the X(p-1, q) or X(p, q-1) period: lambda + target > -1/2, exactly."""
+    return _as_halfint(lam) + _as_halfint(target) > _NEG_HALF
+
+
+converges_G1 = converges_G2 = _converges
+
+
+def _nonvanishing(ambient: FJParam, target: FJParam) -> bool:
+    if target.tag is SpaceTag.G1_SPACE:
+        return target.degree == ambient.degree
+    return 0 <= target.degree <= ambient.degree
 
 
 def nonvanishing_G2(p: int, q: int, lam, mu) -> bool:
@@ -86,9 +96,7 @@ def nonvanishing_G2(p: int, q: int, lam, mu) -> bool:
     True iff the target degree b = mu - 1 + (p-q+1)/2 satisfies 0 <= b <= a,
     equivalently mu + 1/2 <= lambda with b >= 0.
     """
-    ambient = make_fj_param(p, q, lam)
-    target = make_fj_param(p, q, mu, SpaceTag.G2_SPACE)
-    return 0 <= target.degree <= ambient.degree
+    return _nonvanishing(make_fj_param(p, q, lam), make_fj_param(p, q, mu, SpaceTag.G2_SPACE))
 
 
 def nonvanishing_G1(p: int, q: int, lam, nu) -> bool:
@@ -96,12 +104,7 @@ def nonvanishing_G1(p: int, q: int, lam, nu) -> bool:
 
     True iff nu = lambda + 1/2 exactly (the two full-sphere degrees match).
     """
-    ambient = make_fj_param(p, q, lam)
-    target = make_fj_param(p, q, nu, SpaceTag.G1_SPACE)
-    same_degree = target.degree == ambient.degree
-    if same_degree != (target.lam == ambient.lam + HALF):
-        raise RuntimeError("degree match disagrees with nu = lambda + 1/2")
-    return same_degree
+    return _nonvanishing(make_fj_param(p, q, lam), make_fj_param(p, q, nu, SpaceTag.G1_SPACE))
 
 
 def period_integral_G2(
@@ -142,7 +145,7 @@ def period_integral_G2(
         value=value,
         err_est=abs(sphere * pairing) * err,
         nonzero=witness_ok,
-        predicate_nonzero=nonvanishing_G2(p, q, lam, mu),
+        predicate_nonzero=_nonvanishing(ambient, target),
         sphere_factor=sphere,
         pairing_factor=pairing,
         radial_factor=radial,
@@ -176,7 +179,7 @@ def period_integrals_G1(
     radials = [radial_integral_numeric(p - 2, c_exp, spec) for c_exp in exponents]
     a, sphere = ambient.degree, sphere_area(p - 1)
     pairings, norm_a, norms_c = zonal_gram(a, [t.degree for t in targets], q)
-    return [
+    verdicts = [
         PeriodVerdict(
             converges=True,
             parity_match=(a - t.degree) % 2 == 0,
@@ -184,7 +187,7 @@ def period_integrals_G1(
             value=sphere * pairing * radial,
             err_est=abs(sphere * pairing) * err,
             nonzero=abs(pairing) > 1e-8 * math.sqrt(norm_a * norm_c),
-            predicate_nonzero=nonvanishing_G1(p, q, lam, t.lam),
+            predicate_nonzero=_nonvanishing(ambient, t),
             sphere_factor=sphere,
             pairing_factor=pairing,
             radial_factor=radial,
@@ -192,6 +195,10 @@ def period_integrals_G1(
         )
         for t, (radial, err), pairing, norm_c in zip(targets, radials, pairings.tolist(), norms_c)
     ]
+    for verdict, norm_c in zip(verdicts, norms_c):
+        if not all(map(math.isfinite, (verdict.value, norm_a, norm_c))):
+            raise ToleranceError(f"period or norm not finite at degrees {verdict.degree_pair}", math.inf)
+    return verdicts
 
 
 def period_integral_G1(
@@ -214,7 +221,7 @@ class BranchingVerdict:
 
 
 def interlace_class_for_pair(p: int, q: int, lam, target, subgroup: str) -> InterlaceClass:
-    tag = SpaceTag.G1_SPACE if subgroup.lower() == "g1" else SpaceTag.G2_SPACE
+    tag = _tag(subgroup)
     ambient = make_fj_param(p, q, lam)
     sub = make_fj_param(p, q, target, tag)
     return interlace_classify(inf_char(ambient), inf_char(sub))
@@ -233,22 +240,22 @@ def branching_verdicts(
     The restriction to SO0(p-1, q) is admissible, the one to SO0(p, q-1) is
     not (encoded branching data); the hom decision is the matching
     closed-form predicate, cross-checked by the numeric verdict.  The g1
-    periods of the whole target list share one Gegenbauer pass.
+    periods of the whole target list share one Gegenbauer pass.  The ambient
+    parameter is validated even when the target list is empty.
     """
-    sub = subgroup.lower()
+    tag = _tag(subgroup)
+    ambient_char = inf_char(make_fj_param(p, q, lam))
     targets = list(targets)
-    if sub == "g1":
+    if tag is SpaceTag.G1_SPACE:
         verdicts = period_integrals_G1(p, q, lam, targets, spec)
-    elif sub == "g2":
-        verdicts = [period_integral_G2(p, q, lam, t, spec, use_witness=True) for t in targets]
     else:
-        raise InvalidParameterError("subgroup must be 'g1' or 'g2'")
+        verdicts = [period_integral_G2(p, q, lam, t, spec, use_witness=True) for t in targets]
     return [
         BranchingVerdict(
             hom_nonzero=verdict.predicate_nonzero,
             verdict=verdict,
-            admissible_restriction=sub == "g1",
-            interlace=interlace_class_for_pair(p, q, lam, target, sub),
+            admissible_restriction=tag is SpaceTag.G1_SPACE,
+            interlace=interlace_classify(ambient_char, inf_char(make_fj_param(p, q, target, tag))),
         )
         for target, verdict in zip(targets, verdicts)
     ]
@@ -268,13 +275,4 @@ def branching_verdict(
 
 def valid_targets(p: int, q: int, subgroup: str, max_twice: int) -> list[HalfInt]:
     """All valid target parameters with doubled value up to max_twice."""
-    tag = SpaceTag.G1_SPACE if subgroup.lower() == "g1" else SpaceTag.G2_SPACE
-    out = []
-    for twice in range(1, max_twice + 1):
-        t = HalfInt.from_twice(twice)
-        try:
-            make_fj_param(p, q, t, tag)
-        except InvalidParameterError:
-            continue
-        out.append(t)
-    return out
+    return valid_lambdas(p, q, max_twice, _tag(subgroup))

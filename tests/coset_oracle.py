@@ -5,11 +5,44 @@ of e_1 by a breadth-first search over generators; ``double_cosets_brute``
 enumerates every element of the middle Weyl group and counts the components
 under left and right multiplication by generators.  Neither assumes what the
 closed form rests on: that each block's signed basis vectors form one orbit.
+``weyl_elements`` and ``weyl_generators`` enumerate a type B/D Weyl group for
+these oracles and the group tests.
 """
 
 from __future__ import annotations
 
+import itertools
+
 from hypbranch.packets import DoubleCosetResult, SignedPermutation, WeylGroup, _validate_coset_setup
+
+
+def weyl_elements(group: WeylGroup):
+    """Iterate all elements; intended for rank <= 6 brute-force oracles."""
+    n = group.rank
+    for perm in itertools.permutations(range(1, n + 1)):
+        for signs in itertools.product((1, -1), repeat=n):
+            if group.family == "D" and signs.count(-1) % 2 == 1:
+                continue
+            yield SignedPermutation(s * v for s, v in zip(signs, perm))
+
+
+def weyl_generators(group: WeylGroup) -> list[SignedPermutation]:
+    n = group.rank
+    gens = []
+    for i in range(1, n):
+        images = list(range(1, n + 1))
+        images[i - 1], images[i] = images[i], images[i - 1]
+        gens.append(SignedPermutation(images))
+    if group.family == "B":
+        images = list(range(1, n + 1))
+        images[-1] = -images[-1]
+        gens.append(SignedPermutation(images))
+    elif n >= 2:
+        # sign-swap of the last two coordinates keeps the flip count even
+        images = list(range(1, n + 1))
+        images[-2], images[-1] = -images[-1], -images[-2]
+        gens.append(SignedPermutation(images))
+    return gens
 
 
 def left_generators_on_blocks(r1: int, r2: int, m: int) -> list[SignedPermutation]:
@@ -87,7 +120,7 @@ def double_cosets_brute(left: tuple[WeylGroup, WeylGroup], mid: WeylGroup, right
     m = mid.rank
     left_gens = left_generators_on_blocks(left[0].rank, left[1].rank, m)
     right_gens = right_generators_fixing_first(m)
-    remaining = {w.images: w for w in mid.elements()}
+    remaining = {w.images: w for w in weyl_elements(mid)}
     count = 0
     while remaining:
         _, w = remaining.popitem()

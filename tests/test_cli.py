@@ -75,6 +75,22 @@ class TestGoldenOutputs:
         assert_json_matches(payload, golden)
         assert payload["size"] == 2
 
+    @pytest.mark.parametrize(
+        "name, argv",
+        [
+            ("branch_g1_5_4_l97", ("--p", "5", "--q", "4", "--lambda-x2", "97", "--subgroup", "g1",
+                                   "--max-target-x2", "102")),
+            ("branch_g2_4_6_l40", ("--p", "4", "--q", "6", "--lambda-x2", "40", "--subgroup", "g2",
+                                   "--max-target-x2", "44")),
+        ],
+        ids=["g1", "g2"],
+    )
+    def test_branch(self, capsys, name, argv):
+        code, out, _ = run_cli(capsys, "branch", *argv)
+        assert code == 0
+        golden = json.loads((GOLDEN / f"{name}.json").read_text())
+        assert_json_matches(json.loads(out), golden)
+
     def test_json_keys_sorted(self, capsys):
         _, out, _ = run_cli(capsys, "fj", "--p", "4", "--q", "4", "--lambda-x2", "4")
         keys = list(json.loads(out))
@@ -210,14 +226,21 @@ class TestExitCodes:
         "argv",
         [
             # the radial rule cannot meet its tolerance with 2 nodes
-            ("--p", "4", "--q", "4", "--lambda-x2", "4", "--nodes", "2"),
+            ("period", "--p", "4", "--q", "4", "--lambda-x2", "4", "--nodes", "2",
+             "--target-x2", "3", "--subgroup", "g2"),
             # the degree-200 leading-trace witness value overflows
-            ("--p", "4", "--q", "6", "--lambda-x2", "404", "--witness"),
+            ("period", "--p", "4", "--q", "6", "--lambda-x2", "404", "--witness",
+             "--target-x2", "3", "--subgroup", "g2"),
+            # the squared zonal values overflow on S^129 at degree 1036: the norm is NaN
+            ("fj", "--p", "4", "--q", "130", "--lambda-x2", "2200"),
+            # |Z_a|^2 overflows to inf on S^129 at degree 1000
+            ("period", "--p", "5", "--q", "130", "--lambda-x2", "2127",
+             "--target-x2", "2128", "--subgroup", "g1"),
         ],
-        ids=["radial_tolerance", "witness_overflow"],
+        ids=["radial_tolerance", "witness_overflow", "fj_norm_not_finite", "g1_norm_not_finite"],
     )
     def test_numeric_failure_exits_4(self, capsys, argv):
-        code, out, err = run_cli(capsys, "period", *argv, "--target-x2", "3", "--subgroup", "g2")
+        code, out, err = run_cli(capsys, *argv)
         assert code == 4
         assert out == ""
         assert err.startswith("error: ") and len(err.strip().splitlines()) == 1

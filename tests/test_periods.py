@@ -1,11 +1,12 @@
+import json
 import math
 
 import pytest
 
-from hypbranch import harmonics
+from hypbranch import cli, fjrep, harmonics, periods
 from hypbranch.cli import main
 from hypbranch.errors import DivergenceError, InvalidParameterError
-from hypbranch.fjrep import SpaceTag, inf_char, make_fj_param
+from hypbranch.fjrep import SpaceTag, inf_char, make_fj_param, valid_lambdas
 from hypbranch.geometry import radial_integral_closed
 from hypbranch.harmonics import sphere_area, zonal_norm_sq, zonal_norm_sq_closed
 from hypbranch.numerics import HalfInt
@@ -50,6 +51,19 @@ class TestNonvanishingPredicates:
         assert nonvanishing_G1(4, 4, HalfInt(2), H(5))  # nu = lambda + 1/2
         assert not nonvanishing_G1(4, 4, HalfInt(2), H(3))
         assert not nonvanishing_G1(4, 4, HalfInt(2), H(7))
+
+    def test_g1_degree_match_is_nu_equals_lambda_plus_half(self):
+        # the predicate compares the two full-sphere degrees; the paper states
+        # the criterion as nu = lambda + 1/2
+        for p in range(4, 10):
+            for q in range(4, 10):
+                for lam in valid_lambdas(p, q, 30):
+                    for nu in valid_targets(p, q, "g1", 34):
+                        ambient = make_fj_param(p, q, lam)
+                        target = make_fj_param(p, q, nu, SpaceTag.G1_SPACE)
+                        same_degree = target.degree == ambient.degree
+                        assert same_degree == (nu == lam + H(1)), (p, q, lam, nu)
+                        assert nonvanishing_G1(p, q, lam, nu) == same_degree, (p, q, lam, nu)
 
 
 class TestPeriodG2:
@@ -185,6 +199,30 @@ class TestPeriodsG1Batched:
         assert calls == [(18, 1.0), (18, 1.0), (16, 1.0), (18, 1.0), (16, 1.0)]
 
 
+class TestParametersBuiltOnce:
+    @pytest.mark.parametrize(
+        "argv, per_row",
+        [
+            (("--p", "5", "--q", "4", "--lambda-x2", "97", "--subgroup", "g1", "--max-target-x2", "102"), 2),
+            (("--p", "4", "--q", "6", "--lambda-x2", "40", "--subgroup", "g2", "--max-target-x2", "44"), 3),
+        ],
+        ids=["g1", "g2"],
+    )
+    def test_make_fj_param_calls_per_scan(self, monkeypatch, capsys, argv, per_row):
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return make_fj_param(*args, **kwargs)
+
+        for module in (fjrep, periods, cli):
+            monkeypatch.setattr(module, "make_fj_param", counted)
+        assert main(["branch", *argv]) == 0
+        rows = len(json.loads(capsys.readouterr().out))
+        assert rows > 10
+        assert len(calls) <= per_row * rows + 2, (len(calls), rows)
+
+
 class TestBranchingVerdict:
     def test_g2_example(self):
         res = branching_verdict(4, 4, HalfInt(2), "g2", H(3))
@@ -239,6 +277,10 @@ class TestInterlacing:
                     cls = interlace_class_for_pair(p, q, lam, nu, "g1")
                     assert cls is InterlaceClass.INFINITE_TYPE_1, (p, q, lam, nu)
 
+    def test_unknown_subgroup(self):
+        with pytest.raises(InvalidParameterError):
+            interlace_class_for_pair(4, 4, 2, 3 / 2, "bogus")
+
     def test_equal_first_entries_case(self):
         # nu = lambda + 1/2 forces b1 = a1; only the non-strict first
         # comparison makes the pattern non-vacuous
@@ -291,3 +333,24 @@ class TestValidTargets:
 
     def test_empty_range(self):
         assert valid_targets(4, 4, "g2", 0) == []
+
+    def test_unknown_subgroup(self):
+        with pytest.raises(InvalidParameterError):
+            valid_targets(4, 4, "g3", 7)
+
+    def test_closed_form_lattice_matches_brute_force(self):
+        # the reference: every doubled value make_fj_param accepts
+        for p in range(3, 10):
+            for q in range(3, 10):
+                for tag in SpaceTag:
+                    brute = []
+                    for twice in range(1, 41):
+                        try:
+                            brute.append(make_fj_param(p, q, H(twice), tag).lam)
+                        except InvalidParameterError:
+                            continue
+                    for max_twice in range(41):
+                        expected = [lam for lam in brute if lam.twice <= max_twice]
+                        assert valid_lambdas(p, q, max_twice, tag) == expected, (p, q, tag, max_twice)
+                        if tag is not SpaceTag.G_ON_H:
+                            assert valid_targets(p, q, tag.value, max_twice) == expected
