@@ -26,6 +26,7 @@ __all__ = [
     "measure_weight",
     "radial_integral_closed",
     "radial_integral_numeric",
+    "radial_integrals_numeric",
     "radial_integral_truncated",
     "suborbit",
     "block_decompose",
@@ -124,36 +125,44 @@ def radial_integral_closed(a_exp: float, c_exp: float) -> float:
     return 0.5 * beta((a_exp + 1.0) / 2.0, -(a_exp + c_exp) / 2.0)
 
 
-def _radial_quadrature(a_exp: float, c_exp: float, n: int) -> float:
+def radial_integrals_numeric(
+    a_exp: float, c_exps, spec: QuadratureSpec = _DEFAULT_SPEC
+) -> list[tuple[float, float]]:
+    """Numeric R(a, c) for each c in `c_exps`, with error estimates from halving the rule.
+
+    Every exponent is evaluated on the same two node sets, as one (exponents x nodes)
+    array.  Raises ToleranceError when an estimate exceeds max(abs_tol, rel_tol |value|).
+    """
+    a_exp, c_exps = float(a_exp), [float(c) for c in c_exps]
+    for c_exp in c_exps:
+        _check_radial_convergence(a_exp, c_exp)
     # x = tanh t maps [0, inf) to [0, 1); the residual endpoint singularity
     # is removed by x = sin(phi), i.e. t = atanh(sin phi): the integrand
     # becomes sin^a(phi) cos^{-(a+c)-1}(phi) on [0, pi/2], a trigonometric
     # polynomial whenever the exponents are integers.
-    phi_nodes, w = gauss_legendre_on(0.0, math.pi / 2.0, n)
-    s = np.sin(phi_nodes)
-    c = np.cos(phi_nodes)
-    return float(np.sum(w * s**a_exp * c ** (-(a_exp + c_exp) - 1.0)))
+    cos_powers = np.array([-(a_exp + c_exp) - 1.0 for c_exp in c_exps]).reshape(-1, 1)
+    sums = []
+    for n in (spec.radial_nodes, max(spec.radial_nodes // 2, 8)):
+        phi, w = gauss_legendre_on(0.0, math.pi / 2.0, n)
+        sums.append((w * np.sin(phi) ** a_exp * np.cos(phi) ** cos_powers).sum(axis=1).tolist())
+    out = []
+    for value, coarse in zip(*sums):
+        err_est = abs(value - coarse)
+        tol = max(spec.abs_tol, spec.rel_tol * abs(value))
+        if err_est > tol:
+            raise ToleranceError(
+                f"radial quadrature error estimate {err_est:.3e} exceeds tolerance {tol:.3e}",
+                err_est,
+            )
+        out.append((value, err_est))
+    return out
 
 
 def radial_integral_numeric(
     a_exp: float, c_exp: float, spec: QuadratureSpec = _DEFAULT_SPEC
 ) -> tuple[float, float]:
-    """Numeric R(a, c) with an error estimate from halving the rule.
-
-    Raises ToleranceError when the estimate exceeds max(abs_tol, rel_tol |value|).
-    """
-    a_exp, c_exp = float(a_exp), float(c_exp)
-    _check_radial_convergence(a_exp, c_exp)
-    value = _radial_quadrature(a_exp, c_exp, spec.radial_nodes)
-    coarse = _radial_quadrature(a_exp, c_exp, max(spec.radial_nodes // 2, 8))
-    err_est = abs(value - coarse)
-    tol = max(spec.abs_tol, spec.rel_tol * abs(value))
-    if err_est > tol:
-        raise ToleranceError(
-            f"radial quadrature error estimate {err_est:.3e} exceeds tolerance {tol:.3e}",
-            err_est,
-        )
-    return value, err_est
+    """The one-exponent form of :func:`radial_integrals_numeric`."""
+    return radial_integrals_numeric(a_exp, [c_exp], spec)[0]
 
 
 def radial_integral_truncated(a_exp: float, c_exp: float, t_max: float, nodes: int = 400) -> float:

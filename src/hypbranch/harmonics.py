@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InvalidParameterError
+from .errors import InvalidParameterError, ToleranceError
 from .numerics import log_gamma, sphere_rule
 
 __all__ = [
@@ -27,6 +27,7 @@ __all__ = [
     "pairing_subsphere",
     "so_branching_multiplicity",
     "ktype_pairing_nonzero",
+    "ktype_pairings_nonzero",
 ]
 
 def _gegenbauer_series(n: int, nu: float, x: np.ndarray):
@@ -117,6 +118,16 @@ def weighted_cos_integral(f, sin_power: int, degree: int) -> float:
     return float(np.sum(w * np.asarray(f(x), dtype=float)))
 
 
+def _zonal_rows(top: int, n: int, wanted):
+    """The wanted rows of Z_0..Z_top on S^{n-1}, on the sphere rule exact to degree 2 top, and its weights."""
+    x, w = sphere_rule(2 * top, n - 3)
+    rows = {k: z for k, z in enumerate(_gegenbauer_series(top, (n - 2) / 2.0, x)) if k in wanted}
+    return rows, sphere_area(n - 1) * w
+
+
+# Beyond the checked range the zonal values overflow; callers refuse non-finite
+# results with ToleranceError, so numpy's warnings would only be noise.
+@np.errstate(over="ignore", invalid="ignore")
 def zonal_gram(a: int, targets, n: int):
     """Pairings of the degree-a zonal harmonic with the degree sequence `targets` on S^{n-1}.
 
@@ -126,12 +137,8 @@ def zonal_gram(a: int, targets, n: int):
     """
     if n < 3:
         raise InvalidParameterError("zonal harmonics require sphere_dim >= 3")
-    top = max([a, *targets])
-    x, w = sphere_rule(2 * top, n - 3)
-    weight = sphere_area(n - 1) * w
-    wanted = {a, *targets}
-    rows = {k: z for k, z in enumerate(_gegenbauer_series(top, (n - 2) / 2.0, x)) if k in wanted}
-    zonals = np.array([rows[c] for c in targets]).reshape(len(targets), len(x))
+    rows, weight = _zonal_rows(max([a, *targets]), n, {a, *targets})
+    zonals = np.array([rows[c] for c in targets]).reshape(len(targets), len(weight))
     return zonals @ (weight * rows[a]), float(rows[a] ** 2 @ weight), zonals**2 @ weight
 
 
@@ -179,14 +186,9 @@ def so_branching_multiplicity(a: int, b: int) -> int:
     return 1 if b <= a else 0
 
 
-def _witness_gram_row(a: int, b: int, n: int):
-    """(|<Z_k, Z_b>| / (|Z_k| |Z_b|), <Z_k, Z_b>) for the zonals Z_0..Z_a on S^{n-2}."""
-    gram, norm_b, norms_sq = zonal_gram(b, range(a + 1), n - 1)
-    return np.abs(gram) / np.sqrt(norms_sq * norm_b), gram
-
-
-def ktype_pairing_nonzero(a: int, b: int, n: int) -> tuple[bool, float]:
-    """Certify whether the degree-b subsphere type is reachable from degree a.
+@np.errstate(over="ignore", invalid="ignore")
+def ktype_pairings_nonzero(a: int, bs, n: int) -> list[tuple[bool, float]]:
+    """Certify, for each degree b in `bs`, whether the degree-b subsphere type is reachable from a.
 
     The witness family spans the degree-a harmonics on S^{n-1} invariant
     under the equatorial band: member j = a - k is the harmonic projection of
@@ -200,16 +202,39 @@ def ktype_pairing_nonzero(a: int, b: int, n: int) -> tuple[bool, float]:
     maximum exceeds 1e-8 (scale-free threshold): true exactly when
     0 <= b <= a.
 
-    Returns (nonzero, witness_value).  witness_value is the pairing with Z_b
-    of the leading (j-th) normal trace K Z_k of the best member k, where
-    K = j! (2 lam)_j / (2^j (lam)_j).
+    One Gegenbauer pass on S^{n-2} serves every b sharing the rule top = max(a, b):
+    all b <= a share the rule of degree 2a, and each b > a has its own.
+
+    Returns one (nonzero, witness_value) per b.  witness_value is the pairing
+    with Z_b of the leading (j-th) normal trace K Z_k of the best member k, where
+    K = j! (2 lam)_j / (2^j (lam)_j).  Raises ToleranceError when a zonal norm
+    is not finite.
     """
     if n < 4:
         raise InvalidParameterError("ktype_pairing_nonzero requires n >= 4")
-    if a < 0 or b < 0:
+    bs = list(bs)
+    if a < 0 or min(bs, default=0) < 0:
         raise InvalidParameterError("degrees must be non-negative")
-    ratios, gram = _witness_gram_row(a, b, n)
-    k = int(np.argmax(ratios))
-    lam = k + (n - 2) / 2.0
-    leading = math.prod((i + 1) * (2.0 * lam + i) / (2.0 * (lam + i)) for i in range(a - k))
-    return bool(ratios[k] > 1e-8), leading * float(gram[k])
+    found = {}
+    for top in sorted({max(a, b) for b in bs}):
+        batch = [b for b in bs if max(a, b) == top]
+        rows, weight = _zonal_rows(top, n - 1, range(a + 1) if top == a else {*range(a + 1), top})
+        zonals = np.array([rows[k] for k in range(a + 1)])
+        norms_sq = zonals**2 @ weight
+        largest = float(norms_sq.max())
+        for b in batch:
+            gram = zonals @ (weight * rows[b])
+            norm_b = float(rows[b] ** 2 @ weight)
+            if not math.isfinite(norm_b * largest):
+                raise ToleranceError(f"zonal norm not finite at degrees ({a}, {b})", math.inf)
+            ratios = np.abs(gram) / np.sqrt(norms_sq * norm_b)
+            k = int(np.argmax(ratios))
+            lam = k + (n - 2) / 2.0
+            leading = math.prod((i + 1) * (2.0 * lam + i) / (2.0 * (lam + i)) for i in range(a - k))
+            found[b] = bool(ratios[k] > 1e-8), leading * float(gram[k])
+    return [found[b] for b in bs]
+
+
+def ktype_pairing_nonzero(a: int, b: int, n: int) -> tuple[bool, float]:
+    """The one-target form of :func:`ktype_pairings_nonzero`."""
+    return ktype_pairings_nonzero(a, [b], n)[0]

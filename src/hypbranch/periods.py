@@ -14,8 +14,8 @@ from dataclasses import dataclass
 
 from .errors import DivergenceError, InvalidParameterError, ToleranceError
 from .fjrep import FJParam, SpaceTag, inf_char, make_fj_param, valid_lambdas
-from .geometry import radial_integral_numeric
-from .harmonics import ktype_pairing_nonzero, pairing_subsphere, sphere_area, zonal_gram
+from .geometry import radial_integrals_numeric
+from .harmonics import ktype_pairings_nonzero, pairing_subsphere, sphere_area, zonal_gram
 from .numerics import HalfInt, QuadratureSpec
 from .packets import InterlaceClass, interlace_classify
 
@@ -29,6 +29,7 @@ __all__ = [
     "period_integral_G1",
     "period_integrals_G1",
     "period_integral_G2",
+    "period_integrals_G2",
     "branching_verdict",
     "branching_verdicts",
     "valid_targets",
@@ -84,10 +85,9 @@ def _converges(lam, target) -> bool:
 converges_G1 = converges_G2 = _converges
 
 
-def _nonvanishing(ambient: FJParam, target: FJParam) -> bool:
-    if target.tag is SpaceTag.G1_SPACE:
-        return target.degree == ambient.degree
-    return 0 <= target.degree <= ambient.degree
+def _nonvanishing(tag: SpaceTag, a: int, b: int) -> bool:
+    """The closed-form predicate on the ambient degree a and the target degree b."""
+    return b == a if tag is SpaceTag.G1_SPACE else 0 <= b <= a
 
 
 def nonvanishing_G2(p: int, q: int, lam, mu) -> bool:
@@ -96,7 +96,8 @@ def nonvanishing_G2(p: int, q: int, lam, mu) -> bool:
     True iff the target degree b = mu - 1 + (p-q+1)/2 satisfies 0 <= b <= a,
     equivalently mu + 1/2 <= lambda with b >= 0.
     """
-    return _nonvanishing(make_fj_param(p, q, lam), make_fj_param(p, q, mu, SpaceTag.G2_SPACE))
+    a = make_fj_param(p, q, lam).degree
+    return _nonvanishing(SpaceTag.G2_SPACE, a, make_fj_param(p, q, mu, SpaceTag.G2_SPACE).degree)
 
 
 def nonvanishing_G1(p: int, q: int, lam, nu) -> bool:
@@ -104,61 +105,98 @@ def nonvanishing_G1(p: int, q: int, lam, nu) -> bool:
 
     True iff nu = lambda + 1/2 exactly (the two full-sphere degrees match).
     """
-    return _nonvanishing(make_fj_param(p, q, lam), make_fj_param(p, q, nu, SpaceTag.G1_SPACE))
+    a = make_fj_param(p, q, lam).degree
+    return _nonvanishing(SpaceTag.G1_SPACE, a, make_fj_param(p, q, nu, SpaceTag.G1_SPACE).degree)
 
 
-def period_integral_G2(
-    p: int,
-    q: int,
-    lam,
-    mu,
-    spec: QuadratureSpec = _DEFAULT_SPEC,
-    use_witness: bool = False,
-) -> PeriodVerdict:
-    """Period of the (lambda, mu) pair over the suborbit X(p, q-1).
+def _require_convergence(lam: HalfInt, targets, tag: SpaceTag) -> None:
+    name = "nu" if tag is SpaceTag.G1_SPACE else "mu"
+    for target in targets:
+        if not _converges(lam, target):
+            raise DivergenceError(
+                f"period diverges: lambda + {name} = {lam + target} fails the > -1/2 threshold"
+            )
+
+
+def _assemble(ambient, targets, degrees, pairings, nonzeros, spec, witness_used) -> list[PeriodVerdict]:
+    """Verdicts from the factored periods sphere_area(sp) * pairing * R(sp-1, sq-1 + e_lambda + e_target).
+
+    X(sp, sq) is the targets' space; the radial factors of all targets come
+    from one pair of rules.  Refuses a value that is not finite.
+    """
+    if not targets:
+        return []
+    sp, sq = targets[0].space_signature
+    shift, a, sphere = sq - 1 + ambient.decay_exponent, ambient.degree, sphere_area(sp)
+    radials = radial_integrals_numeric(sp - 1, [float(shift + t.decay_exponent) for t in targets], spec)
+    verdicts = []
+    for t, b, pairing, (radial, err), nonzero in zip(targets, degrees, pairings, radials, nonzeros):
+        value = sphere * pairing * radial
+        if not math.isfinite(value):
+            raise ToleranceError(f"period value {value} is not finite at degrees ({a}, {b})", math.inf)
+        verdicts.append(
+            PeriodVerdict(
+                converges=True,
+                parity_match=(a - b) % 2 == 0,
+                degree_pair=(a, b),
+                value=value,
+                err_est=abs(sphere * pairing) * err,
+                nonzero=nonzero,
+                predicate_nonzero=_nonvanishing(t.tag, a, b),
+                sphere_factor=sphere,
+                pairing_factor=pairing,
+                radial_factor=radial,
+                witness_used=witness_used,
+            )
+        )
+    return verdicts
+
+
+def _periods_G2(ambient: FJParam, targets, spec: QuadratureSpec, use_witness: bool) -> list[PeriodVerdict]:
+    a, q, bs = ambient.degree, ambient.q, [t.degree for t in targets]
+    witness = ktype_pairings_nonzero(a, bs, q)
+    pairings = [value for _, value in witness] if use_witness else [pairing_subsphere(a, b, q) for b in bs]
+    return _assemble(ambient, targets, bs, pairings, [ok for ok, _ in witness], spec, use_witness)
+
+
+def _periods_G1(ambient: FJParam, targets, spec: QuadratureSpec) -> list[PeriodVerdict]:
+    a, cs = ambient.degree, [t.degree for t in targets]
+    pairings, norm_a, norms_c = zonal_gram(a, cs, ambient.q)
+    pairings, norms_c = pairings.tolist(), norms_c.tolist()
+    for c, norm_c in zip(cs, norms_c):
+        if not math.isfinite(norm_a * norm_c):
+            raise ToleranceError(f"zonal norm not finite at degrees ({a}, {c})", math.inf)
+    nonzeros = [abs(g) > 1e-8 * math.sqrt(norm_a * norm_c) for g, norm_c in zip(pairings, norms_c)]
+    return _assemble(ambient, targets, cs, pairings, nonzeros, spec, False)
+
+
+def period_integrals_G2(
+    p: int, q: int, lam, mus, spec: QuadratureSpec = _DEFAULT_SPEC, use_witness: bool = False
+) -> list[PeriodVerdict]:
+    """Periods of the (lambda, mu) pairs over the suborbit X(p, q-1), one per mu.
 
     Factored value: sphere_area(p) * [subsphere pairing on S^{q-2}] *
     R(p-1, (q-2) + e_lambda + e_mu).  With `use_witness`, the pairing factor
     is the K-type witness value (its leading normal trace paired with the
-    target zonal harmonic) instead of the plain zonal restriction.
+    target zonal harmonic) instead of the plain zonal restriction.  The
+    witnesses of all targets share their Gegenbauer passes
+    (`ktype_pairings_nonzero`).
     """
-    lam, mu = _as_halfint(lam), _as_halfint(mu)
-    if not converges_G2(lam, mu):
-        raise DivergenceError(
-            f"period diverges: lambda + mu = {lam + mu} fails the > -1/2 threshold"
-        )
+    lam, mus = _as_halfint(lam), [_as_halfint(mu) for mu in mus]
+    _require_convergence(lam, mus, SpaceTag.G2_SPACE)
     ambient = make_fj_param(p, q, lam)
-    target = make_fj_param(p, q, mu, SpaceTag.G2_SPACE)
-    a, b = ambient.degree, target.degree
-    sphere = sphere_area(p)
-    witness_ok, witness_value = ktype_pairing_nonzero(a, b, q)
-    pairing = witness_value if use_witness else pairing_subsphere(a, b, q)
-    c_exp = float(q - 2 + ambient.decay_exponent + target.decay_exponent)
-    radial, err = radial_integral_numeric(p - 1, c_exp, spec)
-    value = sphere * pairing * radial
-    if not math.isfinite(value):
-        raise ToleranceError(f"period value {value} is not finite at degrees ({a}, {b})", math.inf)
-    return PeriodVerdict(
-        converges=True,
-        parity_match=(a - b) % 2 == 0,
-        degree_pair=(a, b),
-        value=value,
-        err_est=abs(sphere * pairing) * err,
-        nonzero=witness_ok,
-        predicate_nonzero=_nonvanishing(ambient, target),
-        sphere_factor=sphere,
-        pairing_factor=pairing,
-        radial_factor=radial,
-        witness_used=use_witness,
-    )
+    return _periods_G2(ambient, [make_fj_param(p, q, mu, SpaceTag.G2_SPACE) for mu in mus], spec, use_witness)
+
+
+def period_integral_G2(
+    p: int, q: int, lam, mu, spec: QuadratureSpec = _DEFAULT_SPEC, use_witness: bool = False
+) -> PeriodVerdict:
+    """Period of the (lambda, mu) pair over the suborbit X(p, q-1): see `period_integrals_G2`."""
+    return period_integrals_G2(p, q, lam, [mu], spec, use_witness)[0]
 
 
 def period_integrals_G1(
-    p: int,
-    q: int,
-    lam,
-    nus,
-    spec: QuadratureSpec = _DEFAULT_SPEC,
+    p: int, q: int, lam, nus, spec: QuadratureSpec = _DEFAULT_SPEC
 ) -> list[PeriodVerdict]:
     """Periods of the (lambda, nu) pairs over the suborbit X(p-1, q), one per nu.
 
@@ -168,46 +206,12 @@ def period_integrals_G1(
     Gegenbauer pass over all target degrees (`zonal_gram`).
     """
     lam, nus = _as_halfint(lam), [_as_halfint(nu) for nu in nus]
-    for nu in nus:
-        if not converges_G1(lam, nu):
-            raise DivergenceError(
-                f"period diverges: lambda + nu = {lam + nu} fails the > -1/2 threshold"
-            )
+    _require_convergence(lam, nus, SpaceTag.G1_SPACE)
     ambient = make_fj_param(p, q, lam)
-    targets = [make_fj_param(p, q, nu, SpaceTag.G1_SPACE) for nu in nus]
-    exponents = [float(q - 1 + ambient.decay_exponent + t.decay_exponent) for t in targets]
-    radials = [radial_integral_numeric(p - 2, c_exp, spec) for c_exp in exponents]
-    a, sphere = ambient.degree, sphere_area(p - 1)
-    pairings, norm_a, norms_c = zonal_gram(a, [t.degree for t in targets], q)
-    verdicts = [
-        PeriodVerdict(
-            converges=True,
-            parity_match=(a - t.degree) % 2 == 0,
-            degree_pair=(a, t.degree),
-            value=sphere * pairing * radial,
-            err_est=abs(sphere * pairing) * err,
-            nonzero=abs(pairing) > 1e-8 * math.sqrt(norm_a * norm_c),
-            predicate_nonzero=_nonvanishing(ambient, t),
-            sphere_factor=sphere,
-            pairing_factor=pairing,
-            radial_factor=radial,
-            witness_used=False,
-        )
-        for t, (radial, err), pairing, norm_c in zip(targets, radials, pairings.tolist(), norms_c)
-    ]
-    for verdict, norm_c in zip(verdicts, norms_c):
-        if not all(map(math.isfinite, (verdict.value, norm_a, norm_c))):
-            raise ToleranceError(f"period or norm not finite at degrees {verdict.degree_pair}", math.inf)
-    return verdicts
+    return _periods_G1(ambient, [make_fj_param(p, q, nu, SpaceTag.G1_SPACE) for nu in nus], spec)
 
 
-def period_integral_G1(
-    p: int,
-    q: int,
-    lam,
-    nu,
-    spec: QuadratureSpec = _DEFAULT_SPEC,
-) -> PeriodVerdict:
+def period_integral_G1(p: int, q: int, lam, nu, spec: QuadratureSpec = _DEFAULT_SPEC) -> PeriodVerdict:
     """Period of the (lambda, nu) pair over the suborbit X(p-1, q): see `period_integrals_G1`."""
     return period_integrals_G1(p, q, lam, [nu], spec)[0]
 
@@ -228,46 +232,41 @@ def interlace_class_for_pair(p: int, q: int, lam, target, subgroup: str) -> Inte
 
 
 def branching_verdicts(
-    p: int,
-    q: int,
-    lam,
-    subgroup: str,
-    targets,
-    spec: QuadratureSpec = _DEFAULT_SPEC,
+    p: int, q: int, lam, subgroup: str, targets, spec: QuadratureSpec = _DEFAULT_SPEC
 ) -> list[BranchingVerdict]:
     """Full verdicts for one ambient parameter and subgroup, one per target.
 
     The restriction to SO0(p-1, q) is admissible, the one to SO0(p, q-1) is
     not (encoded branching data); the hom decision is the matching
-    closed-form predicate, cross-checked by the numeric verdict.  The g1
-    periods of the whole target list share one Gegenbauer pass.  The ambient
-    parameter is validated even when the target list is empty.
+    closed-form predicate, cross-checked by the numeric verdict.  The periods
+    of the whole target list share their Gegenbauer passes and radial rules,
+    and each parameter is built once for the periods and the interlace
+    characters.  The ambient parameter is validated even when the target
+    list is empty.
     """
     tag = _tag(subgroup)
-    ambient_char = inf_char(make_fj_param(p, q, lam))
-    targets = list(targets)
+    ambient = make_fj_param(p, q, lam)
+    targets = [_as_halfint(t) for t in targets]
+    _require_convergence(ambient.lam, targets, tag)
+    params = [make_fj_param(p, q, t, tag) for t in targets]
     if tag is SpaceTag.G1_SPACE:
-        verdicts = period_integrals_G1(p, q, lam, targets, spec)
+        verdicts = _periods_G1(ambient, params, spec)
     else:
-        verdicts = [period_integral_G2(p, q, lam, t, spec, use_witness=True) for t in targets]
+        verdicts = _periods_G2(ambient, params, spec, use_witness=True)
+    ambient_char = inf_char(ambient)
     return [
         BranchingVerdict(
             hom_nonzero=verdict.predicate_nonzero,
             verdict=verdict,
             admissible_restriction=tag is SpaceTag.G1_SPACE,
-            interlace=interlace_classify(ambient_char, inf_char(make_fj_param(p, q, target, tag))),
+            interlace=interlace_classify(ambient_char, inf_char(param)),
         )
-        for target, verdict in zip(targets, verdicts)
+        for param, verdict in zip(params, verdicts)
     ]
 
 
 def branching_verdict(
-    p: int,
-    q: int,
-    lam,
-    subgroup: str,
-    target,
-    spec: QuadratureSpec = _DEFAULT_SPEC,
+    p: int, q: int, lam, subgroup: str, target, spec: QuadratureSpec = _DEFAULT_SPEC
 ) -> BranchingVerdict:
     """Full verdict for one (ambient, subgroup, target) triple: see `branching_verdicts`."""
     return branching_verdicts(p, q, lam, subgroup, [target], spec)[0]

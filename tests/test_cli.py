@@ -245,6 +245,29 @@ class TestExitCodes:
         assert out == ""
         assert err.startswith("error: ") and len(err.strip().splitlines()) == 1
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("fj", "--p", "4", "--q", "130", "--lambda-x2", "2200"),
+            ("period", "--p", "5", "--q", "130", "--lambda-x2", "2127",
+             "--target-x2", "2128", "--subgroup", "g1"),
+            # the witness norms overflow on S^128 at degree 1000
+            ("period", "--p", "4", "--q", "130", "--lambda-x2", "2128",
+             "--target-x2", "127", "--subgroup", "g2", "--witness"),
+        ],
+        ids=["fj", "period_g1", "period_g2_witness"],
+    )
+    def test_overflow_prints_one_error_line(self, argv):
+        # in a fresh interpreter with warnings shown, which pytest would capture
+        out = subprocess.run(
+            [sys.executable, "-W", "default", "-m", "hypbranch.cli", *argv],
+            env=_subprocess_env(), capture_output=True, text=True,
+        )
+        assert out.returncode == 4
+        assert out.stdout == ""
+        lines = out.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: "), out.stderr
+
     def test_packet_odd_signature(self, capsys):
         code, _, _ = run_cli(capsys, "packet", "--p", "3", "--q", "3")
         assert code == 2

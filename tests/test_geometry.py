@@ -4,7 +4,13 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from hypbranch.errors import AssumptionError, DivergenceError, InvalidParameterError, NotInGroupError
+from hypbranch.errors import (
+    AssumptionError,
+    DivergenceError,
+    InvalidParameterError,
+    NotInGroupError,
+    ToleranceError,
+)
 from hypbranch.geometry import (
     BlockDecomposition,
     ChartPoint,
@@ -18,6 +24,7 @@ from hypbranch.geometry import (
     radial_integral_closed,
     radial_integral_numeric,
     radial_integral_truncated,
+    radial_integrals_numeric,
     scale,
     suborbit,
 )
@@ -142,6 +149,62 @@ class TestRadialIntegrals:
             d2 = abs(vals[2] - vals[1])
             assert d2 < 0.1 * max(d1, 1e-300)
             assert d2 <= 1e-7 * abs(vals[2])
+
+
+class TestRadialIntegralsBatched:
+    def test_matches_closed_form_and_one_element_calls(self):
+        # a + c from -3 down to -60 in half steps: the cosine power -(a+c)-1 is
+        # at least 2 there; lower powers are singular at phi = pi/2 and only
+        # meet the rule's own tolerance (see test_low_power_rows).  numpy's power
+        # may round a row of the batch one ulp apart from the one-element call.
+        totals = [-twice / 2 for twice in range(6, 121)]
+        for a_exp in range(9):
+            c_exps = [total - a_exp for total in totals]
+            batch = radial_integrals_numeric(a_exp, c_exps)
+            assert len(batch) == len(c_exps)
+            for c_exp, (value, err) in zip(c_exps, batch):
+                closed = radial_integral_closed(a_exp, c_exp)
+                assert abs(value - closed) <= 1e-12 * closed, (a_exp, c_exp)
+                single, single_err = radial_integral_numeric(a_exp, c_exp)
+                assert abs(value - single) <= 1e-15 * closed, (a_exp, c_exp)
+                assert abs(err - single_err) <= 1e-15 * closed, (a_exp, c_exp)
+
+    def test_low_power_rows(self):
+        for a_exp in range(9):
+            (value, err), = radial_integrals_numeric(a_exp, [-2.5 - a_exp])
+            closed = radial_integral_closed(a_exp, -2.5 - a_exp)
+            assert abs(value - closed) <= 1e-10 * closed
+            assert err <= max(1e-10, 1e-10 * value)
+
+    def test_empty(self):
+        assert radial_integrals_numeric(3, []) == []
+
+    def test_divergent_entry_raises(self):
+        with pytest.raises(DivergenceError):
+            radial_integrals_numeric(2, [-5.0, -2.0, -7.0])  # a + c = 0 in the middle
+        with pytest.raises(DivergenceError):
+            radial_integrals_numeric(-1, [-3.0])
+
+    @pytest.mark.parametrize(
+        "c_exps, bad, spec",
+        [
+            # the cosine power 0.5 of a + c = -1.5 is singular at phi = pi/2
+            ([-10.0, -4.5, -12.0], -4.5, QuadratureSpec()),
+            # 20 nodes resolve cos^2 but not cos^36
+            ([-6.0, -40.0], -40.0, QuadratureSpec(radial_nodes=20)),
+        ],
+        ids=["singular", "too_few_nodes"],
+    )
+    def test_out_of_tolerance_entry_raises(self, c_exps, bad, spec):
+        with pytest.raises(ToleranceError) as single:
+            radial_integral_numeric(3, bad, spec)
+        with pytest.raises(ToleranceError) as batch:
+            radial_integrals_numeric(3, c_exps, spec)
+        assert str(batch.value) == str(single.value)
+        assert str(single.value).startswith("radial quadrature error estimate")
+        for c_exp in c_exps:
+            if c_exp != bad:
+                radial_integral_numeric(3, c_exp, spec)
 
 
 class TestSuborbit:

@@ -4,16 +4,17 @@ import numpy as np
 import pytest
 from scipy.special import eval_gegenbauer
 
-from hypbranch.errors import InvalidParameterError
+from hypbranch.errors import InvalidParameterError, ToleranceError
 from hypbranch.harmonics import (
     ZonalHarmonic,
-    _witness_gram_row,
     gegenbauer,
     ktype_pairing_nonzero,
+    ktype_pairings_nonzero,
     pairing_subsphere,
     so_branching_multiplicity,
     sphere_area,
     weighted_cos_integral,
+    zonal_gram,
     zonal_norm_sq,
     zonal_norm_sq_closed,
 )
@@ -203,7 +204,8 @@ class TestKTypeWitness:
                 for b in range(a + 3):
                     nonzero, value = ktype_pairing_nonzero(a, b, n)
                     scan_nonzero, _, scan_ratio = witness_scan(a, b, n)
-                    ratios, _ = _witness_gram_row(a, b, n)
+                    gram, norm_b, norms_sq = zonal_gram(b, range(a + 1), n - 1)
+                    ratios = np.abs(gram) / np.sqrt(norms_sq * norm_b)
                     assert nonzero == scan_nonzero, (a, b, n)
                     assert abs(ratios.max() - scan_ratio) <= 1e-9, (a, b, n)
                     if b <= a:
@@ -226,6 +228,21 @@ class TestKTypeWitness:
     def test_high_degree_matches_branching(self, b):
         nonzero, _ = ktype_pairing_nonzero(200, b, 6)
         assert nonzero == (0 <= b <= 200)
+
+    def test_batched_matches_one_element_calls(self):
+        # one pass per rule top = max(a, b) gives bitwise the rows of one pass per b
+        for n in (4, 5, 8):
+            for a in (0, 1, 7, 20):
+                bs = [a + 2, 0, a, a + 1, a // 2, a + 2]
+                assert ktype_pairings_nonzero(a, bs, n) == [ktype_pairing_nonzero(a, b, n) for b in bs]
+        assert ktype_pairings_nonzero(3, [], 5) == []
+        with pytest.raises(InvalidParameterError):
+            ktype_pairings_nonzero(3, [1, -1], 5)
+
+    def test_norm_not_finite_raises(self):
+        # the squared zonal values overflow on S^128 at degree 1000
+        with pytest.raises(ToleranceError, match="not finite"):
+            ktype_pairings_nonzero(1000, [0, 1], 130)
 
     def test_guards(self):
         with pytest.raises(InvalidParameterError):

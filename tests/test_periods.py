@@ -3,7 +3,7 @@ import math
 
 import pytest
 
-from hypbranch import cli, fjrep, harmonics, periods
+from hypbranch import cli, fjrep, geometry, harmonics, periods
 from hypbranch.cli import main
 from hypbranch.errors import DivergenceError, InvalidParameterError
 from hypbranch.fjrep import SpaceTag, inf_char, make_fj_param, valid_lambdas
@@ -22,6 +22,7 @@ from hypbranch.periods import (
     period_integral_G1,
     period_integral_G2,
     period_integrals_G1,
+    period_integrals_G2,
     valid_targets,
 )
 
@@ -199,16 +200,85 @@ class TestPeriodsG1Batched:
         assert calls == [(18, 1.0), (18, 1.0), (16, 1.0), (18, 1.0), (16, 1.0)]
 
 
-class TestParametersBuiltOnce:
+class TestPeriodsG2Batched:
+    @pytest.mark.parametrize("p", [4, 5, 6])
+    def test_matches_one_element_calls(self, p):
+        # the witness rows and verdicts are bitwise those of the one-element
+        # calls; a radial row may sit one ulp apart (numpy's array power)
+        for q in range(5, 9):
+            for a in range(21):
+                lam = H(2 * a + 2 - (p - q))
+                mus = valid_targets(p, q, "g2", 2 * (a + 2) + 2 - (p - q + 1))  # b up to a + 2
+                for use_witness in (True, False):
+                    batch = period_integrals_G2(p, q, lam, mus, use_witness=use_witness)
+                    assert len(batch) == len(mus)
+                    for mu, v in zip(mus, batch):
+                        single = period_integral_G2(p, q, lam, mu, use_witness=use_witness)
+                        case = (p, q, a, mu, use_witness)
+                        assert v.degree_pair == single.degree_pair and v.degree_pair[0] == a, case
+                        assert v.nonzero == single.nonzero == v.predicate_nonzero, case
+                        assert v.parity_match == single.parity_match, case
+                        assert v.witness_used == single.witness_used == use_witness, case
+                        assert v.pairing_factor == single.pairing_factor, case
+                        assert v.sphere_factor == single.sphere_factor, case
+                        assert v.radial_factor == pytest.approx(single.radial_factor, rel=1e-15), case
+                        assert v.value == pytest.approx(single.value, rel=1e-15, abs=1e-300), case
+                        err_tol = 1e-15 * abs(single.value)
+                        assert v.err_est == pytest.approx(single.err_est, rel=1e-14, abs=err_tol), case
+
+    def test_divergence(self):
+        with pytest.raises(DivergenceError):
+            period_integrals_G2(4, 4, HalfInt(2), [H(3), H(-9)])
+
+    def test_empty(self):
+        assert period_integrals_G2(4, 4, HalfInt(2), []) == []
+
+
+def _count_calls(monkeypatch, module, name):
+    calls = []
+    original = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+G1_GOLDEN_SCAN = ("--p", "5", "--q", "4", "--lambda-x2", "97", "--subgroup", "g1", "--max-target-x2", "102")
+G2_GOLDEN_SCAN = ("--p", "4", "--q", "6", "--lambda-x2", "40", "--subgroup", "g2", "--max-target-x2", "44")
+
+
+class TestBatchedScanPasses:
     @pytest.mark.parametrize(
-        "argv, per_row",
-        [
-            (("--p", "5", "--q", "4", "--lambda-x2", "97", "--subgroup", "g1", "--max-target-x2", "102"), 2),
-            (("--p", "4", "--q", "6", "--lambda-x2", "40", "--subgroup", "g2", "--max-target-x2", "44"), 3),
-        ],
-        ids=["g1", "g2"],
+        "max_target_x2, rows, tops",
+        [("39", 19, [18]), ("44", 21, [18, 19, 20])],
+        ids=["every_b_at_most_a", "golden_scan"],
     )
-    def test_make_fj_param_calls_per_scan(self, monkeypatch, capsys, argv, per_row):
+    def test_g2_gegenbauer_passes(self, monkeypatch, capsys, max_target_x2, rows, tops):
+        # a = 18 at (4, 6), b = (mu_x2 - 3) / 2 from 0: every b <= a shares the pass on
+        # the rule of degree 2a; each b > a has its own.  The witness zonals
+        # live on S^{q-2}, Gegenbauer order (q - 3) / 2.
+        calls = _count_calls(monkeypatch, harmonics, "_gegenbauer_series")
+        argv = ["branch", *G2_GOLDEN_SCAN[:-1], max_target_x2]
+        assert main(argv) == 0
+        assert len(json.loads(capsys.readouterr().out)) == rows
+        assert [args[:2] for args in calls] == [(top, 1.5) for top in tops]
+
+    @pytest.mark.parametrize("argv", [G1_GOLDEN_SCAN, G2_GOLDEN_SCAN], ids=["g1", "g2"])
+    def test_two_radial_rules_per_scan(self, monkeypatch, capsys, argv):
+        calls = _count_calls(monkeypatch, geometry, "gauss_legendre_on")
+        assert main(["branch", *argv]) == 0
+        assert len(json.loads(capsys.readouterr().out)) > 10
+        assert [args[2] for args in calls] == [200, 100]
+
+
+class TestParametersBuiltOnce:
+    @pytest.mark.parametrize("argv", [G1_GOLDEN_SCAN, G2_GOLDEN_SCAN], ids=["g1", "g2"])
+    def test_make_fj_param_calls_per_scan(self, monkeypatch, capsys, argv):
+        # the ambient once, and each target once: periods and interlace
+        # characters share the parameters
         calls = []
 
         def counted(*args, **kwargs):
@@ -220,7 +290,7 @@ class TestParametersBuiltOnce:
         assert main(["branch", *argv]) == 0
         rows = len(json.loads(capsys.readouterr().out))
         assert rows > 10
-        assert len(calls) <= per_row * rows + 2, (len(calls), rows)
+        assert len(calls) == rows + 1, (len(calls), rows)
 
 
 class TestBranchingVerdict:
