@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import fjrep, geometry, harmonics, packets, periods
-from .numerics import HalfInt, QuadratureSpec, beta, gauss_legendre_rule
+from .numerics import HalfInt, beta, gauss_legendre_rule, sphere_rule
 
 __all__ = ["CheckResult", "SUITES", "run_suite"]
 
@@ -47,10 +47,9 @@ def quadrature_suite(seed: int = 0) -> list[CheckResult]:
 
     worst = 0.0
     for a_exp in (0, 1, 2, 3, 5):
-        for total in (-2, -4, -7):
-            c_exp = total - a_exp
+        c_exps = [total - a_exp for total in (-2, -4, -7)]
+        for c_exp, (value, _) in zip(c_exps, geometry.radial_integrals_numeric(a_exp, c_exps)):
             closed = geometry.radial_integral_closed(a_exp, c_exp)
-            value, _ = geometry.radial_integral_numeric(a_exp, c_exp)
             worst = max(worst, abs(value - closed) / abs(closed))
     out.append(_result("radial_numeric_vs_closed", worst <= 1e-9, f"max rel err {worst:.2e}"))
     return out
@@ -60,51 +59,38 @@ def harmonics_suite(seed: int = 0) -> list[CheckResult]:
     out = []
     worst = 0.0
     for nu in (0.5, 1.0, 1.5, 2.0):
-        sin_power = int(round(2 * nu - 1))
-        norms = [
-            harmonics.weighted_cos_integral(
-                lambda x, m=m: harmonics.gegenbauer(m, nu, x) ** 2, sin_power, 2 * m
-            )
-            for m in range(9)
-        ]
-        for m in range(9):
-            for n in range(m + 1, 9):
-                val = harmonics.weighted_cos_integral(
-                    lambda x: harmonics.gegenbauer(m, nu, x) * harmonics.gegenbauer(n, nu, x),
-                    sin_power,
-                    m + n,
-                )
-                worst = max(worst, abs(val) / math.sqrt(norms[m] * norms[n]))
+        # C_0..C_8 on one rule exact for every product of degree <= 16
+        x, w = sphere_rule(16, int(round(2 * nu - 1)))
+        c = np.array(list(harmonics._gegenbauer_series(8, nu, x)))
+        gram = c @ (w * c).T
+        norms = np.sqrt(np.diag(gram))
+        worst = max(worst, float(np.max(np.triu(np.abs(gram) / np.outer(norms, norms), 1))))
     out.append(_result("gegenbauer_orthogonality", worst <= 1e-10, f"max normalized {worst:.2e}"))
 
     worst = 0.0
     for n in (4, 5, 6):
+        norms_a = harmonics.zonal_gram(6, range(7), n)[2]
+        norms_b = harmonics.zonal_gram(6, range(7), n - 1)[2]
         for a in range(7):
-            for b in range(7):
-                if (a - b) % 2 == 0:
-                    continue
+            for b in range(1 - a % 2, 7, 2):
                 val = harmonics.pairing_subsphere(a, b, n)
-                scale = math.sqrt(
-                    harmonics.zonal_norm_sq(a, n) * harmonics.zonal_norm_sq(b, n - 1)
-                )
-                worst = max(worst, abs(val) / scale)
+                worst = max(worst, abs(val) / math.sqrt(norms_a[a] * norms_b[b]))
     out.append(_result("pairing_parity_vanishing", worst <= 1e-12, f"max normalized {worst:.2e}"))
 
     worst = 0.0
     for n in (4, 5, 6):
+        quad = harmonics.zonal_gram(8, range(9), n)[2]
         for a in range(9):
             closed = harmonics.zonal_norm_sq_closed(a, n)
-            quad = harmonics.zonal_norm_sq(a, n)
-            worst = max(worst, abs(closed - quad) / closed)
+            worst = max(worst, abs(closed - quad[a]) / closed)
     out.append(_result("zonal_norm_closed_vs_quadrature", worst <= 1e-10, f"max rel {worst:.2e}"))
 
-    ok = True
-    for n in (4, 5, 6):
-        for a in range(7):
-            for b in range(7):
-                nonzero, _ = harmonics.ktype_pairing_nonzero(a, b, n)
-                if nonzero != (harmonics.so_branching_multiplicity(a, b) == 1):
-                    ok = False
+    ok = all(
+        nonzero == (harmonics.so_branching_multiplicity(a, b) == 1)
+        for n in (4, 5, 6)
+        for a in range(7)
+        for b, (nonzero, _) in enumerate(harmonics.ktype_pairings_nonzero(a, range(7), n))
+    )
     out.append(_result("ktype_witness_matches_branching", ok))
     return out
 
@@ -132,12 +118,13 @@ def decay_suite(seed: int = 0) -> list[CheckResult]:
         xs = np.linspace(-1.0, 1.0, 2001)
         max_f = float(np.max(np.abs(zonal.value_at_cos(xs))))
         c_const = 2.0**rate * max_f
-        for _ in range(100):
-            vec = rng.normal(size=q)
-            vec /= np.linalg.norm(vec)
-            t = rng.uniform(1.0, 10.0)
-            if abs(fjrep.fj_eval(param, vec, t)) > c_const * math.exp(-rate * t) + 1e-12:
-                bound_ok = False
+        # the draws interleave as (direction, t) pairs, so a seed names the same points
+        draws = [(rng.normal(size=q), rng.uniform(1.0, 10.0)) for _ in range(100)]
+        vecs = np.array([vec for vec, _ in draws])
+        vecs /= np.linalg.norm(vecs, axis=1, keepdims=True)
+        ts = np.array([t for _, t in draws])
+        if np.any(np.abs(fjrep.fj_eval(param, vecs, ts)) > c_const * np.exp(-rate * ts) + 1e-12):
+            bound_ok = False
         ts = np.linspace(2.0, 10.0, 64)
         pole = np.zeros(q)
         pole[-1] = 1.0
@@ -156,44 +143,24 @@ def decay_suite(seed: int = 0) -> list[CheckResult]:
 
 def branching_suite(seed: int = 0) -> list[CheckResult]:
     grid = [HalfInt(1), HalfInt.from_twice(3), HalfInt(2), HalfInt(3)]
-    agree_g2 = True
-    agree_g1 = True
-    interlace_g2 = True
-    interlace_g1 = True
+    scans = {"g1": [], "g2": []}
     for p in (4, 5, 6):
         for q in (4, 5, 6):
             for lam in [lam for lam in fjrep.valid_lambdas(p, q, 6) if lam in grid]:
-                ambient = fjrep.make_fj_param(p, q, lam)
-                max_twice = (ambient.degree + 8) * 2
-                for mu in periods.valid_targets(p, q, "g2", max_twice):
-                    tgt = fjrep.make_fj_param(p, q, mu, fjrep.SpaceTag.G2_SPACE)
-                    if tgt.degree > 6:
-                        continue
-                    v = periods.period_integral_G2(p, q, lam, mu, use_witness=True)
-                    if v.nonzero != v.predicate_nonzero:
-                        agree_g2 = False
-                    finite = (
-                        periods.interlace_class_for_pair(p, q, lam, mu, "g2")
-                        is packets.InterlaceClass.FINITE_TYPE
-                    )
-                    if finite != v.predicate_nonzero:
-                        interlace_g2 = False
-                for nu in periods.valid_targets(p, q, "g1", max_twice):
-                    tgt = fjrep.make_fj_param(p, q, nu, fjrep.SpaceTag.G1_SPACE)
-                    if tgt.degree > 6:
-                        continue
-                    v = periods.period_integral_G1(p, q, lam, nu)
-                    if v.nonzero != v.predicate_nonzero:
-                        agree_g1 = False
-                    if v.predicate_nonzero:
-                        cls = periods.interlace_class_for_pair(p, q, lam, nu, "g1")
-                        if cls is not packets.InterlaceClass.INFINITE_TYPE_1:
-                            interlace_g1 = False
+                for sub, shift in (("g1", -1), ("g2", 1)):
+                    # targets of degree <= 6 on X(sp, sq), sp - sq = p - q + shift, and
+                    # doubled value <= 2 (a + 8) for the ambient degree a
+                    max_twice = min(lam.twice + p - q + 14, 14 - (p - q + shift))
+                    targets = periods.valid_targets(p, q, sub, max_twice)
+                    scans[sub] += periods.branching_verdicts(p, q, lam, sub, targets)
+    g1, g2 = scans["g1"], scans["g2"]
+    finite = all((r.interlace is packets.InterlaceClass.FINITE_TYPE) == r.hom_nonzero for r in g2)
+    type_1 = all(r.interlace is packets.InterlaceClass.INFINITE_TYPE_1 for r in g1 if r.hom_nonzero)
     return [
-        _result("g2_period_matches_predicate", agree_g2),
-        _result("g1_period_matches_predicate", agree_g1),
-        _result("g2_finite_interlacing_equivalence", interlace_g2),
-        _result("g1_nonzero_implies_infinite_type_1", interlace_g1),
+        _result("g2_period_matches_predicate", all(r.verdict.nonzero == r.hom_nonzero for r in g2)),
+        _result("g1_period_matches_predicate", all(r.verdict.nonzero == r.hom_nonzero for r in g1)),
+        _result("g2_finite_interlacing_equivalence", finite),
+        _result("g1_nonzero_implies_infinite_type_1", type_1),
     ]
 
 

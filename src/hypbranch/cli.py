@@ -3,8 +3,8 @@
 Half-integer flags use the doubled-integer convention (`--lambda-x2 3` means
 lambda = 3/2) so no parameter ever passes through float parsing.  Exit codes:
 0 success, 1 property failure or a branch row whose numeric verdict disagrees
-with its predicate, 2 invalid parameters, 3 divergent integral, 4 numeric
-tolerance not met.
+with its predicate, 2 invalid parameters or an unwritable --out file, 3
+divergent integral, 4 numeric tolerance not met.
 """
 
 from __future__ import annotations
@@ -42,8 +42,11 @@ BRANCH_COLUMNS = [
 
 def _emit(args, text: str) -> None:
     if getattr(args, "out", None):
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(text + "\n")
+        except OSError as exc:  # exit 2, like any other unusable flag value
+            raise ValueError(f"cannot write --out {args.out}: {exc.strerror or exc}") from exc
     else:
         print(text)
 
@@ -169,6 +172,12 @@ def cmd_check(args) -> int:
     return 0 if failures == 0 else 1
 
 
+def _seed(text: str) -> int:
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {text!r}")
+    return int(text)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="hypbranch",
@@ -219,7 +228,7 @@ def build_parser() -> argparse.ArgumentParser:
         default="all",
         choices=("all", "quadrature", "harmonics", "decay", "branching", "packets", "conjecture"),
     )
-    check.add_argument("--seed", type=int, default=0)
+    check.add_argument("--seed", type=_seed, default=0)
     check.set_defaults(func=cmd_check)
     return parser
 

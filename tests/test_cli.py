@@ -13,9 +13,12 @@ from pathlib import Path
 import pytest
 
 import hypbranch
+from hypbranch import fjrep, harmonics, periods
 from hypbranch.checks import SUITES, run_suite
 from hypbranch.cli import main
-from hypbranch.periods import branching_verdicts
+from hypbranch.fjrep import SpaceTag, make_fj_param, valid_lambdas
+from hypbranch.numerics import HalfInt
+from hypbranch.periods import branching_verdicts, valid_targets
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -300,9 +303,97 @@ class TestCheck:
         assert "FAIL" not in out
 
     def test_seeded_determinism(self, capsys):
-        _, out1, _ = run_cli(capsys, "check", "--suite", "quadrature", "--seed", "7")
-        _, out2, _ = run_cli(capsys, "check", "--suite", "quadrature", "--seed", "7")
-        assert out1 == out2
+        for name in SUITES:
+            _, out1, _ = run_cli(capsys, "check", "--suite", name, "--seed", "7")
+            _, out2, _ = run_cli(capsys, "check", "--suite", name, "--seed", "7")
+            assert out1 == out2, name
+
+    @pytest.mark.parametrize("name", [*SUITES, "all"])
+    def test_negative_seed_exits_2(self, capsys, name):
+        code, out, err = run_cli(capsys, "check", "--suite", name, "--seed", "-1")
+        assert code == 2
+        assert out == ""
+        assert "argument --seed: must be a non-negative integer" in err
+
+    def test_property_names_and_order(self):
+        assert [r.name for r in run_suite("all")] == [
+            "gauss_legendre_exactness",
+            "beta_symmetry",
+            "radial_numeric_vs_closed",
+            "gegenbauer_orthogonality",
+            "pairing_parity_vanishing",
+            "zonal_norm_closed_vs_quadrature",
+            "ktype_witness_matches_branching",
+            "decay_bound",
+            "decay_log_slope_2pct",
+            "g2_period_matches_predicate",
+            "g1_period_matches_predicate",
+            "g2_finite_interlacing_equivalence",
+            "g1_nonzero_implies_infinite_type_1",
+            "pure_inner_forms_constant_total",
+            "admissibility_one_per_row_and_column",
+            "default_predicate_supports_disjoint",
+        ]
+
+    def test_flipped_g2_witness_fails_its_property(self, capsys, monkeypatch):
+        witness = harmonics.ktype_pairings_nonzero
+
+        def flip_b_equals_a(a, bs, n):
+            bs = list(bs)
+            return [(ok != (b == a), value) for b, (ok, value) in zip(bs, witness(a, bs, n))]
+
+        monkeypatch.setattr(periods, "ktype_pairings_nonzero", flip_b_equals_a)
+        code, out, _ = run_cli(capsys, "check", "--suite", "branching")
+        assert code == 1
+        assert [ln for ln in out.splitlines() if ln.startswith("[FAIL]")] == [
+            "[FAIL] g2_period_matches_predicate"
+        ]
+
+    def test_doubled_fj_eval_fails_decay_bound(self, capsys, monkeypatch):
+        fj_eval = fjrep.fj_eval
+        monkeypatch.setattr(fjrep, "fj_eval", lambda param, y, t: 2.0 * fj_eval(param, y, t))
+        code, out, _ = run_cli(capsys, "check", "--suite", "decay")
+        assert code == 1
+        assert [ln for ln in out.splitlines() if ln.startswith("[FAIL]")] == [
+            "[FAIL] decay_bound  (C = 2^rate * max|f_a|)"
+        ]
+
+    def test_branching_suite_scans_once_per_ambient(self, monkeypatch):
+        cases, scans, single_calls = set(), [], []
+
+        def counted_scan(p, q, lam, subgroup, targets, *rest):
+            scans.append((p, q, lam.twice, subgroup))
+            cases.update((p, q, lam.twice, subgroup, t.twice) for t in targets)
+            return branching_verdicts(p, q, lam, subgroup, targets, *rest)
+
+        def counted_single(fn):
+            def counted(*args, **kwargs):
+                single_calls.append(fn.__name__)
+                return fn(*args, **kwargs)
+
+            return counted
+
+        monkeypatch.setattr(periods, "branching_verdicts", counted_scan)
+        for fn in (periods.period_integral_G1, periods.period_integral_G2):
+            monkeypatch.setattr(periods, fn.__name__, counted_single(fn))
+        assert all(r.passed for r in run_suite("branching"))
+        assert single_calls == []
+        assert len(scans) == len(set(scans)) == 36
+        # the per-target filter the suite used before it batched: every valid target
+        # with doubled value <= 2 (a + 8) whose parameter has degree <= 6
+        expected = set()
+        for p in (4, 5, 6):
+            for q in (4, 5, 6):
+                for lam in valid_lambdas(p, q, 6):
+                    if lam not in (HalfInt(1), HalfInt.from_twice(3), HalfInt(2), HalfInt(3)):
+                        continue
+                    max_twice = (make_fj_param(p, q, lam).degree + 8) * 2
+                    for sub in ("g1", "g2"):
+                        for t in valid_targets(p, q, sub, max_twice):
+                            if make_fj_param(p, q, t, SpaceTag(sub)).degree <= 6:
+                                expected.add((p, q, lam.twice, sub, t.twice))
+        assert len(expected) == 246
+        assert cases == expected
 
     def test_packets_suite(self, capsys):
         code, out, _ = run_cli(capsys, "check", "--suite", "packets")
@@ -329,6 +420,27 @@ class TestOutFile(object):
         assert code == 0
         assert out == ""
         assert json.loads(target.read_text())["a"] == 1
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("fj", "--p", "4", "--q", "4", "--lambda-x2", "4"),
+            ("branch", "--p", "4", "--q", "4", "--lambda-x2", "4", "--subgroup", "g2",
+             "--max-target-x2", "7"),
+            ("period", "--p", "4", "--q", "4", "--lambda-x2", "4", "--target-x2", "3",
+             "--subgroup", "g2"),
+            ("packet", "--p", "4", "--q", "4"),
+        ],
+        ids=["fj", "branch", "period", "packet"],
+    )
+    def test_unwritable_out_exits_2(self, tmp_path, capsys, argv):
+        target = tmp_path / "missing" / "report.json"
+        code, out, err = run_cli(capsys, *argv, "--out", str(target))
+        assert code == 2
+        assert out == ""
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith(f"error: cannot write --out {target}: ")
+        assert not target.parent.exists()
 
 
 def _subprocess_env():
