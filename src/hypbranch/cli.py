@@ -3,7 +3,8 @@
 Half-integer flags use the doubled-integer convention (`--lambda-x2 3` means
 lambda = 3/2) so no parameter ever passes through float parsing.  Exit codes:
 0 success, 1 property failure or a branch row whose numeric verdict disagrees
-with its predicate, 2 invalid parameters or an unwritable --out file, 3
+with its predicate, 2 invalid parameters, an unwritable --out file or
+`period --witness` with `--subgroup g1` (the witness pairing is g2's), 3
 divergent integral, 4 numeric tolerance not met.
 """
 
@@ -104,13 +105,11 @@ def cmd_branch(args) -> int:
             print(f"error: verdict mismatch: {detail}", file=sys.stderr)
         return 1
     if args.format == "csv":
+        # rows hold their values in BRANCH_COLUMNS order
         buf = io.StringIO()
-        writer = csv.DictWriter(buf, fieldnames=BRANCH_COLUMNS)
-        writer.writeheader()
-        for row in rows:
-            writer.writerow(
-                {k: (str(v).lower() if isinstance(v, bool) else v) for k, v in row.items()}
-            )
+        writer = csv.writer(buf)
+        writer.writerow(BRANCH_COLUMNS)
+        writer.writerows([str(v).lower() if isinstance(v, bool) else v for v in row.values()] for row in rows)
         _emit(args, buf.getvalue().rstrip("\n"))
     else:
         _emit_json(args, rows)
@@ -118,6 +117,8 @@ def cmd_branch(args) -> int:
 
 
 def cmd_period(args) -> int:
+    if args.witness and args.subgroup == "g1":
+        raise ValueError("--witness applies to --subgroup g2 only")
     lam = HalfInt.from_twice(args.lambda_x2)
     target = HalfInt.from_twice(args.target_x2)
     spec = _quad_spec(args)
@@ -210,7 +211,7 @@ def build_parser() -> argparse.ArgumentParser:
     period.add_argument("--target-x2", dest="target_x2", type=int, required=True)
     period.add_argument("--subgroup", choices=("g1", "g2"), required=True)
     period.add_argument("--nodes", type=int, help="radial rule node count")
-    period.add_argument("--witness", action="store_true", help="use the twisted witness pairing")
+    period.add_argument("--witness", action="store_true", help="use the twisted witness pairing (g2 only)")
     period.add_argument("--out")
     period.set_defaults(func=cmd_period)
 

@@ -54,11 +54,7 @@ class FJParam:
 
     @property
     def space_signature(self) -> tuple[int, int]:
-        if self.tag is SpaceTag.G1_SPACE:
-            return self.p - 1, self.q
-        if self.tag is SpaceTag.G2_SPACE:
-            return self.p, self.q - 1
-        return self.p, self.q
+        return tag_signature(self.p, self.q, self.tag)
 
     @property
     def degree(self) -> int:
@@ -80,6 +76,8 @@ class FJParam:
         return f"SO({sp},{sq - 2})xSO(0,2)"
 
     def to_json_dict(self, spec: QuadratureSpec = _DEFAULT_SPEC) -> dict:
+        sp, sq = self.space_signature
+        char_x2 = inf_char_x2(sp + sq, self.lam.twice)
         return {
             "p": self.p,
             "q": self.q,
@@ -87,8 +85,8 @@ class FJParam:
             "a": self.degree,
             "exponent_x2": self.decay_exponent.twice,
             "min_ktype_x2": self.min_ktype.twice,
-            "inf_char_x2": [e.twice for e in inf_char(self).entries],
-            "self_dual": is_self_dual(self),
+            "inf_char_x2": char_x2,
+            "self_dual": _self_dual(sp + sq, char_x2),
             "l2_norm_sq": l2_norm_sq(self, spec),
         }
 
@@ -115,25 +113,41 @@ class InfChar:
         return len(self.entries)
 
 
-def make_fj_param(p: int, q: int, lam, tag: SpaceTag = SpaceTag.G_ON_H) -> FJParam:
-    """Build and validate a parameter descriptor.
+def tag_signature(p: int, q: int, tag: SpaceTag) -> tuple[int, int]:
+    """Signature (sp, sq) of the tag's space: X(p, q), X(p-1, q) or X(p, q-1)."""
+    if tag is SpaceTag.G1_SPACE:
+        return p - 1, q
+    if tag is SpaceTag.G2_SPACE:
+        return p, q - 1
+    return p, q
+
+
+def checked_degree(p: int, q: int, lam_x2: int, tag: SpaceTag) -> int:
+    """Harmonic degree a = lambda - 1 + (sp - sq)/2 of a doubled lambda on the tag's space.
 
     Rejects lambda <= 0 (square integrability) and non-integral or negative
     harmonic degree (the generating function needs an actual spherical
     harmonic of that degree).
     """
+    if lam_x2 <= 0:
+        raise InvalidParameterError(f"lambda must be positive, got {HalfInt.from_twice(lam_x2)}")
+    sp, sq = tag_signature(p, q, SpaceTag(tag))
+    a_x2 = lam_x2 - 2 + sp - sq
+    if a_x2 % 2 or a_x2 < 0:
+        raise InvalidParameterError(
+            f"harmonic degree a = lambda - 1 + (p-q)/2 = {HalfInt.from_twice(a_x2)}"
+            " must be a non-negative integer"
+        )
+    return a_x2 // 2
+
+
+def make_fj_param(p: int, q: int, lam, tag: SpaceTag = SpaceTag.G_ON_H) -> FJParam:
+    """Build a parameter descriptor, validated by `checked_degree`."""
     if p < 4 or q < 4:
         raise InvalidParameterError(f"standing assumption p, q >= 4 violated: ({p}, {q})")
     lam = lam if isinstance(lam, HalfInt) else HalfInt(lam)
-    if not lam > 0:
-        raise InvalidParameterError(f"lambda must be positive, got {lam}")
-    param = FJParam(p, q, lam, SpaceTag(tag))
-    a = param.min_ktype
-    if not a.is_integer or a < 0:
-        raise InvalidParameterError(
-            f"harmonic degree a = lambda - 1 + (p-q)/2 = {a} must be a non-negative integer"
-        )
-    return param
+    checked_degree(p, q, lam.twice, tag)
+    return FJParam(p, q, lam, SpaceTag(tag))
 
 
 def valid_lambdas(p: int, q: int, max_twice: int, tag: SpaceTag = SpaceTag.G_ON_H) -> list[HalfInt]:
@@ -144,7 +158,7 @@ def valid_lambdas(p: int, q: int, max_twice: int, tag: SpaceTag = SpaceTag.G_ON_
     """
     if p < 4 or q < 4:
         return []
-    sp, sq = FJParam(p, q, HalfInt(1), SpaceTag(tag)).space_signature
+    sp, sq = tag_signature(p, q, SpaceTag(tag))
     first = max(2 - (sp - sq), 2 - (sp - sq) % 2)
     return [HalfInt.from_twice(twice) for twice in range(first, max_twice + 1, 2)]
 
@@ -181,6 +195,11 @@ def l2_norm_sq(param: FJParam, spec: QuadratureSpec = _DEFAULT_SPEC) -> float:
     return norm_sq
 
 
+def inf_char_x2(total: int, lam_x2: int) -> list[int]:
+    """Doubled entries of the character (lambda + N/2, (N-2)/2, ...) for N = total: see `inf_char`."""
+    return [lam_x2 + total, *range(total - 2, total - 2 * (total // 2), -2)]
+
+
 def inf_char(param: FJParam) -> InfChar:
     """Displayed infinitesimal character (lambda + N/2, (N-2)/2, (N-4)/2, ...).
 
@@ -188,18 +207,15 @@ def inf_char(param: FJParam) -> InfChar:
     p+q; restriction targets: p+q-1); the length is floor(N/2).
     """
     sp, sq = param.space_signature
-    total = sp + sq
-    entries = [param.lam + HalfInt.from_twice(total)]
-    for i in range(1, total // 2):
-        entries.append(HalfInt.from_twice(total - 2 * i))
-    return InfChar(tuple(entries))
+    return InfChar(tuple(HalfInt.from_twice(e) for e in inf_char_x2(sp + sq, param.lam.twice)))
 
 
-def _standard_entries(param: FJParam) -> list[HalfInt]:
+def _self_dual(total: int, char_x2: list[int]) -> bool:
     # Standard-coordinate character (lambda, 0, ..., 0) + rho with the usual
     # half-sum: each displayed entry minus one.  Type D then ends in 0 and
     # type B in 1/2, which is what negation-conjugacy sees.
-    return [e - 1 for e in inf_char(param).entries]
+    entries = [HalfInt.from_twice(e - 2) for e in char_x2]
+    return weyl_conjugate(entries, [-e for e in entries], "D" if total % 2 == 0 else "B")
 
 
 def is_self_dual(param: FJParam) -> bool:
@@ -210,7 +226,4 @@ def is_self_dual(param: FJParam) -> bool:
     negative.
     """
     sp, sq = param.space_signature
-    family = "D" if (sp + sq) % 2 == 0 else "B"
-    entries = _standard_entries(param)
-    negated = [-e for e in entries]
-    return weyl_conjugate(entries, negated, family)
+    return _self_dual(sp + sq, inf_char_x2(sp + sq, param.lam.twice))

@@ -222,16 +222,17 @@ def ktype_pairings_nonzero(a: int, bs, n: int) -> list[tuple[bool, float]]:
         zonals = np.array([rows[k] for k in range(a + 1)])
         norms_sq = zonals**2 @ weight
         largest = float(norms_sq.max())
-        for b in batch:
-            gram = zonals @ (weight * rows[b])
-            norm_b = float(rows[b] ** 2 @ weight)
+        grams = np.array([zonals @ (weight * rows[b]) for b in batch])
+        norms_b = [float(rows[b] ** 2 @ weight) for b in batch]
+        for b, norm_b in zip(batch, norms_b):
             if not math.isfinite(norm_b * largest):
                 raise ToleranceError(f"zonal norm not finite at degrees ({a}, {b})", math.inf)
-            ratios = np.abs(gram) / np.sqrt(norms_sq * norm_b)
-            k = int(np.argmax(ratios))
+        ratios = np.abs(grams) / np.sqrt(norms_sq * np.array(norms_b)[:, None])
+        ks = np.argmax(ratios, axis=1).tolist()
+        for b, k, r, gram in zip(batch, ks, ratios, grams):
             lam = k + (n - 2) / 2.0
             leading = math.prod((i + 1) * (2.0 * lam + i) / (2.0 * (lam + i)) for i in range(a - k))
-            found[b] = bool(ratios[k] > 1e-8), leading * float(gram[k])
+            found[b] = bool(r[k] > 1e-8), leading * float(gram[k])
     return [found[b] for b in bs]
 
 

@@ -8,6 +8,7 @@ admissibility table, and the predicate-disjointness explorer.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from enum import Enum
 
@@ -139,9 +140,9 @@ class InterlaceClass(Enum):
     NO_PATTERN = "NoPattern"
 
 
-def _coerce_entries(seq):
+def _doubled_entries(seq) -> list[int]:
     entries = getattr(seq, "entries", seq)
-    return [v if isinstance(v, HalfInt) else HalfInt(v) for v in entries]
+    return [(v if isinstance(v, HalfInt) else HalfInt(v)).twice for v in entries]
 
 
 def interlace_classify(seq_a, seq_b) -> InterlaceClass:
@@ -151,37 +152,16 @@ def interlace_classify(seq_a, seq_b) -> InterlaceClass:
     Infinite type 1:  b1 >= a1 > a2 > b2 > a3 > b3 > ...  (first comparison
     non-strict; the a_i > b_i > a_{i+1} alternation resumes at i = 2).
     """
-    a = _coerce_entries(seq_a)
-    b = _coerce_entries(seq_b)
+    a = _doubled_entries(seq_a)
+    b = _doubled_entries(seq_b)
     m, n = len(a), len(b)
     if n not in (m - 1, m):
         raise InvalidParameterError(f"length mismatch: need n in {{m-1, m}}, got m={m}, n={n}")
-
-    def chain_finite() -> bool:
-        for i in range(n):
-            if not a[i] > b[i]:
-                return False
-            if i + 1 < m and not b[i] > a[i + 1]:
-                return False
-        return True
-
-    def chain_infinite() -> bool:
-        if m < 2 or n < 1:
-            return False
-        if not b[0] >= a[0]:
-            return False
-        if not a[0] > a[1]:
-            return False
-        for i in range(1, n):
-            if not a[i] > b[i]:
-                return False
-            if i + 1 < m and not b[i] > a[i + 1]:
-                return False
-        return True
-
-    if chain_finite():
+    # a_i > b_i and b_i > a_{i+1} for every i the shorter sequence reaches
+    if all(map(operator.gt, a, b)) and all(map(operator.gt, b, a[1:])):
         return InterlaceClass.FINITE_TYPE
-    if chain_infinite():
+    tail_alternates = all(map(operator.gt, a[1:], b[1:])) and all(map(operator.gt, b[1:], a[2:]))
+    if m >= 2 and b[0] >= a[0] > a[1] and tail_alternates:
         return InterlaceClass.INFINITE_TYPE_1
     return InterlaceClass.NO_PATTERN
 

@@ -13,7 +13,16 @@ import math
 from dataclasses import dataclass
 
 from .errors import DivergenceError, InvalidParameterError, ToleranceError
-from .fjrep import FJParam, SpaceTag, inf_char, make_fj_param, valid_lambdas
+from .fjrep import (
+    FJParam,
+    SpaceTag,
+    checked_degree,
+    inf_char,
+    inf_char_x2,
+    make_fj_param,
+    tag_signature,
+    valid_lambdas,
+)
 from .geometry import radial_integrals_numeric
 from .harmonics import ktype_pairings_nonzero, pairing_subsphere, sphere_area, zonal_gram
 from .numerics import HalfInt, QuadratureSpec
@@ -37,7 +46,6 @@ __all__ = [
 ]
 
 _DEFAULT_SPEC = QuadratureSpec()
-_NEG_HALF = HalfInt.from_twice(-1)
 
 
 @dataclass(frozen=True)
@@ -79,7 +87,7 @@ def _tag(subgroup: str) -> SpaceTag:
 
 def _converges(lam, target) -> bool:
     """Convergence of the X(p-1, q) or X(p, q-1) period: lambda + target > -1/2, exactly."""
-    return _as_halfint(lam) + _as_halfint(target) > _NEG_HALF
+    return _as_halfint(lam).twice + _as_halfint(target).twice > -1
 
 
 converges_G1 = converges_G2 = _converges
@@ -97,7 +105,7 @@ def nonvanishing_G2(p: int, q: int, lam, mu) -> bool:
     equivalently mu + 1/2 <= lambda with b >= 0.
     """
     a = make_fj_param(p, q, lam).degree
-    return _nonvanishing(SpaceTag.G2_SPACE, a, make_fj_param(p, q, mu, SpaceTag.G2_SPACE).degree)
+    return _nonvanishing(SpaceTag.G2_SPACE, a, checked_degree(p, q, _as_halfint(mu).twice, SpaceTag.G2_SPACE))
 
 
 def nonvanishing_G1(p: int, q: int, lam, nu) -> bool:
@@ -106,31 +114,33 @@ def nonvanishing_G1(p: int, q: int, lam, nu) -> bool:
     True iff nu = lambda + 1/2 exactly (the two full-sphere degrees match).
     """
     a = make_fj_param(p, q, lam).degree
-    return _nonvanishing(SpaceTag.G1_SPACE, a, make_fj_param(p, q, nu, SpaceTag.G1_SPACE).degree)
+    return _nonvanishing(SpaceTag.G1_SPACE, a, checked_degree(p, q, _as_halfint(nu).twice, SpaceTag.G1_SPACE))
 
 
-def _require_convergence(lam: HalfInt, targets, tag: SpaceTag) -> None:
+def _require_convergence(lam_x2: int, targets_x2, tag: SpaceTag) -> None:
     name = "nu" if tag is SpaceTag.G1_SPACE else "mu"
-    for target in targets:
-        if not _converges(lam, target):
-            raise DivergenceError(
-                f"period diverges: lambda + {name} = {lam + target} fails the > -1/2 threshold"
-            )
+    for t in targets_x2:
+        if lam_x2 + t <= -1:
+            total = HalfInt.from_twice(lam_x2 + t)
+            raise DivergenceError(f"period diverges: lambda + {name} = {total} fails the > -1/2 threshold")
 
 
-def _assemble(ambient, targets, degrees, pairings, nonzeros, spec, witness_used) -> list[PeriodVerdict]:
+def _assemble(ambient, tag, targets_x2, degrees, pairings, nonzeros, spec, witness) -> list[PeriodVerdict]:
     """Verdicts from the factored periods sphere_area(sp) * pairing * R(sp-1, sq-1 + e_lambda + e_target).
 
-    X(sp, sq) is the targets' space; the radial factors of all targets come
-    from one pair of rules.  Refuses a value that is not finite.
+    X(sp, sq) is the targets' space and every exponent is a doubled int; the
+    radial factors of all targets come from one pair of rules.  Refuses a
+    value that is not finite.
     """
-    if not targets:
+    if not targets_x2:
         return []
-    sp, sq = targets[0].space_signature
-    shift, a, sphere = sq - 1 + ambient.decay_exponent, ambient.degree, sphere_area(sp)
-    radials = radial_integrals_numeric(sp - 1, [float(shift + t.decay_exponent) for t in targets], spec)
+    sp, sq = tag_signature(ambient.p, ambient.q, tag)
+    # doubled sq - 1 + e_lambda + e_target, with e_target = 1 - target - (sp + sq)/2
+    shift_x2 = 2 * (sq - 1) + ambient.decay_exponent.twice + 2 - sp - sq
+    radials = radial_integrals_numeric(sp - 1, [(shift_x2 - t) / 2 for t in targets_x2], spec)
+    a, sphere = ambient.degree, sphere_area(sp)
     verdicts = []
-    for t, b, pairing, (radial, err), nonzero in zip(targets, degrees, pairings, radials, nonzeros):
+    for b, pairing, (radial, err), nonzero in zip(degrees, pairings, radials, nonzeros):
         value = sphere * pairing * radial
         if not math.isfinite(value):
             raise ToleranceError(f"period value {value} is not finite at degrees ({a}, {b})", math.inf)
@@ -142,32 +152,35 @@ def _assemble(ambient, targets, degrees, pairings, nonzeros, spec, witness_used)
                 value=value,
                 err_est=abs(sphere * pairing) * err,
                 nonzero=nonzero,
-                predicate_nonzero=_nonvanishing(t.tag, a, b),
+                predicate_nonzero=_nonvanishing(tag, a, b),
                 sphere_factor=sphere,
                 pairing_factor=pairing,
                 radial_factor=radial,
-                witness_used=witness_used,
+                witness_used=witness,
             )
         )
     return verdicts
 
 
-def _periods_G2(ambient: FJParam, targets, spec: QuadratureSpec, use_witness: bool) -> list[PeriodVerdict]:
-    a, q, bs = ambient.degree, ambient.q, [t.degree for t in targets]
+def _periods_G2(ambient: FJParam, mus_x2, spec: QuadratureSpec, use_witness: bool) -> list[PeriodVerdict]:
+    a, p, q = ambient.degree, ambient.p, ambient.q
+    bs = [checked_degree(p, q, mu, SpaceTag.G2_SPACE) for mu in mus_x2]
     witness = ktype_pairings_nonzero(a, bs, q)
     pairings = [value for _, value in witness] if use_witness else [pairing_subsphere(a, b, q) for b in bs]
-    return _assemble(ambient, targets, bs, pairings, [ok for ok, _ in witness], spec, use_witness)
+    nonzeros = [ok for ok, _ in witness]
+    return _assemble(ambient, SpaceTag.G2_SPACE, mus_x2, bs, pairings, nonzeros, spec, use_witness)
 
 
-def _periods_G1(ambient: FJParam, targets, spec: QuadratureSpec) -> list[PeriodVerdict]:
-    a, cs = ambient.degree, [t.degree for t in targets]
-    pairings, norm_a, norms_c = zonal_gram(a, cs, ambient.q)
+def _periods_G1(ambient: FJParam, nus_x2, spec: QuadratureSpec) -> list[PeriodVerdict]:
+    a, p, q = ambient.degree, ambient.p, ambient.q
+    cs = [checked_degree(p, q, nu, SpaceTag.G1_SPACE) for nu in nus_x2]
+    pairings, norm_a, norms_c = zonal_gram(a, cs, q)
     pairings, norms_c = pairings.tolist(), norms_c.tolist()
     for c, norm_c in zip(cs, norms_c):
         if not math.isfinite(norm_a * norm_c):
             raise ToleranceError(f"zonal norm not finite at degrees ({a}, {c})", math.inf)
     nonzeros = [abs(g) > 1e-8 * math.sqrt(norm_a * norm_c) for g, norm_c in zip(pairings, norms_c)]
-    return _assemble(ambient, targets, cs, pairings, nonzeros, spec, False)
+    return _assemble(ambient, SpaceTag.G1_SPACE, nus_x2, cs, pairings, nonzeros, spec, False)
 
 
 def period_integrals_G2(
@@ -182,10 +195,9 @@ def period_integrals_G2(
     witnesses of all targets share their Gegenbauer passes
     (`ktype_pairings_nonzero`).
     """
-    lam, mus = _as_halfint(lam), [_as_halfint(mu) for mu in mus]
-    _require_convergence(lam, mus, SpaceTag.G2_SPACE)
-    ambient = make_fj_param(p, q, lam)
-    return _periods_G2(ambient, [make_fj_param(p, q, mu, SpaceTag.G2_SPACE) for mu in mus], spec, use_witness)
+    lam, mus_x2 = _as_halfint(lam), [_as_halfint(mu).twice for mu in mus]
+    _require_convergence(lam.twice, mus_x2, SpaceTag.G2_SPACE)
+    return _periods_G2(make_fj_param(p, q, lam), mus_x2, spec, use_witness)
 
 
 def period_integral_G2(
@@ -205,10 +217,9 @@ def period_integrals_G1(
     The pairings and the norms of the scale-free nonzero test come from one
     Gegenbauer pass over all target degrees (`zonal_gram`).
     """
-    lam, nus = _as_halfint(lam), [_as_halfint(nu) for nu in nus]
-    _require_convergence(lam, nus, SpaceTag.G1_SPACE)
-    ambient = make_fj_param(p, q, lam)
-    return _periods_G1(ambient, [make_fj_param(p, q, nu, SpaceTag.G1_SPACE) for nu in nus], spec)
+    lam, nus_x2 = _as_halfint(lam), [_as_halfint(nu).twice for nu in nus]
+    _require_convergence(lam.twice, nus_x2, SpaceTag.G1_SPACE)
+    return _periods_G1(make_fj_param(p, q, lam), nus_x2, spec)
 
 
 def period_integral_G1(p: int, q: int, lam, nu, spec: QuadratureSpec = _DEFAULT_SPEC) -> PeriodVerdict:
@@ -224,11 +235,24 @@ class BranchingVerdict:
     interlace: InterlaceClass
 
 
+def _interlace_classes(ambient: FJParam, targets_x2) -> list[InterlaceClass]:
+    """`interlace_classify` of the ambient character against each target's.
+
+    The ambient character is built once; a target's character is its first
+    entry t + (N-1)/2 followed by a tail that depends only on N = p + q.
+    """
+    ambient_char = inf_char(ambient)
+    head_x2, *tail_x2 = inf_char_x2(ambient.p + ambient.q - 1, 0)
+    tail = tuple(HalfInt.from_twice(e) for e in tail_x2)
+    return [interlace_classify(ambient_char, (HalfInt.from_twice(head_x2 + t), *tail)) for t in targets_x2]
+
+
 def interlace_class_for_pair(p: int, q: int, lam, target, subgroup: str) -> InterlaceClass:
     tag = _tag(subgroup)
     ambient = make_fj_param(p, q, lam)
-    sub = make_fj_param(p, q, target, tag)
-    return interlace_classify(inf_char(ambient), inf_char(sub))
+    target_x2 = _as_halfint(target).twice
+    checked_degree(p, q, target_x2, tag)
+    return _interlace_classes(ambient, [target_x2])[0]
 
 
 def branching_verdicts(
@@ -239,29 +263,26 @@ def branching_verdicts(
     The restriction to SO0(p-1, q) is admissible, the one to SO0(p, q-1) is
     not (encoded branching data); the hom decision is the matching
     closed-form predicate, cross-checked by the numeric verdict.  The periods
-    of the whole target list share their Gegenbauer passes and radial rules,
-    and each parameter is built once for the periods and the interlace
-    characters.  The ambient parameter is validated even when the target
-    list is empty.
+    of the whole target list share their Gegenbauer passes and radial rules.
+    The ambient parameter is built once and validated even when the target
+    list is empty; the targets stay doubled ints from validation to row.
     """
     tag = _tag(subgroup)
     ambient = make_fj_param(p, q, lam)
-    targets = [_as_halfint(t) for t in targets]
-    _require_convergence(ambient.lam, targets, tag)
-    params = [make_fj_param(p, q, t, tag) for t in targets]
+    targets_x2 = [_as_halfint(t).twice for t in targets]
+    _require_convergence(ambient.lam.twice, targets_x2, tag)
     if tag is SpaceTag.G1_SPACE:
-        verdicts = _periods_G1(ambient, params, spec)
+        verdicts = _periods_G1(ambient, targets_x2, spec)
     else:
-        verdicts = _periods_G2(ambient, params, spec, use_witness=True)
-    ambient_char = inf_char(ambient)
+        verdicts = _periods_G2(ambient, targets_x2, spec, use_witness=True)
     return [
         BranchingVerdict(
             hom_nonzero=verdict.predicate_nonzero,
             verdict=verdict,
             admissible_restriction=tag is SpaceTag.G1_SPACE,
-            interlace=interlace_classify(ambient_char, inf_char(param)),
+            interlace=interlace,
         )
-        for param, verdict in zip(params, verdicts)
+        for interlace, verdict in zip(_interlace_classes(ambient, targets_x2), verdicts)
     ]
 
 

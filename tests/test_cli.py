@@ -93,6 +93,10 @@ class TestGoldenOutputs:
         assert code == 0
         golden = json.loads((GOLDEN / f"{name}.json").read_text())
         assert_json_matches(json.loads(out), golden)
+        # the CSV pins the fixed column order and every printed digit
+        code, out, _ = run_cli(capsys, "branch", *argv, "--format", "csv")
+        assert code == 0
+        assert out.encode() == (GOLDEN / f"{name}.csv").read_bytes()
 
     def test_json_keys_sorted(self, capsys):
         _, out, _ = run_cli(capsys, "fj", "--p", "4", "--q", "4", "--lambda-x2", "4")
@@ -270,6 +274,16 @@ class TestExitCodes:
         assert out.stdout == ""
         lines = out.stderr.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: "), out.stderr
+
+    def test_witness_on_g1_exits_2(self, capsys):
+        code, out, err = run_cli(
+            capsys,
+            "period", "--p", "4", "--q", "4", "--lambda-x2", "4",
+            "--target-x2", "5", "--subgroup", "g1", "--witness",
+        )
+        assert code == 2
+        assert out == ""
+        assert err == "error: --witness applies to --subgroup g2 only\n"
 
     def test_packet_odd_signature(self, capsys):
         code, _, _ = run_cli(capsys, "packet", "--p", "3", "--q", "3")

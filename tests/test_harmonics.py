@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.special import eval_gegenbauer
 
+from hypbranch import harmonics
 from hypbranch.errors import InvalidParameterError, ToleranceError
 from hypbranch.harmonics import (
     ZonalHarmonic,
@@ -238,6 +239,24 @@ class TestKTypeWitness:
         assert ktype_pairings_nonzero(3, [], 5) == []
         with pytest.raises(InvalidParameterError):
             ktype_pairings_nonzero(3, [1, -1], 5)
+
+    def test_batched_ratios_match_per_target_loop(self):
+        # the reference: the Gram ratios and leading trace of each b on its own,
+        # from the same rows; batching the elementwise steps keeps every bit
+        for n in (4, 5, 8):
+            for a in (0, 3, 12):
+                bs = list(range(a + 3))
+                batched = ktype_pairings_nonzero(a, bs, n)
+                for b, result in zip(bs, batched):
+                    top = max(a, b)
+                    rows, weight = harmonics._zonal_rows(top, n - 1, {*range(a + 1), top})
+                    zonals = np.array([rows[k] for k in range(a + 1)])
+                    gram = zonals @ (weight * rows[b])
+                    ratios = np.abs(gram) / np.sqrt(zonals**2 @ weight * float(rows[b] ** 2 @ weight))
+                    k = int(np.argmax(ratios))
+                    lam = k + (n - 2) / 2.0
+                    leading = math.prod((i + 1) * (2.0 * lam + i) / (2.0 * (lam + i)) for i in range(a - k))
+                    assert result == (bool(ratios[k] > 1e-8), leading * float(gram[k])), (a, b, n)
 
     def test_norm_not_finite_raises(self):
         # the squared zonal values overflow on S^128 at degree 1000

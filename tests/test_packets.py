@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 
 from hypbranch.errors import AssumptionError, InvalidParameterError
@@ -117,6 +119,29 @@ class TestInterlace:
     def test_length_mismatch(self):
         with pytest.raises(InvalidParameterError):
             interlace_classify([HalfInt(3), HalfInt(2)], [HalfInt(1), HalfInt(0), HalfInt(-1), HalfInt(-2)])
+
+    def test_matches_chain_loops(self):
+        # the reference: the a_i > b_i > a_{i+1} chains as explicit loops over
+        # HalfInt entries, on every pair of decreasing sequences from -2 to 2
+        def chain(a, b, start):
+            for i in range(start, len(b)):
+                if not a[i] > b[i] or (i + 1 < len(a) and not b[i] > a[i + 1]):
+                    return False
+            return True
+
+        def reference(a, b):
+            if chain(a, b, 0):
+                return InterlaceClass.FINITE_TYPE
+            if len(a) >= 2 and b[0] >= a[0] > a[1] and chain(a, b, 1):
+                return InterlaceClass.INFINITE_TYPE_1
+            return InterlaceClass.NO_PATTERN
+
+        values = [H(t) for t in range(4, -5, -1)]
+        for m in range(5):
+            for a in itertools.combinations(values, m):
+                for n in {max(m - 1, 0), m}:
+                    for b in itertools.combinations(values, n):
+                        assert interlace_classify(a, b) is reference(a, b), (a, b)
 
     def test_tags_mutually_exclusive(self):
         # finite requires a1 > b1, infinite requires b1 >= a1

@@ -277,20 +277,15 @@ class TestBatchedScanPasses:
 class TestParametersBuiltOnce:
     @pytest.mark.parametrize("argv", [G1_GOLDEN_SCAN, G2_GOLDEN_SCAN], ids=["g1", "g2"])
     def test_make_fj_param_calls_per_scan(self, monkeypatch, capsys, argv):
-        # the ambient once, and each target once: periods and interlace
-        # characters share the parameters
-        calls = []
-
-        def counted(*args, **kwargs):
-            calls.append(args)
-            return make_fj_param(*args, **kwargs)
-
-        for module in (fjrep, periods, cli):
-            monkeypatch.setattr(module, "make_fj_param", counted)
+        # the ambient parameter and its character are built once; the targets
+        # stay doubled ints, whatever the row count
+        params = [_count_calls(monkeypatch, m, "make_fj_param") for m in (fjrep, periods, cli)]
+        chars = [_count_calls(monkeypatch, m, "inf_char") for m in (fjrep, periods)]
         assert main(["branch", *argv]) == 0
         rows = len(json.loads(capsys.readouterr().out))
         assert rows > 10
-        assert len(calls) == rows + 1, (len(calls), rows)
+        assert sum(map(len, params)) == 1, (params, rows)
+        assert sum(map(len, chars)) <= 1, (chars, rows)
 
 
 class TestBranchingVerdict:
@@ -350,6 +345,22 @@ class TestInterlacing:
     def test_unknown_subgroup(self):
         with pytest.raises(InvalidParameterError):
             interlace_class_for_pair(4, 4, 2, 3 / 2, "bogus")
+
+    @pytest.mark.parametrize("subgroup", ["g1", "g2"])
+    def test_scan_rows_match_closed_form(self, subgroup):
+        # Test-only oracle: for a valid target the character tails always
+        # interlace, so the first entries alone decide the class.
+        for p in range(4, 10):
+            for q in range(4, 10):
+                for lam in valid_lambdas(p, q, 40):
+                    targets = valid_targets(p, q, subgroup, lam.twice + 4)
+                    for target, row in zip(targets, branching_verdicts(p, q, lam, subgroup, targets)):
+                        expected = (
+                            InterlaceClass.FINITE_TYPE
+                            if target.twice <= lam.twice
+                            else InterlaceClass.INFINITE_TYPE_1
+                        )
+                        assert row.interlace is expected, (p, q, lam, subgroup, target)
 
     def test_equal_first_entries_case(self):
         # nu = lambda + 1/2 forces b1 = a1; only the non-strict first
