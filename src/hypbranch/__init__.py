@@ -7,26 +7,15 @@ and interlacing patterns, and enumerates the two-element packet
 combinatorics (double cosets, pure inner forms, relevant pairs).
 """
 
-from .errors import (
-    AssumptionError,
-    DivergenceError,
-    InvalidParameterError,
-    NotInGroupError,
-    ToleranceError,
-)
+from .errors import AssumptionError, DivergenceError, InvalidParameterError, ToleranceError
 from .fjrep import FJParam, InfChar, SpaceTag, fj_eval, inf_char, is_self_dual, l2_norm_sq, make_fj_param
 from .geometry import (
-    BlockDecomposition,
     ChartPoint,
     HyperboloidChart,
-    block_decompose,
-    ellipsoid_gap,
     measure_weight,
     phi,
     radial_integral_closed,
     radial_integral_numeric,
-    scale,
-    suborbit,
 )
 from .harmonics import (
     ZonalHarmonic,

@@ -9,10 +9,6 @@ class AssumptionError(InvalidParameterError):
     """A standing assumption (signature bounds, parity) is violated."""
 
 
-class NotInGroupError(ValueError):
-    """A matrix fails the pseudo-orthogonality / identity-component checks."""
-
-
 class DivergenceError(ArithmeticError):
     """An integral is requested outside its convergence region."""
 

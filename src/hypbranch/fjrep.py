@@ -19,7 +19,7 @@ import numpy as np
 from .errors import InvalidParameterError, ToleranceError
 from .geometry import radial_integral_closed, radial_integral_numeric
 from .harmonics import ZonalHarmonic, sphere_area, zonal_norm_sq
-from .numerics import HalfInt, QuadratureSpec
+from .numerics import RADIAL_TOL, HalfInt, QuadratureSpec
 from .packets import weyl_conjugate
 
 __all__ = [
@@ -69,11 +69,6 @@ class FJParam:
     def min_ktype(self) -> HalfInt:
         sp, sq = self.space_signature
         return self.lam + HalfInt.from_twice(sp - sq) - 1
-
-    @property
-    def levi_tag(self) -> str:
-        sp, sq = self.space_signature
-        return f"SO({sp},{sq - 2})xSO(0,2)"
 
     def to_json_dict(self, spec: QuadratureSpec = _DEFAULT_SPEC) -> dict:
         sp, sq = self.space_signature
@@ -187,7 +182,7 @@ def l2_norm_sq(param: FJParam, spec: QuadratureSpec = _DEFAULT_SPEC) -> float:
     c_exp = float(sq - 1 + 2 * param.decay_exponent)
     value, _ = radial_integral_numeric(a_exp, c_exp, spec)
     closed = radial_integral_closed(a_exp, c_exp)
-    if abs(value - closed) > max(spec.abs_tol, spec.rel_tol * abs(closed)) * 10:
+    if abs(value - closed) > RADIAL_TOL * max(1.0, abs(closed)) * 10:
         raise ToleranceError("radial factor disagrees with its closed form", abs(value - closed))
     norm_sq = sphere_area(sp) * zonal_norm_sq(param.degree, sq) * value
     if not math.isfinite(norm_sq):

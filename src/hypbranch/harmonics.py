@@ -62,7 +62,10 @@ def sphere_area(n: int) -> float:
     """Surface area of the unit sphere S^{n-1} in R^n: 2 pi^{n/2} / Gamma(n/2)."""
     if n < 1:
         raise ValueError("sphere_area requires n >= 1")
-    return 2.0 * math.pi ** (n / 2.0) / math.exp(log_gamma(n / 2.0))
+    try:
+        return 2.0 * math.pi ** (n / 2.0) / math.exp(log_gamma(n / 2.0))
+    except OverflowError:  # Gamma(n/2) leaves the float range from n = 344
+        raise ToleranceError(f"sphere area of S^{n - 1} is out of floating-point range", math.inf) from None
 
 
 @dataclass(frozen=True)

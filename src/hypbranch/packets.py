@@ -7,7 +7,6 @@ admissibility table, and the predicate-disjointness explorer.
 
 from __future__ import annotations
 
-import math
 import operator
 from dataclasses import dataclass
 from enum import Enum
@@ -54,33 +53,6 @@ class SignedPermutation:
     def __len__(self):
         return len(self.images)
 
-    def __mul__(self, other: "SignedPermutation") -> "SignedPermutation":
-        # (self * other)(e_i) = self(other(e_i))
-        out = []
-        for v in other.images:
-            w = self.images[abs(v) - 1]
-            out.append(w if v > 0 else -w)
-        return SignedPermutation(out)
-
-    def inverse(self) -> "SignedPermutation":
-        out = [0] * len(self.images)
-        for i, v in enumerate(self.images, start=1):
-            out[abs(v) - 1] = i if v > 0 else -i
-        return SignedPermutation(out)
-
-    def apply_signed_index(self, index: int, sign: int) -> tuple[int, int]:
-        """Image (index, sign) of the signed basis vector sign * e_index."""
-        v = self.images[index - 1]
-        return abs(v), sign * (1 if v > 0 else -1)
-
-    @property
-    def negative_count(self) -> int:
-        return sum(1 for v in self.images if v < 0)
-
-    @property
-    def in_type_d(self) -> bool:
-        return self.negative_count % 2 == 0
-
     def __eq__(self, other):
         return isinstance(other, SignedPermutation) and self.images == other.images
 
@@ -103,12 +75,6 @@ class WeylGroup:
             raise InvalidParameterError("family must be 'B' or 'D'")
         if self.rank < 1:
             raise InvalidParameterError("rank must be >= 1")
-
-    def order(self) -> int:
-        base = 2**self.rank
-        if self.family == "D":
-            base //= 2
-        return base * math.factorial(self.rank)
 
 
 def weyl_conjugate(seq_a, seq_b, family: str) -> bool:
@@ -217,7 +183,7 @@ def double_cosets(left: tuple[WeylGroup, WeylGroup], mid: WeylGroup, right: Weyl
 
 
 def arthur_packet(p: int, q: int, lam) -> dict:
-    """The two-member packet attached to (p, q, lambda) for p, q even, 4 <= p <= q.
+    """The two-member packet attached to (p, q, lambda) for p, q even, 4 <= p <= q and lambda > 0.
 
     Member "s" (identity coset) lives in the discrete spectrum of
     SO0(p,q)/SO0(p,q-1); member "as" (the e_1-transposition coset) in that of
@@ -228,6 +194,8 @@ def arthur_packet(p: int, q: int, lam) -> dict:
     if not (4 <= p <= q):
         raise AssumptionError("arthur_packet requires 4 <= p <= q")
     lam = HalfInt(lam) if not isinstance(lam, HalfInt) else lam
+    if lam <= 0:
+        raise InvalidParameterError(f"lambda must be positive, got {lam}")
     m = (p + q) // 2
     result = double_cosets(
         (WeylGroup("D", p // 2), WeylGroup("D", q // 2)),

@@ -6,14 +6,50 @@ enumerates every element of the middle Weyl group and counts the components
 under left and right multiplication by generators.  Neither assumes what the
 closed form rests on: that each block's signed basis vectors form one orbit.
 ``weyl_elements`` and ``weyl_generators`` enumerate a type B/D Weyl group for
-these oracles and the group tests.
+these oracles and the group tests; the plain functions below give the group
+law, the action on signed basis vectors and the group order.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 
 from hypbranch.packets import DoubleCosetResult, SignedPermutation, WeylGroup, _validate_coset_setup
+
+
+def compose(w: SignedPermutation, v: SignedPermutation) -> SignedPermutation:
+    """The product w v: (w v)(e_i) = w(v(e_i))."""
+    out = []
+    for image in v.images:
+        u = w.images[abs(image) - 1]
+        out.append(u if image > 0 else -u)
+    return SignedPermutation(out)
+
+
+def inverse(w: SignedPermutation) -> SignedPermutation:
+    out = [0] * len(w.images)
+    for i, v in enumerate(w.images, start=1):
+        out[abs(v) - 1] = i if v > 0 else -i
+    return SignedPermutation(out)
+
+
+def apply_signed_index(w: SignedPermutation, index: int, sign: int) -> tuple[int, int]:
+    """Image (index, sign) of the signed basis vector sign * e_index."""
+    v = w.images[index - 1]
+    return abs(v), sign * (1 if v > 0 else -1)
+
+
+def in_type_d(w: SignedPermutation) -> bool:
+    """Whether w flips an even number of signs."""
+    return sum(1 for v in w.images if v < 0) % 2 == 0
+
+
+def weyl_order(group: WeylGroup) -> int:
+    base = 2**group.rank
+    if group.family == "D":
+        base //= 2
+    return base * math.factorial(group.rank)
 
 
 def weyl_elements(group: WeylGroup):
@@ -97,7 +133,7 @@ def double_cosets_bfs(left: tuple[WeylGroup, WeylGroup], mid: WeylGroup, right: 
         while frontier:
             cur = frontier.pop()
             for g in gens:
-                nxt = g.apply_signed_index(*cur)
+                nxt = apply_signed_index(g, *cur)
                 if nxt not in seen:
                     seen[nxt] = len(orbits)
                     orbit.append(nxt)
@@ -128,7 +164,7 @@ def double_cosets_brute(left: tuple[WeylGroup, WeylGroup], mid: WeylGroup, right
         frontier = [w]
         while frontier:
             cur = frontier.pop()
-            neighbors = [g * cur for g in left_gens] + [cur * g for g in right_gens]
+            neighbors = [compose(g, cur) for g in left_gens] + [compose(cur, g) for g in right_gens]
             for nxt in neighbors:
                 if nxt.images in remaining:
                     del remaining[nxt.images]

@@ -12,14 +12,7 @@ import pytest
 
 from hypbranch.errors import DivergenceError, InvalidParameterError
 from hypbranch.fjrep import SpaceTag, fj_eval, inf_char, is_self_dual, l2_norm_sq, make_fj_param
-from hypbranch.geometry import (
-    block_decompose,
-    ellipsoid_gap,
-    radial_integral_closed,
-    radial_integral_numeric,
-    radial_integral_truncated,
-    scale,
-)
+from hypbranch.geometry import radial_integral_closed, radial_integral_numeric, radial_integral_truncated
 from hypbranch.harmonics import ZonalHarmonic, ktype_pairing_nonzero, so_branching_multiplicity, zonal_norm_sq
 from hypbranch.numerics import HalfInt
 from hypbranch.packets import (
@@ -40,6 +33,7 @@ from hypbranch.periods import (
     period_integral_G2,
     valid_targets,
 )
+from block_estimates import block_decompose, ellipsoid_gap, scale
 from coset_oracle import double_cosets_brute
 from group_elements import random_group_element
 

@@ -215,6 +215,13 @@ class TestExitCodes:
         assert code == 2
         assert "lambda" in err
 
+    @pytest.mark.parametrize("lambda_x2", ["0", "-4"])
+    def test_packet_nonpositive_lambda(self, capsys, lambda_x2):
+        code, out, err = run_cli(capsys, "packet", "--p", "4", "--q", "4", "--lambda-x2", lambda_x2)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: lambda must be positive") and len(err.strip().splitlines()) == 1
+
     def test_standing_assumption(self, capsys):
         code, _, err = run_cli(capsys, "fj", "--p", "3", "--q", "4", "--lambda-x2", "4")
         assert code == 2
@@ -243,8 +250,15 @@ class TestExitCodes:
             # |Z_a|^2 overflows to inf on S^129 at degree 1000
             ("period", "--p", "5", "--q", "130", "--lambda-x2", "2127",
              "--target-x2", "2128", "--subgroup", "g1"),
+            # Gamma(p/2) in the sphere area of S^{p-1} leaves the float range from p = 344
+            ("fj", "--p", "400", "--q", "4", "--lambda-x2", "400"),
+            ("period", "--p", "350", "--q", "4", "--lambda-x2", "350",
+             "--target-x2", "351", "--subgroup", "g1"),
         ],
-        ids=["radial_tolerance", "witness_overflow", "fj_norm_not_finite", "g1_norm_not_finite"],
+        ids=[
+            "radial_tolerance", "witness_overflow", "fj_norm_not_finite", "g1_norm_not_finite",
+            "fj_sphere_area_overflow", "g1_sphere_area_overflow",
+        ],
     )
     def test_numeric_failure_exits_4(self, capsys, argv):
         code, out, err = run_cli(capsys, *argv)

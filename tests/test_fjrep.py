@@ -28,7 +28,6 @@ class TestMakeParam:
         assert p.degree == 1
         assert p.decay_exponent == HalfInt(-5)
         assert p.min_ktype == HalfInt(1)
-        assert p.levi_tag == "SO(4,2)xSO(0,2)"
 
     def test_lambda_positive(self):
         with pytest.raises(InvalidParameterError, match="lambda"):

@@ -4,31 +4,28 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from hypbranch.errors import (
-    AssumptionError,
-    DivergenceError,
-    InvalidParameterError,
-    NotInGroupError,
-    ToleranceError,
-)
+from hypbranch.errors import AssumptionError, DivergenceError, InvalidParameterError, ToleranceError
 from hypbranch.geometry import (
-    BlockDecomposition,
     ChartPoint,
     HyperboloidChart,
-    block_decompose,
-    ellipsoid_gap,
     measure_weight,
-    minkowski_form,
     phi,
     q_form,
     radial_integral_closed,
     radial_integral_numeric,
     radial_integral_truncated,
     radial_integrals_numeric,
+)
+from hypbranch.numerics import QuadratureSpec
+from block_estimates import (
+    BlockDecomposition,
+    NotInGroupError,
+    block_decompose,
+    ellipsoid_gap,
+    minkowski_form,
     scale,
     suborbit,
 )
-from hypbranch.numerics import QuadratureSpec
 from group_elements import random_group_element
 
 

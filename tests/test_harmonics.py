@@ -103,17 +103,10 @@ class TestZonalNorm:
         assert oracle == pytest.approx(2 * math.pi**2, rel=1e-13)
         assert zonal_norm_sq(1, 4) == pytest.approx(oracle, rel=1e-12)
 
-    def test_closed_vs_quadrature(self):
-        for n in (4, 5, 6):
-            for a in range(9):
-                closed = zonal_norm_sq_closed(a, n)
-                quadrature = zonal_norm_sq(a, n)
-                assert quadrature == pytest.approx(closed, rel=1e-10)
-
     @pytest.mark.parametrize("n", range(4, 17))
     def test_closed_form_to_degree_400(self, n):
         # the sphere rule follows the degree, so high degrees stay exact
-        for a in (0, 4, 16, 48, 100, 200, 400):
+        for a in (*range(9), 16, 48, 100, 200, 400):
             assert zonal_norm_sq(a, n) == pytest.approx(zonal_norm_sq_closed(a, n), rel=1e-10)
 
 
@@ -135,18 +128,10 @@ class TestOrthogonality:
 
 class TestPairingSubsphere:
     def test_degree_zero_pair(self):
+        # the relative odd-parity grid is the `pairing_parity_vanishing` check property
         for n in (4, 5, 6):
             assert pairing_subsphere(0, 0, n) == pytest.approx(sphere_area(n - 1), rel=1e-12)
-
-    def test_odd_parity_vanishes(self):
-        for n in (4, 5, 6):
             assert pairing_subsphere(1, 0, n) == pytest.approx(0.0, abs=1e-12)
-            for a in range(7):
-                for b in range(7):
-                    if (a - b) % 2 == 0:
-                        continue
-                    scale = math.sqrt(zonal_norm_sq(a, n) * zonal_norm_sq(b, n - 1))
-                    assert abs(pairing_subsphere(a, b, n)) <= 1e-12 * scale
 
     def test_one_one_five(self):
         # oracle: area(S^3) int C_1^{3/2} C_1^{1} (1-x^2)^{1/2}
@@ -190,13 +175,6 @@ class TestKTypeWitness:
         assert nonzero
         assert value == pytest.approx(sphere_area(4), rel=1e-12)
 
-    def test_matches_branching_multiplicity(self):
-        for n in (4, 5, 6):
-            for a in range(7):
-                for b in range(7):
-                    nonzero, _ = ktype_pairing_nonzero(a, b, n)
-                    assert nonzero == (so_branching_multiplicity(a, b) == 1), (a, b, n)
-
     def test_matches_scan_oracle(self):
         # the brute-force scan over every (member j, trace m) pairing: same
         # verdict, same best ratio, and the value is its leading trace pairing
@@ -236,6 +214,13 @@ class TestKTypeWitness:
             for a in (0, 1, 7, 20):
                 bs = [a + 2, 0, a, a + 1, a // 2, a + 2]
                 assert ktype_pairings_nonzero(a, bs, n) == [ktype_pairing_nonzero(a, b, n) for b in bs]
+        # every target of the `ktype_witness_matches_branching` check property, one call at a time
+        for n in (4, 5, 6):
+            for a in range(7):
+                singles = [ktype_pairing_nonzero(a, b, n) for b in range(7)]
+                assert ktype_pairings_nonzero(a, range(7), n) == singles
+                for b, (nonzero, _) in enumerate(singles):
+                    assert nonzero == (so_branching_multiplicity(a, b) == 1), (a, b, n)
         assert ktype_pairings_nonzero(3, [], 5) == []
         with pytest.raises(InvalidParameterError):
             ktype_pairings_nonzero(3, [1, -1], 5)
