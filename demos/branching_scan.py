@@ -7,30 +7,26 @@ The numeric period, the closed-form predicate, and the interlacing class of
 the infinitesimal characters all tell the same story.
 """
 
-from hypbranch import branching_verdict, inf_char, make_fj_param
-from hypbranch.fjrep import SpaceTag
+from hypbranch import inf_char, make_fj_param
 from hypbranch.numerics import HalfInt
-from hypbranch.periods import valid_targets
+from hypbranch.periods import branching_verdicts, valid_targets
 
-H = HalfInt.from_twice
 P, Q = 4, 4
 LAM = HalfInt(2)
 
 ambient = make_fj_param(P, Q, LAM)
 print(f"ambient parameter: lambda = {LAM}, degree a = {ambient.degree}")
-print(f"infinitesimal character: {[str(e) for e in inf_char(ambient).entries]}")
+print(f"infinitesimal character: {[str(e) for e in inf_char(ambient)]}")
 print()
 
 for subgroup in ("g2", "g1"):
     print(f"== restriction to {subgroup} ==")
     header = f"{'target':>8} {'degree':>6} {'nonzero':>8} {'predicate':>9} {'interlace':>14} {'admissible':>10}"
     print(header)
-    for target in valid_targets(P, Q, subgroup, 9):
-        res = branching_verdict(P, Q, LAM, subgroup, target)
-        tag = SpaceTag.G1_SPACE if subgroup == "g1" else SpaceTag.G2_SPACE
-        deg = make_fj_param(P, Q, target, tag).degree
+    targets = valid_targets(P, Q, subgroup, 9)
+    for target, res in zip(targets, branching_verdicts(P, Q, LAM, subgroup, targets)):
         print(
-            f"{str(target):>8} {deg:>6} {str(res.verdict.nonzero):>8}"
+            f"{str(target):>8} {res.verdict.degree_pair[1]:>6} {str(res.verdict.nonzero):>8}"
             f" {str(res.hom_nonzero):>9} {res.interlace.value:>14}"
             f" {str(res.admissible_restriction):>10}"
         )

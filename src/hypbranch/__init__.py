@@ -8,7 +8,7 @@ combinatorics (double cosets, pure inner forms, relevant pairs).
 """
 
 from .errors import AssumptionError, DivergenceError, InvalidParameterError, ToleranceError
-from .fjrep import FJParam, InfChar, SpaceTag, fj_eval, inf_char, is_self_dual, l2_norm_sq, make_fj_param
+from .fjrep import FJParam, SpaceTag, fj_eval, inf_char, is_self_dual, l2_norm_sq, make_fj_param
 from .geometry import (
     ChartPoint,
     HyperboloidChart,

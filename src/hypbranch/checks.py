@@ -147,10 +147,12 @@ def branching_suite(seed: int = 0) -> list[CheckResult]:
     for p in (4, 5, 6):
         for q in (4, 5, 6):
             for lam in [lam for lam in fjrep.valid_lambdas(p, q, 6) if lam in grid]:
-                for sub, shift in (("g1", -1), ("g2", 1)):
-                    # targets of degree <= 6 on X(sp, sq), sp - sq = p - q + shift, and
-                    # doubled value <= 2 (a + 8) for the ambient degree a
-                    max_twice = min(lam.twice + p - q + 14, 14 - (p - q + shift))
+                for sub in ("g1", "g2"):
+                    # targets of degree <= 6 and doubled value <= 2 (a + 8) for the ambient degree a
+                    max_twice = min(
+                        fjrep.degree_x2(p, q, lam.twice, fjrep.SpaceTag.G_ON_H) + 16,
+                        12 - fjrep.degree_x2(p, q, 0, fjrep.SpaceTag(sub)),
+                    )
                     targets = periods.valid_targets(p, q, sub, max_twice)
                     scans[sub] += periods.branching_verdicts(p, q, lam, sub, targets)
     g1, g2 = scans["g1"], scans["g2"]

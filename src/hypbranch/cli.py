@@ -3,8 +3,9 @@
 Half-integer flags use the doubled-integer convention (`--lambda-x2 3` means
 lambda = 3/2) so no parameter ever passes through float parsing.  Exit codes:
 0 success, 1 property failure or a branch row whose numeric verdict disagrees
-with its predicate, 2 invalid parameters, an unwritable --out file or
-`period --witness` with `--subgroup g1` (the witness pairing is g2's), 3
+with its predicate, 2 invalid parameters, an unwritable --out file,
+`period --witness` with `--subgroup g1` (the witness pairing is g2's) or a
+`branch --max-target-x2` that admits a target degree above 400, 3
 divergent integral, 4 numeric tolerance not met.
 """
 
@@ -19,10 +20,14 @@ import sys
 
 from .checks import run_suite
 from .errors import DivergenceError, InvalidParameterError, ToleranceError
-from .fjrep import make_fj_param
+from .fjrep import SpaceTag, degree_x2, make_fj_param
 from .numerics import HalfInt, QuadratureSpec
 from .packets import RealForm, arthur_packet, pure_inner_forms, relevant_pairs
 from .periods import branching_verdicts, period_integral_G1, period_integral_G2, valid_targets
+
+# The largest target degree a `branch` scan accepts: the checked degree range.
+# A g1 scan holds one Gram row per target, so its memory grows with the square.
+MAX_SCAN_DEGREE = 400
 
 BRANCH_COLUMNS = [
     "p",
@@ -70,6 +75,12 @@ def cmd_fj(args) -> int:
 
 
 def _branch_rows(args, spec):
+    top = degree_x2(args.p, args.q, args.max_target_x2, SpaceTag(args.subgroup)) // 2
+    if top > MAX_SCAN_DEGREE:
+        raise ValueError(
+            f"--max-target-x2 {args.max_target_x2} admits target degree {top};"
+            f" branch scans stop at degree {MAX_SCAN_DEGREE}"
+        )
     lam = HalfInt.from_twice(args.lambda_x2)
     targets = valid_targets(args.p, args.q, args.subgroup, args.max_target_x2)
     results = branching_verdicts(args.p, args.q, lam, args.subgroup, targets, spec)

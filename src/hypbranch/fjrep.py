@@ -20,12 +20,10 @@ from .errors import InvalidParameterError, ToleranceError
 from .geometry import radial_integral_closed, radial_integral_numeric
 from .harmonics import ZonalHarmonic, sphere_area, zonal_norm_sq
 from .numerics import RADIAL_TOL, HalfInt, QuadratureSpec
-from .packets import weyl_conjugate
 
 __all__ = [
     "SpaceTag",
     "FJParam",
-    "InfChar",
     "make_fj_param",
     "valid_lambdas",
     "fj_eval",
@@ -57,55 +55,29 @@ class FJParam:
         return tag_signature(self.p, self.q, self.tag)
 
     @property
+    def total(self) -> int:
+        return sum(self.space_signature)
+
+    @property
     def degree(self) -> int:
-        return self.min_ktype.as_integer()
+        return checked_degree(self.p, self.q, self.lam.twice, self.tag)
 
     @property
     def decay_exponent(self) -> HalfInt:
-        sp, sq = self.space_signature
-        return -self.lam + 1 - HalfInt.from_twice(sp + sq)
-
-    @property
-    def min_ktype(self) -> HalfInt:
-        sp, sq = self.space_signature
-        return self.lam + HalfInt.from_twice(sp - sq) - 1
+        return HalfInt.from_twice(decay_x2(self.total, self.lam.twice))
 
     def to_json_dict(self, spec: QuadratureSpec = _DEFAULT_SPEC) -> dict:
-        sp, sq = self.space_signature
-        char_x2 = inf_char_x2(sp + sq, self.lam.twice)
         return {
             "p": self.p,
             "q": self.q,
             "lambda_x2": self.lam.twice,
             "a": self.degree,
-            "exponent_x2": self.decay_exponent.twice,
-            "min_ktype_x2": self.min_ktype.twice,
-            "inf_char_x2": char_x2,
-            "self_dual": _self_dual(sp + sq, char_x2),
+            "exponent_x2": decay_x2(self.total, self.lam.twice),
+            "min_ktype_x2": 2 * self.degree,
+            "inf_char_x2": inf_char_x2(self.total, self.lam.twice),
+            "self_dual": is_self_dual(self),
             "l2_norm_sq": l2_norm_sq(self, spec),
         }
-
-
-@dataclass(frozen=True)
-class InfChar:
-    """A strictly decreasing sequence of half-integers (regularity required)."""
-
-    entries: tuple[HalfInt, ...]
-
-    def __post_init__(self):
-        entries = tuple(
-            v if isinstance(v, HalfInt) else HalfInt(v) for v in self.entries
-        )
-        for prev, cur in zip(entries, entries[1:]):
-            if not prev > cur:
-                raise InvalidParameterError("infinitesimal character must be strictly decreasing")
-        object.__setattr__(self, "entries", entries)
-
-    def __iter__(self):
-        return iter(self.entries)
-
-    def __len__(self):
-        return len(self.entries)
 
 
 def tag_signature(p: int, q: int, tag: SpaceTag) -> tuple[int, int]:
@@ -117,8 +89,19 @@ def tag_signature(p: int, q: int, tag: SpaceTag) -> tuple[int, int]:
     return p, q
 
 
+def degree_x2(p: int, q: int, lam_x2: int, tag: SpaceTag) -> int:
+    """Doubled harmonic degree 2a = 2 lambda - 2 + sp - sq of a doubled lambda on the tag's space."""
+    sp, sq = tag_signature(p, q, SpaceTag(tag))
+    return lam_x2 - 2 + sp - sq
+
+
+def decay_x2(total: int, lam_x2: int) -> int:
+    """Doubled decay exponent 2e = 2 - 2 lambda - total on a space X(sp, sq) of sp + sq = total."""
+    return 2 - lam_x2 - total
+
+
 def checked_degree(p: int, q: int, lam_x2: int, tag: SpaceTag) -> int:
-    """Harmonic degree a = lambda - 1 + (sp - sq)/2 of a doubled lambda on the tag's space.
+    """Harmonic degree a of a doubled lambda on the tag's space: see `degree_x2`.
 
     Rejects lambda <= 0 (square integrability) and non-integral or negative
     harmonic degree (the generating function needs an actual spherical
@@ -126,8 +109,7 @@ def checked_degree(p: int, q: int, lam_x2: int, tag: SpaceTag) -> int:
     """
     if lam_x2 <= 0:
         raise InvalidParameterError(f"lambda must be positive, got {HalfInt.from_twice(lam_x2)}")
-    sp, sq = tag_signature(p, q, SpaceTag(tag))
-    a_x2 = lam_x2 - 2 + sp - sq
+    a_x2 = degree_x2(p, q, lam_x2, tag)
     if a_x2 % 2 or a_x2 < 0:
         raise InvalidParameterError(
             f"harmonic degree a = lambda - 1 + (p-q)/2 = {HalfInt.from_twice(a_x2)}"
@@ -140,7 +122,7 @@ def make_fj_param(p: int, q: int, lam, tag: SpaceTag = SpaceTag.G_ON_H) -> FJPar
     """Build a parameter descriptor, validated by `checked_degree`."""
     if p < 4 or q < 4:
         raise InvalidParameterError(f"standing assumption p, q >= 4 violated: ({p}, {q})")
-    lam = lam if isinstance(lam, HalfInt) else HalfInt(lam)
+    lam = HalfInt(lam)
     checked_degree(p, q, lam.twice, tag)
     return FJParam(p, q, lam, SpaceTag(tag))
 
@@ -148,13 +130,14 @@ def make_fj_param(p: int, q: int, lam, tag: SpaceTag = SpaceTag.G_ON_H) -> FJPar
 def valid_lambdas(p: int, q: int, max_twice: int, tag: SpaceTag = SpaceTag.G_ON_H) -> list[HalfInt]:
     """Every lambda that `make_fj_param` accepts, with doubled value up to max_twice.
 
-    On the tag's space X(sp, sq) these are lambda = c + 1 - (sp - sq)/2 > 0
-    for degrees c >= 0: every other doubled value from the first positive one.
+    These are the positive lambda of `degree_x2` even and non-negative: every
+    other doubled value from the first positive one.
     """
     if p < 4 or q < 4:
         return []
-    sp, sq = tag_signature(p, q, SpaceTag(tag))
-    first = max(2 - (sp - sq), 2 - (sp - sq) % 2)
+    # degree_x2 is lam_x2 + offset_x2
+    offset_x2 = degree_x2(p, q, 0, tag)
+    first = max(-offset_x2, 2 - offset_x2 % 2)
     return [HalfInt.from_twice(twice) for twice in range(first, max_twice + 1, 2)]
 
 
@@ -167,7 +150,7 @@ def fj_eval(param: FJParam, y_prime, t) -> float:
     _, sq = param.space_signature
     zonal = ZonalHarmonic(param.degree, sq)
     t = np.asarray(t, dtype=float)
-    out = zonal.value(y_prime) * np.cosh(t) ** float(param.decay_exponent)
+    out = zonal.value(y_prime) * np.cosh(t) ** (decay_x2(param.total, param.lam.twice) / 2)
     return out if out.ndim else float(out)
 
 
@@ -179,7 +162,7 @@ def l2_norm_sq(param: FJParam, spec: QuadratureSpec = _DEFAULT_SPEC) -> float:
     """
     sp, sq = param.space_signature
     a_exp = sp - 1
-    c_exp = float(sq - 1 + 2 * param.decay_exponent)
+    c_exp = float(sq - 1 + decay_x2(sp + sq, param.lam.twice))
     value, _ = radial_integral_numeric(a_exp, c_exp, spec)
     closed = radial_integral_closed(a_exp, c_exp)
     if abs(value - closed) > RADIAL_TOL * max(1.0, abs(closed)) * 10:
@@ -195,22 +178,21 @@ def inf_char_x2(total: int, lam_x2: int) -> list[int]:
     return [lam_x2 + total, *range(total - 2, total - 2 * (total // 2), -2)]
 
 
-def inf_char(param: FJParam) -> InfChar:
+def inf_char(param: FJParam) -> tuple[HalfInt, ...]:
     """Displayed infinitesimal character (lambda + N/2, (N-2)/2, (N-4)/2, ...).
 
     N is the total dimension of the parameter's space plus one (ambient:
     p+q; restriction targets: p+q-1); the length is floor(N/2).
     """
-    sp, sq = param.space_signature
-    return InfChar(tuple(HalfInt.from_twice(e) for e in inf_char_x2(sp + sq, param.lam.twice)))
+    return tuple(HalfInt.from_twice(e) for e in inf_char_x2(param.total, param.lam.twice))
 
 
-def _self_dual(total: int, char_x2: list[int]) -> bool:
-    # Standard-coordinate character (lambda, 0, ..., 0) + rho with the usual
-    # half-sum: each displayed entry minus one.  Type D then ends in 0 and
-    # type B in 1/2, which is what negation-conjugacy sees.
-    entries = [HalfInt.from_twice(e - 2) for e in char_x2]
-    return weyl_conjugate(entries, [-e for e in entries], "D" if total % 2 == 0 else "B")
+def _self_dual(total: int, lam_x2: int) -> bool:
+    # Negation lies in the Weyl group of type B (odd total) and of type D
+    # with even rank; in type D with odd rank the standard-coordinate
+    # character (each displayed entry minus one) and its negative are
+    # conjugate exactly when some entry is zero.
+    return total % 2 == 1 or (total // 2) % 2 == 0 or 2 in inf_char_x2(total, lam_x2)
 
 
 def is_self_dual(param: FJParam) -> bool:
@@ -218,7 +200,6 @@ def is_self_dual(param: FJParam) -> bool:
 
     Decided by Weyl conjugacy (type D for even total dimension, type B for
     odd) between the standard-coordinate infinitesimal character and its
-    negative.
+    negative, in closed form.
     """
-    sp, sq = param.space_signature
-    return _self_dual(sp + sq, inf_char_x2(sp + sq, param.lam.twice))
+    return _self_dual(param.total, param.lam.twice)

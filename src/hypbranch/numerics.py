@@ -55,15 +55,6 @@ class HalfInt:
         obj.twice = int(twice)
         return obj
 
-    @property
-    def is_integer(self) -> bool:
-        return self.twice % 2 == 0
-
-    def as_integer(self) -> int:
-        if not self.is_integer:
-            raise ValueError(f"{self} is not an integer")
-        return self.twice // 2
-
     # -- arithmetic ---------------------------------------------------------
     def __add__(self, other):
         if isinstance(other, HalfInt):
@@ -139,9 +130,6 @@ class HalfInt:
         if self.twice % 2 == 0:
             return str(self.twice // 2)
         return f"{self.twice}/2"
-
-
-HALF = HalfInt.from_twice(1)
 
 
 # A radial quadrature must agree with its halved rule to RADIAL_TOL * max(1, |value|),

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .errors import AssumptionError, InvalidParameterError
+from .fjrep import SpaceTag, degree_x2
 from .numerics import HalfInt
 
 __all__ = [
@@ -20,7 +21,6 @@ __all__ = [
     "InterlaceClass",
     "RealForm",
     "interlace_classify",
-    "weyl_conjugate",
     "DoubleCosetResult",
     "double_cosets",
     "arthur_packet",
@@ -77,49 +77,19 @@ class WeylGroup:
             raise InvalidParameterError("rank must be >= 1")
 
 
-def weyl_conjugate(seq_a, seq_b, family: str) -> bool:
-    """Whether two weight sequences lie in one signed-permutation orbit.
-
-    Type B: equality of the descending absolute values.  Type D: additionally
-    the sign-flip parities must match, unless some entry is zero.
-    """
-    a = [HalfInt(v) if not isinstance(v, HalfInt) else v for v in seq_a]
-    b = [HalfInt(v) if not isinstance(v, HalfInt) else v for v in seq_b]
-    if len(a) != len(b):
-        return False
-    key_a = sorted((abs(v).twice for v in a), reverse=True)
-    key_b = sorted((abs(v).twice for v in b), reverse=True)
-    if key_a != key_b:
-        return False
-    if family == "B":
-        return True
-    if 0 in key_a:
-        return True
-    neg_a = sum(1 for v in a if v < 0)
-    neg_b = sum(1 for v in b if v < 0)
-    return neg_a % 2 == neg_b % 2
-
-
 class InterlaceClass(Enum):
     FINITE_TYPE = "FiniteType"
     INFINITE_TYPE_1 = "InfiniteType1"
     NO_PATTERN = "NoPattern"
 
 
-def _doubled_entries(seq) -> list[int]:
-    entries = getattr(seq, "entries", seq)
-    return [(v if isinstance(v, HalfInt) else HalfInt(v)).twice for v in entries]
-
-
-def interlace_classify(seq_a, seq_b) -> InterlaceClass:
-    """Classify the interlacing pattern of two decreasing half-integer sequences.
+def interlace_classify(a: list[int], b: list[int]) -> InterlaceClass:
+    """Classify the interlacing pattern of two decreasing half-integer sequences, given doubled.
 
     Finite type:      a1 > b1 > a2 > b2 > ... through the shorter sequence.
     Infinite type 1:  b1 >= a1 > a2 > b2 > a3 > b3 > ...  (first comparison
     non-strict; the a_i > b_i > a_{i+1} alternation resumes at i = 2).
     """
-    a = _doubled_entries(seq_a)
-    b = _doubled_entries(seq_b)
     m, n = len(a), len(b)
     if n not in (m - 1, m):
         raise InvalidParameterError(f"length mismatch: need n in {{m-1, m}}, got m={m}, n={n}")
@@ -193,7 +163,7 @@ def arthur_packet(p: int, q: int, lam) -> dict:
         raise AssumptionError("arthur_packet requires p and q even")
     if not (4 <= p <= q):
         raise AssumptionError("arthur_packet requires 4 <= p <= q")
-    lam = HalfInt(lam) if not isinstance(lam, HalfInt) else lam
+    lam = HalfInt(lam)
     if lam <= 0:
         raise InvalidParameterError(f"lambda must be positive, got {lam}")
     m = (p + q) // 2
@@ -317,27 +287,24 @@ def default_support_predicates(p: int, q: int, lam: HalfInt, subgroup: str):
     with non-negative degree on g2); the "as" member mirrors them, exchanging
     the roles of the two sphere factors.
     """
-    half = HalfInt.from_twice(1)
+    def equality(t: HalfInt) -> bool:
+        return t.twice == lam.twice + 1
+
+    def inequality(sp: int, sq: int):
+        # the g2 criterion for the ambient X(sp, sq): t + 1/2 <= lambda and an
+        # integral, non-negative target degree
+        def pred(t: HalfInt) -> bool:
+            d_x2 = degree_x2(sp, sq, t.twice, SpaceTag.G2_SPACE)
+            return t.twice + 1 <= lam.twice and d_x2 % 2 == 0 and d_x2 >= 0
+
+        return pred
+
     sub = subgroup.lower()
     if sub == "g1":
-        def pred_s(t: HalfInt) -> bool:
-            return t == lam + half
-
-        def pred_as(t: HalfInt) -> bool:
-            mirror_degree = t - 1 + HalfInt.from_twice(q - p + 1)
-            return t + half <= lam and mirror_degree.is_integer and mirror_degree >= 0
-
-    elif sub == "g2":
-        def pred_s(t: HalfInt) -> bool:
-            degree = t - 1 + HalfInt.from_twice(p - q + 1)
-            return t + half <= lam and degree.is_integer and degree >= 0
-
-        def pred_as(t: HalfInt) -> bool:
-            return t == lam + half
-
-    else:
-        raise InvalidParameterError("subgroup must be 'g1' or 'g2'")
-    return pred_s, pred_as
+        return equality, inequality(q, p)
+    if sub == "g2":
+        return inequality(p, q), equality
+    raise InvalidParameterError("subgroup must be 'g1' or 'g2'")
 
 
 def conjecture_explore(
@@ -350,12 +317,12 @@ def conjecture_explore(
     predicate_as=None,
 ) -> ConjectureReport:
     """Evaluate both member supports over a grid and report disjointness."""
-    lam = HalfInt(lam) if not isinstance(lam, HalfInt) else lam
+    lam = HalfInt(lam)
     if predicate_s is None or predicate_as is None:
         d_s, d_as = default_support_predicates(p, q, lam, subgroup)
         predicate_s = predicate_s or d_s
         predicate_as = predicate_as or d_as
-    grid = [HalfInt(t) if not isinstance(t, HalfInt) else t for t in target_grid]
+    grid = [HalfInt(t) for t in target_grid]
     support_s = tuple(t for t in grid if predicate_s(t))
     support_as = tuple(t for t in grid if predicate_as(t))
     s_set = {t.twice for t in support_s}

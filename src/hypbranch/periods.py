@@ -17,7 +17,7 @@ from .fjrep import (
     FJParam,
     SpaceTag,
     checked_degree,
-    inf_char,
+    decay_x2,
     inf_char_x2,
     make_fj_param,
     tag_signature,
@@ -75,19 +75,19 @@ class PeriodVerdict:
         return out
 
 
-def _as_halfint(v) -> HalfInt:
-    return v if isinstance(v, HalfInt) else HalfInt(v)
-
-
 def _tag(subgroup: str) -> SpaceTag:
     if subgroup.lower() not in ("g1", "g2"):
         raise InvalidParameterError("subgroup must be 'g1' or 'g2'")
     return SpaceTag(subgroup.lower())
 
 
+def _converges_x2(lam_x2: int, target_x2: int) -> bool:
+    return lam_x2 + target_x2 > -1
+
+
 def _converges(lam, target) -> bool:
     """Convergence of the X(p-1, q) or X(p, q-1) period: lambda + target > -1/2, exactly."""
-    return _as_halfint(lam).twice + _as_halfint(target).twice > -1
+    return _converges_x2(HalfInt(lam).twice, HalfInt(target).twice)
 
 
 converges_G1 = converges_G2 = _converges
@@ -105,7 +105,7 @@ def nonvanishing_G2(p: int, q: int, lam, mu) -> bool:
     equivalently mu + 1/2 <= lambda with b >= 0.
     """
     a = make_fj_param(p, q, lam).degree
-    return _nonvanishing(SpaceTag.G2_SPACE, a, checked_degree(p, q, _as_halfint(mu).twice, SpaceTag.G2_SPACE))
+    return _nonvanishing(SpaceTag.G2_SPACE, a, checked_degree(p, q, HalfInt(mu).twice, SpaceTag.G2_SPACE))
 
 
 def nonvanishing_G1(p: int, q: int, lam, nu) -> bool:
@@ -114,13 +114,13 @@ def nonvanishing_G1(p: int, q: int, lam, nu) -> bool:
     True iff nu = lambda + 1/2 exactly (the two full-sphere degrees match).
     """
     a = make_fj_param(p, q, lam).degree
-    return _nonvanishing(SpaceTag.G1_SPACE, a, checked_degree(p, q, _as_halfint(nu).twice, SpaceTag.G1_SPACE))
+    return _nonvanishing(SpaceTag.G1_SPACE, a, checked_degree(p, q, HalfInt(nu).twice, SpaceTag.G1_SPACE))
 
 
 def _require_convergence(lam_x2: int, targets_x2, tag: SpaceTag) -> None:
     name = "nu" if tag is SpaceTag.G1_SPACE else "mu"
     for t in targets_x2:
-        if lam_x2 + t <= -1:
+        if not _converges_x2(lam_x2, t):
             total = HalfInt.from_twice(lam_x2 + t)
             raise DivergenceError(f"period diverges: lambda + {name} = {total} fails the > -1/2 threshold")
 
@@ -135,9 +135,8 @@ def _assemble(ambient, tag, targets_x2, degrees, pairings, nonzeros, spec, witne
     if not targets_x2:
         return []
     sp, sq = tag_signature(ambient.p, ambient.q, tag)
-    # doubled sq - 1 + e_lambda + e_target, with e_target = 1 - target - (sp + sq)/2
-    shift_x2 = 2 * (sq - 1) + ambient.decay_exponent.twice + 2 - sp - sq
-    radials = radial_integrals_numeric(sp - 1, [(shift_x2 - t) / 2 for t in targets_x2], spec)
+    shift_x2 = 2 * (sq - 1) + decay_x2(ambient.total, ambient.lam.twice)
+    radials = radial_integrals_numeric(sp - 1, [(shift_x2 + decay_x2(sp + sq, t)) / 2 for t in targets_x2], spec)
     a, sphere = ambient.degree, sphere_area(sp)
     verdicts = []
     for b, pairing, (radial, err), nonzero in zip(degrees, pairings, radials, nonzeros):
@@ -195,7 +194,7 @@ def period_integrals_G2(
     witnesses of all targets share their Gegenbauer passes
     (`ktype_pairings_nonzero`).
     """
-    lam, mus_x2 = _as_halfint(lam), [_as_halfint(mu).twice for mu in mus]
+    lam, mus_x2 = HalfInt(lam), [HalfInt(mu).twice for mu in mus]
     _require_convergence(lam.twice, mus_x2, SpaceTag.G2_SPACE)
     return _periods_G2(make_fj_param(p, q, lam), mus_x2, spec, use_witness)
 
@@ -217,7 +216,7 @@ def period_integrals_G1(
     The pairings and the norms of the scale-free nonzero test come from one
     Gegenbauer pass over all target degrees (`zonal_gram`).
     """
-    lam, nus_x2 = _as_halfint(lam), [_as_halfint(nu).twice for nu in nus]
+    lam, nus_x2 = HalfInt(lam), [HalfInt(nu).twice for nu in nus]
     _require_convergence(lam.twice, nus_x2, SpaceTag.G1_SPACE)
     return _periods_G1(make_fj_param(p, q, lam), nus_x2, spec)
 
@@ -241,16 +240,15 @@ def _interlace_classes(ambient: FJParam, targets_x2) -> list[InterlaceClass]:
     The ambient character is built once; a target's character is its first
     entry t + (N-1)/2 followed by a tail that depends only on N = p + q.
     """
-    ambient_char = inf_char(ambient)
-    head_x2, *tail_x2 = inf_char_x2(ambient.p + ambient.q - 1, 0)
-    tail = tuple(HalfInt.from_twice(e) for e in tail_x2)
-    return [interlace_classify(ambient_char, (HalfInt.from_twice(head_x2 + t), *tail)) for t in targets_x2]
+    ambient_x2 = inf_char_x2(ambient.total, ambient.lam.twice)
+    head_x2, *tail_x2 = inf_char_x2(ambient.total - 1, 0)
+    return [interlace_classify(ambient_x2, [head_x2 + t, *tail_x2]) for t in targets_x2]
 
 
 def interlace_class_for_pair(p: int, q: int, lam, target, subgroup: str) -> InterlaceClass:
     tag = _tag(subgroup)
     ambient = make_fj_param(p, q, lam)
-    target_x2 = _as_halfint(target).twice
+    target_x2 = HalfInt(target).twice
     checked_degree(p, q, target_x2, tag)
     return _interlace_classes(ambient, [target_x2])[0]
 
@@ -269,7 +267,7 @@ def branching_verdicts(
     """
     tag = _tag(subgroup)
     ambient = make_fj_param(p, q, lam)
-    targets_x2 = [_as_halfint(t).twice for t in targets]
+    targets_x2 = [HalfInt(t).twice for t in targets]
     _require_convergence(ambient.lam.twice, targets_x2, tag)
     if tag is SpaceTag.G1_SPACE:
         verdicts = _periods_G1(ambient, targets_x2, spec)

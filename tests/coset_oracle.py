@@ -8,6 +8,8 @@ closed form rests on: that each block's signed basis vectors form one orbit.
 ``weyl_elements`` and ``weyl_generators`` enumerate a type B/D Weyl group for
 these oracles and the group tests; the plain functions below give the group
 law, the action on signed basis vectors and the group order.
+``weyl_conjugate`` is the orbit test that ``hypbranch.fjrep.is_self_dual``
+replaces with its closed form.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ from __future__ import annotations
 import itertools
 import math
 
+from hypbranch.numerics import HalfInt
 from hypbranch.packets import DoubleCosetResult, SignedPermutation, WeylGroup, _validate_coset_setup
 
 
@@ -50,6 +53,29 @@ def weyl_order(group: WeylGroup) -> int:
     if group.family == "D":
         base //= 2
     return base * math.factorial(group.rank)
+
+
+def weyl_conjugate(seq_a, seq_b, family: str) -> bool:
+    """Whether two weight sequences lie in one signed-permutation orbit.
+
+    Type B: equality of the descending absolute values.  Type D: additionally
+    the sign-flip parities must match, unless some entry is zero.
+    """
+    a = [HalfInt(v) if not isinstance(v, HalfInt) else v for v in seq_a]
+    b = [HalfInt(v) if not isinstance(v, HalfInt) else v for v in seq_b]
+    if len(a) != len(b):
+        return False
+    key_a = sorted((abs(v).twice for v in a), reverse=True)
+    key_b = sorted((abs(v).twice for v in b), reverse=True)
+    if key_a != key_b:
+        return False
+    if family == "B":
+        return True
+    if 0 in key_a:
+        return True
+    neg_a = sum(1 for v in a if v < 0)
+    neg_b = sum(1 for v in b if v < 0)
+    return neg_a % 2 == neg_b % 2
 
 
 def weyl_elements(group: WeylGroup):

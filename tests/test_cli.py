@@ -299,6 +299,33 @@ class TestExitCodes:
         assert out == ""
         assert err == "error: --witness applies to --subgroup g2 only\n"
 
+    @pytest.mark.parametrize("max_target_x2", ["804", "100000"], ids=["degree_401", "degree_49999"])
+    def test_oversized_branch_scan_exits_2(self, capsys, monkeypatch, max_target_x2):
+        # g1 targets on X(4, 4) have degree (nu_x2 - 2) / 2; the refusal comes
+        # before any Gram row, so a regression fails here instead of allocating
+        def refuse(*args):
+            raise AssertionError("zonal_gram called for a refused scan")
+
+        monkeypatch.setattr(harmonics, "zonal_gram", refuse)
+        monkeypatch.setattr(periods, "zonal_gram", refuse)
+        code, out, err = run_cli(
+            capsys,
+            "branch", "--p", "5", "--q", "4", "--lambda-x2", "9",
+            "--subgroup", "g1", "--max-target-x2", max_target_x2,
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: --max-target-x2 ") and len(err.strip().splitlines()) == 1
+
+    def test_branch_scan_to_degree_400_exits_0(self, capsys):
+        code, out, _ = run_cli(
+            capsys,
+            "branch", "--p", "5", "--q", "4", "--lambda-x2", "9",
+            "--subgroup", "g1", "--max-target-x2", "803",
+        )
+        assert code == 0
+        assert json.loads(out)[-1]["target_x2"] == 802
+
     def test_packet_odd_signature(self, capsys):
         code, _, _ = run_cli(capsys, "packet", "--p", "3", "--q", "3")
         assert code == 2

@@ -4,10 +4,12 @@ import numpy as np
 import pytest
 
 from hypbranch.errors import DivergenceError, InvalidParameterError
-from hypbranch.fjrep import InfChar, SpaceTag, fj_eval, inf_char, is_self_dual, l2_norm_sq, make_fj_param
+from hypbranch import fjrep
+from hypbranch.fjrep import SpaceTag, fj_eval, inf_char, is_self_dual, l2_norm_sq, make_fj_param
 from hypbranch.geometry import radial_integral_closed, radial_integral_truncated
 from hypbranch.harmonics import ZonalHarmonic, sphere_area, zonal_norm_sq_closed
 from hypbranch.numerics import HalfInt
+from coset_oracle import weyl_conjugate
 
 H = HalfInt.from_twice
 
@@ -27,7 +29,6 @@ class TestMakeParam:
         p = make_fj_param(4, 4, HalfInt(2))
         assert p.degree == 1
         assert p.decay_exponent == HalfInt(-5)
-        assert p.min_ktype == HalfInt(1)
 
     def test_lambda_positive(self):
         with pytest.raises(InvalidParameterError, match="lambda"):
@@ -60,7 +61,7 @@ class TestMakeParam:
                 for tag in SpaceTag:
                     for lam in valid_lambdas(p, q, tag):
                         param = make_fj_param(p, q, lam, tag)
-                        assert param.min_ktype == param.degree
+                        assert param.to_json_dict()["min_ktype_x2"] == 2 * param.degree
 
     def test_subgroup_tags_shift_signature(self):
         p = make_fj_param(4, 4, H(5), SpaceTag.G1_SPACE)
@@ -150,23 +151,17 @@ class TestL2Norm:
 class TestInfChar:
     def test_ambient_display(self):
         param = make_fj_param(4, 4, HalfInt(2))
-        assert [e.twice for e in inf_char(param).entries] == [12, 6, 4, 2]
+        assert [e.twice for e in inf_char(param)] == [12, 6, 4, 2]
 
     def test_subgroup_display(self):
         param = make_fj_param(4, 4, H(5), SpaceTag.G1_SPACE)
-        assert [str(e) for e in inf_char(param).entries] == ["6", "5/2", "3/2"]
+        assert [str(e) for e in inf_char(param)] == ["6", "5/2", "3/2"]
 
     def test_odd_total_length(self):
         param = make_fj_param(5, 4, H(3))
-        entries = inf_char(param).entries
+        entries = inf_char(param)
         assert len(entries) == 4
         assert entries[0] == HalfInt(6)
-
-    def test_regularity_enforced(self):
-        with pytest.raises(InvalidParameterError):
-            InfChar((HalfInt(2), HalfInt(2)))
-        with pytest.raises(InvalidParameterError):
-            InfChar((HalfInt(1), HalfInt(2)))
 
 
 class TestSelfDual:
@@ -181,6 +176,26 @@ class TestSelfDual:
             for q in (4, 5, 6):
                 for lam in valid_lambdas(p, q, max_twice=6):
                     assert is_self_dual(make_fj_param(p, q, lam)), (p, q, lam)
+
+    @staticmethod
+    def _weyl_orbit(total, lam_x2):
+        # the oracle: negation-conjugacy of the standard-coordinate character
+        # (each displayed entry minus one) in the Weyl group of type B or D
+        entries = [H(e - 2) for e in fjrep.inf_char_x2(total, lam_x2)]
+        return weyl_conjugate(entries, [-v for v in entries], "B" if total % 2 else "D")
+
+    def test_closed_form_matches_weyl_orbit(self):
+        for total in range(3, 41):
+            for lam_x2 in range(1, 61):
+                assert fjrep._self_dual(total, lam_x2) == self._weyl_orbit(total, lam_x2), (total, lam_x2)
+
+    def test_closed_form_matches_weyl_orbit_on_valid_parameters(self):
+        for p in range(4, 17):
+            for q in range(4, 17):
+                for tag in SpaceTag:
+                    for lam in fjrep.valid_lambdas(p, q, 60, tag):
+                        param = make_fj_param(p, q, lam, tag)
+                        assert is_self_dual(param) == self._weyl_orbit(param.total, lam.twice), (p, q, tag, lam)
 
 
 class TestDecay:

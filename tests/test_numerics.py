@@ -47,13 +47,6 @@ class TestHalfInt:
         assert repr(HalfInt.from_twice(3)) == "3/2"
         assert repr(HalfInt.from_twice(-3)) == "-3/2"
 
-    def test_integer_predicates(self):
-        assert HalfInt(2).is_integer
-        assert not HalfInt.from_twice(3).is_integer
-        assert HalfInt(2).as_integer() == 2
-        with pytest.raises(ValueError):
-            HalfInt.from_twice(3).as_integer()
-
     def test_agrees_with_fraction_arithmetic(self):
         # randomized triples: HalfInt arithmetic must match exact rationals
         rng = np.random.default_rng(7)

@@ -17,7 +17,6 @@ from hypbranch.packets import (
     interlace_classify,
     pure_inner_forms,
     relevant_pairs,
-    weyl_conjugate,
 )
 from coset_oracle import (
     apply_signed_index,
@@ -26,6 +25,7 @@ from coset_oracle import (
     double_cosets_brute,
     in_type_d,
     inverse,
+    weyl_conjugate,
     weyl_elements,
     weyl_generators,
     weyl_order,
@@ -107,28 +107,28 @@ class TestWeylConjugate:
 
 class TestInterlace:
     def test_finite_type(self):
-        a = [HalfInt(6), HalfInt(3), HalfInt(2), HalfInt(1)]
-        b = [H(9), H(5), H(3)]
+        a = [12, 6, 4, 2]
+        b = [9, 5, 3]
         assert interlace_classify(a, b) is InterlaceClass.FINITE_TYPE
 
     def test_infinite_type_1_boundary(self):
-        a = [HalfInt(6), HalfInt(3), HalfInt(2), HalfInt(1)]
-        b = [HalfInt(6), H(5), H(3)]
+        a = [12, 6, 4, 2]
+        b = [12, 5, 3]
         assert interlace_classify(a, b) is InterlaceClass.INFINITE_TYPE_1
 
     def test_no_pattern(self):
-        a = [HalfInt(6), HalfInt(3), HalfInt(2), HalfInt(1)]
-        b = [HalfInt(7), H(13), H(3)]
+        a = [12, 6, 4, 2]
+        b = [14, 13, 3]
         assert interlace_classify(a, b) is InterlaceClass.NO_PATTERN
 
     def test_equal_lengths_allowed(self):
-        a = [HalfInt(5), HalfInt(3), HalfInt(1)]
-        b = [HalfInt(4), HalfInt(2), HalfInt(0)]
+        a = [10, 6, 2]
+        b = [8, 4, 0]
         assert interlace_classify(a, b) is InterlaceClass.FINITE_TYPE
 
     def test_length_mismatch(self):
         with pytest.raises(InvalidParameterError):
-            interlace_classify([HalfInt(3), HalfInt(2)], [HalfInt(1), HalfInt(0), HalfInt(-1), HalfInt(-2)])
+            interlace_classify([6, 4], [2, 0, -2, -4])
 
     def test_matches_chain_loops(self):
         # the reference: the a_i > b_i > a_{i+1} chains as explicit loops over
@@ -151,13 +151,14 @@ class TestInterlace:
             for a in itertools.combinations(values, m):
                 for n in {max(m - 1, 0), m}:
                     for b in itertools.combinations(values, n):
-                        assert interlace_classify(a, b) is reference(a, b), (a, b)
+                        doubled = ([v.twice for v in a], [v.twice for v in b])
+                        assert interlace_classify(*doubled) is reference(a, b), (a, b)
 
     def test_tags_mutually_exclusive(self):
         # finite requires a1 > b1, infinite requires b1 >= a1
-        for b1 in (H(11), H(12), H(13)):
-            a = [HalfInt(6), HalfInt(3), HalfInt(2), HalfInt(1)]
-            b = [b1, H(5), H(3)]
+        for b1 in (11, 12, 13):
+            a = [12, 6, 4, 2]
+            b = [b1, 5, 3]
             cls = interlace_classify(a, b)
             assert cls in InterlaceClass
 
@@ -338,3 +339,25 @@ class TestConjectureExplore:
         assert pred_s(H(3)) and pred_s(H(1))
         assert not pred_s(H(5))
         assert pred_as(H(5)) and not pred_as(H(3))
+
+    def test_default_supports_match_halfint_formulas(self):
+        # the reference: the criteria in HalfInt arithmetic, the "as" member of
+        # g1 with the roles of p and q exchanged; t = -1/2 included
+        half = H(1)
+
+        def inequality(p, q, lam, t):
+            degree = t - 1 + H(p - q + 1)
+            return t + half <= lam and degree.twice % 2 == 0 and degree >= 0
+
+        for p in range(4, 9):
+            for q in range(4, 9):
+                for lam in map(H, range(1, 13)):
+                    for sub in ("g1", "g2"):
+                        pred_s, pred_as = default_support_predicates(p, q, lam, sub)
+                        for t in map(H, range(-3, 21)):
+                            expected = (
+                                (t == lam + half, inequality(q, p, lam, t))
+                                if sub == "g1"
+                                else (inequality(p, q, lam, t), t == lam + half)
+                            )
+                            assert (pred_s(t), pred_as(t)) == expected, (p, q, lam, sub, t)

@@ -50,11 +50,11 @@ VERBS = [
 ALLOWED_UNREACHED = {
     "cli.entry",
     "harmonics.ktype_pairing_nonzero",
+    "periods.branching_verdict",
     "periods.interlace_class_for_pair",
     "periods.nonvanishing_G1",
     "periods.nonvanishing_G2",
     "periods._converges",
-    "fjrep.is_self_dual",
 }
 
 
