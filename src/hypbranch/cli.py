@@ -4,9 +4,9 @@ Half-integer flags use the doubled-integer convention (`--lambda-x2 3` means
 lambda = 3/2) so no parameter ever passes through float parsing.  Exit codes:
 0 success, 1 property failure or a branch row whose numeric verdict disagrees
 with its predicate, 2 invalid parameters, an unwritable --out file,
-`period --witness` with `--subgroup g1` (the witness pairing is g2's) or a
-`branch --max-target-x2` that admits a target degree above 400, 3
-divergent integral, 4 numeric tolerance not met.
+`period --witness` with `--subgroup g1` (the witness pairing is g2's), a
+`branch --max-target-x2` that admits a target degree above 400 or a
+`--nodes` above 4096, 3 divergent integral, 4 numeric tolerance not met.
 """
 
 from __future__ import annotations
@@ -28,6 +28,9 @@ from .periods import branching_verdicts, period_integral_G1, period_integral_G2,
 # The largest target degree a `branch` scan accepts: the checked degree range.
 # A g1 scan holds one Gram row per target, so its memory grows with the square.
 MAX_SCAN_DEGREE = 400
+# The largest radial rule `--nodes` accepts: a rule's Newton build grows with
+# the square of its node count.
+MAX_RADIAL_NODES = 4096
 
 BRANCH_COLUMNS = [
     "p",
@@ -65,6 +68,8 @@ def _quad_spec(args) -> QuadratureSpec:
     nodes = getattr(args, "nodes", None)
     if nodes is None:
         return QuadratureSpec()
+    if nodes > MAX_RADIAL_NODES:
+        raise ValueError(f"--nodes {nodes} is above the largest radial rule, {MAX_RADIAL_NODES} nodes")
     return QuadratureSpec(radial_nodes=nodes)
 
 

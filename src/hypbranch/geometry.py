@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -103,6 +104,16 @@ def radial_integral_closed(a_exp: float, c_exp: float) -> float:
     return 0.5 * beta((a_exp + 1.0) / 2.0, -(a_exp + c_exp) / 2.0)
 
 
+@lru_cache(maxsize=64)
+def _radial_rule(n: int):
+    """sin and cos of the n-point Gauss rule on [0, pi/2], and its weights; read-only."""
+    phi, w = gauss_legendre_on(0.0, math.pi / 2.0, n)
+    out = np.sin(phi), np.cos(phi), w
+    for arr in out:
+        arr.setflags(write=False)
+    return out
+
+
 def radial_integrals_numeric(
     a_exp: float, c_exps, spec: QuadratureSpec = _DEFAULT_SPEC
 ) -> list[tuple[float, float]]:
@@ -121,8 +132,8 @@ def radial_integrals_numeric(
     cos_powers = np.array([-(a_exp + c_exp) - 1.0 for c_exp in c_exps]).reshape(-1, 1)
     sums = []
     for n in (spec.radial_nodes, max(spec.radial_nodes // 2, 8)):
-        phi, w = gauss_legendre_on(0.0, math.pi / 2.0, n)
-        sums.append((w * np.sin(phi) ** a_exp * np.cos(phi) ** cos_powers).sum(axis=1).tolist())
+        sin_phi, cos_phi, w = _radial_rule(n)
+        sums.append((w * sin_phi**a_exp * cos_phi**cos_powers).sum(axis=1).tolist())
     out = []
     for value, coarse in zip(*sums):
         err_est = abs(value - coarse)

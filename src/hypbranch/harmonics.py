@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InvalidParameterError, ToleranceError
-from .numerics import log_gamma, sphere_rule
+from .numerics import log_gamma, sphere_nodes, sphere_rule
 
 __all__ = [
     "gegenbauer",
@@ -205,8 +205,12 @@ def ktype_pairings_nonzero(a: int, bs, n: int) -> list[tuple[bool, float]]:
     maximum exceeds 1e-8 (scale-free threshold): true exactly when
     0 <= b <= a.
 
-    One Gegenbauer pass on S^{n-2} serves every b sharing the rule top = max(a, b):
-    all b <= a share the rule of degree 2a, and each b > a has its own.
+    The targets are grouped by the sphere rule on S^{n-2} that max(a, b) maps
+    to (:func:`sphere_nodes` of degree 2 max(a, b)), and each group takes one
+    Gegenbauer pass up to its largest degree: all b <= a share the rule of
+    degree 2a, and a b > a joins it unless 2b crosses a lattice step.  Each b
+    keeps its own Gram row and norm, so a row does not depend on the other
+    targets of its call.
 
     Returns one (nonzero, witness_value) per b.  witness_value is the pairing
     with Z_b of the leading (j-th) normal trace K Z_k of the best member k, where
@@ -218,10 +222,12 @@ def ktype_pairings_nonzero(a: int, bs, n: int) -> list[tuple[bool, float]]:
     bs = list(bs)
     if a < 0 or min(bs, default=0) < 0:
         raise InvalidParameterError("degrees must be non-negative")
+    groups = {}
+    for b in bs:
+        groups.setdefault(sphere_nodes(2 * max(a, b), n - 4), []).append(b)
     found = {}
-    for top in sorted({max(a, b) for b in bs}):
-        batch = [b for b in bs if max(a, b) == top]
-        rows, weight = _zonal_rows(top, n - 1, range(a + 1) if top == a else {*range(a + 1), top})
+    for batch in groups.values():
+        rows, weight = _zonal_rows(max(a, *batch), n - 1, {*range(a + 1), *batch})
         zonals = np.array([rows[k] for k in range(a + 1)])
         norms_sq = zonals**2 @ weight
         largest = float(norms_sq.max())

@@ -19,6 +19,7 @@ __all__ = [
     "QuadratureSpec",
     "gauss_legendre_rule",
     "gauss_legendre_on",
+    "sphere_nodes",
     "sphere_rule",
     "log_gamma",
     "beta",
@@ -194,22 +195,41 @@ def gauss_legendre_on(a: float, b: float, n: int):
     return a + half * (x + 1.0), half * w.copy()
 
 
-@lru_cache(maxsize=256)
+# Sphere rules take their node counts from a lattice of this step, so nearby
+# degrees share one rule (and a scan one Gegenbauer pass per rule).
+SPHERE_NODE_STEP = 16
+
+
+def sphere_nodes(degree: int, sin_power: int) -> int:
+    """Node count of :func:`sphere_rule`: the least multiple of SPHERE_NODE_STEP exact to `degree`.
+
+    Exactness needs (degree + sin_power) // 2 + 1 Gauss-Legendre nodes for even
+    sin_power, and (degree + sin_power + 1) // 2 Gauss-Chebyshev nodes for odd.
+    """
+    if degree < 0 or sin_power < 0:
+        raise ValueError("degree and sin_power must be >= 0")
+    exact = (degree + sin_power + 2 - sin_power % 2) // 2
+    return -(-exact // SPHERE_NODE_STEP) * SPHERE_NODE_STEP
+
+
 def sphere_rule(degree: int, sin_power: int):
     """Nodes and weights on [-1, 1] for int f(x) (1-x^2)^{sin_power/2} dx.
 
     Exact whenever f is a polynomial of degree <= degree.  Even sin_power:
     Gauss-Legendre with the weight folded in; odd sin_power: Gauss-Chebyshev
     of the second kind, whose weight carries the half-odd power (DLMF 3.5(v)).
-    Arrays are read-only and shared between calls.
+    The node count is :func:`sphere_nodes`, so every degree on one lattice
+    step gets the same rule.  Arrays are read-only and shared between calls.
     """
-    if degree < 0 or sin_power < 0:
-        raise ValueError("degree and sin_power must be >= 0")
+    return _sphere_rule(sphere_nodes(degree, sin_power), sin_power)
+
+
+@lru_cache(maxsize=256)
+def _sphere_rule(n: int, sin_power: int):
     if sin_power % 2 == 0:
-        x, w = _legendre_rule((degree + sin_power) // 2 + 1)
+        x, w = _legendre_rule(n)
         w = w * ((1.0 - x) * (1.0 + x)) ** (sin_power // 2)
     else:
-        n = (degree + sin_power - 1) // 2 + 1
         theta = np.pi * np.arange(n, 0, -1) / (n + 1)
         x = np.cos(theta)
         w = np.pi / (n + 1) * np.sin(theta) ** (sin_power + 1)

@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 import hypbranch
-from hypbranch import fjrep, harmonics, periods
+from hypbranch import fjrep, geometry, harmonics, numerics, periods
 from hypbranch.checks import SUITES, run_suite
 from hypbranch.cli import main
 from hypbranch.fjrep import SpaceTag, make_fj_param, valid_lambdas
@@ -316,6 +316,38 @@ class TestExitCodes:
         assert code == 2
         assert out == ""
         assert err.startswith("error: --max-target-x2 ") and len(err.strip().splitlines()) == 1
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("period", "--p", "5", "--q", "4", "--lambda-x2", "9", "--target-x2", "10",
+             "--subgroup", "g1", "--nodes", "1000000"),
+            ("branch", "--p", "4", "--q", "6", "--lambda-x2", "40", "--subgroup", "g2",
+             "--max-target-x2", "44", "--nodes", "4097"),
+        ],
+        ids=["period_1000000", "branch_4097"],
+    )
+    def test_oversized_nodes_exits_2(self, capsys, monkeypatch, argv):
+        # the Newton build grows with the square of the node count; the refusal
+        # comes before any Gauss rule is built
+        def refuse(*args):
+            raise AssertionError("Gauss rule built for refused --nodes")
+
+        monkeypatch.setattr(numerics, "_legendre_rule", refuse)
+        monkeypatch.setattr(geometry, "_radial_rule", refuse)
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err == f"error: --nodes {argv[-1]} is above the largest radial rule, 4096 nodes\n"
+
+    def test_nodes_at_the_bound_exits_0(self, capsys):
+        code, out, _ = run_cli(
+            capsys,
+            "period", "--p", "5", "--q", "4", "--lambda-x2", "9", "--target-x2", "10",
+            "--subgroup", "g1", "--nodes", "4096",
+        )
+        assert code == 0
+        assert json.loads(out)["nonzero"]
 
     def test_branch_scan_to_degree_400_exits_0(self, capsys):
         code, out, _ = run_cli(

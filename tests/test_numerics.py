@@ -11,6 +11,7 @@ from hypbranch.numerics import (
     beta,
     gauss_legendre_rule,
     log_gamma,
+    sphere_nodes,
     sphere_rule,
 )
 
@@ -146,8 +147,23 @@ class TestSphereRule:
                 assert float(np.sum(w * x**k)) == pytest.approx(exact, abs=1e-13)
 
     def test_node_count_follows_degree(self):
-        assert len(sphere_rule(0, 0)[0]) == 1
-        assert len(sphere_rule(800, 13)[0]) == 407
+        # the least multiple of 16 at or above the count that is exact: n
+        # Gauss-Legendre nodes integrate polynomial degree 2n - 1 (even s),
+        # n Gauss-Chebyshev nodes degree 2n - 1 against sqrt(1 - x^2) (odd s)
+        for sin_power in (0, 1, 2, 3, 6, 13):
+            for degree in (0, 1, 2, 7, 29, 30, 31, 32, 33, 101, 800):
+                needed = (degree + sin_power) // 2 + 1 if sin_power % 2 == 0 else (degree + sin_power + 1) // 2
+                n = len(sphere_rule(degree, sin_power)[0])
+                assert n == sphere_nodes(degree, sin_power), (degree, sin_power)
+                assert n % 16 == 0 and n - 16 < needed <= n, (degree, sin_power, n)
+        assert len(sphere_rule(0, 0)[0]) == 16
+        assert len(sphere_rule(800, 13)[0]) == 416
+        # one step below is not exact: the 16-node rule misses x^32, which the 32-node rule integrates
+        x16, w16 = sphere_rule(31, 0)
+        x32, w32 = sphere_rule(32, 0)
+        assert (len(x16), len(x32)) == (16, 32)
+        assert abs(float(np.sum(w16 * x16**32)) - 2.0 / 33.0) > 1e-10
+        assert float(np.sum(w32 * x32**32)) == pytest.approx(2.0 / 33.0, abs=1e-14)
 
     def test_invalid_arguments(self):
         for degree, sin_power in ((-1, 0), (0, -1)):

@@ -3,7 +3,7 @@ import math
 
 import pytest
 
-from hypbranch import cli, fjrep, geometry, harmonics, periods
+from hypbranch import cli, fjrep, geometry, harmonics, numerics, periods
 from hypbranch.cli import main
 from hypbranch.errors import DivergenceError, InvalidParameterError
 from hypbranch.fjrep import SpaceTag, inf_char, make_fj_param, valid_lambdas
@@ -253,13 +253,14 @@ G2_GOLDEN_SCAN = ("--p", "4", "--q", "6", "--lambda-x2", "40", "--subgroup", "g2
 class TestBatchedScanPasses:
     @pytest.mark.parametrize(
         "max_target_x2, rows, tops",
-        [("39", 19, [18]), ("44", 21, [18, 19, 20])],
+        [("39", 19, [18]), ("44", 21, [20])],
         ids=["every_b_at_most_a", "golden_scan"],
     )
     def test_g2_gegenbauer_passes(self, monkeypatch, capsys, max_target_x2, rows, tops):
-        # a = 18 at (4, 6), b = (mu_x2 - 3) / 2 from 0: every b <= a shares the pass on
-        # the rule of degree 2a; each b > a has its own.  The witness zonals
-        # live on S^{q-2}, Gegenbauer order (q - 3) / 2.
+        # a = 18 at (4, 6), b = (mu_x2 - 3) / 2 from 0: one pass per sphere rule, up
+        # to the largest degree on it.  The witness zonals live on S^{q-2}, sin
+        # power q - 4 = 2 and Gegenbauer order (q - 3) / 2: degrees 2a = 36 to
+        # 2b = 40 all need 20 to 22 nodes, which the one 32-node rule covers.
         calls = _count_calls(monkeypatch, harmonics, "_gegenbauer_series")
         argv = ["branch", *G2_GOLDEN_SCAN[:-1], max_target_x2]
         assert main(argv) == 0
@@ -268,10 +269,28 @@ class TestBatchedScanPasses:
 
     @pytest.mark.parametrize("argv", [G1_GOLDEN_SCAN, G2_GOLDEN_SCAN], ids=["g1", "g2"])
     def test_two_radial_rules_per_scan(self, monkeypatch, capsys, argv):
+        # the radial rules are mapped and their sines and cosines taken once per
+        # process: later scans of either subgroup reuse them
+        geometry._radial_rule.cache_clear()
         calls = _count_calls(monkeypatch, geometry, "gauss_legendre_on")
-        assert main(["branch", *argv]) == 0
-        assert len(json.loads(capsys.readouterr().out)) > 10
+        for scan in (argv, G1_GOLDEN_SCAN, G2_GOLDEN_SCAN):
+            assert main(["branch", *scan]) == 0
+            assert len(json.loads(capsys.readouterr().out)) > 10
         assert [args[2] for args in calls] == [200, 100]
+
+    def test_legendre_rules_per_g2_ladder(self):
+        # the g2_scan mix from cold caches: the witness sphere rules of q = 6 and
+        # q = 8 (sin powers 2 and 4) all land on 16 or 32 nodes, and the
+        # radial pair is 200 and 100 nodes
+        for cached in (numerics._legendre_rule, numerics._sphere_rule, geometry._radial_rule):
+            cached.cache_clear()
+        for p in (4, 5, 6):
+            for q in (6, 8):
+                for a in range(2, 21):
+                    lam = H(2 * a + 2 - (p - q))
+                    mus = valid_targets(p, q, "g2", 2 * (a + 2) + 2 - (p - q + 1))  # b up to a + 2
+                    assert len(branching_verdicts(p, q, lam, "g2", mus)) == a + 3
+        assert numerics._legendre_rule.cache_info().misses <= 4
 
 
 class TestParametersBuiltOnce:
