@@ -18,7 +18,6 @@ from .geometry import (
     radial_integral_numeric,
 )
 from .harmonics import (
-    ZonalHarmonic,
     gegenbauer,
     ktype_pairing_nonzero,
     pairing_subsphere,

@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import InvalidParameterError, ToleranceError
 from .geometry import radial_integral_closed, radial_integral_numeric
-from .harmonics import ZonalHarmonic, sphere_area, zonal_norm_sq
+from .harmonics import gegenbauer, sphere_area, zonal_norm_sq
 from .numerics import RADIAL_TOL, HalfInt, QuadratureSpec
 
 __all__ = [
@@ -144,13 +144,16 @@ def valid_lambdas(p: int, q: int, max_twice: int, tag: SpaceTag = SpaceTag.G_ON_
 def fj_eval(param: FJParam, y_prime, t) -> float:
     """Generating function value f_a(y') cosh(t)^e at a chart point.
 
-    y' is a unit vector on the cosh-sphere of the parameter's space; the
-    zonal pole is the last coordinate axis (the base-point direction).
+    y' is a unit vector on the cosh-sphere S^{sq-1} (or one per row); the zonal
+    pole is the last axis (the base-point direction): f_a(y') = C_a^{(sq-2)/2}(y'_sq).
     """
     _, sq = param.space_signature
-    zonal = ZonalHarmonic(param.degree, sq)
+    y_prime = np.asarray(y_prime, dtype=float)
+    if y_prime.shape[-1:] != (sq,):
+        raise InvalidParameterError(f"y' must have {sq} coordinates, got shape {y_prime.shape}")
     t = np.asarray(t, dtype=float)
-    out = zonal.value(y_prime) * np.cosh(t) ** (decay_x2(param.total, param.lam.twice) / 2)
+    zonal = gegenbauer(param.degree, (sq - 2) / 2.0, y_prime[..., -1])
+    out = zonal * np.cosh(t) ** (decay_x2(param.total, param.lam.twice) / 2)
     return out if out.ndim else float(out)
 
 

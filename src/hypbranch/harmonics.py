@@ -3,13 +3,14 @@
 The branching layer of the library: restriction pairings between a degree-a
 zonal harmonic on S^{n-1} and degree-b zonal harmonics on the equatorial
 subsphere S^{n-2}, together with a K-type witness certifying when the degree-b
-component of the restricted K-type can be reached at all.
+component of the restricted K-type can be reached at all.  Both branching
+verdicts, the g1 period and the g2 witness, read the one zonal Gram kernel
+:func:`zonal_gram`.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -19,7 +20,6 @@ from .numerics import log_gamma, sphere_nodes, sphere_rule
 __all__ = [
     "gegenbauer",
     "sphere_area",
-    "ZonalHarmonic",
     "weighted_cos_integral",
     "zonal_norm_sq",
     "zonal_norm_sq_closed",
@@ -68,50 +68,6 @@ def sphere_area(n: int) -> float:
         raise ToleranceError(f"sphere area of S^{n - 1} is out of floating-point range", math.inf) from None
 
 
-@dataclass(frozen=True)
-class ZonalHarmonic:
-    """The degree-a zonal spherical harmonic on S^{n-1} about a pole.
-
-    Realized as C_a^{(n-2)/2} of the pole coordinate.  n = 2 would need the
-    degenerate (nu = 0) Chebyshev limit and is rejected; every sphere in this
-    library has n >= 3.
-    """
-
-    degree: int
-    sphere_dim: int
-    pole: np.ndarray = field(default=None)
-
-    def __post_init__(self):
-        if self.degree < 0:
-            raise InvalidParameterError("zonal harmonic degree must be >= 0")
-        if self.sphere_dim < 3:
-            raise InvalidParameterError(
-                "sphere_dim < 3 hits the degenerate nu = 0 Gegenbauer case"
-            )
-        pole = self.pole
-        if pole is None:
-            pole = np.zeros(self.sphere_dim)
-            pole[-1] = 1.0
-        pole = np.asarray(pole, dtype=float)
-        if pole.shape != (self.sphere_dim,):
-            raise InvalidParameterError("pole has wrong dimension")
-        if abs(np.linalg.norm(pole) - 1.0) > 1e-12:
-            raise InvalidParameterError("pole must be a unit vector (1e-12)")
-        object.__setattr__(self, "pole", pole)
-
-    @property
-    def gegenbauer_order(self) -> float:
-        return (self.sphere_dim - 2) / 2.0
-
-    def value_at_cos(self, x):
-        """Value as a function of the cosine <y, pole>."""
-        return gegenbauer(self.degree, self.gegenbauer_order, x)
-
-    def value(self, y):
-        y = np.asarray(y, dtype=float)
-        return self.value_at_cos(y @ self.pole)
-
-
 def weighted_cos_integral(f, sin_power: int, degree: int) -> float:
     """Integral of f(x) (1-x^2)^{sin_power/2} over [-1, 1].
 
@@ -121,33 +77,60 @@ def weighted_cos_integral(f, sin_power: int, degree: int) -> float:
     return float(np.sum(w * np.asarray(f(x), dtype=float)))
 
 
-def _zonal_rows(top: int, n: int, wanted):
-    """The wanted rows of Z_0..Z_top on S^{n-1}, on the sphere rule exact to degree 2 top, and its weights."""
+# A normalised Gram ratio |<Z_k, Z_c>| / (|Z_k| |Z_c|) above this is a non-zero
+# pairing; the ratio is scale-free, so one threshold serves every degree.
+GRAM_RATIO_TOL = 1e-8
+
+
+def _gram_rows(ks, batch, top_k: int, n: int):
+    """:func:`zonal_gram` of the targets `batch`, which share one sphere rule, from one Gegenbauer pass."""
+    top = max(top_k, *batch)
     x, w = sphere_rule(2 * top, n - 3)
+    weight = sphere_area(n - 1) * w
+    wanted = {*ks, *batch}
     rows = {k: z for k, z in enumerate(_gegenbauer_series(top, (n - 2) / 2.0, x)) if k in wanted}
-    return rows, sphere_area(n - 1) * w
+    zonals = np.array([rows[k] for k in ks]).reshape(len(ks), len(x))
+    norms = np.array([rows[c] ** 2 @ weight for c in batch])
+    products = zonals**2 @ weight * norms[:, None]
+    if not np.isfinite(products).all():
+        bad = batch[np.isfinite(products).all(axis=1).argmin()]
+        raise ToleranceError(f"zonal norm not finite at degrees ({top_k}, {bad})", math.inf)
+    grams = np.array([zonals @ (weight * rows[c]) for c in batch])
+    return grams, np.abs(grams) / np.sqrt(products), norms
 
 
-# Beyond the checked range the zonal values overflow; callers refuse non-finite
-# results with ToleranceError, so numpy's warnings would only be noise.
+# Beyond the checked range the zonal values overflow; the kernel refuses
+# non-finite norms with ToleranceError, so numpy's warnings would only be noise.
 @np.errstate(over="ignore", invalid="ignore")
-def zonal_gram(a: int, targets, n: int):
-    """Pairings of the degree-a zonal harmonic with the degree sequence `targets` on S^{n-1}.
+def zonal_gram(ks, targets, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Gram rows of the zonal harmonics Z_k, k in `ks`, against each degree c in `targets` on S^{n-1}.
 
-    Returns (<Z_a, Z_c> for each c, |Z_a|^2, |Z_c|^2 for each c) as quadratures from
-    one Gegenbauer pass up to top = max(a, targets) on the sphere rule exact to degree
-    2 top, keeping only the rows of a and of the targets.
+    Returns (grams, ratios, norms), one row per c: grams[i] = <Z_k, Z_c> over ks,
+    ratios[i] = |<Z_k, Z_c>| / (|Z_k| |Z_c|) over ks and norms[i] = |Z_c|^2, as
+    quadratures on the sphere rule exact to degree 2 max(ks, c).  Targets whose
+    max(ks, c) maps to the same rule (:func:`sphere_nodes`) share one Gegenbauer
+    pass; each c keeps its own row and norm, so a row does not depend on the other
+    targets of its call.  Raises ToleranceError when a product |Z_k|^2 |Z_c|^2 is
+    not finite.  `ks` and `targets` are sequences of degrees.
     """
     if n < 3:
         raise InvalidParameterError("zonal harmonics require sphere_dim >= 3")
-    rows, weight = _zonal_rows(max([a, *targets]), n, {a, *targets})
-    zonals = np.array([rows[c] for c in targets]).reshape(len(targets), len(weight))
-    return zonals @ (weight * rows[a]), float(rows[a] ** 2 @ weight), zonals**2 @ weight
+    top_k = max(ks, default=0)
+    groups = {}
+    for i, c in enumerate(targets):
+        groups.setdefault(sphere_nodes(2 * max(top_k, c), n - 3), []).append(i)
+    if len(groups) == 1:  # one rule: the rows are already in target order
+        return _gram_rows(ks, targets, top_k, n)
+    shape = (len(targets), len(ks))
+    grams, ratios, norms = np.empty(shape), np.empty(shape), np.empty(len(targets))
+    for idx in groups.values():
+        grams[idx], ratios[idx], norms[idx] = _gram_rows(ks, [targets[i] for i in idx], top_k, n)
+    return grams, ratios, norms
 
 
 def zonal_norm_sq(a: int, n: int) -> float:
-    """L^2(S^{n-1}) norm squared of the degree-a zonal harmonic, by quadrature."""
-    return zonal_gram(a, (), n)[1]
+    """L^2(S^{n-1}) norm squared of the degree-a zonal harmonic, by quadrature (:func:`zonal_gram`)."""
+    return float(zonal_gram([a], [a], n)[2][0])
 
 
 def zonal_norm_sq_closed(a: int, n: int) -> float:
@@ -189,7 +172,6 @@ def so_branching_multiplicity(a: int, b: int) -> int:
     return 1 if b <= a else 0
 
 
-@np.errstate(over="ignore", invalid="ignore")
 def ktype_pairings_nonzero(a: int, bs, n: int) -> list[tuple[bool, float]]:
     """Certify, for each degree b in `bs`, whether the degree-b subsphere type is reachable from a.
 
@@ -201,16 +183,8 @@ def ktype_pairings_nonzero(a: int, bs, n: int) -> list[tuple[bool, float]]:
     Harmonic Function Theory, ch. 5), so every normal-derivative trace of
     member j on S^{n-2} is a multiple of Z_k.  Pairing the traces against Z_b
     therefore reduces to the normalised Gram row |<Z_k, Z_b>| / (|Z_k| |Z_b|),
-    k = 0..a, on the sphere rule.  The type is reachable when the row's
-    maximum exceeds 1e-8 (scale-free threshold): true exactly when
-    0 <= b <= a.
-
-    The targets are grouped by the sphere rule on S^{n-2} that max(a, b) maps
-    to (:func:`sphere_nodes` of degree 2 max(a, b)), and each group takes one
-    Gegenbauer pass up to its largest degree: all b <= a share the rule of
-    degree 2a, and a b > a joins it unless 2b crosses a lattice step.  Each b
-    keeps its own Gram row and norm, so a row does not depend on the other
-    targets of its call.
+    k = 0..a, of :func:`zonal_gram` on S^{n-2}.  The type is reachable when the
+    row's maximum exceeds GRAM_RATIO_TOL: true exactly when 0 <= b <= a.
 
     Returns one (nonzero, witness_value) per b.  witness_value is the pairing
     with Z_b of the leading (j-th) normal trace K Z_k of the best member k, where
@@ -222,27 +196,13 @@ def ktype_pairings_nonzero(a: int, bs, n: int) -> list[tuple[bool, float]]:
     bs = list(bs)
     if a < 0 or min(bs, default=0) < 0:
         raise InvalidParameterError("degrees must be non-negative")
-    groups = {}
-    for b in bs:
-        groups.setdefault(sphere_nodes(2 * max(a, b), n - 4), []).append(b)
-    found = {}
-    for batch in groups.values():
-        rows, weight = _zonal_rows(max(a, *batch), n - 1, {*range(a + 1), *batch})
-        zonals = np.array([rows[k] for k in range(a + 1)])
-        norms_sq = zonals**2 @ weight
-        largest = float(norms_sq.max())
-        grams = np.array([zonals @ (weight * rows[b]) for b in batch])
-        norms_b = [float(rows[b] ** 2 @ weight) for b in batch]
-        for b, norm_b in zip(batch, norms_b):
-            if not math.isfinite(norm_b * largest):
-                raise ToleranceError(f"zonal norm not finite at degrees ({a}, {b})", math.inf)
-        ratios = np.abs(grams) / np.sqrt(norms_sq * np.array(norms_b)[:, None])
-        ks = np.argmax(ratios, axis=1).tolist()
-        for b, k, r, gram in zip(batch, ks, ratios, grams):
-            lam = k + (n - 2) / 2.0
-            leading = math.prod((i + 1) * (2.0 * lam + i) / (2.0 * (lam + i)) for i in range(a - k))
-            found[b] = bool(r[k] > 1e-8), leading * float(gram[k])
-    return [found[b] for b in bs]
+    grams, ratios, _ = zonal_gram(range(a + 1), bs, n - 1)
+    found = []
+    for k, ratio, gram in zip(np.argmax(ratios, axis=1).tolist(), ratios, grams):
+        lam = k + (n - 2) / 2.0
+        leading = math.prod((i + 1) * (2.0 * lam + i) / (2.0 * (lam + i)) for i in range(a - k))
+        found.append((bool(ratio[k] > GRAM_RATIO_TOL), leading * float(gram[k])))
+    return found
 
 
 def ktype_pairing_nonzero(a: int, b: int, n: int) -> tuple[bool, float]:

@@ -2,9 +2,10 @@
 
 The pairing of two generating functions over a codimension-one orbit factors
 exactly in the chart: a full-sphere area, a one-dimensional sphere pairing,
-and a radial cosh-power integral.  The non-vanishing verdict is always
-decided from the K-type witness (the twisted pairing); the closed-form
-predicates provide the independent cross-check.
+and a radial cosh-power integral.  Both non-vanishing verdicts read the zonal
+Gram kernel `harmonics.zonal_gram`: g1 the ratio of the ambient and target
+zonal harmonics on S^{q-1}, g2 the K-type witness (the twisted pairing) on
+S^{q-2}; the closed-form predicates provide the independent cross-check.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from .fjrep import (
     valid_lambdas,
 )
 from .geometry import radial_integrals_numeric
-from .harmonics import ktype_pairings_nonzero, pairing_subsphere, sphere_area, zonal_gram
+from .harmonics import GRAM_RATIO_TOL, ktype_pairings_nonzero, pairing_subsphere, sphere_area, zonal_gram
 from .numerics import HalfInt, QuadratureSpec
 from .packets import InterlaceClass, interlace_classify
 
@@ -53,7 +54,8 @@ class PeriodVerdict:
     """Outcome of one period computation.
 
     `value` is the factored integral (with the plain zonal pairing unless
-    `witness_used`); `nonzero` is the witness-based K-type decision and must
+    `witness_used`); `nonzero` is the zonal Gram verdict (g1: the ratio
+    |<Z_a, Z_c>| / (|Z_a| |Z_c|) on S^{q-1}; g2: the K-type witness) and must
     agree with `predicate_nonzero` on every instance.
     """
 
@@ -173,13 +175,9 @@ def _periods_G2(ambient: FJParam, mus_x2, spec: QuadratureSpec, use_witness: boo
 def _periods_G1(ambient: FJParam, nus_x2, spec: QuadratureSpec) -> list[PeriodVerdict]:
     a, p, q = ambient.degree, ambient.p, ambient.q
     cs = [checked_degree(p, q, nu, SpaceTag.G1_SPACE) for nu in nus_x2]
-    pairings, norm_a, norms_c = zonal_gram(a, cs, q)
-    pairings, norms_c = pairings.tolist(), norms_c.tolist()
-    for c, norm_c in zip(cs, norms_c):
-        if not math.isfinite(norm_a * norm_c):
-            raise ToleranceError(f"zonal norm not finite at degrees ({a}, {c})", math.inf)
-    nonzeros = [abs(g) > 1e-8 * math.sqrt(norm_a * norm_c) for g, norm_c in zip(pairings, norms_c)]
-    return _assemble(ambient, SpaceTag.G1_SPACE, nus_x2, cs, pairings, nonzeros, spec, False)
+    grams, ratios, _ = zonal_gram(cs, [a], q)
+    nonzeros = (ratios[0] > GRAM_RATIO_TOL).tolist()
+    return _assemble(ambient, SpaceTag.G1_SPACE, nus_x2, cs, grams[0].tolist(), nonzeros, spec, False)
 
 
 def period_integrals_G2(
@@ -213,8 +211,8 @@ def period_integrals_G1(
 
     Factored value: sphere_area(p-1) * [full-sphere pairing on S^{q-1},
     which is delta_{a,c} |f_a|^2 by orthogonality] * R(p-2, (q-1)+e_lambda+e_nu).
-    The pairings and the norms of the scale-free nonzero test come from one
-    Gegenbauer pass over all target degrees (`zonal_gram`).
+    The pairings and the scale-free nonzero ratios are the Gram row of Z_a over
+    all target degrees, from one Gegenbauer pass (`zonal_gram`).
     """
     lam, nus_x2 = HalfInt(lam), [HalfInt(nu).twice for nu in nus]
     _require_convergence(lam.twice, nus_x2, SpaceTag.G1_SPACE)

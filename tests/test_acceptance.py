@@ -13,7 +13,7 @@ import pytest
 from hypbranch.errors import DivergenceError, InvalidParameterError
 from hypbranch.fjrep import SpaceTag, fj_eval, inf_char, is_self_dual, l2_norm_sq, make_fj_param
 from hypbranch.geometry import radial_integral_closed, radial_integral_numeric, radial_integral_truncated
-from hypbranch.harmonics import ZonalHarmonic, ktype_pairing_nonzero, so_branching_multiplicity, zonal_norm_sq
+from hypbranch.harmonics import ktype_pairing_nonzero, so_branching_multiplicity, zonal_norm_sq
 from hypbranch.numerics import HalfInt
 from hypbranch.packets import (
     InterlaceClass,

@@ -52,6 +52,7 @@ class TestGoldenOutputs:
         payload = json.loads(out)
         golden = json.loads((GOLDEN / "fj_4_4_l4.json").read_text())
         assert_json_matches(payload, golden)
+        assert out.encode() == (GOLDEN / "fj_4_4_l4.json").read_bytes()
         # pinned against the factored oracle
         assert payload["a"] == 1
         assert payload["inf_char_x2"] == [12, 6, 4, 2]
@@ -67,6 +68,7 @@ class TestGoldenOutputs:
         payload = json.loads(out)
         golden = json.loads((GOLDEN / "period_4_4_l4_t3_g2.json").read_text())
         assert_json_matches(payload, golden)
+        assert out.encode() == (GOLDEN / "period_4_4_l4_t3_g2.json").read_bytes()
         expected = 2 * math.pi**2 * (8 * math.pi / 3) / 12.0
         assert payload["value"] == pytest.approx(expected, rel=1e-9)
 
@@ -129,16 +131,18 @@ class TestBranch:
         assert nonzero == [5]
         assert all(r["admissible"] for r in rows)
 
-    def test_empty_range_header_only(self, capsys):
-        code, out, _ = run_cli(
-            capsys,
-            "branch", "--p", "4", "--q", "4", "--lambda-x2", "4",
-            "--subgroup", "g2", "--max-target-x2", "0", "--format", "csv",
-        )
+    @pytest.mark.parametrize("subgroup", ["g1", "g2"])
+    def test_empty_range_header_only(self, capsys, subgroup):
+        # no target has doubled value <= 0: the Gram kernel gets an empty degree list
+        argv = ("branch", "--p", "4", "--q", "4", "--lambda-x2", "4",
+                "--subgroup", subgroup, "--max-target-x2", "0")
+        code, out, _ = run_cli(capsys, *argv, "--format", "csv")
         assert code == 0
         lines = [ln for ln in out.strip().splitlines() if ln]
         assert len(lines) == 1
         assert lines[0].startswith("p,q,lambda_x2")
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, json.loads(out), err) == (0, [], "")
 
     def test_half_integer_fields_are_doubled_ints(self, capsys):
         _, out, _ = run_cli(
@@ -245,7 +249,7 @@ class TestExitCodes:
             # the degree-200 leading-trace witness value overflows
             ("period", "--p", "4", "--q", "6", "--lambda-x2", "404", "--witness",
              "--target-x2", "3", "--subgroup", "g2"),
-            # the squared zonal values overflow on S^129 at degree 1036: the norm is NaN
+            # the squared zonal values overflow on S^129 at degree 1036: the zonal norm is NaN
             ("fj", "--p", "4", "--q", "130", "--lambda-x2", "2200"),
             # |Z_a|^2 overflows to inf on S^129 at degree 1000
             ("period", "--p", "5", "--q", "130", "--lambda-x2", "2127",
@@ -482,20 +486,12 @@ class TestCheck:
         assert len(expected) == 246
         assert cases == expected
 
-    def test_packets_suite(self, capsys):
-        code, out, _ = run_cli(capsys, "check", "--suite", "packets")
-        assert code == 0
-        assert "FAIL" not in out
-
-    def test_conjecture_suite(self, capsys):
-        code, _, _ = run_cli(capsys, "check", "--suite", "conjecture")
-        assert code == 0
-
     @pytest.mark.parametrize("name", list(SUITES))
-    def test_every_suite_passes(self, name):
-        results = run_suite(name)
-        assert results
-        assert [r.name for r in results if not r.passed] == []
+    def test_every_suite_passes(self, capsys, name):
+        code, out, _ = run_cli(capsys, "check", "--suite", name)
+        assert code == 0
+        assert any(ln.startswith("[PASS] ") for ln in out.splitlines())
+        assert [ln for ln in out.splitlines() if ln.startswith("[FAIL]")] == []
 
 
 class TestOutFile(object):

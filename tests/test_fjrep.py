@@ -7,7 +7,7 @@ from hypbranch.errors import DivergenceError, InvalidParameterError
 from hypbranch import fjrep
 from hypbranch.fjrep import SpaceTag, fj_eval, inf_char, is_self_dual, l2_norm_sq, make_fj_param
 from hypbranch.geometry import radial_integral_closed, radial_integral_truncated
-from hypbranch.harmonics import ZonalHarmonic, sphere_area, zonal_norm_sq_closed
+from hypbranch.harmonics import gegenbauer, sphere_area, zonal_norm_sq_closed
 from hypbranch.numerics import HalfInt
 from coset_oracle import weyl_conjugate
 
@@ -74,13 +74,23 @@ class TestMakeParam:
 
 class TestEval:
     def test_t_zero_reduces_to_harmonic(self):
+        # the zonal harmonic about the last axis: C_1^1 of the last coordinate
         param = make_fj_param(4, 4, HalfInt(2))
-        zonal = ZonalHarmonic(1, 4)
         rng = np.random.default_rng(1)
         for _ in range(10):
             v = rng.normal(size=4)
             v /= np.linalg.norm(v)
-            assert fj_eval(param, v, 0.0) == pytest.approx(zonal.value(v), rel=1e-13, abs=1e-13)
+            assert fj_eval(param, v, 0.0) == pytest.approx(gegenbauer(1, 1.0, v[-1]), rel=1e-13, abs=1e-13)
+
+    @pytest.mark.parametrize("length", [3, 5])
+    def test_wrong_length_rejected(self, length):
+        param = make_fj_param(4, 4, HalfInt(2))
+        y = np.zeros(length)
+        y[-1] = 1.0
+        with pytest.raises(ValueError):
+            fj_eval(param, y, 0.0)
+        with pytest.raises(InvalidParameterError):
+            fj_eval(param, np.tile(y, (2, 1)), np.zeros(2))
 
     def test_pole_value(self):
         param = make_fj_param(4, 4, HalfInt(2))
@@ -204,9 +214,8 @@ class TestDecay:
         for p, q, lam in ((4, 4, HalfInt(2)), (4, 6, HalfInt(3)), (5, 5, HalfInt(1))):
             param = make_fj_param(p, q, lam)
             rate = -float(param.decay_exponent)
-            zonal = ZonalHarmonic(param.degree, q)
             grid = np.linspace(-1, 1, 2001)
-            c_const = 2.0**rate * float(np.max(np.abs(zonal.value_at_cos(grid))))
+            c_const = 2.0**rate * float(np.max(np.abs(gegenbauer(param.degree, (q - 2) / 2, grid))))
             for _ in range(100):
                 v = rng.normal(size=q)
                 v /= np.linalg.norm(v)

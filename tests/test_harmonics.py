@@ -7,7 +7,6 @@ from scipy.special import eval_gegenbauer
 from hypbranch import harmonics
 from hypbranch.errors import InvalidParameterError, ToleranceError
 from hypbranch.harmonics import (
-    ZonalHarmonic,
     gegenbauer,
     ktype_pairing_nonzero,
     ktype_pairings_nonzero,
@@ -19,7 +18,7 @@ from hypbranch.harmonics import (
     zonal_norm_sq,
     zonal_norm_sq_closed,
 )
-from hypbranch.numerics import beta
+from hypbranch.numerics import beta, sphere_rule
 from witness_oracle import witness_pairings, witness_scan
 
 
@@ -69,29 +68,6 @@ class TestSphereArea:
             sphere_area(0)
 
 
-class TestZonalHarmonic:
-    def test_default_pole_and_values(self):
-        z = ZonalHarmonic(2, 4)
-        y = np.array([0.0, 0.0, 0.0, 1.0])
-        assert z.value(y) == pytest.approx(gegenbauer(2, 1.0, 1.0))
-
-    def test_value_depends_only_on_pole_cosine(self):
-        rng = np.random.default_rng(13)
-        z = ZonalHarmonic(3, 5)
-        for _ in range(20):
-            v = rng.normal(size=5)
-            v /= np.linalg.norm(v)
-            assert z.value(v) == pytest.approx(z.value_at_cos(v @ z.pole), rel=1e-12, abs=1e-12)
-
-    def test_guards(self):
-        with pytest.raises(InvalidParameterError):
-            ZonalHarmonic(1, 2)  # degenerate nu = 0 case
-        with pytest.raises(InvalidParameterError):
-            ZonalHarmonic(-1, 4)
-        with pytest.raises(InvalidParameterError):
-            ZonalHarmonic(1, 4, np.array([1.0, 1.0, 0.0, 0.0]))
-
-
 class TestZonalNorm:
     def test_degree_zero_is_sphere_area(self):
         for n in (4, 5, 6):
@@ -108,6 +84,49 @@ class TestZonalNorm:
         # the sphere rule follows the degree, so high degrees stay exact
         for a in (*range(9), 16, 48, 100, 200, 400):
             assert zonal_norm_sq(a, n) == pytest.approx(zonal_norm_sq_closed(a, n), rel=1e-10)
+
+
+class TestZonalGram:
+    def test_rows_ratios_and_norms(self):
+        # the g1 row: one target a against the degrees c; a Gram ratio is 1 on the
+        # diagonal and orthogonality noise off it
+        for n in (4, 5, 8):
+            for a in (0, 3, 12):
+                cs = list(range(a + 3))
+                grams, ratios, norms = zonal_gram(cs, [a], n)
+                assert grams.shape == ratios.shape == (1, a + 3) and norms.shape == (1,)
+                assert norms[0] == pytest.approx(zonal_norm_sq_closed(a, n), rel=1e-10)
+                assert grams[0, a] == pytest.approx(norms[0], rel=1e-12)
+                for c, ratio in zip(cs, ratios[0]):
+                    assert (ratio > harmonics.GRAM_RATIO_TOL) == (c == a), (a, c, n)
+                    assert ratio == pytest.approx(float(c == a), abs=1e-12)
+
+    def test_rows_follow_target_order_across_rules(self):
+        # targets on two sphere rules, in mixed order and repeated: each row is
+        # bitwise its one-target call
+        ks, targets = range(4), [40, 0, 3, 40, 17, 2]
+        grams, ratios, norms = zonal_gram(ks, targets, 6)
+        for i, c in enumerate(targets):
+            gram, ratio, norm = zonal_gram(ks, [c], 6)
+            assert (grams[i] == gram[0]).all() and (ratios[i] == ratio[0]).all() and norms[i] == norm[0], c
+
+    def test_empty_degree_lists(self):
+        grams, ratios, norms = zonal_gram(range(4), [], 5)
+        assert grams.shape == ratios.shape == (0, 4) and norms.shape == (0,)
+        grams, ratios, norms = zonal_gram([], [3], 5)
+        assert grams.shape == ratios.shape == (1, 0)
+        assert norms[0] == zonal_norm_sq(3, 5)
+
+    def test_norm_not_finite_raises(self):
+        # the squared zonal values overflow on S^129 at degree 1036
+        with pytest.raises(ToleranceError, match=r"zonal norm not finite at degrees \(1036, 1036\)"):
+            zonal_norm_sq(1036, 130)
+        with pytest.raises(ToleranceError, match=r"zonal norm not finite at degrees \(3, 1036\)"):
+            zonal_gram(range(4), [2, 1036], 130)
+
+    def test_guards(self):
+        with pytest.raises(InvalidParameterError):
+            zonal_gram([1], [1], 2)
 
 
 class TestOrthogonality:
@@ -183,8 +202,7 @@ class TestKTypeWitness:
                 for b in range(a + 3):
                     nonzero, value = ktype_pairing_nonzero(a, b, n)
                     scan_nonzero, _, scan_ratio = witness_scan(a, b, n)
-                    gram, norm_b, norms_sq = zonal_gram(b, range(a + 1), n - 1)
-                    ratios = np.abs(gram) / np.sqrt(norms_sq * norm_b)
+                    _, ratios, _ = zonal_gram(range(a + 1), [b], n - 1)
                     assert nonzero == scan_nonzero, (a, b, n)
                     assert abs(ratios.max() - scan_ratio) <= 1e-9, (a, b, n)
                     if b <= a:
@@ -234,8 +252,10 @@ class TestKTypeWitness:
                 batched = ktype_pairings_nonzero(a, bs, n)
                 for b, result in zip(bs, batched):
                     top = max(a, b)
-                    rows, weight = harmonics._zonal_rows(top, n - 1, {*range(a + 1), top})
-                    zonals = np.array([rows[k] for k in range(a + 1)])
+                    x, w = sphere_rule(2 * top, n - 4)
+                    weight = sphere_area(n - 2) * w
+                    rows = list(harmonics._gegenbauer_series(top, (n - 3) / 2.0, x))
+                    zonals = np.array(rows[: a + 1])
                     gram = zonals @ (weight * rows[b])
                     ratios = np.abs(gram) / np.sqrt(zonals**2 @ weight * float(rows[b] ** 2 @ weight))
                     k = int(np.argmax(ratios))
