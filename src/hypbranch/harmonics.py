@@ -11,11 +11,12 @@ verdicts, the g1 period and the g2 witness, read the one zonal Gram kernel
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 
 import numpy as np
 
 from .errors import InvalidParameterError, ToleranceError
-from .numerics import log_gamma, sphere_nodes, sphere_rule
+from .numerics import SPHERE_NODE_STEP, log_gamma, sphere_nodes, sphere_rule
 
 __all__ = [
     "gegenbauer",
@@ -30,31 +31,54 @@ __all__ = [
     "ktype_pairings_nonzero",
 ]
 
-def _gegenbauer_series(n: int, nu: float, x: np.ndarray):
-    """Yield C_0^nu(x), ..., C_n^nu(x) by the three-term recurrence.
 
-    k * C_k = 2(k+nu-1) x C_{k-1} - (k+2nu-2) C_{k-2},  C_0 = 1,  C_1 = 2 nu x.
+@lru_cache(maxsize=64)
+def _recurrence(nu: float, length: int):
+    """Coefficients 4c_k and scales (nu)_k / k! of :func:`_gegenbauer_rows`, for degrees k < length."""
+    four_c = (0.0, 0.0) + tuple(
+        (k - 1) * (k + 2 * nu - 2) / ((k + nu - 1) * (k + nu - 2)) for k in range(2, length)
+    )
+    scale = np.cumprod([1.0] + [(nu + k - 1) / k for k in range(1, length)])
+    scale.setflags(write=False)
+    return four_c, scale
+
+
+def _gegenbauer_rows(n: int, nu: float, x: np.ndarray, wanted) -> np.ndarray:
+    """C_k^nu(x) for each degree k of the sequence `wanted` (all <= n), one row per entry, from one pass to n.
+
+    The pass runs on the rescaled family D_k = C_k^nu k! / (nu)_k, which is 2^k
+    times the monic one (DLMF 18.9.1): D_0 = 1, D_1 = 2x and
+    D_k = 2x D_{k-1} - 4c_k D_{k-2},  4c_k = (k-1)(k+2nu-2) / ((k+nu-1)(k+nu-2)),
+    so each step is three array operations and D_k grows only like k^nu.  Only
+    the wanted rows are scaled back by (nu)_k / k!.  The coefficients are cached
+    per (nu, n + 1 rounded up to SPHERE_NODE_STEP).  Requires nu > 0: the
+    coefficients have poles at nu <= 0.
     """
-    c_prev = np.ones_like(x)
-    yield c_prev
-    if n == 0:
-        return
-    c = 2.0 * nu * x
-    yield c
+    four_c, scale = _recurrence(nu, -(-(n + 1) // SPHERE_NODE_STEP) * SPHERE_NODE_STEP)
+    keep = set(wanted)
+    d_prev = np.ones_like(x)
+    two_x = d = 2.0 * x
+    rows = {0: d_prev, 1: d}
     for k in range(2, n + 1):
-        c, c_prev = (2.0 * (k + nu - 1.0) * x * c - (k + 2.0 * nu - 2.0) * c_prev) / k, c
-        yield c
+        d_next = two_x * d
+        d_next -= four_c[k] * d_prev
+        d_prev, d = d, d_next
+        if k in keep:
+            rows[k] = d
+    return scale[wanted, None] * np.array([rows[k] for k in wanted])
 
 
 def gegenbauer(n: int, nu: float, x):
-    """Evaluate the Gegenbauer polynomial C_n^nu(x) by the three-term recurrence.
+    """Evaluate the Gegenbauer polynomial C_n^nu(x), nu > 0, by the three-term recurrence.
 
     Accepts scalar or ndarray x.
     """
     if n < 0:
         raise ValueError("degree must be non-negative")
-    for c in _gegenbauer_series(n, nu, np.asarray(x, dtype=float)):
-        pass
+    if not nu > 0:
+        raise ValueError(f"gegenbauer requires nu > 0, got {nu}")
+    x = np.asarray(x, dtype=float)
+    c = _gegenbauer_rows(n, nu, x.ravel(), [n])[0].reshape(x.shape)
     return c if c.ndim else float(c)
 
 
@@ -87,15 +111,14 @@ def _gram_rows(ks, batch, top_k: int, n: int):
     top = max(top_k, *batch)
     x, w = sphere_rule(2 * top, n - 3)
     weight = sphere_area(n - 1) * w
-    wanted = {*ks, *batch}
-    rows = {k: z for k, z in enumerate(_gegenbauer_series(top, (n - 2) / 2.0, x)) if k in wanted}
-    zonals = np.array([rows[k] for k in ks]).reshape(len(ks), len(x))
-    norms = np.array([rows[c] ** 2 @ weight for c in batch])
+    rows = _gegenbauer_rows(top, (n - 2) / 2.0, x, [*ks, *batch])
+    zonals, targets = rows[: len(ks)], rows[len(ks) :]
+    norms = np.array([c**2 @ weight for c in targets])
     products = zonals**2 @ weight * norms[:, None]
     if not np.isfinite(products).all():
         bad = batch[np.isfinite(products).all(axis=1).argmin()]
         raise ToleranceError(f"zonal norm not finite at degrees ({top_k}, {bad})", math.inf)
-    grams = np.array([zonals @ (weight * rows[c]) for c in batch])
+    grams = np.array([zonals @ (weight * c) for c in targets])
     return grams, np.abs(grams) / np.sqrt(products), norms
 
 

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -55,6 +56,28 @@ class TestGegenbauer:
         with pytest.raises(ValueError):
             gegenbauer(-1, 1.0, 0.0)
 
+    @pytest.mark.parametrize("nu", [0.0, -1.0, -0.5, float("nan")])
+    def test_order_must_be_positive(self, nu):
+        # the rescaled recurrence has poles at nu <= 0
+        with pytest.raises(ValueError, match="nu > 0"):
+            gegenbauer(2, nu, 0.3)
+
+    @pytest.mark.parametrize("nu", [h / 2 for h in range(1, 15)])
+    def test_against_mpmath_on_sphere_rules(self, nu):
+        # C_k^nu on nodes of the rule the zonal kernel uses for degree k, against
+        # mpmath's hypergeometric form, relative to max |C_k^nu| = C_k^nu(1)
+        mp = pytest.importorskip("mpmath")
+        mp.mp.dps = 30
+        worst = 0.0
+        for k in (*range(21), 100, 200, 400):
+            x, _ = sphere_rule(2 * k, int(2 * nu - 1))
+            x = x[np.linspace(0, len(x) - 1, 5).astype(int)]
+            exact = [mp.gegenbauer(k, nu, mp.mpf(float(v))) for v in x]
+            top = mp.gegenbauer(k, nu, 1)
+            got = gegenbauer(k, nu, x)
+            worst = max(worst, max(float(abs(g - e) / top) for g, e in zip(got, exact)))
+        assert worst <= 5e-13, worst
+
 
 class TestSphereArea:
     def test_known_values(self):
@@ -78,6 +101,24 @@ class TestZonalNorm:
         oracle = sphere_area(3) * 4.0 * beta(1.5, 1.5)
         assert oracle == pytest.approx(2 * math.pi**2, rel=1e-13)
         assert zonal_norm_sq(1, 4) == pytest.approx(oracle, rel=1e-12)
+
+    @pytest.mark.parametrize("n", range(4, 17))
+    def test_exact_closed_form(self, n):
+        # |Z_a|^2 = area(S^{n-2}) pi 2^{1-2nu} Gamma(a+2nu) / (a! (a+nu) Gamma(nu)^2),
+        # nu = (n-2)/2, is a rational times pi^(n // 2): every Gamma here is at an
+        # integer or a half-integer, so the rational part is exact in integers
+        def gamma_half(h2):  # Gamma(h2 / 2), without its sqrt(pi) when h2 is odd
+            m = h2 // 2
+            if h2 % 2 == 0:
+                return Fraction(math.factorial(m - 1))
+            return Fraction(math.factorial(2 * m), 4**m * math.factorial(m))
+
+        for a in range(0, 401, 17):
+            line = Fraction(2) ** (3 - n) * math.factorial(a + n - 3)
+            line /= math.factorial(a) * Fraction(2 * a + n - 2, 2) * gamma_half(n - 2) ** 2
+            area = 2 / gamma_half(n - 1)
+            exact = float(line * area) * math.pi ** (n // 2)
+            assert abs(zonal_norm_sq(a, n) - exact) <= 5e-14 * exact, (a, n)
 
     @pytest.mark.parametrize("n", range(4, 17))
     def test_closed_form_to_degree_400(self, n):
@@ -254,7 +295,7 @@ class TestKTypeWitness:
                     top = max(a, b)
                     x, w = sphere_rule(2 * top, n - 4)
                     weight = sphere_area(n - 2) * w
-                    rows = list(harmonics._gegenbauer_series(top, (n - 3) / 2.0, x))
+                    rows = harmonics._gegenbauer_rows(top, (n - 3) / 2.0, x, range(top + 1))
                     zonals = np.array(rows[: a + 1])
                     gram = zonals @ (weight * rows[b])
                     ratios = np.abs(gram) / np.sqrt(zonals**2 @ weight * float(rows[b] ** 2 @ weight))

@@ -180,13 +180,13 @@ class TestPeriodsG1Batched:
 
     def test_one_gegenbauer_pass(self, monkeypatch, capsys):
         calls = []
-        series = harmonics._gegenbauer_series
+        kernel = harmonics._gegenbauer_rows
 
         def counted(*args):
             calls.append(args[:2])
-            return series(*args)
+            return kernel(*args)
 
-        monkeypatch.setattr(harmonics, "_gegenbauer_series", counted)
+        monkeypatch.setattr(harmonics, "_gegenbauer_rows", counted)
         lam = H(2 * 16 + 1)  # a = 16 at (5, 4)
         nus = valid_targets(5, 4, "g1", 2 * 18 + 2)
         assert len(period_integrals_G1(5, 4, lam, nus)) == 19
@@ -261,7 +261,7 @@ class TestBatchedScanPasses:
         # to the largest degree on it.  The witness zonals live on S^{q-2}, sin
         # power q - 4 = 2 and Gegenbauer order (q - 3) / 2: degrees 2a = 36 to
         # 2b = 40 all need 20 to 22 nodes, which the one 32-node rule covers.
-        calls = _count_calls(monkeypatch, harmonics, "_gegenbauer_series")
+        calls = _count_calls(monkeypatch, harmonics, "_gegenbauer_rows")
         argv = ["branch", *G2_GOLDEN_SCAN[:-1], max_target_x2]
         assert main(argv) == 0
         assert len(json.loads(capsys.readouterr().out)) == rows
