@@ -11,7 +11,9 @@ verdicts, the g1 period and the g2 witness, read the one zonal Gram kernel
 from __future__ import annotations
 
 import math
+import operator
 from functools import lru_cache
+from itertools import accumulate
 
 import numpy as np
 
@@ -38,13 +40,12 @@ def _recurrence(nu: float, length: int):
     four_c = (0.0, 0.0) + tuple(
         (k - 1) * (k + 2 * nu - 2) / ((k + nu - 1) * (k + nu - 2)) for k in range(2, length)
     )
-    scale = np.cumprod([1.0] + [(nu + k - 1) / k for k in range(1, length)])
-    scale.setflags(write=False)
+    scale = tuple(accumulate(((nu + k - 1) / k for k in range(1, length)), operator.mul, initial=1.0))
     return four_c, scale
 
 
 def _gegenbauer_rows(n: int, nu: float, x: np.ndarray, wanted) -> np.ndarray:
-    """C_k^nu(x) for each degree k of the sequence `wanted` (all <= n), one row per entry, from one pass to n.
+    """C_k^nu at the 1-D nodes x for each degree k of the sequence `wanted` (all <= n), from one pass to n.
 
     The pass runs on the rescaled family D_k = C_k^nu k! / (nu)_k, which is 2^k
     times the monic one (DLMF 18.9.1): D_0 = 1, D_1 = 2x and
@@ -56,7 +57,7 @@ def _gegenbauer_rows(n: int, nu: float, x: np.ndarray, wanted) -> np.ndarray:
     """
     four_c, scale = _recurrence(nu, -(-(n + 1) // SPHERE_NODE_STEP) * SPHERE_NODE_STEP)
     keep = set(wanted)
-    d_prev = np.ones_like(x)
+    d_prev = np.ones(len(x))
     two_x = d = 2.0 * x
     rows = {0: d_prev, 1: d}
     for k in range(2, n + 1):
@@ -65,7 +66,7 @@ def _gegenbauer_rows(n: int, nu: float, x: np.ndarray, wanted) -> np.ndarray:
         d_prev, d = d, d_next
         if k in keep:
             rows[k] = d
-    return scale[wanted, None] * np.array([rows[k] for k in wanted])
+    return np.array([scale[k] for k in wanted])[:, None] * np.array([rows[k] for k in wanted])
 
 
 def gegenbauer(n: int, nu: float, x):
