@@ -8,11 +8,10 @@ the infinitesimal characters all tell the same story.
 """
 
 from hypbranch import inf_char, make_fj_param
-from hypbranch.numerics import HalfInt
 from hypbranch.periods import branching_verdicts, valid_targets
 
 P, Q = 4, 4
-LAM = HalfInt(2)
+LAM = 2
 
 ambient = make_fj_param(P, Q, LAM)
 print(f"ambient parameter: lambda = {LAM}, degree a = {ambient.degree}")

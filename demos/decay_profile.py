@@ -8,9 +8,8 @@ t is moderately large; the fitted slope lands within a fraction of a percent.
 import numpy as np
 
 from hypbranch import fj_eval, l2_norm_sq, make_fj_param
-from hypbranch.numerics import HalfInt
 
-for p, q, lam in ((4, 4, HalfInt(2)), (4, 6, HalfInt(3)), (5, 5, HalfInt(1))):
+for p, q, lam in ((4, 4, 2), (4, 6, 3), (5, 5, 1)):
     param = make_fj_param(p, q, lam)
     rate = -float(param.decay_exponent)
     pole = np.zeros(q)

@@ -6,11 +6,10 @@ explorer then checks that the model-level supports of the two members never
 overlap on a target grid.
 """
 
-from hypbranch import arthur_packet, conjecture_explore, pure_inner_forms, relevant_pairs
-from hypbranch.numerics import HalfInt
-from hypbranch.packets import RealForm, WeylGroup, double_cosets
+from fractions import Fraction
 
-H = HalfInt.from_twice
+from hypbranch import arthur_packet, conjecture_explore, pure_inner_forms, relevant_pairs
+from hypbranch.packets import RealForm, WeylGroup, double_cosets
 
 print("== double cosets behind the packet size ==")
 for p, q in ((4, 4), (4, 6), (6, 6)):
@@ -27,7 +26,7 @@ for p, q in ((4, 4), (4, 6), (6, 6)):
 
 print()
 print("== the packet at (4, 4) ==")
-packet = arthur_packet(4, 4, HalfInt(2))
+packet = arthur_packet(4, 4, 2)
 for member in packet["members"]:
     print(f"  {member['tag']:>2}: levi {member['levi']}, lives in {member['discrete_spectrum_of']}")
 
@@ -40,9 +39,9 @@ for sub, amb in relevant_pairs(form, "drop_p"):
 
 print()
 print("== disjointness of the two member supports (model-level predicates) ==")
-grid = [H(t) for t in range(1, 16)]
+grid = [Fraction(t, 2) for t in range(1, 16)]
 for subgroup in ("g1", "g2"):
-    report = conjecture_explore(4, 4, HalfInt(2), subgroup, grid)
+    report = conjecture_explore(4, 4, 2, subgroup, grid)
     print(
         f"  {subgroup}: support_s = {[str(t) for t in report.support_s]}, "
         f"support_as = {[str(t) for t in report.support_as]}, disjoint = {report.disjoint}"

@@ -8,11 +8,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
 from . import fjrep, geometry, harmonics, packets, periods
-from .numerics import HalfInt, beta, gauss_legendre_rule
+from .numerics import beta, gauss_legendre_rule
 
 __all__ = ["CheckResult", "SUITES", "run_suite"]
 
@@ -94,22 +95,12 @@ def harmonics_suite(seed: int = 0) -> list[CheckResult]:
 
 def decay_suite(seed: int = 0) -> list[CheckResult]:
     rng = np.random.default_rng(seed)
-    combos = [
-        (4, 4, HalfInt(1)),
-        (4, 4, HalfInt(2)),
-        (4, 4, HalfInt(3)),
-        (4, 6, HalfInt(2)),
-        (4, 6, HalfInt(3)),
-        (4, 6, HalfInt(4)),
-        (5, 5, HalfInt(1)),
-        (5, 5, HalfInt(2)),
-        (4, 5, HalfInt.from_twice(3)),
-    ]
+    combos = [(4, 4, 2), (4, 4, 4), (4, 4, 6), (4, 6, 4), (4, 6, 6), (4, 6, 8), (5, 5, 2), (5, 5, 4), (4, 5, 3)]
     bound_ok = True
     slope_ok = True
     detail = []
-    for p, q, lam in combos:
-        param = fjrep.make_fj_param(p, q, lam)
+    for p, q, lam_x2 in combos:
+        param = fjrep.FJParam(p, q, lam_x2)
         rate = -float(param.decay_exponent)
         xs = np.linspace(-1.0, 1.0, 2001)
         max_f = float(np.max(np.abs(harmonics.gegenbauer(param.degree, (q - 2) / 2.0, xs))))
@@ -127,7 +118,7 @@ def decay_suite(seed: int = 0) -> list[CheckResult]:
         vals = np.abs(fjrep.fj_eval(param, pole, ts))
         slope = np.polyfit(ts, np.log(vals), 1)[0]
         rel = abs(slope + rate) / rate
-        detail.append(f"{p},{q},{lam}:{rel:.4f}")
+        detail.append(f"{p},{q},{param.lam}:{rel:.4f}")
         if rel > 0.02:
             slope_ok = False
     out = [
@@ -138,19 +129,21 @@ def decay_suite(seed: int = 0) -> list[CheckResult]:
 
 
 def branching_suite(seed: int = 0) -> list[CheckResult]:
-    grid = [HalfInt(1), HalfInt.from_twice(3), HalfInt(2), HalfInt(3)]
+    # doubled lambda in {1, 3/2, 2, 3}
+    grid_x2 = (2, 3, 4, 6)
     scans = {"g1": [], "g2": []}
     for p in (4, 5, 6):
         for q in (4, 5, 6):
-            for lam in [lam for lam in fjrep.valid_lambdas(p, q, 6) if lam in grid]:
+            for lam_x2 in [t for t in fjrep.valid_lambdas_x2(p, q, 6) if t in grid_x2]:
                 for sub in ("g1", "g2"):
+                    tag = fjrep.SpaceTag(sub)
                     # targets of degree <= 6 and doubled value <= 2 (a + 8) for the ambient degree a
                     max_twice = min(
-                        fjrep.degree_x2(p, q, lam.twice, fjrep.SpaceTag.G_ON_H) + 16,
-                        12 - fjrep.degree_x2(p, q, 0, fjrep.SpaceTag(sub)),
+                        fjrep.degree_x2(p, q, lam_x2, fjrep.SpaceTag.G_ON_H) + 16,
+                        12 - fjrep.degree_x2(p, q, 0, tag),
                     )
-                    targets = periods.valid_targets(p, q, sub, max_twice)
-                    scans[sub] += periods.branching_verdicts(p, q, lam, sub, targets)
+                    targets_x2 = fjrep.valid_lambdas_x2(p, q, max_twice, tag)
+                    scans[sub] += periods.branching_verdicts_x2(p, q, lam_x2, sub, targets_x2)
     g1, g2 = scans["g1"], scans["g2"]
     finite = all((r.interlace is packets.InterlaceClass.FINITE_TYPE) == r.hom_nonzero for r in g2)
     type_1 = all(r.interlace is packets.InterlaceClass.INFINITE_TYPE_1 for r in g1 if r.hom_nonzero)
@@ -187,10 +180,9 @@ def packets_suite(seed: int = 0) -> list[CheckResult]:
 
 def conjecture_suite(seed: int = 0) -> list[CheckResult]:
     ok = True
-    grid = [HalfInt.from_twice(t) for t in range(1, 16)]
-    lambdas = [HalfInt(1), HalfInt.from_twice(3), HalfInt(2), HalfInt.from_twice(5), HalfInt(3)]
+    grid = [Fraction(t, 2) for t in range(1, 16)]
     for p, q in ((4, 4), (4, 6)):
-        for lam in lambdas:
+        for lam in (1, Fraction(3, 2), 2, Fraction(5, 2), 3):
             for sub in ("g1", "g2"):
                 report = packets.conjecture_explore(p, q, lam, sub, grid)
                 if not report.disjoint:

@@ -17,13 +17,14 @@ import functools
 import io
 import json
 import sys
+from fractions import Fraction
 
 from .checks import run_suite
 from .errors import DivergenceError, InvalidParameterError, ToleranceError
-from .fjrep import SpaceTag, degree_x2, make_fj_param
-from .numerics import HalfInt, QuadratureSpec
+from .fjrep import FJParam, SpaceTag, degree_x2, valid_lambdas_x2
+from .numerics import QuadratureSpec
 from .packets import RealForm, arthur_packet, pure_inner_forms, relevant_pairs
-from .periods import branching_verdicts, period_integral_G1, period_integral_G2, valid_targets
+from .periods import branching_verdicts_x2, period_integral_G1, period_integral_G2
 
 # The largest target degree a `branch` scan accepts: the checked degree range.
 # A g1 scan holds one Gram row per target, so its memory grows with the square.
@@ -74,31 +75,31 @@ def _quad_spec(args) -> QuadratureSpec:
 
 
 def cmd_fj(args) -> int:
-    param = make_fj_param(args.p, args.q, HalfInt.from_twice(args.lambda_x2))
+    param = FJParam(args.p, args.q, args.lambda_x2)
     _emit_json(args, param.to_json_dict())
     return 0
 
 
 def _branch_rows(args, spec):
-    top = degree_x2(args.p, args.q, args.max_target_x2, SpaceTag(args.subgroup)) // 2
+    tag = SpaceTag(args.subgroup)
+    top = degree_x2(args.p, args.q, args.max_target_x2, tag) // 2
     if top > MAX_SCAN_DEGREE:
         raise ValueError(
             f"--max-target-x2 {args.max_target_x2} admits target degree {top};"
             f" branch scans stop at degree {MAX_SCAN_DEGREE}"
         )
-    lam = HalfInt.from_twice(args.lambda_x2)
-    targets = valid_targets(args.p, args.q, args.subgroup, args.max_target_x2)
-    results = branching_verdicts(args.p, args.q, lam, args.subgroup, targets, spec)
+    targets_x2 = valid_lambdas_x2(args.p, args.q, args.max_target_x2, tag)
+    results = branching_verdicts_x2(args.p, args.q, args.lambda_x2, args.subgroup, targets_x2, spec)
     rows = []
-    for target, result in zip(targets, results):
+    for target_x2, result in zip(targets_x2, results):
         v = result.verdict
         rows.append(
             {
                 "p": args.p,
                 "q": args.q,
-                "lambda_x2": lam.twice,
+                "lambda_x2": args.lambda_x2,
                 "subgroup": args.subgroup,
-                "target_x2": target.twice,
+                "target_x2": target_x2,
                 "converges": v.converges,
                 "nonzero": v.nonzero,
                 "predicate": v.predicate_nonzero,
@@ -135,8 +136,7 @@ def cmd_branch(args) -> int:
 def cmd_period(args) -> int:
     if args.witness and args.subgroup == "g1":
         raise ValueError("--witness applies to --subgroup g2 only")
-    lam = HalfInt.from_twice(args.lambda_x2)
-    target = HalfInt.from_twice(args.target_x2)
+    lam, target = Fraction(args.lambda_x2, 2), Fraction(args.target_x2, 2)
     spec = _quad_spec(args)
     if args.subgroup == "g1":
         verdict = period_integral_G1(args.p, args.q, lam, target, spec)
@@ -147,8 +147,8 @@ def cmd_period(args) -> int:
         {
             "p": args.p,
             "q": args.q,
-            "lambda_x2": lam.twice,
-            "target_x2": target.twice,
+            "lambda_x2": args.lambda_x2,
+            "target_x2": args.target_x2,
             "subgroup": args.subgroup,
         }
     )
@@ -162,7 +162,7 @@ def cmd_packet(args) -> int:
     if args.inner_forms_only:
         _emit_json(args, {"p": args.p, "q": args.q, "pure_inner_forms": inner})
         return 0
-    report = arthur_packet(args.p, args.q, HalfInt.from_twice(args.lambda_x2))
+    report = arthur_packet(args.p, args.q, Fraction(args.lambda_x2, 2))
     report["pure_inner_forms"] = inner
     report["relevant_pairs"] = {
         direction: [

@@ -13,13 +13,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from fractions import Fraction
 
 import numpy as np
 
 from .errors import InvalidParameterError, ToleranceError
 from .geometry import radial_integral_closed, radial_integral_numeric
 from .harmonics import gegenbauer, sphere_area, zonal_norm_sq
-from .numerics import RADIAL_TOL, HalfInt, QuadratureSpec
+from .numerics import RADIAL_TOL, QuadratureSpec, doubled
 
 __all__ = [
     "SpaceTag",
@@ -43,12 +44,21 @@ class SpaceTag(Enum):
 
 @dataclass(frozen=True)
 class FJParam:
-    """Validated parameter of a discrete-series generating function."""
+    """Parameter of a discrete-series generating function, lambda doubled; validated by `checked_degree`."""
 
     p: int
     q: int
-    lam: HalfInt
+    lam_x2: int
     tag: SpaceTag = SpaceTag.G_ON_H
+
+    def __post_init__(self):
+        if self.p < 4 or self.q < 4:
+            raise InvalidParameterError(f"standing assumption p, q >= 4 violated: ({self.p}, {self.q})")
+        checked_degree(self.p, self.q, self.lam_x2, self.tag)
+
+    @property
+    def lam(self) -> Fraction:
+        return Fraction(self.lam_x2, 2)
 
     @property
     def space_signature(self) -> tuple[int, int]:
@@ -60,21 +70,21 @@ class FJParam:
 
     @property
     def degree(self) -> int:
-        return checked_degree(self.p, self.q, self.lam.twice, self.tag)
+        return checked_degree(self.p, self.q, self.lam_x2, self.tag)
 
     @property
-    def decay_exponent(self) -> HalfInt:
-        return HalfInt.from_twice(decay_x2(self.total, self.lam.twice))
+    def decay_exponent(self) -> Fraction:
+        return Fraction(decay_x2(self.total, self.lam_x2), 2)
 
     def to_json_dict(self, spec: QuadratureSpec = _DEFAULT_SPEC) -> dict:
         return {
             "p": self.p,
             "q": self.q,
-            "lambda_x2": self.lam.twice,
+            "lambda_x2": self.lam_x2,
             "a": self.degree,
-            "exponent_x2": decay_x2(self.total, self.lam.twice),
+            "exponent_x2": decay_x2(self.total, self.lam_x2),
             "min_ktype_x2": 2 * self.degree,
-            "inf_char_x2": inf_char_x2(self.total, self.lam.twice),
+            "inf_char_x2": inf_char_x2(self.total, self.lam_x2),
             "self_dual": is_self_dual(self),
             "l2_norm_sq": l2_norm_sq(self, spec),
         }
@@ -108,37 +118,37 @@ def checked_degree(p: int, q: int, lam_x2: int, tag: SpaceTag) -> int:
     harmonic of that degree).
     """
     if lam_x2 <= 0:
-        raise InvalidParameterError(f"lambda must be positive, got {HalfInt.from_twice(lam_x2)}")
+        raise InvalidParameterError(f"lambda must be positive, got {Fraction(lam_x2, 2)}")
     a_x2 = degree_x2(p, q, lam_x2, tag)
     if a_x2 % 2 or a_x2 < 0:
         raise InvalidParameterError(
-            f"harmonic degree a = lambda - 1 + (p-q)/2 = {HalfInt.from_twice(a_x2)}"
+            f"harmonic degree a = lambda - 1 + (p-q)/2 = {Fraction(a_x2, 2)}"
             " must be a non-negative integer"
         )
     return a_x2 // 2
 
 
 def make_fj_param(p: int, q: int, lam, tag: SpaceTag = SpaceTag.G_ON_H) -> FJParam:
-    """Build a parameter descriptor, validated by `checked_degree`."""
-    if p < 4 or q < 4:
-        raise InvalidParameterError(f"standing assumption p, q >= 4 violated: ({p}, {q})")
-    lam = HalfInt(lam)
-    checked_degree(p, q, lam.twice, tag)
-    return FJParam(p, q, lam, SpaceTag(tag))
+    """Build a parameter descriptor for a half-integer lambda (int, Fraction or float)."""
+    return FJParam(p, q, doubled(lam), SpaceTag(tag))
 
 
-def valid_lambdas(p: int, q: int, max_twice: int, tag: SpaceTag = SpaceTag.G_ON_H) -> list[HalfInt]:
-    """Every lambda that `make_fj_param` accepts, with doubled value up to max_twice.
+def valid_lambdas_x2(p: int, q: int, max_twice: int, tag: SpaceTag = SpaceTag.G_ON_H) -> range:
+    """Doubled value of every lambda that `make_fj_param` accepts, up to max_twice.
 
     These are the positive lambda of `degree_x2` even and non-negative: every
     other doubled value from the first positive one.
     """
     if p < 4 or q < 4:
-        return []
+        return range(0)
     # degree_x2 is lam_x2 + offset_x2
     offset_x2 = degree_x2(p, q, 0, tag)
-    first = max(-offset_x2, 2 - offset_x2 % 2)
-    return [HalfInt.from_twice(twice) for twice in range(first, max_twice + 1, 2)]
+    return range(max(-offset_x2, 2 - offset_x2 % 2), max_twice + 1, 2)
+
+
+def valid_lambdas(p: int, q: int, max_twice: int, tag: SpaceTag = SpaceTag.G_ON_H) -> list[Fraction]:
+    """Every lambda that `make_fj_param` accepts, with doubled value up to max_twice: see `valid_lambdas_x2`."""
+    return [Fraction(twice, 2) for twice in valid_lambdas_x2(p, q, max_twice, tag)]
 
 
 def fj_eval(param: FJParam, y_prime, t) -> float:
@@ -153,7 +163,7 @@ def fj_eval(param: FJParam, y_prime, t) -> float:
         raise InvalidParameterError(f"y' must have {sq} coordinates, got shape {y_prime.shape}")
     t = np.asarray(t, dtype=float)
     zonal = gegenbauer(param.degree, (sq - 2) / 2.0, y_prime[..., -1])
-    out = zonal * np.cosh(t) ** (decay_x2(param.total, param.lam.twice) / 2)
+    out = zonal * np.cosh(t) ** (decay_x2(param.total, param.lam_x2) / 2)
     return out if out.ndim else float(out)
 
 
@@ -165,7 +175,7 @@ def l2_norm_sq(param: FJParam, spec: QuadratureSpec = _DEFAULT_SPEC) -> float:
     """
     sp, sq = param.space_signature
     a_exp = sp - 1
-    c_exp = float(sq - 1 + decay_x2(sp + sq, param.lam.twice))
+    c_exp = float(sq - 1 + decay_x2(sp + sq, param.lam_x2))
     value, _ = radial_integral_numeric(a_exp, c_exp, spec)
     closed = radial_integral_closed(a_exp, c_exp)
     if abs(value - closed) > RADIAL_TOL * max(1.0, abs(closed)) * 10:
@@ -181,13 +191,13 @@ def inf_char_x2(total: int, lam_x2: int) -> list[int]:
     return [lam_x2 + total, *range(total - 2, total - 2 * (total // 2), -2)]
 
 
-def inf_char(param: FJParam) -> tuple[HalfInt, ...]:
+def inf_char(param: FJParam) -> tuple[Fraction, ...]:
     """Displayed infinitesimal character (lambda + N/2, (N-2)/2, (N-4)/2, ...).
 
     N is the total dimension of the parameter's space plus one (ambient:
     p+q; restriction targets: p+q-1); the length is floor(N/2).
     """
-    return tuple(HalfInt.from_twice(e) for e in inf_char_x2(param.total, param.lam.twice))
+    return tuple(Fraction(e, 2) for e in inf_char_x2(param.total, param.lam_x2))
 
 
 def _self_dual(total: int, lam_x2: int) -> bool:
@@ -205,4 +215,4 @@ def is_self_dual(param: FJParam) -> bool:
     odd) between the standard-coordinate infinitesimal character and its
     negative, in closed form.
     """
-    return _self_dual(param.total, param.lam.twice)
+    return _self_dual(param.total, param.lam_x2)

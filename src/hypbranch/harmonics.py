@@ -212,8 +212,8 @@ def ktype_pairings_nonzero(a: int, bs, n: int) -> list[tuple[bool, float]]:
 
     Returns one (nonzero, witness_value) per b.  witness_value is the pairing
     with Z_b of the leading (j-th) normal trace K Z_k of the best member k, where
-    K = j! (2 lam)_j / (2^j (lam)_j).  Raises ToleranceError when a zonal norm
-    is not finite.
+    K = j! (2 lam)_j / (2^j (lam)_j); it is 0.0, the exact value, when the type
+    is unreachable.  Raises ToleranceError when a zonal norm is not finite.
     """
     if n < 4:
         raise InvalidParameterError("ktype_pairing_nonzero requires n >= 4")
@@ -223,9 +223,12 @@ def ktype_pairings_nonzero(a: int, bs, n: int) -> list[tuple[bool, float]]:
     grams, ratios, _ = zonal_gram(range(a + 1), bs, n - 1)
     found = []
     for k, ratio, gram in zip(np.argmax(ratios, axis=1).tolist(), ratios, grams):
+        if not ratio[k] > GRAM_RATIO_TOL:  # rounding noise, which K can carry past the float range
+            found.append((False, 0.0))
+            continue
         lam = k + (n - 2) / 2.0
         leading = math.prod((i + 1) * (2.0 * lam + i) / (2.0 * (lam + i)) for i in range(a - k))
-        found.append((bool(ratio[k] > GRAM_RATIO_TOL), leading * float(gram[k])))
+        found.append((True, leading * float(gram[k])))
     return found
 
 

@@ -1,21 +1,25 @@
-"""Exact half-integer scalars, Gauss rules, and Gamma/Beta helpers.
+"""Half-integer input, Gauss rules, and Gamma/Beta helpers.
 
 Every representation-theoretic parameter in this library (spectral parameters,
-harmonic degrees, decay exponents) is a half-integer and is kept exact through
-:class:`HalfInt`; floating point enters only inside quadrature and the special
-functions below.
+harmonic degrees, decay exponents) is a half-integer.  Inside the library it
+is a doubled int; a public function reads it through :func:`doubled` and
+returns one as a ``fractions.Fraction``.  Floating point enters only inside
+quadrature and the special functions below.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
 
+from .errors import InvalidParameterError
+
 __all__ = [
-    "HalfInt",
+    "doubled",
     "QuadratureSpec",
     "gauss_legendre_rule",
     "gauss_legendre_on",
@@ -26,111 +30,23 @@ __all__ = [
 ]
 
 
-class HalfInt:
-    """An exact element of (1/2)Z, stored as twice its value.
+def doubled(value) -> int:
+    """Twice a half-integer given as an int, a Fraction or a finite float: doubled(1.5) == 3.
 
-    Closed under addition, subtraction, negation and multiplication by
-    integers; totally ordered.  Use :meth:`from_twice` when the input is a
-    doubled integer (the wire convention used by the CLI), or pass a value
-    that is an exact multiple of one half.
+    Reads the numerator and denominator (float.as_integer_ratio for a float)
+    and does no Fraction arithmetic.  Raises InvalidParameterError when the
+    value is not an exact half-integer, and TypeError for any other type.
     """
-
-    __slots__ = ("twice",)
-
-    def __init__(self, value):
-        if isinstance(value, HalfInt):
-            self.twice = value.twice
-        elif isinstance(value, int):
-            self.twice = 2 * value
-        elif isinstance(value, float):
-            doubled = 2.0 * value
-            if doubled != int(doubled):
-                raise ValueError(f"{value!r} is not an exact half-integer")
-            self.twice = int(doubled)
-        else:
-            raise TypeError(f"cannot build HalfInt from {type(value).__name__}")
-
-    @classmethod
-    def from_twice(cls, twice: int) -> "HalfInt":
-        obj = cls.__new__(cls)
-        obj.twice = int(twice)
-        return obj
-
-    # -- arithmetic ---------------------------------------------------------
-    def __add__(self, other):
-        if isinstance(other, HalfInt):
-            return HalfInt.from_twice(self.twice + other.twice)
-        if isinstance(other, int):
-            return HalfInt.from_twice(self.twice + 2 * other)
-        return NotImplemented
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        if isinstance(other, HalfInt):
-            return HalfInt.from_twice(self.twice - other.twice)
-        if isinstance(other, int):
-            return HalfInt.from_twice(self.twice - 2 * other)
-        return NotImplemented
-
-    def __rsub__(self, other):
-        if isinstance(other, int):
-            return HalfInt.from_twice(2 * other - self.twice)
-        return NotImplemented
-
-    def __neg__(self):
-        return HalfInt.from_twice(-self.twice)
-
-    def __abs__(self):
-        return HalfInt.from_twice(abs(self.twice))
-
-    def __mul__(self, other):
-        if isinstance(other, int):
-            return HalfInt.from_twice(self.twice * other)
-        return NotImplemented
-
-    __rmul__ = __mul__
-
-    # -- ordering -----------------------------------------------------------
-    def _cmp_twice(self, other):
-        if isinstance(other, HalfInt):
-            return other.twice
-        if isinstance(other, int):
-            return 2 * other
-        if isinstance(other, float):
-            return 2.0 * other
-        return None
-
-    def __eq__(self, other):
-        t = self._cmp_twice(other)
-        return NotImplemented if t is None else self.twice == t
-
-    def __lt__(self, other):
-        t = self._cmp_twice(other)
-        return NotImplemented if t is None else self.twice < t
-
-    def __le__(self, other):
-        t = self._cmp_twice(other)
-        return NotImplemented if t is None else self.twice <= t
-
-    def __gt__(self, other):
-        t = self._cmp_twice(other)
-        return NotImplemented if t is None else self.twice > t
-
-    def __ge__(self, other):
-        t = self._cmp_twice(other)
-        return NotImplemented if t is None else self.twice >= t
-
-    def __hash__(self):
-        return hash(self.twice / 2)
-
-    def __float__(self):
-        return self.twice / 2.0
-
-    def __repr__(self):
-        if self.twice % 2 == 0:
-            return str(self.twice // 2)
-        return f"{self.twice}/2"
+    if isinstance(value, (int, Fraction)):
+        num, den = value.numerator, value.denominator
+    elif isinstance(value, float):
+        # nan and inf have no ratio; den = 0 refuses them below
+        num, den = value.as_integer_ratio() if math.isfinite(value) else (0, 0)
+    else:
+        raise TypeError(f"a half-integer is an int, a Fraction or a float, not {type(value).__name__}")
+    if den not in (1, 2):
+        raise InvalidParameterError(f"{value!r} is not an exact half-integer")
+    return num if den == 2 else 2 * num
 
 
 # A radial quadrature must agree with its halved rule to RADIAL_TOL * max(1, |value|),

@@ -10,10 +10,11 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 from enum import Enum
+from fractions import Fraction
 
 from .errors import AssumptionError, InvalidParameterError
 from .fjrep import SpaceTag, degree_x2
-from .numerics import HalfInt
+from .numerics import doubled
 
 __all__ = [
     "SignedPermutation",
@@ -49,9 +50,6 @@ class SignedPermutation:
     @classmethod
     def identity(cls, n: int) -> "SignedPermutation":
         return cls(range(1, n + 1))
-
-    def __len__(self):
-        return len(self.images)
 
     def __eq__(self, other):
         return isinstance(other, SignedPermutation) and self.images == other.images
@@ -163,9 +161,9 @@ def arthur_packet(p: int, q: int, lam) -> dict:
         raise AssumptionError("arthur_packet requires p and q even")
     if not (4 <= p <= q):
         raise AssumptionError("arthur_packet requires 4 <= p <= q")
-    lam = HalfInt(lam)
-    if lam <= 0:
-        raise InvalidParameterError(f"lambda must be positive, got {lam}")
+    lam_x2 = doubled(lam)
+    if lam_x2 <= 0:
+        raise InvalidParameterError(f"lambda must be positive, got {Fraction(lam_x2, 2)}")
     m = (p + q) // 2
     result = double_cosets(
         (WeylGroup("D", p // 2), WeylGroup("D", q // 2)),
@@ -188,7 +186,7 @@ def arthur_packet(p: int, q: int, lam) -> dict:
     ]
     return {
         "size": result.count,
-        "lambda_x2": lam.twice,
+        "lambda_x2": lam_x2,
         "members": members,
         "double_coset_reps": [list(rep.images) for rep in result.representatives],
         "coset_space_size": result.coset_space_size,
@@ -212,17 +210,9 @@ class RealForm:
 
 
 def pure_inner_forms(form: RealForm) -> list[RealForm]:
-    """All signatures (p-2r, q+2r) and (p+2s, q-2s), sorted by first entry."""
-    forms = set()
-    r = 0
-    while form.p_sig - 2 * r >= 0:
-        forms.add(RealForm(form.p_sig - 2 * r, form.q_sig + 2 * r))
-        r += 1
-    s = 0
-    while form.q_sig - 2 * s >= 0:
-        forms.add(RealForm(form.p_sig + 2 * s, form.q_sig - 2 * s))
-        s += 1
-    return sorted(forms)
+    """All signatures (p-2r, q+2r) with both entries non-negative, sorted by first entry."""
+    p, q = form.p_sig, form.q_sig
+    return [RealForm(p - 2 * r, q + 2 * r) for r in range(p // 2, -(q // 2) - 1, -1)]
 
 
 def relevant_pairs(g_form: RealForm, codim_direction: str) -> list[tuple[RealForm, RealForm]]:
@@ -274,28 +264,32 @@ def admissibility_table(member: str, subgroup: str) -> bool:
 
 @dataclass(frozen=True)
 class ConjectureReport:
-    support_s: tuple[HalfInt, ...]
-    support_as: tuple[HalfInt, ...]
+    support_s: tuple[Fraction, ...]
+    support_as: tuple[Fraction, ...]
     disjoint: bool
     model_level: bool = True
 
 
-def default_support_predicates(p: int, q: int, lam: HalfInt, subgroup: str):
+def default_support_predicates(p: int, q: int, lam, subgroup: str):
     """Model-level support predicates for the two packet members on a subgroup.
 
     The "s" member follows the proven criteria (equality on g1, inequality
     with non-negative degree on g2); the "as" member mirrors them, exchanging
-    the roles of the two sphere factors.
+    the roles of the two sphere factors.  lambda and the targets are half-integers.
     """
-    def equality(t: HalfInt) -> bool:
-        return t.twice == lam.twice + 1
+    lam_x2 = doubled(lam)
+
+    def equality(t) -> bool:
+        return doubled(t) == lam_x2 + 1
 
     def inequality(sp: int, sq: int):
         # the g2 criterion for the ambient X(sp, sq): t + 1/2 <= lambda and an
-        # integral, non-negative target degree
-        def pred(t: HalfInt) -> bool:
-            d_x2 = degree_x2(sp, sq, t.twice, SpaceTag.G2_SPACE)
-            return t.twice + 1 <= lam.twice and d_x2 % 2 == 0 and d_x2 >= 0
+        # integral, non-negative target degree, whose double is t_x2 + offset_x2
+        offset_x2 = degree_x2(sp, sq, 0, SpaceTag.G2_SPACE)
+
+        def pred(t) -> bool:
+            t_x2 = doubled(t)
+            return t_x2 + 1 <= lam_x2 and (t_x2 + offset_x2) % 2 == 0 and t_x2 + offset_x2 >= 0
 
         return pred
 
@@ -316,15 +310,10 @@ def conjecture_explore(
     predicate_s=None,
     predicate_as=None,
 ) -> ConjectureReport:
-    """Evaluate both member supports over a grid and report disjointness."""
-    lam = HalfInt(lam)
-    if predicate_s is None or predicate_as is None:
-        d_s, d_as = default_support_predicates(p, q, lam, subgroup)
-        predicate_s = predicate_s or d_s
-        predicate_as = predicate_as or d_as
-    grid = [HalfInt(t) for t in target_grid]
+    """Evaluate both member supports over a grid of half-integers, passed on as Fractions; report disjointness."""
+    d_s, d_as = default_support_predicates(p, q, lam, subgroup)
+    predicate_s, predicate_as = predicate_s or d_s, predicate_as or d_as
+    grid = [Fraction(doubled(t), 2) for t in target_grid]
     support_s = tuple(t for t in grid if predicate_s(t))
     support_as = tuple(t for t in grid if predicate_as(t))
-    s_set = {t.twice for t in support_s}
-    disjoint = all(t.twice not in s_set for t in support_as)
-    return ConjectureReport(support_s, support_as, disjoint)
+    return ConjectureReport(support_s, support_as, set(support_s).isdisjoint(support_as))

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 from .errors import DivergenceError, InvalidParameterError, ToleranceError
 from .fjrep import (
@@ -26,7 +27,7 @@ from .fjrep import (
 )
 from .geometry import radial_integrals_numeric
 from .harmonics import GRAM_RATIO_TOL, ktype_pairings_nonzero, pairing_subsphere, sphere_area, zonal_gram
-from .numerics import HalfInt, QuadratureSpec
+from .numerics import QuadratureSpec, doubled
 from .packets import InterlaceClass, interlace_classify
 
 __all__ = [
@@ -89,7 +90,7 @@ def _converges_x2(lam_x2: int, target_x2: int) -> bool:
 
 def _converges(lam, target) -> bool:
     """Convergence of the X(p-1, q) or X(p, q-1) period: lambda + target > -1/2, exactly."""
-    return _converges_x2(HalfInt(lam).twice, HalfInt(target).twice)
+    return _converges_x2(doubled(lam), doubled(target))
 
 
 converges_G1 = converges_G2 = _converges
@@ -107,7 +108,7 @@ def nonvanishing_G2(p: int, q: int, lam, mu) -> bool:
     equivalently mu + 1/2 <= lambda with b >= 0.
     """
     a = make_fj_param(p, q, lam).degree
-    return _nonvanishing(SpaceTag.G2_SPACE, a, checked_degree(p, q, HalfInt(mu).twice, SpaceTag.G2_SPACE))
+    return _nonvanishing(SpaceTag.G2_SPACE, a, checked_degree(p, q, doubled(mu), SpaceTag.G2_SPACE))
 
 
 def nonvanishing_G1(p: int, q: int, lam, nu) -> bool:
@@ -116,14 +117,14 @@ def nonvanishing_G1(p: int, q: int, lam, nu) -> bool:
     True iff nu = lambda + 1/2 exactly (the two full-sphere degrees match).
     """
     a = make_fj_param(p, q, lam).degree
-    return _nonvanishing(SpaceTag.G1_SPACE, a, checked_degree(p, q, HalfInt(nu).twice, SpaceTag.G1_SPACE))
+    return _nonvanishing(SpaceTag.G1_SPACE, a, checked_degree(p, q, doubled(nu), SpaceTag.G1_SPACE))
 
 
 def _require_convergence(lam_x2: int, targets_x2, tag: SpaceTag) -> None:
     name = "nu" if tag is SpaceTag.G1_SPACE else "mu"
     for t in targets_x2:
         if not _converges_x2(lam_x2, t):
-            total = HalfInt.from_twice(lam_x2 + t)
+            total = Fraction(lam_x2 + t, 2)
             raise DivergenceError(f"period diverges: lambda + {name} = {total} fails the > -1/2 threshold")
 
 
@@ -137,7 +138,7 @@ def _assemble(ambient, tag, targets_x2, degrees, pairings, nonzeros, spec, witne
     if not targets_x2:
         return []
     sp, sq = tag_signature(ambient.p, ambient.q, tag)
-    shift_x2 = 2 * (sq - 1) + decay_x2(ambient.total, ambient.lam.twice)
+    shift_x2 = 2 * (sq - 1) + decay_x2(ambient.total, ambient.lam_x2)
     radials = radial_integrals_numeric(sp - 1, [(shift_x2 + decay_x2(sp + sq, t)) / 2 for t in targets_x2], spec)
     a, sphere = ambient.degree, sphere_area(sp)
     verdicts = []
@@ -192,9 +193,9 @@ def period_integrals_G2(
     witnesses of all targets share their Gegenbauer passes
     (`ktype_pairings_nonzero`).
     """
-    lam, mus_x2 = HalfInt(lam), [HalfInt(mu).twice for mu in mus]
-    _require_convergence(lam.twice, mus_x2, SpaceTag.G2_SPACE)
-    return _periods_G2(make_fj_param(p, q, lam), mus_x2, spec, use_witness)
+    lam_x2, mus_x2 = doubled(lam), [doubled(mu) for mu in mus]
+    _require_convergence(lam_x2, mus_x2, SpaceTag.G2_SPACE)
+    return _periods_G2(FJParam(p, q, lam_x2), mus_x2, spec, use_witness)
 
 
 def period_integral_G2(
@@ -214,9 +215,9 @@ def period_integrals_G1(
     The pairings and the scale-free nonzero ratios are the Gram row of Z_a over
     all target degrees, from one Gegenbauer pass (`zonal_gram`).
     """
-    lam, nus_x2 = HalfInt(lam), [HalfInt(nu).twice for nu in nus]
-    _require_convergence(lam.twice, nus_x2, SpaceTag.G1_SPACE)
-    return _periods_G1(make_fj_param(p, q, lam), nus_x2, spec)
+    lam_x2, nus_x2 = doubled(lam), [doubled(nu) for nu in nus]
+    _require_convergence(lam_x2, nus_x2, SpaceTag.G1_SPACE)
+    return _periods_G1(FJParam(p, q, lam_x2), nus_x2, spec)
 
 
 def period_integral_G1(p: int, q: int, lam, nu, spec: QuadratureSpec = _DEFAULT_SPEC) -> PeriodVerdict:
@@ -238,7 +239,7 @@ def _interlace_classes(ambient: FJParam, targets_x2) -> list[InterlaceClass]:
     The ambient character is built once; a target's character is its first
     entry t + (N-1)/2 followed by a tail that depends only on N = p + q.
     """
-    ambient_x2 = inf_char_x2(ambient.total, ambient.lam.twice)
+    ambient_x2 = inf_char_x2(ambient.total, ambient.lam_x2)
     head_x2, *tail_x2 = inf_char_x2(ambient.total - 1, 0)
     return [interlace_classify(ambient_x2, [head_x2 + t, *tail_x2]) for t in targets_x2]
 
@@ -246,7 +247,7 @@ def _interlace_classes(ambient: FJParam, targets_x2) -> list[InterlaceClass]:
 def interlace_class_for_pair(p: int, q: int, lam, target, subgroup: str) -> InterlaceClass:
     tag = _tag(subgroup)
     ambient = make_fj_param(p, q, lam)
-    target_x2 = HalfInt(target).twice
+    target_x2 = doubled(target)
     checked_degree(p, q, target_x2, tag)
     return _interlace_classes(ambient, [target_x2])[0]
 
@@ -263,10 +264,16 @@ def branching_verdicts(
     The ambient parameter is built once and validated even when the target
     list is empty; the targets stay doubled ints from validation to row.
     """
+    return branching_verdicts_x2(p, q, doubled(lam), subgroup, [doubled(t) for t in targets], spec)
+
+
+def branching_verdicts_x2(
+    p: int, q: int, lam_x2: int, subgroup: str, targets_x2, spec: QuadratureSpec = _DEFAULT_SPEC
+) -> list[BranchingVerdict]:
+    """The scan behind `branching_verdicts`, on a doubled lambda and doubled targets."""
     tag = _tag(subgroup)
-    ambient = make_fj_param(p, q, lam)
-    targets_x2 = [HalfInt(t).twice for t in targets]
-    _require_convergence(ambient.lam.twice, targets_x2, tag)
+    ambient = FJParam(p, q, lam_x2)
+    _require_convergence(lam_x2, targets_x2, tag)
     if tag is SpaceTag.G1_SPACE:
         verdicts = _periods_G1(ambient, targets_x2, spec)
     else:
@@ -289,6 +296,6 @@ def branching_verdict(
     return branching_verdicts(p, q, lam, subgroup, [target], spec)[0]
 
 
-def valid_targets(p: int, q: int, subgroup: str, max_twice: int) -> list[HalfInt]:
+def valid_targets(p: int, q: int, subgroup: str, max_twice: int) -> list[Fraction]:
     """All valid target parameters with doubled value up to max_twice."""
     return valid_lambdas(p, q, max_twice, _tag(subgroup))

@@ -17,7 +17,6 @@ from __future__ import annotations
 import itertools
 import math
 
-from hypbranch.numerics import HalfInt
 from hypbranch.packets import DoubleCosetResult, SignedPermutation, WeylGroup, _validate_coset_setup
 
 
@@ -61,12 +60,11 @@ def weyl_conjugate(seq_a, seq_b, family: str) -> bool:
     Type B: equality of the descending absolute values.  Type D: additionally
     the sign-flip parities must match, unless some entry is zero.
     """
-    a = [HalfInt(v) if not isinstance(v, HalfInt) else v for v in seq_a]
-    b = [HalfInt(v) if not isinstance(v, HalfInt) else v for v in seq_b]
+    a, b = list(seq_a), list(seq_b)
     if len(a) != len(b):
         return False
-    key_a = sorted((abs(v).twice for v in a), reverse=True)
-    key_b = sorted((abs(v).twice for v in b), reverse=True)
+    key_a = sorted((abs(v) for v in a), reverse=True)
+    key_b = sorted((abs(v) for v in b), reverse=True)
     if key_a != key_b:
         return False
     if family == "B":

@@ -6,6 +6,7 @@ lines; every tolerance is pinned here, nothing is deferred.
 
 import math
 import time
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ from hypbranch.errors import DivergenceError, InvalidParameterError
 from hypbranch.fjrep import SpaceTag, fj_eval, inf_char, is_self_dual, l2_norm_sq, make_fj_param
 from hypbranch.geometry import radial_integral_closed, radial_integral_numeric, radial_integral_truncated
 from hypbranch.harmonics import ktype_pairing_nonzero, so_branching_multiplicity, zonal_norm_sq
-from hypbranch.numerics import HalfInt
+from hypbranch.numerics import doubled
 from hypbranch.packets import (
     InterlaceClass,
     RealForm,
@@ -37,7 +38,9 @@ from block_estimates import block_decompose, ellipsoid_gap, scale
 from coset_oracle import double_cosets_brute
 from group_elements import random_group_element
 
-H = HalfInt.from_twice
+
+def H(twice):
+    return Fraction(twice, 2)
 
 
 def report(number, name, passed):
@@ -58,7 +61,7 @@ def test_criterion_01_radial_oracle():
 
 def test_criterion_02_square_integrability_boundary():
     ok = True
-    for lam in (HalfInt(1), HalfInt(2), HalfInt(3)):
+    for lam in (1, 2, 3):
         param = make_fj_param(4, 4, lam)
         value = l2_norm_sq(param)
         ok &= math.isfinite(value) and value > 0
@@ -81,9 +84,9 @@ def test_criterion_02_square_integrability_boundary():
 def test_criterion_03_decay_bound_slope():
     start = time.monotonic()
     combos = [
-        (4, 4, HalfInt(1)), (4, 4, HalfInt(2)), (4, 4, HalfInt(3)),
-        (4, 6, HalfInt(2)), (4, 6, HalfInt(3)), (4, 6, HalfInt(4)),
-        (5, 5, HalfInt(1)), (5, 5, HalfInt(2)), (4, 5, H(3)),
+        (4, 4, 1), (4, 4, 2), (4, 4, 3),
+        (4, 6, 2), (4, 6, 3), (4, 6, 4),
+        (5, 5, 1), (5, 5, 2), (4, 5, H(3)),
     ]
     assert len(combos) == 9
     ok = True
@@ -115,7 +118,7 @@ def test_criterion_04_compact_branching():
 def test_criterion_05_g2_branching_support():
     ok = True
     # (4,4), lambda = 2: nonzero exactly for mu_x2 in {1, 3}
-    lam = HalfInt(2)
+    lam = 2
     nonzero_set = []
     for twice in (1, 3, 5, 7, 9):
         v = period_integral_G2(4, 4, lam, H(twice), use_witness=True)
@@ -130,7 +133,7 @@ def test_criterion_05_g2_branching_support():
     ok &= nonzero_set == [1, 3]
     # (4,6), lambda = 3: the valid scan values are mu_x2 in {3,5,7,9} with
     # nonzero exactly {3, 5}; mu_x2 = 1 has degree -1 and is rejected
-    lam = HalfInt(3)
+    lam = 3
     with pytest.raises(InvalidParameterError):
         make_fj_param(4, 6, H(1), SpaceTag.G2_SPACE)
     nonzero_set = []
@@ -155,11 +158,11 @@ def test_criterion_06_g1_branching_support():
     for (p, q) in G1_GRIDS:
         for lam_int in (1, 2, 3):
             with pytest.raises(InvalidParameterError):
-                make_fj_param(p, q, HalfInt(lam_int))
+                make_fj_param(p, q, lam_int)
     for (p, q), lambdas in G1_GRIDS.items():
         for lam in lambdas:
             expected = lam + H(1)
-            for nu in valid_targets(p, q, "g1", expected.twice + 6):
+            for nu in valid_targets(p, q, "g1", doubled(expected) + 6):
                 v = period_integral_G1(p, q, lam, nu)
                 ok &= v.nonzero == (nu == expected) == v.predicate_nonzero
                 if nu != expected:
@@ -172,8 +175,8 @@ def test_criterion_06_g1_branching_support():
 def test_criterion_07_interlacing_equivalence():
     ok = True
     for p, q, lam, grid in (
-        (4, 4, HalfInt(2), (1, 3, 5, 7, 9)),
-        (4, 6, HalfInt(3), (3, 5, 7, 9)),
+        (4, 4, 2, (1, 3, 5, 7, 9)),
+        (4, 6, 3, (3, 5, 7, 9)),
     ):
         for twice in grid:
             mu = H(twice)
@@ -225,7 +228,7 @@ def test_criterion_10_admissibility_and_disjointness():
         ok &= sum(admissibility_table(m, sub) for m in ("s", "as")) == 1
     grid = [H(t) for t in range(1, 16)]
     for p, q in ((4, 4), (4, 6)):
-        for lam in (HalfInt(1), H(3), HalfInt(2), H(5), HalfInt(3)):
+        for lam in (1, H(3), 2, H(5), 3):
             for sub in ("g1", "g2"):
                 ok &= conjecture_explore(p, q, lam, sub, grid).disjoint
     report(10, "admissibility one per row/column; default supports disjoint", ok)

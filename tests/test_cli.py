@@ -8,6 +8,7 @@ import os
 import subprocess
 import sys
 import time
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -17,8 +18,8 @@ from hypbranch import fjrep, geometry, harmonics, numerics, periods
 from hypbranch.checks import SUITES, run_suite
 from hypbranch.cli import main
 from hypbranch.fjrep import SpaceTag, make_fj_param, valid_lambdas
-from hypbranch.numerics import HalfInt
-from hypbranch.periods import branching_verdicts, valid_targets
+from hypbranch.numerics import doubled
+from hypbranch.periods import branching_verdicts_x2, valid_targets
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -158,15 +159,15 @@ class TestBranch:
 
     @staticmethod
     def _flip_target_5(monkeypatch):
-        def flip_target_5(p, q, lam, subgroup, targets, spec):
-            results = branching_verdicts(p, q, lam, subgroup, targets, spec)
-            for i, (target, result) in enumerate(zip(targets, results)):
-                if target.twice == 5:
+        def flip_target_5(p, q, lam_x2, subgroup, targets_x2, spec):
+            results = branching_verdicts_x2(p, q, lam_x2, subgroup, targets_x2, spec)
+            for i, (target_x2, result) in enumerate(zip(targets_x2, results)):
+                if target_x2 == 5:
                     verdict = dataclasses.replace(result.verdict, nonzero=not result.verdict.nonzero)
                     results[i] = dataclasses.replace(result, verdict=verdict)
             return results
 
-        monkeypatch.setattr("hypbranch.cli.branching_verdicts", flip_target_5)
+        monkeypatch.setattr("hypbranch.cli.branching_verdicts_x2", flip_target_5)
 
     def test_disagreeing_verdict_exits_1(self, capsys, monkeypatch):
         self._flip_target_5(monkeypatch)
@@ -269,6 +270,19 @@ class TestExitCodes:
         assert code == 4
         assert out == ""
         assert err.startswith("error: ") and len(err.strip().splitlines()) == 1
+
+    def test_unreachable_witness_row_exits_0(self, capsys):
+        # b = 387 > a = 385: the witness row is rounding noise, and its leading-trace
+        # factor alone leaves the float range; the row reports the exact value 0.0
+        code, out, err = run_cli(
+            capsys,
+            "period", "--p", "18", "--q", "14", "--lambda-x2", "768",
+            "--target-x2", "771", "--subgroup", "g2", "--witness",
+        )
+        assert (code, err) == (0, "")
+        payload = json.loads(out)
+        assert not payload["nonzero"] and not payload["predicate_nonzero"]
+        assert payload["value"] == payload["err_est"] == payload["pairing_factor"] == 0.0
 
     @pytest.mark.parametrize(
         "argv",
@@ -398,6 +412,9 @@ class TestCheck:
             _, out1, _ = run_cli(capsys, "check", "--suite", name, "--seed", "7")
             _, out2, _ = run_cli(capsys, "check", "--suite", name, "--seed", "7")
             assert out1 == out2, name
+        code, out, _ = run_cli(capsys, "check", "--suite", "all", "--seed", "7")
+        assert code == 0
+        assert out == (GOLDEN / "check_all_seed7.txt").read_text()
 
     @pytest.mark.parametrize("name", [*SUITES, "all"])
     def test_negative_seed_exits_2(self, capsys, name):
@@ -452,10 +469,10 @@ class TestCheck:
     def test_branching_suite_scans_once_per_ambient(self, monkeypatch):
         cases, scans, single_calls = set(), [], []
 
-        def counted_scan(p, q, lam, subgroup, targets, *rest):
-            scans.append((p, q, lam.twice, subgroup))
-            cases.update((p, q, lam.twice, subgroup, t.twice) for t in targets)
-            return branching_verdicts(p, q, lam, subgroup, targets, *rest)
+        def counted_scan(p, q, lam_x2, subgroup, targets_x2, *rest):
+            scans.append((p, q, lam_x2, subgroup))
+            cases.update((p, q, lam_x2, subgroup, t) for t in targets_x2)
+            return branching_verdicts_x2(p, q, lam_x2, subgroup, targets_x2, *rest)
 
         def counted_single(fn):
             def counted(*args, **kwargs):
@@ -464,7 +481,7 @@ class TestCheck:
 
             return counted
 
-        monkeypatch.setattr(periods, "branching_verdicts", counted_scan)
+        monkeypatch.setattr(periods, "branching_verdicts_x2", counted_scan)
         for fn in (periods.period_integral_G1, periods.period_integral_G2):
             monkeypatch.setattr(periods, fn.__name__, counted_single(fn))
         assert all(r.passed for r in run_suite("branching"))
@@ -476,13 +493,13 @@ class TestCheck:
         for p in (4, 5, 6):
             for q in (4, 5, 6):
                 for lam in valid_lambdas(p, q, 6):
-                    if lam not in (HalfInt(1), HalfInt.from_twice(3), HalfInt(2), HalfInt(3)):
+                    if lam not in (1, Fraction(3, 2), 2, 3):
                         continue
                     max_twice = (make_fj_param(p, q, lam).degree + 8) * 2
                     for sub in ("g1", "g2"):
                         for t in valid_targets(p, q, sub, max_twice):
                             if make_fj_param(p, q, t, SpaceTag(sub)).degree <= 6:
-                                expected.add((p, q, lam.twice, sub, t.twice))
+                                expected.add((p, q, doubled(lam), sub, doubled(t)))
         assert len(expected) == 246
         assert cases == expected
 
@@ -542,13 +559,13 @@ def test_import_leaves_scipy_out():
 
 
 def test_demos_run():
+    # each demo's stdout is pinned byte for byte, printed half-integers included
     demos = sorted((Path(__file__).parents[1] / "demos").glob("*.py"))
     assert demos
     for demo in demos:
-        out = subprocess.run(
-            [sys.executable, str(demo)], env=_subprocess_env(), capture_output=True, text=True
-        )
+        out = subprocess.run([sys.executable, str(demo)], env=_subprocess_env(), capture_output=True)
         assert out.returncode == 0, (demo.name, out.stderr)
+        assert out.stdout == (GOLDEN / f"demo_{demo.stem}.txt").read_bytes(), demo.name
 
 
 def test_runtime_has_no_assert():

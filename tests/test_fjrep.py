@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -8,10 +9,14 @@ from hypbranch import fjrep
 from hypbranch.fjrep import SpaceTag, fj_eval, inf_char, is_self_dual, l2_norm_sq, make_fj_param
 from hypbranch.geometry import radial_integral_closed, radial_integral_truncated
 from hypbranch.harmonics import gegenbauer, sphere_area, zonal_norm_sq_closed
-from hypbranch.numerics import HalfInt
+from hypbranch.numerics import doubled
+from hypbranch.packets import conjecture_explore
+from hypbranch.periods import valid_targets
 from coset_oracle import weyl_conjugate
 
-H = HalfInt.from_twice
+
+def H(twice):
+    return Fraction(twice, 2)
 
 
 def valid_lambdas(p, q, tag=SpaceTag.G_ON_H, max_twice=8):
@@ -26,34 +31,34 @@ def valid_lambdas(p, q, tag=SpaceTag.G_ON_H, max_twice=8):
 
 class TestMakeParam:
     def test_basic_example(self):
-        p = make_fj_param(4, 4, HalfInt(2))
+        p = make_fj_param(4, 4, 2)
         assert p.degree == 1
-        assert p.decay_exponent == HalfInt(-5)
+        assert p.decay_exponent == -5
 
     def test_lambda_positive(self):
         with pytest.raises(InvalidParameterError, match="lambda"):
-            make_fj_param(4, 4, HalfInt(0))
+            make_fj_param(4, 4, 0)
         with pytest.raises(InvalidParameterError):
-            make_fj_param(4, 4, HalfInt(-1))
+            make_fj_param(4, 4, -1)
 
     def test_four_six(self):
-        p = make_fj_param(4, 6, HalfInt(2))
+        p = make_fj_param(4, 6, 2)
         assert p.degree == 0
-        assert p.decay_exponent == HalfInt(-6)
+        assert p.decay_exponent == -6
 
     def test_non_integral_degree_rejected(self):
         with pytest.raises(InvalidParameterError, match="degree"):
             make_fj_param(4, 6, H(1))  # a = -3/2
         with pytest.raises(InvalidParameterError, match="degree"):
-            make_fj_param(5, 4, HalfInt(2))  # a = 3/2
+            make_fj_param(5, 4, 2)  # a = 3/2
 
     def test_negative_degree_rejected(self):
         with pytest.raises(InvalidParameterError, match="degree"):
-            make_fj_param(4, 6, HalfInt(1))  # a = -1
+            make_fj_param(4, 6, 1)  # a = -1
 
     def test_standing_assumption(self):
         with pytest.raises(InvalidParameterError):
-            make_fj_param(3, 4, HalfInt(2))
+            make_fj_param(3, 4, 2)
 
     def test_min_ktype_equals_degree(self):
         for p in (4, 5, 6):
@@ -75,7 +80,7 @@ class TestMakeParam:
 class TestEval:
     def test_t_zero_reduces_to_harmonic(self):
         # the zonal harmonic about the last axis: C_1^1 of the last coordinate
-        param = make_fj_param(4, 4, HalfInt(2))
+        param = make_fj_param(4, 4, 2)
         rng = np.random.default_rng(1)
         for _ in range(10):
             v = rng.normal(size=4)
@@ -84,7 +89,7 @@ class TestEval:
 
     @pytest.mark.parametrize("length", [3, 5])
     def test_wrong_length_rejected(self, length):
-        param = make_fj_param(4, 4, HalfInt(2))
+        param = make_fj_param(4, 4, 2)
         y = np.zeros(length)
         y[-1] = 1.0
         with pytest.raises(ValueError):
@@ -93,12 +98,12 @@ class TestEval:
             fj_eval(param, np.tile(y, (2, 1)), np.zeros(2))
 
     def test_pole_value(self):
-        param = make_fj_param(4, 4, HalfInt(2))
+        param = make_fj_param(4, 4, 2)
         pole = np.array([0.0, 0.0, 0.0, 1.0])
         assert fj_eval(param, pole, 1.0) == pytest.approx(2.0 * math.cosh(1.0) ** -5, rel=1e-13)
 
     def test_degree_zero_constant_in_sphere(self):
-        param = make_fj_param(4, 6, HalfInt(2))
+        param = make_fj_param(4, 6, 2)
         rng = np.random.default_rng(2)
         vals = set()
         for _ in range(5):
@@ -111,7 +116,7 @@ class TestEval:
 class TestL2Norm:
     def test_factored_value(self):
         # oracle: area(S^3) * |f_1|^2_{S^3} * R(3, -7) = 2pi^2 * 2pi^2 / 12
-        param = make_fj_param(4, 4, HalfInt(2))
+        param = make_fj_param(4, 4, 2)
         assert l2_norm_sq(param) == pytest.approx(math.pi**4 / 3.0, rel=1e-10)
 
     def test_finite_on_lambda_grid(self):
@@ -133,7 +138,7 @@ class TestL2Norm:
             if 2 * a + 2 <= p - q:
                 continue  # lambda would not be positive
             param = make_fj_param(p, q, H(2 * a + 2 - (p - q)))
-            e_x2 = param.decay_exponent.twice
+            e_x2 = doubled(param.decay_exponent)
             closed = (
                 sphere_area(p)
                 * zonal_norm_sq_closed(a, q)
@@ -160,8 +165,8 @@ class TestL2Norm:
 
 class TestInfChar:
     def test_ambient_display(self):
-        param = make_fj_param(4, 4, HalfInt(2))
-        assert [e.twice for e in inf_char(param)] == [12, 6, 4, 2]
+        param = make_fj_param(4, 4, 2)
+        assert [doubled(e) for e in inf_char(param)] == [12, 6, 4, 2]
 
     def test_subgroup_display(self):
         param = make_fj_param(4, 4, H(5), SpaceTag.G1_SPACE)
@@ -171,12 +176,12 @@ class TestInfChar:
         param = make_fj_param(5, 4, H(3))
         entries = inf_char(param)
         assert len(entries) == 4
-        assert entries[0] == HalfInt(6)
+        assert entries[0] == 6
 
 
 class TestSelfDual:
     def test_even_total_example(self):
-        assert is_self_dual(make_fj_param(4, 4, HalfInt(2)))
+        assert is_self_dual(make_fj_param(4, 4, 2))
 
     def test_odd_total_example(self):
         assert is_self_dual(make_fj_param(4, 5, H(3)))
@@ -205,13 +210,13 @@ class TestSelfDual:
                 for tag in SpaceTag:
                     for lam in fjrep.valid_lambdas(p, q, 60, tag):
                         param = make_fj_param(p, q, lam, tag)
-                        assert is_self_dual(param) == self._weyl_orbit(param.total, lam.twice), (p, q, tag, lam)
+                        assert is_self_dual(param) == self._weyl_orbit(param.total, param.lam_x2), (p, q, tag, lam)
 
 
 class TestDecay:
     def test_bound_and_slope(self):
         rng = np.random.default_rng(17)
-        for p, q, lam in ((4, 4, HalfInt(2)), (4, 6, HalfInt(3)), (5, 5, HalfInt(1))):
+        for p, q, lam in ((4, 4, 2), (4, 6, 3), (5, 5, 1)):
             param = make_fj_param(p, q, lam)
             rate = -float(param.decay_exponent)
             grid = np.linspace(-1, 1, 2001)
@@ -230,7 +235,7 @@ class TestDecay:
 
 class TestSerialization:
     def test_json_dict_fields(self):
-        payload = make_fj_param(4, 4, HalfInt(2)).to_json_dict()
+        payload = make_fj_param(4, 4, 2).to_json_dict()
         assert payload["p"] == 4
         assert payload["lambda_x2"] == 4
         assert payload["a"] == 1
@@ -239,3 +244,25 @@ class TestSerialization:
         assert payload["inf_char_x2"] == [12, 6, 4, 2]
         assert payload["self_dual"] is True
         assert payload["l2_norm_sq"] == pytest.approx(math.pi**4 / 3.0, rel=1e-9)
+
+
+class TestFractionOutputs:
+    def test_public_half_integers_are_fractions(self):
+        # every public half-integer output, against the values and printed forms
+        # it had as the former hand-rolled half-integer type
+        param = make_fj_param(4, 5, H(3))
+        report = conjecture_explore(4, 4, 2, "g1", [H(t) for t in range(1, 10)])
+        outputs = {
+            "lam": ([param.lam], ["3/2"]),
+            "decay_exponent": ([param.decay_exponent], ["-5"]),
+            "inf_char": (inf_char(param), ["6", "7/2", "5/2", "3/2"]),
+            "valid_lambdas": (fjrep.valid_lambdas(4, 4, 7), ["1", "2", "3"]),
+            "valid_targets": (valid_targets(4, 4, "g2", 7), ["1/2", "3/2", "5/2", "7/2"]),
+            "support_s": (report.support_s, ["5/2"]),
+            "support_as": (report.support_as, ["1/2", "3/2"]),
+        }
+        for name, (values, printed) in outputs.items():
+            assert all(type(v) is Fraction for v in values), name
+            assert [str(v) for v in values] == printed, name
+        assert param.lam_x2 == 3 and param.lam == 1.5
+        assert param.decay_exponent == -5 and hash(param.decay_exponent) == hash(-5.0)

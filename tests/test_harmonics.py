@@ -229,6 +229,16 @@ class TestKTypeWitness:
     def test_upward_unreachable(self):
         nonzero, value = ktype_pairing_nonzero(1, 2, 5)
         assert not nonzero
+        assert value == 0.0
+
+    def test_values_finite_on_unreachable_sweep(self):
+        # an unreachable row is 0.0, never its noise times the leading-trace factor K,
+        # which can leave the float range at high degree: (385, [387], 14) gave inf
+        for n in range(4, 17):
+            for a in range(0, 401, 17):
+                rows = ktype_pairings_nonzero(a, range(a + 1, a + 5), n)
+                assert rows == [(False, 0.0)] * 4, (n, a)
+        assert ktype_pairings_nonzero(385, [387], 14) == [(False, 0.0)]
 
     def test_trivial_pair_witness_value(self):
         nonzero, value = ktype_pairing_nonzero(0, 0, 5)
@@ -302,7 +312,8 @@ class TestKTypeWitness:
                     k = int(np.argmax(ratios))
                     lam = k + (n - 2) / 2.0
                     leading = math.prod((i + 1) * (2.0 * lam + i) / (2.0 * (lam + i)) for i in range(a - k))
-                    assert result == (bool(ratios[k] > 1e-8), leading * float(gram[k])), (a, b, n)
+                    expected = (True, leading * float(gram[k])) if ratios[k] > 1e-8 else (False, 0.0)
+                    assert result == expected, (a, b, n)
 
     def test_norm_not_finite_raises(self):
         # the squared zonal values overflow on S^128 at degree 1000

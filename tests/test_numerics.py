@@ -4,11 +4,12 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from hypbranch.errors import InvalidParameterError
 from hypbranch.numerics import (
     RADIAL_TOL,
-    HalfInt,
     QuadratureSpec,
     beta,
+    doubled,
     gauss_legendre_rule,
     log_gamma,
     sphere_nodes,
@@ -16,61 +17,28 @@ from hypbranch.numerics import (
 )
 
 
-class TestHalfInt:
-    def test_construction(self):
-        assert HalfInt(2).twice == 4
-        assert HalfInt(1.5).twice == 3
-        assert HalfInt(-0.5).twice == -1
-        assert HalfInt.from_twice(7).twice == 7
-        assert HalfInt(HalfInt(3)).twice == 6
+class TestDoubled:
+    def test_accepts_half_integers(self):
+        assert doubled(2) == 4
+        assert doubled(1.5) == 3
+        assert doubled(-0.5) == -1
+        assert doubled(Fraction(7, 2)) == 7
+        assert doubled(Fraction(4, 2)) == 4
 
     def test_rejects_non_half_integers(self):
-        with pytest.raises(ValueError):
-            HalfInt(0.3)
-        with pytest.raises(TypeError):
-            HalfInt("3/2")
+        for value in (0.3, Fraction(1, 3), math.nan, math.inf):
+            with pytest.raises(InvalidParameterError):
+                doubled(value)
 
-    def test_canonical_equality(self):
-        assert HalfInt(1.5) == HalfInt.from_twice(3)
-        assert HalfInt(2) == 2
-        assert HalfInt.from_twice(3) == 1.5
-        assert hash(HalfInt(2)) == hash(2.0)
-
-    def test_total_order(self):
-        values = [HalfInt.from_twice(t) for t in (-3, -1, 0, 1, 4)]
-        assert sorted(values, reverse=True)[0] == HalfInt(2)
-        assert HalfInt.from_twice(1) > 0
-        assert HalfInt.from_twice(-1) < 0
-        assert HalfInt(2) >= HalfInt(1.5)
-
-    def test_repr(self):
-        assert repr(HalfInt(2)) == "2"
-        assert repr(HalfInt.from_twice(3)) == "3/2"
-        assert repr(HalfInt.from_twice(-3)) == "-3/2"
+    def test_rejects_other_types(self):
+        for value in ("3/2", None):
+            with pytest.raises(TypeError):
+                doubled(value)
 
     def test_agrees_with_fraction_arithmetic(self):
-        # randomized triples: HalfInt arithmetic must match exact rationals
         rng = np.random.default_rng(7)
-        twices = rng.integers(-40, 40, size=(10_000, 3))
-        for ta, tb, tc in twices:
-            a, b, c = (HalfInt.from_twice(int(t)) for t in (ta, tb, tc))
-            fa, fb, fc = (Fraction(int(t), 2) for t in (ta, tb, tc))
-            assert Fraction((a + b).twice, 2) == fa + fb
-            assert Fraction((a - c).twice, 2) == fa - fc
-            assert ((a + b) + c) == (a + (b + c))
-            assert (a + b) == (b + a)
-            assert Fraction((-a).twice, 2) == -fa
-            assert (a < b) == (fa < fb)
-
-    def test_int_mixing(self):
-        assert (HalfInt.from_twice(3) + 1).twice == 5
-        assert (1 + HalfInt.from_twice(3)).twice == 5
-        assert (HalfInt.from_twice(3) - 2).twice == -1
-        assert (2 - HalfInt.from_twice(3)).twice == 1
-        assert (HalfInt.from_twice(3) * 2).twice == 6
-        assert (2 * HalfInt.from_twice(3)).twice == 6
-        assert float(HalfInt.from_twice(3)) == 1.5
-        assert abs(HalfInt.from_twice(-3)) == HalfInt.from_twice(3)
+        for twice in rng.integers(-40, 40, size=1000).tolist():
+            assert doubled(Fraction(twice, 2)) == doubled(twice / 2) == 2 * Fraction(twice, 2) == twice
 
 
 class TestQuadratureSpec:

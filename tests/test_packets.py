@@ -1,9 +1,10 @@
 import itertools
+from fractions import Fraction
 
 import pytest
 
 from hypbranch.errors import AssumptionError, InvalidParameterError
-from hypbranch.numerics import HalfInt
+from hypbranch.numerics import doubled
 from hypbranch.packets import (
     InterlaceClass,
     RealForm,
@@ -31,7 +32,9 @@ from coset_oracle import (
     weyl_order,
 )
 
-H = HalfInt.from_twice
+
+def H(twice):
+    return Fraction(twice, 2)
 
 
 class TestSignedPermutation:
@@ -90,18 +93,18 @@ class TestWeylGroup:
 
 class TestWeylConjugate:
     def test_type_b_ignores_signs(self):
-        assert weyl_conjugate([HalfInt(2), HalfInt(1)], [HalfInt(-2), HalfInt(-1)], "B")
+        assert weyl_conjugate([2, 1], [-2, -1], "B")
 
     def test_type_d_parity(self):
         # three nonzero entries, all negated: odd flip count
-        a = [HalfInt(3), HalfInt(2), HalfInt(1)]
+        a = [3, 2, 1]
         assert not weyl_conjugate(a, [-v for v in a], "D")
         # even flip count
-        b = [HalfInt(3), HalfInt(2)]
+        b = [3, 2]
         assert weyl_conjugate(b, [-v for v in b], "D")
 
     def test_type_d_zero_entry(self):
-        a = [HalfInt(3), HalfInt(2), HalfInt(0)]
+        a = [3, 2, 0]
         assert weyl_conjugate(a, [-v for v in a], "D")
 
 
@@ -132,7 +135,7 @@ class TestInterlace:
 
     def test_matches_chain_loops(self):
         # the reference: the a_i > b_i > a_{i+1} chains as explicit loops over
-        # HalfInt entries, on every pair of decreasing sequences from -2 to 2
+        # Fraction entries, on every pair of decreasing sequences from -2 to 2
         def chain(a, b, start):
             for i in range(start, len(b)):
                 if not a[i] > b[i] or (i + 1 < len(a) and not b[i] > a[i + 1]):
@@ -151,8 +154,8 @@ class TestInterlace:
             for a in itertools.combinations(values, m):
                 for n in {max(m - 1, 0), m}:
                     for b in itertools.combinations(values, n):
-                        doubled = ([v.twice for v in a], [v.twice for v in b])
-                        assert interlace_classify(*doubled) is reference(a, b), (a, b)
+                        args = ([doubled(v) for v in a], [doubled(v) for v in b])
+                        assert interlace_classify(*args) is reference(a, b), (a, b)
 
     def test_tags_mutually_exclusive(self):
         # finite requires a1 > b1, infinite requires b1 >= a1
@@ -218,7 +221,7 @@ class TestDoubleCosets:
 
 class TestArthurPacket:
     def test_example(self):
-        report = arthur_packet(4, 4, HalfInt(2))
+        report = arthur_packet(4, 4, 2)
         assert report["size"] == 2
         tags = [m["tag"] for m in report["members"]]
         assert tags == ["s", "as"]
@@ -229,12 +232,12 @@ class TestArthurPacket:
 
     def test_ordering_assumption(self):
         with pytest.raises(AssumptionError):
-            arthur_packet(6, 4, HalfInt(1))
+            arthur_packet(6, 4, 1)
         with pytest.raises(AssumptionError):
-            arthur_packet(5, 5, HalfInt(1))
+            arthur_packet(5, 5, 1)
 
     def test_four_six(self):
-        assert arthur_packet(4, 6, HalfInt(1))["size"] == 2
+        assert arthur_packet(4, 6, 1)["size"] == 2
 
 
 class TestPureInnerForms:
@@ -310,20 +313,20 @@ class TestAdmissibility:
 class TestConjectureExplore:
     def test_default_g1_example(self):
         grid = [H(t) for t in range(1, 10)]
-        report = conjecture_explore(4, 4, HalfInt(2), "g1", grid)
-        assert [t.twice for t in report.support_s] == [5]
-        assert [t.twice for t in report.support_as] == [1, 3]
+        report = conjecture_explore(4, 4, 2, "g1", grid)
+        assert [doubled(t) for t in report.support_s] == [5]
+        assert [doubled(t) for t in report.support_as] == [1, 3]
         assert report.disjoint
         assert report.model_level
 
     def test_empty_grid(self):
-        report = conjecture_explore(4, 4, HalfInt(2), "g1", [])
+        report = conjecture_explore(4, 4, 2, "g1", [])
         assert report.disjoint
 
     def test_adversarial_predicates(self):
         grid = [H(t) for t in range(1, 6)]
         always = lambda t: True
-        report = conjecture_explore(4, 4, HalfInt(2), "g1", grid, always, always)
+        report = conjecture_explore(4, 4, 2, "g1", grid, always, always)
         assert not report.disjoint
 
     def test_disjoint_on_lambda_grid(self):
@@ -335,19 +338,19 @@ class TestConjectureExplore:
                     assert report.disjoint
 
     def test_default_predicates_exact_halfint(self):
-        pred_s, pred_as = default_support_predicates(4, 4, HalfInt(2), "g2")
+        pred_s, pred_as = default_support_predicates(4, 4, 2, "g2")
         assert pred_s(H(3)) and pred_s(H(1))
         assert not pred_s(H(5))
         assert pred_as(H(5)) and not pred_as(H(3))
 
     def test_default_supports_match_halfint_formulas(self):
-        # the reference: the criteria in HalfInt arithmetic, the "as" member of
+        # the reference: the criteria in Fraction arithmetic, the "as" member of
         # g1 with the roles of p and q exchanged; t = -1/2 included
         half = H(1)
 
         def inequality(p, q, lam, t):
             degree = t - 1 + H(p - q + 1)
-            return t + half <= lam and degree.twice % 2 == 0 and degree >= 0
+            return t + half <= lam and doubled(degree) % 2 == 0 and degree >= 0
 
         for p in range(4, 9):
             for q in range(4, 9):

@@ -1,15 +1,16 @@
 import json
 import math
+from fractions import Fraction
 
 import pytest
 
-from hypbranch import cli, fjrep, geometry, harmonics, numerics, periods
+from hypbranch import cli, fjrep, geometry, harmonics, numerics, packets, periods
 from hypbranch.cli import main
 from hypbranch.errors import DivergenceError, InvalidParameterError
 from hypbranch.fjrep import SpaceTag, inf_char, make_fj_param, valid_lambdas
 from hypbranch.geometry import radial_integral_closed
 from hypbranch.harmonics import sphere_area, zonal_norm_sq, zonal_norm_sq_closed
-from hypbranch.numerics import HalfInt
+from hypbranch.numerics import doubled
 from hypbranch.packets import InterlaceClass
 from hypbranch.periods import (
     branching_verdict,
@@ -26,32 +27,34 @@ from hypbranch.periods import (
     valid_targets,
 )
 
-H = HalfInt.from_twice
+
+def H(twice):
+    return Fraction(twice, 2)
 
 
 class TestConvergencePredicates:
     def test_examples(self):
-        assert converges_G2(HalfInt(2), H(1))
-        assert not converges_G2(HalfInt(0), H(-1))  # boundary is strict
-        assert not converges_G2(HalfInt(-1), HalfInt(0))
-        assert converges_G1(HalfInt(1), H(-2))
-        assert not converges_G1(H(-1), HalfInt(0))
+        assert converges_G2(2, H(1))
+        assert not converges_G2(0, H(-1))  # boundary is strict
+        assert not converges_G2(-1, 0)
+        assert converges_G1(1, H(-2))
+        assert not converges_G1(H(-1), 0)
 
 
 class TestNonvanishingPredicates:
     def test_g2_examples(self):
-        assert nonvanishing_G2(4, 4, HalfInt(2), H(3))  # b = 1 <= a = 1
-        assert not nonvanishing_G2(4, 4, HalfInt(2), H(5))  # b = 2 > a
-        assert nonvanishing_G2(4, 4, HalfInt(2), H(1))  # b = 0
+        assert nonvanishing_G2(4, 4, 2, H(3))  # b = 1 <= a = 1
+        assert not nonvanishing_G2(4, 4, 2, H(5))  # b = 2 > a
+        assert nonvanishing_G2(4, 4, 2, H(1))  # b = 0
 
     def test_g2_invalid_target_propagates(self):
         with pytest.raises(InvalidParameterError):
-            nonvanishing_G2(4, 6, HalfInt(3), H(1))  # b = -1 is not a degree
+            nonvanishing_G2(4, 6, 3, H(1))  # b = -1 is not a degree
 
     def test_g1_examples(self):
-        assert nonvanishing_G1(4, 4, HalfInt(2), H(5))  # nu = lambda + 1/2
-        assert not nonvanishing_G1(4, 4, HalfInt(2), H(3))
-        assert not nonvanishing_G1(4, 4, HalfInt(2), H(7))
+        assert nonvanishing_G1(4, 4, 2, H(5))  # nu = lambda + 1/2
+        assert not nonvanishing_G1(4, 4, 2, H(3))
+        assert not nonvanishing_G1(4, 4, 2, H(7))
 
     def test_g1_degree_match_is_nu_equals_lambda_plus_half(self):
         # the predicate compares the two full-sphere degrees; the paper states
@@ -70,7 +73,7 @@ class TestNonvanishingPredicates:
 class TestPeriodG2:
     def test_factored_value(self):
         # oracle factors: area(S^3) = 2pi^2, pairing = 8pi/3, R(3,-7) = 1/12
-        verdict = period_integral_G2(4, 4, HalfInt(2), H(3))
+        verdict = period_integral_G2(4, 4, 2, H(3))
         expected = 2 * math.pi**2 * (8 * math.pi / 3) / 12.0
         assert verdict.value == pytest.approx(expected, rel=1e-9)
         assert verdict.converges and verdict.nonzero and verdict.predicate_nonzero
@@ -78,7 +81,7 @@ class TestPeriodG2:
         assert verdict.degree_pair == (1, 1)
 
     def test_convergent_but_vanishing(self):
-        verdict = period_integral_G2(4, 4, HalfInt(2), H(5))
+        verdict = period_integral_G2(4, 4, 2, H(5))
         assert verdict.converges
         assert not verdict.nonzero and not verdict.predicate_nonzero
         scale = math.sqrt(zonal_norm_sq(1, 4) * zonal_norm_sq(2, 3))
@@ -86,20 +89,20 @@ class TestPeriodG2:
 
     def test_odd_gap_witness(self):
         # plain zonal pairing vanishes by parity but the witness certifies hom != 0
-        verdict = period_integral_G2(4, 4, HalfInt(2), H(1))
+        verdict = period_integral_G2(4, 4, 2, H(1))
         assert verdict.nonzero and verdict.predicate_nonzero
         assert not verdict.parity_match
         assert abs(verdict.value) < 1e-10  # zonal value is zero
-        twisted = period_integral_G2(4, 4, HalfInt(2), H(1), use_witness=True)
+        twisted = period_integral_G2(4, 4, 2, H(1), use_witness=True)
         assert twisted.witness_used
         assert abs(twisted.value) > 1.0
 
     def test_divergence(self):
         with pytest.raises(DivergenceError):
-            period_integral_G2(4, 4, HalfInt(-1), HalfInt(0))
+            period_integral_G2(4, 4, -1, 0)
 
     def test_verdict_consistency_grid(self):
-        lam = HalfInt(3)
+        lam = 3
         for mu in valid_targets(4, 4, "g2", 16):
             v = period_integral_G2(4, 4, lam, mu, use_witness=True)
             assert v.nonzero == v.predicate_nonzero
@@ -111,7 +114,7 @@ class TestPeriodG2:
 class TestPeriodG1:
     def test_diagonal_nonzero(self):
         # (5,4): valid lambda are half-odd; lambda = 3/2 pairs with nu = 2
-        verdict = period_integral_G1(5, 4, H(3), HalfInt(2))
+        verdict = period_integral_G1(5, 4, H(3), 2)
         assert verdict.nonzero and verdict.predicate_nonzero
         # oracle: area(S^3 in R^4) * |f_1|^2_{S^3} * R(3, -7) = 2pi^2 * 2pi^2 / 12
         expected = 2 * math.pi**2 * zonal_norm_sq(1, 4) / 12.0
@@ -119,7 +122,7 @@ class TestPeriodG1:
         assert verdict.value == pytest.approx(expected, rel=1e-9)
 
     def test_off_diagonal_orthogonality(self):
-        for nu in (HalfInt(1), HalfInt(3), HalfInt(4)):
+        for nu in (1, 3, 4):
             verdict = period_integral_G1(5, 4, H(3), nu)
             assert not verdict.nonzero and not verdict.predicate_nonzero
             a, c = verdict.degree_pair
@@ -130,7 +133,7 @@ class TestPeriodG1:
     def test_off_diagonal_orthogonality_high_degree(self, a):
         # lambda_x2 = 2a + 1 at (5, 4); the target nu_x2 = 2c + 2 has degree c
         for c in (a - 2, a + 2):
-            lam, nu = HalfInt.from_twice(2 * a + 1), HalfInt.from_twice(2 * c + 2)
+            lam, nu = H(2 * a + 1), H(2 * c + 2)
             verdict = period_integral_G1(5, 4, lam, nu)
             assert verdict.degree_pair == (a, c)
             scale = math.sqrt(zonal_norm_sq(a, 4) * zonal_norm_sq(c, 4))
@@ -140,11 +143,11 @@ class TestPeriodG1:
     def test_integer_lambda_invalid_at_5_4(self):
         # the ambient degree lambda - 1/2 is non-integral for integer lambda
         with pytest.raises(InvalidParameterError):
-            period_integral_G1(5, 4, HalfInt(2), H(5))
+            period_integral_G1(5, 4, 2, H(5))
 
     def test_divergence(self):
         with pytest.raises(DivergenceError):
-            period_integral_G1(5, 4, HalfInt(-2), HalfInt(1))
+            period_integral_G1(5, 4, -2, 1)
 
 
 class TestPeriodsG1Batched:
@@ -228,10 +231,10 @@ class TestPeriodsG2Batched:
 
     def test_divergence(self):
         with pytest.raises(DivergenceError):
-            period_integrals_G2(4, 4, HalfInt(2), [H(3), H(-9)])
+            period_integrals_G2(4, 4, 2, [H(3), H(-9)])
 
     def test_empty(self):
-        assert period_integrals_G2(4, 4, HalfInt(2), []) == []
+        assert period_integrals_G2(4, 4, 2, []) == []
 
 
 def _count_calls(monkeypatch, module, name):
@@ -296,34 +299,38 @@ class TestBatchedScanPasses:
 class TestParametersBuiltOnce:
     @pytest.mark.parametrize("argv", [G1_GOLDEN_SCAN, G2_GOLDEN_SCAN], ids=["g1", "g2"])
     def test_make_fj_param_calls_per_scan(self, monkeypatch, capsys, argv):
-        # the ambient parameter is built once and the characters come from two
-        # doubled-int calls (the ambient's, and the tail the targets share);
-        # the targets stay doubled ints, whatever the row count
-        params = [_count_calls(monkeypatch, m, "make_fj_param") for m in (fjrep, periods, cli)]
+        # the ambient parameter is built (and validated) once and the characters
+        # come from two doubled-int calls (the ambient's, and the tail the targets
+        # share); the targets stay doubled ints, whatever the row count: the scan
+        # reads no half-integer through `doubled`
+        modules = (fjrep, periods, packets, cli)
+        params = _count_calls(monkeypatch, fjrep.FJParam, "__post_init__")
+        reads = [_count_calls(monkeypatch, m, "doubled") for m in modules if hasattr(m, "doubled")]
         chars = _count_calls(monkeypatch, periods, "inf_char_x2")
         assert main(["branch", *argv]) == 0
         rows = len(json.loads(capsys.readouterr().out))
         assert rows > 10
-        assert sum(map(len, params)) == 1, (params, rows)
+        assert len(params) == 1, (params, rows)
+        assert sum(map(len, reads)) == 0, (reads, rows)
         assert len(chars) == 2, (chars, rows)
 
 
 class TestBranchingVerdict:
     def test_g2_example(self):
-        res = branching_verdict(4, 4, HalfInt(2), "g2", H(3))
+        res = branching_verdict(4, 4, 2, "g2", H(3))
         assert res.hom_nonzero
         assert not res.admissible_restriction
 
     def test_g1_examples(self):
-        res = branching_verdict(4, 4, HalfInt(2), "g1", H(5))
+        res = branching_verdict(4, 4, 2, "g1", H(5))
         assert res.hom_nonzero
         assert res.admissible_restriction
-        res = branching_verdict(4, 4, HalfInt(2), "g1", H(3))
+        res = branching_verdict(4, 4, 2, "g1", H(3))
         assert not res.hom_nonzero
 
     def test_unknown_subgroup(self):
         with pytest.raises(InvalidParameterError):
-            branching_verdict(4, 4, HalfInt(2), "g3", H(3))
+            branching_verdict(4, 4, 2, "g3", H(3))
 
 
 class TestPredicateIntegralAgreement:
@@ -348,7 +355,7 @@ class TestPredicateIntegralAgreement:
 
 class TestInterlacing:
     def test_finite_type_matches_g2_predicate(self):
-        for p, q, lam in ((4, 4, HalfInt(2)), (4, 6, HalfInt(3))):
+        for p, q, lam in ((4, 4, 2), (4, 6, 3)):
             for mu in valid_targets(p, q, "g2", 20):
                 finite = (
                     interlace_class_for_pair(p, q, lam, mu, "g2") is InterlaceClass.FINITE_TYPE
@@ -356,7 +363,7 @@ class TestInterlacing:
                 assert finite == nonvanishing_G2(p, q, lam, mu), (p, q, lam, mu)
 
     def test_g1_nonzero_is_infinite_type_1(self):
-        for p, q, lam in ((5, 4, H(3)), (5, 4, H(5)), (4, 4, HalfInt(2))):
+        for p, q, lam in ((5, 4, H(3)), (5, 4, H(5)), (4, 4, 2)):
             for nu in valid_targets(p, q, "g1", 20):
                 if nonvanishing_G1(p, q, lam, nu):
                     cls = interlace_class_for_pair(p, q, lam, nu, "g1")
@@ -373,11 +380,11 @@ class TestInterlacing:
         for p in range(4, 10):
             for q in range(4, 10):
                 for lam in valid_lambdas(p, q, 40):
-                    targets = valid_targets(p, q, subgroup, lam.twice + 4)
+                    targets = valid_targets(p, q, subgroup, doubled(lam) + 4)
                     for target, row in zip(targets, branching_verdicts(p, q, lam, subgroup, targets)):
                         expected = (
                             InterlaceClass.FINITE_TYPE
-                            if target.twice <= lam.twice
+                            if doubled(target) <= doubled(lam)
                             else InterlaceClass.INFINITE_TYPE_1
                         )
                         assert row.interlace is expected, (p, q, lam, subgroup, target)
@@ -385,10 +392,10 @@ class TestInterlacing:
     def test_equal_first_entries_case(self):
         # nu = lambda + 1/2 forces b1 = a1; only the non-strict first
         # comparison makes the pattern non-vacuous
-        amb = make_fj_param(4, 4, HalfInt(2))
+        amb = make_fj_param(4, 4, 2)
         tgt = make_fj_param(4, 4, H(5), SpaceTag.G1_SPACE)
         assert inf_char(amb)[0] == inf_char(tgt)[0]
-        assert interlace_class_for_pair(4, 4, HalfInt(2), H(5), "g1") is InterlaceClass.INFINITE_TYPE_1
+        assert interlace_class_for_pair(4, 4, 2, H(5), "g1") is InterlaceClass.INFINITE_TYPE_1
 
 
 class TestEndToEndOracle:
@@ -400,7 +407,7 @@ class TestEndToEndOracle:
 
         from hypbranch.numerics import gauss_legendre_on
 
-        p, q, lam, mu = 4, 4, HalfInt(2), H(3)
+        p, q, lam, mu = 4, 4, 2, H(3)
         amb = make_fj_param(p, q, lam)
         tgt = make_fj_param(p, q, mu, SpaceTag.G2_SPACE)
         from hypbranch.fjrep import fj_eval
@@ -427,10 +434,10 @@ class TestEndToEndOracle:
 class TestValidTargets:
     def test_lattice_parity(self):
         # (4,4) g2-targets are half-odd, g1-targets are half-odd as well
-        assert [t.twice for t in valid_targets(4, 4, "g2", 7)] == [1, 3, 5, 7]
-        assert [t.twice for t in valid_targets(4, 4, "g1", 7)] == [3, 5, 7]
+        assert [doubled(t) for t in valid_targets(4, 4, "g2", 7)] == [1, 3, 5, 7]
+        assert [doubled(t) for t in valid_targets(4, 4, "g1", 7)] == [3, 5, 7]
         # (4,6) g2-targets start at b = 0, i.e. mu = 3/2
-        assert [t.twice for t in valid_targets(4, 6, "g2", 9)] == [3, 5, 7, 9]
+        assert [doubled(t) for t in valid_targets(4, 6, "g2", 9)] == [3, 5, 7, 9]
 
     def test_empty_range(self):
         assert valid_targets(4, 4, "g2", 0) == []
@@ -451,7 +458,7 @@ class TestValidTargets:
                         except InvalidParameterError:
                             continue
                     for max_twice in range(41):
-                        expected = [lam for lam in brute if lam.twice <= max_twice]
+                        expected = [lam for lam in brute if doubled(lam) <= max_twice]
                         assert valid_lambdas(p, q, max_twice, tag) == expected, (p, q, tag, max_twice)
                         if tag is not SpaceTag.G_ON_H:
                             assert valid_targets(p, q, tag.value, max_twice) == expected
