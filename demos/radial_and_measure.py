@@ -2,7 +2,8 @@
 
 Every integral over X(p, q) in this library separates into sphere factors
 and a single radial cosh/sinh-power integral; this script shows the radial
-piece and its closed form side by side.
+piece: its closed form, which is exact for integer exponents, next to the
+Gauss quadrature that cross-checks it.
 """
 
 import numpy as np
@@ -36,7 +37,7 @@ for t in (0.5, 1.0, 2.0):
     print(f"  t = {t:4.1f}:  weight = {measure_weight(chart, t):12.6f}")
 
 print()
-print("== radial integrals R(a, c) = int sinh^a cosh^c dt ==")
+print("== radial integrals R(a, c) = int sinh^a cosh^c dt: exact closed form, Gauss cross-check ==")
 for a_exp, c_exp in ((1, -3), (3, -7), (0, -2), (5, -9)):
     closed = radial_integral_closed(a_exp, c_exp)
     numeric, err = radial_integral_numeric(a_exp, c_exp)

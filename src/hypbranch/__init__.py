@@ -25,7 +25,7 @@ from .harmonics import (
     sphere_area,
     zonal_norm_sq,
 )
-from .numerics import QuadratureSpec, beta, gauss_legendre_rule, log_gamma
+from .numerics import gauss_legendre_rule
 from .packets import (
     InterlaceClass,
     RealForm,

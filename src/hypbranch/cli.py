@@ -4,9 +4,10 @@ Half-integer flags use the doubled-integer convention (`--lambda-x2 3` means
 lambda = 3/2) so no parameter ever passes through float parsing.  Exit codes:
 0 success, 1 property failure or a branch row whose numeric verdict disagrees
 with its predicate, 2 invalid parameters, an unwritable --out file,
-`period --witness` with `--subgroup g1` (the witness pairing is g2's), a
-`branch --max-target-x2` that admits a target degree above 400 or a
-`--nodes` above 4096, 3 divergent integral, 4 numeric tolerance not met.
+`period --witness` with `--subgroup g1` (the witness pairing is g2's) or a
+`branch --max-target-x2` that admits a target degree above 400, 3 divergent
+integral, 4 numeric tolerance not met or a reported value outside the normal
+floating-point range.
 """
 
 from __future__ import annotations
@@ -22,16 +23,12 @@ from fractions import Fraction
 from .checks import run_suite
 from .errors import DivergenceError, InvalidParameterError, ToleranceError
 from .fjrep import FJParam, SpaceTag, degree_x2, valid_lambdas_x2
-from .numerics import QuadratureSpec
 from .packets import RealForm, arthur_packet, pure_inner_forms, relevant_pairs
 from .periods import branching_verdicts_x2, period_integral_G1, period_integral_G2
 
 # The largest target degree a `branch` scan accepts: the checked degree range.
 # A g1 scan holds one Gram row per target, so its memory grows with the square.
 MAX_SCAN_DEGREE = 400
-# The largest radial rule `--nodes` accepts: a rule's Newton build grows with
-# the square of its node count.
-MAX_RADIAL_NODES = 4096
 
 BRANCH_COLUMNS = [
     "p",
@@ -65,22 +62,13 @@ def _emit_json(args, obj) -> None:
     _emit(args, json.dumps(obj, sort_keys=True))
 
 
-def _quad_spec(args) -> QuadratureSpec:
-    nodes = getattr(args, "nodes", None)
-    if nodes is None:
-        return QuadratureSpec()
-    if nodes > MAX_RADIAL_NODES:
-        raise ValueError(f"--nodes {nodes} is above the largest radial rule, {MAX_RADIAL_NODES} nodes")
-    return QuadratureSpec(radial_nodes=nodes)
-
-
 def cmd_fj(args) -> int:
     param = FJParam(args.p, args.q, args.lambda_x2)
     _emit_json(args, param.to_json_dict())
     return 0
 
 
-def _branch_rows(args, spec):
+def _branch_rows(args):
     tag = SpaceTag(args.subgroup)
     top = degree_x2(args.p, args.q, args.max_target_x2, tag) // 2
     if top > MAX_SCAN_DEGREE:
@@ -89,7 +77,7 @@ def _branch_rows(args, spec):
             f" branch scans stop at degree {MAX_SCAN_DEGREE}"
         )
     targets_x2 = valid_lambdas_x2(args.p, args.q, args.max_target_x2, tag)
-    results = branching_verdicts_x2(args.p, args.q, args.lambda_x2, args.subgroup, targets_x2, spec)
+    results = branching_verdicts_x2(args.p, args.q, args.lambda_x2, args.subgroup, targets_x2)
     rows = []
     for target_x2, result in zip(targets_x2, results):
         v = result.verdict
@@ -114,7 +102,7 @@ def _branch_rows(args, spec):
 
 
 def cmd_branch(args) -> int:
-    rows = _branch_rows(args, _quad_spec(args))
+    rows = _branch_rows(args)
     mismatches = [row for row in rows if row["nonzero"] != row["predicate"]]
     if mismatches:
         for row in mismatches:
@@ -137,11 +125,10 @@ def cmd_period(args) -> int:
     if args.witness and args.subgroup == "g1":
         raise ValueError("--witness applies to --subgroup g2 only")
     lam, target = Fraction(args.lambda_x2, 2), Fraction(args.target_x2, 2)
-    spec = _quad_spec(args)
     if args.subgroup == "g1":
-        verdict = period_integral_G1(args.p, args.q, lam, target, spec)
+        verdict = period_integral_G1(args.p, args.q, lam, target)
     else:
-        verdict = period_integral_G2(args.p, args.q, lam, target, spec, use_witness=args.witness)
+        verdict = period_integral_G2(args.p, args.q, lam, target, use_witness=args.witness)
     payload = verdict.to_json_dict()
     payload.update(
         {
@@ -216,7 +203,6 @@ def build_parser() -> argparse.ArgumentParser:
     branch.add_argument("--subgroup", choices=("g1", "g2"), required=True)
     branch.add_argument("--max-target-x2", dest="max_target_x2", type=int, required=True)
     branch.add_argument("--format", choices=("json", "csv"), default="json")
-    branch.add_argument("--nodes", type=int, help="radial rule node count")
     branch.add_argument("--out")
     branch.set_defaults(func=cmd_branch)
 
@@ -226,7 +212,6 @@ def build_parser() -> argparse.ArgumentParser:
     period.add_argument("--lambda-x2", dest="lambda_x2", type=int, required=True)
     period.add_argument("--target-x2", dest="target_x2", type=int, required=True)
     period.add_argument("--subgroup", choices=("g1", "g2"), required=True)
-    period.add_argument("--nodes", type=int, help="radial rule node count")
     period.add_argument("--witness", action="store_true", help="use the twisted witness pairing (g2 only)")
     period.add_argument("--out")
     period.set_defaults(func=cmd_period)

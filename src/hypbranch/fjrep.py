@@ -11,6 +11,7 @@ non-negative integer.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -18,9 +19,9 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import InvalidParameterError, ToleranceError
-from .geometry import radial_integral_closed, radial_integral_numeric
+from .geometry import radial_integral_closed
 from .harmonics import gegenbauer, sphere_area, zonal_norm_sq
-from .numerics import RADIAL_TOL, QuadratureSpec, doubled
+from .numerics import doubled
 
 __all__ = [
     "SpaceTag",
@@ -32,8 +33,6 @@ __all__ = [
     "inf_char",
     "is_self_dual",
 ]
-
-_DEFAULT_SPEC = QuadratureSpec()
 
 
 class SpaceTag(Enum):
@@ -54,6 +53,7 @@ class FJParam:
     def __post_init__(self):
         if self.p < 4 or self.q < 4:
             raise InvalidParameterError(f"standing assumption p, q >= 4 violated: ({self.p}, {self.q})")
+        object.__setattr__(self, "tag", SpaceTag(self.tag))  # a tag given by its value, such as "g1"
         checked_degree(self.p, self.q, self.lam_x2, self.tag)
 
     @property
@@ -76,7 +76,7 @@ class FJParam:
     def decay_exponent(self) -> Fraction:
         return Fraction(decay_x2(self.total, self.lam_x2), 2)
 
-    def to_json_dict(self, spec: QuadratureSpec = _DEFAULT_SPEC) -> dict:
+    def to_json_dict(self) -> dict:
         return {
             "p": self.p,
             "q": self.q,
@@ -86,7 +86,7 @@ class FJParam:
             "min_ktype_x2": 2 * self.degree,
             "inf_char_x2": inf_char_x2(self.total, self.lam_x2),
             "self_dual": is_self_dual(self),
-            "l2_norm_sq": l2_norm_sq(self, spec),
+            "l2_norm_sq": l2_norm_sq(self),
         }
 
 
@@ -130,7 +130,7 @@ def checked_degree(p: int, q: int, lam_x2: int, tag: SpaceTag) -> int:
 
 def make_fj_param(p: int, q: int, lam, tag: SpaceTag = SpaceTag.G_ON_H) -> FJParam:
     """Build a parameter descriptor for a half-integer lambda (int, Fraction or float)."""
-    return FJParam(p, q, doubled(lam), SpaceTag(tag))
+    return FJParam(p, q, doubled(lam), tag)
 
 
 def valid_lambdas_x2(p: int, q: int, max_twice: int, tag: SpaceTag = SpaceTag.G_ON_H) -> range:
@@ -167,22 +167,18 @@ def fj_eval(param: FJParam, y_prime, t) -> float:
     return out if out.ndim else float(out)
 
 
-def l2_norm_sq(param: FJParam, spec: QuadratureSpec = _DEFAULT_SPEC) -> float:
+def l2_norm_sq(param: FJParam) -> float:
     """Squared L^2 norm over the parameter's space, in factored form.
 
-    sphere_area(p) * |f_a|^2_{S^{q-1}} * R(p-1, q-1+2e); the radial factor is
-    evaluated numerically and cross-checked against the closed form.
+    sphere_area(p) * |f_a|^2_{S^{q-1}} * R(p-1, q-1+2e), with the exact radial
+    factor; the sphere area comes first, so a huge p is refused before any other
+    work.  Raises ToleranceError when the norm is not a normal double.
     """
     sp, sq = param.space_signature
-    a_exp = sp - 1
-    c_exp = float(sq - 1 + decay_x2(sp + sq, param.lam_x2))
-    value, _ = radial_integral_numeric(a_exp, c_exp, spec)
-    closed = radial_integral_closed(a_exp, c_exp)
-    if abs(value - closed) > RADIAL_TOL * max(1.0, abs(closed)) * 10:
-        raise ToleranceError("radial factor disagrees with its closed form", abs(value - closed))
-    norm_sq = sphere_area(sp) * zonal_norm_sq(param.degree, sq) * value
-    if not math.isfinite(norm_sq):
-        raise ToleranceError(f"L2 norm {norm_sq} is not finite at degree {param.degree}", math.inf)
+    a_exp, c_exp = sp - 1, sq - 1 + decay_x2(sp + sq, param.lam_x2)
+    norm_sq = sphere_area(sp) * zonal_norm_sq(param.degree, sq) * radial_integral_closed(a_exp, c_exp)
+    if not sys.float_info.min <= norm_sq < math.inf:
+        raise ToleranceError(f"L2 norm {norm_sq} is not a normal double at degree {param.degree}", math.inf)
     return norm_sq
 
 

@@ -9,12 +9,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
 from .errors import AssumptionError, DivergenceError, InvalidParameterError, ToleranceError
-from .numerics import RADIAL_TOL, QuadratureSpec, beta, gauss_legendre_on
+from .numerics import gauss_legendre_on, half_gamma, sqrt_pi_ratio
 
 __all__ = [
     "HyperboloidChart",
@@ -28,7 +27,11 @@ __all__ = [
     "radial_integral_truncated",
 ]
 
-_DEFAULT_SPEC = QuadratureSpec()
+# A radial quadrature must agree with its halved rule to RADIAL_TOL * max(1, |value|).
+RADIAL_TOL = 1e-10
+# Relative rounding bound of radial_integral_closed on integer exponents: the
+# division, pi and pi's product, u = 2^-53 each.
+RADIAL_ROUNDING = 3 * 2.0**-53
 
 
 @dataclass(frozen=True)
@@ -97,30 +100,30 @@ def _check_radial_convergence(a_exp: float, c_exp: float) -> None:
 def radial_integral_closed(a_exp: float, c_exp: float) -> float:
     """Closed form of R(a, c) = int_0^inf sinh^a(t) cosh^c(t) dt.
 
-    Equals (1/2) B((a+1)/2, -(a+c)/2) for a > -1 and a + c < 0.
+    Equals (1/2) B((a+1)/2, -(a+c)/2) for a > -1 and a + c < 0.  For integer
+    exponents, which every period and L2 norm has, R is the Wallis integral
+    int_0^{pi/2} sin^a cos^m with m = -(a+c)-1: a ratio of integers, times pi/2
+    when a and m are both even, rounded once (:func:`numerics.sqrt_pi_ratio`).
+    Other exponents take the Beta function on math.lgamma.
     """
     a_exp, c_exp = float(a_exp), float(c_exp)
     _check_radial_convergence(a_exp, c_exp)
-    return 0.5 * beta((a_exp + 1.0) / 2.0, -(a_exp + c_exp) / 2.0)
+    if not (a_exp.is_integer() and c_exp.is_integer()):
+        x, y = (a_exp + 1.0) / 2.0, -(a_exp + c_exp) / 2.0
+        return 0.5 * math.exp(math.lgamma(x) + math.lgamma(y) - math.lgamma(x + y))
+    a, m = int(a_exp), int(-(a_exp + c_exp)) - 1
+    # (1/2) Gamma((a+1)/2) Gamma((m+1)/2) / Gamma((a+m+2)/2), each Gamma exact
+    (num_a, den_a, r_a), (num_m, den_m, r_m), (num_s, den_s, r_s) = map(half_gamma, (a + 1, m + 1, a + m + 2))
+    return sqrt_pi_ratio(num_a * num_m * den_s, 2 * den_a * den_m * num_s, r_a + r_m - r_s)
 
 
-@lru_cache(maxsize=64)
-def _radial_rule(n: int):
-    """sin and cos of the n-point Gauss rule on [0, pi/2], and its weights; read-only."""
-    phi, w = gauss_legendre_on(0.0, math.pi / 2.0, n)
-    out = np.sin(phi), np.cos(phi), w
-    for arr in out:
-        arr.setflags(write=False)
-    return out
-
-
-def radial_integrals_numeric(
-    a_exp: float, c_exps, spec: QuadratureSpec = _DEFAULT_SPEC
-) -> list[tuple[float, float]]:
+def radial_integrals_numeric(a_exp: float, c_exps, nodes: int = 200) -> list[tuple[float, float]]:
     """Numeric R(a, c) for each c in `c_exps`, with error estimates from halving the rule.
 
-    Every exponent is evaluated on the same two node sets, as one (exponents x nodes)
-    array.  Raises ToleranceError when an estimate exceeds RADIAL_TOL max(1, |value|).
+    The independent cross-check of :func:`radial_integral_closed`.  Every exponent
+    is evaluated on the same two node sets (`nodes` and half as many), as one
+    (exponents x nodes) array.  Raises ToleranceError when an estimate exceeds
+    RADIAL_TOL max(1, |value|).
     """
     a_exp, c_exps = float(a_exp), [float(c) for c in c_exps]
     for c_exp in c_exps:
@@ -131,9 +134,9 @@ def radial_integrals_numeric(
     # polynomial whenever the exponents are integers.
     cos_powers = np.array([-(a_exp + c_exp) - 1.0 for c_exp in c_exps]).reshape(-1, 1)
     sums = []
-    for n in (spec.radial_nodes, max(spec.radial_nodes // 2, 8)):
-        sin_phi, cos_phi, w = _radial_rule(n)
-        sums.append((w * sin_phi**a_exp * cos_phi**cos_powers).sum(axis=1).tolist())
+    for n in (nodes, max(nodes // 2, 8)):
+        phi, w = gauss_legendre_on(0.0, math.pi / 2.0, n)
+        sums.append((w * np.sin(phi) ** a_exp * np.cos(phi) ** cos_powers).sum(axis=1).tolist())
     out = []
     for value, coarse in zip(*sums):
         err_est = abs(value - coarse)
@@ -147,11 +150,9 @@ def radial_integrals_numeric(
     return out
 
 
-def radial_integral_numeric(
-    a_exp: float, c_exp: float, spec: QuadratureSpec = _DEFAULT_SPEC
-) -> tuple[float, float]:
+def radial_integral_numeric(a_exp: float, c_exp: float, nodes: int = 200) -> tuple[float, float]:
     """The one-exponent form of :func:`radial_integrals_numeric`."""
-    return radial_integrals_numeric(a_exp, [c_exp], spec)[0]
+    return radial_integrals_numeric(a_exp, [c_exp], nodes)[0]
 
 
 def radial_integral_truncated(a_exp: float, c_exp: float, t_max: float, nodes: int = 400) -> float:

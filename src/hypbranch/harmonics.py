@@ -18,7 +18,7 @@ from itertools import accumulate
 import numpy as np
 
 from .errors import InvalidParameterError, ToleranceError
-from .numerics import SPHERE_NODE_STEP, log_gamma, sphere_nodes, sphere_rule
+from .numerics import SPHERE_NODE_STEP, half_gamma, sphere_nodes, sphere_rule, sqrt_pi_ratio
 
 __all__ = [
     "gegenbauer",
@@ -83,14 +83,21 @@ def gegenbauer(n: int, nu: float, x):
     return c if c.ndim else float(c)
 
 
+# The area of S^{n-1} is below the normal floating-point range from n = 439.
+MAX_SPHERE_DIM = 438
+
+
 def sphere_area(n: int) -> float:
-    """Surface area of the unit sphere S^{n-1} in R^n: 2 pi^{n/2} / Gamma(n/2)."""
+    """Surface area of the unit sphere S^{n-1} in R^n: 2 pi^{n/2} / Gamma(n/2), rounded once.
+
+    Raises ToleranceError above MAX_SPHERE_DIM, before any factorial is built.
+    """
     if n < 1:
         raise ValueError("sphere_area requires n >= 1")
-    try:
-        return 2.0 * math.pi ** (n / 2.0) / math.exp(log_gamma(n / 2.0))
-    except OverflowError:  # Gamma(n/2) leaves the float range from n = 344
-        raise ToleranceError(f"sphere area of S^{n - 1} is out of floating-point range", math.inf) from None
+    if n > MAX_SPHERE_DIM:
+        raise ToleranceError(f"sphere area of S^{n - 1} is out of floating-point range", math.inf)
+    num, den, r = half_gamma(n)
+    return sqrt_pi_ratio(2 * den, num, n - r)
 
 
 def weighted_cos_integral(f, sin_power: int, degree: int) -> float:
@@ -123,9 +130,10 @@ def _gram_rows(ks, batch, top_k: int, n: int):
     return grams, np.abs(grams) / np.sqrt(products), norms
 
 
-# Beyond the checked range the zonal values overflow; the kernel refuses
-# non-finite norms with ToleranceError, so numpy's warnings would only be noise.
-@np.errstate(over="ignore", invalid="ignore")
+# Beyond the checked range the zonal values overflow or underflow; the kernel
+# refuses non-finite norms and the verdicts non-finite ratios with
+# ToleranceError, so numpy's warnings would only be noise.
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def zonal_gram(ks, targets, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Gram rows of the zonal harmonics Z_k, k in `ks`, against each degree c in `targets` on S^{n-1}.
 
@@ -158,17 +166,18 @@ def zonal_norm_sq(a: int, n: int) -> float:
 
 
 def zonal_norm_sq_closed(a: int, n: int) -> float:
-    """Closed form of :func:`zonal_norm_sq` from Gegenbauer orthogonality."""
+    """Closed form of :func:`zonal_norm_sq` from Gegenbauer orthogonality, rounded once.
+
+    |Z_a|^2 = area(S^{n-2}) pi 2^{1-2nu} Gamma(a+2nu) / (a! (a+nu) Gamma(nu)^2), nu = (n-2)/2.
+    """
     if n < 3:
         raise InvalidParameterError("zonal_norm_sq_closed requires sphere_dim >= 3")
-    nu = (n - 2) / 2.0
-    line = (
-        math.pi
-        * 2.0 ** (1.0 - 2.0 * nu)
-        * math.exp(log_gamma(a + 2.0 * nu) - log_gamma(a + 1.0) - 2.0 * log_gamma(nu))
-        / (a + nu)
-    )
-    return sphere_area(n - 1) * line
+    # area(S^{n-2}) = 2 pi^{(n-1)/2} / Gamma((n-1)/2), 2^{1-2nu} = 2^{3-n} and a + nu = (2a+n-2) / 2
+    num_s, den_s, r_s = half_gamma(n - 1)
+    num_nu, den_nu, r_nu = half_gamma(n - 2)
+    num = 4 * den_s * math.factorial(a + n - 3) * den_nu**2
+    den = num_s * 2 ** (n - 3) * math.factorial(a) * (2 * a + n - 2) * num_nu**2
+    return sqrt_pi_ratio(num, den, n + 1 - r_s - 2 * r_nu)
 
 
 def pairing_subsphere(a: int, b: int, n: int) -> float:
@@ -213,7 +222,8 @@ def ktype_pairings_nonzero(a: int, bs, n: int) -> list[tuple[bool, float]]:
     Returns one (nonzero, witness_value) per b.  witness_value is the pairing
     with Z_b of the leading (j-th) normal trace K Z_k of the best member k, where
     K = j! (2 lam)_j / (2^j (lam)_j); it is 0.0, the exact value, when the type
-    is unreachable.  Raises ToleranceError when a zonal norm is not finite.
+    is unreachable.  Raises ToleranceError when a zonal norm or a Gram ratio is
+    not finite.
     """
     if n < 4:
         raise InvalidParameterError("ktype_pairing_nonzero requires n >= 4")
@@ -221,6 +231,8 @@ def ktype_pairings_nonzero(a: int, bs, n: int) -> list[tuple[bool, float]]:
     if a < 0 or min(bs, default=0) < 0:
         raise InvalidParameterError("degrees must be non-negative")
     grams, ratios, _ = zonal_gram(range(a + 1), bs, n - 1)
+    if not np.isfinite(ratios).all():  # some |Z_k|^2 |Z_b|^2 underflowed to 0
+        raise ToleranceError(f"zonal Gram ratio not finite at degree {a} on S^{n - 2}", math.inf)
     found = []
     for k, ratio, gram in zip(np.argmax(ratios, axis=1).tolist(), ratios, grams):
         if not ratio[k] > GRAM_RATIO_TOL:  # rounding noise, which K can carry past the float range

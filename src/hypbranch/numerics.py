@@ -1,16 +1,15 @@
-"""Half-integer input, Gauss rules, and Gamma/Beta helpers.
+"""Half-integer input, Gauss rules, and exact Gamma at half-integers.
 
 Every representation-theoretic parameter in this library (spectral parameters,
 harmonic degrees, decay exponents) is a half-integer.  Inside the library it
 is a doubled int; a public function reads it through :func:`doubled` and
 returns one as a ``fractions.Fraction``.  Floating point enters only inside
-quadrature and the special functions below.
+quadrature and in the one rounding of an exact Gamma ratio.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
@@ -20,13 +19,12 @@ from .errors import InvalidParameterError
 
 __all__ = [
     "doubled",
-    "QuadratureSpec",
     "gauss_legendre_rule",
     "gauss_legendre_on",
     "sphere_nodes",
     "sphere_rule",
-    "log_gamma",
-    "beta",
+    "half_gamma",
+    "sqrt_pi_ratio",
 ]
 
 
@@ -47,22 +45,6 @@ def doubled(value) -> int:
     if den not in (1, 2):
         raise InvalidParameterError(f"{value!r} is not an exact half-integer")
     return num if den == 2 else 2 * num
-
-
-# A radial quadrature must agree with its halved rule to RADIAL_TOL * max(1, |value|),
-# and an L2 norm's radial factor with its closed form to ten times that.
-RADIAL_TOL = 1e-10
-
-
-@dataclass(frozen=True)
-class QuadratureSpec:
-    """Node count of the radial rule (sphere rules follow the degree)."""
-
-    radial_nodes: int = 200
-
-    def __post_init__(self):
-        if self.radial_nodes < 2:
-            raise ValueError("node counts must be >= 2")
 
 
 def _legendre_and_derivative(n: int, x):
@@ -154,17 +136,23 @@ def _sphere_rule(n: int, sin_power: int):
     return x, w
 
 
-def log_gamma(x: float) -> float:
-    """ln Gamma(x) for x > 0."""
-    x = float(x)
-    if not x > 0:
-        raise ValueError(f"log_gamma requires x > 0, got {x}")
-    return math.lgamma(x)
+def half_gamma(x2: int) -> tuple[int, int, int]:
+    """Gamma(x2 / 2) for a doubled int x2 >= 1, exactly: (num, den, r) with Gamma = num / den * sqrt(pi)^r.
+
+    Gamma(k) = (k-1)! and Gamma(k + 1/2) = (2k)! / (4^k k!) sqrt(pi) (DLMF 5.4.6),
+    so r = x2 % 2.  math.factorial raises ValueError for x2 < 1.
+    """
+    k = x2 // 2
+    if x2 % 2 == 0:
+        return math.factorial(k - 1), 1, 0
+    return math.factorial(2 * k), 4**k * math.factorial(k), 1
 
 
-def beta(x: float, y: float) -> float:
-    """Euler Beta function B(x, y) = Gamma(x)Gamma(y)/Gamma(x+y) for x, y > 0."""
-    x, y = float(x), float(y)
-    if not (x > 0 and y > 0):
-        raise ValueError(f"beta requires positive arguments, got ({x}, {y})")
-    return math.exp(log_gamma(x) + log_gamma(y) - log_gamma(x + y))
+def sqrt_pi_ratio(num: int, den: int, sqrt_pi_power: int) -> float:
+    """num / den * sqrt(pi)^sqrt_pi_power as a float, from one correctly rounded int/int division.
+
+    The power of pi enters as the exact ratio of its double, so no intermediate
+    result can underflow while the result is normal.
+    """
+    pi_num, pi_den = (math.pi ** (sqrt_pi_power / 2)).as_integer_ratio()
+    return num * pi_num / (den * pi_den)

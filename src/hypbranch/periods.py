@@ -11,6 +11,7 @@ S^{q-2}; the closed-form predicates provide the independent cross-check.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -25,9 +26,9 @@ from .fjrep import (
     tag_signature,
     valid_lambdas,
 )
-from .geometry import radial_integrals_numeric
+from .geometry import RADIAL_ROUNDING, radial_integral_closed
 from .harmonics import GRAM_RATIO_TOL, ktype_pairings_nonzero, pairing_subsphere, sphere_area, zonal_gram
-from .numerics import QuadratureSpec, doubled
+from .numerics import doubled
 from .packets import InterlaceClass, interlace_classify
 
 __all__ = [
@@ -46,9 +47,6 @@ __all__ = [
     "valid_targets",
     "interlace_class_for_pair",
 ]
-
-_DEFAULT_SPEC = QuadratureSpec()
-
 
 @dataclass(frozen=True)
 class PeriodVerdict:
@@ -128,21 +126,24 @@ def _require_convergence(lam_x2: int, targets_x2, tag: SpaceTag) -> None:
             raise DivergenceError(f"period diverges: lambda + {name} = {total} fails the > -1/2 threshold")
 
 
-def _assemble(ambient, tag, targets_x2, degrees, pairings, nonzeros, spec, witness) -> list[PeriodVerdict]:
+def _assemble(ambient, tag, targets_x2, degrees, pairings, nonzeros, witness) -> list[PeriodVerdict]:
     """Verdicts from the factored periods sphere_area(sp) * pairing * R(sp-1, sq-1 + e_lambda + e_target).
 
     X(sp, sq) is the targets' space and every exponent is a doubled int; the
-    radial factors of all targets come from one pair of rules.  Refuses a
-    value that is not finite.
+    radial factors are exact (`radial_integral_closed`), so err_est is
+    |sphere * pairing| times their rounding bound.  Refuses a value that is not
+    finite, and sphere and radial factors whose product is not a normal double.
     """
     if not targets_x2:
         return []
     sp, sq = tag_signature(ambient.p, ambient.q, tag)
     shift_x2 = 2 * (sq - 1) + decay_x2(ambient.total, ambient.lam_x2)
-    radials = radial_integrals_numeric(sp - 1, [(shift_x2 + decay_x2(sp + sq, t)) / 2 for t in targets_x2], spec)
     a, sphere = ambient.degree, sphere_area(sp)
     verdicts = []
-    for b, pairing, (radial, err), nonzero in zip(degrees, pairings, radials, nonzeros):
+    for t_x2, b, pairing, nonzero in zip(targets_x2, degrees, pairings, nonzeros):
+        radial = radial_integral_closed(sp - 1, (shift_x2 + decay_x2(sp + sq, t_x2)) / 2)
+        if sphere * radial < sys.float_info.min:
+            raise ToleranceError(f"sphere*radial {sphere * radial} below normal range at degrees ({a}, {b})", math.inf)
         value = sphere * pairing * radial
         if not math.isfinite(value):
             raise ToleranceError(f"period value {value} is not finite at degrees ({a}, {b})", math.inf)
@@ -152,7 +153,7 @@ def _assemble(ambient, tag, targets_x2, degrees, pairings, nonzeros, spec, witne
                 parity_match=(a - b) % 2 == 0,
                 degree_pair=(a, b),
                 value=value,
-                err_est=abs(sphere * pairing) * err,
+                err_est=abs(sphere * pairing) * (RADIAL_ROUNDING * radial),
                 nonzero=nonzero,
                 predicate_nonzero=_nonvanishing(tag, a, b),
                 sphere_factor=sphere,
@@ -164,26 +165,26 @@ def _assemble(ambient, tag, targets_x2, degrees, pairings, nonzeros, spec, witne
     return verdicts
 
 
-def _periods_G2(ambient: FJParam, mus_x2, spec: QuadratureSpec, use_witness: bool) -> list[PeriodVerdict]:
+def _periods_G2(ambient: FJParam, mus_x2, use_witness: bool) -> list[PeriodVerdict]:
     a, p, q = ambient.degree, ambient.p, ambient.q
     bs = [checked_degree(p, q, mu, SpaceTag.G2_SPACE) for mu in mus_x2]
     witness = ktype_pairings_nonzero(a, bs, q)
     pairings = [value for _, value in witness] if use_witness else [pairing_subsphere(a, b, q) for b in bs]
     nonzeros = [ok for ok, _ in witness]
-    return _assemble(ambient, SpaceTag.G2_SPACE, mus_x2, bs, pairings, nonzeros, spec, use_witness)
+    return _assemble(ambient, SpaceTag.G2_SPACE, mus_x2, bs, pairings, nonzeros, use_witness)
 
 
-def _periods_G1(ambient: FJParam, nus_x2, spec: QuadratureSpec) -> list[PeriodVerdict]:
+def _periods_G1(ambient: FJParam, nus_x2) -> list[PeriodVerdict]:
     a, p, q = ambient.degree, ambient.p, ambient.q
     cs = [checked_degree(p, q, nu, SpaceTag.G1_SPACE) for nu in nus_x2]
     grams, ratios, _ = zonal_gram(cs, [a], q)
+    if not all(map(math.isfinite, ratios[0].tolist())):  # some |Z_a|^2 |Z_c|^2 underflowed to 0
+        raise ToleranceError(f"zonal Gram ratio not finite at degree {a} on S^{q - 1}", math.inf)
     nonzeros = (ratios[0] > GRAM_RATIO_TOL).tolist()
-    return _assemble(ambient, SpaceTag.G1_SPACE, nus_x2, cs, grams[0].tolist(), nonzeros, spec, False)
+    return _assemble(ambient, SpaceTag.G1_SPACE, nus_x2, cs, grams[0].tolist(), nonzeros, False)
 
 
-def period_integrals_G2(
-    p: int, q: int, lam, mus, spec: QuadratureSpec = _DEFAULT_SPEC, use_witness: bool = False
-) -> list[PeriodVerdict]:
+def period_integrals_G2(p: int, q: int, lam, mus, use_witness: bool = False) -> list[PeriodVerdict]:
     """Periods of the (lambda, mu) pairs over the suborbit X(p, q-1), one per mu.
 
     Factored value: sphere_area(p) * [subsphere pairing on S^{q-2}] *
@@ -195,19 +196,15 @@ def period_integrals_G2(
     """
     lam_x2, mus_x2 = doubled(lam), [doubled(mu) for mu in mus]
     _require_convergence(lam_x2, mus_x2, SpaceTag.G2_SPACE)
-    return _periods_G2(FJParam(p, q, lam_x2), mus_x2, spec, use_witness)
+    return _periods_G2(FJParam(p, q, lam_x2), mus_x2, use_witness)
 
 
-def period_integral_G2(
-    p: int, q: int, lam, mu, spec: QuadratureSpec = _DEFAULT_SPEC, use_witness: bool = False
-) -> PeriodVerdict:
+def period_integral_G2(p: int, q: int, lam, mu, use_witness: bool = False) -> PeriodVerdict:
     """Period of the (lambda, mu) pair over the suborbit X(p, q-1): see `period_integrals_G2`."""
-    return period_integrals_G2(p, q, lam, [mu], spec, use_witness)[0]
+    return period_integrals_G2(p, q, lam, [mu], use_witness)[0]
 
 
-def period_integrals_G1(
-    p: int, q: int, lam, nus, spec: QuadratureSpec = _DEFAULT_SPEC
-) -> list[PeriodVerdict]:
+def period_integrals_G1(p: int, q: int, lam, nus) -> list[PeriodVerdict]:
     """Periods of the (lambda, nu) pairs over the suborbit X(p-1, q), one per nu.
 
     Factored value: sphere_area(p-1) * [full-sphere pairing on S^{q-1},
@@ -217,12 +214,12 @@ def period_integrals_G1(
     """
     lam_x2, nus_x2 = doubled(lam), [doubled(nu) for nu in nus]
     _require_convergence(lam_x2, nus_x2, SpaceTag.G1_SPACE)
-    return _periods_G1(FJParam(p, q, lam_x2), nus_x2, spec)
+    return _periods_G1(FJParam(p, q, lam_x2), nus_x2)
 
 
-def period_integral_G1(p: int, q: int, lam, nu, spec: QuadratureSpec = _DEFAULT_SPEC) -> PeriodVerdict:
+def period_integral_G1(p: int, q: int, lam, nu) -> PeriodVerdict:
     """Period of the (lambda, nu) pair over the suborbit X(p-1, q): see `period_integrals_G1`."""
-    return period_integrals_G1(p, q, lam, [nu], spec)[0]
+    return period_integrals_G1(p, q, lam, [nu])[0]
 
 
 @dataclass(frozen=True)
@@ -252,32 +249,28 @@ def interlace_class_for_pair(p: int, q: int, lam, target, subgroup: str) -> Inte
     return _interlace_classes(ambient, [target_x2])[0]
 
 
-def branching_verdicts(
-    p: int, q: int, lam, subgroup: str, targets, spec: QuadratureSpec = _DEFAULT_SPEC
-) -> list[BranchingVerdict]:
+def branching_verdicts(p: int, q: int, lam, subgroup: str, targets) -> list[BranchingVerdict]:
     """Full verdicts for one ambient parameter and subgroup, one per target.
 
     The restriction to SO0(p-1, q) is admissible, the one to SO0(p, q-1) is
     not (encoded branching data); the hom decision is the matching
     closed-form predicate, cross-checked by the numeric verdict.  The periods
-    of the whole target list share their Gegenbauer passes and radial rules.
+    of the whole target list share their Gegenbauer passes.
     The ambient parameter is built once and validated even when the target
     list is empty; the targets stay doubled ints from validation to row.
     """
-    return branching_verdicts_x2(p, q, doubled(lam), subgroup, [doubled(t) for t in targets], spec)
+    return branching_verdicts_x2(p, q, doubled(lam), subgroup, [doubled(t) for t in targets])
 
 
-def branching_verdicts_x2(
-    p: int, q: int, lam_x2: int, subgroup: str, targets_x2, spec: QuadratureSpec = _DEFAULT_SPEC
-) -> list[BranchingVerdict]:
+def branching_verdicts_x2(p: int, q: int, lam_x2: int, subgroup: str, targets_x2) -> list[BranchingVerdict]:
     """The scan behind `branching_verdicts`, on a doubled lambda and doubled targets."""
     tag = _tag(subgroup)
     ambient = FJParam(p, q, lam_x2)
     _require_convergence(lam_x2, targets_x2, tag)
     if tag is SpaceTag.G1_SPACE:
-        verdicts = _periods_G1(ambient, targets_x2, spec)
+        verdicts = _periods_G1(ambient, targets_x2)
     else:
-        verdicts = _periods_G2(ambient, targets_x2, spec, use_witness=True)
+        verdicts = _periods_G2(ambient, targets_x2, use_witness=True)
     return [
         BranchingVerdict(
             hom_nonzero=verdict.predicate_nonzero,
@@ -289,11 +282,9 @@ def branching_verdicts_x2(
     ]
 
 
-def branching_verdict(
-    p: int, q: int, lam, subgroup: str, target, spec: QuadratureSpec = _DEFAULT_SPEC
-) -> BranchingVerdict:
+def branching_verdict(p: int, q: int, lam, subgroup: str, target) -> BranchingVerdict:
     """Full verdict for one (ambient, subgroup, target) triple: see `branching_verdicts`."""
-    return branching_verdicts(p, q, lam, subgroup, [target], spec)[0]
+    return branching_verdicts(p, q, lam, subgroup, [target])[0]
 
 
 def valid_targets(p: int, q: int, subgroup: str, max_twice: int) -> list[Fraction]:

@@ -159,8 +159,8 @@ class TestBranch:
 
     @staticmethod
     def _flip_target_5(monkeypatch):
-        def flip_target_5(p, q, lam_x2, subgroup, targets_x2, spec):
-            results = branching_verdicts_x2(p, q, lam_x2, subgroup, targets_x2, spec)
+        def flip_target_5(p, q, lam_x2, subgroup, targets_x2):
+            results = branching_verdicts_x2(p, q, lam_x2, subgroup, targets_x2)
             for i, (target_x2, result) in enumerate(zip(targets_x2, results)):
                 if target_x2 == 5:
                     verdict = dataclasses.replace(result.verdict, nonzero=not result.verdict.nonzero)
@@ -244,9 +244,6 @@ class TestExitCodes:
     @pytest.mark.parametrize(
         "argv",
         [
-            # the radial rule cannot meet its tolerance with 2 nodes
-            ("period", "--p", "4", "--q", "4", "--lambda-x2", "4", "--nodes", "2",
-             "--target-x2", "3", "--subgroup", "g2"),
             # the degree-200 leading-trace witness value overflows
             ("period", "--p", "4", "--q", "6", "--lambda-x2", "404", "--witness",
              "--target-x2", "3", "--subgroup", "g2"),
@@ -255,14 +252,15 @@ class TestExitCodes:
             # |Z_a|^2 overflows to inf on S^129 at degree 1000
             ("period", "--p", "5", "--q", "130", "--lambda-x2", "2127",
              "--target-x2", "2128", "--subgroup", "g1"),
-            # Gamma(p/2) in the sphere area of S^{p-1} leaves the float range from p = 344
+            # the L2 norm on X(400, 4) is 1.3e-393, below the normal range
             ("fj", "--p", "400", "--q", "4", "--lambda-x2", "400"),
+            # the sphere area of S^348 times the radial factor is below the normal range
             ("period", "--p", "350", "--q", "4", "--lambda-x2", "350",
              "--target-x2", "351", "--subgroup", "g1"),
         ],
         ids=[
-            "radial_tolerance", "witness_overflow", "fj_norm_not_finite", "g1_norm_not_finite",
-            "fj_sphere_area_overflow", "g1_sphere_area_overflow",
+            "witness_overflow", "fj_norm_not_finite", "g1_norm_not_finite",
+            "fj_norm_below_normal_range", "g1_factors_below_normal_range",
         ],
     )
     def test_numeric_failure_exits_4(self, capsys, argv):
@@ -293,8 +291,11 @@ class TestExitCodes:
             # the witness norms overflow on S^128 at degree 1000
             ("period", "--p", "4", "--q", "130", "--lambda-x2", "2128",
              "--target-x2", "127", "--subgroup", "g2", "--witness"),
+            # |Z_0|^2 |Z_1|^2 underflows to 0 on S^299: the g1 Gram ratio would be inf
+            ("period", "--p", "5", "--q", "300", "--lambda-x2", "297",
+             "--target-x2", "300", "--subgroup", "g1"),
         ],
-        ids=["fj", "period_g1", "period_g2_witness"],
+        ids=["fj", "period_g1", "period_g2_witness", "period_g1_ratio_underflow"],
     )
     def test_overflow_prints_one_error_line(self, argv):
         # in a fresh interpreter with warnings shown, which pytest would capture
@@ -346,26 +347,35 @@ class TestExitCodes:
         ids=["period_1000000", "branch_4097"],
     )
     def test_oversized_nodes_exits_2(self, capsys, monkeypatch, argv):
-        # the Newton build grows with the square of the node count; the refusal
-        # comes before any Gauss rule is built
+        # no request builds a radial rule, so --nodes is gone: any value is a usage error
         def refuse(*args):
-            raise AssertionError("Gauss rule built for refused --nodes")
+            raise AssertionError("Gauss rule built for a refused --nodes")
 
         monkeypatch.setattr(numerics, "_legendre_rule", refuse)
-        monkeypatch.setattr(geometry, "_radial_rule", refuse)
+        monkeypatch.setattr(geometry, "gauss_legendre_on", refuse)
         code, out, err = run_cli(capsys, *argv)
         assert code == 2
         assert out == ""
-        assert err == f"error: --nodes {argv[-1]} is above the largest radial rule, 4096 nodes\n"
+        assert err.endswith(f"error: unrecognized arguments: --nodes {argv[-1]}\n")
 
-    def test_nodes_at_the_bound_exits_0(self, capsys):
-        code, out, _ = run_cli(
-            capsys,
-            "period", "--p", "5", "--q", "4", "--lambda-x2", "9", "--target-x2", "10",
-            "--subgroup", "g1", "--nodes", "4096",
-        )
-        assert code == 0
-        assert json.loads(out)["nonzero"]
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("fj", "--p", "1000000", "--q", "4", "--lambda-x2", "1000000"),
+            ("fj", "--p", "5", "--q", "1000000", "--lambda-x2", "999997"),
+            ("period", "--p", "5", "--q", "1000000", "--lambda-x2", "999997",
+             "--target-x2", "999998", "--subgroup", "g1"),
+        ],
+        ids=["fj_huge_p", "fj_huge_q", "period_huge_q"],
+    )
+    def test_huge_signature_exits_4_fast(self, capsys, argv):
+        # the sphere area refuses before it builds any factorial
+        start = time.monotonic()
+        code, out, err = run_cli(capsys, *argv)
+        assert time.monotonic() - start < 1.0
+        assert code == 4
+        assert out == ""
+        assert err.startswith("error: sphere area of S^") and len(err.strip().splitlines()) == 1
 
     def test_branch_scan_to_degree_400_exits_0(self, capsys):
         code, out, _ = run_cli(
@@ -384,19 +394,6 @@ class TestExitCodes:
         code, out, _ = run_cli(capsys, "packet", "--p", "3", "--q", "3", "--inner-forms-only")
         assert code == 0
         assert json.loads(out)["pure_inner_forms"] == [[1, 5], [3, 3], [5, 1]]
-
-
-class TestNodesStability:
-    def test_node_count_agreement(self, capsys):
-        values = []
-        for nodes in ("50", "400"):
-            _, out, _ = run_cli(
-                capsys,
-                "period", "--p", "4", "--q", "4", "--lambda-x2", "4",
-                "--target-x2", "3", "--subgroup", "g2", "--nodes", nodes,
-            )
-            values.append(json.loads(out)["value"])
-        assert values[0] == pytest.approx(values[1], rel=1e-8)
 
 
 class TestCheck:
@@ -426,7 +423,7 @@ class TestCheck:
     def test_property_names_and_order(self):
         assert [r.name for r in run_suite("all")] == [
             "gauss_legendre_exactness",
-            "beta_symmetry",
+            "half_gamma_vs_math_gamma",
             "radial_numeric_vs_closed",
             "gegenbauer_orthogonality",
             "pairing_parity_vanishing",

@@ -4,7 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from hypbranch.errors import DivergenceError, InvalidParameterError
+from hypbranch.errors import DivergenceError, InvalidParameterError, ToleranceError
 from hypbranch import fjrep
 from hypbranch.fjrep import SpaceTag, fj_eval, inf_char, is_self_dual, l2_norm_sq, make_fj_param
 from hypbranch.geometry import radial_integral_closed, radial_integral_truncated
@@ -76,6 +76,16 @@ class TestMakeParam:
         assert p.space_signature == (4, 3)
         assert p.degree == 1
 
+    def test_tag_given_by_its_value(self):
+        # FJParam converts the tag itself, as make_fj_param always did
+        by_value = fjrep.FJParam(4, 4, 5, "g1")
+        assert by_value == make_fj_param(4, 4, 2.5, "g1") == fjrep.FJParam(4, 4, 5, SpaceTag.G1_SPACE)
+        assert by_value.tag is SpaceTag.G1_SPACE and by_value.space_signature == (3, 4)
+        assert [str(e) for e in inf_char(by_value)] == [str(e) for e in inf_char(make_fj_param(4, 4, 2.5, "g1"))]
+        assert [str(e) for e in inf_char(by_value)] == ["6", "5/2", "3/2"]
+        with pytest.raises(ValueError):
+            fjrep.FJParam(4, 4, 5, "g3")
+
 
 class TestEval:
     def test_t_zero_reduces_to_harmonic(self):
@@ -118,6 +128,12 @@ class TestL2Norm:
         # oracle: area(S^3) * |f_1|^2_{S^3} * R(3, -7) = 2pi^2 * 2pi^2 / 12
         param = make_fj_param(4, 4, 2)
         assert l2_norm_sq(param) == pytest.approx(math.pi**4 / 3.0, rel=1e-10)
+
+    def test_below_the_normal_range_refuses(self):
+        # the exact factors of X(400, 4) are normal, but the norm is 1.3e-393
+        param = make_fj_param(400, 4, 200)
+        with pytest.raises(ToleranceError, match="L2 norm 0.0 is not a normal double at degree 397"):
+            l2_norm_sq(param)
 
     def test_finite_on_lambda_grid(self):
         # lambda in {1/2, 1, ..., 4} restricted to integral degree

@@ -16,7 +16,6 @@ from hypbranch.geometry import (
     radial_integral_truncated,
     radial_integrals_numeric,
 )
-from hypbranch.numerics import QuadratureSpec
 from block_estimates import (
     BlockDecomposition,
     NotInGroupError,
@@ -103,6 +102,20 @@ class TestRadialIntegrals:
         # a + c = -1 converges (integrand ~ e^{-t}); antiderivative gives 2/3
         assert radial_integral_closed(3, -4) == pytest.approx(2.0 / 3.0, rel=1e-13)
 
+    def test_integer_exponents_round_once(self):
+        # Wallis integrals: the nearest double to a rational, times pi / 2 when a and m are even
+        assert radial_integral_closed(3, -7) == 1 / 12
+        assert radial_integral_closed(0, -2) == 1.0
+        assert radial_integral_closed(2, -5) == math.pi / 16  # int sin^2 cos^2 over [0, pi/2]
+
+    def test_wallis_against_mpmath(self):
+        mp = pytest.importorskip("mpmath")
+        mp.mp.dps = 40
+        for a in range(16):
+            for m in range(0, 2800, 37):  # both parities of m
+                exact = mp.beta(mp.mpf(a + 1) / 2, mp.mpf(m + 1) / 2) / 2
+                assert abs(radial_integral_closed(a, -a - m - 1) - exact) <= 2.3e-16 * exact, (a, m)
+
     def test_divergence_errors(self):
         with pytest.raises(DivergenceError):
             radial_integral_closed(3, -3)  # a + c = 0
@@ -183,25 +196,25 @@ class TestRadialIntegralsBatched:
             radial_integrals_numeric(-1, [-3.0])
 
     @pytest.mark.parametrize(
-        "c_exps, bad, spec",
+        "c_exps, bad, nodes",
         [
             # the cosine power 0.5 of a + c = -1.5 is singular at phi = pi/2
-            ([-10.0, -4.5, -12.0], -4.5, QuadratureSpec()),
+            ([-10.0, -4.5, -12.0], -4.5, 200),
             # 20 nodes resolve cos^2 but not cos^36
-            ([-6.0, -40.0], -40.0, QuadratureSpec(radial_nodes=20)),
+            ([-6.0, -40.0], -40.0, 20),
         ],
         ids=["singular", "too_few_nodes"],
     )
-    def test_out_of_tolerance_entry_raises(self, c_exps, bad, spec):
+    def test_out_of_tolerance_entry_raises(self, c_exps, bad, nodes):
         with pytest.raises(ToleranceError) as single:
-            radial_integral_numeric(3, bad, spec)
+            radial_integral_numeric(3, bad, nodes)
         with pytest.raises(ToleranceError) as batch:
-            radial_integrals_numeric(3, c_exps, spec)
+            radial_integrals_numeric(3, c_exps, nodes)
         assert str(batch.value) == str(single.value)
         assert str(single.value).startswith("radial quadrature error estimate")
         for c_exp in c_exps:
             if c_exp != bad:
-                radial_integral_numeric(3, c_exp, spec)
+                radial_integral_numeric(3, c_exp, nodes)
 
 
 class TestSuborbit:

@@ -1,4 +1,5 @@
 import math
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -19,7 +20,7 @@ from hypbranch.harmonics import (
     zonal_norm_sq,
     zonal_norm_sq_closed,
 )
-from hypbranch.numerics import beta, sphere_rule
+from hypbranch.numerics import sphere_rule
 from witness_oracle import witness_pairings, witness_scan
 
 
@@ -90,6 +91,25 @@ class TestSphereArea:
         with pytest.raises(ValueError):
             sphere_area(0)
 
+    def test_against_mpmath_to_the_normal_range(self):
+        mp = pytest.importorskip("mpmath")
+        mp.mp.dps = 40
+        for n in range(1, harmonics.MAX_SPHERE_DIM + 1):
+            exact = 2 * mp.pi ** (mp.mpf(n) / 2) / mp.gamma(mp.mpf(n) / 2)
+            assert abs(sphere_area(n) - exact) <= 1e-14 * exact, n
+        assert sphere_area(harmonics.MAX_SPHERE_DIM) >= sys.float_info.min
+        n = harmonics.MAX_SPHERE_DIM + 1
+        assert 2 * mp.pi ** (mp.mpf(n) / 2) / mp.gamma(mp.mpf(n) / 2) < sys.float_info.min
+
+    @pytest.mark.parametrize("n", [439, 10**6])
+    def test_below_the_normal_range_refuses_before_any_factorial(self, monkeypatch, n):
+        def refuse(k):
+            raise AssertionError("factorial built for a refused sphere")
+
+        monkeypatch.setattr(math, "factorial", refuse)
+        with pytest.raises(ToleranceError, match=f"sphere area of S\\^{n - 1} is out of floating-point range"):
+            sphere_area(n)
+
 
 class TestZonalNorm:
     def test_degree_zero_is_sphere_area(self):
@@ -98,7 +118,7 @@ class TestZonalNorm:
 
     def test_degree_one_n4(self):
         # oracle: area(S^2) * 4 * int x^2 (1-x^2)^{1/2} = 4pi * 4 * pi/8 = 2 pi^2
-        oracle = sphere_area(3) * 4.0 * beta(1.5, 1.5)
+        oracle = sphere_area(3) * 4.0 * (math.pi / 8)
         assert oracle == pytest.approx(2 * math.pi**2, rel=1e-13)
         assert zonal_norm_sq(1, 4) == pytest.approx(oracle, rel=1e-12)
 
@@ -119,6 +139,8 @@ class TestZonalNorm:
             area = 2 / gamma_half(n - 1)
             exact = float(line * area) * math.pi ** (n // 2)
             assert abs(zonal_norm_sq(a, n) - exact) <= 5e-14 * exact, (a, n)
+            # the closed form is the same ratio, rounded once
+            assert abs(zonal_norm_sq_closed(a, n) - exact) <= 2e-15 * exact, (a, n)
 
     @pytest.mark.parametrize("n", range(4, 17))
     def test_closed_form_to_degree_400(self, n):
@@ -195,8 +217,8 @@ class TestPairingSubsphere:
 
     def test_one_one_five(self):
         # oracle: area(S^3) int C_1^{3/2} C_1^{1} (1-x^2)^{1/2}
-        #       = 4pi * 6 * B(3/2, 3/2) = 3 pi^2
-        oracle = sphere_area(3) * 6.0 * beta(1.5, 1.5)
+        #       = 4pi * 6 * B(3/2, 3/2) = 3 pi^2, with B(3/2, 3/2) = pi / 8
+        oracle = sphere_area(3) * 6.0 * (math.pi / 8)
         assert oracle == pytest.approx(3.0 * math.pi**2, rel=1e-13)
         assert pairing_subsphere(1, 1, 5) == pytest.approx(oracle, rel=1e-11)
 
@@ -319,6 +341,11 @@ class TestKTypeWitness:
         # the squared zonal values overflow on S^128 at degree 1000
         with pytest.raises(ToleranceError, match="not finite"):
             ktype_pairings_nonzero(1000, [0, 1], 130)
+
+    def test_ratio_not_finite_raises(self):
+        # |Z_0|^2 |Z_b|^2 underflows to 0 on S^299, which would make every ratio inf
+        with pytest.raises(ToleranceError, match=r"zonal Gram ratio not finite at degree 0 on S\^299"):
+            ktype_pairings_nonzero(0, [0, 1], 301)
 
     def test_guards(self):
         with pytest.raises(InvalidParameterError):

@@ -6,15 +6,19 @@ import pytest
 
 from hypbranch.errors import InvalidParameterError
 from hypbranch.numerics import (
-    RADIAL_TOL,
-    QuadratureSpec,
-    beta,
     doubled,
     gauss_legendre_rule,
-    log_gamma,
+    half_gamma,
     sphere_nodes,
     sphere_rule,
+    sqrt_pi_ratio,
 )
+
+
+def beta_x2(x2: int, y2: int) -> float:
+    """B(x2 / 2, y2 / 2) from the exact half-integer Gamma, rounded once."""
+    (nx, dx, rx), (ny, dy, ry), (ns, ds, rs) = map(half_gamma, (x2, y2, x2 + y2))
+    return sqrt_pi_ratio(nx * ny * ds, dx * dy * ns, rx + ry - rs)
 
 
 class TestDoubled:
@@ -39,24 +43,6 @@ class TestDoubled:
         rng = np.random.default_rng(7)
         for twice in rng.integers(-40, 40, size=1000).tolist():
             assert doubled(Fraction(twice, 2)) == doubled(twice / 2) == 2 * Fraction(twice, 2) == twice
-
-
-class TestQuadratureSpec:
-    def test_defaults(self):
-        spec = QuadratureSpec()
-        assert spec.radial_nodes == 200
-        assert RADIAL_TOL == 1e-10
-
-    @pytest.mark.parametrize(
-        "kwargs",
-        [
-            {"radial_nodes": 1},
-            {"radial_nodes": 0},
-        ],
-    )
-    def test_validation(self, kwargs):
-        with pytest.raises(ValueError):
-            QuadratureSpec(**kwargs)
 
 
 class TestGaussLegendre:
@@ -111,7 +97,7 @@ class TestSphereRule:
             x, w = sphere_rule(degree, sin_power)
             assert np.all(w > 0) and np.all(np.abs(x) < 1.0)
             for k in range(degree + 1):
-                exact = 0.0 if k % 2 else beta((k + 1) / 2.0, sin_power / 2.0 + 1.0)
+                exact = 0.0 if k % 2 else beta_x2(k + 1, sin_power + 2)
                 assert float(np.sum(w * x**k)) == pytest.approx(exact, abs=1e-13)
 
     def test_node_count_follows_degree(self):
@@ -139,41 +125,29 @@ class TestSphereRule:
                 sphere_rule(degree, sin_power)
 
 
-class TestLogGamma:
+class TestHalfGamma:
     def test_known_values(self):
-        assert log_gamma(1.0) == 0.0
-        assert log_gamma(0.5) == pytest.approx(math.log(math.sqrt(math.pi)), rel=1e-14)
-        assert log_gamma(5.0) == pytest.approx(math.log(24.0), rel=1e-14)
+        assert half_gamma(1) == (1, 1, 1)  # Gamma(1/2) = sqrt(pi)
+        assert half_gamma(2) == (1, 1, 0)
+        assert half_gamma(10) == (24, 1, 0)
+        num, den, r = half_gamma(7)  # Gamma(7/2) = 15/8 sqrt(pi)
+        assert (Fraction(num, den), r) == (Fraction(15, 8), 1)
+        assert sqrt_pi_ratio(*half_gamma(1)) == math.sqrt(math.pi)
+        assert beta_x2(1, 1) == math.pi
+        assert beta_x2(4, 4) == 1.0 / 6.0
 
     def test_domain_error(self):
-        for bad in (0.0, -1.0, -0.5):
+        for bad in (0, -1, -2):
             with pytest.raises(ValueError):
-                log_gamma(bad)
+                half_gamma(bad)
 
-    def test_accuracy_against_mpmath(self):
+    def test_against_mpmath(self):
         mp = pytest.importorskip("mpmath")
         mp.mp.dps = 40
-        for x in np.logspace(-3, 3, 61):
-            exact = float(mp.loggamma(mp.mpf(float(x))))
-            got = log_gamma(float(x))
-            scale = max(abs(exact), 1.0)
-            assert abs(got - exact) <= 1e-12 * scale
+        for x2 in range(1, 343):  # Gamma(171.5) is above the float range
+            exact = mp.gamma(mp.mpf(x2) / 2)
+            assert abs(sqrt_pi_ratio(*half_gamma(x2)) - exact) <= 2.5e-16 * exact, x2
 
-
-class TestBeta:
-    def test_known_values(self):
-        assert beta(1, 1) == pytest.approx(1.0, rel=1e-14)
-        assert beta(2, 2) == pytest.approx(1.0 / 6.0, rel=1e-13)
-        assert beta(0.5, 0.5) == pytest.approx(math.pi, rel=1e-13)
-
-    def test_symmetry_randomized(self):
-        rng = np.random.default_rng(11)
-        for _ in range(500):
-            x, y = rng.uniform(0.05, 30.0, size=2)
-            assert beta(x, y) == pytest.approx(beta(y, x), rel=1e-13)
-
-    def test_domain_error(self):
-        with pytest.raises(ValueError):
-            beta(-1.0, 2.0)
-        with pytest.raises(ValueError):
-            beta(1.0, 0.0)
+    def test_parts_outside_the_float_range_round_once(self):
+        assert sqrt_pi_ratio(10**400 + 1, 3 * 10**400, 2) == math.pi / 3
+        assert sqrt_pi_ratio(1, 10**400, 0) == 0.0

@@ -2,6 +2,7 @@ import json
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from hypbranch import cli, fjrep, geometry, harmonics, numerics, packets, periods
@@ -270,22 +271,36 @@ class TestBatchedScanPasses:
         assert len(json.loads(capsys.readouterr().out)) == rows
         assert [args[:2] for args in calls] == [(top, 1.5) for top in tops]
 
-    @pytest.mark.parametrize("argv", [G1_GOLDEN_SCAN, G2_GOLDEN_SCAN], ids=["g1", "g2"])
-    def test_two_radial_rules_per_scan(self, monkeypatch, capsys, argv):
-        # the radial rules are mapped and their sines and cosines taken once per
-        # process: later scans of either subgroup reuse them
-        geometry._radial_rule.cache_clear()
-        calls = _count_calls(monkeypatch, geometry, "gauss_legendre_on")
-        for scan in (argv, G1_GOLDEN_SCAN, G2_GOLDEN_SCAN):
-            assert main(["branch", *scan]) == 0
-            assert len(json.loads(capsys.readouterr().out)) > 10
-        assert [args[2] for args in calls] == [200, 100]
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("branch", *G1_GOLDEN_SCAN),
+            ("branch", *G2_GOLDEN_SCAN),
+            ("fj", "--p", "4", "--q", "4", "--lambda-x2", "4"),
+            ("period", "--p", "5", "--q", "4", "--lambda-x2", "9", "--target-x2", "10", "--subgroup", "g1"),
+            ("period", "--p", "4", "--q", "6", "--lambda-x2", "8", "--target-x2", "5", "--subgroup", "g2", "--witness"),
+        ],
+        ids=["g1", "g2", "fj", "period_g1", "period_g2_witness"],
+    )
+    def test_no_radial_rule_per_request(self, monkeypatch, capsys, argv):
+        # the radial factor is exact: the Gauss pair is only the cross-check
+        numeric = _count_calls(monkeypatch, geometry, "radial_integrals_numeric")
+        rules = _count_calls(monkeypatch, geometry, "gauss_legendre_on")
+        assert main(list(argv)) == 0
+        assert capsys.readouterr().out
+        assert (numeric, rules) == ([], [])
+
+    def test_quadrature_suite_cross_checks_the_radial_factor(self, monkeypatch, capsys):
+        numeric = _count_calls(monkeypatch, geometry, "radial_integrals_numeric")
+        assert main(["check", "--suite", "quadrature"]) == 0
+        assert "[PASS] radial_numeric_vs_closed" in capsys.readouterr().out
+        assert len(numeric) == 5
 
     def test_legendre_rules_per_g2_ladder(self):
         # the g2_scan mix from cold caches: the witness sphere rules of q = 6 and
-        # q = 8 (sin powers 2 and 4) all land on 16 or 32 nodes, and the
-        # radial pair is 200 and 100 nodes
-        for cached in (numerics._legendre_rule, numerics._sphere_rule, geometry._radial_rule):
+        # q = 8 (sin powers 2 and 4) all land on 16 or 32 nodes, and no radial
+        # rule is built
+        for cached in (numerics._legendre_rule, numerics._sphere_rule):
             cached.cache_clear()
         for p in (4, 5, 6):
             for q in (6, 8):
@@ -293,7 +308,62 @@ class TestBatchedScanPasses:
                     lam = H(2 * a + 2 - (p - q))
                     mus = valid_targets(p, q, "g2", 2 * (a + 2) + 2 - (p - q + 1))  # b up to a + 2
                     assert len(branching_verdicts(p, q, lam, "g2", mus)) == a + 3
-        assert numerics._legendre_rule.cache_info().misses <= 4
+        assert numerics._legendre_rule.cache_info().misses <= 2
+
+
+@pytest.fixture(scope="module")
+def factor_grid():
+    """(a_exp, c_exp, sp, radial_factor, sphere_factor) of each period on the exact-factor grid.
+
+    The grid: p, q in {4, 7, 10, 13, 16}, every 5th valid lambda <= 200, both
+    subgroups and every 3rd convergent target <= 200.  The factors do not read the
+    pairing, so a constant Gram row and witness stand in for the zonal layer; the
+    exponents are recorded as the periods pass them to `radial_integral_closed`.
+    """
+    exponents, rows = [], []
+
+    def recorded(a_exp, c_exp):
+        exponents.append((a_exp, c_exp))
+        return radial_integral_closed(a_exp, c_exp)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(periods, "zonal_gram", lambda cs, ks, n: (np.ones((1, len(cs))),) * 2 + (None,))
+        patch.setattr(periods, "ktype_pairings_nonzero", lambda a, bs, n: [(True, 1.0)] * len(bs))
+        patch.setattr(periods, "radial_integral_closed", recorded)
+        for p in (4, 7, 10, 13, 16):
+            for q in (4, 7, 10, 13, 16):
+                for lam_x2 in fjrep.valid_lambdas_x2(p, q, 400)[::5]:
+                    for sub in ("g1", "g2"):
+                        targets = fjrep.valid_lambdas_x2(p, q, 400, SpaceTag(sub))[::3]
+                        targets = [t for t in targets if lam_x2 + t > -1]
+                        sp = p - 1 if sub == "g1" else p
+                        for row in periods.branching_verdicts_x2(p, q, lam_x2, sub, targets):
+                            rows.append((sp, row.verdict.radial_factor, row.verdict.sphere_factor))
+    return [(*exps, *row) for exps, row in zip(exponents, rows, strict=True)]
+
+
+class TestExactFactors:
+    def test_every_wallis_exponent_is_an_integer(self, factor_grid):
+        # R(a, c) is the Wallis integral of sin^a cos^m, m = -(a+c)-1, on every row
+        assert len(factor_grid) == 132808
+        for a_exp, c_exp, *_ in factor_grid:
+            assert float(c_exp).is_integer() and -(a_exp + c_exp) - 1 >= 0, (a_exp, c_exp)
+
+    def test_factors_against_mpmath(self, factor_grid):
+        mp = pytest.importorskip("mpmath")
+        mp.mp.dps = 40
+        radials, spheres = {}, {}
+        for a_exp, c_exp, sp, radial, sphere in factor_grid:
+            radials.setdefault((a_exp, c_exp), set()).add(radial)
+            spheres.setdefault(sp, set()).add(sphere)
+        for (a_exp, c_exp), values in radials.items():
+            (radial,) = values  # one factor per exponent pair
+            exact = mp.beta(mp.mpf(a_exp + 1) / 2, -(a_exp + mp.mpf(c_exp)) / 2) / 2
+            assert abs(radial - exact) <= 2.3e-16 * exact, (a_exp, c_exp)
+        for sp, values in spheres.items():
+            (sphere,) = values
+            exact = 2 * mp.pi ** (mp.mpf(sp) / 2) / mp.gamma(mp.mpf(sp) / 2)
+            assert abs(sphere - exact) <= 4.5e-16 * exact, sp
 
 
 class TestParametersBuiltOnce:
