@@ -19,9 +19,9 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import InvalidParameterError, ToleranceError
-from .geometry import radial_integral_closed
-from .harmonics import gegenbauer, sphere_area, zonal_norm_sq
-from .numerics import doubled
+from .geometry import wallis_exact
+from .harmonics import gegenbauer, sphere_area_exact, zonal_norm_sq_exact
+from .numerics import doubled, sqrt_pi_ratio
 
 __all__ = [
     "SpaceTag",
@@ -168,15 +168,20 @@ def fj_eval(param: FJParam, y_prime, t) -> float:
 
 
 def l2_norm_sq(param: FJParam) -> float:
-    """Squared L^2 norm over the parameter's space, in factored form.
+    """Squared L^2 norm over the parameter's space, in factored form, rounded once.
 
-    sphere_area(p) * |f_a|^2_{S^{q-1}} * R(p-1, q-1+2e), with the exact radial
-    factor; the sphere area comes first, so a huge p is refused before any other
-    work.  Raises ToleranceError when the norm is not a normal double.
+    sphere_area(p) * |f_a|^2_{S^{q-1}} * R(p-1, q-1+2e): the sphere area, the
+    closed-form zonal norm and the Wallis radial factor, each an exact ratio times
+    a power of sqrt(pi), multiplied exactly and divided once.  The sphere
+    dimensions are checked first, so a huge p or q is refused before any
+    factorial is built.  Raises ToleranceError when the norm is not a normal double.
     """
     sp, sq = param.space_signature
-    a_exp, c_exp = sp - 1, sq - 1 + decay_x2(sp + sq, param.lam_x2)
-    norm_sq = sphere_area(sp) * zonal_norm_sq(param.degree, sq) * radial_integral_closed(a_exp, c_exp)
+    num_s, den_s, r_s = sphere_area_exact(sp)
+    num_z, den_z, r_z = zonal_norm_sq_exact(param.degree, sq)
+    # R(sp-1, sq-1+2e) is the Wallis integral of sin^{sp-1} cos^m, m = -(sp+sq-2+2e)-1 = 2 lambda - 1
+    num_r, den_r, r_r = wallis_exact(sp - 1, param.lam_x2 - 1)
+    norm_sq = sqrt_pi_ratio(num_s * num_z * num_r, den_s * den_z * den_r, r_s + r_z + r_r)
     if not sys.float_info.min <= norm_sq < math.inf:
         raise ToleranceError(f"L2 norm {norm_sq} is not a normal double at degree {param.degree}", math.inf)
     return norm_sq

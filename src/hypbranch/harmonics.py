@@ -92,12 +92,20 @@ def sphere_area(n: int) -> float:
 
     Raises ToleranceError above MAX_SPHERE_DIM, before any factorial is built.
     """
+    return sqrt_pi_ratio(*sphere_area_exact(n))
+
+
+def sphere_area_exact(n: int) -> tuple[int, int, int]:
+    """:func:`sphere_area` exactly, as (num, den, r) with area = num / den * sqrt(pi)^r.
+
+    Raises ToleranceError above MAX_SPHERE_DIM, before any factorial is built.
+    """
     if n < 1:
         raise ValueError("sphere_area requires n >= 1")
     if n > MAX_SPHERE_DIM:
         raise ToleranceError(f"sphere area of S^{n - 1} is out of floating-point range", math.inf)
     num, den, r = half_gamma(n)
-    return sqrt_pi_ratio(2 * den, num, n - r)
+    return 2 * den, num, n - r
 
 
 def weighted_cos_integral(f, sin_power: int, degree: int) -> float:
@@ -166,18 +174,25 @@ def zonal_norm_sq(a: int, n: int) -> float:
 
 
 def zonal_norm_sq_closed(a: int, n: int) -> float:
-    """Closed form of :func:`zonal_norm_sq` from Gegenbauer orthogonality, rounded once.
+    """Closed form of :func:`zonal_norm_sq` from Gegenbauer orthogonality, rounded once."""
+    return sqrt_pi_ratio(*zonal_norm_sq_exact(a, n))
 
-    |Z_a|^2 = area(S^{n-2}) pi 2^{1-2nu} Gamma(a+2nu) / (a! (a+nu) Gamma(nu)^2), nu = (n-2)/2.
+
+def zonal_norm_sq_exact(a: int, n: int) -> tuple[int, int, int]:
+    """:func:`zonal_norm_sq_closed` exactly, as (num, den, r) with |Z_a|^2 = num / den * sqrt(pi)^r.
+
+    |Z_a|^2 = area(S^{n-2}) pi 2^{1-2nu} Gamma(a+2nu) / (a! (a+nu) Gamma(nu)^2), nu = (n-2)/2
+    (DLMF 18.3), with Gamma(a+2nu) / a! the (n-3)-factor product (a+1) ... (a+n-3).  Raises
+    ToleranceError when n - 1 exceeds MAX_SPHERE_DIM (:func:`sphere_area_exact`).
     """
     if n < 3:
         raise InvalidParameterError("zonal_norm_sq_closed requires sphere_dim >= 3")
-    # area(S^{n-2}) = 2 pi^{(n-1)/2} / Gamma((n-1)/2), 2^{1-2nu} = 2^{3-n} and a + nu = (2a+n-2) / 2
-    num_s, den_s, r_s = half_gamma(n - 1)
+    # 2^{1-2nu} = 2^{3-n} and a + nu = (2a+n-2) / 2
+    num_s, den_s, r_s = sphere_area_exact(n - 1)
     num_nu, den_nu, r_nu = half_gamma(n - 2)
-    num = 4 * den_s * math.factorial(a + n - 3) * den_nu**2
-    den = num_s * 2 ** (n - 3) * math.factorial(a) * (2 * a + n - 2) * num_nu**2
-    return sqrt_pi_ratio(num, den, n + 1 - r_s - 2 * r_nu)
+    num = 2 * num_s * math.prod(range(a + 1, a + n - 2)) * den_nu**2
+    den = den_s * (2 * a + n - 2) * num_nu**2 << (n - 3)
+    return num, den, r_s + 2 - 2 * r_nu
 
 
 def pairing_subsphere(a: int, b: int, n: int) -> float:

@@ -152,7 +152,11 @@ def sqrt_pi_ratio(num: int, den: int, sqrt_pi_power: int) -> float:
     """num / den * sqrt(pi)^sqrt_pi_power as a float, from one correctly rounded int/int division.
 
     The power of pi enters as the exact ratio of its double, so no intermediate
-    result can underflow while the result is normal.
+    result can underflow while the result is normal; a result above the float
+    range is inf.
     """
     pi_num, pi_den = (math.pi ** (sqrt_pi_power / 2)).as_integer_ratio()
-    return num * pi_num / (den * pi_den)
+    try:
+        return num * pi_num / (den * pi_den)
+    except OverflowError:
+        return math.inf

@@ -132,7 +132,8 @@ def _assemble(ambient, tag, targets_x2, degrees, pairings, nonzeros, witness) ->
     X(sp, sq) is the targets' space and every exponent is a doubled int; the
     radial factors are exact (`radial_integral_closed`), so err_est is
     |sphere * pairing| times their rounding bound.  Refuses a value that is not
-    finite, and sphere and radial factors whose product is not a normal double.
+    finite, the value of a nonzero row that is not a normal double, and sphere and
+    radial factors whose product is not a normal double.
     """
     if not targets_x2:
         return []
@@ -147,6 +148,10 @@ def _assemble(ambient, tag, targets_x2, degrees, pairings, nonzeros, witness) ->
         value = sphere * pairing * radial
         if not math.isfinite(value):
             raise ToleranceError(f"period value {value} is not finite at degrees ({a}, {b})", math.inf)
+        # the pairing of a nonzero row is the verdict's own quantity unless it is the
+        # plain g2 pairing at odd a - b, which vanishes
+        if nonzero and (witness or (a - b) % 2 == 0) and abs(value) < sys.float_info.min:
+            raise ToleranceError(f"nonzero period value {value} below normal range at degrees ({a}, {b})", math.inf)
         verdicts.append(
             PeriodVerdict(
                 converges=True,

@@ -247,8 +247,8 @@ class TestExitCodes:
             # the degree-200 leading-trace witness value overflows
             ("period", "--p", "4", "--q", "6", "--lambda-x2", "404", "--witness",
              "--target-x2", "3", "--subgroup", "g2"),
-            # the squared zonal values overflow on S^129 at degree 1036: the zonal norm is NaN
-            ("fj", "--p", "4", "--q", "130", "--lambda-x2", "2200"),
+            # the L2 norm on X(4, 438) at degree 4999 is 1.5e341, above the float range
+            ("fj", "--p", "4", "--q", "438", "--lambda-x2", "10434"),
             # |Z_a|^2 overflows to inf on S^129 at degree 1000
             ("period", "--p", "5", "--q", "130", "--lambda-x2", "2127",
              "--target-x2", "2128", "--subgroup", "g1"),
@@ -257,10 +257,14 @@ class TestExitCodes:
             # the sphere area of S^348 times the radial factor is below the normal range
             ("period", "--p", "350", "--q", "4", "--lambda-x2", "350",
              "--target-x2", "351", "--subgroup", "g1"),
+            # three witness rows with nonzero true underflow to 0.0 at degree 31 on S^278
+            ("branch", "--p", "338", "--q", "280", "--lambda-x2", "6", "--subgroup", "g2",
+             "--max-target-x2", "33"),
         ],
         ids=[
             "witness_overflow", "fj_norm_not_finite", "g1_norm_not_finite",
             "fj_norm_below_normal_range", "g1_factors_below_normal_range",
+            "g2_nonzero_row_below_normal_range",
         ],
     )
     def test_numeric_failure_exits_4(self, capsys, argv):
@@ -282,10 +286,17 @@ class TestExitCodes:
         assert not payload["nonzero"] and not payload["predicate_nonzero"]
         assert payload["value"] == payload["err_est"] == payload["pairing_factor"] == 0.0
 
+    def test_fj_norm_past_the_zonal_quadrature_range_exits_0(self, capsys):
+        # degree 1036 on S^129: the zonal norm is exact, with no Gegenbauer pass to overflow
+        code, out, err = run_cli(capsys, "fj", "--p", "4", "--q", "130", "--lambda-x2", "2200")
+        assert (code, err) == (0, "")
+        exact = 8.6202590683892648783e109  # mpmath, 40 digits
+        assert abs(json.loads(out)["l2_norm_sq"] - exact) <= 1e-14 * exact
+
     @pytest.mark.parametrize(
         "argv",
         [
-            ("fj", "--p", "4", "--q", "130", "--lambda-x2", "2200"),
+            ("fj", "--p", "4", "--q", "438", "--lambda-x2", "10434"),
             ("period", "--p", "5", "--q", "130", "--lambda-x2", "2127",
              "--target-x2", "2128", "--subgroup", "g1"),
             # the witness norms overflow on S^128 at degree 1000

@@ -162,6 +162,30 @@ class TestL2Norm:
             )
             assert l2_norm_sq(param) == pytest.approx(closed, rel=1e-10)
 
+    def test_against_mpmath_in_checked_range(self):
+        # sphere area, Gegenbauer-orthogonality zonal norm and Wallis factor, at 40 digits
+        mp = pytest.importorskip("mpmath")
+        mp.mp.dps = 40
+
+        def area(n):
+            return 2 * mp.pi ** (mp.mpf(n) / 2) / mp.gamma(mp.mpf(n) / 2)
+
+        worst = 0.0
+        for p in (4, 5, 7, 10, 13, 16):
+            for q in (4, 5, 6, 9, 12, 16):
+                for a in (0, 1, 2, 3, 17, 64, 101, 255, 398, 399, 400):
+                    if 2 * a + 2 <= p - q:
+                        continue  # lambda would not be positive
+                    param = make_fj_param(p, q, H(2 * a + 2 - (p - q)))
+                    nu = mp.mpf(q - 2) / 2
+                    zonal = area(q - 1) * mp.pi * 2 ** (1 - 2 * nu) * mp.gamma(a + 2 * nu) / (
+                        mp.factorial(a) * (a + nu) * mp.gamma(nu) ** 2
+                    )
+                    radial = mp.beta(mp.mpf(p) / 2, mp.mpf(param.lam_x2) / 2) / 2
+                    exact = area(p) * zonal * radial
+                    worst = max(worst, float(abs(l2_norm_sq(param) - exact) / exact))
+        assert worst <= 1e-15
+
     def test_truncation_cauchy(self):
         # radial truncations settle; final step below 1e-7 relative
         for lam_twice in (2, 4, 6):

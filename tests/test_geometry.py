@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -16,6 +17,7 @@ from hypbranch.geometry import (
     radial_integral_truncated,
     radial_integrals_numeric,
 )
+from hypbranch.numerics import half_gamma, sqrt_pi_ratio
 from block_estimates import (
     BlockDecomposition,
     NotInGroupError,
@@ -84,6 +86,15 @@ class TestChart:
         )
 
 
+def wallis_three_factorials(a, m):
+    """int_0^{pi/2} sin^a cos^m = Gamma((a+1)/2) Gamma((m+1)/2) / (2 Gamma((a+m+2)/2)), rounded once.
+
+    The three Gammas are exact factorial ratios (`half_gamma`): the radial factor's form before the short products.
+    """
+    (num_a, den_a, r_a), (num_m, den_m, r_m), (num_s, den_s, r_s) = map(half_gamma, (a + 1, m + 1, a + m + 2))
+    return sqrt_pi_ratio(num_a * num_m * den_s, 2 * den_a * den_m * num_s, r_a + r_m - r_s)
+
+
 class TestRadialIntegrals:
     def test_closed_simple_antiderivative(self):
         # int sinh cosh^{-3} = [-cosh^{-2}/2] from 0 to inf = 1/2
@@ -115,6 +126,12 @@ class TestRadialIntegrals:
             for m in range(0, 2800, 37):  # both parities of m
                 exact = mp.beta(mp.mpf(a + 1) / 2, mp.mpf(m + 1) / 2) / 2
                 assert abs(radial_integral_closed(a, -a - m - 1) - exact) <= 2.3e-16 * exact, (a, m)
+
+    def test_short_products_match_three_factorials(self):
+        # every parity case of (a, m): the same rational, so the same double, bit for bit
+        for a in range(41):
+            for m in itertools.chain(range(64), range(64, 3001, 43), [2999, 3000]):
+                assert radial_integral_closed(a, -a - m - 1) == wallis_three_factorials(a, m), (a, m)
 
     def test_divergence_errors(self):
         with pytest.raises(DivergenceError):

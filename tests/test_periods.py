@@ -290,6 +290,18 @@ class TestBatchedScanPasses:
         assert capsys.readouterr().out
         assert (numeric, rules) == ([], [])
 
+    @pytest.mark.parametrize("via", ["cli", "library"])
+    def test_fj_norm_runs_no_quadrature(self, monkeypatch, capsys, via):
+        # the L2 norm is one exact ratio: no sphere rule and no Gegenbauer pass
+        passes = _count_calls(monkeypatch, harmonics, "_gegenbauer_rows")
+        rules = _count_calls(monkeypatch, numerics, "_sphere_rule")
+        if via == "cli":
+            assert main(["fj", "--p", "5", "--q", "7", "--lambda-x2", "804"]) == 0
+            assert json.loads(capsys.readouterr().out)["a"] == 400
+        else:
+            assert fjrep.l2_norm_sq(make_fj_param(5, 7, 402)) > 0
+        assert (passes, rules) == ([], [])
+
     def test_quadrature_suite_cross_checks_the_radial_factor(self, monkeypatch, capsys):
         numeric = _count_calls(monkeypatch, geometry, "radial_integrals_numeric")
         assert main(["check", "--suite", "quadrature"]) == 0
