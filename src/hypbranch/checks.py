@@ -48,8 +48,8 @@ def quadrature_suite(seed: int = 0) -> list[CheckResult]:
 
     worst = 0.0
     for a_exp in (0, 1, 2, 3, 5):
-        c_exps = [total - a_exp for total in (-2, -4, -7)]
-        for c_exp, (value, _) in zip(c_exps, geometry.radial_integrals_numeric(a_exp, c_exps)):
+        for c_exp in (total - a_exp for total in (-2, -4, -7)):
+            value, _ = geometry.radial_integral_numeric(a_exp, c_exp)
             closed = geometry.radial_integral_closed(a_exp, c_exp)
             worst = max(worst, abs(value - closed) / abs(closed))
     out.append(_result("radial_numeric_vs_closed", worst <= 1e-9, f"max rel err {worst:.2e}"))

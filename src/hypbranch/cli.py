@@ -4,10 +4,10 @@ Half-integer flags use the doubled-integer convention (`--lambda-x2 3` means
 lambda = 3/2) so no parameter ever passes through float parsing.  Exit codes:
 0 success, 1 property failure or a branch row whose numeric verdict disagrees
 with its predicate, 2 invalid parameters, an unwritable --out file,
-`period --witness` with `--subgroup g1` (the witness pairing is g2's) or a
-`branch --max-target-x2` that admits a target degree above 400, 3 divergent
-integral, 4 numeric tolerance not met or a reported value outside the normal
-floating-point range.
+`period --witness` with `--subgroup g1` (the witness pairing is g2's), a
+`period` or `branch` ambient degree above 400 or a `branch --max-target-x2`
+that admits a target degree above 400, 3 divergent integral, 4 numeric
+tolerance not met or a reported value outside the normal floating-point range.
 """
 
 from __future__ import annotations
@@ -24,11 +24,7 @@ from .checks import run_suite
 from .errors import DivergenceError, InvalidParameterError, ToleranceError
 from .fjrep import FJParam, SpaceTag, degree_x2, valid_lambdas_x2
 from .packets import RealForm, arthur_packet, pure_inner_forms, relevant_pairs
-from .periods import branching_verdicts_x2, period_integral_G1, period_integral_G2
-
-# The largest target degree a `branch` scan accepts: the checked degree range.
-# A g1 scan holds one Gram row per target, so its memory grows with the square.
-MAX_SCAN_DEGREE = 400
+from .periods import MAX_SCAN_DEGREE, branching_verdicts_x2, period_integral_G1, period_integral_G2
 
 BRANCH_COLUMNS = [
     "p",

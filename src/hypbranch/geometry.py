@@ -23,12 +23,14 @@ __all__ = [
     "measure_weight",
     "radial_integral_closed",
     "radial_integral_numeric",
-    "radial_integrals_numeric",
     "radial_integral_truncated",
 ]
 
 # A radial quadrature must agree with its halved rule to RADIAL_TOL * max(1, |value|).
 RADIAL_TOL = 1e-10
+# Gauss nodes of the radial cross-check's finer rule and of a truncated integral.
+RADIAL_NODES = 200
+TRUNCATED_NODES = 400
 # Relative rounding bound of radial_integral_closed on integer exponents: the
 # division, pi and pi's product, u = 2^-53 each.
 RADIAL_ROUNDING = 3 * 2.0**-53
@@ -133,45 +135,32 @@ def wallis_exact(a: int, m: int) -> tuple[int, int, int]:
     return math.prod(range(k + 1, a + 1)) * math.comb(m, l), math.prod(range(l + 1, l + k + 1)) << (a + m + 1), 2
 
 
-def radial_integrals_numeric(a_exp: float, c_exps, nodes: int = 200) -> list[tuple[float, float]]:
-    """Numeric R(a, c) for each c in `c_exps`, with error estimates from halving the rule.
+def radial_integral_numeric(a_exp: float, c_exp: float) -> tuple[float, float]:
+    """Numeric R(a, c), with an error estimate from halving the rule.
 
-    The independent cross-check of :func:`radial_integral_closed`.  Every exponent
-    is evaluated on the same two node sets (`nodes` and half as many), as one
-    (exponents x nodes) array.  Raises ToleranceError when an estimate exceeds
+    The independent cross-check of :func:`radial_integral_closed`, on RADIAL_NODES
+    Gauss nodes and half as many.  Raises ToleranceError when the estimate exceeds
     RADIAL_TOL max(1, |value|).
     """
-    a_exp, c_exps = float(a_exp), [float(c) for c in c_exps]
-    for c_exp in c_exps:
-        _check_radial_convergence(a_exp, c_exp)
+    a_exp, c_exp = float(a_exp), float(c_exp)
+    _check_radial_convergence(a_exp, c_exp)
     # x = tanh t maps [0, inf) to [0, 1); the residual endpoint singularity
     # is removed by x = sin(phi), i.e. t = atanh(sin phi): the integrand
     # becomes sin^a(phi) cos^{-(a+c)-1}(phi) on [0, pi/2], a trigonometric
     # polynomial whenever the exponents are integers.
-    cos_powers = np.array([-(a_exp + c_exp) - 1.0 for c_exp in c_exps]).reshape(-1, 1)
     sums = []
-    for n in (nodes, max(nodes // 2, 8)):
+    for n in (RADIAL_NODES, RADIAL_NODES // 2):
         phi, w = gauss_legendre_on(0.0, math.pi / 2.0, n)
-        sums.append((w * np.sin(phi) ** a_exp * np.cos(phi) ** cos_powers).sum(axis=1).tolist())
-    out = []
-    for value, coarse in zip(*sums):
-        err_est = abs(value - coarse)
-        tol = RADIAL_TOL * max(1.0, abs(value))
-        if err_est > tol:
-            raise ToleranceError(
-                f"radial quadrature error estimate {err_est:.3e} exceeds tolerance {tol:.3e}",
-                err_est,
-            )
-        out.append((value, err_est))
-    return out
+        sums.append(float(np.sum(w * np.sin(phi) ** a_exp * np.cos(phi) ** (-(a_exp + c_exp) - 1.0))))
+    value, coarse = sums
+    err_est = abs(value - coarse)
+    tol = RADIAL_TOL * max(1.0, abs(value))
+    if err_est > tol:
+        raise ToleranceError(f"radial quadrature error estimate {err_est:.3e} exceeds tolerance {tol:.3e}", err_est)
+    return value, err_est
 
 
-def radial_integral_numeric(a_exp: float, c_exp: float, nodes: int = 200) -> tuple[float, float]:
-    """The one-exponent form of :func:`radial_integrals_numeric`."""
-    return radial_integrals_numeric(a_exp, [c_exp], nodes)[0]
-
-
-def radial_integral_truncated(a_exp: float, c_exp: float, t_max: float, nodes: int = 400) -> float:
-    """int_0^{t_max} sinh^a cosh^c dt, for convergence/divergence probes."""
-    t, w = gauss_legendre_on(0.0, float(t_max), nodes)
+def radial_integral_truncated(a_exp: float, c_exp: float, t_max: float) -> float:
+    """int_0^{t_max} sinh^a cosh^c dt on TRUNCATED_NODES Gauss nodes, for convergence/divergence probes."""
+    t, w = gauss_legendre_on(0.0, float(t_max), TRUNCATED_NODES)
     return float(np.sum(w * np.sinh(t) ** float(a_exp) * np.cosh(t) ** float(c_exp)))

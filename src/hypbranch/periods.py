@@ -20,15 +20,14 @@ from .fjrep import (
     FJParam,
     SpaceTag,
     checked_degree,
-    decay_x2,
     inf_char_x2,
     make_fj_param,
     tag_signature,
     valid_lambdas,
 )
-from .geometry import RADIAL_ROUNDING, radial_integral_closed
+from .geometry import RADIAL_ROUNDING, wallis_exact
 from .harmonics import GRAM_RATIO_TOL, ktype_pairings_nonzero, pairing_subsphere, sphere_area, zonal_gram
-from .numerics import doubled
+from .numerics import doubled, sqrt_pi_ratio
 from .packets import InterlaceClass, interlace_classify
 
 __all__ = [
@@ -39,14 +38,18 @@ __all__ = [
     "nonvanishing_G1",
     "nonvanishing_G2",
     "period_integral_G1",
-    "period_integrals_G1",
     "period_integral_G2",
-    "period_integrals_G2",
     "branching_verdict",
     "branching_verdicts",
     "valid_targets",
     "interlace_class_for_pair",
 ]
+
+# The largest ambient degree a period and target degree a `branch` scan accept:
+# the checked degree range.  The zonal layer holds a Gram row per degree on a
+# rule of about that many nodes, so its memory grows with the square.
+MAX_SCAN_DEGREE = 400
+
 
 @dataclass(frozen=True)
 class PeriodVerdict:
@@ -126,23 +129,41 @@ def _require_convergence(lam_x2: int, targets_x2, tag: SpaceTag) -> None:
             raise DivergenceError(f"period diverges: lambda + {name} = {total} fails the > -1/2 threshold")
 
 
-def _assemble(ambient, tag, targets_x2, degrees, pairings, nonzeros, witness) -> list[PeriodVerdict]:
-    """Verdicts from the factored periods sphere_area(sp) * pairing * R(sp-1, sq-1 + e_lambda + e_target).
+def _periods(ambient: FJParam, tag: SpaceTag, targets_x2, witness: bool) -> list[PeriodVerdict]:
+    """Periods sphere_area(sp) * pairing * R(sp-1, ...) of the ambient against each doubled target.
 
-    X(sp, sq) is the targets' space and every exponent is a doubled int; the
-    radial factors are exact (`radial_integral_closed`), so err_est is
-    |sphere * pairing| times their rounding bound.  Refuses a value that is not
-    finite, the value of a nonzero row that is not a normal double, and sphere and
-    radial factors whose product is not a normal double.
+    X(sp, sq) is the targets' space.  g1 pairs on S^{q-1}: the pairings and the
+    scale-free nonzero ratios are the Gram row of Z_a over the target degrees
+    (`zonal_gram`).  g2 pairs on S^{q-2}: the verdicts are the K-type witnesses
+    (`ktype_pairings_nonzero`), and the pairing is the witness value with
+    `witness`, else the plain subsphere pairing.  Either way the targets share
+    their Gegenbauer passes.  R is the Wallis integral of sin^{sp-1} cos^m with
+    m = lambda + target - 1/2, exact and rounded once, so err_est is
+    |sphere * pairing| times its rounding bound.  Refuses an ambient degree above
+    MAX_SCAN_DEGREE before any Gram row is built, a value that is not finite, the
+    value of a nonzero row that is not a normal double, and sphere and radial
+    factors whose product is not a normal double.
     """
-    if not targets_x2:
+    a, p, q = ambient.degree, ambient.p, ambient.q
+    if a > MAX_SCAN_DEGREE:
+        raise InvalidParameterError(f"ambient degree {a}: periods stop at degree {MAX_SCAN_DEGREE}")
+    degrees = [checked_degree(p, q, t_x2, tag) for t_x2 in targets_x2]
+    if tag is SpaceTag.G1_SPACE:
+        grams, ratios, _ = zonal_gram(degrees, [a], q)
+        if not all(map(math.isfinite, ratios[0].tolist())):  # some |Z_a|^2 |Z_c|^2 underflowed to 0
+            raise ToleranceError(f"zonal Gram ratio not finite at degree {a} on S^{q - 1}", math.inf)
+        pairings, nonzeros = grams[0].tolist(), (ratios[0] > GRAM_RATIO_TOL).tolist()
+    else:
+        rows = ktype_pairings_nonzero(a, degrees, q)
+        nonzeros = [ok for ok, _ in rows]
+        pairings = [value for _, value in rows] if witness else [pairing_subsphere(a, b, q) for b in degrees]
+    if not targets_x2:  # read no sphere area, which a large p would refuse
         return []
-    sp, sq = tag_signature(ambient.p, ambient.q, tag)
-    shift_x2 = 2 * (sq - 1) + decay_x2(ambient.total, ambient.lam_x2)
-    a, sphere = ambient.degree, sphere_area(sp)
+    sp = tag_signature(p, q, tag)[0]
+    sphere = sphere_area(sp)
     verdicts = []
     for t_x2, b, pairing, nonzero in zip(targets_x2, degrees, pairings, nonzeros):
-        radial = radial_integral_closed(sp - 1, (shift_x2 + decay_x2(sp + sq, t_x2)) / 2)
+        radial = sqrt_pi_ratio(*wallis_exact(sp - 1, (ambient.lam_x2 + t_x2 - 1) // 2))
         if sphere * radial < sys.float_info.min:
             raise ToleranceError(f"sphere*radial {sphere * radial} below normal range at degrees ({a}, {b})", math.inf)
         value = sphere * pairing * radial
@@ -170,61 +191,28 @@ def _assemble(ambient, tag, targets_x2, degrees, pairings, nonzeros, witness) ->
     return verdicts
 
 
-def _periods_G2(ambient: FJParam, mus_x2, use_witness: bool) -> list[PeriodVerdict]:
-    a, p, q = ambient.degree, ambient.p, ambient.q
-    bs = [checked_degree(p, q, mu, SpaceTag.G2_SPACE) for mu in mus_x2]
-    witness = ktype_pairings_nonzero(a, bs, q)
-    pairings = [value for _, value in witness] if use_witness else [pairing_subsphere(a, b, q) for b in bs]
-    nonzeros = [ok for ok, _ in witness]
-    return _assemble(ambient, SpaceTag.G2_SPACE, mus_x2, bs, pairings, nonzeros, use_witness)
-
-
-def _periods_G1(ambient: FJParam, nus_x2) -> list[PeriodVerdict]:
-    a, p, q = ambient.degree, ambient.p, ambient.q
-    cs = [checked_degree(p, q, nu, SpaceTag.G1_SPACE) for nu in nus_x2]
-    grams, ratios, _ = zonal_gram(cs, [a], q)
-    if not all(map(math.isfinite, ratios[0].tolist())):  # some |Z_a|^2 |Z_c|^2 underflowed to 0
-        raise ToleranceError(f"zonal Gram ratio not finite at degree {a} on S^{q - 1}", math.inf)
-    nonzeros = (ratios[0] > GRAM_RATIO_TOL).tolist()
-    return _assemble(ambient, SpaceTag.G1_SPACE, nus_x2, cs, grams[0].tolist(), nonzeros, False)
-
-
-def period_integrals_G2(p: int, q: int, lam, mus, use_witness: bool = False) -> list[PeriodVerdict]:
-    """Periods of the (lambda, mu) pairs over the suborbit X(p, q-1), one per mu.
+def period_integral_G2(p: int, q: int, lam, mu, use_witness: bool = False) -> PeriodVerdict:
+    """Period of the (lambda, mu) pair over the suborbit X(p, q-1).
 
     Factored value: sphere_area(p) * [subsphere pairing on S^{q-2}] *
     R(p-1, (q-2) + e_lambda + e_mu).  With `use_witness`, the pairing factor
     is the K-type witness value (its leading normal trace paired with the
-    target zonal harmonic) instead of the plain zonal restriction.  The
-    witnesses of all targets share their Gegenbauer passes
-    (`ktype_pairings_nonzero`).
+    target zonal harmonic) instead of the plain zonal restriction.
     """
-    lam_x2, mus_x2 = doubled(lam), [doubled(mu) for mu in mus]
-    _require_convergence(lam_x2, mus_x2, SpaceTag.G2_SPACE)
-    return _periods_G2(FJParam(p, q, lam_x2), mus_x2, use_witness)
-
-
-def period_integral_G2(p: int, q: int, lam, mu, use_witness: bool = False) -> PeriodVerdict:
-    """Period of the (lambda, mu) pair over the suborbit X(p, q-1): see `period_integrals_G2`."""
-    return period_integrals_G2(p, q, lam, [mu], use_witness)[0]
-
-
-def period_integrals_G1(p: int, q: int, lam, nus) -> list[PeriodVerdict]:
-    """Periods of the (lambda, nu) pairs over the suborbit X(p-1, q), one per nu.
-
-    Factored value: sphere_area(p-1) * [full-sphere pairing on S^{q-1},
-    which is delta_{a,c} |f_a|^2 by orthogonality] * R(p-2, (q-1)+e_lambda+e_nu).
-    The pairings and the scale-free nonzero ratios are the Gram row of Z_a over
-    all target degrees, from one Gegenbauer pass (`zonal_gram`).
-    """
-    lam_x2, nus_x2 = doubled(lam), [doubled(nu) for nu in nus]
-    _require_convergence(lam_x2, nus_x2, SpaceTag.G1_SPACE)
-    return _periods_G1(FJParam(p, q, lam_x2), nus_x2)
+    lam_x2, mu_x2 = doubled(lam), doubled(mu)
+    _require_convergence(lam_x2, [mu_x2], SpaceTag.G2_SPACE)
+    return _periods(FJParam(p, q, lam_x2), SpaceTag.G2_SPACE, [mu_x2], use_witness)[0]
 
 
 def period_integral_G1(p: int, q: int, lam, nu) -> PeriodVerdict:
-    """Period of the (lambda, nu) pair over the suborbit X(p-1, q): see `period_integrals_G1`."""
-    return period_integrals_G1(p, q, lam, [nu])[0]
+    """Period of the (lambda, nu) pair over the suborbit X(p-1, q).
+
+    Factored value: sphere_area(p-1) * [full-sphere pairing on S^{q-1},
+    which is delta_{a,c} |f_a|^2 by orthogonality] * R(p-2, (q-1)+e_lambda+e_nu).
+    """
+    lam_x2, nu_x2 = doubled(lam), doubled(nu)
+    _require_convergence(lam_x2, [nu_x2], SpaceTag.G1_SPACE)
+    return _periods(FJParam(p, q, lam_x2), SpaceTag.G1_SPACE, [nu_x2], False)[0]
 
 
 @dataclass(frozen=True)
@@ -272,10 +260,7 @@ def branching_verdicts_x2(p: int, q: int, lam_x2: int, subgroup: str, targets_x2
     tag = _tag(subgroup)
     ambient = FJParam(p, q, lam_x2)
     _require_convergence(lam_x2, targets_x2, tag)
-    if tag is SpaceTag.G1_SPACE:
-        verdicts = _periods_G1(ambient, targets_x2)
-    else:
-        verdicts = _periods_G2(ambient, targets_x2, use_witness=True)
+    verdicts = _periods(ambient, tag, targets_x2, witness=tag is SpaceTag.G2_SPACE)
     return [
         BranchingVerdict(
             hom_nonzero=verdict.predicate_nonzero,

@@ -249,9 +249,9 @@ class TestExitCodes:
              "--target-x2", "3", "--subgroup", "g2"),
             # the L2 norm on X(4, 438) at degree 4999 is 1.5e341, above the float range
             ("fj", "--p", "4", "--q", "438", "--lambda-x2", "10434"),
-            # |Z_a|^2 overflows to inf on S^129 at degree 1000
-            ("period", "--p", "5", "--q", "130", "--lambda-x2", "2127",
-             "--target-x2", "2128", "--subgroup", "g1"),
+            # |Z_c|^2 overflows to inf on S^129 at target degree 1036
+            ("period", "--p", "5", "--q", "130", "--lambda-x2", "133",
+             "--target-x2", "2200", "--subgroup", "g1"),
             # the L2 norm on X(400, 4) is 1.3e-393, below the normal range
             ("fj", "--p", "400", "--q", "4", "--lambda-x2", "400"),
             # the sphere area of S^348 times the radial factor is below the normal range
@@ -297,11 +297,11 @@ class TestExitCodes:
         "argv",
         [
             ("fj", "--p", "4", "--q", "438", "--lambda-x2", "10434"),
-            ("period", "--p", "5", "--q", "130", "--lambda-x2", "2127",
-             "--target-x2", "2128", "--subgroup", "g1"),
-            # the witness norms overflow on S^128 at degree 1000
-            ("period", "--p", "4", "--q", "130", "--lambda-x2", "2128",
-             "--target-x2", "127", "--subgroup", "g2", "--witness"),
+            ("period", "--p", "5", "--q", "130", "--lambda-x2", "133",
+             "--target-x2", "2200", "--subgroup", "g1"),
+            # the witness norms overflow on S^128 at target degree 1000
+            ("period", "--p", "4", "--q", "130", "--lambda-x2", "130",
+             "--target-x2", "2127", "--subgroup", "g2", "--witness"),
             # |Z_0|^2 |Z_1|^2 underflows to 0 on S^299: the g1 Gram ratio would be inf
             ("period", "--p", "5", "--q", "300", "--lambda-x2", "297",
              "--target-x2", "300", "--subgroup", "g1"),
@@ -346,6 +346,35 @@ class TestExitCodes:
         assert code == 2
         assert out == ""
         assert err.startswith("error: --max-target-x2 ") and len(err.strip().splitlines()) == 1
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("branch", "--p", "4", "--q", "6", "--lambda-x2", "40004", "--subgroup", "g2",
+             "--max-target-x2", "5"),
+            ("period", "--p", "5", "--q", "4", "--lambda-x2", "200001", "--target-x2", "200002",
+             "--subgroup", "g1"),
+            ("period", "--p", "5", "--q", "130", "--lambda-x2", "2127", "--target-x2", "2128",
+             "--subgroup", "g1"),
+            ("period", "--p", "4", "--q", "130", "--lambda-x2", "2128", "--target-x2", "127",
+             "--subgroup", "g2", "--witness"),
+            ("branch", "--p", "5", "--q", "4", "--lambda-x2", "803", "--subgroup", "g1",
+             "--max-target-x2", "4"),
+        ],
+        ids=["branch_g2_degree_20000", "period_g1_degree_100000", "period_g1_degree_1000",
+             "period_g2_witness_degree_1000", "branch_g1_degree_401"],
+    )
+    def test_ambient_degree_above_400_exits_2_fast(self, capsys, monkeypatch, argv):
+        # the refusal comes before any Gram row: the memory of the zonal layer
+        # grows with the square of the degree
+        passes = []
+        monkeypatch.setattr(harmonics, "_gegenbauer_rows", lambda *args: passes.append(args[:2]))
+        start = time.monotonic()
+        code, out, err = run_cli(capsys, *argv)
+        assert time.monotonic() - start < 1.0
+        assert (code, out, passes) == (2, "", [])
+        assert err.startswith("error: ambient degree ") and len(err.strip().splitlines()) == 1
+        assert err.strip().endswith(f"periods stop at degree {periods.MAX_SCAN_DEGREE}")
 
     @pytest.mark.parametrize(
         "argv",

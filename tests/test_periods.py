@@ -9,7 +9,7 @@ from hypbranch import cli, fjrep, geometry, harmonics, numerics, packets, period
 from hypbranch.cli import main
 from hypbranch.errors import DivergenceError, InvalidParameterError
 from hypbranch.fjrep import SpaceTag, inf_char, make_fj_param, valid_lambdas
-from hypbranch.geometry import radial_integral_closed
+from hypbranch.geometry import radial_integral_closed, wallis_exact
 from hypbranch.harmonics import sphere_area, zonal_norm_sq, zonal_norm_sq_closed
 from hypbranch.numerics import doubled
 from hypbranch.packets import InterlaceClass
@@ -23,8 +23,6 @@ from hypbranch.periods import (
     nonvanishing_G2,
     period_integral_G1,
     period_integral_G2,
-    period_integrals_G1,
-    period_integrals_G2,
     valid_targets,
 )
 
@@ -161,7 +159,7 @@ class TestPeriodsG1Batched:
                     continue
                 top = 2 * (a + 2) + 2 - (p - 1 - q)  # target degrees c = 0..a+2
                 nus = valid_targets(p, q, "g1", top)
-                batch = period_integrals_G1(p, q, lam, nus)
+                batch = [row.verdict for row in branching_verdicts(p, q, lam, "g1", nus)]
                 ambient = make_fj_param(p, q, lam)
                 assert [v.degree_pair for v in batch] == [(a, c) for c in range(a + 3 - len(nus), a + 3)]
                 for nu, v in zip(nus, batch):
@@ -193,7 +191,6 @@ class TestPeriodsG1Batched:
         monkeypatch.setattr(harmonics, "_gegenbauer_rows", counted)
         lam = H(2 * 16 + 1)  # a = 16 at (5, 4)
         nus = valid_targets(5, 4, "g1", 2 * 18 + 2)
-        assert len(period_integrals_G1(5, 4, lam, nus)) == 19
         assert len(branching_verdicts(5, 4, lam, "g1", nus)) == 19
         period_integral_G1(5, 4, lam, nus[16])
         assert main(["branch", "--p", "5", "--q", "4", "--lambda-x2", "33",
@@ -201,41 +198,32 @@ class TestPeriodsG1Batched:
         assert main(["period", "--p", "5", "--q", "4", "--lambda-x2", "33",
                      "--target-x2", "34", "--subgroup", "g1"]) == 0
         capsys.readouterr()
-        assert calls == [(18, 1.0), (18, 1.0), (16, 1.0), (18, 1.0), (16, 1.0)]
+        assert calls == [(18, 1.0), (16, 1.0), (18, 1.0), (16, 1.0)]
 
 
 class TestPeriodsG2Batched:
     @pytest.mark.parametrize("p", [4, 5, 6])
     def test_matches_one_element_calls(self, p):
-        # the witness rows and verdicts are bitwise those of the one-element
-        # calls; a radial row may sit one ulp apart (numpy's array power)
+        # a scan's witness rows and verdicts are bitwise those of the one-target
+        # witness calls, and so are its exact radial factors
         for q in range(5, 9):
             for a in range(21):
                 lam = H(2 * a + 2 - (p - q))
                 mus = valid_targets(p, q, "g2", 2 * (a + 2) + 2 - (p - q + 1))  # b up to a + 2
-                for use_witness in (True, False):
-                    batch = period_integrals_G2(p, q, lam, mus, use_witness=use_witness)
-                    assert len(batch) == len(mus)
-                    for mu, v in zip(mus, batch):
-                        single = period_integral_G2(p, q, lam, mu, use_witness=use_witness)
-                        case = (p, q, a, mu, use_witness)
-                        assert v.degree_pair == single.degree_pair and v.degree_pair[0] == a, case
-                        assert v.nonzero == single.nonzero == v.predicate_nonzero, case
-                        assert v.parity_match == single.parity_match, case
-                        assert v.witness_used == single.witness_used == use_witness, case
-                        assert v.pairing_factor == single.pairing_factor, case
-                        assert v.sphere_factor == single.sphere_factor, case
-                        assert v.radial_factor == pytest.approx(single.radial_factor, rel=1e-15), case
-                        assert v.value == pytest.approx(single.value, rel=1e-15, abs=1e-300), case
-                        err_tol = 1e-15 * abs(single.value)
-                        assert v.err_est == pytest.approx(single.err_est, rel=1e-14, abs=err_tol), case
+                batch = [row.verdict for row in branching_verdicts(p, q, lam, "g2", mus)]
+                assert len(batch) == len(mus)
+                for mu, v in zip(mus, batch):
+                    case = (p, q, a, mu)
+                    assert v.degree_pair[0] == a and v.witness_used, case
+                    assert v.nonzero == v.predicate_nonzero, case
+                    assert v == period_integral_G2(p, q, lam, mu, use_witness=True), case
 
     def test_divergence(self):
         with pytest.raises(DivergenceError):
-            period_integrals_G2(4, 4, 2, [H(3), H(-9)])
+            branching_verdicts(4, 4, 2, "g2", [H(3), H(-9)])
 
     def test_empty(self):
-        assert period_integrals_G2(4, 4, 2, []) == []
+        assert branching_verdicts(4, 4, 2, "g2", []) == []
 
 
 def _count_calls(monkeypatch, module, name):
@@ -284,7 +272,7 @@ class TestBatchedScanPasses:
     )
     def test_no_radial_rule_per_request(self, monkeypatch, capsys, argv):
         # the radial factor is exact: the Gauss pair is only the cross-check
-        numeric = _count_calls(monkeypatch, geometry, "radial_integrals_numeric")
+        numeric = _count_calls(monkeypatch, geometry, "radial_integral_numeric")
         rules = _count_calls(monkeypatch, geometry, "gauss_legendre_on")
         assert main(list(argv)) == 0
         assert capsys.readouterr().out
@@ -303,10 +291,10 @@ class TestBatchedScanPasses:
         assert (passes, rules) == ([], [])
 
     def test_quadrature_suite_cross_checks_the_radial_factor(self, monkeypatch, capsys):
-        numeric = _count_calls(monkeypatch, geometry, "radial_integrals_numeric")
+        numeric = _count_calls(monkeypatch, geometry, "radial_integral_numeric")
         assert main(["check", "--suite", "quadrature"]) == 0
         assert "[PASS] radial_numeric_vs_closed" in capsys.readouterr().out
-        assert len(numeric) == 5
+        assert len(numeric) == 15  # five sine powers, three exponent sums each
 
     def test_legendre_rules_per_g2_ladder(self):
         # the g2_scan mix from cold caches: the witness sphere rules of q = 6 and
@@ -325,23 +313,24 @@ class TestBatchedScanPasses:
 
 @pytest.fixture(scope="module")
 def factor_grid():
-    """(a_exp, c_exp, sp, radial_factor, sphere_factor) of each period on the exact-factor grid.
+    """(a, m, lambda_x2 + target_x2, sp, radial_factor, sphere_factor) of each period on the exact-factor grid.
 
     The grid: p, q in {4, 7, 10, 13, 16}, every 5th valid lambda <= 200, both
     subgroups and every 3rd convergent target <= 200.  The factors do not read the
     pairing, so a constant Gram row and witness stand in for the zonal layer; the
-    exponents are recorded as the periods pass them to `radial_integral_closed`.
+    Wallis exponents of sin^a cos^m are recorded as the periods pass them to
+    `wallis_exact`.
     """
     exponents, rows = [], []
 
-    def recorded(a_exp, c_exp):
-        exponents.append((a_exp, c_exp))
-        return radial_integral_closed(a_exp, c_exp)
+    def recorded(a, m):
+        exponents.append((a, m))
+        return wallis_exact(a, m)
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(periods, "zonal_gram", lambda cs, ks, n: (np.ones((1, len(cs))),) * 2 + (None,))
         patch.setattr(periods, "ktype_pairings_nonzero", lambda a, bs, n: [(True, 1.0)] * len(bs))
-        patch.setattr(periods, "radial_integral_closed", recorded)
+        patch.setattr(periods, "wallis_exact", recorded)
         for p in (4, 7, 10, 13, 16):
             for q in (4, 7, 10, 13, 16):
                 for lam_x2 in fjrep.valid_lambdas_x2(p, q, 400)[::5]:
@@ -349,29 +338,32 @@ def factor_grid():
                         targets = fjrep.valid_lambdas_x2(p, q, 400, SpaceTag(sub))[::3]
                         targets = [t for t in targets if lam_x2 + t > -1]
                         sp = p - 1 if sub == "g1" else p
-                        for row in periods.branching_verdicts_x2(p, q, lam_x2, sub, targets):
-                            rows.append((sp, row.verdict.radial_factor, row.verdict.sphere_factor))
+                        verdicts = periods.branching_verdicts_x2(p, q, lam_x2, sub, targets)
+                        for t_x2, row in zip(targets, verdicts, strict=True):
+                            rows.append((lam_x2 + t_x2, sp, row.verdict.radial_factor, row.verdict.sphere_factor))
     return [(*exps, *row) for exps, row in zip(exponents, rows, strict=True)]
 
 
 class TestExactFactors:
     def test_every_wallis_exponent_is_an_integer(self, factor_grid):
-        # R(a, c) is the Wallis integral of sin^a cos^m, m = -(a+c)-1, on every row
+        # the radial factor is the Wallis integral of sin^a cos^m with m = lambda + target - 1/2
+        # exactly on every row: a valid lambda_x2 + target_x2 is odd, so no half is dropped
         assert len(factor_grid) == 132808
-        for a_exp, c_exp, *_ in factor_grid:
-            assert float(c_exp).is_integer() and -(a_exp + c_exp) - 1 >= 0, (a_exp, c_exp)
+        for a, m, twice_sum, sp, *_ in factor_grid:
+            assert isinstance(m, int) and 2 * m + 1 == twice_sum and m >= 0, (a, m, twice_sum)
+            assert a == sp - 1, (a, sp)
 
     def test_factors_against_mpmath(self, factor_grid):
         mp = pytest.importorskip("mpmath")
         mp.mp.dps = 40
         radials, spheres = {}, {}
-        for a_exp, c_exp, sp, radial, sphere in factor_grid:
-            radials.setdefault((a_exp, c_exp), set()).add(radial)
+        for a, m, _, sp, radial, sphere in factor_grid:
+            radials.setdefault((a, m), set()).add(radial)
             spheres.setdefault(sp, set()).add(sphere)
-        for (a_exp, c_exp), values in radials.items():
+        for (a, m), values in radials.items():
             (radial,) = values  # one factor per exponent pair
-            exact = mp.beta(mp.mpf(a_exp + 1) / 2, -(a_exp + mp.mpf(c_exp)) / 2) / 2
-            assert abs(radial - exact) <= 2.3e-16 * exact, (a_exp, c_exp)
+            exact = mp.beta(mp.mpf(a + 1) / 2, mp.mpf(m + 1) / 2) / 2
+            assert abs(radial - exact) <= 2.3e-16 * exact, (a, m)
         for sp, values in spheres.items():
             (sphere,) = values
             exact = 2 * mp.pi ** (mp.mpf(sp) / 2) / mp.gamma(mp.mpf(sp) / 2)
