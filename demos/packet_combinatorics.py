@@ -1,28 +1,28 @@
 """The combinatorial layer: packets, inner forms, and predicate disjointness.
 
 The two-element packet comes out of the double cosets of the type-D
-signed-permutation group, one per block of signed basis vectors; the
-explorer then checks that the model-level supports of the two members never
-overlap on a target grid.
+signed-permutation group, one per block of signed basis vectors; the packet
+report states their representatives and the coset space size in closed form.
+The explorer then checks that the model-level supports of the two members
+never overlap on a target grid.
 """
 
 from fractions import Fraction
 
 from hypbranch import arthur_packet, conjecture_explore, pure_inner_forms, relevant_pairs
-from hypbranch.packets import RealForm, WeylGroup, double_cosets
+from hypbranch.packets import RealForm
 
 print("== double cosets behind the packet size ==")
 for p, q in ((4, 4), (4, 6), (6, 6)):
-    m = (p + q) // 2
-    left = (WeylGroup("D", p // 2), WeylGroup("D", q // 2))
-    cosets = double_cosets(left, WeylGroup("D", m), WeylGroup("D", m - 1))
+    cosets = arthur_packet(p, q, 1)
     print(
-        f"  (p, q) = ({p}, {q}):  orbit count = {cosets.count}  "
-        f"(coset space size = {cosets.coset_space_size})"
+        f"  (p, q) = ({p}, {q}):  orbit count = {cosets['size']}  "
+        f"(coset space size = {cosets['coset_space_size']})"
     )
-    for orbit, rep in zip(cosets.orbits, cosets.representatives):
-        targets = [i for i, sign in orbit if sign == 1]
-        print(f"    coset of {list(rep.images)}: sends e_1 to +-e_i, i in {targets}")
+    # the left group D_{p/2} x D_{q/2} moves the image of e_1 through its block
+    blocks = (range(1, p // 2 + 1), range(p // 2 + 1, (p + q) // 2 + 1))
+    for block, rep in zip(blocks, cosets["double_coset_reps"]):
+        print(f"    coset of {rep}: sends e_1 to +-e_i, i in {list(block)}")
 
 print()
 print("== the packet at (4, 4) ==")

@@ -21,7 +21,6 @@ from .harmonics import (
     gegenbauer,
     ktype_pairing_nonzero,
     pairing_subsphere,
-    so_branching_multiplicity,
     sphere_area,
     zonal_norm_sq,
 )
@@ -29,12 +28,9 @@ from .numerics import gauss_legendre_rule
 from .packets import (
     InterlaceClass,
     RealForm,
-    SignedPermutation,
-    WeylGroup,
     admissibility_table,
     arthur_packet,
     conjecture_explore,
-    double_cosets,
     interlace_classify,
     pure_inner_forms,
     relevant_pairs,

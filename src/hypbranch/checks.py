@@ -83,7 +83,7 @@ def harmonics_suite(seed: int = 0) -> list[CheckResult]:
     out.append(_result("zonal_norm_closed_vs_quadrature", worst <= 1e-10, f"max rel {worst:.2e}"))
 
     ok = all(
-        nonzero == (harmonics.so_branching_multiplicity(a, b) == 1)
+        nonzero == periods._nonvanishing(fjrep.SpaceTag.G2_SPACE, a, b)
         for n in (4, 5, 6)
         for a in range(7)
         for b, (nonzero, _) in enumerate(harmonics.ktype_pairings_nonzero(a, range(7), n))

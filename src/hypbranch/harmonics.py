@@ -28,7 +28,6 @@ __all__ = [
     "zonal_norm_sq_closed",
     "zonal_gram",
     "pairing_subsphere",
-    "so_branching_multiplicity",
     "ktype_pairing_nonzero",
     "ktype_pairings_nonzero",
 ]
@@ -211,13 +210,6 @@ def pairing_subsphere(a: int, b: int, n: int) -> float:
         n - 4,
         a + b,
     )
-
-
-def so_branching_multiplicity(a: int, b: int) -> int:
-    """Multiplicity of the one-row SO(n-1)-type b in the restriction of type a."""
-    if a < 0 or b < 0:
-        raise InvalidParameterError("degrees must be non-negative")
-    return 1 if b <= a else 0
 
 
 def ktype_pairings_nonzero(a: int, bs, n: int) -> list[tuple[bool, float]]:

@@ -1,8 +1,10 @@
-"""Signed-permutation Weyl groups, interlacing classes, and packet combinatorics.
+"""Interlacing classes and packet combinatorics, in closed form.
 
-Covers the desk-scale combinatorial layer: double-coset counting behind the
-two-element packets, pure inner forms, relevant pairs, the encoded
-admissibility table, and the predicate-disjointness explorer.
+Covers the desk-scale combinatorial layer: the two-element packets with their
+double-coset data, pure inner forms, relevant pairs, the encoded
+admissibility table, and the predicate-disjointness explorer.  The
+signed-permutation groups, the coset searches and the pair search that these
+closed forms replace are oracles in ``tests/coset_oracle.py``.
 """
 
 from __future__ import annotations
@@ -17,13 +19,9 @@ from .fjrep import SpaceTag, degree_x2
 from .numerics import doubled
 
 __all__ = [
-    "SignedPermutation",
-    "WeylGroup",
     "InterlaceClass",
     "RealForm",
     "interlace_classify",
-    "DoubleCosetResult",
-    "double_cosets",
     "arthur_packet",
     "pure_inner_forms",
     "relevant_pairs",
@@ -32,47 +30,6 @@ __all__ = [
     "conjecture_explore",
     "default_support_predicates",
 ]
-
-
-class SignedPermutation:
-    """A signed permutation of {1..n}: e_i -> sign * e_{|images[i-1]|}."""
-
-    __slots__ = ("images",)
-
-    def __init__(self, images):
-        images = tuple(int(v) for v in images)
-        if 0 in images:
-            raise InvalidParameterError("signed permutation images must be nonzero")
-        if sorted(abs(v) for v in images) != list(range(1, len(images) + 1)):
-            raise InvalidParameterError("underlying index map must be a bijection")
-        self.images = images
-
-    @classmethod
-    def identity(cls, n: int) -> "SignedPermutation":
-        return cls(range(1, n + 1))
-
-    def __eq__(self, other):
-        return isinstance(other, SignedPermutation) and self.images == other.images
-
-    def __hash__(self):
-        return hash(self.images)
-
-    def __repr__(self):
-        return f"SignedPermutation({list(self.images)})"
-
-
-@dataclass(frozen=True)
-class WeylGroup:
-    """Type B_n or D_n signed-permutation group."""
-
-    family: str
-    rank: int
-
-    def __post_init__(self):
-        if self.family not in ("B", "D"):
-            raise InvalidParameterError("family must be 'B' or 'D'")
-        if self.rank < 1:
-            raise InvalidParameterError("rank must be >= 1")
 
 
 class InterlaceClass(Enum):
@@ -100,62 +57,18 @@ def interlace_classify(a: list[int], b: list[int]) -> InterlaceClass:
     return InterlaceClass.NO_PATTERN
 
 
-# ---------------------------------------------------------------------------
-# Double cosets behind the two-element packets
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class DoubleCosetResult:
-    count: int
-    representatives: tuple[SignedPermutation, ...]
-    coset_space_size: int
-    orbits: tuple[tuple[tuple[int, int], ...], ...]
-
-
-def _validate_coset_setup(left, mid: WeylGroup, right: WeylGroup):
-    r1, r2 = left
-    if mid.family != "D":
-        raise AssumptionError("middle group must be of type D")
-    if right.family != "D" or right.rank != mid.rank - 1:
-        raise AssumptionError("right factor must be D_{m-1} fixing the first coordinate")
-    if r1.family != "D" or r2.family != "D":
-        raise AssumptionError("left factors must be type D (even orthogonal Weyl groups)")
-    if r1.rank + r2.rank != mid.rank:
-        raise AssumptionError("left block ranks must sum to the middle rank")
-    if r1.rank < 2 or r2.rank < 2:
-        raise AssumptionError("left block ranks must be >= 2 (p, q >= 4)")
-
-
-def double_cosets(left: tuple[WeylGroup, WeylGroup], mid: WeylGroup, right: WeylGroup) -> DoubleCosetResult:
-    """The left\\mid/right double cosets in closed form.
-
-    The right factor is the stabilizer of e_1 in mid = D_m, so mid/right is
-    the 2m signed basis vectors, and the double cosets are the orbits of the
-    block-diagonal left group on them.  D_r with r >= 2 is transitive on the
-    2r signed basis vectors of its block, so there are two orbits, one per
-    block: the identity coset and the coset of the transposition
-    e_1 <-> e_{r1+1}.
-    """
-    _validate_coset_setup(left, mid, right)
-    m, r1 = mid.rank, left[0].rank
-    swap = list(range(1, m + 1))
-    swap[0], swap[r1] = r1 + 1, 1
-    blocks = (range(1, r1 + 1), range(r1 + 1, m + 1))
-    return DoubleCosetResult(
-        count=len(blocks),
-        representatives=(SignedPermutation.identity(m), SignedPermutation(swap)),
-        coset_space_size=2 * m,
-        orbits=tuple(tuple((i, s) for i in block for s in (-1, 1)) for block in blocks),
-    )
-
-
 def arthur_packet(p: int, q: int, lam) -> dict:
     """The two-member packet attached to (p, q, lambda) for p, q even, 4 <= p <= q and lambda > 0.
 
     Member "s" (identity coset) lives in the discrete spectrum of
     SO0(p,q)/SO0(p,q-1); member "as" (the e_1-transposition coset) in that of
     SO0(p,q)/SO0(p-1,q).
+
+    The members index the double cosets (D_{p/2} x D_{q/2}) \\ D_m / D_{m-1},
+    m = (p+q)/2, with D_{m-1} the stabilizer of e_1.  So D_m / D_{m-1} is the
+    p + q signed basis vectors, and D_r with r >= 2 is transitive on the 2r
+    signed basis vectors of its block: there are two double cosets, one per
+    block, represented by the identity and the transposition e_1 <-> e_{p/2+1}.
     """
     if p % 2 or q % 2:
         raise AssumptionError("arthur_packet requires p and q even")
@@ -164,12 +77,9 @@ def arthur_packet(p: int, q: int, lam) -> dict:
     lam_x2 = doubled(lam)
     if lam_x2 <= 0:
         raise InvalidParameterError(f"lambda must be positive, got {Fraction(lam_x2, 2)}")
-    m = (p + q) // 2
-    result = double_cosets(
-        (WeylGroup("D", p // 2), WeylGroup("D", q // 2)),
-        WeylGroup("D", m),
-        WeylGroup("D", m - 1),
-    )
+    identity = list(range(1, (p + q) // 2 + 1))
+    swap = identity.copy()
+    swap[0], swap[p // 2] = p // 2 + 1, 1
     members = [
         {
             "tag": "s",
@@ -185,11 +95,11 @@ def arthur_packet(p: int, q: int, lam) -> dict:
         },
     ]
     return {
-        "size": result.count,
+        "size": 2,
         "lambda_x2": lam_x2,
         "members": members,
-        "double_coset_reps": [list(rep.images) for rep in result.representatives],
-        "coset_space_size": result.coset_space_size,
+        "double_coset_reps": [identity, swap],
+        "coset_space_size": p + q,
     }
 
 
@@ -220,25 +130,22 @@ def relevant_pairs(g_form: RealForm, codim_direction: str) -> list[tuple[RealFor
 
     The subgroup base is (p-1, q) for "drop_p" and (p, q-1) for "drop_q"; a
     pair is relevant when the subgroup signature embeds with total one less.
+    Each subgroup form pairs with exactly one ambient form, the one a unit
+    vector away: (1, 0) for "drop_p", (0, 1) for "drop_q".  The other
+    neighbour has the wrong parity to be a pure inner form of g_form.
     """
     if codim_direction == "drop_p":
         if g_form.p_sig < 1:
             raise InvalidParameterError("drop_p needs p_sig >= 1")
-        sub_base = RealForm(g_form.p_sig - 1, g_form.q_sig)
+        dp, dq = 1, 0
     elif codim_direction == "drop_q":
         if g_form.q_sig < 1:
             raise InvalidParameterError("drop_q needs q_sig >= 1")
-        sub_base = RealForm(g_form.p_sig, g_form.q_sig - 1)
+        dp, dq = 0, 1
     else:
         raise InvalidParameterError("codim_direction must be 'drop_p' or 'drop_q'")
-    ambients = pure_inner_forms(g_form)
-    subs = pure_inner_forms(sub_base)
-    pairs = []
-    for sub in subs:
-        for amb in ambients:
-            if sub.p_sig <= amb.p_sig and sub.q_sig <= amb.q_sig and sub.total == amb.total - 1:
-                pairs.append((sub, amb))
-    return sorted(pairs)
+    sub_base = RealForm(g_form.p_sig - dp, g_form.q_sig - dq)
+    return [(s, RealForm(s.p_sig + dp, s.q_sig + dq)) for s in pure_inner_forms(sub_base)]
 
 
 _ADMISSIBILITY = {

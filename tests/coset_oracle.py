@@ -1,23 +1,66 @@
-"""Double-coset oracles: the search that ``hypbranch.packets.double_cosets`` replaces.
+"""Signed-permutation groups and the searches that ``hypbranch.packets`` states in closed form.
+
+``SignedPermutation`` and ``WeylGroup`` are the type B/D Weyl groups as data;
+the plain functions below give their group law, the action on signed basis
+vectors, the group order, and ``weyl_elements`` and ``weyl_generators``
+enumerate a group for the oracles and the group tests.
 
 ``double_cosets_bfs`` finds the left-group orbits on the signed destinations
 of e_1 by a breadth-first search over generators; ``double_cosets_brute``
 enumerates every element of the middle Weyl group and counts the components
-under left and right multiplication by generators.  Neither assumes what the
-closed form rests on: that each block's signed basis vectors form one orbit.
-``weyl_elements`` and ``weyl_generators`` enumerate a type B/D Weyl group for
-these oracles and the group tests; the plain functions below give the group
-law, the action on signed basis vectors and the group order.
-``weyl_conjugate`` is the orbit test that ``hypbranch.fjrep.is_self_dual``
-replaces with its closed form.
+under left and right multiplication by generators.  Neither assumes what
+``hypbranch.packets.arthur_packet``'s closed form rests on: that each block's
+signed basis vectors form one orbit.  ``relevant_pairs_search`` tries every
+(subgroup form, ambient form) pair, where ``hypbranch.packets.relevant_pairs``
+takes the one ambient form a unit vector away.  ``weyl_conjugate`` is the
+orbit test that ``hypbranch.fjrep.is_self_dual`` replaces with its closed form.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from dataclasses import dataclass
 
-from hypbranch.packets import DoubleCosetResult, SignedPermutation, WeylGroup, _validate_coset_setup
+from hypbranch.errors import AssumptionError, InvalidParameterError
+from hypbranch.packets import RealForm, pure_inner_forms
+
+
+class SignedPermutation:
+    """A signed permutation of {1..n}: e_i -> sign * e_{|images[i-1]|}."""
+
+    __slots__ = ("images",)
+
+    def __init__(self, images):
+        images = tuple(int(v) for v in images)
+        if 0 in images:
+            raise InvalidParameterError("signed permutation images must be nonzero")
+        if sorted(abs(v) for v in images) != list(range(1, len(images) + 1)):
+            raise InvalidParameterError("underlying index map must be a bijection")
+        self.images = images
+
+    def __eq__(self, other):
+        return isinstance(other, SignedPermutation) and self.images == other.images
+
+    def __hash__(self):
+        return hash(self.images)
+
+    def __repr__(self):
+        return f"SignedPermutation({list(self.images)})"
+
+
+@dataclass(frozen=True)
+class WeylGroup:
+    """Type B_n or D_n signed-permutation group."""
+
+    family: str
+    rank: int
+
+    def __post_init__(self):
+        if self.family not in ("B", "D"):
+            raise InvalidParameterError("family must be 'B' or 'D'")
+        if self.rank < 1:
+            raise InvalidParameterError("rank must be >= 1")
 
 
 def compose(w: SignedPermutation, v: SignedPermutation) -> SignedPermutation:
@@ -134,14 +177,35 @@ def coset_representative(dest: tuple[int, int], m: int) -> SignedPermutation:
     return SignedPermutation(images)
 
 
-def double_cosets_bfs(left: tuple[WeylGroup, WeylGroup], mid: WeylGroup, right: WeylGroup) -> DoubleCosetResult:
+def validate_coset_setup(left, mid: WeylGroup, right: WeylGroup):
+    """Refuse any setup but (D_{p/2} x D_{q/2}) \\ D_m / D_{m-1} with p, q >= 4.
+
+    Both searches assume it: the right factor fixes e_1, and each left block
+    has rank at least 2.
+    """
+    r1, r2 = left
+    if mid.family != "D":
+        raise AssumptionError("middle group must be of type D")
+    if right.family != "D" or right.rank != mid.rank - 1:
+        raise AssumptionError("right factor must be D_{m-1} fixing the first coordinate")
+    if r1.family != "D" or r2.family != "D":
+        raise AssumptionError("left factors must be type D (even orthogonal Weyl groups)")
+    if r1.rank + r2.rank != mid.rank:
+        raise AssumptionError("left block ranks must sum to the middle rank")
+    if r1.rank < 2 or r2.rank < 2:
+        raise AssumptionError("left block ranks must be >= 2 (p, q >= 4)")
+
+
+def double_cosets_bfs(left: tuple[WeylGroup, WeylGroup], mid: WeylGroup, right: WeylGroup) -> dict:
     """Oracle: left\\mid/right double cosets by a BFS over destinations of e_1.
 
-    The right factor is the stabilizer of e_1 in mid = D_m, so mid/right is
-    the 2m signed basis vectors; the block-diagonal left group acts on those
-    destinations and its orbits are the double cosets.
+    The right factor is the stabilizer D_{m-1} of e_1 in mid = D_m, so
+    mid/right is the 2m signed basis vectors; the block-diagonal left group
+    acts on those destinations and its orbits are the double cosets.  Returns
+    the ``size``, ``double_coset_reps`` and ``coset_space_size`` entries of
+    ``arthur_packet``'s report, and the ``orbits`` as sorted (index, sign) lists.
     """
-    _validate_coset_setup(left, mid, right)
+    validate_coset_setup(left, mid, right)
     m = mid.rank
     r1 = left[0].rank
     gens = left_generators_on_blocks(r1, left[1].rank, m)
@@ -165,18 +229,18 @@ def double_cosets_bfs(left: tuple[WeylGroup, WeylGroup], mid: WeylGroup, right: 
         orbits.append(orbit)
     # identity coset first
     orbits.sort(key=lambda orb: (1, 1) not in orb)
-    reps = tuple(coset_representative(sorted(orb, key=lambda d: (d[0], -d[1]))[0], m) for orb in orbits)
-    return DoubleCosetResult(
-        count=len(orbits),
-        representatives=reps,
-        coset_space_size=len(destinations),
-        orbits=tuple(tuple(sorted(orb)) for orb in orbits),
-    )
+    reps = [coset_representative(sorted(orb, key=lambda d: (d[0], -d[1]))[0], m) for orb in orbits]
+    return {
+        "size": len(orbits),
+        "double_coset_reps": [list(rep.images) for rep in reps],
+        "coset_space_size": len(destinations),
+        "orbits": [sorted(orb) for orb in orbits],
+    }
 
 
 def double_cosets_brute(left: tuple[WeylGroup, WeylGroup], mid: WeylGroup, right: WeylGroup) -> int:
     """Slow oracle: component count of the full group under left/right moves."""
-    _validate_coset_setup(left, mid, right)
+    validate_coset_setup(left, mid, right)
     m = mid.rank
     left_gens = left_generators_on_blocks(left[0].rank, left[1].rank, m)
     right_gens = right_generators_fixing_first(m)
@@ -207,3 +271,20 @@ def right_generators_fixing_first(m: int) -> list[SignedPermutation]:
     images[m - 2], images[m - 1] = -images[m - 1], -images[m - 2]
     gens.append(SignedPermutation(images))
     return gens
+
+
+def relevant_pairs_search(g_form: RealForm, codim_direction: str) -> list[tuple[RealForm, RealForm]]:
+    """Oracle: every (subgroup form, ambient form) pair that embeds with total one less, sorted.
+
+    Quadratic in the signature: it tries each pure inner form of the subgroup
+    base against each pure inner form of g_form.
+    """
+    dp, dq = {"drop_p": (1, 0), "drop_q": (0, 1)}[codim_direction]
+    ambients = pure_inner_forms(g_form)
+    subs = pure_inner_forms(RealForm(g_form.p_sig - dp, g_form.q_sig - dq))
+    pairs = []
+    for sub in subs:
+        for amb in ambients:
+            if sub.p_sig <= amb.p_sig and sub.q_sig <= amb.q_sig and sub.total == amb.total - 1:
+                pairs.append((sub, amb))
+    return sorted(pairs)

@@ -8,12 +8,12 @@ from scipy.special import eval_gegenbauer
 
 from hypbranch import harmonics
 from hypbranch.errors import InvalidParameterError, ToleranceError
+from hypbranch.fjrep import SpaceTag
 from hypbranch.harmonics import (
     gegenbauer,
     ktype_pairing_nonzero,
     ktype_pairings_nonzero,
     pairing_subsphere,
-    so_branching_multiplicity,
     sphere_area,
     weighted_cos_integral,
     zonal_gram,
@@ -21,6 +21,7 @@ from hypbranch.harmonics import (
     zonal_norm_sq_closed,
 )
 from hypbranch.numerics import sphere_rule
+from hypbranch.periods import _nonvanishing
 from witness_oracle import witness_pairings, witness_scan
 
 
@@ -231,17 +232,6 @@ class TestPairingSubsphere:
             pairing_subsphere(1, 1, 3)
 
 
-class TestBranchingMultiplicity:
-    def test_examples(self):
-        assert so_branching_multiplicity(3, 2) == 1
-        assert so_branching_multiplicity(2, 3) == 0
-        assert so_branching_multiplicity(0, 0) == 1
-
-    def test_domain(self):
-        with pytest.raises(InvalidParameterError):
-            so_branching_multiplicity(-1, 0)
-
-
 class TestKTypeWitness:
     def test_odd_gap_reachable(self):
         nonzero, value = ktype_pairing_nonzero(2, 1, 5)
@@ -311,7 +301,7 @@ class TestKTypeWitness:
                 singles = [ktype_pairing_nonzero(a, b, n) for b in range(7)]
                 assert ktype_pairings_nonzero(a, range(7), n) == singles
                 for b, (nonzero, _) in enumerate(singles):
-                    assert nonzero == (so_branching_multiplicity(a, b) == 1), (a, b, n)
+                    assert nonzero == _nonvanishing(SpaceTag.G2_SPACE, a, b), (a, b, n)
         assert ktype_pairings_nonzero(3, [], 5) == []
         with pytest.raises(InvalidParameterError):
             ktype_pairings_nonzero(3, [1, -1], 5)

@@ -1,4 +1,6 @@
 import itertools
+import time
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -8,24 +10,25 @@ from hypbranch.numerics import doubled
 from hypbranch.packets import (
     InterlaceClass,
     RealForm,
-    SignedPermutation,
-    WeylGroup,
     admissibility_table,
     arthur_packet,
     conjecture_explore,
     default_support_predicates,
-    double_cosets,
     interlace_classify,
     pure_inner_forms,
     relevant_pairs,
 )
 from coset_oracle import (
+    SignedPermutation,
+    WeylGroup,
     apply_signed_index,
     compose,
     double_cosets_bfs,
     double_cosets_brute,
     in_type_d,
     inverse,
+    relevant_pairs_search,
+    validate_coset_setup,
     weyl_conjugate,
     weyl_elements,
     weyl_generators,
@@ -175,48 +178,62 @@ def _setup(p, q):
     )
 
 
+COSET_KEYS = ("size", "double_coset_reps", "coset_space_size")
+
+
 class TestDoubleCosets:
+    """The double-coset data of ``arthur_packet``'s report against the searches of ``coset_oracle``."""
+
     @pytest.mark.parametrize("pq", [(4, 4), (4, 6), (4, 8), (6, 6)])
     def test_count_is_two(self, pq):
         p, q = pq
-        res = double_cosets(*_setup(p, q))
-        assert res.count == 2
-        assert res.coset_space_size == 2 * ((p + q) // 2)
+        report = arthur_packet(p, q, 1)
+        assert report["size"] == 2
+        assert report["coset_space_size"] == 2 * ((p + q) // 2)
 
     @pytest.mark.parametrize("pq", [(4, 4), (4, 6), (4, 8), (6, 6)])
     def test_brute_oracle_agrees(self, pq):
         p, q = pq
-        setup = _setup(p, q)
-        assert double_cosets_brute(*setup) == double_cosets(*setup).count == 2
+        assert double_cosets_brute(*_setup(p, q)) == arthur_packet(p, q, 1)["size"] == 2
 
     @pytest.mark.parametrize("r1", range(2, 9))
     def test_closed_form_matches_bfs_oracle(self, r1):
-        for r2 in range(2, 9):
-            setup = _setup(2 * r1, 2 * r2)
-            assert double_cosets(*setup) == double_cosets_bfs(*setup), (r1, r2)
+        for r2 in range(r1, 9):
+            p, q = 2 * r1, 2 * r2
+            report, found = arthur_packet(p, q, 1), double_cosets_bfs(*_setup(p, q))
+            assert [report[key] for key in COSET_KEYS] == [found[key] for key in COSET_KEYS], (p, q)
 
     def test_representatives(self):
-        res = double_cosets(*_setup(4, 4))
-        identity = res.representatives[0]
+        identity, other = (SignedPermutation(rep) for rep in arthur_packet(4, 4, 2)["double_coset_reps"])
         assert identity.images == (1, 2, 3, 4)
-        other = res.representatives[1]
         dest, sign = apply_signed_index(other, 1, 1)
         assert dest > 2  # e_1 is sent into the second block
         assert in_type_d(other)
 
     def test_orbit_structure(self):
-        res = double_cosets(*_setup(4, 6))
-        sizes = sorted(len(orbit) for orbit in res.orbits)
-        assert sizes == [4, 6]  # 2 * p/2 and 2 * q/2 signed destinations
+        # each representative sends e_1 into one block's orbit: 2 * p/2 and 2 * q/2 signed destinations
+        orbits = double_cosets_bfs(*_setup(4, 6))["orbits"]
+        reps = arthur_packet(4, 6, 1)["double_coset_reps"]
+        assert [len(orbit) for orbit in orbits] == [4, 6]
+        assert all((rep[0], 1) in orbit for rep, orbit in zip(reps, orbits))
 
     def test_assumption_violations(self):
-        left = (WeylGroup("D", 1), WeylGroup("D", 3))
-        with pytest.raises(AssumptionError):
-            double_cosets(left, WeylGroup("D", 4), WeylGroup("D", 3))
-        with pytest.raises(AssumptionError):
-            double_cosets((WeylGroup("D", 2), WeylGroup("D", 2)), WeylGroup("B", 4), WeylGroup("D", 3))
-        with pytest.raises(AssumptionError):
-            double_cosets((WeylGroup("D", 2), WeylGroup("D", 2)), WeylGroup("D", 4), WeylGroup("D", 2))
+        # below p = 4 a left block D_1 is not transitive on its signed basis vectors
+        for p, q in ((2, 2), (2, 6), (0, 4)):
+            with pytest.raises(AssumptionError):
+                arthur_packet(p, q, 1)
+        for lam in (0, H(-1), -3):
+            with pytest.raises(InvalidParameterError):
+                arthur_packet(4, 4, lam)
+
+    def test_oracles_refuse_other_setups(self):
+        for setup in (
+            ((WeylGroup("D", 1), WeylGroup("D", 3)), WeylGroup("D", 4), WeylGroup("D", 3)),
+            ((WeylGroup("D", 2), WeylGroup("D", 2)), WeylGroup("B", 4), WeylGroup("D", 3)),
+            ((WeylGroup("D", 2), WeylGroup("D", 2)), WeylGroup("D", 4), WeylGroup("D", 2)),
+        ):
+            with pytest.raises(AssumptionError):
+                validate_coset_setup(*setup)
 
 
 class TestArthurPacket:
@@ -273,13 +290,26 @@ class TestRelevantPairs:
         ]
         assert pairs == expected
 
-    def test_subgroup_form_in_at_most_two_pairs(self):
+    def test_subgroup_form_in_exactly_one_pair(self):
         for base, direction in ((RealForm(4, 5), "drop_p"), (RealForm(3, 6), "drop_q")):
             pairs = relevant_pairs(base, direction)
-            from collections import Counter
+            sub_base = RealForm(base.p_sig - (direction == "drop_p"), base.q_sig - (direction == "drop_q"))
+            assert Counter(sub for sub, _ in pairs) == Counter(pure_inner_forms(sub_base))
 
-            counts = Counter(sub for sub, _ in pairs)
-            assert all(v <= 2 for v in counts.values())
+    @pytest.mark.parametrize("direction", ["drop_p", "drop_q"])
+    def test_matches_search_oracle(self, direction):
+        for p in range(40):
+            for q in range(40):
+                if (p if direction == "drop_p" else q) >= 1:
+                    form = RealForm(p, q)
+                    assert relevant_pairs(form, direction) == relevant_pairs_search(form, direction), (p, q)
+
+    def test_large_signature_is_linear(self):
+        # the pair search is quadratic in q and would take minutes at this size
+        start = time.monotonic()
+        pairs = relevant_pairs(RealForm(4, 100000), "drop_p")
+        assert time.monotonic() - start < 5.0
+        assert len(pairs) == 50002
 
     def test_so02(self):
         pairs = relevant_pairs(RealForm(0, 2), "drop_q")
