@@ -13,7 +13,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import fjrep, geometry, harmonics, packets, periods
-from .numerics import gauss_legendre_rule, half_gamma, sqrt_pi_ratio
+from .numerics import gauss_legendre_rule, half_gamma, sphere_rule, sqrt_pi_ratio
 
 __all__ = ["CheckResult", "SUITES", "run_suite"]
 
@@ -67,13 +67,15 @@ def harmonics_suite(seed: int = 0) -> list[CheckResult]:
 
     worst = 0.0
     for n in (4, 5, 6):
-        norms_a = harmonics.zonal_gram([6], range(7), n)[2]
-        norms_b = harmonics.zonal_gram([6], range(7), n - 1)[2]
+        # every subsphere pairing of degrees a, b < 7 by quadrature, against its exact value
+        x, w = sphere_rule(12, n - 4)
+        subs = [harmonics.sphere_area(n - 2) * w * harmonics.gegenbauer(b, (n - 3) / 2.0, x) for b in range(7)]
         for a in range(7):
-            for b in range(1 - a % 2, 7, 2):
-                val = harmonics.pairing_subsphere(a, b, n)
-                worst = max(worst, abs(val) / math.sqrt(norms_a[a] * norms_b[b]))
-    out.append(_result("pairing_parity_vanishing", worst <= 1e-12, f"max normalized {worst:.2e}"))
+            zonal, norm_a = harmonics.gegenbauer(a, (n - 2) / 2.0, x), harmonics.zonal_norm_sq_closed(a, n)
+            for b, sub in enumerate(subs):
+                scale = math.sqrt(norm_a * harmonics.zonal_norm_sq_closed(b, n - 1))
+                worst = max(worst, abs(float(zonal @ sub) - harmonics.pairing_subsphere(a, b, n)) / scale)
+    out.append(_result("pairing_exact_vs_quadrature", worst <= 1e-12, f"max normalized {worst:.2e}"))
 
     worst = 0.0
     for n in (4, 5, 6):
@@ -86,7 +88,7 @@ def harmonics_suite(seed: int = 0) -> list[CheckResult]:
         nonzero == periods._nonvanishing(fjrep.SpaceTag.G2_SPACE, a, b)
         for n in (4, 5, 6)
         for a in range(7)
-        for b, (nonzero, _) in enumerate(harmonics.ktype_pairings_nonzero(a, range(7), n))
+        for b, nonzero in enumerate(harmonics.ktype_pairings_nonzero(a, range(7), n))
     )
     out.append(_result("ktype_witness_matches_branching", ok))
     return out
@@ -178,14 +180,13 @@ def packets_suite(seed: int = 0) -> list[CheckResult]:
 
 
 def conjecture_suite(seed: int = 0) -> list[CheckResult]:
-    ok = True
     grid = [Fraction(t, 2) for t in range(1, 16)]
-    for p, q in ((4, 4), (4, 6)):
-        for lam in (1, Fraction(3, 2), 2, Fraction(5, 2), 3):
-            for sub in ("g1", "g2"):
-                report = packets.conjecture_explore(p, q, lam, sub, grid)
-                if not report.disjoint:
-                    ok = False
+    ok = all(
+        packets.conjecture_explore(p, q, lam, sub, grid).disjoint
+        for p, q in ((4, 4), (4, 6))
+        for lam in fjrep.valid_lambdas(p, q, 2 * (p + q))[:5]  # the first five lambda of X(p, q)
+        for sub in ("g1", "g2")
+    )
     return [_result("default_predicate_supports_disjoint", ok)]
 
 

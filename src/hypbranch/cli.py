@@ -6,8 +6,8 @@ lambda = 3/2) so no parameter ever passes through float parsing.  Exit codes:
 with its predicate, 2 invalid parameters, an unwritable --out file,
 `period --witness` with `--subgroup g1` (the witness pairing is g2's), a
 `period` or `branch` ambient degree above 400 or a `branch --max-target-x2`
-that admits a target degree above 400, 3 divergent integral, 4 numeric
-tolerance not met or a reported value outside the normal floating-point range.
+that admits a target degree above 400, 3 divergent integral, 4 a verdict kernel
+out of the float range, or a reported number exactly nonzero but not a normal double.
 """
 
 from __future__ import annotations

@@ -10,18 +10,16 @@ non-negative integer.
 
 from __future__ import annotations
 
-import math
-import sys
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 
 import numpy as np
 
-from .errors import InvalidParameterError, ToleranceError
+from .errors import InvalidParameterError
 from .geometry import wallis_exact
 from .harmonics import gegenbauer, sphere_area_exact, zonal_norm_sq_exact
-from .numerics import doubled, sqrt_pi_ratio
+from .numerics import doubled, normal_ratio
 
 __all__ = [
     "SpaceTag",
@@ -177,14 +175,9 @@ def l2_norm_sq(param: FJParam) -> float:
     factorial is built.  Raises ToleranceError when the norm is not a normal double.
     """
     sp, sq = param.space_signature
-    num_s, den_s, r_s = sphere_area_exact(sp)
-    num_z, den_z, r_z = zonal_norm_sq_exact(param.degree, sq)
+    sphere, zonal = sphere_area_exact(sp), zonal_norm_sq_exact(param.degree, sq)
     # R(sp-1, sq-1+2e) is the Wallis integral of sin^{sp-1} cos^m, m = -(sp+sq-2+2e)-1 = 2 lambda - 1
-    num_r, den_r, r_r = wallis_exact(sp - 1, param.lam_x2 - 1)
-    norm_sq = sqrt_pi_ratio(num_s * num_z * num_r, den_s * den_z * den_r, r_s + r_z + r_r)
-    if not sys.float_info.min <= norm_sq < math.inf:
-        raise ToleranceError(f"L2 norm {norm_sq} is not a normal double at degree {param.degree}", math.inf)
-    return norm_sq
+    return normal_ratio("L2 norm", f"degree {param.degree}", sphere, zonal, wallis_exact(sp - 1, param.lam_x2 - 1))
 
 
 def inf_char_x2(total: int, lam_x2: int) -> list[int]:

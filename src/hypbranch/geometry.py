@@ -31,9 +31,6 @@ RADIAL_TOL = 1e-10
 # Gauss nodes of the radial cross-check's finer rule and of a truncated integral.
 RADIAL_NODES = 200
 TRUNCATED_NODES = 400
-# Relative rounding bound of radial_integral_closed on integer exponents: the
-# division, pi and pi's product, u = 2^-53 each.
-RADIAL_ROUNDING = 3 * 2.0**-53
 
 
 @dataclass(frozen=True)

@@ -23,7 +23,6 @@ from .numerics import SPHERE_NODE_STEP, half_gamma, sphere_nodes, sphere_rule, s
 __all__ = [
     "gegenbauer",
     "sphere_area",
-    "weighted_cos_integral",
     "zonal_norm_sq",
     "zonal_norm_sq_closed",
     "zonal_gram",
@@ -107,15 +106,6 @@ def sphere_area_exact(n: int) -> tuple[int, int, int]:
     return 2 * den, num, n - r
 
 
-def weighted_cos_integral(f, sin_power: int, degree: int) -> float:
-    """Integral of f(x) (1-x^2)^{sin_power/2} over [-1, 1].
-
-    Exact (up to rounding) when f is a polynomial of degree <= degree.
-    """
-    x, w = sphere_rule(degree, sin_power)
-    return float(np.sum(w * np.asarray(f(x), dtype=float)))
-
-
 # A normalised Gram ratio |<Z_k, Z_c>| / (|Z_k| |Z_c|) above this is a non-zero
 # pairing; the ratio is scale-free, so one threshold serves every degree.
 GRAM_RATIO_TOL = 1e-8
@@ -195,24 +185,46 @@ def zonal_norm_sq_exact(a: int, n: int) -> tuple[int, int, int]:
 
 
 def pairing_subsphere(a: int, b: int, n: int) -> float:
-    """Restriction pairing of zonal harmonics across the equatorial subsphere.
+    """Restriction pairing of zonal harmonics across the equatorial subsphere, exact and rounded once.
 
-    The degree-a zonal harmonic of S^{n-1} (pole inside the subsphere) is
-    restricted to S^{n-2} and integrated against the degree-b zonal harmonic
-    of S^{n-2} about the same pole.  Vanishes when b > a or a - b is odd.
+    The degree-a zonal harmonic of S^{n-1} (pole inside the subsphere), restricted to S^{n-2},
+    against the degree-b zonal harmonic of S^{n-2} about that pole.  Vanishes when b > a or a - b is odd.
+    """
+    return sqrt_pi_ratio(*pairing_subsphere_exact(a, b, n))
+
+
+def pairing_subsphere_exact(a: int, b: int, n: int) -> tuple[int, int, int]:
+    """:func:`pairing_subsphere` exactly, as (num, den, r); (0, 1, 0) when b > a or a - b is odd.
+
+    C_a^nu = sum_l c_l C_{a-2l}^mu, nu = (n-2)/2, mu = (n-3)/2, with c_l = (1/2)_l (nu)_{a-l}
+    (mu+a-2l) / (l! (mu+1)_{a-l} mu) (DLMF 18.18.16), so by orthogonality on S^{n-2} the
+    pairing is c_l |Z_b|^2 at l = (a-b)/2, with (1/2)_l / l! = C(2l, l) / 4^l.
     """
     if n < 4:
         raise InvalidParameterError("pairing_subsphere requires n >= 4")
-    nu_big = (n - 2) / 2.0
-    nu_sub = (n - 3) / 2.0
-    return sphere_area(n - 2) * weighted_cos_integral(
-        lambda x: gegenbauer(a, nu_big, x) * gegenbauer(b, nu_sub, x),
-        n - 4,
-        a + b,
-    )
+    if b > a or (a - b) % 2:
+        return 0, 1, 0
+    l, m = (a - b) // 2, (a + b) // 2
+    num_z, den_z, r_z = zonal_norm_sq_exact(b, n - 1)
+    num = math.comb(2 * l, l) * math.prod(range(n - 2, n - 2 + 2 * m, 2)) * (2 * b + n - 3) * num_z
+    den = math.prod(range(n - 1, n - 1 + 2 * m, 2)) * (n - 3) * den_z << 2 * l
+    return num, den, r_z
 
 
-def ktype_pairings_nonzero(a: int, bs, n: int) -> list[tuple[bool, float]]:
+def witness_pairing_exact(a: int, b: int, n: int) -> tuple[int, int, int]:
+    """The witness value K |Z_b|^2 on S^{n-2} of :func:`ktype_pairing_nonzero`, exactly; 0 unless 0 <= b <= a.
+
+    K = j! (2 lam)_j / (2^j (lam)_j) = prod_{i<j} (i+1)(L+i) / (L+2i), j = a - b, L = 2 lam = 2b + n - 2.
+    """
+    if not 0 <= b <= a:
+        return 0, 1, 0
+    j, big_l = a - b, 2 * b + n - 2
+    num_z, den_z, r_z = zonal_norm_sq_exact(b, n - 1)
+    num = math.factorial(j) * math.prod(range(big_l, big_l + j)) * num_z
+    return num, math.prod(range(big_l, big_l + 2 * j, 2)) * den_z, r_z
+
+
+def ktype_pairings_nonzero(a: int, bs, n: int) -> list[bool]:
     """Certify, for each degree b in `bs`, whether the degree-b subsphere type is reachable from a.
 
     The witness family spans the degree-a harmonics on S^{n-1} invariant
@@ -226,31 +238,24 @@ def ktype_pairings_nonzero(a: int, bs, n: int) -> list[tuple[bool, float]]:
     k = 0..a, of :func:`zonal_gram` on S^{n-2}.  The type is reachable when the
     row's maximum exceeds GRAM_RATIO_TOL: true exactly when 0 <= b <= a.
 
-    Returns one (nonzero, witness_value) per b.  witness_value is the pairing
-    with Z_b of the leading (j-th) normal trace K Z_k of the best member k, where
-    K = j! (2 lam)_j / (2^j (lam)_j); it is 0.0, the exact value, when the type
-    is unreachable.  Raises ToleranceError when a zonal norm or a Gram ratio is
-    not finite.
+    Returns one verdict per b.  Raises ToleranceError when a zonal norm or a
+    Gram ratio is not finite.
     """
     if n < 4:
         raise InvalidParameterError("ktype_pairing_nonzero requires n >= 4")
     bs = list(bs)
     if a < 0 or min(bs, default=0) < 0:
         raise InvalidParameterError("degrees must be non-negative")
-    grams, ratios, _ = zonal_gram(range(a + 1), bs, n - 1)
+    ratios = zonal_gram(range(a + 1), bs, n - 1)[1].max(axis=1)
     if not np.isfinite(ratios).all():  # some |Z_k|^2 |Z_b|^2 underflowed to 0
         raise ToleranceError(f"zonal Gram ratio not finite at degree {a} on S^{n - 2}", math.inf)
-    found = []
-    for k, ratio, gram in zip(np.argmax(ratios, axis=1).tolist(), ratios, grams):
-        if not ratio[k] > GRAM_RATIO_TOL:  # rounding noise, which K can carry past the float range
-            found.append((False, 0.0))
-            continue
-        lam = k + (n - 2) / 2.0
-        leading = math.prod((i + 1) * (2.0 * lam + i) / (2.0 * (lam + i)) for i in range(a - k))
-        found.append((True, leading * float(gram[k])))
-    return found
+    return (ratios > GRAM_RATIO_TOL).tolist()
 
 
 def ktype_pairing_nonzero(a: int, b: int, n: int) -> tuple[bool, float]:
-    """The one-target form of :func:`ktype_pairings_nonzero`."""
-    return ktype_pairings_nonzero(a, [b], n)[0]
+    """The one-target verdict of :func:`ktype_pairings_nonzero` and its witness value.
+
+    The value is :func:`witness_pairing_exact` rounded once, or 0.0, the exact value, when the type is unreachable.
+    """
+    nonzero = ktype_pairings_nonzero(a, [b], n)[0]
+    return nonzero, sqrt_pi_ratio(*witness_pairing_exact(a, b, n)) if nonzero else 0.0

@@ -10,12 +10,13 @@ quadrature and in the one rounding of an exact Gamma ratio.
 from __future__ import annotations
 
 import math
+import sys
 from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
 
-from .errors import InvalidParameterError
+from .errors import InvalidParameterError, ToleranceError
 
 __all__ = [
     "doubled",
@@ -160,3 +161,21 @@ def sqrt_pi_ratio(num: int, den: int, sqrt_pi_power: int) -> float:
         return num * pi_num / (den * pi_den)
     except OverflowError:
         return math.inf
+
+
+def sqrt_pi_error(value: float, sqrt_pi_power: int) -> float:
+    """A rounded-up bound on |value - exact| for a normal value = :func:`sqrt_pi_ratio` (.., r); 0.0 at 0.0.
+
+    math.pi^(r/2), C pow's last ulp (two) and the division are k = ceil(|r|/2) + 3 factors 1 + u, u = 2^-53, so
+    gamma_k / (1 - gamma_k) <= (k + 1) u (Higham, Accuracy and Stability, 2nd ed., Lemma 3.1) bounds it relatively.
+    """
+    return math.nextafter(abs(value) * ((-(-abs(sqrt_pi_power) // 2) + 4) * 2.0**-53), math.inf) if value else 0.0
+
+
+def normal_ratio(what: str, where: str, *factors: tuple[int, int, int]) -> float:
+    """The exact product of (num, den, r) ratios, rounded once; ToleranceError when nonzero but not a normal double."""
+    nums, dens, powers = zip(*factors)
+    value = sqrt_pi_ratio(math.prod(nums), math.prod(dens), sum(powers))
+    if all(nums) and not sys.float_info.min <= abs(value) < math.inf:
+        raise ToleranceError(f"{what} {value} is not a normal double at {where}", math.inf)
+    return value

@@ -11,23 +11,15 @@ S^{q-2}; the closed-form predicates provide the independent cross-check.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DivergenceError, InvalidParameterError, ToleranceError
-from .fjrep import (
-    FJParam,
-    SpaceTag,
-    checked_degree,
-    inf_char_x2,
-    make_fj_param,
-    tag_signature,
-    valid_lambdas,
-)
-from .geometry import RADIAL_ROUNDING, wallis_exact
-from .harmonics import GRAM_RATIO_TOL, ktype_pairings_nonzero, pairing_subsphere, sphere_area, zonal_gram
-from .numerics import doubled, sqrt_pi_ratio
+from .fjrep import FJParam, SpaceTag, checked_degree, inf_char_x2, make_fj_param, tag_signature, valid_lambdas
+from .geometry import wallis_exact
+from .harmonics import GRAM_RATIO_TOL, ktype_pairings_nonzero, pairing_subsphere_exact, sphere_area_exact, zonal_gram
+from .harmonics import witness_pairing_exact, zonal_norm_sq_exact
+from .numerics import doubled, normal_ratio, sqrt_pi_error, sqrt_pi_ratio
 from .packets import InterlaceClass, interlace_classify
 
 __all__ = [
@@ -55,10 +47,11 @@ MAX_SCAN_DEGREE = 400
 class PeriodVerdict:
     """Outcome of one period computation.
 
-    `value` is the factored integral (with the plain zonal pairing unless
-    `witness_used`); `nonzero` is the zonal Gram verdict (g1: the ratio
-    |<Z_a, Z_c>| / (|Z_a| |Z_c|) on S^{q-1}; g2: the K-type witness) and must
-    agree with `predicate_nonzero` on every instance.
+    `value` is the exact factored integral (with the plain zonal pairing unless
+    `witness_used`) and each `*_factor` an exact factor, all rounded once;
+    `err_est` bounds |value - exact|.  `nonzero` is the zonal Gram verdict (g1:
+    |<Z_a, Z_c>| / (|Z_a| |Z_c|) on S^{q-1}; g2: the K-type witness), which no
+    printed number reads, and must agree with `predicate_nonzero` on every instance.
     """
 
     converges: bool
@@ -132,59 +125,50 @@ def _require_convergence(lam_x2: int, targets_x2, tag: SpaceTag) -> None:
 def _periods(ambient: FJParam, tag: SpaceTag, targets_x2, witness: bool) -> list[PeriodVerdict]:
     """Periods sphere_area(sp) * pairing * R(sp-1, ...) of the ambient against each doubled target.
 
-    X(sp, sq) is the targets' space.  g1 pairs on S^{q-1}: the pairings and the
-    scale-free nonzero ratios are the Gram row of Z_a over the target degrees
-    (`zonal_gram`).  g2 pairs on S^{q-2}: the verdicts are the K-type witnesses
-    (`ktype_pairings_nonzero`), and the pairing is the witness value with
-    `witness`, else the plain subsphere pairing.  Either way the targets share
-    their Gegenbauer passes.  R is the Wallis integral of sin^{sp-1} cos^m with
-    m = lambda + target - 1/2, exact and rounded once, so err_est is
-    |sphere * pairing| times its rounding bound.  Refuses an ambient degree above
-    MAX_SCAN_DEGREE before any Gram row is built, a value that is not finite, the
-    value of a nonzero row that is not a normal double, and sphere and radial
-    factors whose product is not a normal double.
+    X(sp, sq) is the targets' space.  The verdicts are zonal Gram ratios from shared Gegenbauer
+    passes: g1 the row of Z_a on S^{q-1} (`zonal_gram`), g2 the K-type witnesses on S^{q-2}
+    (`ktype_pairings_nonzero`).  The sphere area, the pairing (g1: delta_{a,c} |Z_a|^2; g2: the
+    witness value with `witness`, else the plain subsphere pairing) and the Wallis integral R of
+    sin^{sp-1} cos^m, m = lambda + target - 1/2, are exact: each, and their product, the value, is
+    rounded once, and `sqrt_pi_error` bounds the value's error as err_est.  Refuses an ambient
+    degree above MAX_SCAN_DEGREE before any Gram row is built, and a printed number that is
+    exactly nonzero but not a normal double.
     """
     a, p, q = ambient.degree, ambient.p, ambient.q
     if a > MAX_SCAN_DEGREE:
         raise InvalidParameterError(f"ambient degree {a}: periods stop at degree {MAX_SCAN_DEGREE}")
     degrees = [checked_degree(p, q, t_x2, tag) for t_x2 in targets_x2]
     if tag is SpaceTag.G1_SPACE:
-        grams, ratios, _ = zonal_gram(degrees, [a], q)
-        if not all(map(math.isfinite, ratios[0].tolist())):  # some |Z_a|^2 |Z_c|^2 underflowed to 0
+        ratios = zonal_gram(degrees, [a], q)[1][0].tolist()
+        if not all(map(math.isfinite, ratios)):  # some |Z_a|^2 |Z_c|^2 underflowed to 0
             raise ToleranceError(f"zonal Gram ratio not finite at degree {a} on S^{q - 1}", math.inf)
-        pairings, nonzeros = grams[0].tolist(), (ratios[0] > GRAM_RATIO_TOL).tolist()
+        nonzeros = [ratio > GRAM_RATIO_TOL for ratio in ratios]
+        pairings = [zonal_norm_sq_exact(a, q) if c == a else (0, 1, 0) for c in degrees]
     else:
-        rows = ktype_pairings_nonzero(a, degrees, q)
-        nonzeros = [ok for ok, _ in rows]
-        pairings = [value for _, value in rows] if witness else [pairing_subsphere(a, b, q) for b in degrees]
+        nonzeros = ktype_pairings_nonzero(a, degrees, q)
+        exact = witness_pairing_exact if witness else pairing_subsphere_exact
+        pairings = [exact(a, b, q) for b in degrees]
     if not targets_x2:  # read no sphere area, which a large p would refuse
         return []
     sp = tag_signature(p, q, tag)[0]
-    sphere = sphere_area(sp)
-    verdicts = []
+    sphere, verdicts = sphere_area_exact(sp), []
+    sphere_factor = sqrt_pi_ratio(*sphere)  # normal wherever sphere_area_exact does not refuse it
     for t_x2, b, pairing, nonzero in zip(targets_x2, degrees, pairings, nonzeros):
-        radial = sqrt_pi_ratio(*wallis_exact(sp - 1, (ambient.lam_x2 + t_x2 - 1) // 2))
-        if sphere * radial < sys.float_info.min:
-            raise ToleranceError(f"sphere*radial {sphere * radial} below normal range at degrees ({a}, {b})", math.inf)
-        value = sphere * pairing * radial
-        if not math.isfinite(value):
-            raise ToleranceError(f"period value {value} is not finite at degrees ({a}, {b})", math.inf)
-        # the pairing of a nonzero row is the verdict's own quantity unless it is the
-        # plain g2 pairing at odd a - b, which vanishes
-        if nonzero and (witness or (a - b) % 2 == 0) and abs(value) < sys.float_info.min:
-            raise ToleranceError(f"nonzero period value {value} below normal range at degrees ({a}, {b})", math.inf)
+        radial = wallis_exact(sp - 1, (ambient.lam_x2 + t_x2 - 1) // 2)
+        where = f"degrees ({a}, {b})"
+        value = normal_ratio("period value", where, sphere, pairing, radial)
         verdicts.append(
             PeriodVerdict(
                 converges=True,
                 parity_match=(a - b) % 2 == 0,
                 degree_pair=(a, b),
                 value=value,
-                err_est=abs(sphere * pairing) * (RADIAL_ROUNDING * radial),
+                err_est=sqrt_pi_error(value, sphere[2] + pairing[2] + radial[2]),
                 nonzero=nonzero,
                 predicate_nonzero=_nonvanishing(tag, a, b),
-                sphere_factor=sphere,
-                pairing_factor=pairing,
-                radial_factor=radial,
+                sphere_factor=sphere_factor,
+                pairing_factor=normal_ratio("pairing factor", where, pairing),
+                radial_factor=normal_ratio("radial factor", where, radial),
                 witness_used=witness,
             )
         )

@@ -1,0 +1,232 @@
+"""Every printed number against an exact oracle that shares no code with the library.
+
+`exact_oracle` integrates rational Gegenbauer coefficients against the exact
+moments of (1-x^2)^{s/2}; here every `fj`, `period` and `branch` output of a
+seeded sweep is held to it within its printed error, and every refusal to the
+rule that a printed number that is exactly nonzero must be a normal double.
+"""
+
+import ast
+import contextlib
+import io
+import json
+import math
+import random
+import sys
+from fractions import Fraction
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+import exact_oracle
+from hypbranch import fjrep, harmonics, periods
+from hypbranch.cli import main
+from hypbranch.geometry import wallis_exact
+from hypbranch.harmonics import sphere_area_exact, zonal_norm_sq_exact
+
+# ROADMAP defects (l), the plain g2 pairing at a = 400, and (k), g1 values past q = 300
+DEFECT_L = ["period", "--p", "4", "--q", "16", "--lambda-x2", "814", "--target-x2", "13", "--subgroup", "g2"]
+DEFECT_K = [
+    ["period", "--p", "4", "--q", "432", "--lambda-x2", "750", "--target-x2", "751", "--subgroup", "g1"],
+    ["period", "--p", "5", "--q", "321", "--lambda-x2", "738", "--target-x2", "739", "--subgroup", "g1"],
+]
+# the oracle's names of the numbers that a refusal names
+REFUSED = {"period value": "value", "pairing factor": "pairing_factor", "radial factor": "radial_factor"}
+
+
+def rounding_bound(value: float, r: int) -> float:
+    """|value - exact| bound of one rounding of num / den * sqrt(pi)^r on math.pi's double: (ceil(|r|/2) + 4) 2^-53."""
+    return abs(value) * (-(-abs(r) // 2) + 4) * 2.0**-53
+
+
+def is_normal(x: float) -> bool:
+    return sys.float_info.min <= abs(x) < math.inf
+
+
+def run(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main([str(x) for x in argv])
+    return code, out.getvalue(), err.getvalue()
+
+
+def _flag(argv, name):
+    return int(argv[argv.index(name) + 1])
+
+
+def check_period_payload(argv, payload):
+    """The printed value within err_est, and each printed factor within one rounding, of the oracle."""
+    p, q, lam_x2, t_x2 = (_flag(argv, f) for f in ("--p", "--q", "--lambda-x2", "--target-x2"))
+    exact = exact_oracle.period(p, q, lam_x2, t_x2, payload["subgroup"], payload["witness_used"])
+    for field, (fraction, r) in exact.items():
+        target = exact_oracle.to_float((fraction, r))
+        assert fraction == 0 or is_normal(target), (argv, field, target)  # exit 0 prints only normal numbers
+        printed = payload[field]
+        bound = payload["err_est"] if field == "value" else rounding_bound(printed, r)
+        assert abs(printed - target) <= bound, (argv, field, printed, target, bound)
+        assert (printed == 0.0) == (fraction == 0), (argv, field)
+
+
+def check_refusal(argv, err):
+    """A refusal that names a printed number holds: that number's exact value is nonzero and not normal."""
+    if "is not a normal double" not in err:
+        return
+    p, q, lam_x2 = (_flag(argv, f) for f in ("--p", "--q", "--lambda-x2"))
+    if argv[0] == "fj":
+        assert err.startswith("error: L2 norm ")
+        exact = exact_oracle.l2_norm_sq(p, q, lam_x2)
+    else:
+        (field,) = [field for name, field in REFUSED.items() if err.startswith(f"error: {name} ")]
+        subgroup, witness = argv[argv.index("--subgroup") + 1], "--witness" in argv
+        exact = exact_oracle.period(p, q, lam_x2, _flag(argv, "--target-x2"), subgroup, witness)[field]
+    assert exact[0] != 0 and not is_normal(exact_oracle.to_float(exact)), (argv, err)
+
+
+def sweep_argvs(seed: int = 22):
+    """The seeded sweep: fj, period (g1, g2 with and without --witness) and branch, plus edge commands."""
+    rng = random.Random(seed)
+    argvs = [DEFECT_L, *DEFECT_K]
+    for _ in range(60):
+        p, q = rng.randrange(4, 17), rng.randrange(4, 17)
+        a = rng.choice((rng.randrange(0, 12), rng.randrange(0, 61)))
+        lam_x2 = 2 * a + 2 - (p - q)
+        kind = rng.choice(("fj", "g1", "g2", "g2w", "branch"))
+        if kind == "fj":
+            argvs.append(["fj", "--p", p, "--q", q, "--lambda-x2", lam_x2])
+        elif kind == "branch":
+            sub = rng.choice(("g1", "g2"))
+            top = 2 * (a + 2) + 2 - (p - q + (1 if sub == "g2" else -1))  # targets of degree <= a + 2
+            argvs.append(["branch", "--p", p, "--q", q, "--lambda-x2", lam_x2, "--subgroup", sub,
+                          "--max-target-x2", top, "--format", rng.choice(("json", "csv"))])
+        else:
+            sub = kind[:2]
+            d = max(0, a + rng.choice((-3, -2, -1, 0, 0, 1, 2)))
+            t_x2 = 2 * d + 2 - (p - q + (1 if sub == "g2" else -1))
+            argvs.append(["period", "--p", p, "--q", q, "--lambda-x2", lam_x2, "--target-x2", t_x2,
+                          "--subgroup", sub, *(["--witness"] if kind == "g2w" else [])])
+    argvs += [
+        # exit 4: the witness value overflows, a period value below the normal range, an L2 norm out of range
+        ["period", "--p", "4", "--q", "6", "--lambda-x2", "404", "--target-x2", "3", "--subgroup", "g2", "--witness"],
+        ["period", "--p", "350", "--q", "4", "--lambda-x2", "350", "--target-x2", "351", "--subgroup", "g1"],
+        ["fj", "--p", "400", "--q", "4", "--lambda-x2", "400"],
+        # exit 2 and 3
+        ["fj", "--p", "4", "--q", "4", "--lambda-x2", "3"],
+        ["period", "--p", "4", "--q", "4", "--lambda-x2", "-4", "--target-x2", "2", "--subgroup", "g2"],
+    ]
+    return [[str(x) for x in argv] for argv in argvs]
+
+
+def test_oracle_imports_nothing_from_the_library():
+    tree = ast.parse(Path(exact_oracle.__file__).read_text(encoding="utf-8"))
+    imported = {alias.name for node in ast.walk(tree) if isinstance(node, ast.Import) for alias in node.names}
+    imported |= {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)}
+    assert imported == {"__future__", "math", "fractions", "functools"}
+
+
+def test_oracle_against_mpmath():
+    mp = pytest.importorskip("mpmath")
+    mp.mp.dps = 40
+    assert exact_oracle.to_float((Fraction(1), 1)) == float(mp.sqrt(mp.pi))
+    assert exact_oracle.to_float((Fraction(1, 3), 14)) == float(mp.pi**7 / 3)
+    area = exact_oracle.to_float(exact_oracle.sphere_area(9))
+    assert area == pytest.approx(float(2 * mp.pi**4.5 / mp.gamma(4.5)), rel=1e-15)
+    # the defect (l) pairing; plain g2 pairings vanish at odd a - b and at b > a
+    assert exact_oracle.to_float(exact_oracle.pairing_subsphere(400, 0, 16)) == 0.04123227128515454
+    assert exact_oracle.pairing_subsphere(5, 2, 7)[0] == 0 and exact_oracle.pairing_subsphere(3, 5, 7)[0] == 0
+
+
+def test_sweep():
+    argvs = sweep_argvs()
+    codes = []
+    for argv in argvs:
+        code, out, err = run(argv)
+        codes.append(code)
+        assert code in (0, 1, 2, 3, 4), argv
+        assert "Traceback" not in err, argv
+        if code:
+            assert out == "" and len(err.splitlines()) == 1 and err.startswith("error: "), (argv, err)
+            check_refusal(argv, err)
+            continue
+        if argv[0] == "fj":
+            p, q, lam_x2 = (_flag(argv, f) for f in ("--p", "--q", "--lambda-x2"))
+            fraction, r = exact_oracle.l2_norm_sq(p, q, lam_x2)
+            printed = json.loads(out)["l2_norm_sq"]
+            assert abs(printed - exact_oracle.to_float((fraction, r))) <= rounding_bound(printed, r), argv
+        elif argv[0] == "period":
+            check_period_payload(argv, json.loads(out))
+        else:
+            p, q, lam_x2 = (_flag(argv, f) for f in ("--p", "--q", "--lambda-x2"))
+            subgroup = argv[argv.index("--subgroup") + 1]
+            for row in json.loads(out) if "json" in argv else list(csv_rows(out)):
+                # a g2 branch row reports the witness value
+                value = exact_oracle.period(p, q, lam_x2, int(row["target_x2"]), subgroup, subgroup == "g2")["value"]
+                exact = exact_oracle.to_float(value)
+                assert value[0] == 0 or is_normal(exact), (argv, row)
+                assert abs(float(row["value"]) - exact) <= float(row["err"]), (argv, row, exact)
+    assert codes.count(0) >= 50 and {2, 3, 4} <= set(codes)
+
+
+def csv_rows(text):
+    lines = text.splitlines()
+    header = lines[0].split(",")
+    for line in lines[1:]:
+        yield dict(zip(header, line.split(",")))
+
+
+def test_defect_l_prints_the_exact_pairing():
+    # the quadrature printed 0.04142540875226746, 0.47 % above the exact 0.041232271285154542...
+    code, out, _ = run(DEFECT_L)
+    payload = json.loads(out)
+    assert code == 0
+    assert payload["pairing_factor"] == 0.04123227128515453  # one rounding on math.pi's double: 1.4 ulp low
+    check_period_payload(DEFECT_L, payload)
+
+
+@pytest.mark.parametrize("argv", DEFECT_K, ids=["q432", "q321"])
+def test_defect_k_prints_the_exact_value(argv):
+    code, out, _ = run(argv)
+    assert code == 0
+    check_period_payload(argv, json.loads(out))
+
+
+def test_g1_err_covers_the_whole_value():
+    # ROADMAP defect (g): diagonal g1 periods on p in {5, 7, 12}, q in {4, 6, 16} and every
+    # 5th valid lambda <= 200, against the exact factors' product in 40-digit mpmath
+    mp = pytest.importorskip("mpmath")
+    mp.mp.dps = 40
+    grid = [(p, q) for p in (5, 7, 12) for q in (4, 6, 16)]
+    cases = [(p, q, lam_x2) for p, q in grid for lam_x2 in fjrep.valid_lambdas_x2(p, q, 400)[::5]]
+    assert len(cases) == 358
+    for p, q, lam_x2 in cases:
+        verdict = periods.period_integral_G1(p, q, Fraction(lam_x2, 2), Fraction(lam_x2 + 1, 2))
+        a, c = verdict.degree_pair
+        assert a == c
+        factors = (sphere_area_exact(p - 1), zonal_norm_sq_exact(a, q), wallis_exact(p - 2, lam_x2))
+        exact = mp.fprod(mp.mpf(num) / den * mp.sqrt(mp.pi) ** r for num, den, r in factors)
+        assert abs(verdict.value - exact) <= verdict.err_est, (p, q, lam_x2)
+
+
+PERTURBED_ARGVS = [
+    ["period", "--p", "5", "--q", "4", "--lambda-x2", "9", "--target-x2", "10", "--subgroup", "g1"],
+    ["period", "--p", "4", "--q", "6", "--lambda-x2", "8", "--target-x2", "5", "--subgroup", "g2"],
+    ["period", "--p", "4", "--q", "6", "--lambda-x2", "8", "--target-x2", "5", "--subgroup", "g2", "--witness"],
+    ["branch", "--p", "5", "--q", "4", "--lambda-x2", "97", "--subgroup", "g1", "--max-target-x2", "102"],
+    ["branch", "--p", "4", "--q", "6", "--lambda-x2", "40", "--subgroup", "g2", "--max-target-x2", "44"],
+]
+
+
+def test_no_printed_value_reads_the_quadrature(monkeypatch):
+    # the Gram entries change and their ratios do not: only the verdicts read the kernel
+    before = [run(argv) for argv in PERTURBED_ARGVS]
+    zonal_gram = harmonics.zonal_gram
+
+    def perturbed(ks, targets, n):
+        grams, ratios, norms = zonal_gram(ks, targets, n)
+        return 3.0 * grams + np.pi, ratios, norms
+
+    for module in (harmonics, periods):
+        monkeypatch.setattr(module, "zonal_gram", perturbed)
+    after = [run(argv) for argv in PERTURBED_ARGVS]
+    assert after == before
+    assert all(code == 0 for code, _, _ in after)

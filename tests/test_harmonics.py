@@ -15,14 +15,13 @@ from hypbranch.harmonics import (
     ktype_pairings_nonzero,
     pairing_subsphere,
     sphere_area,
-    weighted_cos_integral,
     zonal_gram,
     zonal_norm_sq,
     zonal_norm_sq_closed,
 )
 from hypbranch.numerics import sphere_rule
 from hypbranch.periods import _nonvanishing
-from witness_oracle import witness_pairings, witness_scan
+from witness_oracle import weighted_cos_integral, witness_pairings, witness_scan
 
 
 class TestGegenbauer:
@@ -248,9 +247,9 @@ class TestKTypeWitness:
         # which can leave the float range at high degree: (385, [387], 14) gave inf
         for n in range(4, 17):
             for a in range(0, 401, 17):
-                rows = ktype_pairings_nonzero(a, range(a + 1, a + 5), n)
-                assert rows == [(False, 0.0)] * 4, (n, a)
-        assert ktype_pairings_nonzero(385, [387], 14) == [(False, 0.0)]
+                assert ktype_pairings_nonzero(a, range(a + 1, a + 5), n) == [False] * 4, (n, a)
+                assert ktype_pairing_nonzero(a, a + 1, n) == (False, 0.0), (n, a)
+        assert ktype_pairing_nonzero(385, 387, 14) == (False, 0.0)
 
     def test_trivial_pair_witness_value(self):
         nonzero, value = ktype_pairing_nonzero(0, 0, 5)
@@ -294,13 +293,13 @@ class TestKTypeWitness:
         for n in (4, 5, 8):
             for a in (0, 1, 7, 20):
                 bs = [a + 2, 0, a, a + 1, a // 2, a + 2]
-                assert ktype_pairings_nonzero(a, bs, n) == [ktype_pairing_nonzero(a, b, n) for b in bs]
+                assert ktype_pairings_nonzero(a, bs, n) == [ktype_pairing_nonzero(a, b, n)[0] for b in bs]
         # every target of the `ktype_witness_matches_branching` check property, one call at a time
         for n in (4, 5, 6):
             for a in range(7):
-                singles = [ktype_pairing_nonzero(a, b, n) for b in range(7)]
+                singles = [ktype_pairing_nonzero(a, b, n)[0] for b in range(7)]
                 assert ktype_pairings_nonzero(a, range(7), n) == singles
-                for b, (nonzero, _) in enumerate(singles):
+                for b, nonzero in enumerate(singles):
                     assert nonzero == _nonvanishing(SpaceTag.G2_SPACE, a, b), (a, b, n)
         assert ktype_pairings_nonzero(3, [], 5) == []
         with pytest.raises(InvalidParameterError):
@@ -324,8 +323,11 @@ class TestKTypeWitness:
                     k = int(np.argmax(ratios))
                     lam = k + (n - 2) / 2.0
                     leading = math.prod((i + 1) * (2.0 * lam + i) / (2.0 * (lam + i)) for i in range(a - k))
-                    expected = (True, leading * float(gram[k])) if ratios[k] > 1e-8 else (False, 0.0)
-                    assert result == expected, (a, b, n)
+                    nonzero = bool(ratios[k] > 1e-8)
+                    assert result == nonzero, (a, b, n)
+                    # the witness value is exact and rounded once; the leading trace by quadrature agrees
+                    expected = leading * float(gram[k]) if nonzero else 0.0
+                    assert ktype_pairing_nonzero(a, b, n)[1] == pytest.approx(expected, rel=1e-12), (a, b, n)
 
     def test_norm_not_finite_raises(self):
         # the squared zonal values overflow on S^128 at degree 1000

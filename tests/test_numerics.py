@@ -1,16 +1,19 @@
 import math
+import sys
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from hypbranch.errors import InvalidParameterError
+from hypbranch.errors import InvalidParameterError, ToleranceError
 from hypbranch.numerics import (
     doubled,
     gauss_legendre_rule,
     half_gamma,
+    normal_ratio,
     sphere_nodes,
     sphere_rule,
+    sqrt_pi_error,
     sqrt_pi_ratio,
 )
 
@@ -151,3 +154,34 @@ class TestHalfGamma:
     def test_parts_outside_the_float_range_round_once(self):
         assert sqrt_pi_ratio(10**400 + 1, 3 * 10**400, 2) == math.pi / 3
         assert sqrt_pi_ratio(1, 10**400, 0) == 0.0
+
+
+class TestRoundingBound:
+    def test_bound_covers_the_rounding(self):
+        # num / den * sqrt(pi)^r against 60 digits, for every sqrt(pi) power a period or norm can reach
+        mp = pytest.importorskip("mpmath")
+        mp.mp.dps = 60
+        rng = np.random.default_rng(3)
+        for r in range(-40, 900):
+            num, den = (int(v) for v in rng.integers(1, 2**62, size=2))
+            den *= 10 ** max(r // 4, 0)  # keeps the result inside the normal range
+            value = sqrt_pi_ratio(num, den, r)
+            exact = mp.mpf(num) / den * mp.sqrt(mp.pi) ** r
+            assert abs(value - exact) <= sqrt_pi_error(value, r), r
+
+    def test_bound_is_a_few_ulps(self):
+        assert sqrt_pi_error(1.0, 0) == math.nextafter(4 * 2.0**-53, 1.0)
+        assert sqrt_pi_error(-1.0, 7) == sqrt_pi_error(1.0, -7) == math.nextafter(8 * 2.0**-53, 1.0)
+        assert sqrt_pi_error(0.0, 5) == 0.0
+        # rounded up where the bound itself is subnormal
+        assert sqrt_pi_error(sys.float_info.min, 0) > 4 * 2.0**-53 * sys.float_info.min > 0.0
+
+    def test_normal_ratio(self):
+        assert normal_ratio("x", "here", (2, 3, 0), (3, 1, 2)) == sqrt_pi_ratio(6, 3, 2) == 2 * math.pi
+        assert normal_ratio("x", "here", (0, 1, 0), (1, 10**400, 0)) == 0.0  # an exact zero is printed
+        with pytest.raises(ToleranceError, match="tiny 0.0 is not a normal double at degree 3"):
+            normal_ratio("tiny", "degree 3", (1, 10**400, 0))
+        with pytest.raises(ToleranceError, match="huge inf is not a normal double at here"):
+            normal_ratio("huge", "here", (10**400, 1, 0))
+        with pytest.raises(ToleranceError, match="is not a normal double"):
+            normal_ratio("subnormal", "here", (1, 2**1060, 0))

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from hypbranch import checks, fjrep, packets
 from hypbranch.errors import AssumptionError, InvalidParameterError
 from hypbranch.numerics import doubled
 from hypbranch.packets import (
@@ -366,6 +367,25 @@ class TestConjectureExplore:
                 for sub in ("g1", "g2"):
                     report = conjecture_explore(p, q, H(lam_twice), sub, grid)
                     assert report.disjoint
+
+    def test_check_suite_visits_valid_lambdas_only(self, monkeypatch):
+        # `check --suite conjecture` explores the first five lambda of each signature that
+        # X(p, q) admits, so no case of default_predicate_supports_disjoint is vacuous
+        visited = []
+
+        def recorded(p, q, lam, subgroup, grid):
+            visited.append((p, q, lam, subgroup))
+            return conjecture_explore(p, q, lam, subgroup, grid)
+
+        monkeypatch.setattr(packets, "conjecture_explore", recorded)
+        assert [r.passed for r in checks.conjecture_suite()] == [True]
+        assert len(visited) == 20
+        for p, q, lam, _ in visited:
+            assert fjrep.checked_degree(p, q, doubled(lam), fjrep.SpaceTag.G_ON_H) >= 0
+        assert sorted({(p, q, doubled(lam)) for p, q, lam, _ in visited}) == [
+            *((4, 4, lam_x2) for lam_x2 in (2, 4, 6, 8, 10)),
+            *((4, 6, lam_x2) for lam_x2 in (4, 6, 8, 10, 12)),
+        ]
 
     def test_default_predicates_exact_halfint(self):
         pred_s, pred_as = default_support_predicates(4, 4, 2, "g2")

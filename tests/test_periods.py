@@ -317,7 +317,7 @@ def factor_grid():
 
     The grid: p, q in {4, 7, 10, 13, 16}, every 5th valid lambda <= 200, both
     subgroups and every 3rd convergent target <= 200.  The factors do not read the
-    pairing, so a constant Gram row and witness stand in for the zonal layer; the
+    pairing, so a constant Gram row, witness and pairing stand in for the zonal layer; the
     Wallis exponents of sin^a cos^m are recorded as the periods pass them to
     `wallis_exact`.
     """
@@ -329,7 +329,9 @@ def factor_grid():
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(periods, "zonal_gram", lambda cs, ks, n: (np.ones((1, len(cs))),) * 2 + (None,))
-        patch.setattr(periods, "ktype_pairings_nonzero", lambda a, bs, n: [(True, 1.0)] * len(bs))
+        patch.setattr(periods, "ktype_pairings_nonzero", lambda a, bs, n: [True] * len(bs))
+        for exact_pairing in ("zonal_norm_sq_exact", "witness_pairing_exact"):
+            patch.setattr(periods, exact_pairing, lambda *degrees: (1, 1, 0))
         patch.setattr(periods, "wallis_exact", recorded)
         for p in (4, 7, 10, 13, 16):
             for q in (4, 7, 10, 13, 16):

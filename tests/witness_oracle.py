@@ -16,7 +16,17 @@ from functools import lru_cache
 
 import numpy as np
 
-from hypbranch.harmonics import gegenbauer, sphere_area, weighted_cos_integral, zonal_norm_sq
+from hypbranch.harmonics import gegenbauer, sphere_area, zonal_norm_sq
+from hypbranch.numerics import sphere_rule
+
+
+def weighted_cos_integral(f, sin_power: int, degree: int) -> float:
+    """Integral of f(x) (1-x^2)^{sin_power/2} over [-1, 1].
+
+    Exact (up to rounding) when f is a polynomial of degree <= degree.
+    """
+    x, w = sphere_rule(degree, sin_power)
+    return float(np.sum(w * np.asarray(f(x), dtype=float)))
 
 
 # ---------------------------------------------------------------------------
