@@ -7,7 +7,7 @@ with its predicate, 2 invalid parameters, an unwritable --out file,
 `period --witness` with `--subgroup g1` (the witness pairing is g2's), a
 `period` or `branch` ambient degree above 400 or a `branch --max-target-x2`
 that admits a target degree above 400, 3 divergent integral, 4 a verdict kernel
-out of the float range, or a reported number exactly nonzero but not a normal double.
+out of the float range, or a printed number exactly nonzero but not a normal double.
 """
 
 from __future__ import annotations
@@ -178,7 +178,9 @@ def _seed(text: str) -> int:
     return int(text)
 
 
-def build_parser() -> argparse.ArgumentParser:
+# main reuses one set of parsers per process: building them costs more than ten parses
+@functools.cache
+def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
     parser = argparse.ArgumentParser(
         prog="hypbranch",
         description="Branching verdicts for hyperboloid discrete series via period integrals",
@@ -228,16 +230,18 @@ def build_parser() -> argparse.ArgumentParser:
     )
     check.add_argument("--seed", type=_seed, default=0)
     check.set_defaults(func=cmd_check)
-    return parser
-
-
-# main reuses one parser per process: building it costs more than ten parses
-_main_parser = functools.cache(build_parser)
+    return parser, {"fj": fj, "branch": branch, "period": period, "packet": packet, "check": check}
 
 
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser, verbs = _parsers()
+    verb = verbs.get(argv[0]) if argv else None
     try:
-        args = _main_parser().parse_args(argv)
+        # a known verb parses in its own parser, once; all else, and any leftover argument, in the full parser
+        args, extra = verb.parse_known_args(argv[1:]) if verb else (None, None)
+        if verb is None or extra:
+            args = parser.parse_args(argv)
     except SystemExit as exc:
         # argparse exits with 2 on bad flags, which matches the contract
         return int(exc.code) if exc.code else 0

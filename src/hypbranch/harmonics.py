@@ -118,12 +118,13 @@ def _gram_rows(ks, batch, top_k: int, n: int):
     weight = sphere_area(n - 1) * w
     rows = _gegenbauer_rows(top, (n - 2) / 2.0, x, [*ks, *batch])
     zonals, targets = rows[: len(ks)], rows[len(ks) :]
-    norms = np.array([c**2 @ weight for c in targets])
+    # stacked dot and gemv products: item i is c_i**2 @ weight and zonals @ (c_i * weight), bit for bit
+    norms = np.matmul((targets**2)[:, None, :], weight)[:, 0]
     products = zonals**2 @ weight * norms[:, None]
     if not np.isfinite(products).all():
         bad = batch[np.isfinite(products).all(axis=1).argmin()]
         raise ToleranceError(f"zonal norm not finite at degrees ({top_k}, {bad})", math.inf)
-    grams = np.array([zonals @ (weight * c) for c in targets])
+    grams = np.matmul(zonals, (targets * weight)[:, :, None])[:, :, 0]
     return grams, np.abs(grams) / np.sqrt(products), norms
 
 

@@ -48,10 +48,11 @@ class PeriodVerdict:
     """Outcome of one period computation.
 
     `value` is the exact factored integral (with the plain zonal pairing unless
-    `witness_used`) and each `*_factor` an exact factor, all rounded once;
-    `err_est` bounds |value - exact|.  `nonzero` is the zonal Gram verdict (g1:
-    |<Z_a, Z_c>| / (|Z_a| |Z_c|) on S^{q-1}; g2: the K-type witness), which no
-    printed number reads, and must agree with `predicate_nonzero` on every instance.
+    `witness_used`) rounded once, and `err_est` bounds |value - exact|.  Each factor
+    stays exact in `*_exact` as (num, den, r); its `*_factor` is rounded once when read,
+    refusing a pairing or radial factor exactly nonzero but not a normal double.  `nonzero`
+    is the zonal Gram verdict (g1: |<Z_a, Z_c>| / (|Z_a| |Z_c|) on S^{q-1}; g2: the K-type
+    witness), which no printed number reads, and must agree with `predicate_nonzero`.
     """
 
     converges: bool
@@ -61,15 +62,28 @@ class PeriodVerdict:
     err_est: float
     nonzero: bool
     predicate_nonzero: bool
-    sphere_factor: float
-    pairing_factor: float
-    radial_factor: float
+    sphere_exact: tuple[int, int, int]
+    pairing_exact: tuple[int, int, int]
+    radial_exact: tuple[int, int, int]
     witness_used: bool
 
+    @property
+    def sphere_factor(self) -> float:
+        return sqrt_pi_ratio(*self.sphere_exact)  # normal wherever sphere_area_exact does not refuse it
+
+    @property
+    def pairing_factor(self) -> float:
+        return normal_ratio("pairing factor", f"degrees {self.degree_pair}", self.pairing_exact)
+
+    @property
+    def radial_factor(self) -> float:
+        return normal_ratio("radial factor", f"degrees {self.degree_pair}", self.radial_exact)
+
     def to_json_dict(self) -> dict:
-        out = dict(vars(self))
+        out = {key: v for key, v in vars(self).items() if not key.endswith("_exact")}
         out["degree_a"], out["degree_target"] = out.pop("degree_pair")
-        return out
+        # read in this order, a pairing factor is refused before a radial one
+        return out | {name: getattr(self, name) for name in ("sphere_factor", "pairing_factor", "radial_factor")}
 
 
 def _tag(subgroup: str) -> SpaceTag:
@@ -129,10 +143,10 @@ def _periods(ambient: FJParam, tag: SpaceTag, targets_x2, witness: bool) -> list
     passes: g1 the row of Z_a on S^{q-1} (`zonal_gram`), g2 the K-type witnesses on S^{q-2}
     (`ktype_pairings_nonzero`).  The sphere area, the pairing (g1: delta_{a,c} |Z_a|^2; g2: the
     witness value with `witness`, else the plain subsphere pairing) and the Wallis integral R of
-    sin^{sp-1} cos^m, m = lambda + target - 1/2, are exact: each, and their product, the value, is
-    rounded once, and `sqrt_pi_error` bounds the value's error as err_est.  Refuses an ambient
-    degree above MAX_SCAN_DEGREE before any Gram row is built, and a printed number that is
-    exactly nonzero but not a normal double.
+    sin^{sp-1} cos^m, m = lambda + target - 1/2, are exact: their product, the value, is rounded
+    once here, each factor only when read (`PeriodVerdict`), and `sqrt_pi_error` bounds the value's
+    error as err_est.  Refuses an ambient degree above MAX_SCAN_DEGREE before any Gram row is
+    built, and a value that is exactly nonzero but not a normal double.
     """
     a, p, q = ambient.degree, ambient.p, ambient.q
     if a > MAX_SCAN_DEGREE:
@@ -152,11 +166,9 @@ def _periods(ambient: FJParam, tag: SpaceTag, targets_x2, witness: bool) -> list
         return []
     sp = tag_signature(p, q, tag)[0]
     sphere, verdicts = sphere_area_exact(sp), []
-    sphere_factor = sqrt_pi_ratio(*sphere)  # normal wherever sphere_area_exact does not refuse it
     for t_x2, b, pairing, nonzero in zip(targets_x2, degrees, pairings, nonzeros):
         radial = wallis_exact(sp - 1, (ambient.lam_x2 + t_x2 - 1) // 2)
-        where = f"degrees ({a}, {b})"
-        value = normal_ratio("period value", where, sphere, pairing, radial)
+        value = normal_ratio("period value", f"degrees {(a, b)}", sphere, pairing, radial)
         verdicts.append(
             PeriodVerdict(
                 converges=True,
@@ -166,9 +178,9 @@ def _periods(ambient: FJParam, tag: SpaceTag, targets_x2, witness: bool) -> list
                 err_est=sqrt_pi_error(value, sphere[2] + pairing[2] + radial[2]),
                 nonzero=nonzero,
                 predicate_nonzero=_nonvanishing(tag, a, b),
-                sphere_factor=sphere_factor,
-                pairing_factor=normal_ratio("pairing factor", where, pairing),
-                radial_factor=normal_ratio("radial factor", where, radial),
+                sphere_exact=sphere,
+                pairing_exact=pairing,
+                radial_exact=radial,
                 witness_used=witness,
             )
         )

@@ -1,3 +1,4 @@
+import argparse
 import ast
 import csv
 import dataclasses
@@ -14,7 +15,7 @@ from pathlib import Path
 import pytest
 
 import hypbranch
-from hypbranch import fjrep, geometry, harmonics, numerics, periods
+from hypbranch import cli, fjrep, geometry, harmonics, numerics, periods
 from hypbranch.checks import SUITES, run_suite
 from hypbranch.cli import main
 from hypbranch.fjrep import SpaceTag, make_fj_param, valid_lambdas
@@ -578,6 +579,59 @@ class TestOutFile(object):
         lines = err.splitlines()
         assert len(lines) == 1 and lines[0].startswith(f"error: cannot write --out {target}: ")
         assert not target.parent.exists()
+
+
+DISPATCH_ARGVS = [
+    # one argv of each benchmark request shape
+    ["branch", "--p", "4", "--q", "6", "--lambda-x2", "8", "--subgroup", "g2", "--max-target-x2", "9",
+     "--format", "csv"],
+    ["branch", "--p", "5", "--q", "4", "--lambda-x2", "9", "--subgroup", "g1", "--max-target-x2", "12",
+     "--format", "json"],
+    ["fj", "--p", "5", "--q", "6", "--lambda-x2", "8"],
+    ["period", "--p", "5", "--q", "4", "--lambda-x2", "9", "--target-x2", "10", "--subgroup", "g1"],
+    ["period", "--p", "4", "--q", "6", "--lambda-x2", "8", "--target-x2", "5", "--subgroup", "g2", "--witness"],
+    ["check", "--suite", "quadrature", "--seed", "3"],
+    ["packet", "--p", "4", "--q", "5", "--lambda-x2", "4"],
+    ["fj", "--p", "4", "--q", "4", "--lambda-x2", "3"],
+    ["branch", "--p", "3", "--q", "4", "--lambda-x2", "4", "--subgroup", "g1", "--max-target-x2", "6"],
+    # usage, help and argparse's own errors
+    [],
+    ["-h"],
+    ["frobnicate"],
+    ["branch", "-h"],
+    ["branch", "--p", "x"],
+    ["branch", "--subgroup", "g3"],
+    ["fj", "--lam", "4"],
+    ["fj", "--p=4", "--q=4", "--lambda-x2=4"],
+    ["period", "--p", "4", "--q", "4", "--lambda-x2", "4", "--subgroup", "g2"],
+    # leftover arguments, which only the full parser words
+    ["fj", "--p", "4", "--q", "4", "--lambda-x2", "4", "--bogus"],
+    ["packet", "--p", "4", "--q", "4", "extra"],
+]
+
+
+class TestVerbDispatch:
+    @pytest.mark.parametrize("argv", DISPATCH_ARGVS, ids=[" ".join(argv) or "no-argv" for argv in DISPATCH_ARGVS])
+    def test_matches_the_full_parser(self, capsys, monkeypatch, argv):
+        dispatched = run_cli(capsys, *argv)
+        full = cli._parsers()[0]
+        monkeypatch.setattr(cli, "_parsers", lambda: (full, {}))  # every argv through full.parse_args
+        assert run_cli(capsys, *argv) == dispatched
+
+    def test_a_known_verb_takes_one_argparse_pass(self, capsys, monkeypatch):
+        passes = []
+        parse_known_args = argparse.ArgumentParser.parse_known_args
+
+        def spy(parser, *args, **kwargs):
+            passes.append(parser.prog)
+            return parse_known_args(parser, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", spy)
+        code, _, _ = run_cli(capsys, *DISPATCH_ARGVS[0])
+        assert (code, passes) == (0, ["hypbranch branch"])
+        passes.clear()
+        code, _, _ = run_cli(capsys, *DISPATCH_ARGVS[-1])
+        assert (code, passes) == (2, ["hypbranch packet", "hypbranch", "hypbranch packet"])
 
 
 def _subprocess_env():

@@ -24,6 +24,7 @@ from hypbranch import fjrep, harmonics, periods
 from hypbranch.cli import main
 from hypbranch.geometry import wallis_exact
 from hypbranch.harmonics import sphere_area_exact, zonal_norm_sq_exact
+from hypbranch.numerics import normal_ratio
 
 # ROADMAP defects (l), the plain g2 pairing at a = 400, and (k), g1 values past q = 300
 DEFECT_L = ["period", "--p", "4", "--q", "16", "--lambda-x2", "814", "--target-x2", "13", "--subgroup", "g2"]
@@ -31,6 +32,10 @@ DEFECT_K = [
     ["period", "--p", "4", "--q", "432", "--lambda-x2", "750", "--target-x2", "751", "--subgroup", "g1"],
     ["period", "--p", "5", "--q", "321", "--lambda-x2", "738", "--target-x2", "739", "--subgroup", "g1"],
 ]
+# ROADMAP defect (e) at large p: the witness pairing factor overflows while the period value is normal
+DEFECT_E_BRANCH = ["branch", "--p", "16", "--q", "6", "--lambda-x2", "392", "--subgroup", "g2", "--max-target-x2", "1"]
+DEFECT_E_PERIOD = ["period", "--p", "16", "--q", "6", "--lambda-x2", "392", "--target-x2", "1", "--subgroup", "g2",
+                   "--witness"]
 # the oracle's names of the numbers that a refusal names
 REFUSED = {"period value": "value", "pairing factor": "pairing_factor", "radial factor": "radial_factor"}
 
@@ -110,6 +115,9 @@ def sweep_argvs(seed: int = 22):
         ["period", "--p", "4", "--q", "6", "--lambda-x2", "404", "--target-x2", "3", "--subgroup", "g2", "--witness"],
         ["period", "--p", "350", "--q", "4", "--lambda-x2", "350", "--target-x2", "351", "--subgroup", "g1"],
         ["fj", "--p", "400", "--q", "4", "--lambda-x2", "400"],
+        # a branch prints the normal value whose pairing factor a period refuses
+        DEFECT_E_BRANCH,
+        DEFECT_E_PERIOD,
         # exit 2 and 3
         ["fj", "--p", "4", "--q", "4", "--lambda-x2", "3"],
         ["period", "--p", "4", "--q", "4", "--lambda-x2", "-4", "--target-x2", "2", "--subgroup", "g2"],
@@ -190,6 +198,13 @@ def test_defect_k_prints_the_exact_value(argv):
     check_period_payload(argv, json.loads(out))
 
 
+def test_defect_e_branch_prints_the_value_whose_pairing_period_refuses():
+    code, out, err = run(DEFECT_E_BRANCH)
+    assert (code, err) == (0, "")
+    assert [row["value"] for row in json.loads(out)] == [9.394933669609563e303]
+    assert run(DEFECT_E_PERIOD) == (4, "", "error: pairing factor inf is not a normal double at degrees (200, 5)\n")
+
+
 def test_g1_err_covers_the_whole_value():
     # ROADMAP defect (g): diagonal g1 periods on p in {5, 7, 12}, q in {4, 6, 16} and every
     # 5th valid lambda <= 200, against the exact factors' product in 40-digit mpmath
@@ -230,3 +245,18 @@ def test_no_printed_value_reads_the_quadrature(monkeypatch):
     after = [run(argv) for argv in PERTURBED_ARGVS]
     assert after == before
     assert all(code == 0 for code, _, _ in after)
+
+
+def test_a_branch_rounds_only_its_printed_value(monkeypatch):
+    # a T-row scan rounds and range-checks T values; a period reads its three factors too, pairing first
+    calls = []
+
+    def spy(what, where, *factors):
+        calls.append(what)
+        return normal_ratio(what, where, *factors)
+
+    monkeypatch.setattr(periods, "normal_ratio", spy)
+    code, out, _ = run(PERTURBED_ARGVS[4])
+    assert code == 0 and calls == ["period value"] * len(json.loads(out)) and len(calls) == 21
+    calls.clear()
+    assert run(PERTURBED_ARGVS[2])[0] == 0 and calls == ["period value", "pairing factor", "radial factor"]

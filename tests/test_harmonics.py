@@ -19,7 +19,7 @@ from hypbranch.harmonics import (
     zonal_norm_sq,
     zonal_norm_sq_closed,
 )
-from hypbranch.numerics import sphere_rule
+from hypbranch.numerics import sphere_nodes, sphere_rule
 from hypbranch.periods import _nonvanishing
 from witness_oracle import weighted_cos_integral, witness_pairings, witness_scan
 
@@ -172,6 +172,24 @@ class TestZonalGram:
         for i, c in enumerate(targets):
             gram, ratio, norm = zonal_gram(ks, [c], 6)
             assert (grams[i] == gram[0]).all() and (ratios[i] == ratio[0]).all() and norms[i] == norm[0], c
+
+    @pytest.mark.parametrize("a, nodes", [(7, 16), (20, 32), (100, 112), (400, 416)])
+    def test_stacked_products_match_per_target_forms(self, a, nodes):
+        # the grams and norms are stacked np.matmul products whose items are the dot and gemv calls of
+        # the per-target forms below; a BLAS that sums the stacked form differently fails here, bit for bit
+        for n in (5, 8):
+            assert sphere_nodes(2 * a, n - 3) == nodes
+            targets = [0, a // 2, a, a + 1, a + 20, a + 33]
+            assert sphere_nodes(2 * targets[-2], n - 3) > nodes  # the last two lie past a's rule
+            for ks in ([a], range(a + 1)):
+                grams, _, norms = zonal_gram(ks, targets, n)
+                for i, c in enumerate(targets):
+                    x, w = sphere_rule(2 * max(a, c), n - 3)
+                    weight = sphere_area(n - 1) * w
+                    rows = harmonics._gegenbauer_rows(max(a, c), (n - 2) / 2.0, x, [*ks, c])
+                    zonals, row = rows[:-1], rows[-1]
+                    assert np.array_equal(grams[i], zonals @ (weight * row)), (a, n, c)
+                    assert norms[i] == row**2 @ weight, (a, n, c)
 
     def test_empty_degree_lists(self):
         grams, ratios, norms = zonal_gram(range(4), [], 5)
