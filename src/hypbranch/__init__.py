@@ -22,7 +22,6 @@ from .harmonics import (
     ktype_pairing_nonzero,
     pairing_subsphere,
     sphere_area,
-    zonal_norm_sq,
 )
 from .numerics import gauss_legendre_rule
 from .packets import (

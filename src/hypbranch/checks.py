@@ -61,7 +61,7 @@ def harmonics_suite(seed: int = 0) -> list[CheckResult]:
     worst = 0.0
     for n in (3, 4, 5, 6):
         # Z_0..Z_8 on S^{n-1}, Gegenbauer order (n - 2) / 2: one rule exact to degree 16
-        ratios = harmonics.zonal_gram(range(9), range(9), n)[1]
+        ratios = harmonics.zonal_gram(range(9), range(9), n)
         worst = max(worst, float(np.max(np.triu(ratios, 1))))
     out.append(_result("gegenbauer_orthogonality", worst <= 1e-10, f"max normalized {worst:.2e}"))
 
@@ -80,8 +80,11 @@ def harmonics_suite(seed: int = 0) -> list[CheckResult]:
     worst = 0.0
     for n in (4, 5, 6):
         for a in range(9):
+            # |Z_a|^2 by quadrature on the sphere rule exact to degree 2a, against its closed form
+            x, w = sphere_rule(2 * a, n - 3)
+            quadrature = float(harmonics.gegenbauer(a, (n - 2) / 2.0, x) ** 2 @ (harmonics.sphere_area(n - 1) * w))
             closed = harmonics.zonal_norm_sq_closed(a, n)
-            worst = max(worst, abs(closed - harmonics.zonal_norm_sq(a, n)) / closed)
+            worst = max(worst, abs(closed - quadrature) / closed)
     out.append(_result("zonal_norm_closed_vs_quadrature", worst <= 1e-10, f"max rel {worst:.2e}"))
 
     ok = all(

@@ -2,8 +2,8 @@
 
 Half-integer flags use the doubled-integer convention (`--lambda-x2 3` means
 lambda = 3/2) so no parameter ever passes through float parsing.  Exit codes:
-0 success, 1 property failure or a branch row whose numeric verdict disagrees
-with its predicate, 2 invalid parameters, an unwritable --out file,
+0 success, 1 property failure or a branch row or period whose numeric verdict
+disagrees with its predicate, 2 invalid parameters, an unwritable --out file,
 `period --witness` with `--subgroup g1` (the witness pairing is g2's), a
 `period` or `branch` ambient degree above 400 or a `branch --max-target-x2`
 that admits a target degree above 400, 3 divergent integral, 4 a verdict kernel
@@ -97,13 +97,18 @@ def _branch_rows(args):
     return rows
 
 
+def _verdicts_agree(rows, predicate: str) -> bool:
+    """Whether each row's `nonzero` equals its `predicate`; one `error: verdict mismatch` line per row that differs."""
+    mismatches = [row for row in rows if row["nonzero"] != row[predicate]]
+    for row in mismatches:
+        detail = " ".join(f"{k}={v}" for k, v in row.items())
+        print(f"error: verdict mismatch: {detail}", file=sys.stderr)
+    return not mismatches
+
+
 def cmd_branch(args) -> int:
     rows = _branch_rows(args)
-    mismatches = [row for row in rows if row["nonzero"] != row["predicate"]]
-    if mismatches:
-        for row in mismatches:
-            detail = " ".join(f"{k}={row[k]}" for k in BRANCH_COLUMNS)
-            print(f"error: verdict mismatch: {detail}", file=sys.stderr)
+    if not _verdicts_agree(rows, "predicate"):
         return 1
     if args.format == "csv":
         # rows hold their values in BRANCH_COLUMNS order
@@ -125,16 +130,15 @@ def cmd_period(args) -> int:
         verdict = period_integral_G1(args.p, args.q, lam, target)
     else:
         verdict = period_integral_G2(args.p, args.q, lam, target, use_witness=args.witness)
-    payload = verdict.to_json_dict()
-    payload.update(
-        {
-            "p": args.p,
-            "q": args.q,
-            "lambda_x2": args.lambda_x2,
-            "target_x2": args.target_x2,
-            "subgroup": args.subgroup,
-        }
-    )
+    payload = verdict.to_json_dict() | {
+        "p": args.p,
+        "q": args.q,
+        "lambda_x2": args.lambda_x2,
+        "target_x2": args.target_x2,
+        "subgroup": args.subgroup,
+    }
+    if not _verdicts_agree([payload], "predicate_nonzero"):
+        return 1
     _emit_json(args, payload)
     return 0
 

@@ -15,7 +15,3 @@ class DivergenceError(ArithmeticError):
 
 class ToleranceError(ArithmeticError):
     """A numeric routine could not meet the requested tolerance."""
-
-    def __init__(self, message: str, err_est: float):
-        super().__init__(message)
-        self.err_est = err_est

@@ -153,7 +153,7 @@ def radial_integral_numeric(a_exp: float, c_exp: float) -> tuple[float, float]:
     err_est = abs(value - coarse)
     tol = RADIAL_TOL * max(1.0, abs(value))
     if err_est > tol:
-        raise ToleranceError(f"radial quadrature error estimate {err_est:.3e} exceeds tolerance {tol:.3e}", err_est)
+        raise ToleranceError(f"radial quadrature error estimate {err_est:.3e} exceeds tolerance {tol:.3e}")
     return value, err_est
 
 

@@ -18,12 +18,11 @@ from itertools import accumulate
 import numpy as np
 
 from .errors import InvalidParameterError, ToleranceError
-from .numerics import SPHERE_NODE_STEP, half_gamma, sphere_nodes, sphere_rule, sqrt_pi_ratio
+from .numerics import SPHERE_NODE_STEP, half_gamma, sphere_rule, sqrt_pi_ratio
 
 __all__ = [
     "gegenbauer",
     "sphere_area",
-    "zonal_norm_sq",
     "zonal_norm_sq_closed",
     "zonal_gram",
     "pairing_subsphere",
@@ -43,7 +42,7 @@ def _recurrence(nu: float, length: int):
 
 
 def _gegenbauer_rows(n: int, nu: float, x: np.ndarray, wanted) -> np.ndarray:
-    """C_k^nu at the 1-D nodes x for each degree k of the sequence `wanted` (all <= n), from one pass to n.
+    """C_k^nu at the 1-D nodes x, one row per degree k of the sequence `wanted` (all <= n), from one pass to n.
 
     The pass runs on the rescaled family D_k = C_k^nu k! / (nu)_k, which is 2^k
     times the monic one (DLMF 18.9.1): D_0 = 1, D_1 = 2x and
@@ -64,7 +63,7 @@ def _gegenbauer_rows(n: int, nu: float, x: np.ndarray, wanted) -> np.ndarray:
         d_prev, d = d, d_next
         if k in keep:
             rows[k] = d
-    return np.array([scale[k] for k in wanted])[:, None] * np.array([rows[k] for k in wanted])
+    return np.array([scale[k] for k in wanted])[:, None] * np.array([rows[k] for k in wanted]).reshape(-1, len(x))
 
 
 def gegenbauer(n: int, nu: float, x):
@@ -101,7 +100,7 @@ def sphere_area_exact(n: int) -> tuple[int, int, int]:
     if n < 1:
         raise ValueError("sphere_area requires n >= 1")
     if n > MAX_SPHERE_DIM:
-        raise ToleranceError(f"sphere area of S^{n - 1} is out of floating-point range", math.inf)
+        raise ToleranceError(f"sphere area of S^{n - 1} is out of floating-point range")
     num, den, r = half_gamma(n)
     return 2 * den, num, n - r
 
@@ -111,60 +110,39 @@ def sphere_area_exact(n: int) -> tuple[int, int, int]:
 GRAM_RATIO_TOL = 1e-8
 
 
-def _gram_rows(ks, batch, top_k: int, n: int):
-    """:func:`zonal_gram` of the targets `batch`, which share one sphere rule, from one Gegenbauer pass."""
-    top = max(top_k, *batch)
-    x, w = sphere_rule(2 * top, n - 3)
-    weight = sphere_area(n - 1) * w
-    rows = _gegenbauer_rows(top, (n - 2) / 2.0, x, [*ks, *batch])
-    zonals, targets = rows[: len(ks)], rows[len(ks) :]
-    # stacked dot and gemv products: item i is c_i**2 @ weight and zonals @ (c_i * weight), bit for bit
-    norms = np.matmul((targets**2)[:, None, :], weight)[:, 0]
-    products = zonals**2 @ weight * norms[:, None]
-    if not np.isfinite(products).all():
-        bad = batch[np.isfinite(products).all(axis=1).argmin()]
-        raise ToleranceError(f"zonal norm not finite at degrees ({top_k}, {bad})", math.inf)
-    grams = np.matmul(zonals, (targets * weight)[:, :, None])[:, :, 0]
-    return grams, np.abs(grams) / np.sqrt(products), norms
-
-
 # Beyond the checked range the zonal values overflow or underflow; the kernel
-# refuses non-finite norms and the verdicts non-finite ratios with
+# refuses a norm product that is not a positive finite double with
 # ToleranceError, so numpy's warnings would only be noise.
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")
-def zonal_gram(ks, targets, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Gram rows of the zonal harmonics Z_k, k in `ks`, against each degree c in `targets` on S^{n-1}.
+def zonal_gram(ks, targets, n: int) -> np.ndarray:
+    """Normalised Gram rows |<Z_k, Z_c>| / (|Z_k| |Z_c|) of the zonal harmonics on S^{n-1}, one row per target c.
 
-    Returns (grams, ratios, norms), one row per c: grams[i] = <Z_k, Z_c> over ks,
-    ratios[i] = |<Z_k, Z_c>| / (|Z_k| |Z_c|) over ks and norms[i] = |Z_c|^2, as
-    quadratures on the sphere rule exact to degree 2 max(ks, c).  Targets whose
-    max(ks, c) maps to the same rule (:func:`sphere_nodes`) share one Gegenbauer
-    pass; each c keeps its own row and norm, so a row does not depend on the other
-    targets of its call.  Raises ToleranceError when a product |Z_k|^2 |Z_c|^2 is
-    not finite.  `ks` and `targets` are sequences of degrees.
+    Row i holds target c = targets[i] against each degree k in `ks`, so the result has shape
+    (len(targets), len(ks)).  Every entry is a quadrature on the one sphere rule exact to degree
+    2 max(ks, targets), from one Gegenbauer pass.  Raises ToleranceError when a product
+    |Z_k|^2 |Z_c|^2 is not a positive finite double.  `ks` and `targets` are sequences of degrees.
     """
     if n < 3:
         raise InvalidParameterError("zonal harmonics require sphere_dim >= 3")
-    top_k = max(ks, default=0)
-    groups = {}
-    for i, c in enumerate(targets):
-        groups.setdefault(sphere_nodes(2 * max(top_k, c), n - 3), []).append(i)
-    if len(groups) == 1:  # one rule: the rows are already in target order
-        return _gram_rows(ks, targets, top_k, n)
-    shape = (len(targets), len(ks))
-    grams, ratios, norms = np.empty(shape), np.empty(shape), np.empty(len(targets))
-    for idx in groups.values():
-        grams[idx], ratios[idx], norms[idx] = _gram_rows(ks, [targets[i] for i in idx], top_k, n)
-    return grams, ratios, norms
-
-
-def zonal_norm_sq(a: int, n: int) -> float:
-    """L^2(S^{n-1}) norm squared of the degree-a zonal harmonic, by quadrature (:func:`zonal_gram`)."""
-    return float(zonal_gram([a], [a], n)[2][0])
+    top = max(max(ks, default=0), max(targets, default=0))
+    x, w = sphere_rule(2 * top, n - 3)
+    weight = sphere_area(n - 1) * w
+    rows = _gegenbauer_rows(top, (n - 2) / 2.0, x, [*ks, *targets])
+    zonals, target_rows = rows[: len(ks)], rows[len(ks) :]
+    # stacked dot and gemv products: item i is c_i**2 @ weight and zonals @ (c_i * weight), bit for bit
+    products = zonals**2 @ weight * np.matmul((target_rows**2)[:, None, :], weight)
+    in_range = (products > 0) & (products < math.inf)  # false on nan too
+    if not in_range.all():
+        i, j = np.argwhere(~in_range)[0]
+        raise ToleranceError(
+            f"zonal norm product at degrees ({ks[j]}, {targets[i]}) on S^{n - 1} is not a positive finite double"
+        )
+    grams = np.matmul(zonals, (target_rows * weight)[:, :, None])[:, :, 0]
+    return np.abs(grams) / np.sqrt(products)
 
 
 def zonal_norm_sq_closed(a: int, n: int) -> float:
-    """Closed form of :func:`zonal_norm_sq` from Gegenbauer orthogonality, rounded once."""
+    """L^2(S^{n-1}) norm squared of the degree-a zonal harmonic, from Gegenbauer orthogonality, rounded once."""
     return sqrt_pi_ratio(*zonal_norm_sq_exact(a, n))
 
 
@@ -239,18 +217,15 @@ def ktype_pairings_nonzero(a: int, bs, n: int) -> list[bool]:
     k = 0..a, of :func:`zonal_gram` on S^{n-2}.  The type is reachable when the
     row's maximum exceeds GRAM_RATIO_TOL: true exactly when 0 <= b <= a.
 
-    Returns one verdict per b.  Raises ToleranceError when a zonal norm or a
-    Gram ratio is not finite.
+    Returns one verdict per b.  Raises ToleranceError when the kernel refuses a
+    norm product.
     """
     if n < 4:
         raise InvalidParameterError("ktype_pairing_nonzero requires n >= 4")
     bs = list(bs)
     if a < 0 or min(bs, default=0) < 0:
         raise InvalidParameterError("degrees must be non-negative")
-    ratios = zonal_gram(range(a + 1), bs, n - 1)[1].max(axis=1)
-    if not np.isfinite(ratios).all():  # some |Z_k|^2 |Z_b|^2 underflowed to 0
-        raise ToleranceError(f"zonal Gram ratio not finite at degree {a} on S^{n - 2}", math.inf)
-    return (ratios > GRAM_RATIO_TOL).tolist()
+    return (zonal_gram(range(a + 1), bs, n - 1).max(axis=1) > GRAM_RATIO_TOL).tolist()
 
 
 def ktype_pairing_nonzero(a: int, b: int, n: int) -> tuple[bool, float]:

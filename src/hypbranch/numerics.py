@@ -95,7 +95,7 @@ def gauss_legendre_on(a: float, b: float, n: int):
 
 
 # Sphere rules take their node counts from a lattice of this step, so nearby
-# degrees share one rule (and a scan one Gegenbauer pass per rule).
+# degrees share one rule (and nearby passes one cached set of recurrence coefficients).
 SPHERE_NODE_STEP = 16
 
 
@@ -177,5 +177,5 @@ def normal_ratio(what: str, where: str, *factors: tuple[int, int, int]) -> float
     nums, dens, powers = zip(*factors)
     value = sqrt_pi_ratio(math.prod(nums), math.prod(dens), sum(powers))
     if all(nums) and not sys.float_info.min <= abs(value) < math.inf:
-        raise ToleranceError(f"{what} {value} is not a normal double at {where}", math.inf)
+        raise ToleranceError(f"{what} {value} is not a normal double at {where}")
     return value

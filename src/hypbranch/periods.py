@@ -10,11 +10,10 @@ S^{q-2}; the closed-form predicates provide the independent cross-check.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import DivergenceError, InvalidParameterError, ToleranceError
+from .errors import DivergenceError, InvalidParameterError
 from .fjrep import FJParam, SpaceTag, checked_degree, inf_char_x2, make_fj_param, tag_signature, valid_lambdas
 from .geometry import wallis_exact
 from .harmonics import GRAM_RATIO_TOL, ktype_pairings_nonzero, pairing_subsphere_exact, sphere_area_exact, zonal_gram
@@ -139,8 +138,8 @@ def _require_convergence(lam_x2: int, targets_x2, tag: SpaceTag) -> None:
 def _periods(ambient: FJParam, tag: SpaceTag, targets_x2, witness: bool) -> list[PeriodVerdict]:
     """Periods sphere_area(sp) * pairing * R(sp-1, ...) of the ambient against each doubled target.
 
-    X(sp, sq) is the targets' space.  The verdicts are zonal Gram ratios from shared Gegenbauer
-    passes: g1 the row of Z_a on S^{q-1} (`zonal_gram`), g2 the K-type witnesses on S^{q-2}
+    X(sp, sq) is the targets' space.  The verdicts are zonal Gram ratios from one Gegenbauer
+    pass each: g1 the row of Z_a on S^{q-1} (`zonal_gram`), g2 the K-type witnesses on S^{q-2}
     (`ktype_pairings_nonzero`).  The sphere area, the pairing (g1: delta_{a,c} |Z_a|^2; g2: the
     witness value with `witness`, else the plain subsphere pairing) and the Wallis integral R of
     sin^{sp-1} cos^m, m = lambda + target - 1/2, are exact: their product, the value, is rounded
@@ -151,19 +150,16 @@ def _periods(ambient: FJParam, tag: SpaceTag, targets_x2, witness: bool) -> list
     a, p, q = ambient.degree, ambient.p, ambient.q
     if a > MAX_SCAN_DEGREE:
         raise InvalidParameterError(f"ambient degree {a}: periods stop at degree {MAX_SCAN_DEGREE}")
+    if not targets_x2:  # build no Gram row and read no sphere area, which a large p or q would refuse
+        return []
     degrees = [checked_degree(p, q, t_x2, tag) for t_x2 in targets_x2]
     if tag is SpaceTag.G1_SPACE:
-        ratios = zonal_gram(degrees, [a], q)[1][0].tolist()
-        if not all(map(math.isfinite, ratios)):  # some |Z_a|^2 |Z_c|^2 underflowed to 0
-            raise ToleranceError(f"zonal Gram ratio not finite at degree {a} on S^{q - 1}", math.inf)
-        nonzeros = [ratio > GRAM_RATIO_TOL for ratio in ratios]
+        nonzeros = (zonal_gram(degrees, [a], q)[0] > GRAM_RATIO_TOL).tolist()
         pairings = [zonal_norm_sq_exact(a, q) if c == a else (0, 1, 0) for c in degrees]
     else:
         nonzeros = ktype_pairings_nonzero(a, degrees, q)
         exact = witness_pairing_exact if witness else pairing_subsphere_exact
         pairings = [exact(a, b, q) for b in degrees]
-    if not targets_x2:  # read no sphere area, which a large p would refuse
-        return []
     sp = tag_signature(p, q, tag)[0]
     sphere, verdicts = sphere_area_exact(sp), []
     for t_x2, b, pairing, nonzero in zip(targets_x2, degrees, pairings, nonzeros):
@@ -244,7 +240,7 @@ def branching_verdicts(p: int, q: int, lam, subgroup: str, targets) -> list[Bran
     The restriction to SO0(p-1, q) is admissible, the one to SO0(p, q-1) is
     not (encoded branching data); the hom decision is the matching
     closed-form predicate, cross-checked by the numeric verdict.  The periods
-    of the whole target list share their Gegenbauer passes.
+    of the whole target list share one Gegenbauer pass.
     The ambient parameter is built once and validated even when the target
     list is empty; the targets stay doubled ints from validation to row.
     """

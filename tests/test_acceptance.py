@@ -14,7 +14,7 @@ import pytest
 from hypbranch.errors import DivergenceError, InvalidParameterError
 from hypbranch.fjrep import SpaceTag, fj_eval, inf_char, is_self_dual, l2_norm_sq, make_fj_param
 from hypbranch.geometry import radial_integral_closed, radial_integral_numeric, radial_integral_truncated
-from hypbranch.harmonics import ktype_pairing_nonzero, zonal_norm_sq
+from hypbranch.harmonics import ktype_pairing_nonzero, zonal_norm_sq_closed
 from hypbranch.numerics import doubled
 from hypbranch.packets import (
     InterlaceClass,
@@ -127,7 +127,7 @@ def test_criterion_05_g2_branching_support():
         else:
             # zero cases sit below the scale-free 1e-8 threshold
             a, b = v.degree_pair
-            scope = math.sqrt(zonal_norm_sq(a, 4) * zonal_norm_sq(b, 3))
+            scope = math.sqrt(zonal_norm_sq_closed(a, 4) * zonal_norm_sq_closed(b, 3))
             ok &= abs(v.pairing_factor) <= 1e-8 * scope or not v.witness_used
     ok &= nonzero_set == [1, 3]
     # (4,6), lambda = 3: the valid scan values are mu_x2 in {3,5,7,9} with
@@ -166,7 +166,7 @@ def test_criterion_06_g1_branching_support():
                 ok &= v.nonzero == (nu == expected) == v.predicate_nonzero
                 if nu != expected:
                     a, c = v.degree_pair
-                    scope = math.sqrt(zonal_norm_sq(a, q) * zonal_norm_sq(c, q))
+                    scope = math.sqrt(zonal_norm_sq_closed(a, q) * zonal_norm_sq_closed(c, q))
                     ok &= abs(v.pairing_factor) <= 1e-10 * scope
     report(6, "G1 periods nonzero iff nu = lambda + 1/2 (delta orthogonality)", ok)
 

@@ -146,6 +146,13 @@ class TestBranch:
         code, out, err = run_cli(capsys, *argv)
         assert (code, json.loads(out), err) == (0, [], "")
 
+    @pytest.mark.parametrize("subgroup", ["g1", "g2"])
+    def test_empty_scan_past_the_sphere_range_exits_0(self, capsys, subgroup):
+        # no target: no Gram row is built, so the sphere areas of S^443 and S^442, which would refuse, are not read
+        argv = ("branch", "--p", "5", "--q", "445", "--lambda-x2", "448",
+                "--subgroup", subgroup, "--max-target-x2", "1")
+        assert run_cli(capsys, *argv) == (0, "[]\n", "")
+
     def test_half_integer_fields_are_doubled_ints(self, capsys):
         _, out, _ = run_cli(
             capsys,
@@ -241,6 +248,27 @@ class TestExitCodes:
         )
         assert code == 3
         assert "-1/2" in err
+
+    @pytest.mark.parametrize(
+        "argv, flipped",
+        [
+            (("--p", "4", "--q", "4", "--lambda-x2", "4", "--target-x2", "3", "--subgroup", "g2"),
+             " nonzero=False predicate_nonzero=True "),
+            (("--p", "5", "--q", "4", "--lambda-x2", "3", "--target-x2", "6", "--subgroup", "g1"),
+             " nonzero=True predicate_nonzero=False "),
+        ],
+        ids=["g2", "g1"],
+    )
+    def test_disagreeing_period_verdict_exits_1(self, capsys, monkeypatch, argv, flipped):
+        # the rule of a branch row: nothing on stdout, and the period as one stderr line
+        gram, witness = periods.zonal_gram, periods.ktype_pairings_nonzero
+        monkeypatch.setattr(periods, "zonal_gram", lambda ks, targets, n: 1.0 - gram(ks, targets, n))
+        monkeypatch.setattr(periods, "ktype_pairings_nonzero", lambda a, bs, n: [not v for v in witness(a, bs, n)])
+        code, out, err = run_cli(capsys, "period", *argv)
+        assert (code, out) == (1, "")
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: verdict mismatch: ")
+        assert flipped in lines[0]
 
     @pytest.mark.parametrize(
         "argv",

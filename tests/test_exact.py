@@ -232,13 +232,13 @@ PERTURBED_ARGVS = [
 
 
 def test_no_printed_value_reads_the_quadrature(monkeypatch):
-    # the Gram entries change and their ratios do not: only the verdicts read the kernel
+    # every Gram ratio changes and none crosses the threshold: only the verdicts read the kernel
     before = [run(argv) for argv in PERTURBED_ARGVS]
     zonal_gram = harmonics.zonal_gram
 
     def perturbed(ks, targets, n):
-        grams, ratios, norms = zonal_gram(ks, targets, n)
-        return 3.0 * grams + np.pi, ratios, norms
+        ratios = zonal_gram(ks, targets, n)
+        return np.where(ratios > harmonics.GRAM_RATIO_TOL, 2.0 + ratios, ratios / 3.0)
 
     for module in (harmonics, periods):
         monkeypatch.setattr(module, "zonal_gram", perturbed)

@@ -16,12 +16,11 @@ from hypbranch.harmonics import (
     pairing_subsphere,
     sphere_area,
     zonal_gram,
-    zonal_norm_sq,
     zonal_norm_sq_closed,
 )
 from hypbranch.numerics import sphere_nodes, sphere_rule
 from hypbranch.periods import _nonvanishing
-from witness_oracle import weighted_cos_integral, witness_pairings, witness_scan
+from witness_oracle import weighted_cos_integral, witness_pairings, witness_scan, zonal_norm_sq
 
 
 class TestGegenbauer:
@@ -112,6 +111,7 @@ class TestSphereArea:
 
 
 class TestZonalNorm:
+    # the quadrature side is `witness_oracle.zonal_norm_sq`, on the sphere rule exact to degree 2a
     def test_degree_zero_is_sphere_area(self):
         for n in (4, 5, 6):
             assert zonal_norm_sq(0, n) == pytest.approx(sphere_area(n), rel=1e-12)
@@ -149,60 +149,62 @@ class TestZonalNorm:
             assert zonal_norm_sq(a, n) == pytest.approx(zonal_norm_sq_closed(a, n), rel=1e-10)
 
 
+KERNEL_REFUSAL = "zonal norm product at degrees \\({}, {}\\) on S\\^{} is not a positive finite double"
+
+
 class TestZonalGram:
-    def test_rows_ratios_and_norms(self):
+    def test_rows_are_normalised_ratios(self):
         # the g1 row: one target a against the degrees c; a Gram ratio is 1 on the
         # diagonal and orthogonality noise off it
         for n in (4, 5, 8):
             for a in (0, 3, 12):
                 cs = list(range(a + 3))
-                grams, ratios, norms = zonal_gram(cs, [a], n)
-                assert grams.shape == ratios.shape == (1, a + 3) and norms.shape == (1,)
-                assert norms[0] == pytest.approx(zonal_norm_sq_closed(a, n), rel=1e-10)
-                assert grams[0, a] == pytest.approx(norms[0], rel=1e-12)
+                ratios = zonal_gram(cs, [a], n)
+                assert isinstance(ratios, np.ndarray) and ratios.shape == (1, a + 3)
                 for c, ratio in zip(cs, ratios[0]):
                     assert (ratio > harmonics.GRAM_RATIO_TOL) == (c == a), (a, c, n)
                     assert ratio == pytest.approx(float(c == a), abs=1e-12)
 
     def test_rows_follow_target_order_across_rules(self):
-        # targets on two sphere rules, in mixed order and repeated: each row is
-        # bitwise its one-target call
+        # targets that alone would take two sphere rules, in mixed order and repeated:
+        # one shared rule, and each row's verdicts are those of its one-target call
         ks, targets = range(4), [40, 0, 3, 40, 17, 2]
-        grams, ratios, norms = zonal_gram(ks, targets, 6)
+        assert sphere_nodes(2 * 40, 3) > sphere_nodes(2 * 3, 3)
+        ratios = zonal_gram(ks, targets, 6)
+        assert ratios.shape == (len(targets), len(ks))
         for i, c in enumerate(targets):
-            gram, ratio, norm = zonal_gram(ks, [c], 6)
-            assert (grams[i] == gram[0]).all() and (ratios[i] == ratio[0]).all() and norms[i] == norm[0], c
+            verdicts = ratios[i] > harmonics.GRAM_RATIO_TOL
+            assert (verdicts == (zonal_gram(ks, [c], 6)[0] > harmonics.GRAM_RATIO_TOL)).all(), c
+            assert verdicts.tolist() == [k == c for k in ks], c
 
     @pytest.mark.parametrize("a, nodes", [(7, 16), (20, 32), (100, 112), (400, 416)])
     def test_stacked_products_match_per_target_forms(self, a, nodes):
-        # the grams and norms are stacked np.matmul products whose items are the dot and gemv calls of
-        # the per-target forms below; a BLAS that sums the stacked form differently fails here, bit for bit
+        # the norm products and Gram rows are stacked np.matmul products whose items are the dot and gemv
+        # calls of the per-target forms below; a BLAS that sums the stacked form differently fails here, bit for bit
         for n in (5, 8):
             assert sphere_nodes(2 * a, n - 3) == nodes
             targets = [0, a // 2, a, a + 1, a + 20, a + 33]
             assert sphere_nodes(2 * targets[-2], n - 3) > nodes  # the last two lie past a's rule
+            x, w = sphere_rule(2 * targets[-1], n - 3)  # the one rule of every row
+            weight = sphere_area(n - 1) * w
             for ks in ([a], range(a + 1)):
-                grams, _, norms = zonal_gram(ks, targets, n)
+                ratios = zonal_gram(ks, targets, n)
                 for i, c in enumerate(targets):
-                    x, w = sphere_rule(2 * max(a, c), n - 3)
-                    weight = sphere_area(n - 1) * w
-                    rows = harmonics._gegenbauer_rows(max(a, c), (n - 2) / 2.0, x, [*ks, c])
+                    rows = harmonics._gegenbauer_rows(targets[-1], (n - 2) / 2.0, x, [*ks, c])
                     zonals, row = rows[:-1], rows[-1]
-                    assert np.array_equal(grams[i], zonals @ (weight * row)), (a, n, c)
-                    assert norms[i] == row**2 @ weight, (a, n, c)
+                    expected = np.abs(zonals @ (weight * row)) / np.sqrt(zonals**2 @ weight * (row**2 @ weight))
+                    assert np.array_equal(ratios[i], expected), (a, n, c)
 
     def test_empty_degree_lists(self):
-        grams, ratios, norms = zonal_gram(range(4), [], 5)
-        assert grams.shape == ratios.shape == (0, 4) and norms.shape == (0,)
-        grams, ratios, norms = zonal_gram([], [3], 5)
-        assert grams.shape == ratios.shape == (1, 0)
-        assert norms[0] == zonal_norm_sq(3, 5)
+        assert zonal_gram(range(4), [], 5).shape == (0, 4)
+        assert zonal_gram([], [3], 5).shape == (1, 0)
+        assert zonal_gram([], [], 5).shape == (0, 0)
 
     def test_norm_not_finite_raises(self):
         # the squared zonal values overflow on S^129 at degree 1036
-        with pytest.raises(ToleranceError, match=r"zonal norm not finite at degrees \(1036, 1036\)"):
-            zonal_norm_sq(1036, 130)
-        with pytest.raises(ToleranceError, match=r"zonal norm not finite at degrees \(3, 1036\)"):
+        with pytest.raises(ToleranceError, match=KERNEL_REFUSAL.format(1036, 1036, 129)):
+            zonal_gram([1036], [1036], 130)
+        with pytest.raises(ToleranceError, match=KERNEL_REFUSAL.format(0, 1036, 129)):
             zonal_gram(range(4), [2, 1036], 130)
 
     def test_guards(self):
@@ -282,7 +284,7 @@ class TestKTypeWitness:
                 for b in range(a + 3):
                     nonzero, value = ktype_pairing_nonzero(a, b, n)
                     scan_nonzero, _, scan_ratio = witness_scan(a, b, n)
-                    _, ratios, _ = zonal_gram(range(a + 1), [b], n - 1)
+                    ratios = zonal_gram(range(a + 1), [b], n - 1)
                     assert nonzero == scan_nonzero, (a, b, n)
                     assert abs(ratios.max() - scan_ratio) <= 1e-9, (a, b, n)
                     if b <= a:
@@ -307,7 +309,7 @@ class TestKTypeWitness:
         assert nonzero == (0 <= b <= 200)
 
     def test_batched_matches_one_element_calls(self):
-        # one pass per rule top = max(a, b) gives bitwise the rows of one pass per b
+        # one pass on the rule of the largest degree gives the verdicts of one pass per b
         for n in (4, 5, 8):
             for a in (0, 1, 7, 20):
                 bs = [a + 2, 0, a, a + 1, a // 2, a + 2]
@@ -348,13 +350,13 @@ class TestKTypeWitness:
                     assert ktype_pairing_nonzero(a, b, n)[1] == pytest.approx(expected, rel=1e-12), (a, b, n)
 
     def test_norm_not_finite_raises(self):
-        # the squared zonal values overflow on S^128 at degree 1000
-        with pytest.raises(ToleranceError, match="not finite"):
+        # the squared zonal values overflow on S^128, the first at degree 734 of 0..1000
+        with pytest.raises(ToleranceError, match=KERNEL_REFUSAL.format(734, 0, 128)):
             ktype_pairings_nonzero(1000, [0, 1], 130)
 
     def test_ratio_not_finite_raises(self):
         # |Z_0|^2 |Z_b|^2 underflows to 0 on S^299, which would make every ratio inf
-        with pytest.raises(ToleranceError, match=r"zonal Gram ratio not finite at degree 0 on S\^299"):
+        with pytest.raises(ToleranceError, match=KERNEL_REFUSAL.format(0, 0, 299)):
             ktype_pairings_nonzero(0, [0, 1], 301)
 
     def test_guards(self):

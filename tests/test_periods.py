@@ -10,7 +10,7 @@ from hypbranch.cli import main
 from hypbranch.errors import DivergenceError, InvalidParameterError
 from hypbranch.fjrep import SpaceTag, inf_char, make_fj_param, valid_lambdas
 from hypbranch.geometry import radial_integral_closed, wallis_exact
-from hypbranch.harmonics import sphere_area, zonal_norm_sq, zonal_norm_sq_closed
+from hypbranch.harmonics import sphere_area, zonal_norm_sq_closed
 from hypbranch.numerics import doubled
 from hypbranch.packets import InterlaceClass
 from hypbranch.periods import (
@@ -25,6 +25,7 @@ from hypbranch.periods import (
     period_integral_G2,
     valid_targets,
 )
+from witness_oracle import zonal_norm_sq
 
 
 def H(twice):
@@ -328,7 +329,7 @@ def factor_grid():
         return wallis_exact(a, m)
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(periods, "zonal_gram", lambda cs, ks, n: (np.ones((1, len(cs))),) * 2 + (None,))
+        patch.setattr(periods, "zonal_gram", lambda cs, ks, n: np.ones((1, len(cs))))
         patch.setattr(periods, "ktype_pairings_nonzero", lambda a, bs, n: [True] * len(bs))
         for exact_pairing in ("zonal_norm_sq_exact", "witness_pairing_exact"):
             patch.setattr(periods, exact_pairing, lambda *degrees: (1, 1, 0))

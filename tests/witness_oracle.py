@@ -6,7 +6,8 @@ band-invariant degree-a harmonics on S^{n-1} as dict polynomials (member j is
 the harmonic projection of u^j times the solid degree-(a-j) zonal harmonic of
 the subsphere space, found by a dense linear solve), then pairs every
 normal-derivative trace of every member with the degree-b zonal harmonic of
-S^{n-2} by quadrature.
+S^{n-2} by quadrature.  Its two sphere quadratures, `zonal_norm_sq` and
+`weighted_cos_integral`, also serve the tests as oracles of their own.
 """
 
 from __future__ import annotations
@@ -16,8 +17,14 @@ from functools import lru_cache
 
 import numpy as np
 
-from hypbranch.harmonics import gegenbauer, sphere_area, zonal_norm_sq
+from hypbranch.harmonics import gegenbauer, sphere_area
 from hypbranch.numerics import sphere_rule
+
+
+def zonal_norm_sq(a: int, n: int) -> float:
+    """|Z_a|^2 on S^{n-1} by quadrature, on the sphere rule exact to degree 2a (the closed form's oracle)."""
+    x, w = sphere_rule(2 * a, n - 3)
+    return float(gegenbauer(a, (n - 2) / 2.0, x) ** 2 @ (sphere_area(n - 1) * w))
 
 
 def weighted_cos_integral(f, sin_power: int, degree: int) -> float:
