@@ -13,7 +13,8 @@ from fractions import Fraction
 import numpy as np
 
 from . import fjrep, geometry, harmonics, packets, periods
-from .numerics import gauss_legendre_rule, half_gamma, sphere_rule, sqrt_pi_ratio
+from .exact import half_gamma, sqrt_pi_ratio
+from .numerics import gauss_legendre_rule, sphere_rule
 
 __all__ = ["CheckResult", "SUITES", "run_suite"]
 
@@ -114,12 +115,12 @@ def decay_suite(seed: int = 0) -> list[CheckResult]:
         vecs = np.array([vec for vec, _ in draws])
         vecs /= np.linalg.norm(vecs, axis=1, keepdims=True)
         ts = np.array([t for _, t in draws])
-        if np.any(np.abs(fjrep.fj_eval(param, vecs, ts)) > c_const * np.exp(-rate * ts) + 1e-12):
+        if np.any(np.abs(harmonics.fj_eval(param, vecs, ts)) > c_const * np.exp(-rate * ts) + 1e-12):
             bound_ok = False
         ts = np.linspace(2.0, 10.0, 64)
         pole = np.zeros(q)
         pole[-1] = 1.0
-        vals = np.abs(fjrep.fj_eval(param, pole, ts))
+        vals = np.abs(harmonics.fj_eval(param, pole, ts))
         slope = np.polyfit(ts, np.log(vals), 1)[0]
         rel = abs(slope + rate) / rate
         detail.append(f"{p},{q},{param.lam}:{rel:.4f}")

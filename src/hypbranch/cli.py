@@ -20,11 +20,11 @@ import json
 import sys
 from fractions import Fraction
 
-from .checks import run_suite
+# Only the standard library and modules built on it load here: `branch` and `period` import
+# periods, and `check` imports checks, when they run, so fj, packet, help and usage errors load no numpy.
 from .errors import DivergenceError, InvalidParameterError, ToleranceError
 from .fjrep import FJParam, SpaceTag, degree_x2, valid_lambdas_x2
 from .packets import RealForm, arthur_packet, pure_inner_forms, relevant_pairs
-from .periods import MAX_SCAN_DEGREE, branching_verdicts_x2, period_integral_G1, period_integral_G2
 
 BRANCH_COLUMNS = [
     "p",
@@ -65,6 +65,7 @@ def cmd_fj(args) -> int:
 
 
 def _branch_rows(args):
+    from .periods import MAX_SCAN_DEGREE, branching_verdicts_x2
     tag = SpaceTag(args.subgroup)
     top = degree_x2(args.p, args.q, args.max_target_x2, tag) // 2
     if top > MAX_SCAN_DEGREE:
@@ -123,6 +124,7 @@ def cmd_branch(args) -> int:
 
 
 def cmd_period(args) -> int:
+    from .periods import period_integral_G1, period_integral_G2
     if args.witness and args.subgroup == "g1":
         raise ValueError("--witness applies to --subgroup g2 only")
     lam, target = Fraction(args.lambda_x2, 2), Fraction(args.target_x2, 2)
@@ -163,6 +165,7 @@ def cmd_packet(args) -> int:
 
 
 def cmd_check(args) -> int:
+    from .checks import run_suite
     results = run_suite(args.suite, args.seed)
     failures = 0
     for res in results:

@@ -14,19 +14,14 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 
-import numpy as np
-
 from .errors import InvalidParameterError
-from .geometry import wallis_exact
-from .harmonics import gegenbauer, sphere_area_exact, zonal_norm_sq_exact
-from .numerics import doubled, normal_ratio
+from .exact import doubled, normal_ratio, sphere_area_exact, wallis_exact, zonal_norm_sq_exact
 
 __all__ = [
     "SpaceTag",
     "FJParam",
     "make_fj_param",
     "valid_lambdas",
-    "fj_eval",
     "l2_norm_sq",
     "inf_char",
     "is_self_dual",
@@ -147,22 +142,6 @@ def valid_lambdas_x2(p: int, q: int, max_twice: int, tag: SpaceTag = SpaceTag.G_
 def valid_lambdas(p: int, q: int, max_twice: int, tag: SpaceTag = SpaceTag.G_ON_H) -> list[Fraction]:
     """Every lambda that `make_fj_param` accepts, with doubled value up to max_twice: see `valid_lambdas_x2`."""
     return [Fraction(twice, 2) for twice in valid_lambdas_x2(p, q, max_twice, tag)]
-
-
-def fj_eval(param: FJParam, y_prime, t) -> float:
-    """Generating function value f_a(y') cosh(t)^e at a chart point.
-
-    y' is a unit vector on the cosh-sphere S^{sq-1} (or one per row); the zonal
-    pole is the last axis (the base-point direction): f_a(y') = C_a^{(sq-2)/2}(y'_sq).
-    """
-    _, sq = param.space_signature
-    y_prime = np.asarray(y_prime, dtype=float)
-    if y_prime.shape[-1:] != (sq,):
-        raise InvalidParameterError(f"y' must have {sq} coordinates, got shape {y_prime.shape}")
-    t = np.asarray(t, dtype=float)
-    zonal = gegenbauer(param.degree, (sq - 2) / 2.0, y_prime[..., -1])
-    out = zonal * np.cosh(t) ** (decay_x2(param.total, param.lam_x2) / 2)
-    return out if out.ndim else float(out)
 
 
 def l2_norm_sq(param: FJParam) -> float:

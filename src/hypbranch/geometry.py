@@ -13,7 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AssumptionError, DivergenceError, InvalidParameterError, ToleranceError
-from .numerics import gauss_legendre_on, sqrt_pi_ratio
+from .exact import sqrt_pi_ratio, wallis_exact
+from .numerics import gauss_legendre_on
 
 __all__ = [
     "HyperboloidChart",
@@ -102,7 +103,7 @@ def radial_integral_closed(a_exp: float, c_exp: float) -> float:
     Equals (1/2) B((a+1)/2, -(a+c)/2) for a > -1 and a + c < 0.  For integer
     exponents, which every period and L2 norm has, R is the Wallis integral
     int_0^{pi/2} sin^a cos^m with m = -(a+c)-1: a ratio of integers, times pi/2
-    when a and m are both even, rounded once (:func:`numerics.sqrt_pi_ratio`).
+    when a and m are both even, rounded once (:func:`exact.sqrt_pi_ratio`).
     Other exponents take the Beta function on math.lgamma.
     """
     a_exp, c_exp = float(a_exp), float(c_exp)
@@ -111,25 +112,6 @@ def radial_integral_closed(a_exp: float, c_exp: float) -> float:
         x, y = (a_exp + 1.0) / 2.0, -(a_exp + c_exp) / 2.0
         return 0.5 * math.exp(math.lgamma(x) + math.lgamma(y) - math.lgamma(x + y))
     return sqrt_pi_ratio(*wallis_exact(int(a_exp), int(-(a_exp + c_exp)) - 1))
-
-
-def wallis_exact(a: int, m: int) -> tuple[int, int, int]:
-    """int_0^{pi/2} sin^a cos^m for integers a, m >= 0, exactly: (num, den, r) with value num / den * sqrt(pi)^r.
-
-    The value is (1/2) B((a+1)/2, (m+1)/2) (DLMF 5.12.1), here from short
-    products instead of three full factorials:
-      odd a, x = (a+1)/2:       (x-1)! 2^(x-1) / prod_{i<x} (m+1+2i);
-      even a, odd m:            2^(m-1) (a-1)!! / (C(m-1, (m-1)/2) prod_{0<=j<=a/2} (m+2j));
-      even a = 2k, even m = 2l: pi (2k)!/k! C(m, l) / (2^(a+m+1) prod_{0<i<=k} (l+i)).
-    """
-    if a % 2:
-        x = (a + 1) // 2
-        return math.factorial(x - 1) << (x - 1), math.prod(range(m + 1, m + 2 * x, 2)), 0
-    k = a // 2
-    if m % 2:
-        return math.prod(range(1, a, 2)) << (m - 1), math.comb(m - 1, m // 2) * math.prod(range(m, m + a + 1, 2)), 0
-    l = m // 2
-    return math.prod(range(k + 1, a + 1)) * math.comb(m, l), math.prod(range(l + 1, l + k + 1)) << (a + m + 1), 2
 
 
 def radial_integral_numeric(a_exp: float, c_exp: float) -> tuple[float, float]:

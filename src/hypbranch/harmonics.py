@@ -1,4 +1,4 @@
-"""Gegenbauer polynomials, zonal spherical harmonics, and subsphere pairings.
+"""Gegenbauer polynomials, generating functions, zonal spherical harmonics, and subsphere pairings.
 
 The branching layer of the library: restriction pairings between a degree-a
 zonal harmonic on S^{n-1} and degree-b zonal harmonics on the equatorial
@@ -18,10 +18,14 @@ from itertools import accumulate
 import numpy as np
 
 from .errors import InvalidParameterError, ToleranceError
-from .numerics import SPHERE_NODE_STEP, half_gamma, sphere_rule, sqrt_pi_ratio
+from .exact import pairing_subsphere_exact, sphere_area_exact, sqrt_pi_ratio, witness_pairing_exact
+from .exact import zonal_norm_sq_exact
+from .fjrep import FJParam, decay_x2
+from .numerics import SPHERE_NODE_STEP, sphere_rule
 
 __all__ = [
     "gegenbauer",
+    "fj_eval",
     "sphere_area",
     "zonal_norm_sq_closed",
     "zonal_gram",
@@ -80,29 +84,28 @@ def gegenbauer(n: int, nu: float, x):
     return c if c.ndim else float(c)
 
 
-# The area of S^{n-1} is below the normal floating-point range from n = 439.
-MAX_SPHERE_DIM = 438
+def fj_eval(param: FJParam, y_prime, t) -> float:
+    """Generating function value f_a(y') cosh(t)^e at a chart point.
+
+    y' is a unit vector on the cosh-sphere S^{sq-1} (or one per row); the zonal
+    pole is the last axis (the base-point direction): f_a(y') = C_a^{(sq-2)/2}(y'_sq).
+    """
+    _, sq = param.space_signature
+    y_prime = np.asarray(y_prime, dtype=float)
+    if y_prime.shape[-1:] != (sq,):
+        raise InvalidParameterError(f"y' must have {sq} coordinates, got shape {y_prime.shape}")
+    t = np.asarray(t, dtype=float)
+    zonal = gegenbauer(param.degree, (sq - 2) / 2.0, y_prime[..., -1])
+    out = zonal * np.cosh(t) ** (decay_x2(param.total, param.lam_x2) / 2)
+    return out if out.ndim else float(out)
 
 
 def sphere_area(n: int) -> float:
     """Surface area of the unit sphere S^{n-1} in R^n: 2 pi^{n/2} / Gamma(n/2), rounded once.
 
-    Raises ToleranceError above MAX_SPHERE_DIM, before any factorial is built.
+    Raises ToleranceError above exact.MAX_SPHERE_DIM, before any factorial is built.
     """
     return sqrt_pi_ratio(*sphere_area_exact(n))
-
-
-def sphere_area_exact(n: int) -> tuple[int, int, int]:
-    """:func:`sphere_area` exactly, as (num, den, r) with area = num / den * sqrt(pi)^r.
-
-    Raises ToleranceError above MAX_SPHERE_DIM, before any factorial is built.
-    """
-    if n < 1:
-        raise ValueError("sphere_area requires n >= 1")
-    if n > MAX_SPHERE_DIM:
-        raise ToleranceError(f"sphere area of S^{n - 1} is out of floating-point range")
-    num, den, r = half_gamma(n)
-    return 2 * den, num, n - r
 
 
 # A normalised Gram ratio |<Z_k, Z_c>| / (|Z_k| |Z_c|) above this is a non-zero
@@ -146,23 +149,6 @@ def zonal_norm_sq_closed(a: int, n: int) -> float:
     return sqrt_pi_ratio(*zonal_norm_sq_exact(a, n))
 
 
-def zonal_norm_sq_exact(a: int, n: int) -> tuple[int, int, int]:
-    """:func:`zonal_norm_sq_closed` exactly, as (num, den, r) with |Z_a|^2 = num / den * sqrt(pi)^r.
-
-    |Z_a|^2 = area(S^{n-2}) pi 2^{1-2nu} Gamma(a+2nu) / (a! (a+nu) Gamma(nu)^2), nu = (n-2)/2
-    (DLMF 18.3), with Gamma(a+2nu) / a! the (n-3)-factor product (a+1) ... (a+n-3).  Raises
-    ToleranceError when n - 1 exceeds MAX_SPHERE_DIM (:func:`sphere_area_exact`).
-    """
-    if n < 3:
-        raise InvalidParameterError("zonal_norm_sq_closed requires sphere_dim >= 3")
-    # 2^{1-2nu} = 2^{3-n} and a + nu = (2a+n-2) / 2
-    num_s, den_s, r_s = sphere_area_exact(n - 1)
-    num_nu, den_nu, r_nu = half_gamma(n - 2)
-    num = 2 * num_s * math.prod(range(a + 1, a + n - 2)) * den_nu**2
-    den = den_s * (2 * a + n - 2) * num_nu**2 << (n - 3)
-    return num, den, r_s + 2 - 2 * r_nu
-
-
 def pairing_subsphere(a: int, b: int, n: int) -> float:
     """Restriction pairing of zonal harmonics across the equatorial subsphere, exact and rounded once.
 
@@ -170,37 +156,6 @@ def pairing_subsphere(a: int, b: int, n: int) -> float:
     against the degree-b zonal harmonic of S^{n-2} about that pole.  Vanishes when b > a or a - b is odd.
     """
     return sqrt_pi_ratio(*pairing_subsphere_exact(a, b, n))
-
-
-def pairing_subsphere_exact(a: int, b: int, n: int) -> tuple[int, int, int]:
-    """:func:`pairing_subsphere` exactly, as (num, den, r); (0, 1, 0) when b > a or a - b is odd.
-
-    C_a^nu = sum_l c_l C_{a-2l}^mu, nu = (n-2)/2, mu = (n-3)/2, with c_l = (1/2)_l (nu)_{a-l}
-    (mu+a-2l) / (l! (mu+1)_{a-l} mu) (DLMF 18.18.16), so by orthogonality on S^{n-2} the
-    pairing is c_l |Z_b|^2 at l = (a-b)/2, with (1/2)_l / l! = C(2l, l) / 4^l.
-    """
-    if n < 4:
-        raise InvalidParameterError("pairing_subsphere requires n >= 4")
-    if b > a or (a - b) % 2:
-        return 0, 1, 0
-    l, m = (a - b) // 2, (a + b) // 2
-    num_z, den_z, r_z = zonal_norm_sq_exact(b, n - 1)
-    num = math.comb(2 * l, l) * math.prod(range(n - 2, n - 2 + 2 * m, 2)) * (2 * b + n - 3) * num_z
-    den = math.prod(range(n - 1, n - 1 + 2 * m, 2)) * (n - 3) * den_z << 2 * l
-    return num, den, r_z
-
-
-def witness_pairing_exact(a: int, b: int, n: int) -> tuple[int, int, int]:
-    """The witness value K |Z_b|^2 on S^{n-2} of :func:`ktype_pairing_nonzero`, exactly; 0 unless 0 <= b <= a.
-
-    K = j! (2 lam)_j / (2^j (lam)_j) = prod_{i<j} (i+1)(L+i) / (L+2i), j = a - b, L = 2 lam = 2b + n - 2.
-    """
-    if not 0 <= b <= a:
-        return 0, 1, 0
-    j, big_l = a - b, 2 * b + n - 2
-    num_z, den_z, r_z = zonal_norm_sq_exact(b, n - 1)
-    num = math.factorial(j) * math.prod(range(big_l, big_l + j)) * num_z
-    return num, math.prod(range(big_l, big_l + 2 * j, 2)) * den_z, r_z
 
 
 def ktype_pairings_nonzero(a: int, bs, n: int) -> list[bool]:

@@ -1,51 +1,24 @@
-"""Half-integer input, Gauss rules, and exact Gamma at half-integers.
+"""Gauss rules: Gauss-Legendre on an interval and the degree-exact sphere rules.
 
-Every representation-theoretic parameter in this library (spectral parameters,
-harmonic degrees, decay exponents) is a half-integer.  Inside the library it
-is a doubled int; a public function reads it through :func:`doubled` and
-returns one as a ``fractions.Fraction``.  Floating point enters only inside
-quadrature and in the one rounding of an exact Gamma ratio.
+Floating point enters the library only inside quadrature (these rules and the
+Gegenbauer recurrence in :mod:`.harmonics`) and in the one rounding of an exact
+ratio.  Half-integer input and the exact Gamma ratios live in :mod:`.exact`,
+which imports no numpy.
 """
 
 from __future__ import annotations
 
 import math
-import sys
-from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
 
-from .errors import InvalidParameterError, ToleranceError
-
 __all__ = [
-    "doubled",
     "gauss_legendre_rule",
     "gauss_legendre_on",
     "sphere_nodes",
     "sphere_rule",
-    "half_gamma",
-    "sqrt_pi_ratio",
 ]
-
-
-def doubled(value) -> int:
-    """Twice a half-integer given as an int, a Fraction or a finite float: doubled(1.5) == 3.
-
-    Reads the numerator and denominator (float.as_integer_ratio for a float)
-    and does no Fraction arithmetic.  Raises InvalidParameterError when the
-    value is not an exact half-integer, and TypeError for any other type.
-    """
-    if isinstance(value, (int, Fraction)):
-        num, den = value.numerator, value.denominator
-    elif isinstance(value, float):
-        # nan and inf have no ratio; den = 0 refuses them below
-        num, den = value.as_integer_ratio() if math.isfinite(value) else (0, 0)
-    else:
-        raise TypeError(f"a half-integer is an int, a Fraction or a float, not {type(value).__name__}")
-    if den not in (1, 2):
-        raise InvalidParameterError(f"{value!r} is not an exact half-integer")
-    return num if den == 2 else 2 * num
 
 
 def _legendre_and_derivative(n: int, x):
@@ -135,47 +108,3 @@ def _sphere_rule(n: int, sin_power: int):
         x.setflags(write=False)
     w.setflags(write=False)
     return x, w
-
-
-def half_gamma(x2: int) -> tuple[int, int, int]:
-    """Gamma(x2 / 2) for a doubled int x2 >= 1, exactly: (num, den, r) with Gamma = num / den * sqrt(pi)^r.
-
-    Gamma(k) = (k-1)! and Gamma(k + 1/2) = (2k)! / (4^k k!) sqrt(pi) (DLMF 5.4.6),
-    so r = x2 % 2.  math.factorial raises ValueError for x2 < 1.
-    """
-    k = x2 // 2
-    if x2 % 2 == 0:
-        return math.factorial(k - 1), 1, 0
-    return math.factorial(2 * k), 4**k * math.factorial(k), 1
-
-
-def sqrt_pi_ratio(num: int, den: int, sqrt_pi_power: int) -> float:
-    """num / den * sqrt(pi)^sqrt_pi_power as a float, from one correctly rounded int/int division.
-
-    The power of pi enters as the exact ratio of its double, so no intermediate
-    result can underflow while the result is normal; a result above the float
-    range is inf.
-    """
-    pi_num, pi_den = (math.pi ** (sqrt_pi_power / 2)).as_integer_ratio()
-    try:
-        return num * pi_num / (den * pi_den)
-    except OverflowError:
-        return math.inf
-
-
-def sqrt_pi_error(value: float, sqrt_pi_power: int) -> float:
-    """A rounded-up bound on |value - exact| for a normal value = :func:`sqrt_pi_ratio` (.., r); 0.0 at 0.0.
-
-    math.pi^(r/2), C pow's last ulp (two) and the division are k = ceil(|r|/2) + 3 factors 1 + u, u = 2^-53, so
-    gamma_k / (1 - gamma_k) <= (k + 1) u (Higham, Accuracy and Stability, 2nd ed., Lemma 3.1) bounds it relatively.
-    """
-    return math.nextafter(abs(value) * ((-(-abs(sqrt_pi_power) // 2) + 4) * 2.0**-53), math.inf) if value else 0.0
-
-
-def normal_ratio(what: str, where: str, *factors: tuple[int, int, int]) -> float:
-    """The exact product of (num, den, r) ratios, rounded once; ToleranceError when nonzero but not a normal double."""
-    nums, dens, powers = zip(*factors)
-    value = sqrt_pi_ratio(math.prod(nums), math.prod(dens), sum(powers))
-    if all(nums) and not sys.float_info.min <= abs(value) < math.inf:
-        raise ToleranceError(f"{what} {value} is not a normal double at {where}")
-    return value

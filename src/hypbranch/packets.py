@@ -15,8 +15,8 @@ from enum import Enum
 from fractions import Fraction
 
 from .errors import AssumptionError, InvalidParameterError
+from .exact import doubled
 from .fjrep import SpaceTag, degree_x2
-from .numerics import doubled
 
 __all__ = [
     "InterlaceClass",

@@ -14,11 +14,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DivergenceError, InvalidParameterError
+from .exact import doubled, normal_ratio, pairing_subsphere_exact, sphere_area_exact, sqrt_pi_error, sqrt_pi_ratio
+from .exact import wallis_exact, witness_pairing_exact, zonal_norm_sq_exact
 from .fjrep import FJParam, SpaceTag, checked_degree, inf_char_x2, make_fj_param, tag_signature, valid_lambdas
-from .geometry import wallis_exact
-from .harmonics import GRAM_RATIO_TOL, ktype_pairings_nonzero, pairing_subsphere_exact, sphere_area_exact, zonal_gram
-from .harmonics import witness_pairing_exact, zonal_norm_sq_exact
-from .numerics import doubled, normal_ratio, sqrt_pi_error, sqrt_pi_ratio
+from .harmonics import GRAM_RATIO_TOL, ktype_pairings_nonzero, zonal_gram
 from .packets import InterlaceClass, interlace_classify
 
 __all__ = [

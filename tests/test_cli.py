@@ -19,7 +19,7 @@ from hypbranch import cli, fjrep, geometry, harmonics, numerics, periods
 from hypbranch.checks import SUITES, run_suite
 from hypbranch.cli import main
 from hypbranch.fjrep import SpaceTag, make_fj_param, valid_lambdas
-from hypbranch.numerics import doubled
+from hypbranch.exact import doubled
 from hypbranch.periods import branching_verdicts_x2, valid_targets
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -175,7 +175,7 @@ class TestBranch:
                     results[i] = dataclasses.replace(result, verdict=verdict)
             return results
 
-        monkeypatch.setattr("hypbranch.cli.branching_verdicts_x2", flip_target_5)
+        monkeypatch.setattr(periods, "branching_verdicts_x2", flip_target_5)
 
     def test_disagreeing_verdict_exits_1(self, capsys, monkeypatch):
         self._flip_target_5(monkeypatch)
@@ -524,8 +524,8 @@ class TestCheck:
         ]
 
     def test_doubled_fj_eval_fails_decay_bound(self, capsys, monkeypatch):
-        fj_eval = fjrep.fj_eval
-        monkeypatch.setattr(fjrep, "fj_eval", lambda param, y, t: 2.0 * fj_eval(param, y, t))
+        fj_eval = harmonics.fj_eval
+        monkeypatch.setattr(harmonics, "fj_eval", lambda param, y, t: 2.0 * fj_eval(param, y, t))
         code, out, _ = run_cli(capsys, "check", "--suite", "decay")
         assert code == 1
         assert [ln for ln in out.splitlines() if ln.startswith("[FAIL]")] == [
@@ -667,14 +667,51 @@ def _subprocess_env():
     return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
 
 
-def test_import_leaves_scipy_out():
-    # scipy is a test dependency only; the installed CLI runs on numpy alone
-    env = _subprocess_env()
-    probe = "import sys, hypbranch.cli; print('scipy' in sys.modules)"
-    out = subprocess.run(
-        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+# (id, an import or a CLI argv run in a fresh interpreter, its exit code, whether it loads numpy);
+# `branch` is the control that shows the probe sees numpy when a verb loads it
+COLD_PROBES = [
+    ("import-cli", "import hypbranch.cli", None, False),
+    ("import-packets", "import hypbranch.packets", None, False),
+    ("fj", ["fj", "--p", "4", "--q", "4", "--lambda-x2", "4"], 0, False),
+    ("packet", ["packet", "--p", "4", "--q", "4", "--lambda-x2", "4"], 0, False),
+    ("packet-inner-forms", ["packet", "--p", "4", "--q", "6", "--inner-forms-only"], 0, False),
+    ("help", ["--help"], 0, False),
+    ("unknown-verb", ["frobnicate"], 2, False),
+    ("branch", ["branch", "--p", "4", "--q", "6", "--lambda-x2", "8", "--subgroup", "g2", "--max-target-x2", "5"],
+     0, True),
+]
+
+
+@pytest.mark.parametrize("run, code, loads_numpy", [c[1:] for c in COLD_PROBES], ids=[c[0] for c in COLD_PROBES])
+def test_cold_start_imports(run, code, loads_numpy):
+    # scipy is a test dependency only, so the installed CLI runs on numpy alone; and `fj`, `packet`,
+    # help and usage errors are exact or argparse's own, so they run on the standard library alone
+    if isinstance(run, list):
+        run = (
+            "from hypbranch.cli import main\n"
+            "with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):\n"
+            f"    code = main({run!r})"
+        )
+    probe = (
+        f"import contextlib, io, sys\ncode = None\n{run}\n"
+        "print(code, 'numpy' in sys.modules, 'scipy' in sys.modules)"
     )
-    assert out.stdout.strip() == "False"
+    out = subprocess.run(
+        [sys.executable, "-c", probe], env=_subprocess_env(), capture_output=True, text=True, check=True
+    )
+    assert out.stdout.split() == [str(code), str(loads_numpy), "False"]
+
+
+def test_lazy_exports_resolve_to_their_home_modules():
+    for name in hypbranch.__all__:
+        value = getattr(hypbranch, name)
+        assert getattr(sys.modules[value.__module__], name) is value, name
+    assert len(set(hypbranch.__all__)) == len(hypbranch.__all__)
+    with pytest.raises(AttributeError, match="no_such_name"):
+        hypbranch.no_such_name
+    namespace = {}
+    exec("from hypbranch import *", namespace)
+    assert all(namespace[name] is getattr(hypbranch, name) for name in hypbranch.__all__)
 
 
 def test_demos_run():

@@ -20,11 +20,10 @@ import numpy as np
 import pytest
 
 import exact_oracle
+import hypbranch.exact
 from hypbranch import fjrep, harmonics, periods
 from hypbranch.cli import main
-from hypbranch.geometry import wallis_exact
-from hypbranch.harmonics import sphere_area_exact, zonal_norm_sq_exact
-from hypbranch.numerics import normal_ratio
+from hypbranch.exact import normal_ratio, sphere_area_exact, wallis_exact, zonal_norm_sq_exact
 
 # ROADMAP defects (l), the plain g2 pairing at a = 400, and (k), g1 values past q = 300
 DEFECT_L = ["period", "--p", "4", "--q", "16", "--lambda-x2", "814", "--target-x2", "13", "--subgroup", "g2"]
@@ -130,6 +129,16 @@ def test_oracle_imports_nothing_from_the_library():
     imported = {alias.name for node in ast.walk(tree) if isinstance(node, ast.Import) for alias in node.names}
     imported |= {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)}
     assert imported == {"__future__", "math", "fractions", "functools"}
+
+
+def test_exact_layer_imports_only_the_standard_library():
+    # `fj` and `packet` rest on it, so it must not pay numpy's import
+    tree = ast.parse(Path(hypbranch.exact.__file__).read_text(encoding="utf-8"))
+    imported = {alias.name for node in ast.walk(tree) if isinstance(node, ast.Import) for alias in node.names}
+    imported |= {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) and not node.level}
+    relative = {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) and node.level}
+    assert relative == {"errors"}
+    assert imported and {name.split(".")[0] for name in imported} <= sys.stdlib_module_names
 
 
 def test_oracle_against_mpmath():

@@ -6,10 +6,10 @@ import pytest
 
 from hypbranch.errors import DivergenceError, InvalidParameterError, ToleranceError
 from hypbranch import fjrep
-from hypbranch.fjrep import SpaceTag, fj_eval, inf_char, is_self_dual, l2_norm_sq, make_fj_param
+from hypbranch.exact import doubled
+from hypbranch.fjrep import SpaceTag, inf_char, is_self_dual, l2_norm_sq, make_fj_param
 from hypbranch.geometry import radial_integral_closed, radial_integral_truncated
-from hypbranch.harmonics import gegenbauer, sphere_area, zonal_norm_sq_closed
-from hypbranch.numerics import doubled
+from hypbranch.harmonics import fj_eval, gegenbauer, sphere_area, zonal_norm_sq_closed
 from hypbranch.packets import conjecture_explore
 from hypbranch.periods import valid_targets
 from coset_oracle import weyl_conjugate

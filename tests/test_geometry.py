@@ -6,6 +6,7 @@ import pytest
 from scipy.integrate import quad
 
 from hypbranch.errors import AssumptionError, DivergenceError, InvalidParameterError, ToleranceError
+from hypbranch.exact import half_gamma, sqrt_pi_ratio
 from hypbranch.geometry import (
     ChartPoint,
     HyperboloidChart,
@@ -16,7 +17,6 @@ from hypbranch.geometry import (
     radial_integral_numeric,
     radial_integral_truncated,
 )
-from hypbranch.numerics import half_gamma, sqrt_pi_ratio
 from block_estimates import (
     BlockDecomposition,
     NotInGroupError,

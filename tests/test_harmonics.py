@@ -8,6 +8,7 @@ from scipy.special import eval_gegenbauer
 
 from hypbranch import harmonics
 from hypbranch.errors import InvalidParameterError, ToleranceError
+from hypbranch.exact import MAX_SPHERE_DIM
 from hypbranch.fjrep import SpaceTag
 from hypbranch.harmonics import (
     gegenbauer,
@@ -93,11 +94,11 @@ class TestSphereArea:
     def test_against_mpmath_to_the_normal_range(self):
         mp = pytest.importorskip("mpmath")
         mp.mp.dps = 40
-        for n in range(1, harmonics.MAX_SPHERE_DIM + 1):
+        for n in range(1, MAX_SPHERE_DIM + 1):
             exact = 2 * mp.pi ** (mp.mpf(n) / 2) / mp.gamma(mp.mpf(n) / 2)
             assert abs(sphere_area(n) - exact) <= 1e-14 * exact, n
-        assert sphere_area(harmonics.MAX_SPHERE_DIM) >= sys.float_info.min
-        n = harmonics.MAX_SPHERE_DIM + 1
+        assert sphere_area(MAX_SPHERE_DIM) >= sys.float_info.min
+        n = MAX_SPHERE_DIM + 1
         assert 2 * mp.pi ** (mp.mpf(n) / 2) / mp.gamma(mp.mpf(n) / 2) < sys.float_info.min
 
     @pytest.mark.parametrize("n", [439, 10**6])

@@ -6,16 +6,8 @@ import numpy as np
 import pytest
 
 from hypbranch.errors import InvalidParameterError, ToleranceError
-from hypbranch.numerics import (
-    doubled,
-    gauss_legendre_rule,
-    half_gamma,
-    normal_ratio,
-    sphere_nodes,
-    sphere_rule,
-    sqrt_pi_error,
-    sqrt_pi_ratio,
-)
+from hypbranch.exact import doubled, half_gamma, normal_ratio, sqrt_pi_error, sqrt_pi_ratio
+from hypbranch.numerics import gauss_legendre_rule, sphere_nodes, sphere_rule
 
 
 def beta_x2(x2: int, y2: int) -> float:

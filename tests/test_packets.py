@@ -7,7 +7,7 @@ import pytest
 
 from hypbranch import checks, fjrep, packets
 from hypbranch.errors import AssumptionError, InvalidParameterError
-from hypbranch.numerics import doubled
+from hypbranch.exact import doubled
 from hypbranch.packets import (
     InterlaceClass,
     RealForm,

@@ -8,10 +8,10 @@ import pytest
 from hypbranch import cli, fjrep, geometry, harmonics, numerics, packets, periods
 from hypbranch.cli import main
 from hypbranch.errors import DivergenceError, InvalidParameterError
+from hypbranch.exact import doubled, wallis_exact
 from hypbranch.fjrep import SpaceTag, inf_char, make_fj_param, valid_lambdas
-from hypbranch.geometry import radial_integral_closed, wallis_exact
+from hypbranch.geometry import radial_integral_closed
 from hypbranch.harmonics import sphere_area, zonal_norm_sq_closed
-from hypbranch.numerics import doubled
 from hypbranch.packets import InterlaceClass
 from hypbranch.periods import (
     branching_verdict,
@@ -487,7 +487,7 @@ class TestEndToEndOracle:
         p, q, lam, mu = 4, 4, 2, H(3)
         amb = make_fj_param(p, q, lam)
         tgt = make_fj_param(p, q, mu, SpaceTag.G2_SPACE)
-        from hypbranch.fjrep import fj_eval
+        from hypbranch.harmonics import fj_eval
 
         theta, w_theta = gauss_legendre_on(0.0, math.pi, 48)
         phi, w_phi = gauss_legendre_on(0.0, 2 * math.pi, 48)
