@@ -7,7 +7,7 @@ disagrees with its predicate, 2 invalid parameters, an unwritable --out file,
 `period --witness` with `--subgroup g1` (the witness pairing is g2's), a
 `period` or `branch` ambient degree above 400 or a `branch --max-target-x2`
 that admits a target degree above 400, 3 divergent integral, 4 a verdict kernel
-out of the float range, or a printed number exactly nonzero but not a normal double.
+row whose norm is off 1, or a printed number exactly nonzero but not a normal double.
 """
 
 from __future__ import annotations

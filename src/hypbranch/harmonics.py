@@ -37,26 +37,27 @@ __all__ = [
 
 @lru_cache(maxsize=64)
 def _recurrence(nu: float, length: int):
-    """Coefficients 4c_k and scales (nu)_k / k! of :func:`_gegenbauer_rows`, for degrees k < length."""
+    """Coefficients 4c_k of :func:`_gegenbauer_rows` for k < length, and the squared row norms of its pass.
+
+    Norm k is |D_k|^2 against the weight of total mass 1: prod_{i=1..k} 4c_{i+1}, since c_{i+1} is
+    the monic recurrence coefficient beta_i (Gautschi, Orthogonal Polynomials, 2004, sec. 1.3).
+    """
     four_c = (0.0, 0.0) + tuple(
         (k - 1) * (k + 2 * nu - 2) / ((k + nu - 1) * (k + nu - 2)) for k in range(2, length)
     )
-    scale = tuple(accumulate(((nu + k - 1) / k for k in range(1, length)), operator.mul, initial=1.0))
-    return four_c, scale
+    return four_c, tuple(accumulate(four_c[2:], operator.mul, initial=1.0))
 
 
-def _gegenbauer_rows(n: int, nu: float, x: np.ndarray, wanted) -> np.ndarray:
-    """C_k^nu at the 1-D nodes x, one row per degree k of the sequence `wanted` (all <= n), from one pass to n.
+def _gegenbauer_rows(n: int, nu: float, x: np.ndarray, wanted):
+    """D_k = C_k^nu k! / (nu)_k at the 1-D nodes x, one row per degree k of `wanted` (all <= n), and each |D_k|^2.
 
-    The pass runs on the rescaled family D_k = C_k^nu k! / (nu)_k, which is 2^k
-    times the monic one (DLMF 18.9.1): D_0 = 1, D_1 = 2x and
+    One pass to n on the rescaled family, 2^k times the monic one (DLMF 18.9.1): D_0 = 1, D_1 = 2x and
     D_k = 2x D_{k-1} - 4c_k D_{k-2},  4c_k = (k-1)(k+2nu-2) / ((k+nu-1)(k+nu-2)),
-    so each step is three array operations and D_k grows only like k^nu.  Only
-    the wanted rows are scaled back by (nu)_k / k!.  The coefficients are cached
-    per (nu, n + 1 rounded up to SPHERE_NODE_STEP).  Requires nu > 0: the
-    coefficients have poles at nu <= 0.
+    so each step is three array operations and D_k grows only like k^nu.  The norms are against the
+    weight (1-x^2)^{nu-1/2} of total mass 1.  The coefficients are cached per (nu, n + 2 rounded up
+    to SPHERE_NODE_STEP).  Requires nu > 0: the coefficients have poles at nu <= 0.
     """
-    four_c, scale = _recurrence(nu, -(-(n + 1) // SPHERE_NODE_STEP) * SPHERE_NODE_STEP)
+    four_c, norm_sq = _recurrence(nu, -(-(n + 2) // SPHERE_NODE_STEP) * SPHERE_NODE_STEP)
     keep = set(wanted)
     d_prev = np.ones(len(x))
     two_x = d = 2.0 * x
@@ -67,7 +68,7 @@ def _gegenbauer_rows(n: int, nu: float, x: np.ndarray, wanted) -> np.ndarray:
         d_prev, d = d, d_next
         if k in keep:
             rows[k] = d
-    return np.array([scale[k] for k in wanted])[:, None] * np.array([rows[k] for k in wanted]).reshape(-1, len(x))
+    return np.array([rows[k] for k in wanted]).reshape(-1, len(x)), np.array([norm_sq[k] for k in wanted])
 
 
 def gegenbauer(n: int, nu: float, x):
@@ -80,7 +81,8 @@ def gegenbauer(n: int, nu: float, x):
     if not nu > 0:
         raise ValueError(f"gegenbauer requires nu > 0, got {nu}")
     x = np.asarray(x, dtype=float)
-    c = _gegenbauer_rows(n, nu, x.ravel(), [n])[0].reshape(x.shape)
+    scale = math.prod((nu + k - 1) / k for k in range(1, n + 1))  # (nu)_n / n!
+    c = scale * _gegenbauer_rows(n, nu, x.ravel(), [n])[0][0].reshape(x.shape)
     return c if c.ndim else float(c)
 
 
@@ -108,40 +110,38 @@ def sphere_area(n: int) -> float:
     return sqrt_pi_ratio(*sphere_area_exact(n))
 
 
-# A normalised Gram ratio |<Z_k, Z_c>| / (|Z_k| |Z_c|) above this is a non-zero
-# pairing; the ratio is scale-free, so one threshold serves every degree.
+# A Gram ratio |<Z_k, Z_c>| / (|Z_k| |Z_c|) above this is a non-zero pairing, and a kernel row norm off 1
+# by more than this is lost weight mass; both are scale-free, so one threshold serves every degree.
 GRAM_RATIO_TOL = 1e-8
 
 
-# Beyond the checked range the zonal values overflow or underflow; the kernel
-# refuses a norm product that is not a positive finite double with
-# ToleranceError, so numpy's warnings would only be noise.
+# Far past the checked range D_k overflows or its norm underflows, and the row-norm test refuses
+# those rows; numpy's warnings would only be noise.
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def zonal_gram(ks, targets, n: int) -> np.ndarray:
     """Normalised Gram rows |<Z_k, Z_c>| / (|Z_k| |Z_c|) of the zonal harmonics on S^{n-1}, one row per target c.
 
     Row i holds target c = targets[i] against each degree k in `ks`, so the result has shape
-    (len(targets), len(ks)).  Every entry is a quadrature on the one sphere rule exact to degree
-    2 max(ks, targets), from one Gegenbauer pass.  Raises ToleranceError when a product
-    |Z_k|^2 |Z_c|^2 is not a positive finite double.  `ks` and `targets` are sequences of degrees.
+    (len(targets), len(ks)).  One Gegenbauer pass on the one sphere rule (x, w) exact to degree
+    2 max(ks, targets) gives the rows sqrt(w) D_k / sqrt(sum(w) |D_k|^2), unit vectors whose dot
+    products are the ratios.  Raises ToleranceError when a row's norm is off 1 by more than
+    GRAM_RATIO_TOL: weights below the float range have lost their mass.  `ks` and `targets` are
+    sequences of degrees.
     """
     if n < 3:
         raise InvalidParameterError("zonal harmonics require sphere_dim >= 3")
-    top = max(max(ks, default=0), max(targets, default=0))
+    degrees = [*ks, *targets]
+    top = max(degrees, default=0)
     x, w = sphere_rule(2 * top, n - 3)
-    weight = sphere_area(n - 1) * w
-    rows = _gegenbauer_rows(top, (n - 2) / 2.0, x, [*ks, *targets])
-    zonals, target_rows = rows[: len(ks)], rows[len(ks) :]
-    # stacked dot and gemv products: item i is c_i**2 @ weight and zonals @ (c_i * weight), bit for bit
-    products = zonals**2 @ weight * np.matmul((target_rows**2)[:, None, :], weight)
-    in_range = (products > 0) & (products < math.inf)  # false on nan too
-    if not in_range.all():
-        i, j = np.argwhere(~in_range)[0]
-        raise ToleranceError(
-            f"zonal norm product at degrees ({ks[j]}, {targets[i]}) on S^{n - 1} is not a positive finite double"
-        )
-    grams = np.matmul(zonals, (target_rows * weight)[:, :, None])[:, :, 0]
-    return np.abs(grams) / np.sqrt(products)
+    rows, norm_sq = _gegenbauer_rows(top, (n - 2) / 2.0, x, degrees)
+    rows *= np.sqrt(w)
+    rows /= np.sqrt(w.sum() * norm_sq)[:, None]
+    norms = np.sqrt(np.einsum("ij,ij->i", rows, rows))
+    lost = ~(np.abs(norms - 1.0) <= GRAM_RATIO_TOL)  # nan too
+    if lost.any():
+        i = int(np.argmax(lost))
+        raise ToleranceError(f"zonal row norm at degree {degrees[i]} on S^{n - 1} is {norms[i]}, not 1")
+    return np.abs(rows[len(ks) :] @ rows[: len(ks)].T)
 
 
 def zonal_norm_sq_closed(a: int, n: int) -> float:
@@ -173,7 +173,7 @@ def ktype_pairings_nonzero(a: int, bs, n: int) -> list[bool]:
     row's maximum exceeds GRAM_RATIO_TOL: true exactly when 0 <= b <= a.
 
     Returns one verdict per b.  Raises ToleranceError when the kernel refuses a
-    norm product.
+    row norm.
     """
     if n < 4:
         raise InvalidParameterError("ktype_pairing_nonzero requires n >= 4")

@@ -278,9 +278,9 @@ class TestExitCodes:
              "--target-x2", "3", "--subgroup", "g2"),
             # the L2 norm on X(4, 438) at degree 4999 is 1.5e341, above the float range
             ("fj", "--p", "4", "--q", "438", "--lambda-x2", "10434"),
-            # |Z_c|^2 overflows to inf on S^129 at target degree 1036
-            ("period", "--p", "5", "--q", "130", "--lambda-x2", "133",
-             "--target-x2", "2200", "--subgroup", "g1"),
+            # sphere-rule weights on S^437 below the float range: the degree-1200 Gram row lost mass
+            ("period", "--p", "5", "--q", "438", "--lambda-x2", "437",
+             "--target-x2", "2836", "--subgroup", "g1"),
             # the L2 norm on X(400, 4) is 1.3e-393, below the normal range
             ("fj", "--p", "400", "--q", "4", "--lambda-x2", "400"),
             # the sphere area of S^348 times the radial factor is below the normal range
@@ -291,7 +291,7 @@ class TestExitCodes:
              "--max-target-x2", "33"),
         ],
         ids=[
-            "witness_overflow", "fj_norm_not_finite", "g1_norm_not_finite",
+            "witness_overflow", "fj_norm_not_finite", "g1_row_norm_lost_mass",
             "fj_norm_below_normal_range", "g1_factors_below_normal_range",
             "g2_nonzero_row_below_normal_range",
         ],
@@ -326,16 +326,13 @@ class TestExitCodes:
         "argv",
         [
             ("fj", "--p", "4", "--q", "438", "--lambda-x2", "10434"),
-            ("period", "--p", "5", "--q", "130", "--lambda-x2", "133",
-             "--target-x2", "2200", "--subgroup", "g1"),
-            # the witness norms overflow on S^128 at target degree 1000
-            ("period", "--p", "4", "--q", "130", "--lambda-x2", "130",
-             "--target-x2", "2127", "--subgroup", "g2", "--witness"),
-            # |Z_0|^2 |Z_1|^2 underflows to 0 on S^299: the g1 Gram ratio would be inf
-            ("period", "--p", "5", "--q", "300", "--lambda-x2", "297",
-             "--target-x2", "300", "--subgroup", "g1"),
+            ("period", "--p", "5", "--q", "438", "--lambda-x2", "437",
+             "--target-x2", "2836", "--subgroup", "g1"),
+            # the row norms on S^1999 underflow to 0 by degree 1000: the refused rows are nan
+            ("period", "--p", "5", "--q", "2000", "--lambda-x2", "1997",
+             "--target-x2", "3998", "--subgroup", "g1"),
         ],
-        ids=["fj", "period_g1", "period_g2_witness", "period_g1_ratio_underflow"],
+        ids=["fj", "period_g1_row_norm_lost_mass", "period_g1_row_norm_nan"],
     )
     def test_overflow_prints_one_error_line(self, argv):
         # in a fresh interpreter with warnings shown, which pytest would capture
@@ -347,6 +344,39 @@ class TestExitCodes:
         assert out.stdout == ""
         lines = out.stderr.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: "), out.stderr
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            # defect (f): degree 1036 on S^129, where |Z_c|^2 overflows
+            ("period", "--p", "5", "--q", "130", "--lambda-x2", "133",
+             "--target-x2", "2200", "--subgroup", "g1"),
+            # the witness Gram at degree 1000 on S^128
+            ("period", "--p", "4", "--q", "130", "--lambda-x2", "130",
+             "--target-x2", "2127", "--subgroup", "g2", "--witness"),
+            # |Z_0|^2 |Z_1|^2 underflows to 0 on S^299
+            ("period", "--p", "5", "--q", "300", "--lambda-x2", "297",
+             "--target-x2", "300", "--subgroup", "g1"),
+            # defect (k): a = 100 on S^359, where every norm product underflows
+            ("branch", "--p", "5", "--q", "360", "--lambda-x2", "557", "--subgroup", "g1",
+             "--max-target-x2", "566"),
+            # defect (p): subnormal norm products on S^321 and S^313 once passed as positive and
+            # divided the off-diagonal noise up to nonzero verdicts, each a verdict mismatch
+            ("branch", "--p", "7", "--q", "322", "--lambda-x2", "673", "--subgroup", "g1",
+             "--max-target-x2", "678"),
+            ("period", "--p", "13", "--q", "315", "--lambda-x2", "728",
+             "--target-x2", "729", "--subgroup", "g2"),
+        ],
+        ids=["f_period_g1_degree_1036", "period_g2_witness_degree_1000", "period_g1_q300",
+             "k_branch_g1_q360", "p_branch_g1_q322", "p_period_g2_q315"],
+    )
+    def test_verdicts_past_the_norm_product_range(self, capsys, argv):
+        # the kernel's rows are unit vectors: it forms no norm product to over- or underflow
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, err) == (0, "")
+        payload = json.loads(out)
+        rows = payload if isinstance(payload, list) else [payload]
+        assert rows and all(r["nonzero"] == r.get("predicate", r.get("predicate_nonzero")) for r in rows)
 
     def test_witness_on_g1_exits_2(self, capsys):
         code, out, err = run_cli(
