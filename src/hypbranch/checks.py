@@ -6,6 +6,7 @@ deterministic for a fixed seed.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -36,9 +37,10 @@ def quadrature_suite(seed: int = 0) -> list[CheckResult]:
     worst = 0.0
     for n in (2, 4, 8, 16, 32):
         x, w = gauss_legendre_rule(n)
-        for k in range(0, 2 * n):
-            exact = 0.0 if k % 2 else 2.0 / (k + 1)
-            worst = max(worst, abs(float(np.sum(w * x**k)) - exact))
+        ks = np.arange(2 * n)
+        # one contiguous row per k: each row sum is the pairwise sum np.sum(w * x**k), bit for bit
+        moments = np.sum(w * x ** ks[:, None], axis=1)
+        worst = max(worst, float(np.max(np.abs(moments - np.where(ks % 2, 0.0, 2.0 / (ks + 1))))))
     out.append(_result("gauss_legendre_exactness", worst <= 1e-13, f"max err {worst:.2e}"))
 
     worst = 0.0
@@ -59,6 +61,7 @@ def quadrature_suite(seed: int = 0) -> list[CheckResult]:
 
 def harmonics_suite(seed: int = 0) -> list[CheckResult]:
     out = []
+    norm_sq = functools.cache(harmonics.zonal_norm_sq_closed)  # each (degree, sphere) once per run
     worst = 0.0
     for n in (3, 4, 5, 6):
         # Z_0..Z_8 on S^{n-1}, Gegenbauer order (n - 2) / 2: one rule exact to degree 16
@@ -72,9 +75,9 @@ def harmonics_suite(seed: int = 0) -> list[CheckResult]:
         x, w = sphere_rule(12, n - 4)
         subs = [harmonics.sphere_area(n - 2) * w * harmonics.gegenbauer(b, (n - 3) / 2.0, x) for b in range(7)]
         for a in range(7):
-            zonal, norm_a = harmonics.gegenbauer(a, (n - 2) / 2.0, x), harmonics.zonal_norm_sq_closed(a, n)
+            zonal = harmonics.gegenbauer(a, (n - 2) / 2.0, x)
             for b, sub in enumerate(subs):
-                scale = math.sqrt(norm_a * harmonics.zonal_norm_sq_closed(b, n - 1))
+                scale = math.sqrt(norm_sq(a, n) * norm_sq(b, n - 1))
                 worst = max(worst, abs(float(zonal @ sub) - harmonics.pairing_subsphere(a, b, n)) / scale)
     out.append(_result("pairing_exact_vs_quadrature", worst <= 1e-12, f"max normalized {worst:.2e}"))
 
@@ -84,7 +87,7 @@ def harmonics_suite(seed: int = 0) -> list[CheckResult]:
             # |Z_a|^2 by quadrature on the sphere rule exact to degree 2a, against its closed form
             x, w = sphere_rule(2 * a, n - 3)
             quadrature = float(harmonics.gegenbauer(a, (n - 2) / 2.0, x) ** 2 @ (harmonics.sphere_area(n - 1) * w))
-            closed = harmonics.zonal_norm_sq_closed(a, n)
+            closed = norm_sq(a, n)
             worst = max(worst, abs(closed - quadrature) / closed)
     out.append(_result("zonal_norm_closed_vs_quadrature", worst <= 1e-10, f"max rel {worst:.2e}"))
 
@@ -102,35 +105,28 @@ def decay_suite(seed: int = 0) -> list[CheckResult]:
     rng = np.random.default_rng(seed)
     combos = [(4, 4, 2), (4, 4, 4), (4, 4, 6), (4, 6, 4), (4, 6, 6), (4, 6, 8), (5, 5, 2), (5, 5, 4), (4, 5, 3)]
     bound_ok = True
-    slope_ok = True
-    detail = []
-    for p, q, lam_x2 in combos:
-        param = fjrep.FJParam(p, q, lam_x2)
-        rate = -float(param.decay_exponent)
-        xs = np.linspace(-1.0, 1.0, 2001)
-        max_f = float(np.max(np.abs(harmonics.gegenbauer(param.degree, (q - 2) / 2.0, xs))))
+    params = [fjrep.FJParam(p, q, lam_x2) for p, q, lam_x2 in combos]
+    rates = np.array([-float(param.decay_exponent) for param in params])
+    xs, fit_ts, log_vals = np.linspace(-1.0, 1.0, 2001), np.linspace(2.0, 10.0, 64), []
+    for param, rate in zip(params, rates.tolist()):
+        max_f = float(np.max(np.abs(harmonics.gegenbauer(param.degree, (param.q - 2) / 2.0, xs))))
         c_const = 2.0**rate * max_f
-        # the draws interleave as (direction, t) pairs, so a seed names the same points
-        draws = [(rng.normal(size=q), rng.uniform(1.0, 10.0)) for _ in range(100)]
-        vecs = np.array([vec for vec, _ in draws])
+        # 100 random points per parameter, from one draw of directions and one of t
+        vecs = rng.normal(size=(100, param.q))
         vecs /= np.linalg.norm(vecs, axis=1, keepdims=True)
-        ts = np.array([t for _, t in draws])
+        ts = rng.uniform(1.0, 10.0, size=100)
         if np.any(np.abs(harmonics.fj_eval(param, vecs, ts)) > c_const * np.exp(-rate * ts) + 1e-12):
             bound_ok = False
-        ts = np.linspace(2.0, 10.0, 64)
-        pole = np.zeros(q)
+        pole = np.zeros(param.q)
         pole[-1] = 1.0
-        vals = np.abs(harmonics.fj_eval(param, pole, ts))
-        slope = np.polyfit(ts, np.log(vals), 1)[0]
-        rel = abs(slope + rate) / rate
-        detail.append(f"{p},{q},{param.lam}:{rel:.4f}")
-        if rel > 0.02:
-            slope_ok = False
-    out = [
+        log_vals.append(np.log(np.abs(harmonics.fj_eval(param, pole, fit_ts))))
+    # the nine log-slopes share their abscissa: one least-squares fit, one column each
+    rels = np.abs(np.polyfit(fit_ts, np.array(log_vals).T, 1)[0] + rates) / rates
+    detail = " ".join(f"{param.p},{param.q},{param.lam}:{rel:.4f}" for param, rel in zip(params, rels))
+    return [
         _result("decay_bound", bound_ok, "C = 2^rate * max|f_a|"),
-        _result("decay_log_slope_2pct", slope_ok, " ".join(detail)),
+        _result("decay_log_slope_2pct", not np.any(rels > 0.02), detail),
     ]
-    return out
 
 
 def branching_suite(seed: int = 0) -> list[CheckResult]:

@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 import sys
 from fractions import Fraction
+from functools import lru_cache
 
 from .errors import InvalidParameterError, ToleranceError
 
@@ -125,12 +126,17 @@ def zonal_norm_sq_exact(a: int, n: int) -> tuple[int, int, int]:
     """
     if n < 3:
         raise InvalidParameterError("zonal_norm_sq_closed requires sphere_dim >= 3")
+    num, den, r = _zonal_scale(n)
+    return num * math.prod(range(a + 1, a + n - 2)), den * (2 * a + n - 2), r
+
+
+@lru_cache(maxsize=64)
+def _zonal_scale(n: int) -> tuple[int, int, int]:
+    """The factors of :func:`zonal_norm_sq_exact` on S^{n-1} that no degree enters, built once per n."""
     # 2^{1-2nu} = 2^{3-n} and a + nu = (2a+n-2) / 2
     num_s, den_s, r_s = sphere_area_exact(n - 1)
     num_nu, den_nu, r_nu = half_gamma(n - 2)
-    num = 2 * num_s * math.prod(range(a + 1, a + n - 2)) * den_nu**2
-    den = den_s * (2 * a + n - 2) * num_nu**2 << (n - 3)
-    return num, den, r_s + 2 - 2 * r_nu
+    return 2 * num_s * den_nu**2, den_s * num_nu**2 << (n - 3), r_s + 2 - 2 * r_nu
 
 
 def pairing_subsphere_exact(a: int, b: int, n: int) -> tuple[int, int, int]:

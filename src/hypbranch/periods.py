@@ -11,6 +11,7 @@ S^{q-2}; the closed-form predicates provide the independent cross-check.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 
 from .errors import DivergenceError, InvalidParameterError
@@ -45,25 +46,33 @@ MAX_SCAN_DEGREE = 400
 class PeriodVerdict:
     """Outcome of one period computation.
 
-    `value` is the exact factored integral (with the plain zonal pairing unless
-    `witness_used`) rounded once, and `err_est` bounds |value - exact|.  Each factor
-    stays exact in `*_exact` as (num, den, r); its `*_factor` is rounded once when read,
-    refusing a pairing or radial factor exactly nonzero but not a normal double.  `nonzero`
-    is the zonal Gram verdict (g1: |<Z_a, Z_c>| / (|Z_a| |Z_c|) on S^{q-1}; g2: the K-type
-    witness), which no printed number reads, and must agree with `predicate_nonzero`.
+    Each factor stays exact in `*_exact` as (num, den, r).  All five printed numbers are
+    rounded once, and only when read: `value`, the factored integral (with the plain zonal
+    pairing unless `witness_used`), `err_est`, which bounds |value - exact|, and each
+    `*_factor`.  Reading `value` refuses a value exactly nonzero but not a normal double, and
+    reading the pairing or radial factor refuses that factor the same way.  `nonzero` is the
+    zonal Gram verdict (g1: |<Z_a, Z_c>| / (|Z_a| |Z_c|) on S^{q-1}; g2: the K-type witness),
+    which no printed number reads, and must agree with `predicate_nonzero`.
     """
 
     converges: bool
     parity_match: bool
     degree_pair: tuple[int, int]
-    value: float | None
-    err_est: float
     nonzero: bool
     predicate_nonzero: bool
     sphere_exact: tuple[int, int, int]
     pairing_exact: tuple[int, int, int]
     radial_exact: tuple[int, int, int]
     witness_used: bool
+
+    @cached_property
+    def value(self) -> float:
+        factors = (self.sphere_exact, self.pairing_exact, self.radial_exact)
+        return normal_ratio("period value", f"degrees {self.degree_pair}", *factors)
+
+    @property
+    def err_est(self) -> float:
+        return sqrt_pi_error(self.value, self.sphere_exact[2] + self.pairing_exact[2] + self.radial_exact[2])
 
     @property
     def sphere_factor(self) -> float:
@@ -78,10 +87,12 @@ class PeriodVerdict:
         return normal_ratio("radial factor", f"degrees {self.degree_pair}", self.radial_exact)
 
     def to_json_dict(self) -> dict:
-        out = {key: v for key, v in vars(self).items() if not key.endswith("_exact")}
+        # read in this order, the value is refused before a pairing factor, and that before a radial one
+        names = ("value", "err_est", "sphere_factor", "pairing_factor", "radial_factor")
+        read = {name: getattr(self, name) for name in names}
+        out = {key: v for key, v in vars(self).items() if not key.endswith("_exact")} | read
         out["degree_a"], out["degree_target"] = out.pop("degree_pair")
-        # read in this order, a pairing factor is refused before a radial one
-        return out | {name: getattr(self, name) for name in ("sphere_factor", "pairing_factor", "radial_factor")}
+        return out
 
 
 def _tag(subgroup: str) -> SpaceTag:
@@ -141,17 +152,21 @@ def _periods(ambient: FJParam, tag: SpaceTag, targets_x2, witness: bool) -> list
     pass each: g1 the row of Z_a on S^{q-1} (`zonal_gram`), g2 the K-type witnesses on S^{q-2}
     (`ktype_pairings_nonzero`).  The sphere area, the pairing (g1: delta_{a,c} |Z_a|^2; g2: the
     witness value with `witness`, else the plain subsphere pairing) and the Wallis integral R of
-    sin^{sp-1} cos^m, m = lambda + target - 1/2, are exact: their product, the value, is rounded
-    once here, each factor only when read (`PeriodVerdict`), and `sqrt_pi_error` bounds the value's
-    error as err_est.  Refuses an ambient degree above MAX_SCAN_DEGREE before any Gram row is
-    built, and a value that is exactly nonzero but not a normal double.
+    sin^{sp-1} cos^m, m = lambda + target - 1/2, are exact: their product, the value, and each
+    factor are rounded only when read (`PeriodVerdict`).  Refuses an ambient degree above
+    MAX_SCAN_DEGREE before any Gram row is built.
     """
     a, p, q = ambient.degree, ambient.p, ambient.q
     if a > MAX_SCAN_DEGREE:
         raise InvalidParameterError(f"ambient degree {a}: periods stop at degree {MAX_SCAN_DEGREE}")
     if not targets_x2:  # build no Gram row and read no sphere area, which a large p or q would refuse
         return []
-    degrees = [checked_degree(p, q, t_x2, tag) for t_x2 in targets_x2]
+    sp, sq = tag_signature(p, q, tag)
+    offset_x2 = sp - sq - 2  # a target's doubled degree is t_x2 + offset_x2 (`degree_x2`)
+    degrees = [(t_x2 + offset_x2) // 2 for t_x2 in targets_x2]
+    for t_x2, b in zip(targets_x2, degrees):
+        if t_x2 <= 0 or b < 0 or 2 * b != t_x2 + offset_x2:
+            checked_degree(p, q, t_x2, tag)  # raises, with the reason
     if tag is SpaceTag.G1_SPACE:
         nonzeros = (zonal_gram(degrees, [a], q)[0] > GRAM_RATIO_TOL).tolist()
         pairings = [zonal_norm_sq_exact(a, q) if c == a else (0, 1, 0) for c in degrees]
@@ -159,23 +174,18 @@ def _periods(ambient: FJParam, tag: SpaceTag, targets_x2, witness: bool) -> list
         nonzeros = ktype_pairings_nonzero(a, degrees, q)
         exact = witness_pairing_exact if witness else pairing_subsphere_exact
         pairings = [exact(a, b, q) for b in degrees]
-    sp = tag_signature(p, q, tag)[0]
     sphere, verdicts = sphere_area_exact(sp), []
     for t_x2, b, pairing, nonzero in zip(targets_x2, degrees, pairings, nonzeros):
-        radial = wallis_exact(sp - 1, (ambient.lam_x2 + t_x2 - 1) // 2)
-        value = normal_ratio("period value", f"degrees {(a, b)}", sphere, pairing, radial)
         verdicts.append(
             PeriodVerdict(
                 converges=True,
                 parity_match=(a - b) % 2 == 0,
                 degree_pair=(a, b),
-                value=value,
-                err_est=sqrt_pi_error(value, sphere[2] + pairing[2] + radial[2]),
                 nonzero=nonzero,
                 predicate_nonzero=_nonvanishing(tag, a, b),
                 sphere_exact=sphere,
                 pairing_exact=pairing,
-                radial_exact=radial,
+                radial_exact=wallis_exact(sp - 1, (ambient.lam_x2 + t_x2 - 1) // 2),
                 witness_used=witness,
             )
         )

@@ -1,5 +1,6 @@
 import argparse
 import ast
+import collections
 import csv
 import dataclasses
 import io
@@ -12,11 +13,12 @@ import time
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import hypbranch
 from hypbranch import cli, fjrep, geometry, harmonics, numerics, periods
-from hypbranch.checks import SUITES, run_suite
+from hypbranch.checks import SUITES, CheckResult, run_suite
 from hypbranch.cli import main
 from hypbranch.fjrep import SpaceTag, make_fj_param, valid_lambdas
 from hypbranch.exact import doubled
@@ -289,11 +291,14 @@ class TestExitCodes:
             # three witness rows with nonzero true underflow to 0.0 at degree 31 on S^278
             ("branch", "--p", "338", "--q", "280", "--lambda-x2", "6", "--subgroup", "g2",
              "--max-target-x2", "33"),
+            # the degree-840 row on S^437 is 1.6e-10 short of 1: inside GRAM_RATIO_TOL, outside ROW_NORM_TOL
+            ("period", "--p", "5", "--q", "438", "--lambda-x2", "437",
+             "--target-x2", "2116", "--subgroup", "g1"),
         ],
         ids=[
             "witness_overflow", "fj_norm_not_finite", "g1_row_norm_lost_mass",
             "fj_norm_below_normal_range", "g1_factors_below_normal_range",
-            "g2_nonzero_row_below_normal_range",
+            "g2_nonzero_row_below_normal_range", "g1_row_norm_past_its_bound",
         ],
     )
     def test_numeric_failure_exits_4(self, capsys, argv):
@@ -561,6 +566,42 @@ class TestCheck:
         assert [ln for ln in out.splitlines() if ln.startswith("[FAIL]")] == [
             "[FAIL] decay_bound  (C = 2^rate * max|f_a|)"
         ]
+
+    def test_quadrature_moments_are_the_per_k_sums(self):
+        # the suite sums one contiguous row per k; numpy's pairwise sum makes each row np.sum(w * x**k)
+        worst = 0.0
+        for n in (2, 4, 8, 16, 32):
+            x, w = numerics.gauss_legendre_rule(n)
+            ks = np.arange(2 * n)
+            per_k = [np.sum(w * x**k) for k in range(2 * n)]
+            assert np.sum(w * x ** ks[:, None], axis=1).tolist() == per_k, n
+            worst = max([worst] + [abs(float(m) - (0.0 if k % 2 else 2.0 / (k + 1))) for k, m in enumerate(per_k)])
+        assert run_suite("quadrature")[0] == CheckResult("gauss_legendre_exactness", True, f"max err {worst:.2e}")
+
+    def test_decay_lines_do_not_depend_on_the_seed(self, capsys):
+        # the bound holds at every random point, and the slope fit reads no random point
+        outs = {run_cli(capsys, "check", "--suite", "decay", "--seed", str(seed))[1] for seed in range(20)}
+        assert len(outs) == 1
+        (out,) = outs
+        assert out.splitlines()[0] == "[PASS] decay_bound  (C = 2^rate * max|f_a|)"
+        assert out.splitlines()[1].startswith("[PASS] decay_log_slope_2pct  (4,4,1:")
+        assert out.splitlines()[2:] == ["2/2 properties passed"]
+
+    def test_decay_draws_once_per_parameter(self, monkeypatch):
+        calls = collections.Counter()
+        default_rng = np.random.default_rng
+
+        class SpiedGenerator:
+            def __init__(self, seed):
+                self._rng = default_rng(seed)
+
+            def __getattr__(self, name):
+                calls[name] += 1
+                return getattr(self._rng, name)
+
+        monkeypatch.setattr(np.random, "default_rng", SpiedGenerator)
+        assert all(r.passed for r in run_suite("decay", 5))
+        assert 0 < calls["normal"] <= 9 and 0 < calls["uniform"] <= 9
 
     def test_branching_suite_scans_once_per_ambient(self, monkeypatch):
         cases, scans, single_calls = set(), [], []

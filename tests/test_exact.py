@@ -22,7 +22,9 @@ import pytest
 import exact_oracle
 import hypbranch.exact
 from hypbranch import fjrep, harmonics, periods
+from hypbranch.checks import run_suite
 from hypbranch.cli import main
+from hypbranch.errors import ToleranceError
 from hypbranch.exact import normal_ratio, sphere_area_exact, wallis_exact, zonal_norm_sq_exact
 
 # ROADMAP defects (l), the plain g2 pairing at a = 400, and (k), g1 values past q = 300
@@ -269,3 +271,30 @@ def test_a_branch_rounds_only_its_printed_value(monkeypatch):
     assert code == 0 and calls == ["period value"] * len(json.loads(out)) and len(calls) == 21
     calls.clear()
     assert run(PERTURBED_ARGVS[2])[0] == 0 and calls == ["period value", "pairing factor", "radial factor"]
+
+
+def test_the_branching_suite_rounds_no_period_value(monkeypatch):
+    # its properties read verdicts and predicates only, so none of its 246 rows rounds a number
+    calls = []
+
+    def spy(what, where, *factors):
+        calls.append(what)
+        return normal_ratio(what, where, *factors)
+
+    monkeypatch.setattr(periods, "normal_ratio", spy)
+    assert all(result.passed for result in run_suite("branching"))
+    assert calls == []
+
+
+def test_a_scan_refuses_its_value_when_read():
+    # ROADMAP defect (e): at a = 386 on S^14 every witness value is above the float range; the scan's
+    # verdicts still hold, and the first value read is refused as `branch` refuses it, with exit 4
+    targets_x2 = fjrep.valid_lambdas_x2(4, 16, 785, fjrep.SpaceTag.G2_SPACE)
+    verdicts = periods.branching_verdicts_x2(4, 16, 786, "g2", targets_x2)
+    assert len(verdicts) == 387
+    assert all(r.verdict.nonzero == r.verdict.predicate_nonzero == r.hom_nonzero for r in verdicts)
+    with pytest.raises(ToleranceError, match=r"^period value inf is not a normal double at degrees \(386, 0\)$"):
+        verdicts[0].verdict.value
+    code, out, err = run(["branch", "--p", "4", "--q", "16", "--lambda-x2", "786", "--subgroup", "g2",
+                          "--max-target-x2", "785"])
+    assert (code, out, err) == (4, "", "error: period value inf is not a normal double at degrees (386, 0)\n")

@@ -197,6 +197,12 @@ class TestZonalGram:
         with pytest.raises(ToleranceError, match=r"^zonal row norm at degree 1200 on S\^437 is 0\.96\d*, not 1$"):
             gram()
 
+    def test_row_norm_bound_is_tighter_than_the_verdict_threshold(self):
+        # off 1 by 1.6e-10, the degree-840 row on S^437 would still pass GRAM_RATIO_TOL
+        assert harmonics.ROW_NORM_TOL < 1.6e-10 < harmonics.GRAM_RATIO_TOL
+        with pytest.raises(ToleranceError, match=r"^zonal row norm at degree 840 on S\^437 is 0\.99999999\d*, not 1$"):
+            zonal_gram([840], [0], 438)
+
     def test_guards(self):
         with pytest.raises(InvalidParameterError):
             zonal_gram([1], [1], 2)
