@@ -48,7 +48,17 @@ def _recurrence(nu: float, length: int):
     return four_c, tuple(accumulate(four_c[2:], operator.mul, initial=1.0))
 
 
-def _gegenbauer_rows(n: int, nu: float, x: np.ndarray, wanted):
+# The largest ambient degree a period and target degree a `branch` scan accept:
+# the checked degree range.  The zonal layer holds a Gram row per degree on a
+# rule of about that many nodes, so its memory grows with the square.
+MAX_SCAN_DEGREE = 400
+
+# The checkpoints of `_gegenbauer_rows` per sphere rule, the least recently used rule evicted first.
+CHECKPOINT_BYTES = 1 << 21
+_checkpoints: dict[tuple[int, int], dict[int, tuple[np.ndarray, np.ndarray]]] = {}
+
+
+def _gegenbauer_rows(n: int, nu: float, x: np.ndarray, wanted, rule=None):
     """D_k = C_k^nu k! / (nu)_k at the 1-D nodes x, one row per degree k of `wanted` (all <= n), and each |D_k|^2.
 
     One pass to n on the rescaled family, 2^k times the monic one (DLMF 18.9.1): D_0 = 1, D_1 = 2x and
@@ -56,18 +66,36 @@ def _gegenbauer_rows(n: int, nu: float, x: np.ndarray, wanted):
     so each step is three array operations and D_k grows only like k^nu.  The norms are against the
     weight (1-x^2)^{nu-1/2} of total mass 1.  The coefficients are cached per (nu, n + 2 rounded up
     to SPHERE_NODE_STEP).  Requires nu > 0: the coefficients have poles at nu <= 0.
+
+    Given a sphere rule `rule` = (n, node count), the pass resumes from the rule's last checkpoint (D_k, D_{k+1}),
+    k a multiple of SPHERE_NODE_STEP, at or below min(wanted), bit for bit as a pass from degree 0, and stores
+    those it passes, read-only, at most CHECKPOINT_BYTES = 2 MiB in all.  Without `rule` it touches no checkpoint.
     """
     four_c, norm_sq = _recurrence(nu, -(-(n + 2) // SPHERE_NODE_STEP) * SPHERE_NODE_STEP)
     keep = set(wanted)
     d_prev = np.ones(len(x))
     two_x = d = 2.0 * x
-    rows = {0: d_prev, 1: d}
-    for k in range(2, n + 1):
+    rows, start = {0: d_prev, 1: d}, 0
+    if rule is not None:
+        saved = _checkpoints.pop(rule, {})
+        start = max((k for k in saved if k <= min(wanted)), default=0)
+        if start:
+            d_prev, d = rows[start], rows[start + 1] = saved[start]
+        lattice = range(start + SPHERE_NODE_STEP, n, SPHERE_NODE_STEP)
+        keep.update(lattice, (k + 1 for k in lattice))
+    for k in range(start + 2, n + 1):
         d_next = two_x * d
         d_next -= four_c[k] * d_prev
         d_prev, d = d, d_next
         if k in keep:
             rows[k] = d
+    if rule is not None:
+        for k in lattice:
+            rows[k].flags.writeable = rows[k + 1].flags.writeable = False
+            saved[k] = rows[k], rows[k + 1]
+        _checkpoints[rule] = saved
+        while sum(2 * 8 * nodes * len(c) for (_, nodes), c in _checkpoints.items()) > CHECKPOINT_BYTES:
+            del _checkpoints[next(iter(_checkpoints))]
     return np.array([rows[k] for k in wanted]).reshape(-1, len(x)), np.array([norm_sq[k] for k in wanted])
 
 
@@ -130,13 +158,19 @@ def zonal_gram(ks, targets, n: int) -> np.ndarray:
     products are the ratios.  Raises ToleranceError when a row's norm is off 1 by more than
     ROW_NORM_TOL: weights below the float range have lost their mass, and the ratios would no
     longer be clear of GRAM_RATIO_TOL.  `ks` and `targets` are sequences of degrees.
+
+    A pass whose degrees all lie in SPHERE_NODE_STEP..MAX_SCAN_DEGREE resumes from its sphere rule's
+    checkpoints (`_gegenbauer_rows`); any other pass runs from degree 0 and touches no checkpoint.
     """
     if n < 3:
         raise InvalidParameterError("zonal harmonics require sphere_dim >= 3")
     degrees = [*ks, *targets]
     top = max(degrees, default=0)
     x, w = sphere_rule(2 * top, n - 3)
-    rows, norm_sq = _gegenbauer_rows(top, (n - 2) / 2.0, x, degrees)
+    # a scan's first degree is its lowest, so a scan from degree 0 never pays for the min
+    resumable = SPHERE_NODE_STEP <= top <= MAX_SCAN_DEGREE and degrees[0] >= SPHERE_NODE_STEP
+    rule = (n, len(x)) if resumable and min(degrees) >= SPHERE_NODE_STEP else None
+    rows, norm_sq = _gegenbauer_rows(top, (n - 2) / 2.0, x, degrees, rule)
     rows *= np.sqrt(w)
     rows /= np.sqrt(w.sum() * norm_sq)[:, None]
     norms = np.sqrt(np.einsum("ij,ij->i", rows, rows))

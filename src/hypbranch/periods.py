@@ -11,14 +11,13 @@ S^{q-2}; the closed-form predicates provide the independent cross-check.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from fractions import Fraction
 
 from .errors import DivergenceError, InvalidParameterError
 from .exact import doubled, normal_ratio, pairing_subsphere_exact, sphere_area_exact, sqrt_pi_error, sqrt_pi_ratio
 from .exact import wallis_exact, witness_pairing_exact, zonal_norm_sq_exact
 from .fjrep import FJParam, SpaceTag, checked_degree, inf_char_x2, make_fj_param, tag_signature, valid_lambdas
-from .harmonics import GRAM_RATIO_TOL, ktype_pairings_nonzero, zonal_gram
+from .harmonics import GRAM_RATIO_TOL, MAX_SCAN_DEGREE, ktype_pairings_nonzero, zonal_gram
 from .packets import InterlaceClass, interlace_classify
 
 __all__ = [
@@ -35,11 +34,6 @@ __all__ = [
     "valid_targets",
     "interlace_class_for_pair",
 ]
-
-# The largest ambient degree a period and target degree a `branch` scan accept:
-# the checked degree range.  The zonal layer holds a Gram row per degree on a
-# rule of about that many nodes, so its memory grows with the square.
-MAX_SCAN_DEGREE = 400
 
 
 @dataclass(frozen=True)
@@ -65,10 +59,12 @@ class PeriodVerdict:
     radial_exact: tuple[int, int, int]
     witness_used: bool
 
-    @cached_property
-    def value(self) -> float:
-        factors = (self.sphere_exact, self.pairing_exact, self.radial_exact)
-        return normal_ratio("period value", f"degrees {self.degree_pair}", *factors)
+    @property
+    def value(self) -> float:  # memoised as functools.cached_property would, without its lock (Python < 3.12)
+        if "value" not in self.__dict__:
+            factors = (self.sphere_exact, self.pairing_exact, self.radial_exact)
+            self.__dict__["value"] = normal_ratio("period value", f"degrees {self.degree_pair}", *factors)
+        return self.__dict__["value"]
 
     @property
     def err_est(self) -> float:

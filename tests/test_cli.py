@@ -1,12 +1,14 @@
 import argparse
 import ast
 import collections
+import concurrent.futures
 import csv
 import dataclasses
 import io
 import json
 import math
 import os
+import random
 import subprocess
 import sys
 import time
@@ -793,6 +795,34 @@ def test_demos_run():
         out = subprocess.run([sys.executable, str(demo)], env=_subprocess_env(), capture_output=True)
         assert out.returncode == 0, (demo.name, out.stderr)
         assert out.stdout == (GOLDEN / f"demo_{demo.stem}.txt").read_bytes(), demo.name
+
+
+# A g1 ladder on two spheres with p = 5: periods at a = 16, 100, 400 against c = a - 2, a, a + 2 (the
+# c = 402 pass is past the checked range) and scans at a = 16, 100, which start at degree 0.
+G1_LADDER = [
+    *(["period", "--p", "5", "--q", str(q), "--lambda-x2", str(2 * a + q - 3), "--target-x2", str(2 * c + q - 2),
+       "--subgroup", "g1"] for q in (4, 7) for a in (16, 100, 400) for c in (a - 2, a, a + 2)),
+    *(["branch", "--p", "5", "--q", str(q), "--lambda-x2", str(2 * a + q - 3), "--subgroup", "g1",
+       "--max-target-x2", str(2 * a + q + 2), "--format", fmt]
+      for q in (4, 7) for a, fmt in ((16, "csv"), (100, "json"))),
+]
+
+
+def test_checkpoints_leave_every_output_as_a_fresh_process_prints_it(capsys, monkeypatch):
+    # the ladder twice in one process, each time shuffled: later periods resume from checkpoints
+    def fresh(argv):
+        out = subprocess.run([sys.executable, "-m", "hypbranch.cli", *argv], env=_subprocess_env(), capture_output=True)
+        return out.returncode, out.stdout.decode(), out.stderr.decode()  # bytes: CSV rows end in \r\n
+
+    with concurrent.futures.ThreadPoolExecutor(max_workers=3) as pool:
+        expected = dict(zip(map(tuple, G1_LADDER), pool.map(fresh, G1_LADDER)))
+    assert all(code == 0 for code, _, _ in expected.values())
+    monkeypatch.setattr(harmonics, "_checkpoints", {})
+    rng = random.Random(30)
+    for _ in range(2):
+        for argv in rng.sample(G1_LADDER, len(G1_LADDER)):
+            assert run_cli(capsys, *argv) == expected[tuple(argv)], argv
+    assert len(harmonics._checkpoints) == 6
 
 
 def test_runtime_has_no_assert():

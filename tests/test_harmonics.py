@@ -1,4 +1,5 @@
 import math
+import random
 import sys
 from fractions import Fraction
 
@@ -20,7 +21,7 @@ from hypbranch.harmonics import (
     zonal_norm_sq_closed,
 )
 from hypbranch.numerics import sphere_nodes, sphere_rule
-from hypbranch.periods import _nonvanishing
+from hypbranch.periods import _nonvanishing, period_integral_G1
 from witness_oracle import weighted_cos_integral, witness_pairings, witness_scan, zonal_norm_sq
 
 
@@ -206,6 +207,100 @@ class TestZonalGram:
     def test_guards(self):
         with pytest.raises(InvalidParameterError):
             zonal_gram([1], [1], 2)
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 7, 16, 40])
+    def test_resumed_rows_are_those_of_a_pass_from_degree_0(self, n, monkeypatch):
+        # min degree at, just below and just above each lattice multiple, after a pass to the top
+        monkeypatch.setattr(harmonics, "_checkpoints", {})
+        rows_of, passes = harmonics._gegenbauer_rows, []
+
+        def spy(top, nu, x, wanted, rule=None):
+            resumed = rule in harmonics._checkpoints
+            rows, norms = rows_of(top, nu, x, wanted, rule)
+            passes.append((resumed, (rows.copy(), norms), rows_of(top, nu, x, wanted)))  # zonal_gram scales rows
+            return rows, norms
+
+        monkeypatch.setattr(harmonics, "_gegenbauer_rows", spy)
+        for top in (16, 17, 31, 32, 33, 100, 256, 400, 402):
+            zonal_gram([top], [top], n)
+            stored = harmonics._checkpoints.get((n, sphere_nodes(2 * top, n - 3)), {})
+            assert set(range(16, top if top <= 400 else 0, 16)) <= set(stored), top
+            for k in range(16, top + 1, 16):
+                for m in (k - 1, k, k + 1):
+                    zonal_gram([min(m, top)], [top], n)
+        assert sum(resumed for resumed, _, _ in passes) > len(passes) // 2
+        for _, (rows, norms), (rows_0, norms_0) in passes:
+            assert rows.tobytes() == rows_0.tobytes() and norms.tobytes() == norms_0.tobytes()
+
+    def test_checkpoints_are_read_only(self, monkeypatch):
+        monkeypatch.setattr(harmonics, "_checkpoints", {})
+        zonal_gram([398], [400], 5)
+        checkpoints = harmonics._checkpoints[(5, sphere_nodes(800, 2))]
+        assert sorted(checkpoints) == list(range(16, 400, 16))
+        for d_k, d_next in checkpoints.values():
+            assert not d_k.flags.writeable and not d_next.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            d_k[0] = 0.0
+
+    @pytest.mark.parametrize(
+        "gram",
+        [
+            lambda: zonal_gram(range(41), [40], 5),  # a g1 scan
+            lambda: zonal_gram([15], [400], 5),
+            lambda: zonal_gram([20, 3], [30], 5),
+            lambda: ktype_pairings_nonzero(40, range(42), 6),  # a g2 witness
+            lambda: gegenbauer(100, 1.5, np.linspace(-1, 1, 7)),
+            lambda: zonal_gram([398], [402], 5),  # past the checked range
+            lambda: zonal_gram([1036], [1036], 130),
+        ],
+        ids=["from_0", "from_15", "lowest_not_first", "witness", "gegenbauer", "top_402", "top_1036"],
+    )
+    def test_passes_that_touch_no_checkpoint(self, gram, monkeypatch):
+        # any lookup or store would fail on None
+        monkeypatch.setattr(harmonics, "_checkpoints", None)
+        gram()
+
+    def test_a_resumable_pass_reads_the_checkpoints(self, monkeypatch):
+        # the control for test_passes_that_touch_no_checkpoint
+        monkeypatch.setattr(harmonics, "_checkpoints", None)
+        with pytest.raises(AttributeError):
+            zonal_gram([16], [400], 5)
+
+    def test_checkpoints_stay_within_their_byte_bound(self, monkeypatch):
+        # least recently used rule out first; a rule's checkpoints alone above the bound are not kept
+        monkeypatch.setattr(harmonics, "_checkpoints", {})
+        for n in range(3, 40):
+            zonal_gram([400], [400], n)
+            held = sum(d.nbytes + e.nbytes for c in harmonics._checkpoints.values() for d, e in c.values())
+            assert 0 < held <= harmonics.CHECKPOINT_BYTES
+        assert list(harmonics._checkpoints)[-1] == (39, sphere_nodes(800, 36))
+        assert (3, sphere_nodes(800, 0)) not in harmonics._checkpoints
+        monkeypatch.setattr(harmonics, "CHECKPOINT_BYTES", 1000)
+        zonal_gram([400], [400], 5)
+        assert harmonics._checkpoints == {}
+
+    def test_recurrence_misses_do_not_grow(self, monkeypatch):
+        # a g1 period ladder calls _recurrence once per pass, as often as passes from degree 0 would
+        ladder = [(q, a) for q in range(4, 8) for a in range(0, 401, 16)] * 2
+        random.Random(30).shuffle(ladder)
+        recurrence, calls = harmonics._recurrence, []
+        monkeypatch.setattr(harmonics, "_recurrence", lambda *args: calls.append(args) or recurrence(*args))
+
+        def misses(checkpoint_bytes):
+            monkeypatch.setattr(harmonics, "_checkpoints", {})
+            monkeypatch.setattr(harmonics, "CHECKPOINT_BYTES", checkpoint_bytes)
+            recurrence.cache_clear()
+            calls.clear()
+            for q, a in ladder:
+                verdict = period_integral_G1(5, q, Fraction(2 * a + q - 3, 2), Fraction(2 * a + q - 2, 2))
+                assert verdict.nonzero and verdict.predicate_nonzero
+            assert len(calls) == len(ladder)
+            return recurrence.cache_info().misses
+
+        bound = harmonics.CHECKPOINT_BYTES
+        from_0 = misses(0)
+        assert misses(bound) <= from_0
+        assert harmonics._checkpoints
 
 
 class TestOrthogonality:
