@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 import operator
+import threading
 from functools import lru_cache
 from itertools import accumulate
 
@@ -21,7 +22,7 @@ from .errors import InvalidParameterError, ToleranceError
 from .exact import pairing_subsphere_exact, sphere_area_exact, sqrt_pi_ratio, witness_pairing_exact
 from .exact import zonal_norm_sq_exact
 from .fjrep import FJParam, decay_x2
-from .numerics import SPHERE_NODE_STEP, sphere_rule
+from .numerics import SPHERE_NODE_STEP, sphere_nodes, sphere_rule
 
 __all__ = [
     "gegenbauer",
@@ -54,8 +55,10 @@ def _recurrence(nu: float, length: int):
 MAX_SCAN_DEGREE = 400
 
 # The checkpoints of `_gegenbauer_rows` per sphere rule, the least recently used rule evicted first.
+# `_checkpoint_lock` guards every read-modify-write of the dict, so threads may share it.
 CHECKPOINT_BYTES = 1 << 21
 _checkpoints: dict[tuple[int, int], dict[int, tuple[np.ndarray, np.ndarray]]] = {}
+_checkpoint_lock = threading.Lock()
 
 
 def _gegenbauer_rows(n: int, nu: float, x: np.ndarray, wanted, rule=None):
@@ -69,7 +72,9 @@ def _gegenbauer_rows(n: int, nu: float, x: np.ndarray, wanted, rule=None):
 
     Given a sphere rule `rule` = (n, node count), the pass resumes from the rule's last checkpoint (D_k, D_{k+1}),
     k a multiple of SPHERE_NODE_STEP, at or below min(wanted), bit for bit as a pass from degree 0, and stores
-    those it passes, read-only, at most CHECKPOINT_BYTES = 2 MiB in all.  Without `rule` it touches no checkpoint.
+    those it passes, read-only, at most CHECKPOINT_BYTES = 2 MiB in all.  Every lookup, store and eviction holds
+    `_checkpoint_lock`, so threads may share the cache: a pass whose rule another pass holds at the time starts
+    from degree 0, and the later store wins.  Without `rule` it touches no checkpoint.
     """
     four_c, norm_sq = _recurrence(nu, -(-(n + 2) // SPHERE_NODE_STEP) * SPHERE_NODE_STEP)
     keep = set(wanted)
@@ -77,7 +82,8 @@ def _gegenbauer_rows(n: int, nu: float, x: np.ndarray, wanted, rule=None):
     two_x = d = 2.0 * x
     rows, start = {0: d_prev, 1: d}, 0
     if rule is not None:
-        saved = _checkpoints.pop(rule, {})
+        with _checkpoint_lock:
+            saved = _checkpoints.pop(rule, {})
         start = max((k for k in saved if k <= min(wanted)), default=0)
         if start:
             d_prev, d = rows[start], rows[start + 1] = saved[start]
@@ -93,9 +99,10 @@ def _gegenbauer_rows(n: int, nu: float, x: np.ndarray, wanted, rule=None):
         for k in lattice:
             rows[k].flags.writeable = rows[k + 1].flags.writeable = False
             saved[k] = rows[k], rows[k + 1]
-        _checkpoints[rule] = saved
-        while sum(2 * 8 * nodes * len(c) for (_, nodes), c in _checkpoints.items()) > CHECKPOINT_BYTES:
-            del _checkpoints[next(iter(_checkpoints))]
+        with _checkpoint_lock:
+            _checkpoints[rule] = saved
+            while sum(2 * 8 * nodes * len(c) for (_, nodes), c in _checkpoints.items()) > CHECKPOINT_BYTES:
+                del _checkpoints[next(iter(_checkpoints))]
     return np.array([rows[k] for k in wanted]).reshape(-1, len(x)), np.array([norm_sq[k] for k in wanted])
 
 
@@ -159,8 +166,10 @@ def zonal_gram(ks, targets, n: int) -> np.ndarray:
     ROW_NORM_TOL: weights below the float range have lost their mass, and the ratios would no
     longer be clear of GRAM_RATIO_TOL.  `ks` and `targets` are sequences of degrees.
 
-    A pass whose degrees all lie in SPHERE_NODE_STEP..MAX_SCAN_DEGREE resumes from its sphere rule's
-    checkpoints (`_gegenbauer_rows`); any other pass runs from degree 0 and touches no checkpoint.
+    A pass whose degrees are all SPHERE_NODE_STEP or more, on a rule of at most the nodes of the checked
+    range, sphere_nodes(2 MAX_SCAN_DEGREE, n - 3), resumes from that rule's checkpoints (`_gegenbauer_rows`):
+    a pass to degree 402 shares the degree-400 rule on small spheres.  Any other pass runs from degree 0 and
+    touches no checkpoint; past the checked range the checkpoints would grow with the square of the degree.
     """
     if n < 3:
         raise InvalidParameterError("zonal harmonics require sphere_dim >= 3")
@@ -168,7 +177,8 @@ def zonal_gram(ks, targets, n: int) -> np.ndarray:
     top = max(degrees, default=0)
     x, w = sphere_rule(2 * top, n - 3)
     # a scan's first degree is its lowest, so a scan from degree 0 never pays for the min
-    resumable = SPHERE_NODE_STEP <= top <= MAX_SCAN_DEGREE and degrees[0] >= SPHERE_NODE_STEP
+    resumable = SPHERE_NODE_STEP <= top and degrees[0] >= SPHERE_NODE_STEP
+    resumable = resumable and len(x) <= sphere_nodes(2 * MAX_SCAN_DEGREE, n - 3)
     rule = (n, len(x)) if resumable and min(degrees) >= SPHERE_NODE_STEP else None
     rows, norm_sq = _gegenbauer_rows(top, (n - 2) / 2.0, x, degrees, rule)
     rows *= np.sqrt(w)

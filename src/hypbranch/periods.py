@@ -36,17 +36,40 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+class _read_once:
+    """An attribute computed on its first read and stored in the instance dict, where later reads find it.
+
+    functools.cached_property without the lock it takes on Python < 3.12.
+    """
+
+    def __init__(self, compute):
+        self.compute = compute
+
+    def __set_name__(self, owner, name):
+        self.name = name
+
+    def __get__(self, record, owner=None):
+        if record is None:
+            return self
+        value = record.__dict__[self.name] = self.compute(record)
+        return value
+
+
+@dataclass
 class PeriodVerdict:
     """Outcome of one period computation.
 
-    Each factor stays exact in `*_exact` as (num, den, r).  All five printed numbers are
-    rounded once, and only when read: `value`, the factored integral (with the plain zonal
-    pairing unless `witness_used`), `err_est`, which bounds |value - exact|, and each
-    `*_factor`.  Reading `value` refuses a value exactly nonzero but not a normal double, and
-    reading the pairing or radial factor refuses that factor the same way.  `nonzero` is the
-    zonal Gram verdict (g1: |<Z_a, Z_c>| / (|Z_a| |Z_c|) on S^{q-1}; g2: the K-type witness),
-    which no printed number reads, and must agree with `predicate_nonzero`.
+    The sphere and pairing factors stay exact in `*_exact` as (num, den, r); the radial factor is
+    the Wallis integral of `wallis_args` = (sp - 1, m), built exactly as `radial_exact` on its first
+    read.  All five printed numbers are rounded once, and only when read: `value`, the factored
+    integral (with the plain zonal pairing unless `witness_used`), `err_est`, which bounds
+    |value - exact|, and each `*_factor`.  A value whose exact pairing is 0 is 0.0, and its
+    `err_est` 0.0, with no Wallis factor built and nothing rounded.  Reading `value` refuses a
+    value exactly nonzero but not a normal double, and reading the pairing or radial factor
+    refuses that factor the same way.  `nonzero` is the zonal Gram verdict (g1: |<Z_a, Z_c>| /
+    (|Z_a| |Z_c|) on S^{q-1}; g2: the K-type witness), which no printed number reads, and must
+    agree with `predicate_nonzero`.  A plain dataclass: no code mutates or hashes a verdict, and
+    a frozen one costs about four times as much to build.
     """
 
     converges: bool
@@ -56,18 +79,24 @@ class PeriodVerdict:
     predicate_nonzero: bool
     sphere_exact: tuple[int, int, int]
     pairing_exact: tuple[int, int, int]
-    radial_exact: tuple[int, int, int]
+    wallis_args: tuple[int, int]
     witness_used: bool
 
-    @property
-    def value(self) -> float:  # memoised as functools.cached_property would, without its lock (Python < 3.12)
-        if "value" not in self.__dict__:
-            factors = (self.sphere_exact, self.pairing_exact, self.radial_exact)
-            self.__dict__["value"] = normal_ratio("period value", f"degrees {self.degree_pair}", *factors)
-        return self.__dict__["value"]
+    @_read_once
+    def radial_exact(self) -> tuple[int, int, int]:
+        return wallis_exact(*self.wallis_args)
+
+    @_read_once
+    def value(self) -> float:
+        if not self.pairing_exact[0]:
+            return 0.0
+        factors = (self.sphere_exact, self.pairing_exact, self.radial_exact)
+        return normal_ratio("period value", f"degrees {self.degree_pair}", *factors)
 
     @property
     def err_est(self) -> float:
+        if not self.value:
+            return 0.0
         return sqrt_pi_error(self.value, self.sphere_exact[2] + self.pairing_exact[2] + self.radial_exact[2])
 
     @property
@@ -86,8 +115,9 @@ class PeriodVerdict:
         # read in this order, the value is refused before a pairing factor, and that before a radial one
         names = ("value", "err_est", "sphere_factor", "pairing_factor", "radial_factor")
         read = {name: getattr(self, name) for name in names}
-        out = {key: v for key, v in vars(self).items() if not key.endswith("_exact")} | read
-        out["degree_a"], out["degree_target"] = out.pop("degree_pair")
+        flags = ("converges", "parity_match", "nonzero", "predicate_nonzero", "witness_used")
+        out = {name: getattr(self, name) for name in flags} | read
+        out["degree_a"], out["degree_target"] = self.degree_pair
         return out
 
 
@@ -148,9 +178,10 @@ def _periods(ambient: FJParam, tag: SpaceTag, targets_x2, witness: bool) -> list
     pass each: g1 the row of Z_a on S^{q-1} (`zonal_gram`), g2 the K-type witnesses on S^{q-2}
     (`ktype_pairings_nonzero`).  The sphere area, the pairing (g1: delta_{a,c} |Z_a|^2; g2: the
     witness value with `witness`, else the plain subsphere pairing) and the Wallis integral R of
-    sin^{sp-1} cos^m, m = lambda + target - 1/2, are exact: their product, the value, and each
-    factor are rounded only when read (`PeriodVerdict`).  Refuses an ambient degree above
-    MAX_SCAN_DEGREE before any Gram row is built.
+    sin^{sp-1} cos^m, m = lambda + target - 1/2, are exact: the Wallis factor is built, and their
+    product, the value, and each factor are rounded, only when read (`PeriodVerdict`), so a row
+    whose pairing is exactly 0 builds none.  Refuses an ambient degree above MAX_SCAN_DEGREE
+    before any Gram row is built.
     """
     a, p, q = ambient.degree, ambient.p, ambient.q
     if a > MAX_SCAN_DEGREE:
@@ -181,7 +212,7 @@ def _periods(ambient: FJParam, tag: SpaceTag, targets_x2, witness: bool) -> list
                 predicate_nonzero=_nonvanishing(tag, a, b),
                 sphere_exact=sphere,
                 pairing_exact=pairing,
-                radial_exact=wallis_exact(sp - 1, (ambient.lam_x2 + t_x2 - 1) // 2),
+                wallis_args=(sp - 1, (ambient.lam_x2 + t_x2 - 1) // 2),
                 witness_used=witness,
             )
         )
@@ -212,7 +243,7 @@ def period_integral_G1(p: int, q: int, lam, nu) -> PeriodVerdict:
     return _periods(FJParam(p, q, lam_x2), SpaceTag.G1_SPACE, [nu_x2], False)[0]
 
 
-@dataclass(frozen=True)
+@dataclass
 class BranchingVerdict:
     hom_nonzero: bool
     verdict: PeriodVerdict

@@ -78,6 +78,19 @@ class TestGoldenOutputs:
         expected = 2 * math.pi**2 * (8 * math.pi / 3) / 12.0
         assert payload["value"] == pytest.approx(expected, rel=1e-9)
 
+    @pytest.mark.parametrize("target_x2", ["98", "102"], ids=["diagonal", "zero_row"])
+    def test_g1_period(self, capsys, target_x2):
+        # a = 48 against c = 48 and c = 50: the zero row prints its radial factor, with value and err 0.0
+        code, out, _ = run_cli(
+            capsys,
+            "period", "--p", "5", "--q", "4", "--lambda-x2", "97",
+            "--target-x2", target_x2, "--subgroup", "g1",
+        )
+        assert code == 0
+        assert out.encode() == (GOLDEN / f"period_g1_5_4_l97_t{target_x2}.json").read_bytes()
+        payload = json.loads(out)
+        assert payload["radial_factor"] > 0 and (payload["value"] > 0) == (payload["err_est"] > 0) == payload["nonzero"]
+
     def test_packet(self, capsys):
         code, out, _ = run_cli(capsys, "packet", "--p", "4", "--q", "4", "--lambda-x2", "4")
         assert code == 0

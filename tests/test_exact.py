@@ -259,7 +259,8 @@ def test_no_printed_value_reads_the_quadrature(monkeypatch):
 
 
 def test_a_branch_rounds_only_its_printed_value(monkeypatch):
-    # a T-row scan rounds and range-checks T values; a period reads its three factors too, pairing first
+    # a scan rounds and range-checks the value of each row whose exact pairing is nonzero (g2: b <= a) and
+    # prints an exact 0.0 for the others; a period reads its three factors too, pairing first
     calls = []
 
     def spy(what, where, *factors):
@@ -268,7 +269,9 @@ def test_a_branch_rounds_only_its_printed_value(monkeypatch):
 
     monkeypatch.setattr(periods, "normal_ratio", spy)
     code, out, _ = run(PERTURBED_ARGVS[4])
-    assert code == 0 and calls == ["period value"] * len(json.loads(out)) and len(calls) == 21
+    rows = json.loads(out)
+    assert code == 0 and len(rows) == 21 and calls == ["period value"] * sum(row["predicate"] for row in rows)
+    assert len(calls) == 19 and all(row["value"] == 0.0 for row in rows if not row["predicate"])
     calls.clear()
     assert run(PERTURBED_ARGVS[2])[0] == 0 and calls == ["period value", "pairing factor", "radial factor"]
 

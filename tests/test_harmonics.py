@@ -1,6 +1,7 @@
 import math
 import random
 import sys
+from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 import numpy as np
@@ -217,19 +218,22 @@ class TestZonalGram:
         def spy(top, nu, x, wanted, rule=None):
             resumed = rule in harmonics._checkpoints
             rows, norms = rows_of(top, nu, x, wanted, rule)
-            passes.append((resumed, (rows.copy(), norms), rows_of(top, nu, x, wanted)))  # zonal_gram scales rows
+            passes.append((top, resumed, (rows.copy(), norms), rows_of(top, nu, x, wanted)))  # zonal_gram scales rows
             return rows, norms
 
         monkeypatch.setattr(harmonics, "_gegenbauer_rows", spy)
         for top in (16, 17, 31, 32, 33, 100, 256, 400, 402):
             zonal_gram([top], [top], n)
             stored = harmonics._checkpoints.get((n, sphere_nodes(2 * top, n - 3)), {})
-            assert set(range(16, top if top <= 400 else 0, 16)) <= set(stored), top
+            assert set(range(16, top, 16)) <= set(stored), top
             for k in range(16, top + 1, 16):
                 for m in (k - 1, k, k + 1):
                     zonal_gram([min(m, top)], [top], n)
-        assert sum(resumed for resumed, _, _ in passes) > len(passes) // 2
-        for _, (rows, norms), (rows_0, norms_0) in passes:
+        assert sum(resumed for _, resumed, _, _ in passes) > len(passes) // 2
+        # every pass to 402 shares the degree-400 rule and resumes, but the one from degree 15
+        to_402 = [resumed for top, resumed, _, _ in passes if top == 402]
+        assert len(to_402) == 76 and to_402.count(False) == 1
+        for _, _, (rows, norms), (rows_0, norms_0) in passes:
             assert rows.tobytes() == rows_0.tobytes() and norms.tobytes() == norms_0.tobytes()
 
     def test_checkpoints_are_read_only(self, monkeypatch):
@@ -250,10 +254,9 @@ class TestZonalGram:
             lambda: zonal_gram([20, 3], [30], 5),
             lambda: ktype_pairings_nonzero(40, range(42), 6),  # a g2 witness
             lambda: gegenbauer(100, 1.5, np.linspace(-1, 1, 7)),
-            lambda: zonal_gram([398], [402], 5),  # past the checked range
-            lambda: zonal_gram([1036], [1036], 130),
+            lambda: zonal_gram([1036], [1036], 130),  # on a rule past the checked range's
         ],
-        ids=["from_0", "from_15", "lowest_not_first", "witness", "gegenbauer", "top_402", "top_1036"],
+        ids=["from_0", "from_15", "lowest_not_first", "witness", "gegenbauer", "top_1036"],
     )
     def test_passes_that_touch_no_checkpoint(self, gram, monkeypatch):
         # any lookup or store would fail on None
@@ -265,6 +268,13 @@ class TestZonalGram:
         monkeypatch.setattr(harmonics, "_checkpoints", None)
         with pytest.raises(AttributeError):
             zonal_gram([16], [400], 5)
+
+    def test_a_pass_to_402_reads_the_checkpoints(self, monkeypatch):
+        # degree 402 is past the checked range, but on S^4 its rule is the degree-400 rule
+        assert sphere_nodes(2 * 402, 2) == sphere_nodes(2 * harmonics.MAX_SCAN_DEGREE, 2)
+        monkeypatch.setattr(harmonics, "_checkpoints", None)
+        with pytest.raises(AttributeError):
+            zonal_gram([398], [402], 5)
 
     def test_checkpoints_stay_within_their_byte_bound(self, monkeypatch):
         # least recently used rule out first; a rule's checkpoints alone above the bound are not kept
@@ -278,6 +288,31 @@ class TestZonalGram:
         monkeypatch.setattr(harmonics, "CHECKPOINT_BYTES", 1000)
         zonal_gram([400], [400], 5)
         assert harmonics._checkpoints == {}
+
+    def test_threads_share_the_checkpoints(self, monkeypatch):
+        # 4 threads resume, store and evict on 16 shared sphere rules with a switch every microsecond;
+        # without the lock, a store's byte count iterates the dict while another thread changes it
+        calls = [([k], [top], n) for n in range(3, 11) for top in (100, 400) for k in (16, 50, top)]
+        monkeypatch.setattr(harmonics, "_checkpoints", {})
+        monkeypatch.setattr(harmonics, "CHECKPOINT_BYTES", 0)  # every pass from degree 0
+        expected = [zonal_gram(*call).tobytes() for call in calls]
+        monkeypatch.setattr(harmonics, "CHECKPOINT_BYTES", 1 << 19)  # room for 3 of the 8 degree-400 rules
+
+        def run(seed):
+            order = list(range(len(calls))) * 2
+            random.Random(seed).shuffle(order)
+            return [(i, zonal_gram(*calls[i]).tobytes()) for i in order]
+
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(4) as pool:
+                results = [future.result(timeout=60) for future in [pool.submit(run, seed) for seed in range(4)]]
+        finally:
+            sys.setswitchinterval(switch)
+        assert sum(map(len, results)) == 4 * 2 * len(calls)
+        assert all(rows == expected[i] for result in results for i, rows in result)
+        assert 0 < len(harmonics._checkpoints) < 16
 
     def test_recurrence_misses_do_not_grow(self, monkeypatch):
         # a g1 period ladder calls _recurrence once per pass, as often as passes from degree 0 would

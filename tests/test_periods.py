@@ -201,6 +201,51 @@ class TestPeriodsG1Batched:
         capsys.readouterr()
         assert calls == [(18, 1.0), (16, 1.0), (18, 1.0), (16, 1.0)]
 
+    @pytest.mark.parametrize("p", [5, 6, 7])
+    def test_matches_one_element_calls(self, p):
+        # a scan's records are field for field those of the one-target calls, and so is every number they print
+        for q in range(4, 8):
+            for a in (0, 1, 4, 16, 48):
+                lam = H(2 * a + 2 - (p - q))
+                if not lam > 0:
+                    continue
+                nus = valid_targets(p, q, "g1", 2 * (a + 2) + 2 - (p - 1 - q))  # c up to a + 2
+                batch = [row.verdict for row in branching_verdicts(p, q, lam, "g1", nus)]
+                assert len(batch) == len(nus)
+                for nu, v in zip(nus, batch):
+                    case = (p, q, a, nu)
+                    single = period_integral_G1(p, q, lam, nu)
+                    assert v == single and v.nonzero == v.predicate_nonzero, case
+                    assert v.to_json_dict() == single.to_json_dict(), case
+                    assert (v.value != 0.0) == (v.degree_pair == (a, a)) == (v.err_est != 0.0), case
+
+    def test_a_zero_row_builds_its_radial_factor_when_read(self, monkeypatch):
+        # off the diagonal the value is an exact 0.0 with no Wallis factor; the factor, read, is the closed form
+        wallis = _count_calls(monkeypatch, periods, "wallis_exact")
+        p, q, lam = 5, 4, H(97)  # a = 48
+        nus = valid_targets(p, q, "g1", 102)
+        rows = [row.verdict for row in branching_verdicts(p, q, lam, "g1", nus)]
+        zeros = [v for v in rows if v.degree_pair[1] != 48]
+        assert len(zeros) == 50 and all(v.value == 0.0 and v.err_est == 0.0 for v in zeros)
+        assert wallis == []
+        ambient = make_fj_param(p, q, lam)
+        for nu, v in zip(nus, rows):
+            if v.degree_pair[1] == 48:
+                continue
+            c_exp = q - 1 + ambient.decay_exponent + make_fj_param(p, q, nu, SpaceTag.G1_SPACE).decay_exponent
+            assert v.radial_exact == wallis_exact(p - 2, int(-(p - 2 + c_exp)) - 1), nu
+            assert v.radial_factor.hex() == radial_integral_closed(p - 2, float(c_exp)).hex(), nu
+        assert len(wallis) == len(zeros)  # once per record, on its first read
+
+    def test_a_scan_builds_the_wallis_factor_of_its_diagonal_row_only(self, monkeypatch, capsys):
+        # a = 100 at (5, 4) against c = 0..102: only the c = a row prints a nonzero value
+        wallis = _count_calls(monkeypatch, periods, "wallis_exact")
+        assert main(["branch", "--p", "5", "--q", "4", "--lambda-x2", "201", "--subgroup", "g1",
+                     "--max-target-x2", "206"]) == 0
+        rows = json.loads(capsys.readouterr().out)
+        assert len(rows) == 103 and [r["target_x2"] for r in rows if r["value"]] == [202]
+        assert wallis == [(3, 201)]
+
 
 class TestPeriodsG2Batched:
     @pytest.mark.parametrize("p", [4, 5, 6])
