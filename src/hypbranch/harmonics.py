@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 import operator
-import threading
 from functools import lru_cache
 from itertools import accumulate
 
@@ -49,19 +48,12 @@ def _recurrence(nu: float, length: int):
     return four_c, tuple(accumulate(four_c[2:], operator.mul, initial=1.0))
 
 
-# The largest ambient degree a period and target degree a `branch` scan accept:
-# the checked degree range.  The zonal layer holds a Gram row per degree on a
-# rule of about that many nodes, so its memory grows with the square.
+# The checked degree range: the largest ambient degree a period and target degree a `branch` scan accept.
+# The zonal layer holds a Gram row per degree on a rule of about that many nodes, so memory grows with its square.
 MAX_SCAN_DEGREE = 400
 
-# The checkpoints of `_gegenbauer_rows` per sphere rule, the least recently used rule evicted first.
-# `_checkpoint_lock` guards every read-modify-write of the dict, so threads may share it.
-CHECKPOINT_BYTES = 1 << 21
-_checkpoints: dict[tuple[int, int], dict[int, tuple[np.ndarray, np.ndarray]]] = {}
-_checkpoint_lock = threading.Lock()
 
-
-def _gegenbauer_rows(n: int, nu: float, x: np.ndarray, wanted, rule=None):
+def _gegenbauer_rows(n: int, nu: float, x: np.ndarray, wanted, start=None):
     """D_k = C_k^nu k! / (nu)_k at the 1-D nodes x, one row per degree k of `wanted` (all <= n), and each |D_k|^2.
 
     One pass to n on the rescaled family, 2^k times the monic one (DLMF 18.9.1): D_0 = 1, D_1 = 2x and
@@ -70,40 +62,35 @@ def _gegenbauer_rows(n: int, nu: float, x: np.ndarray, wanted, rule=None):
     weight (1-x^2)^{nu-1/2} of total mass 1.  The coefficients are cached per (nu, n + 2 rounded up
     to SPHERE_NODE_STEP).  Requires nu > 0: the coefficients have poles at nu <= 0.
 
-    Given a sphere rule `rule` = (n, node count), the pass resumes from the rule's last checkpoint (D_k, D_{k+1}),
-    k a multiple of SPHERE_NODE_STEP, at or below min(wanted), bit for bit as a pass from degree 0, and stores
-    those it passes, read-only, at most CHECKPOINT_BYTES = 2 MiB in all.  Every lookup, store and eviction holds
-    `_checkpoint_lock`, so threads may share the cache: a pass whose rule another pass holds at the time starts
-    from degree 0, and the later store wins.  Without `rule` it touches no checkpoint.
+    Given `start` = (k, (D_k, D_{k+1})) at x, every wanted degree k or more, the pass runs on from degree k + 2
+    with the same operations, so its rows are bit for bit those of a pass from degree 0 when the start pair is.
     """
     four_c, norm_sq = _recurrence(nu, -(-(n + 2) // SPHERE_NODE_STEP) * SPHERE_NODE_STEP)
-    keep = set(wanted)
-    d_prev = np.ones(len(x))
-    two_x = d = 2.0 * x
-    rows, start = {0: d_prev, 1: d}, 0
-    if rule is not None:
-        with _checkpoint_lock:
-            saved = _checkpoints.pop(rule, {})
-        start = max((k for k in saved if k <= min(wanted)), default=0)
-        if start:
-            d_prev, d = rows[start], rows[start + 1] = saved[start]
-        lattice = range(start + SPHERE_NODE_STEP, n, SPHERE_NODE_STEP)
-        keep.update(lattice, (k + 1 for k in lattice))
-    for k in range(start + 2, n + 1):
+    keep, two_x = set(wanted), 2.0 * x
+    first, (d_prev, d) = start or (0, (np.ones(len(x)), two_x))
+    rows = {first: d_prev, first + 1: d}
+    for k in range(first + 2, n + 1):
         d_next = two_x * d
         d_next -= four_c[k] * d_prev
         d_prev, d = d, d_next
         if k in keep:
             rows[k] = d
-    if rule is not None:
-        for k in lattice:
-            rows[k].flags.writeable = rows[k + 1].flags.writeable = False
-            saved[k] = rows[k], rows[k + 1]
-        with _checkpoint_lock:
-            _checkpoints[rule] = saved
-            while sum(2 * 8 * nodes * len(c) for (_, nodes), c in _checkpoints.items()) > CHECKPOINT_BYTES:
-                del _checkpoints[next(iter(_checkpoints))]
     return np.array([rows[k] for k in wanted]).reshape(-1, len(x)), np.array([norm_sq[k] for k in wanted])
+
+
+@lru_cache(maxsize=32)
+def _lattice(n: int, nodes: int) -> np.ndarray:
+    """The checkpoints (D_k, D_{k+1}) of `_gegenbauer_rows` on the `nodes`-node sphere rule of S^{n-1}, read-only.
+
+    Row i holds the pair at k = SPHERE_NODE_STEP (i + 1), for every such k up to the largest degree the rule
+    serves, nodes - (n-3)//2 - 1, from one pass from degree 0 that ends at the last k + 1.  The cache keeps 32
+    rules of 16 bytes a node and pair: at most 166,400 bytes each on S^2..S^15, 249,600 on S^437, more above.
+    """
+    served = nodes - (n - 3) // 2 - 1
+    ks = [j for k in range(SPHERE_NODE_STEP, served + 1, SPHERE_NODE_STEP) for j in (k, k + 1)]
+    pairs = _gegenbauer_rows(ks[-1], (n - 2) / 2.0, sphere_rule(2 * served, n - 3)[0], ks)[0].reshape(-1, 2, nodes)
+    pairs.flags.writeable = False
+    return pairs
 
 
 def gegenbauer(n: int, nu: float, x):
@@ -166,10 +153,10 @@ def zonal_gram(ks, targets, n: int) -> np.ndarray:
     ROW_NORM_TOL: weights below the float range have lost their mass, and the ratios would no
     longer be clear of GRAM_RATIO_TOL.  `ks` and `targets` are sequences of degrees.
 
-    A pass whose degrees are all SPHERE_NODE_STEP or more, on a rule of at most the nodes of the checked
-    range, sphere_nodes(2 MAX_SCAN_DEGREE, n - 3), resumes from that rule's checkpoints (`_gegenbauer_rows`):
-    a pass to degree 402 shares the degree-400 rule on small spheres.  Any other pass runs from degree 0 and
-    touches no checkpoint; past the checked range the checkpoints would grow with the square of the degree.
+    A pass whose degrees are all SPHERE_NODE_STEP or more, on a rule of at most the nodes of the checked range,
+    sphere_nodes(2 MAX_SCAN_DEGREE, n - 3), resumes from the rule's `_lattice` at the highest multiple of
+    SPHERE_NODE_STEP at or below its lowest degree: a pass to 402 shares the degree-400 rule on small spheres.
+    Any other pass runs from degree 0 and touches no lattice: past the checked range one grows with degree^2.
     """
     if n < 3:
         raise InvalidParameterError("zonal harmonics require sphere_dim >= 3")
@@ -179,8 +166,9 @@ def zonal_gram(ks, targets, n: int) -> np.ndarray:
     # a scan's first degree is its lowest, so a scan from degree 0 never pays for the min
     resumable = SPHERE_NODE_STEP <= top and degrees[0] >= SPHERE_NODE_STEP
     resumable = resumable and len(x) <= sphere_nodes(2 * MAX_SCAN_DEGREE, n - 3)
-    rule = (n, len(x)) if resumable and min(degrees) >= SPHERE_NODE_STEP else None
-    rows, norm_sq = _gegenbauer_rows(top, (n - 2) / 2.0, x, degrees, rule)
+    k = min(degrees) // SPHERE_NODE_STEP if resumable else 0
+    start = (k * SPHERE_NODE_STEP, _lattice(n, len(x))[k - 1]) if k else None
+    rows, norm_sq = _gegenbauer_rows(top, (n - 2) / 2.0, x, degrees, start)
     rows *= np.sqrt(w)
     rows /= np.sqrt(w.sum() * norm_sq)[:, None]
     norms = np.sqrt(np.einsum("ij,ij->i", rows, rows))

@@ -821,8 +821,8 @@ G1_LADDER = [
 ]
 
 
-def test_checkpoints_leave_every_output_as_a_fresh_process_prints_it(capsys, monkeypatch):
-    # the ladder twice in one process, each time shuffled: later periods resume from checkpoints
+def test_checkpoints_leave_every_output_as_a_fresh_process_prints_it(capsys):
+    # the ladder twice in one process, each time shuffled: later periods resume from a cached lattice
     def fresh(argv):
         out = subprocess.run([sys.executable, "-m", "hypbranch.cli", *argv], env=_subprocess_env(), capture_output=True)
         return out.returncode, out.stdout.decode(), out.stderr.decode()  # bytes: CSV rows end in \r\n
@@ -830,12 +830,12 @@ def test_checkpoints_leave_every_output_as_a_fresh_process_prints_it(capsys, mon
     with concurrent.futures.ThreadPoolExecutor(max_workers=3) as pool:
         expected = dict(zip(map(tuple, G1_LADDER), pool.map(fresh, G1_LADDER)))
     assert all(code == 0 for code, _, _ in expected.values())
-    monkeypatch.setattr(harmonics, "_checkpoints", {})
+    harmonics._lattice.cache_clear()
     rng = random.Random(30)
     for _ in range(2):
         for argv in rng.sample(G1_LADDER, len(G1_LADDER)):
             assert run_cli(capsys, *argv) == expected[tuple(argv)], argv
-    assert len(harmonics._checkpoints) == 6
+    assert harmonics._lattice.cache_info().currsize == 6  # a degree-16, 100 and 400 rule per sphere
 
 
 def test_runtime_has_no_assert():

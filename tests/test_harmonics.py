@@ -211,40 +211,44 @@ class TestZonalGram:
 
     @pytest.mark.parametrize("n", [3, 4, 5, 7, 16, 40])
     def test_resumed_rows_are_those_of_a_pass_from_degree_0(self, n, monkeypatch):
-        # min degree at, just below and just above each lattice multiple, after a pass to the top
-        monkeypatch.setattr(harmonics, "_checkpoints", {})
+        # min degree at, just below and just above each lattice multiple, on cold and warm lattices
+        harmonics._lattice.cache_clear()
         rows_of, passes = harmonics._gegenbauer_rows, []
+        tops = (16, 17, 31, 32, 33, 100, 256, 400, 402)
 
-        def spy(top, nu, x, wanted, rule=None):
-            resumed = rule in harmonics._checkpoints
-            rows, norms = rows_of(top, nu, x, wanted, rule)
-            passes.append((top, resumed, (rows.copy(), norms), rows_of(top, nu, x, wanted)))  # zonal_gram scales rows
-            return rows, norms
+        def spy(top, nu, x, wanted, start=None):
+            rows, norms = rows_of(top, nu, x, wanted, start)
+            if sys._getframe(1).f_code.co_name == "zonal_gram":  # not a lattice build
+                passes.append((top, min(wanted), start is not None, (rows.copy(), norms), rows_of(top, nu, x, wanted)))
+            return rows, norms  # zonal_gram scales rows
 
         monkeypatch.setattr(harmonics, "_gegenbauer_rows", spy)
-        for top in (16, 17, 31, 32, 33, 100, 256, 400, 402):
+        for top in tops:
             zonal_gram([top], [top], n)
-            stored = harmonics._checkpoints.get((n, sphere_nodes(2 * top, n - 3)), {})
-            assert set(range(16, top, 16)) <= set(stored), top
             for k in range(16, top + 1, 16):
                 for m in (k - 1, k, k + 1):
                     zonal_gram([min(m, top)], [top], n)
-        assert sum(resumed for _, resumed, _, _ in passes) > len(passes) // 2
+        # every pass whose degrees are all 16 or more resumes, a pass to 16 or 17 too
+        assert all(resumed == (lowest >= 16) for _, lowest, resumed, _, _ in passes)
+        assert {top for top, _, resumed, _, _ in passes if resumed} == set(tops)
         # every pass to 402 shares the degree-400 rule and resumes, but the one from degree 15
-        to_402 = [resumed for top, resumed, _, _ in passes if top == 402]
+        to_402 = [resumed for top, _, resumed, _, _ in passes if top == 402]
         assert len(to_402) == 76 and to_402.count(False) == 1
-        for _, _, (rows, norms), (rows_0, norms_0) in passes:
+        for _, _, _, (rows, norms), (rows_0, norms_0) in passes:
             assert rows.tobytes() == rows_0.tobytes() and norms.tobytes() == norms_0.tobytes()
 
-    def test_checkpoints_are_read_only(self, monkeypatch):
-        monkeypatch.setattr(harmonics, "_checkpoints", {})
+    def test_checkpoints_are_read_only(self):
+        # the degree-800 rule on S^4 serves tops to 414: checkpoints k = 16, ..., 400, each from a pass from degree 0
+        harmonics._lattice.cache_clear()
         zonal_gram([398], [400], 5)
-        checkpoints = harmonics._checkpoints[(5, sphere_nodes(800, 2))]
-        assert sorted(checkpoints) == list(range(16, 400, 16))
-        for d_k, d_next in checkpoints.values():
-            assert not d_k.flags.writeable and not d_next.flags.writeable
+        x, _ = sphere_rule(800, 2)
+        lattice = harmonics._lattice(5, len(x))
+        assert harmonics._lattice.cache_info().hits == 1
+        assert lattice.shape == (25, 2, len(x)) and not lattice.flags.writeable
+        for i, k in enumerate(range(16, 401, 16)):
+            assert lattice[i].tobytes() == harmonics._gegenbauer_rows(k + 1, 1.5, x, [k, k + 1])[0].tobytes()
         with pytest.raises(ValueError, match="read-only"):
-            d_k[0] = 0.0
+            lattice[0, 0, 0] = 0.0
 
     @pytest.mark.parametrize(
         "gram",
@@ -259,44 +263,41 @@ class TestZonalGram:
         ids=["from_0", "from_15", "lowest_not_first", "witness", "gegenbauer", "top_1036"],
     )
     def test_passes_that_touch_no_checkpoint(self, gram, monkeypatch):
-        # any lookup or store would fail on None
-        monkeypatch.setattr(harmonics, "_checkpoints", None)
+        monkeypatch.setattr(harmonics, "_lattice", _unread_lattice)
         gram()
 
     def test_a_resumable_pass_reads_the_checkpoints(self, monkeypatch):
         # the control for test_passes_that_touch_no_checkpoint
-        monkeypatch.setattr(harmonics, "_checkpoints", None)
-        with pytest.raises(AttributeError):
+        monkeypatch.setattr(harmonics, "_lattice", _unread_lattice)
+        with pytest.raises(LookupError, match=r"^lattice \(5, 416\) read$"):
             zonal_gram([16], [400], 5)
 
     def test_a_pass_to_402_reads_the_checkpoints(self, monkeypatch):
         # degree 402 is past the checked range, but on S^4 its rule is the degree-400 rule
-        assert sphere_nodes(2 * 402, 2) == sphere_nodes(2 * harmonics.MAX_SCAN_DEGREE, 2)
-        monkeypatch.setattr(harmonics, "_checkpoints", None)
-        with pytest.raises(AttributeError):
+        assert sphere_nodes(2 * 402, 2) == sphere_nodes(2 * harmonics.MAX_SCAN_DEGREE, 2) == 416
+        monkeypatch.setattr(harmonics, "_lattice", _unread_lattice)
+        with pytest.raises(LookupError, match=r"^lattice \(5, 416\) read$"):
             zonal_gram([398], [402], 5)
 
-    def test_checkpoints_stay_within_their_byte_bound(self, monkeypatch):
-        # least recently used rule out first; a rule's checkpoints alone above the bound are not kept
-        monkeypatch.setattr(harmonics, "_checkpoints", {})
-        for n in range(3, 40):
+    def test_checkpoints_stay_within_their_byte_bound(self):
+        # the cache keeps the 32 most recently used rules, each lattice at most the bytes README states
+        harmonics._lattice.cache_clear()
+        for n in range(3, 43):
             zonal_gram([400], [400], n)
-            held = sum(d.nbytes + e.nbytes for c in harmonics._checkpoints.values() for d, e in c.values())
-            assert 0 < held <= harmonics.CHECKPOINT_BYTES
-        assert list(harmonics._checkpoints)[-1] == (39, sphere_nodes(800, 36))
-        assert (3, sphere_nodes(800, 0)) not in harmonics._checkpoints
-        monkeypatch.setattr(harmonics, "CHECKPOINT_BYTES", 1000)
-        zonal_gram([400], [400], 5)
-        assert harmonics._checkpoints == {}
+        info = harmonics._lattice.cache_info()
+        assert (info.maxsize, info.currsize, info.misses) == (32, 32, 40)
+        zonal_gram([400], [400], 42)  # the most recent rule is kept ...
+        zonal_gram([400], [400], 3)  # ... and the least recent one rebuilt
+        assert harmonics._lattice.cache_info()[:2] == (1, 41)
+        assert max(harmonics._lattice(n, sphere_nodes(800, n - 3)).nbytes for n in range(3, 17)) == 166_400
+        assert harmonics._lattice(MAX_SPHERE_DIM, sphere_nodes(800, MAX_SPHERE_DIM - 3)).nbytes == 249_600
 
-    def test_threads_share_the_checkpoints(self, monkeypatch):
-        # 4 threads resume, store and evict on 16 shared sphere rules with a switch every microsecond;
-        # without the lock, a store's byte count iterates the dict while another thread changes it
-        calls = [([k], [top], n) for n in range(3, 11) for top in (100, 400) for k in (16, 50, top)]
-        monkeypatch.setattr(harmonics, "_checkpoints", {})
-        monkeypatch.setattr(harmonics, "CHECKPOINT_BYTES", 0)  # every pass from degree 0
+    def test_threads_share_the_checkpoints(self):
+        # 4 threads build, read and evict the lattices of 40 sphere rules, more than the cache keeps, with a
+        # switch every microsecond; a race can only build one lattice twice
+        calls = [([k], [top], n) for n in range(3, 23) for top in (100, 400) for k in (16, 50, top)]
+        harmonics._lattice.cache_clear()
         expected = [zonal_gram(*call).tobytes() for call in calls]
-        monkeypatch.setattr(harmonics, "CHECKPOINT_BYTES", 1 << 19)  # room for 3 of the 8 degree-400 rules
 
         def run(seed):
             order = list(range(len(calls))) * 2
@@ -312,30 +313,36 @@ class TestZonalGram:
             sys.setswitchinterval(switch)
         assert sum(map(len, results)) == 4 * 2 * len(calls)
         assert all(rows == expected[i] for result in results for i, rows in result)
-        assert 0 < len(harmonics._checkpoints) < 16
+        assert harmonics._lattice.cache_info().currsize == 32
 
     def test_recurrence_misses_do_not_grow(self, monkeypatch):
-        # a g1 period ladder calls _recurrence once per pass, as often as passes from degree 0 would
+        # a g1 period ladder calls _recurrence once per pass and lattice build, and misses no more often
+        # than passes from degree 0 would
         ladder = [(q, a) for q in range(4, 8) for a in range(0, 401, 16)] * 2
         random.Random(30).shuffle(ladder)
         recurrence, calls = harmonics._recurrence, []
         monkeypatch.setattr(harmonics, "_recurrence", lambda *args: calls.append(args) or recurrence(*args))
 
-        def misses(checkpoint_bytes):
-            monkeypatch.setattr(harmonics, "_checkpoints", {})
-            monkeypatch.setattr(harmonics, "CHECKPOINT_BYTES", checkpoint_bytes)
+        def misses(band):
+            monkeypatch.setattr(harmonics, "MAX_SCAN_DEGREE", band)  # band 0: no rule resumes
+            harmonics._lattice.cache_clear()
             recurrence.cache_clear()
             calls.clear()
             for q, a in ladder:
                 verdict = period_integral_G1(5, q, Fraction(2 * a + q - 3, 2), Fraction(2 * a + q - 2, 2))
                 assert verdict.nonzero and verdict.predicate_nonzero
-            assert len(calls) == len(ladder)
+            assert len(calls) == len(ladder) + harmonics._lattice.cache_info().misses
             return recurrence.cache_info().misses
 
-        bound = harmonics.CHECKPOINT_BYTES
+        band = harmonics.MAX_SCAN_DEGREE
         from_0 = misses(0)
-        assert misses(bound) <= from_0
-        assert harmonics._checkpoints
+        assert harmonics._lattice.cache_info().misses == 0
+        assert misses(band) <= from_0
+        assert harmonics._lattice.cache_info().hits
+
+
+def _unread_lattice(n, nodes):
+    raise LookupError(f"lattice ({n}, {nodes}) read")
 
 
 class TestOrthogonality:
