@@ -8,16 +8,21 @@ disagrees with its predicate, 2 invalid parameters, an unwritable --out file,
 `period` or `branch` ambient degree above 400 or a `branch --max-target-x2`
 that admits a target degree above 400, 3 divergent integral, 4 a verdict kernel
 row whose norm is off 1, or a printed number exactly nonzero but not a normal double.
+
+Every verb and flag is declared once, in VERBS.  `main` reads a canonical argv (each flag once by its full
+name, every required flag, every value accepted) straight from that table; argparse, whose parsers are built
+from the same table, reads every other argv, so help, usage and error texts are argparse's own, and neither
+argparse nor a parser is loaded for a canonical one.
 """
 
 from __future__ import annotations
 
-import argparse
 import csv
 import functools
 import io
 import json
 import sys
+import types
 from fractions import Fraction
 
 # Only the standard library and modules built on it load here: `branch` and `period` import
@@ -181,77 +186,106 @@ def cmd_check(args) -> int:
 
 def _seed(text: str) -> int:
     if not text.isdecimal():
+        import argparse
+
         raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {text!r}")
     return int(text)
 
 
-# main reuses one set of parsers per process: building them costs more than ten parses
+# Every verb once: its handler, its help and its flags, each flag as (type, default or REQUIRED, choices, help).
+# A `bool` flag is a switch.  `main` reads a canonical argv from this table; argparse's parsers are built from it.
+REQUIRED = object()
+_INT, _OUT, _SWITCH = (int, REQUIRED, None, None), (str, None, None, None), (bool, False, None, None)
+_SUBGROUP = (str, REQUIRED, ("g1", "g2"), None)
+_SIGNATURE = {"--p": _INT, "--q": _INT, "--lambda-x2": _INT}
+_SUITES = ("all", "quadrature", "harmonics", "decay", "branching", "packets", "conjecture")
+VERBS = {
+    "fj": (cmd_fj, "report a representation parameter", {**_SIGNATURE, "--out": _OUT}),
+    "branch": (cmd_branch, "scan branching targets", {
+        **_SIGNATURE, "--subgroup": _SUBGROUP, "--max-target-x2": _INT,
+        "--format": (str, "json", ("json", "csv"), None), "--out": _OUT,
+    }),
+    "period": (cmd_period, "evaluate one period integral", {
+        **_SIGNATURE, "--target-x2": _INT, "--subgroup": _SUBGROUP,
+        "--witness": (bool, False, None, "use the twisted witness pairing (g2 only)"), "--out": _OUT,
+    }),
+    "packet": (cmd_packet, "packet combinatorics and inner forms", {
+        "--p": _INT, "--q": _INT, "--lambda-x2": (int, 2, None, None), "--inner-forms-only": _SWITCH, "--out": _OUT,
+    }),
+    "check": (cmd_check, "run property suites", {
+        "--suite": (str, "all", _SUITES, None),
+        "--seed": (_seed, 0, None, None),
+    }),
+}
+
+
+def _canonical(argv):
+    """The namespace of a canonical argv, read from VERBS, or None when argparse must read it.
+
+    Canonical: a verb, then each of its flags at most once by its full name, as `--flag value` or `--switch`,
+    every required flag present, and every value accepted by its type and choices and not starting with `-`.
+    """
+    if not argv or argv[0] not in VERBS:
+        return None
+    func, _, flags = VERBS[argv[0]]
+    values, tokens = {}, iter(argv[1:])
+    for option in tokens:
+        if option not in flags or option in values:
+            return None
+        kind, _, choices, _ = flags[option]
+        if kind is bool:
+            values[option] = True
+            continue
+        text = next(tokens, "-")  # a flag with no value reads as one followed by a flag
+        if text.startswith("-") or (choices and text not in choices):
+            return None
+        try:
+            values[option] = kind(text)
+        except Exception:  # argparse calls the type again, and words the refusal or lets it propagate
+            return None
+    if any(flag[1] is REQUIRED and option not in values for option, flag in flags.items()):
+        return None
+    return types.SimpleNamespace(
+        **{option[2:].replace("-", "_"): values.get(option, flag[1]) for option, flag in flags.items()}, func=func
+    )
+
+
 @functools.cache
-def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+def _parsers():
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="hypbranch",
         description="Branching verdicts for hyperboloid discrete series via period integrals",
     )
     sub = parser.add_subparsers(dest="verb", required=True)
-
-    fj = sub.add_parser("fj", help="report a representation parameter")
-    fj.add_argument("--p", type=int, required=True)
-    fj.add_argument("--q", type=int, required=True)
-    fj.add_argument("--lambda-x2", dest="lambda_x2", type=int, required=True)
-    fj.add_argument("--out")
-    fj.set_defaults(func=cmd_fj)
-
-    branch = sub.add_parser("branch", help="scan branching targets")
-    branch.add_argument("--p", type=int, required=True)
-    branch.add_argument("--q", type=int, required=True)
-    branch.add_argument("--lambda-x2", dest="lambda_x2", type=int, required=True)
-    branch.add_argument("--subgroup", choices=("g1", "g2"), required=True)
-    branch.add_argument("--max-target-x2", dest="max_target_x2", type=int, required=True)
-    branch.add_argument("--format", choices=("json", "csv"), default="json")
-    branch.add_argument("--out")
-    branch.set_defaults(func=cmd_branch)
-
-    period = sub.add_parser("period", help="evaluate one period integral")
-    period.add_argument("--p", type=int, required=True)
-    period.add_argument("--q", type=int, required=True)
-    period.add_argument("--lambda-x2", dest="lambda_x2", type=int, required=True)
-    period.add_argument("--target-x2", dest="target_x2", type=int, required=True)
-    period.add_argument("--subgroup", choices=("g1", "g2"), required=True)
-    period.add_argument("--witness", action="store_true", help="use the twisted witness pairing (g2 only)")
-    period.add_argument("--out")
-    period.set_defaults(func=cmd_period)
-
-    packet = sub.add_parser("packet", help="packet combinatorics and inner forms")
-    packet.add_argument("--p", type=int, required=True)
-    packet.add_argument("--q", type=int, required=True)
-    packet.add_argument("--lambda-x2", dest="lambda_x2", type=int, default=2)
-    packet.add_argument("--inner-forms-only", action="store_true")
-    packet.add_argument("--out")
-    packet.set_defaults(func=cmd_packet)
-
-    check = sub.add_parser("check", help="run property suites")
-    check.add_argument(
-        "--suite",
-        default="all",
-        choices=("all", "quadrature", "harmonics", "decay", "branching", "packets", "conjecture"),
-    )
-    check.add_argument("--seed", type=_seed, default=0)
-    check.set_defaults(func=cmd_check)
-    return parser, {"fj": fj, "branch": branch, "period": period, "packet": packet, "check": check}
+    verbs = {}
+    for name, (func, help_text, flags) in VERBS.items():
+        verbs[name] = verb = sub.add_parser(name, help=help_text)
+        for option, (kind, default, choices, flag_help) in flags.items():
+            if kind is bool:
+                verb.add_argument(option, action="store_true", help=flag_help)
+            else:
+                verb.add_argument(option, type=kind, choices=choices, required=default is REQUIRED,
+                                  default=None if default is REQUIRED else default, help=flag_help)
+        verb.set_defaults(func=func)
+    return parser, verbs
 
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    parser, verbs = _parsers()
-    verb = verbs.get(argv[0]) if argv else None
-    try:
-        # a known verb parses in its own parser, once; all else, and any leftover argument, in the full parser
-        args, extra = verb.parse_known_args(argv[1:]) if verb else (None, None)
-        if verb is None or extra:
-            args = parser.parse_args(argv)
-    except SystemExit as exc:
-        # argparse exits with 2 on bad flags, which matches the contract
-        return int(exc.code) if exc.code else 0
+    args = _canonical(argv)
+    if args is None:
+        parser, verbs = _parsers()
+        verb = verbs.get(argv[0]) if argv else None
+        try:
+            # a known verb parses in its own parser, once; all else, and any leftover argument, in the full parser
+            args, extra = verb.parse_known_args(argv[1:]) if verb else (None, None)
+            if verb is None or extra:
+                args = parser.parse_args(argv)
+        except SystemExit as exc:
+            # argparse exits with 2 on bad flags, which matches the contract
+            return int(exc.code) if exc.code else 0
     try:
         return args.func(args)
     except DivergenceError as exc:

@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import InvalidParameterError, ToleranceError
 from .exact import pairing_subsphere_exact, sphere_area_exact, sqrt_pi_ratio, witness_pairing_exact
-from .exact import zonal_norm_sq_exact
+from .exact import MAX_SPHERE_DIM, zonal_norm_sq_exact
 from .fjrep import FJParam, decay_x2
 from .numerics import SPHERE_NODE_STEP, sphere_nodes, sphere_rule
 
@@ -84,7 +84,8 @@ def _lattice(n: int, nodes: int) -> np.ndarray:
 
     Row i holds the pair at k = SPHERE_NODE_STEP (i + 1), for every such k up to the largest degree the rule
     serves, nodes - (n-3)//2 - 1, from one pass from degree 0 that ends at the last k + 1.  The cache keeps 32
-    rules of 16 bytes a node and pair: at most 166,400 bytes each on S^2..S^15, 249,600 on S^437, more above.
+    rules of 16 bytes a node and pair: at most 166,400 bytes each on S^2..S^15 and 249,600 on S^437 and S^438,
+    the largest spheres that resume, so at most 8 MB.
     """
     served = nodes - (n - 3) // 2 - 1
     ks = [j for k in range(SPHERE_NODE_STEP, served + 1, SPHERE_NODE_STEP) for j in (k, k + 1)]
@@ -154,9 +155,10 @@ def zonal_gram(ks, targets, n: int) -> np.ndarray:
     longer be clear of GRAM_RATIO_TOL.  `ks` and `targets` are sequences of degrees.
 
     A pass whose degrees are all SPHERE_NODE_STEP or more, on a rule of at most the nodes of the checked range,
-    sphere_nodes(2 MAX_SCAN_DEGREE, n - 3), resumes from the rule's `_lattice` at the highest multiple of
-    SPHERE_NODE_STEP at or below its lowest degree: a pass to 402 shares the degree-400 rule on small spheres.
-    Any other pass runs from degree 0 and touches no lattice: past the checked range one grows with degree^2.
+    sphere_nodes(2 MAX_SCAN_DEGREE, n - 3), and on a sphere whose zonal norm the exact layer answers,
+    n - 1 <= MAX_SPHERE_DIM, resumes from the rule's `_lattice` at the highest multiple of SPHERE_NODE_STEP at
+    or below its lowest degree: a pass to 402 shares the degree-400 rule on small spheres.  Any other pass runs
+    from degree 0 and touches no lattice: past the checked range one grows with degree^2.
     """
     if n < 3:
         raise InvalidParameterError("zonal harmonics require sphere_dim >= 3")
@@ -164,7 +166,7 @@ def zonal_gram(ks, targets, n: int) -> np.ndarray:
     top = max(degrees, default=0)
     x, w = sphere_rule(2 * top, n - 3)
     # a scan's first degree is its lowest, so a scan from degree 0 never pays for the min
-    resumable = SPHERE_NODE_STEP <= top and degrees[0] >= SPHERE_NODE_STEP
+    resumable = SPHERE_NODE_STEP <= top and degrees[0] >= SPHERE_NODE_STEP and n - 1 <= MAX_SPHERE_DIM
     resumable = resumable and len(x) <= sphere_nodes(2 * MAX_SCAN_DEGREE, n - 3)
     k = min(degrees) // SPHERE_NODE_STEP if resumable else 0
     start = (k * SPHERE_NODE_STEP, _lattice(n, len(x))[k - 1]) if k else None

@@ -19,6 +19,7 @@ import numpy as np
 import pytest
 
 import hypbranch
+import sweep
 from hypbranch import cli, fjrep, geometry, harmonics, numerics, periods
 from hypbranch.checks import SUITES, CheckResult, run_suite
 from hypbranch.cli import main
@@ -724,15 +725,84 @@ DISPATCH_ARGVS = [
 ]
 
 
+# one canonical argv per verb, each flag once by its full name; all are cheap to run
+CANONICAL = [
+    ["fj", "--p", "4", "--q", "6", "--lambda-x2", "8"],
+    ["branch", "--p", "4", "--q", "6", "--lambda-x2", "8", "--subgroup", "g2", "--max-target-x2", "9", "--format", "csv"],
+    ["period", "--p", "4", "--q", "6", "--lambda-x2", "8", "--target-x2", "5", "--subgroup", "g2", "--witness"],
+    ["packet", "--p", "4", "--q", "6", "--lambda-x2", "4", "--inner-forms-only"],
+    ["check", "--suite", "quadrature", "--seed", "3"],
+]
+SPELLING_KINDS = ("canonical", "abbreviated", "equals", "repeated", "missing", "bad-int", "negative", "out-of-choice",
+                  "double-dash", "help", "leftover")
+
+
+def spellings(seed: int = 33, rounds: int = 2):
+    """(kind, argv): each canonical argv in a seeded flag order, and each of the non-canonical spellings of it."""
+    rng = random.Random(seed)
+    cases = []
+    for verb, *flags in CANONICAL:
+        groups = []  # each flag with its value, if it takes one
+        for token in flags:
+            if token.startswith("--"):
+                groups.append([token])
+            else:
+                groups[-1].append(token)
+        for _ in range(rounds):
+            rng.shuffle(groups)
+            for kind in SPELLING_KINDS:
+                spelt = [list(g) for g in groups]
+                valued = [g for g in spelt if len(g) == 2]
+                ints = [g for g in valued if g[1].isdecimal()]
+                if kind == "abbreviated":
+                    g = rng.choice([g for g in spelt if len(g[0]) > 4])
+                    g[0] = g[0][: rng.randrange(4, len(g[0]))]
+                elif kind == "equals":
+                    g = rng.choice(valued)
+                    g[:] = [f"{g[0]}={g[1]}"]
+                elif kind == "repeated":
+                    spelt.append(list(rng.choice(spelt)))
+                elif kind == "missing":
+                    g = rng.choice(spelt)
+                    spelt.remove(g)
+                    if cli.VERBS[verb][2][g[0]][1] is not cli.REQUIRED:
+                        kind = "canonical"  # an optional flag left out
+                elif kind in ("bad-int", "negative"):
+                    g = rng.choice(ints)
+                    g[1] = rng.choice(("4.0", "x", "")) if kind == "bad-int" else f"-{g[1]}"
+                elif kind == "out-of-choice":  # a flag with choices, or else an int flag
+                    rng.choice([g for g in valued if g not in ints] or ints)[1] = "g3"
+                elif kind != "canonical":
+                    extra = {"double-dash": "--", "help": rng.choice(("-h", "--help")), "leftover": "extra"}[kind]
+                    spelt.insert(rng.randrange(len(spelt) + 1), [extra])
+                cases.append((kind, [verb, *(token for g in spelt for token in g)]))
+    return cases
+
+
+SPELLINGS = spellings()
+
+
 class TestVerbDispatch:
     @pytest.mark.parametrize("argv", DISPATCH_ARGVS, ids=[" ".join(argv) or "no-argv" for argv in DISPATCH_ARGVS])
     def test_matches_the_full_parser(self, capsys, monkeypatch, argv):
         dispatched = run_cli(capsys, *argv)
         full = cli._parsers()[0]
+        monkeypatch.setattr(cli, "_canonical", lambda argv: None)
         monkeypatch.setattr(cli, "_parsers", lambda: (full, {}))  # every argv through full.parse_args
         assert run_cli(capsys, *argv) == dispatched
 
-    def test_a_known_verb_takes_one_argparse_pass(self, capsys, monkeypatch):
+    @pytest.mark.parametrize("kind, argv", SPELLINGS, ids=[f"{kind}:{' '.join(argv)}" for kind, argv in SPELLINGS])
+    def test_the_reader_matches_argparse(self, capsys, monkeypatch, kind, argv):
+        # the reader answers exactly the canonical spellings, with the namespace the verb's parser returns
+        read = cli._canonical(argv)
+        assert (read is not None) == (kind == "canonical")
+        if read is not None:
+            assert vars(read) == vars(cli._parsers()[1][argv[0]].parse_args(argv[1:]))
+        answered = run_cli(capsys, *argv)
+        monkeypatch.setattr(cli, "_canonical", lambda argv: None)
+        assert run_cli(capsys, *argv) == answered
+
+    def test_only_a_noncanonical_argv_builds_a_parser(self, capsys, monkeypatch):
         passes = []
         parse_known_args = argparse.ArgumentParser.parse_known_args
 
@@ -741,9 +811,11 @@ class TestVerbDispatch:
             return parse_known_args(parser, *args, **kwargs)
 
         monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", spy)
-        code, _, _ = run_cli(capsys, *DISPATCH_ARGVS[0])
-        assert (code, passes) == (0, ["hypbranch branch"])
-        passes.clear()
+        cli._parsers.cache_clear()
+        for argv in CANONICAL:
+            assert run_cli(capsys, *argv)[0] == 0, argv
+        assert (passes, cli._parsers.cache_info().misses) == ([], 0)
+        # a leftover argument goes through the verb's parser, then the full one, which words the error
         code, _, _ = run_cli(capsys, *DISPATCH_ARGVS[-1])
         assert (code, passes) == (2, ["hypbranch packet", "hypbranch", "hypbranch packet"])
 
@@ -753,25 +825,29 @@ def _subprocess_env():
     return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
 
 
-# (id, an import or a CLI argv run in a fresh interpreter, its exit code, whether it loads numpy);
-# `branch` is the control that shows the probe sees numpy when a verb loads it
+# (id, an import or a CLI argv run in a fresh interpreter, its exit code, whether it loads numpy, whether it
+# loads argparse); `branch` is the control that shows the probe sees numpy when a verb loads it, and help and
+# the unknown verb the control that shows it sees argparse
 COLD_PROBES = [
-    ("import-cli", "import hypbranch.cli", None, False),
-    ("import-packets", "import hypbranch.packets", None, False),
-    ("fj", ["fj", "--p", "4", "--q", "4", "--lambda-x2", "4"], 0, False),
-    ("packet", ["packet", "--p", "4", "--q", "4", "--lambda-x2", "4"], 0, False),
-    ("packet-inner-forms", ["packet", "--p", "4", "--q", "6", "--inner-forms-only"], 0, False),
-    ("help", ["--help"], 0, False),
-    ("unknown-verb", ["frobnicate"], 2, False),
+    ("import-cli", "import hypbranch.cli", None, False, False),
+    ("import-packets", "import hypbranch.packets", None, False, False),
+    ("fj", ["fj", "--p", "4", "--q", "4", "--lambda-x2", "4"], 0, False, False),
+    ("packet", ["packet", "--p", "4", "--q", "4", "--lambda-x2", "4"], 0, False, False),
+    ("packet-inner-forms", ["packet", "--p", "4", "--q", "6", "--inner-forms-only"], 0, False, False),
+    ("help", ["--help"], 0, False, True),
+    ("unknown-verb", ["frobnicate"], 2, False, True),
     ("branch", ["branch", "--p", "4", "--q", "6", "--lambda-x2", "8", "--subgroup", "g2", "--max-target-x2", "5"],
-     0, True),
+     0, True, False),
 ]
 
 
-@pytest.mark.parametrize("run, code, loads_numpy", [c[1:] for c in COLD_PROBES], ids=[c[0] for c in COLD_PROBES])
-def test_cold_start_imports(run, code, loads_numpy):
-    # scipy is a test dependency only, so the installed CLI runs on numpy alone; and `fj`, `packet`,
-    # help and usage errors are exact or argparse's own, so they run on the standard library alone
+@pytest.mark.parametrize(
+    "run, code, loads_numpy, loads_argparse", [c[1:] for c in COLD_PROBES], ids=[c[0] for c in COLD_PROBES]
+)
+def test_cold_start_imports(run, code, loads_numpy, loads_argparse):
+    # scipy is a test dependency only, so the installed CLI runs on numpy alone; `fj`, `packet`,
+    # help and usage errors are exact or argparse's own, so they run on the standard library alone;
+    # and a canonical argv is read from the verb table, so only help and usage errors load argparse
     if isinstance(run, list):
         run = (
             "from hypbranch.cli import main\n"
@@ -780,12 +856,12 @@ def test_cold_start_imports(run, code, loads_numpy):
         )
     probe = (
         f"import contextlib, io, sys\ncode = None\n{run}\n"
-        "print(code, 'numpy' in sys.modules, 'scipy' in sys.modules)"
+        "print(code, 'numpy' in sys.modules, 'scipy' in sys.modules, 'argparse' in sys.modules)"
     )
     out = subprocess.run(
         [sys.executable, "-c", probe], env=_subprocess_env(), capture_output=True, text=True, check=True
     )
-    assert out.stdout.split() == [str(code), str(loads_numpy), "False"]
+    assert out.stdout.split() == [str(code), str(loads_numpy), "False", str(loads_argparse)]
 
 
 def test_lazy_exports_resolve_to_their_home_modules():
@@ -836,6 +912,17 @@ def test_checkpoints_leave_every_output_as_a_fresh_process_prints_it(capsys):
         for argv in rng.sample(G1_LADDER, len(G1_LADDER)):
             assert run_cli(capsys, *argv) == expected[tuple(argv)], argv
     assert harmonics._lattice.cache_info().currsize == 6  # a degree-16, 100 and 400 rule per sphere
+
+
+def test_no_lattice_past_the_sphere_range():
+    # on S^999 the exact layer answers no zonal norm, so no pass there builds or keeps a lattice: the period
+    # to 1078 refuses its sphere area, and the one to 1082 prints the bytes blessed in the sweep manifest
+    harmonics._lattice.cache_clear()
+    period = ["period", "--p", "5", "--q", "1000", "--lambda-x2", "1077", "--target-x2"]
+    refused = sweep.run([*period, "1078", "--subgroup", "g1"])
+    assert (refused["exit"], refused["stderr"]) == (4, "error: sphere area of S^998 is out of floating-point range\n")
+    assert sweep.run([*period, "1082", "--subgroup", "g1"]) in sweep.load()
+    assert harmonics._lattice.cache_info().misses == 0
 
 
 def test_runtime_has_no_assert():
