@@ -17,10 +17,9 @@ argparse nor a parser is loaded for a canonical one.
 
 from __future__ import annotations
 
-import csv
 import functools
-import io
 import json
+import operator
 import sys
 import types
 from fractions import Fraction
@@ -70,7 +69,9 @@ def cmd_fj(args) -> int:
 
 
 def _branch_rows(args):
-    from .periods import MAX_SCAN_DEGREE, branching_verdicts_x2
+    """One tuple per target, its values in BRANCH_COLUMNS order, read from the columns of one scan."""
+    from .exact import wallis_exact
+    from .periods import MAX_SCAN_DEGREE, branch_scan_x2, period_value
     tag = SpaceTag(args.subgroup)
     top = degree_x2(args.p, args.q, args.max_target_x2, tag) // 2
     if top > MAX_SCAN_DEGREE:
@@ -79,52 +80,41 @@ def _branch_rows(args):
             f" branch scans stop at degree {MAX_SCAN_DEGREE}"
         )
     targets_x2 = valid_lambdas_x2(args.p, args.q, args.max_target_x2, tag)
-    results = branching_verdicts_x2(args.p, args.q, args.lambda_x2, args.subgroup, targets_x2)
-    rows = []
-    for target_x2, result in zip(targets_x2, results):
-        v = result.verdict
-        rows.append(
-            {
-                "p": args.p,
-                "q": args.q,
-                "lambda_x2": args.lambda_x2,
-                "subgroup": args.subgroup,
-                "target_x2": target_x2,
-                "converges": v.converges,
-                "nonzero": v.nonzero,
-                "predicate": v.predicate_nonzero,
-                "value": v.value,
-                "err": v.err_est,
-                "parity": v.parity_match,
-                "interlace": result.interlace.value,
-                "admissible": result.admissible_restriction,
-            }
-        )
-    return rows
+    scan, interlaces = branch_scan_x2(args.p, args.q, args.lambda_x2, args.subgroup, targets_x2)
+    head, admissible = (args.p, args.q, args.lambda_x2, args.subgroup), tag is SpaceTag.G1_SPACE
+    a, _, sphere, wallis_a, *columns = scan  # columns: degrees, nonzeros, predicates, pairings, wallis_ms
+    for target_x2, b, nonzero, predicate, pairing, m, interlace in zip(targets_x2, *columns, interlaces):
+        value, err = period_value(sphere, pairing, wallis_exact(wallis_a, m), (a, b)) if pairing[0] else (0.0, 0.0)
+        yield (*head, target_x2, True, nonzero, predicate, value, err, (a - b) % 2 == 0, interlace.value, admissible)
 
 
-def _verdicts_agree(rows, predicate: str) -> bool:
-    """Whether each row's `nonzero` equals its `predicate`; one `error: verdict mismatch` line per row that differs."""
-    mismatches = [row for row in rows if row["nonzero"] != row[predicate]]
-    for row in mismatches:
-        detail = " ".join(f"{k}={v}" for k, v in row.items())
-        print(f"error: verdict mismatch: {detail}", file=sys.stderr)
-    return not mismatches
+def _mismatches(rows) -> bool:
+    """One `error: verdict mismatch` line per row, each given as its (name, value) pairs; whether there was any."""
+    for items in rows:
+        print("error: verdict mismatch: " + " ".join(f"{k}={v}" for k, v in items), file=sys.stderr)
+    return bool(rows)
+
+
+# A row's text: its bools as true/false, then each value by str(), which for a float is its repr, as in csv.writer
+# and json.dumps.  A JSON row lists its keys sorted; its two text columns hold identifiers (g1, g2 and the
+# InterlaceClass values), which JSON quotes with no escape.
+_JSON_KEYS = sorted(BRANCH_COLUMNS)
+_JSON_ROW = "{" + ", ".join(f'"{k}": ' + ('"%s"' if k in ("subgroup", "interlace") else "%s") for k in _JSON_KEYS) + "}"
+_JSON_ORDER = operator.itemgetter(*map(BRANCH_COLUMNS.index, _JSON_KEYS))
+_CSV_ROW = ",".join(["%s"] * len(BRANCH_COLUMNS))
+_NONZERO, _PREDICATE = BRANCH_COLUMNS.index("nonzero"), BRANCH_COLUMNS.index("predicate")
 
 
 def cmd_branch(args) -> int:
-    rows = _branch_rows(args)
-    if not _verdicts_agree(rows, "predicate"):
+    rows = list(_branch_rows(args))  # every value is read, and refused, before any verdict is compared
+    if _mismatches([zip(BRANCH_COLUMNS, row) for row in rows if row[_NONZERO] != row[_PREDICATE]]):
         return 1
+    texts = [tuple([("false", "true")[v] if v.__class__ is bool else v for v in row]) for row in rows]
     if args.format == "csv":
-        # rows hold their values in BRANCH_COLUMNS order
-        buf = io.StringIO()
-        writer = csv.writer(buf)
-        writer.writerow(BRANCH_COLUMNS)
-        writer.writerows([str(v).lower() if isinstance(v, bool) else v for v in row.values()] for row in rows)
-        _emit(args, buf.getvalue().rstrip("\n"))
+        # csv.writer's lines, none of whose fields needs quoting: CRLF ends, the last one's LF left to _emit
+        _emit(args, "\r\n".join([",".join(BRANCH_COLUMNS), *[_CSV_ROW % text for text in texts]]) + "\r")
     else:
-        _emit_json(args, rows)
+        _emit(args, "[" + ", ".join([_JSON_ROW % _JSON_ORDER(text) for text in texts]) + "]")
     return 0
 
 
@@ -144,7 +134,7 @@ def cmd_period(args) -> int:
         "target_x2": args.target_x2,
         "subgroup": args.subgroup,
     }
-    if not _verdicts_agree([payload], "predicate_nonzero"):
+    if _mismatches([payload.items()] if payload["nonzero"] != payload["predicate_nonzero"] else []):
         return 1
     _emit_json(args, payload)
     return 0

@@ -12,6 +12,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from typing import NamedTuple
 
 from .errors import DivergenceError, InvalidParameterError
 from .exact import doubled, normal_ratio, pairing_subsphere_exact, sphere_area_exact, sqrt_pi_error, sqrt_pi_ratio
@@ -36,40 +38,37 @@ __all__ = [
 ]
 
 
-class _read_once:
-    """An attribute computed on its first read and stored in the instance dict, where later reads find it.
-
-    functools.cached_property without the lock it takes on Python < 3.12.
-    """
-
-    def __init__(self, compute):
-        self.compute = compute
-
-    def __set_name__(self, owner, name):
-        self.name = name
+class _read_once(cached_property):
+    """`functools.cached_property` without the lock its first read takes on Python < 3.12."""
 
     def __get__(self, record, owner=None):
         if record is None:
             return self
-        value = record.__dict__[self.name] = self.compute(record)
+        value = record.__dict__[self.attrname] = self.func(record)
         return value
+
+
+def period_value(sphere, pairing, radial, degree_pair) -> tuple[float, float]:
+    """`value` and `err_est` of a period from exact factors (num, den, r), the pairing nonzero: see `normal_ratio`."""
+    value = normal_ratio("period value", f"degrees {degree_pair}", sphere, pairing, radial)
+    return value, sqrt_pi_error(value, sphere[2] + pairing[2] + radial[2])
 
 
 @dataclass
 class PeriodVerdict:
-    """Outcome of one period computation.
+    """Outcome of one period computation: a view of one row of a scan (`_scan`).
 
     The sphere and pairing factors stay exact in `*_exact` as (num, den, r); the radial factor is
     the Wallis integral of `wallis_args` = (sp - 1, m), built exactly as `radial_exact` on its first
     read.  All five printed numbers are rounded once, and only when read: `value`, the factored
-    integral (with the plain zonal pairing unless `witness_used`), `err_est`, which bounds
-    |value - exact|, and each `*_factor`.  A value whose exact pairing is 0 is 0.0, and its
-    `err_est` 0.0, with no Wallis factor built and nothing rounded.  Reading `value` refuses a
-    value exactly nonzero but not a normal double, and reading the pairing or radial factor
-    refuses that factor the same way.  `nonzero` is the zonal Gram verdict (g1: |<Z_a, Z_c>| /
-    (|Z_a| |Z_c|) on S^{q-1}; g2: the K-type witness), which no printed number reads, and must
-    agree with `predicate_nonzero`.  A plain dataclass: no code mutates or hashes a verdict, and
-    a frozen one costs about four times as much to build.
+    integral (with the plain zonal pairing unless `witness_used`), and `err_est`, which bounds
+    |value - exact|, both from `period_value`, and each `*_factor`.  A value whose exact pairing is
+    0 is 0.0, and its `err_est` 0.0, with no Wallis factor built and nothing rounded.  Reading
+    `value` refuses a value exactly nonzero but not a normal double, and reading the pairing or
+    radial factor refuses that factor the same way.  `nonzero` is the zonal Gram verdict (g1:
+    |<Z_a, Z_c>| / (|Z_a| |Z_c|) on S^{q-1}; g2: the K-type witness), which no printed number
+    reads, and must agree with `predicate_nonzero`.  A plain dataclass: no code mutates or hashes a
+    verdict, and a frozen one costs about four times as much to build.
     """
 
     converges: bool
@@ -87,17 +86,18 @@ class PeriodVerdict:
         return wallis_exact(*self.wallis_args)
 
     @_read_once
-    def value(self) -> float:
+    def _rounded(self) -> tuple[float, float]:
         if not self.pairing_exact[0]:
-            return 0.0
-        factors = (self.sphere_exact, self.pairing_exact, self.radial_exact)
-        return normal_ratio("period value", f"degrees {self.degree_pair}", *factors)
+            return 0.0, 0.0
+        return period_value(self.sphere_exact, self.pairing_exact, self.radial_exact, self.degree_pair)
+
+    @property
+    def value(self) -> float:
+        return self._rounded[0]
 
     @property
     def err_est(self) -> float:
-        if not self.value:
-            return 0.0
-        return sqrt_pi_error(self.value, self.sphere_exact[2] + self.pairing_exact[2] + self.radial_exact[2])
+        return self._rounded[1]
 
     @property
     def sphere_factor(self) -> float:
@@ -171,24 +171,37 @@ def _require_convergence(lam_x2: int, targets_x2, tag: SpaceTag) -> None:
             raise DivergenceError(f"period diverges: lambda + {name} = {total} fails the > -1/2 threshold")
 
 
-def _periods(ambient: FJParam, tag: SpaceTag, targets_x2, witness: bool) -> list[PeriodVerdict]:
-    """Periods sphere_area(sp) * pairing * R(sp-1, ...) of the ambient against each doubled target.
+class _Scan(NamedTuple):
+    """Per-target columns of one scan (`_scan`): row i is sphere * pairings[i] * R(wallis_a, wallis_ms[i])."""
+
+    a: int
+    witness: bool
+    sphere: tuple[int, int, int] | None
+    wallis_a: int
+    degrees: list[int]
+    nonzeros: list[bool]
+    predicates: list[bool]
+    pairings: list[tuple[int, int, int]]
+    wallis_ms: list[int]
+
+
+def _scan(ambient: FJParam, tag: SpaceTag, targets_x2, witness: bool) -> _Scan:
+    """Periods sphere_area(sp) * pairing * R(sp-1, ...) of the ambient against each doubled target, as columns.
 
     X(sp, sq) is the targets' space.  The verdicts are zonal Gram ratios from one Gegenbauer
     pass each: g1 the row of Z_a on S^{q-1} (`zonal_gram`), g2 the K-type witnesses on S^{q-2}
     (`ktype_pairings_nonzero`).  The sphere area, the pairing (g1: delta_{a,c} |Z_a|^2; g2: the
     witness value with `witness`, else the plain subsphere pairing) and the Wallis integral R of
-    sin^{sp-1} cos^m, m = lambda + target - 1/2, are exact: the Wallis factor is built, and their
-    product, the value, and each factor are rounded, only when read (`PeriodVerdict`), so a row
-    whose pairing is exactly 0 builds none.  Refuses an ambient degree above MAX_SCAN_DEGREE
-    before any Gram row is built.
+    sin^{sp-1} cos^m, m = lambda + target - 1/2, are exact; a reader builds the Wallis factor and
+    rounds (`period_value`) only for a row whose pairing is nonzero.  Refuses an ambient degree
+    above MAX_SCAN_DEGREE before any Gram row is built.
     """
     a, p, q = ambient.degree, ambient.p, ambient.q
     if a > MAX_SCAN_DEGREE:
         raise InvalidParameterError(f"ambient degree {a}: periods stop at degree {MAX_SCAN_DEGREE}")
-    if not targets_x2:  # build no Gram row and read no sphere area, which a large p or q would refuse
-        return []
     sp, sq = tag_signature(p, q, tag)
+    if not targets_x2:  # build no Gram row and read no sphere area, which a large p or q would refuse
+        return _Scan(a, witness, None, sp - 1, [], [], [], [], [])
     offset_x2 = sp - sq - 2  # a target's doubled degree is t_x2 + offset_x2 (`degree_x2`)
     degrees = [(t_x2 + offset_x2) // 2 for t_x2 in targets_x2]
     for t_x2, b in zip(targets_x2, degrees):
@@ -201,22 +214,18 @@ def _periods(ambient: FJParam, tag: SpaceTag, targets_x2, witness: bool) -> list
         nonzeros = ktype_pairings_nonzero(a, degrees, q)
         exact = witness_pairing_exact if witness else pairing_subsphere_exact
         pairings = [exact(a, b, q) for b in degrees]
-    sphere, verdicts = sphere_area_exact(sp), []
-    for t_x2, b, pairing, nonzero in zip(targets_x2, degrees, pairings, nonzeros):
-        verdicts.append(
-            PeriodVerdict(
-                converges=True,
-                parity_match=(a - b) % 2 == 0,
-                degree_pair=(a, b),
-                nonzero=nonzero,
-                predicate_nonzero=_nonvanishing(tag, a, b),
-                sphere_exact=sphere,
-                pairing_exact=pairing,
-                wallis_args=(sp - 1, (ambient.lam_x2 + t_x2 - 1) // 2),
-                witness_used=witness,
-            )
-        )
-    return verdicts
+    predicates = [_nonvanishing(tag, a, b) for b in degrees]
+    wallis_ms = [(ambient.lam_x2 + t_x2 - 1) // 2 for t_x2 in targets_x2]
+    return _Scan(a, witness, sphere_area_exact(sp), sp - 1, degrees, nonzeros, predicates, pairings, wallis_ms)
+
+
+def _verdicts(scan: _Scan) -> list[PeriodVerdict]:
+    """A `PeriodVerdict` view of each row of the scan."""
+    a, witness, sphere, wallis_a, *columns = scan
+    return [
+        PeriodVerdict(True, (a - b) % 2 == 0, (a, b), nonzero, predicate, sphere, pairing, (wallis_a, m), witness)
+        for b, nonzero, predicate, pairing, m in zip(*columns)
+    ]
 
 
 def period_integral_G2(p: int, q: int, lam, mu, use_witness: bool = False) -> PeriodVerdict:
@@ -229,7 +238,7 @@ def period_integral_G2(p: int, q: int, lam, mu, use_witness: bool = False) -> Pe
     """
     lam_x2, mu_x2 = doubled(lam), doubled(mu)
     _require_convergence(lam_x2, [mu_x2], SpaceTag.G2_SPACE)
-    return _periods(FJParam(p, q, lam_x2), SpaceTag.G2_SPACE, [mu_x2], use_witness)[0]
+    return _verdicts(_scan(FJParam(p, q, lam_x2), SpaceTag.G2_SPACE, [mu_x2], use_witness))[0]
 
 
 def period_integral_G1(p: int, q: int, lam, nu) -> PeriodVerdict:
@@ -240,7 +249,7 @@ def period_integral_G1(p: int, q: int, lam, nu) -> PeriodVerdict:
     """
     lam_x2, nu_x2 = doubled(lam), doubled(nu)
     _require_convergence(lam_x2, [nu_x2], SpaceTag.G1_SPACE)
-    return _periods(FJParam(p, q, lam_x2), SpaceTag.G1_SPACE, [nu_x2], False)[0]
+    return _verdicts(_scan(FJParam(p, q, lam_x2), SpaceTag.G1_SPACE, [nu_x2], False))[0]
 
 
 @dataclass
@@ -283,20 +292,21 @@ def branching_verdicts(p: int, q: int, lam, subgroup: str, targets) -> list[Bran
     return branching_verdicts_x2(p, q, doubled(lam), subgroup, [doubled(t) for t in targets])
 
 
-def branching_verdicts_x2(p: int, q: int, lam_x2: int, subgroup: str, targets_x2) -> list[BranchingVerdict]:
-    """The scan behind `branching_verdicts`, on a doubled lambda and doubled targets."""
+def branch_scan_x2(p: int, q: int, lam_x2: int, subgroup: str, targets_x2) -> tuple[_Scan, list[InterlaceClass]]:
+    """The one scan behind `branching_verdicts_x2` and `branch`: its columns and each target's interlace class."""
     tag = _tag(subgroup)
     ambient = FJParam(p, q, lam_x2)
     _require_convergence(lam_x2, targets_x2, tag)
-    verdicts = _periods(ambient, tag, targets_x2, witness=tag is SpaceTag.G2_SPACE)
+    return _scan(ambient, tag, targets_x2, witness=tag is SpaceTag.G2_SPACE), _interlace_classes(ambient, targets_x2)
+
+
+def branching_verdicts_x2(p: int, q: int, lam_x2: int, subgroup: str, targets_x2) -> list[BranchingVerdict]:
+    """The scan behind `branching_verdicts`, on a doubled lambda and doubled targets."""
+    scan, interlaces = branch_scan_x2(p, q, lam_x2, subgroup, targets_x2)
+    admissible = _tag(subgroup) is SpaceTag.G1_SPACE
     return [
-        BranchingVerdict(
-            hom_nonzero=verdict.predicate_nonzero,
-            verdict=verdict,
-            admissible_restriction=tag is SpaceTag.G1_SPACE,
-            interlace=interlace,
-        )
-        for interlace, verdict in zip(_interlace_classes(ambient, targets_x2), verdicts)
+        BranchingVerdict(verdict.predicate_nonzero, verdict, admissible, interlace)
+        for interlace, verdict in zip(interlaces, _verdicts(scan))
     ]
 
 

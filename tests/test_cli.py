@@ -3,7 +3,6 @@ import ast
 import collections
 import concurrent.futures
 import csv
-import dataclasses
 import io
 import json
 import math
@@ -20,7 +19,7 @@ import pytest
 
 import hypbranch
 import sweep
-from hypbranch import cli, fjrep, geometry, harmonics, numerics, periods
+from hypbranch import cli, exact, fjrep, geometry, harmonics, numerics, periods
 from hypbranch.checks import SUITES, CheckResult, run_suite
 from hypbranch.cli import main
 from hypbranch.fjrep import SpaceTag, make_fj_param, valid_lambdas
@@ -185,15 +184,15 @@ class TestBranch:
 
     @staticmethod
     def _flip_target_5(monkeypatch):
-        def flip_target_5(p, q, lam_x2, subgroup, targets_x2):
-            results = branching_verdicts_x2(p, q, lam_x2, subgroup, targets_x2)
-            for i, (target_x2, result) in enumerate(zip(targets_x2, results)):
-                if target_x2 == 5:
-                    verdict = dataclasses.replace(result.verdict, nonzero=not result.verdict.nonzero)
-                    results[i] = dataclasses.replace(result, verdict=verdict)
-            return results
+        # flip the Gram verdict of target 5 in the one scan that both the rows and the verdict objects read
+        scan_x2 = periods.branch_scan_x2
 
-        monkeypatch.setattr(periods, "branching_verdicts_x2", flip_target_5)
+        def flip_target_5(p, q, lam_x2, subgroup, targets_x2):
+            scan, interlaces = scan_x2(p, q, lam_x2, subgroup, targets_x2)
+            nonzeros = [v != (t == 5) for t, v in zip(targets_x2, scan.nonzeros)]
+            return scan._replace(nonzeros=nonzeros), interlaces
+
+        monkeypatch.setattr(periods, "branch_scan_x2", flip_target_5)
 
     def test_disagreeing_verdict_exits_1(self, capsys, monkeypatch):
         self._flip_target_5(monkeypatch)
@@ -238,6 +237,95 @@ class TestBranch:
         for row in rows:
             assert row["nonzero"] == row["predicate"], row["target_x2"]
         assert rows[-1]["target_x2"] == 206 and not rows[-1]["nonzero"]
+
+
+G1_GOLDEN_SCAN = ("--p", "5", "--q", "4", "--lambda-x2", "97", "--subgroup", "g1", "--max-target-x2", "102")
+G2_GOLDEN_SCAN = ("--p", "4", "--q", "6", "--lambda-x2", "40", "--subgroup", "g2", "--max-target-x2", "44")
+
+
+def _parsed_rows(out: str, fmt: str) -> list[dict]:
+    """A `branch` report's rows, with the CSV's texts read back into the JSON's types."""
+    if fmt == "json":
+        return json.loads(out)
+    kinds = {"subgroup": str, "interlace": str, "value": float, "err": float}
+    bools = {"converges", "nonzero", "predicate", "parity", "admissible"}
+    return [
+        {k: {"true": True, "false": False}[v] if k in bools else kinds.get(k, int)(v) for k, v in row.items()}
+        for row in csv.DictReader(io.StringIO(out))
+    ]
+
+
+class TestBranchScan:
+    """`branch` reads the columns of one scan: no verdict object per row, the same fields as the object path."""
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    @pytest.mark.parametrize("argv", [G1_GOLDEN_SCAN, G2_GOLDEN_SCAN], ids=["g1", "g2"])
+    def test_a_scan_builds_no_verdict_object(self, monkeypatch, capsys, argv, fmt):
+        built, wallis = [], []
+
+        def counted(calls, function):
+            return lambda *args, **kwargs: calls.append(args) or function(*args, **kwargs)
+
+        for cls in (periods.PeriodVerdict, periods.BranchingVerdict):
+            monkeypatch.setattr(cls, "__init__", counted(built, cls.__init__))
+        for module in (exact, periods):
+            monkeypatch.setattr(module, "wallis_exact", counted(wallis, module.wallis_exact))
+        code, out, err = run_cli(capsys, "branch", *argv, "--format", fmt)
+        assert (code, err, built) == (0, "", [])
+        # the object path, after the scan: a Wallis factor for each row whose exact pairing is nonzero, and no other
+        flags = dict(zip(argv[::2], argv[1::2]))
+        p, q, lam_x2 = (int(flags[f]) for f in ("--p", "--q", "--lambda-x2"))
+        targets_x2 = fjrep.valid_lambdas_x2(p, q, int(flags["--max-target-x2"]), SpaceTag(flags["--subgroup"]))
+        verdicts = [r.verdict for r in branching_verdicts_x2(p, q, lam_x2, flags["--subgroup"], targets_x2)]
+        expected = [v.wallis_args for v in verdicts if v.pairing_exact[0]]
+        assert 0 < len(expected) < len(verdicts)
+        assert wallis == expected
+        assert len(_parsed_rows(out, fmt)) == len(verdicts)
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    @pytest.mark.parametrize("subgroup", ["g1", "g2"])
+    def test_rows_equal_the_verdict_objects(self, capsys, subgroup, fmt):
+        # a seeded grid of scans, p, q in 4..8 and ambient degree a <= 40, targets up to degree a + 3
+        rng = random.Random(f"branch-rows-{subgroup}-{fmt}")
+        tag = SpaceTag(subgroup)
+        for _ in range(12):
+            p, q, a = rng.randint(4, 8), rng.randint(4, 8), rng.randint(0, 40)
+            lam_x2 = 2 * a + 2 - (p - q)
+            if lam_x2 <= 0:
+                continue
+            max_target_x2 = 2 * (a + 3) - fjrep.degree_x2(p, q, 0, tag)
+            argv = ["branch", "--p", str(p), "--q", str(q), "--lambda-x2", str(lam_x2), "--subgroup", subgroup,
+                    "--max-target-x2", str(max_target_x2), "--format", fmt]
+            code, out, err = run_cli(capsys, *argv)
+            assert (code, err) == (0, ""), argv
+            rows = _parsed_rows(out, fmt)
+            targets_x2 = fjrep.valid_lambdas_x2(p, q, max_target_x2, tag)
+            results = branching_verdicts_x2(p, q, lam_x2, subgroup, targets_x2)
+            assert [row["target_x2"] for row in rows] == list(targets_x2), argv
+            for row, r in zip(rows, results):
+                v = r.verdict
+                expected = {
+                    "value": v.value, "err": v.err_est, "nonzero": v.nonzero, "predicate": v.predicate_nonzero,
+                    "parity": v.parity_match, "interlace": r.interlace.value, "admissible": r.admissible_restriction,
+                }
+                assert {k: row[k] for k in expected} == expected, (argv, row["target_x2"])
+                assert row["value"].hex() == v.value.hex() and row["err"].hex() == v.err_est.hex()
+
+    def test_a_value_refusal_comes_before_a_verdict_mismatch(self, capsys, monkeypatch):
+        # a = 386: the g2 witness values leave the double range (ledger defect (e)); with the first row's
+        # verdict flipped too, the scan still exits 4 on the value and prints no mismatch
+        scan_x2 = periods.branch_scan_x2
+
+        def flip_first_row(*args):
+            scan, interlaces = scan_x2(*args)
+            return scan._replace(nonzeros=[not scan.nonzeros[0], *scan.nonzeros[1:]]), interlaces
+
+        monkeypatch.setattr(periods, "branch_scan_x2", flip_first_row)
+        code, out, err = run_cli(capsys, "branch", "--p", "4", "--q", "16", "--lambda-x2", "786", "--subgroup", "g2",
+                                 "--max-target-x2", "785")
+        assert (code, out) == (4, "")
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: period value inf is not a normal double"), err
 
 
 class TestExitCodes:
@@ -673,6 +761,17 @@ class TestOutFile(object):
         assert code == 0
         assert out == ""
         assert json.loads(target.read_text())["a"] == 1
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    @pytest.mark.parametrize(
+        "name, argv", [("branch_g1_5_4_l97", G1_GOLDEN_SCAN), ("branch_g2_4_6_l40", G2_GOLDEN_SCAN)], ids=["g1", "g2"]
+    )
+    def test_branch_out_writes_the_printed_bytes(self, tmp_path, capsys, name, argv, fmt):
+        code, printed, _ = run_cli(capsys, "branch", *argv, "--format", fmt)
+        assert code == 0 and printed.encode() == (GOLDEN / f"{name}.{fmt}").read_bytes()
+        target = tmp_path / f"{name}.{fmt}"
+        assert run_cli(capsys, "branch", *argv, "--format", fmt, "--out", str(target)) == (0, "", "")
+        assert target.read_bytes() == printed.encode()
 
     @pytest.mark.parametrize(
         "argv",

@@ -5,7 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from hypbranch import cli, fjrep, geometry, harmonics, numerics, packets, periods
+from hypbranch import cli, exact, fjrep, geometry, harmonics, numerics, packets, periods
 from hypbranch.cli import main
 from hypbranch.errors import DivergenceError, InvalidParameterError
 from hypbranch.exact import doubled, wallis_exact
@@ -238,13 +238,15 @@ class TestPeriodsG1Batched:
         assert len(wallis) == len(zeros)  # once per record, on its first read
 
     def test_a_scan_builds_the_wallis_factor_of_its_diagonal_row_only(self, monkeypatch, capsys):
-        # a = 100 at (5, 4) against c = 0..102: only the c = a row prints a nonzero value
-        wallis = _count_calls(monkeypatch, periods, "wallis_exact")
+        # a = 100 at (5, 4) against c = 0..102: only the c = a row prints a nonzero value; the rows
+        # build it from the scan's columns (`exact.wallis_exact`), and no verdict object builds one
+        wallis = _count_calls(monkeypatch, exact, "wallis_exact")
+        verdict_wallis = _count_calls(monkeypatch, periods, "wallis_exact")
         assert main(["branch", "--p", "5", "--q", "4", "--lambda-x2", "201", "--subgroup", "g1",
                      "--max-target-x2", "206"]) == 0
         rows = json.loads(capsys.readouterr().out)
         assert len(rows) == 103 and [r["target_x2"] for r in rows if r["value"]] == [202]
-        assert wallis == [(3, 201)]
+        assert (wallis, verdict_wallis) == ([(3, 201)], [])
 
 
 class TestPeriodsG2Batched:
