@@ -7,7 +7,7 @@ The numeric period, the closed-form predicate, and the interlacing class of
 the infinitesimal characters all tell the same story.
 """
 
-from hypbranch import inf_char, make_fj_param
+from hypbranch import SpaceTag, inf_char, make_fj_param
 from hypbranch.periods import branching_verdicts, valid_targets
 
 P, Q = 4, 4
@@ -23,11 +23,12 @@ for subgroup in ("g2", "g1"):
     header = f"{'target':>8} {'degree':>6} {'nonzero':>8} {'predicate':>9} {'interlace':>14} {'admissible':>10}"
     print(header)
     targets = valid_targets(P, Q, subgroup, 9)
-    for target, res in zip(targets, branching_verdicts(P, Q, LAM, subgroup, targets)):
+    for target, row in zip(targets, branching_verdicts(P, Q, LAM, subgroup, targets)):
+        degree = make_fj_param(P, Q, target, SpaceTag(subgroup)).degree
         print(
-            f"{str(target):>8} {res.verdict.degree_pair[1]:>6} {str(res.verdict.nonzero):>8}"
-            f" {str(res.hom_nonzero):>9} {res.interlace.value:>14}"
-            f" {str(res.admissible_restriction):>10}"
+            f"{str(target):>8} {degree:>6} {str(row.nonzero):>8}"
+            f" {str(row.predicate):>9} {row.interlace:>14}"
+            f" {str(row.admissible):>10}"
         )
     print()
 

@@ -30,22 +30,6 @@ from .errors import DivergenceError, InvalidParameterError, ToleranceError
 from .fjrep import FJParam, SpaceTag, degree_x2, valid_lambdas_x2
 from .packets import RealForm, arthur_packet, pure_inner_forms, relevant_pairs
 
-BRANCH_COLUMNS = [
-    "p",
-    "q",
-    "lambda_x2",
-    "subgroup",
-    "target_x2",
-    "converges",
-    "nonzero",
-    "predicate",
-    "value",
-    "err",
-    "parity",
-    "interlace",
-    "admissible",
-]
-
 
 def _emit(args, text: str) -> None:
     if getattr(args, "out", None):
@@ -68,10 +52,15 @@ def cmd_fj(args) -> int:
     return 0
 
 
-def _branch_rows(args):
-    """One tuple per target, its values in BRANCH_COLUMNS order, read from the columns of one scan."""
-    from .exact import wallis_exact
-    from .periods import MAX_SCAN_DEGREE, branch_scan_x2, period_value
+def _mismatches(rows) -> bool:
+    """One `error: verdict mismatch` line per row, each given as its (name, value) pairs; whether there was any."""
+    for items in rows:
+        print("error: verdict mismatch: " + " ".join(f"{k}={v}" for k, v in items), file=sys.stderr)
+    return bool(rows)
+
+
+def cmd_branch(args) -> int:
+    from .periods import MAX_SCAN_DEGREE, BranchingVerdict, branching_verdicts_x2
     tag = SpaceTag(args.subgroup)
     top = degree_x2(args.p, args.q, args.max_target_x2, tag) // 2
     if top > MAX_SCAN_DEGREE:
@@ -80,41 +69,24 @@ def _branch_rows(args):
             f" branch scans stop at degree {MAX_SCAN_DEGREE}"
         )
     targets_x2 = valid_lambdas_x2(args.p, args.q, args.max_target_x2, tag)
-    scan, interlaces = branch_scan_x2(args.p, args.q, args.lambda_x2, args.subgroup, targets_x2)
-    head, admissible = (args.p, args.q, args.lambda_x2, args.subgroup), tag is SpaceTag.G1_SPACE
-    a, _, sphere, wallis_a, *columns = scan  # columns: degrees, nonzeros, predicates, pairings, wallis_ms
-    for target_x2, b, nonzero, predicate, pairing, m, interlace in zip(targets_x2, *columns, interlaces):
-        value, err = period_value(sphere, pairing, wallis_exact(wallis_a, m), (a, b)) if pairing[0] else (0.0, 0.0)
-        yield (*head, target_x2, True, nonzero, predicate, value, err, (a - b) % 2 == 0, interlace.value, admissible)
-
-
-def _mismatches(rows) -> bool:
-    """One `error: verdict mismatch` line per row, each given as its (name, value) pairs; whether there was any."""
-    for items in rows:
-        print("error: verdict mismatch: " + " ".join(f"{k}={v}" for k, v in items), file=sys.stderr)
-    return bool(rows)
-
-
-# A row's text: its bools as true/false, then each value by str(), which for a float is its repr, as in csv.writer
-# and json.dumps.  A JSON row lists its keys sorted; its two text columns hold identifiers (g1, g2 and the
-# InterlaceClass values), which JSON quotes with no escape.
-_JSON_KEYS = sorted(BRANCH_COLUMNS)
-_JSON_ROW = "{" + ", ".join(f'"{k}": ' + ('"%s"' if k in ("subgroup", "interlace") else "%s") for k in _JSON_KEYS) + "}"
-_JSON_ORDER = operator.itemgetter(*map(BRANCH_COLUMNS.index, _JSON_KEYS))
-_CSV_ROW = ",".join(["%s"] * len(BRANCH_COLUMNS))
-_NONZERO, _PREDICATE = BRANCH_COLUMNS.index("nonzero"), BRANCH_COLUMNS.index("predicate")
-
-
-def cmd_branch(args) -> int:
-    rows = list(_branch_rows(args))  # every value is read, and refused, before any verdict is compared
-    if _mismatches([zip(BRANCH_COLUMNS, row) for row in rows if row[_NONZERO] != row[_PREDICATE]]):
+    # every row's value is rounded, and refused, before any verdict is compared
+    rows = branching_verdicts_x2(args.p, args.q, args.lambda_x2, args.subgroup, targets_x2)
+    columns = BranchingVerdict._fields
+    if _mismatches([zip(columns, row) for row in rows if row.nonzero != row.predicate]):
         return 1
+    # A row's text: its bools as true/false, then each value by str(), which for a float is its repr, as in
+    # csv.writer and json.dumps.  A JSON row lists its keys sorted; its two text columns hold identifiers (g1, g2
+    # and the InterlaceClass values), which JSON quotes with no escape.
     texts = [tuple([("false", "true")[v] if v.__class__ is bool else v for v in row]) for row in rows]
     if args.format == "csv":
         # csv.writer's lines, none of whose fields needs quoting: CRLF ends, the last one's LF left to _emit
-        _emit(args, "\r\n".join([",".join(BRANCH_COLUMNS), *[_CSV_ROW % text for text in texts]]) + "\r")
+        line = ",".join(["%s"] * len(columns))
+        _emit(args, "\r\n".join([",".join(columns), *[line % text for text in texts]]) + "\r")
     else:
-        _emit(args, "[" + ", ".join([_JSON_ROW % _JSON_ORDER(text) for text in texts]) + "]")
+        keys = sorted(columns)
+        line = "{" + ", ".join(f'"{k}": ' + ('"%s"' if k in ("subgroup", "interlace") else "%s") for k in keys) + "}"
+        order = operator.itemgetter(*map(columns.index, keys))
+        _emit(args, "[" + ", ".join([line % order(text) for text in texts]) + "]")
     return 0
 
 
@@ -124,19 +96,12 @@ def cmd_period(args) -> int:
         raise ValueError("--witness applies to --subgroup g2 only")
     lam, target = Fraction(args.lambda_x2, 2), Fraction(args.target_x2, 2)
     if args.subgroup == "g1":
-        verdict = period_integral_G1(args.p, args.q, lam, target)
+        record = period_integral_G1(args.p, args.q, lam, target)
     else:
-        verdict = period_integral_G2(args.p, args.q, lam, target, use_witness=args.witness)
-    payload = verdict.to_json_dict() | {
-        "p": args.p,
-        "q": args.q,
-        "lambda_x2": args.lambda_x2,
-        "target_x2": args.target_x2,
-        "subgroup": args.subgroup,
-    }
-    if _mismatches([payload.items()] if payload["nonzero"] != payload["predicate_nonzero"] else []):
+        record = period_integral_G2(args.p, args.q, lam, target, use_witness=args.witness)
+    if _mismatches([record._asdict().items()] if record.nonzero != record.predicate_nonzero else []):
         return 1
-    _emit_json(args, payload)
+    _emit_json(args, record._asdict())
     return 0
 
 

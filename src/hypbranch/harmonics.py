@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import InvalidParameterError, ToleranceError
 from .exact import pairing_subsphere_exact, sphere_area_exact, sqrt_pi_ratio, witness_pairing_exact
-from .exact import MAX_SPHERE_DIM, zonal_norm_sq_exact
+from .exact import MAX_SPHERE_DIM, normal_ratio, zonal_norm_sq_exact
 from .fjrep import FJParam, decay_x2
 from .numerics import SPHERE_NODE_STEP, sphere_nodes, sphere_rule
 
@@ -224,6 +224,8 @@ def ktype_pairing_nonzero(a: int, b: int, n: int) -> tuple[bool, float]:
     """The one-target verdict of :func:`ktype_pairings_nonzero` and its witness value.
 
     The value is :func:`witness_pairing_exact` rounded once, or 0.0, the exact value, when the type is unreachable.
+    Raises ToleranceError when the value is nonzero but not a normal double (it grows like (a - b)!).
     """
-    nonzero = ktype_pairings_nonzero(a, [b], n)[0]
-    return nonzero, sqrt_pi_ratio(*witness_pairing_exact(a, b, n)) if nonzero else 0.0
+    if not ktype_pairings_nonzero(a, [b], n)[0]:
+        return False, 0.0
+    return True, normal_ratio("witness value", f"degrees {(a, b)}", witness_pairing_exact(a, b, n))

@@ -10,9 +10,7 @@ S^{q-2}; the closed-form predicates provide the independent cross-check.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from typing import NamedTuple
 
 from .errors import DivergenceError, InvalidParameterError
@@ -38,87 +36,66 @@ __all__ = [
 ]
 
 
-class _read_once(cached_property):
-    """`functools.cached_property` without the lock its first read takes on Python < 3.12."""
-
-    def __get__(self, record, owner=None):
-        if record is None:
-            return self
-        value = record.__dict__[self.attrname] = self.func(record)
-        return value
-
-
 def period_value(sphere, pairing, radial, degree_pair) -> tuple[float, float]:
     """`value` and `err_est` of a period from exact factors (num, den, r), the pairing nonzero: see `normal_ratio`."""
     value = normal_ratio("period value", f"degrees {degree_pair}", sphere, pairing, radial)
     return value, sqrt_pi_error(value, sphere[2] + pairing[2] + radial[2])
 
 
-@dataclass
-class PeriodVerdict:
-    """Outcome of one period computation: a view of one row of a scan (`_scan`).
+class PeriodVerdict(NamedTuple):
+    """One `period` record: its fields are the report's JSON keys, in the order a verdict mismatch prints them.
 
-    The sphere and pairing factors stay exact in `*_exact` as (num, den, r); the radial factor is
-    the Wallis integral of `wallis_args` = (sp - 1, m), built exactly as `radial_exact` on its first
-    read.  All five printed numbers are rounded once, and only when read: `value`, the factored
-    integral (with the plain zonal pairing unless `witness_used`), and `err_est`, which bounds
-    |value - exact|, both from `period_value`, and each `*_factor`.  A value whose exact pairing is
-    0 is 0.0, and its `err_est` 0.0, with no Wallis factor built and nothing rounded.  Reading
-    `value` refuses a value exactly nonzero but not a normal double, and reading the pairing or
-    radial factor refuses that factor the same way.  `nonzero` is the zonal Gram verdict (g1:
-    |<Z_a, Z_c>| / (|Z_a| |Z_c|) on S^{q-1}; g2: the K-type witness), which no printed number
-    reads, and must agree with `predicate_nonzero`.  A plain dataclass: no code mutates or hashes a
-    verdict, and a frozen one costs about four times as much to build.
+    `value` is the factored integral (with the plain zonal pairing unless `witness_used`) and `err_est`
+    bounds |value - exact|, both from `period_value`; a value whose exact pairing is 0 is 0.0, and its
+    `err_est` 0.0, with nothing rounded.  The three factors are the exact sphere area, pairing and
+    Wallis integral, each rounded once.  Every number is rounded when the record is built, in field
+    order, so a value exactly nonzero but not a normal double is refused before a pairing factor, and
+    that before a radial one.  `nonzero` is the zonal Gram verdict (g1: |<Z_a, Z_c>| / (|Z_a| |Z_c|)
+    on S^{q-1}; g2: the K-type witness), which no printed number reads, and must agree with
+    `predicate_nonzero`.
     """
 
     converges: bool
     parity_match: bool
-    degree_pair: tuple[int, int]
     nonzero: bool
     predicate_nonzero: bool
-    sphere_exact: tuple[int, int, int]
-    pairing_exact: tuple[int, int, int]
-    wallis_args: tuple[int, int]
     witness_used: bool
+    value: float
+    err_est: float
+    sphere_factor: float
+    pairing_factor: float
+    radial_factor: float
+    degree_a: int
+    degree_target: int
+    p: int
+    q: int
+    lambda_x2: int
+    target_x2: int
+    subgroup: str
 
-    @_read_once
-    def radial_exact(self) -> tuple[int, int, int]:
-        return wallis_exact(*self.wallis_args)
 
-    @_read_once
-    def _rounded(self) -> tuple[float, float]:
-        if not self.pairing_exact[0]:
-            return 0.0, 0.0
-        return period_value(self.sphere_exact, self.pairing_exact, self.radial_exact, self.degree_pair)
+class BranchingVerdict(NamedTuple):
+    """One `branch` row: its fields are the report's CSV columns, in CSV order.
 
-    @property
-    def value(self) -> float:
-        return self._rounded[0]
+    `nonzero` is the numeric verdict and `predicate` the closed-form one (the hom decision), `value`
+    and `err` the period as in `PeriodVerdict` (g2 with the witness pairing), `interlace` the
+    `InterlaceClass` value of the two infinitesimal characters, and `admissible` whether the
+    restriction is admissible (g1: SO0(p-1, q); not g2: SO0(p, q-1)).
+    """
 
-    @property
-    def err_est(self) -> float:
-        return self._rounded[1]
-
-    @property
-    def sphere_factor(self) -> float:
-        return sqrt_pi_ratio(*self.sphere_exact)  # normal wherever sphere_area_exact does not refuse it
-
-    @property
-    def pairing_factor(self) -> float:
-        return normal_ratio("pairing factor", f"degrees {self.degree_pair}", self.pairing_exact)
-
-    @property
-    def radial_factor(self) -> float:
-        return normal_ratio("radial factor", f"degrees {self.degree_pair}", self.radial_exact)
-
-    def to_json_dict(self) -> dict:
-        # read in this order, the value is refused before a pairing factor, and that before a radial one
-        names = ("value", "err_est", "sphere_factor", "pairing_factor", "radial_factor")
-        read = {name: getattr(self, name) for name in names}
-        flags = ("converges", "parity_match", "nonzero", "predicate_nonzero", "witness_used")
-        out = {name: getattr(self, name) for name in flags} | read
-        out["degree_a"], out["degree_target"] = self.degree_pair
-        return out
+    p: int
+    q: int
+    lambda_x2: int
+    subgroup: str
+    target_x2: int
+    converges: bool
+    nonzero: bool
+    predicate: bool
+    value: float
+    err: float
+    parity: bool
+    interlace: str
+    admissible: bool
 
 
 def _tag(subgroup: str) -> SpaceTag:
@@ -175,7 +152,6 @@ class _Scan(NamedTuple):
     """Per-target columns of one scan (`_scan`): row i is sphere * pairings[i] * R(wallis_a, wallis_ms[i])."""
 
     a: int
-    witness: bool
     sphere: tuple[int, int, int] | None
     wallis_a: int
     degrees: list[int]
@@ -192,16 +168,16 @@ def _scan(ambient: FJParam, tag: SpaceTag, targets_x2, witness: bool) -> _Scan:
     pass each: g1 the row of Z_a on S^{q-1} (`zonal_gram`), g2 the K-type witnesses on S^{q-2}
     (`ktype_pairings_nonzero`).  The sphere area, the pairing (g1: delta_{a,c} |Z_a|^2; g2: the
     witness value with `witness`, else the plain subsphere pairing) and the Wallis integral R of
-    sin^{sp-1} cos^m, m = lambda + target - 1/2, are exact; a reader builds the Wallis factor and
-    rounds (`period_value`) only for a row whose pairing is nonzero.  Refuses an ambient degree
-    above MAX_SCAN_DEGREE before any Gram row is built.
+    sin^{sp-1} cos^m, m = lambda + target - 1/2, are exact; a `branch` row builds its Wallis factor
+    and rounds (`period_value`) only where its pairing is nonzero.  Refuses an ambient degree above
+    MAX_SCAN_DEGREE before any Gram row is built.
     """
     a, p, q = ambient.degree, ambient.p, ambient.q
     if a > MAX_SCAN_DEGREE:
         raise InvalidParameterError(f"ambient degree {a}: periods stop at degree {MAX_SCAN_DEGREE}")
     sp, sq = tag_signature(p, q, tag)
     if not targets_x2:  # build no Gram row and read no sphere area, which a large p or q would refuse
-        return _Scan(a, witness, None, sp - 1, [], [], [], [], [])
+        return _Scan(a, None, sp - 1, [], [], [], [], [])
     offset_x2 = sp - sq - 2  # a target's doubled degree is t_x2 + offset_x2 (`degree_x2`)
     degrees = [(t_x2 + offset_x2) // 2 for t_x2 in targets_x2]
     for t_x2, b in zip(targets_x2, degrees):
@@ -216,16 +192,22 @@ def _scan(ambient: FJParam, tag: SpaceTag, targets_x2, witness: bool) -> _Scan:
         pairings = [exact(a, b, q) for b in degrees]
     predicates = [_nonvanishing(tag, a, b) for b in degrees]
     wallis_ms = [(ambient.lam_x2 + t_x2 - 1) // 2 for t_x2 in targets_x2]
-    return _Scan(a, witness, sphere_area_exact(sp), sp - 1, degrees, nonzeros, predicates, pairings, wallis_ms)
+    return _Scan(a, sphere_area_exact(sp), sp - 1, degrees, nonzeros, predicates, pairings, wallis_ms)
 
 
-def _verdicts(scan: _Scan) -> list[PeriodVerdict]:
-    """A `PeriodVerdict` view of each row of the scan."""
-    a, witness, sphere, wallis_a, *columns = scan
-    return [
-        PeriodVerdict(True, (a - b) % 2 == 0, (a, b), nonzero, predicate, sphere, pairing, (wallis_a, m), witness)
-        for b, nonzero, predicate, pairing, m in zip(*columns)
-    ]
+def _period(p: int, q: int, lam_x2: int, target_x2: int, tag: SpaceTag, witness: bool) -> PeriodVerdict:
+    """The `period` record of one (lambda, target) pair, from a one-target scan; its numbers rounded in field order."""
+    _require_convergence(lam_x2, [target_x2], tag)
+    a, sphere, wallis_a, (b,), (nonzero,), (predicate,), (pairing,), (m,) = _scan(
+        FJParam(p, q, lam_x2), tag, [target_x2], witness
+    )
+    radial, where = wallis_exact(wallis_a, m), f"degrees {(a, b)}"
+    value, err = period_value(sphere, pairing, radial, (a, b)) if pairing[0] else (0.0, 0.0)
+    sphere_factor = sqrt_pi_ratio(*sphere)  # normal wherever sphere_area_exact does not refuse it
+    pairing_factor = normal_ratio("pairing factor", where, pairing)
+    radial_factor = normal_ratio("radial factor", where, radial)
+    return PeriodVerdict(True, (a - b) % 2 == 0, nonzero, predicate, witness, value, err, sphere_factor,
+                         pairing_factor, radial_factor, a, b, p, q, lam_x2, target_x2, tag.value)
 
 
 def period_integral_G2(p: int, q: int, lam, mu, use_witness: bool = False) -> PeriodVerdict:
@@ -236,9 +218,7 @@ def period_integral_G2(p: int, q: int, lam, mu, use_witness: bool = False) -> Pe
     is the K-type witness value (its leading normal trace paired with the
     target zonal harmonic) instead of the plain zonal restriction.
     """
-    lam_x2, mu_x2 = doubled(lam), doubled(mu)
-    _require_convergence(lam_x2, [mu_x2], SpaceTag.G2_SPACE)
-    return _verdicts(_scan(FJParam(p, q, lam_x2), SpaceTag.G2_SPACE, [mu_x2], use_witness))[0]
+    return _period(p, q, doubled(lam), doubled(mu), SpaceTag.G2_SPACE, use_witness)
 
 
 def period_integral_G1(p: int, q: int, lam, nu) -> PeriodVerdict:
@@ -247,17 +227,7 @@ def period_integral_G1(p: int, q: int, lam, nu) -> PeriodVerdict:
     Factored value: sphere_area(p-1) * [full-sphere pairing on S^{q-1},
     which is delta_{a,c} |f_a|^2 by orthogonality] * R(p-2, (q-1)+e_lambda+e_nu).
     """
-    lam_x2, nu_x2 = doubled(lam), doubled(nu)
-    _require_convergence(lam_x2, [nu_x2], SpaceTag.G1_SPACE)
-    return _verdicts(_scan(FJParam(p, q, lam_x2), SpaceTag.G1_SPACE, [nu_x2], False))[0]
-
-
-@dataclass
-class BranchingVerdict:
-    hom_nonzero: bool
-    verdict: PeriodVerdict
-    admissible_restriction: bool
-    interlace: InterlaceClass
+    return _period(p, q, doubled(lam), doubled(nu), SpaceTag.G1_SPACE, False)
 
 
 def _interlace_classes(ambient: FJParam, targets_x2) -> list[InterlaceClass]:
@@ -280,20 +250,12 @@ def interlace_class_for_pair(p: int, q: int, lam, target, subgroup: str) -> Inte
 
 
 def branching_verdicts(p: int, q: int, lam, subgroup: str, targets) -> list[BranchingVerdict]:
-    """Full verdicts for one ambient parameter and subgroup, one per target.
-
-    The restriction to SO0(p-1, q) is admissible, the one to SO0(p, q-1) is
-    not (encoded branching data); the hom decision is the matching
-    closed-form predicate, cross-checked by the numeric verdict.  The periods
-    of the whole target list share one Gegenbauer pass.
-    The ambient parameter is built once and validated even when the target
-    list is empty; the targets stay doubled ints from validation to row.
-    """
+    """The `branch` rows of one ambient parameter and subgroup, one per target: see `branching_verdicts_x2`."""
     return branching_verdicts_x2(p, q, doubled(lam), subgroup, [doubled(t) for t in targets])
 
 
 def branch_scan_x2(p: int, q: int, lam_x2: int, subgroup: str, targets_x2) -> tuple[_Scan, list[InterlaceClass]]:
-    """The one scan behind `branching_verdicts_x2` and `branch`: its columns and each target's interlace class."""
+    """The one scan behind every `branch` row and `check --suite branching`: its columns and each target's class."""
     tag = _tag(subgroup)
     ambient = FJParam(p, q, lam_x2)
     _require_convergence(lam_x2, targets_x2, tag)
@@ -301,17 +263,31 @@ def branch_scan_x2(p: int, q: int, lam_x2: int, subgroup: str, targets_x2) -> tu
 
 
 def branching_verdicts_x2(p: int, q: int, lam_x2: int, subgroup: str, targets_x2) -> list[BranchingVerdict]:
-    """The scan behind `branching_verdicts`, on a doubled lambda and doubled targets."""
+    """The `branch` rows of one ambient parameter (lambda doubled) and subgroup, one per doubled target.
+
+    The restriction to SO0(p-1, q) is admissible, the one to SO0(p, q-1) is not
+    (encoded branching data); the hom decision is the closed-form predicate,
+    cross-checked by the numeric verdict.  The ambient parameter is built once and
+    validated even when the target list is empty, and the periods of the whole
+    target list share one Gegenbauer pass.  A row's Wallis factor is built, and its
+    value rounded, only where its exact pairing is nonzero; a value exactly nonzero
+    but not a normal double is refused (`ToleranceError`) before any row is returned.
+    """
+    tag = _tag(subgroup)
     scan, interlaces = branch_scan_x2(p, q, lam_x2, subgroup, targets_x2)
-    admissible = _tag(subgroup) is SpaceTag.G1_SPACE
-    return [
-        BranchingVerdict(verdict.predicate_nonzero, verdict, admissible, interlace)
-        for interlace, verdict in zip(interlaces, _verdicts(scan))
-    ]
+    sub, admissible = tag.value, tag is SpaceTag.G1_SPACE
+    a, sphere, wallis_a, *columns = scan  # columns: degrees, nonzeros, predicates, pairings, wallis_ms
+    rows = []
+    for target_x2, b, nonzero, predicate, pairing, m, interlace in zip(targets_x2, *columns, interlaces):
+        value, err = period_value(sphere, pairing, wallis_exact(wallis_a, m), (a, b)) if pairing[0] else (0.0, 0.0)
+        parity = (a - b) % 2 == 0
+        rows.append(BranchingVerdict(p, q, lam_x2, sub, target_x2, True, nonzero, predicate, value, err, parity,
+                                     interlace.value, admissible))
+    return rows
 
 
 def branching_verdict(p: int, q: int, lam, subgroup: str, target) -> BranchingVerdict:
-    """Full verdict for one (ambient, subgroup, target) triple: see `branching_verdicts`."""
+    """The `branch` row of one (ambient, subgroup, target) triple: see `branching_verdicts_x2`."""
     return branching_verdicts(p, q, lam, subgroup, [target])[0]
 
 

@@ -126,7 +126,7 @@ def test_criterion_05_g2_branching_support():
             nonzero_set.append(twice)
         else:
             # zero cases sit below the scale-free 1e-8 threshold
-            a, b = v.degree_pair
+            a, b = v.degree_a, v.degree_target
             scope = math.sqrt(zonal_norm_sq_closed(a, 4) * zonal_norm_sq_closed(b, 3))
             ok &= abs(v.pairing_factor) <= 1e-8 * scope or not v.witness_used
     ok &= nonzero_set == [1, 3]
@@ -165,7 +165,7 @@ def test_criterion_06_g1_branching_support():
                 v = period_integral_G1(p, q, lam, nu)
                 ok &= v.nonzero == (nu == expected) == v.predicate_nonzero
                 if nu != expected:
-                    a, c = v.degree_pair
+                    a, c = v.degree_a, v.degree_target
                     scope = math.sqrt(zonal_norm_sq_closed(a, q) * zonal_norm_sq_closed(c, q))
                     ok &= abs(v.pairing_factor) <= 1e-10 * scope
     report(6, "G1 periods nonzero iff nu = lambda + 1/2 (delta orthogonality)", ok)

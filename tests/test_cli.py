@@ -24,7 +24,7 @@ from hypbranch.checks import SUITES, CheckResult, run_suite
 from hypbranch.cli import main
 from hypbranch.fjrep import SpaceTag, make_fj_param, valid_lambdas
 from hypbranch.exact import doubled
-from hypbranch.periods import branching_verdicts_x2, valid_targets
+from hypbranch.periods import valid_targets
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -256,36 +256,37 @@ def _parsed_rows(out: str, fmt: str) -> list[dict]:
 
 
 class TestBranchScan:
-    """`branch` reads the columns of one scan: no verdict object per row, the same fields as the object path."""
+    """`branch` prints the rows `periods` builds from one scan's columns, and each equals its `period` record."""
 
     @pytest.mark.parametrize("fmt", ["json", "csv"])
     @pytest.mark.parametrize("argv", [G1_GOLDEN_SCAN, G2_GOLDEN_SCAN], ids=["g1", "g2"])
     def test_a_scan_builds_no_verdict_object(self, monkeypatch, capsys, argv, fmt):
-        built, wallis = [], []
+        records, rows, wallis = [], [], []
 
         def counted(calls, function):
             return lambda *args, **kwargs: calls.append(args) or function(*args, **kwargs)
 
-        for cls in (periods.PeriodVerdict, periods.BranchingVerdict):
-            monkeypatch.setattr(cls, "__init__", counted(built, cls.__init__))
+        # one row per target and no period record; a Wallis factor for each row whose exact pairing is nonzero
+        for cls, calls in ((periods.PeriodVerdict, records), (periods.BranchingVerdict, rows)):
+            monkeypatch.setattr(cls, "__new__", counted(calls, cls.__new__))
         for module in (exact, periods):
             monkeypatch.setattr(module, "wallis_exact", counted(wallis, module.wallis_exact))
         code, out, err = run_cli(capsys, "branch", *argv, "--format", fmt)
-        assert (code, err, built) == (0, "", [])
-        # the object path, after the scan: a Wallis factor for each row whose exact pairing is nonzero, and no other
+        assert (code, err, records) == (0, "", [])
         flags = dict(zip(argv[::2], argv[1::2]))
         p, q, lam_x2 = (int(flags[f]) for f in ("--p", "--q", "--lambda-x2"))
         targets_x2 = fjrep.valid_lambdas_x2(p, q, int(flags["--max-target-x2"]), SpaceTag(flags["--subgroup"]))
-        verdicts = [r.verdict for r in branching_verdicts_x2(p, q, lam_x2, flags["--subgroup"], targets_x2)]
-        expected = [v.wallis_args for v in verdicts if v.pairing_exact[0]]
-        assert 0 < len(expected) < len(verdicts)
+        scan, _ = periods.branch_scan_x2(p, q, lam_x2, flags["--subgroup"], targets_x2)
+        expected = [(scan.wallis_a, m) for pairing, m in zip(scan.pairings, scan.wallis_ms) if pairing[0]]
+        assert 0 < len(expected) < len(targets_x2)
         assert wallis == expected
-        assert len(_parsed_rows(out, fmt)) == len(verdicts)
+        assert len(_parsed_rows(out, fmt)) == len(rows) == len(targets_x2)
 
     @pytest.mark.parametrize("fmt", ["json", "csv"])
     @pytest.mark.parametrize("subgroup", ["g1", "g2"])
-    def test_rows_equal_the_verdict_objects(self, capsys, subgroup, fmt):
-        # a seeded grid of scans, p, q in 4..8 and ambient degree a <= 40, targets up to degree a + 3
+    def test_rows_equal_the_period_records(self, capsys, subgroup, fmt):
+        # a seeded grid of scans, p, q in 4..8 and ambient degree a <= 40, targets up to degree a + 3:
+        # every row is the `period` report of its (lambda, target) pair, g2 with the witness pairing
         rng = random.Random(f"branch-rows-{subgroup}-{fmt}")
         tag = SpaceTag(subgroup)
         for _ in range(12):
@@ -294,22 +295,27 @@ class TestBranchScan:
             if lam_x2 <= 0:
                 continue
             max_target_x2 = 2 * (a + 3) - fjrep.degree_x2(p, q, 0, tag)
-            argv = ["branch", "--p", str(p), "--q", str(q), "--lambda-x2", str(lam_x2), "--subgroup", subgroup,
-                    "--max-target-x2", str(max_target_x2), "--format", fmt]
+            head = ["--p", str(p), "--q", str(q), "--lambda-x2", str(lam_x2), "--subgroup", subgroup]
+            argv = ["branch", *head, "--max-target-x2", str(max_target_x2), "--format", fmt]
             code, out, err = run_cli(capsys, *argv)
             assert (code, err) == (0, ""), argv
             rows = _parsed_rows(out, fmt)
-            targets_x2 = fjrep.valid_lambdas_x2(p, q, max_target_x2, tag)
-            results = branching_verdicts_x2(p, q, lam_x2, subgroup, targets_x2)
-            assert [row["target_x2"] for row in rows] == list(targets_x2), argv
-            for row, r in zip(rows, results):
-                v = r.verdict
+            assert [row["target_x2"] for row in rows] == list(fjrep.valid_lambdas_x2(p, q, max_target_x2, tag)), argv
+            for row in rows:
+                t_x2 = row["target_x2"]
+                witness = ["--witness"] if subgroup == "g2" else []
+                code, out, err = run_cli(capsys, "period", *head, "--target-x2", str(t_x2), *witness)
+                assert (code, err) == (0, ""), (argv, t_x2)
+                record = json.loads(out)
                 expected = {
-                    "value": v.value, "err": v.err_est, "nonzero": v.nonzero, "predicate": v.predicate_nonzero,
-                    "parity": v.parity_match, "interlace": r.interlace.value, "admissible": r.admissible_restriction,
+                    "value": record["value"].hex(), "err": record["err_est"].hex(), "nonzero": record["nonzero"],
+                    "predicate": record["predicate_nonzero"], "parity": record["parity_match"],
+                    "interlace": periods.interlace_class_for_pair(p, q, Fraction(lam_x2, 2), Fraction(t_x2, 2),
+                                                                  subgroup).value,
+                    "admissible": subgroup == "g1",
                 }
-                assert {k: row[k] for k in expected} == expected, (argv, row["target_x2"])
-                assert row["value"].hex() == v.value.hex() and row["err"].hex() == v.err_est.hex()
+                actual = {k: row[k].hex() if k in ("value", "err") else row[k] for k in expected}
+                assert actual == expected, (argv, t_x2)
 
     def test_a_value_refusal_comes_before_a_verdict_mismatch(self, capsys, monkeypatch):
         # a = 386: the g2 witness values leave the double range (ledger defect (e)); with the first row's
@@ -709,11 +715,12 @@ class TestCheck:
 
     def test_branching_suite_scans_once_per_ambient(self, monkeypatch):
         cases, scans, single_calls = set(), [], []
+        branch_scan_x2 = periods.branch_scan_x2
 
         def counted_scan(p, q, lam_x2, subgroup, targets_x2, *rest):
             scans.append((p, q, lam_x2, subgroup))
             cases.update((p, q, lam_x2, subgroup, t) for t in targets_x2)
-            return branching_verdicts_x2(p, q, lam_x2, subgroup, targets_x2, *rest)
+            return branch_scan_x2(p, q, lam_x2, subgroup, targets_x2, *rest)
 
         def counted_single(fn):
             def counted(*args, **kwargs):
@@ -722,8 +729,9 @@ class TestCheck:
 
             return counted
 
-        monkeypatch.setattr(periods, "branching_verdicts_x2", counted_scan)
-        for fn in (periods.period_integral_G1, periods.period_integral_G2):
+        monkeypatch.setattr(periods, "branch_scan_x2", counted_scan)
+        # it reads the scans' columns: no period record and no row
+        for fn in (periods.period_integral_G1, periods.period_integral_G2, periods.branching_verdicts_x2):
             monkeypatch.setattr(periods, fn.__name__, counted_single(fn))
         assert all(r.passed for r in run_suite("branching"))
         assert single_calls == []

@@ -226,7 +226,7 @@ def test_g1_err_covers_the_whole_value():
     assert len(cases) == 358
     for p, q, lam_x2 in cases:
         verdict = periods.period_integral_G1(p, q, Fraction(lam_x2, 2), Fraction(lam_x2 + 1, 2))
-        a, c = verdict.degree_pair
+        a, c = verdict.degree_a, verdict.degree_target
         assert a == c
         factors = (sphere_area_exact(p - 1), zonal_norm_sq_exact(a, q), wallis_exact(p - 2, lam_x2))
         exact = mp.fprod(mp.mpf(num) / den * mp.sqrt(mp.pi) ** r for num, den, r in factors)
@@ -291,13 +291,12 @@ def test_the_branching_suite_rounds_no_period_value(monkeypatch):
 
 def test_a_scan_refuses_its_value_when_read():
     # ROADMAP defect (e): at a = 386 on S^14 every witness value is above the float range; the scan's
-    # verdicts still hold, and the first value read is refused as `branch` refuses it, with exit 4
+    # verdicts still hold, and its rows refuse the first value as `branch` refuses it, with exit 4
     targets_x2 = fjrep.valid_lambdas_x2(4, 16, 785, fjrep.SpaceTag.G2_SPACE)
-    verdicts = periods.branching_verdicts_x2(4, 16, 786, "g2", targets_x2)
-    assert len(verdicts) == 387
-    assert all(r.verdict.nonzero == r.verdict.predicate_nonzero == r.hom_nonzero for r in verdicts)
+    scan, _ = periods.branch_scan_x2(4, 16, 786, "g2", targets_x2)
+    assert len(scan.nonzeros) == 387 and all(scan.nonzeros) and scan.nonzeros == scan.predicates
     with pytest.raises(ToleranceError, match=r"^period value inf is not a normal double at degrees \(386, 0\)$"):
-        verdicts[0].verdict.value
+        periods.branching_verdicts_x2(4, 16, 786, "g2", targets_x2)
     code, out, err = run(["branch", "--p", "4", "--q", "16", "--lambda-x2", "786", "--subgroup", "g2",
                           "--max-target-x2", "785"])
     assert (code, out, err) == (4, "", "error: period value inf is not a normal double at degrees (386, 0)\n")

@@ -436,6 +436,12 @@ class TestKTypeWitness:
             assert nonzero
             assert value == pytest.approx(math.exp(log_k) * zonal_norm_sq_closed(b, n - 1), rel=1e-9)
 
+    def test_a_value_past_the_double_range_is_refused(self):
+        # K |Z_0|^2 grows like 200!: the verdict holds, and the value is refused as every printed number is
+        with pytest.raises(ToleranceError, match=r"^witness value inf is not a normal double at degrees \(200, 0\)$"):
+            ktype_pairing_nonzero(200, 0, 4)
+        assert ktype_pairings_nonzero(200, [0], 4) == [True]
+
     @pytest.mark.parametrize("b", [199, 200, 201])
     def test_high_degree_matches_branching(self, b):
         nonzero, _ = ktype_pairing_nonzero(200, b, 6)

@@ -78,7 +78,7 @@ class TestPeriodG2:
         assert verdict.value == pytest.approx(expected, rel=1e-9)
         assert verdict.converges and verdict.nonzero and verdict.predicate_nonzero
         assert verdict.parity_match
-        assert verdict.degree_pair == (1, 1)
+        assert (verdict.degree_a, verdict.degree_target) == (1, 1)
 
     def test_convergent_but_vanishing(self):
         verdict = period_integral_G2(4, 4, 2, H(5))
@@ -125,7 +125,7 @@ class TestPeriodG1:
         for nu in (1, 3, 4):
             verdict = period_integral_G1(5, 4, H(3), nu)
             assert not verdict.nonzero and not verdict.predicate_nonzero
-            a, c = verdict.degree_pair
+            a, c = verdict.degree_a, verdict.degree_target
             scale = math.sqrt(zonal_norm_sq(a, 4) * zonal_norm_sq(c, 4))
             assert abs(verdict.pairing_factor) <= 1e-10 * scale
 
@@ -135,7 +135,7 @@ class TestPeriodG1:
         for c in (a - 2, a + 2):
             lam, nu = H(2 * a + 1), H(2 * c + 2)
             verdict = period_integral_G1(5, 4, lam, nu)
-            assert verdict.degree_pair == (a, c)
+            assert (verdict.degree_a, verdict.degree_target) == (a, c)
             scale = math.sqrt(zonal_norm_sq(a, 4) * zonal_norm_sq(c, 4))
             assert abs(verdict.pairing_factor) / scale <= 1e-12
             assert not verdict.nonzero
@@ -160,13 +160,13 @@ class TestPeriodsG1Batched:
                     continue
                 top = 2 * (a + 2) + 2 - (p - 1 - q)  # target degrees c = 0..a+2
                 nus = valid_targets(p, q, "g1", top)
-                batch = [row.verdict for row in branching_verdicts(p, q, lam, "g1", nus)]
+                batch = branching_verdicts(p, q, lam, "g1", nus)
                 ambient = make_fj_param(p, q, lam)
-                assert [v.degree_pair for v in batch] == [(a, c) for c in range(a + 3 - len(nus), a + 3)]
-                for nu, v in zip(nus, batch):
+                assert [row.target_x2 for row in batch] == [doubled(nu) for nu in nus]
+                for nu, c, v in zip(nus, range(a + 3 - len(nus), a + 3), batch):
                     single = period_integral_G1(p, q, lam, nu)
-                    assert v.nonzero == single.nonzero == v.predicate_nonzero, (p, q, a, nu)
-                    assert v.degree_pair == single.degree_pair
+                    assert v.nonzero == single.nonzero == v.predicate, (p, q, a, nu)
+                    assert (single.degree_a, single.degree_target) == (a, c)
                     target = make_fj_param(p, q, nu, SpaceTag.G1_SPACE)
                     c_exp = q - 1 + ambient.decay_exponent + target.decay_exponent
                     scale = (
@@ -174,7 +174,7 @@ class TestPeriodsG1Batched:
                         * zonal_norm_sq_closed(a, q)
                         * radial_integral_closed(p - 2, float(c_exp))
                     )
-                    if v.predicate_nonzero:
+                    if v.predicate:
                         assert abs(v.value - scale) <= 1e-12 * scale, (p, q, a, nu)
                         assert abs(single.value - scale) <= 1e-12 * scale, (p, q, a, nu)
                     else:
@@ -203,68 +203,69 @@ class TestPeriodsG1Batched:
 
     @pytest.mark.parametrize("p", [5, 6, 7])
     def test_matches_one_element_calls(self, p):
-        # a scan's records are field for field those of the one-target calls, and so is every number they print
+        # a scan's rows are, field for field, the one-target records, and so is every number they print
         for q in range(4, 8):
             for a in (0, 1, 4, 16, 48):
                 lam = H(2 * a + 2 - (p - q))
                 if not lam > 0:
                     continue
                 nus = valid_targets(p, q, "g1", 2 * (a + 2) + 2 - (p - 1 - q))  # c up to a + 2
-                batch = [row.verdict for row in branching_verdicts(p, q, lam, "g1", nus)]
+                batch = branching_verdicts(p, q, lam, "g1", nus)
                 assert len(batch) == len(nus)
                 for nu, v in zip(nus, batch):
                     case = (p, q, a, nu)
                     single = period_integral_G1(p, q, lam, nu)
-                    assert v == single and v.nonzero == v.predicate_nonzero, case
-                    assert v.to_json_dict() == single.to_json_dict(), case
-                    assert (v.value != 0.0) == (v.degree_pair == (a, a)) == (v.err_est != 0.0), case
+                    assert _row_fields(v) == _row_fields(single) and v.nonzero == v.predicate, case
+                    assert single.degree_a == a, case
+                    assert (v.value != 0.0) == (single.degree_target == a) == (v.err != 0.0), case
 
     def test_a_zero_row_builds_its_radial_factor_when_read(self, monkeypatch):
-        # off the diagonal the value is an exact 0.0 with no Wallis factor; the factor, read, is the closed form
+        # off the diagonal a row's value is an exact 0.0 with no Wallis factor; the factor, read from the
+        # target's `period` record, is the closed form
         wallis = _count_calls(monkeypatch, periods, "wallis_exact")
         p, q, lam = 5, 4, H(97)  # a = 48
         nus = valid_targets(p, q, "g1", 102)
-        rows = [row.verdict for row in branching_verdicts(p, q, lam, "g1", nus)]
-        zeros = [v for v in rows if v.degree_pair[1] != 48]
-        assert len(zeros) == 50 and all(v.value == 0.0 and v.err_est == 0.0 for v in zeros)
-        assert wallis == []
+        rows = branching_verdicts(p, q, lam, "g1", nus)
+        zeros = [(nu, v) for nu, v in zip(nus, rows) if v.target_x2 != 98]
+        assert len(zeros) == 50 and all(v.value == 0.0 and v.err == 0.0 for _, v in zeros)
+        assert wallis == [(p - 2, 97)]  # the diagonal row's, m = (97 + 98 - 1) / 2
+        wallis.clear()
         ambient = make_fj_param(p, q, lam)
-        for nu, v in zip(nus, rows):
-            if v.degree_pair[1] == 48:
-                continue
+        for nu, v in zeros:
+            record = period_integral_G1(p, q, lam, nu)
             c_exp = q - 1 + ambient.decay_exponent + make_fj_param(p, q, nu, SpaceTag.G1_SPACE).decay_exponent
-            assert v.radial_exact == wallis_exact(p - 2, int(-(p - 2 + c_exp)) - 1), nu
-            assert v.radial_factor.hex() == radial_integral_closed(p - 2, float(c_exp)).hex(), nu
-        assert len(wallis) == len(zeros)  # once per record, on its first read
+            assert wallis[-1] == (p - 2, int(-(p - 2 + c_exp)) - 1), nu
+            assert record.radial_factor.hex() == radial_integral_closed(p - 2, float(c_exp)).hex(), nu
+        assert len(wallis) == len(zeros)  # once per record
 
     def test_a_scan_builds_the_wallis_factor_of_its_diagonal_row_only(self, monkeypatch, capsys):
-        # a = 100 at (5, 4) against c = 0..102: only the c = a row prints a nonzero value; the rows
-        # build it from the scan's columns (`exact.wallis_exact`), and no verdict object builds one
-        wallis = _count_calls(monkeypatch, exact, "wallis_exact")
-        verdict_wallis = _count_calls(monkeypatch, periods, "wallis_exact")
+        # a = 100 at (5, 4) against c = 0..102: only the c = a row prints a nonzero value, and only
+        # that row builds its Wallis factor
+        wallis = _count_calls(monkeypatch, periods, "wallis_exact")
         assert main(["branch", "--p", "5", "--q", "4", "--lambda-x2", "201", "--subgroup", "g1",
                      "--max-target-x2", "206"]) == 0
         rows = json.loads(capsys.readouterr().out)
         assert len(rows) == 103 and [r["target_x2"] for r in rows if r["value"]] == [202]
-        assert (wallis, verdict_wallis) == ([(3, 201)], [])
+        assert wallis == [(3, 201)]
 
 
 class TestPeriodsG2Batched:
     @pytest.mark.parametrize("p", [4, 5, 6])
     def test_matches_one_element_calls(self, p):
         # a scan's witness rows and verdicts are bitwise those of the one-target
-        # witness calls, and so are its exact radial factors
+        # witness records
         for q in range(5, 9):
             for a in range(21):
                 lam = H(2 * a + 2 - (p - q))
                 mus = valid_targets(p, q, "g2", 2 * (a + 2) + 2 - (p - q + 1))  # b up to a + 2
-                batch = [row.verdict for row in branching_verdicts(p, q, lam, "g2", mus)]
+                batch = branching_verdicts(p, q, lam, "g2", mus)
                 assert len(batch) == len(mus)
                 for mu, v in zip(mus, batch):
                     case = (p, q, a, mu)
-                    assert v.degree_pair[0] == a and v.witness_used, case
-                    assert v.nonzero == v.predicate_nonzero, case
-                    assert v == period_integral_G2(p, q, lam, mu, use_witness=True), case
+                    single = period_integral_G2(p, q, lam, mu, use_witness=True)
+                    assert single.degree_a == a and single.witness_used, case
+                    assert v.nonzero == v.predicate, case
+                    assert _row_fields(v) == _row_fields(single), case
 
     def test_divergence(self):
         with pytest.raises(DivergenceError):
@@ -284,6 +285,15 @@ def _count_calls(monkeypatch, module, name):
 
     monkeypatch.setattr(module, name, counted)
     return calls
+
+
+def _row_fields(record):
+    """The fields a `branch` row and a `period` record share, by the row's names; floats by their bits."""
+    fields = record._asdict()
+    if isinstance(record, periods.PeriodVerdict):
+        fields.update(predicate=record.predicate_nonzero, err=record.err_est, parity=record.parity_match)
+    names = ("p", "q", "lambda_x2", "subgroup", "target_x2", "converges", "nonzero", "predicate", "parity")
+    return {**{k: fields[k] for k in names}, "value": fields["value"].hex(), "err": fields["err"].hex()}
 
 
 G1_GOLDEN_SCAN = ("--p", "5", "--q", "4", "--lambda-x2", "97", "--subgroup", "g1", "--max-target-x2", "102")
@@ -364,10 +374,10 @@ def factor_grid():
     """(a, m, lambda_x2 + target_x2, sp, radial_factor, sphere_factor) of each period on the exact-factor grid.
 
     The grid: p, q in {4, 7, 10, 13, 16}, every 5th valid lambda <= 200, both
-    subgroups and every 3rd convergent target <= 200.  The factors do not read the
-    pairing, so a constant Gram row, witness and pairing stand in for the zonal layer; the
-    Wallis exponents of sin^a cos^m are recorded as the periods pass them to
-    `wallis_exact`.
+    subgroups and every 3rd convergent target <= 200, each a `period` record.  The factors
+    do not read the pairing, so a constant Gram row, witness and pairing stand in for the
+    zonal layer; the Wallis exponents of sin^a cos^m are recorded as the periods pass them
+    to `wallis_exact`.
     """
     exponents, rows = [], []
 
@@ -388,9 +398,10 @@ def factor_grid():
                         targets = fjrep.valid_lambdas_x2(p, q, 400, SpaceTag(sub))[::3]
                         targets = [t for t in targets if lam_x2 + t > -1]
                         sp = p - 1 if sub == "g1" else p
-                        verdicts = periods.branching_verdicts_x2(p, q, lam_x2, sub, targets)
-                        for t_x2, row in zip(targets, verdicts, strict=True):
-                            rows.append((lam_x2 + t_x2, sp, row.verdict.radial_factor, row.verdict.sphere_factor))
+                        period = periods.period_integral_G1 if sub == "g1" else periods.period_integral_G2
+                        for t_x2 in targets:
+                            record = period(p, q, H(lam_x2), H(t_x2))
+                            rows.append((lam_x2 + t_x2, sp, record.radial_factor, record.sphere_factor))
     return [(*exps, *row) for exps, row in zip(exponents, rows, strict=True)]
 
 
@@ -442,15 +453,15 @@ class TestParametersBuiltOnce:
 class TestBranchingVerdict:
     def test_g2_example(self):
         res = branching_verdict(4, 4, 2, "g2", H(3))
-        assert res.hom_nonzero
-        assert not res.admissible_restriction
+        assert res.predicate
+        assert not res.admissible
 
     def test_g1_examples(self):
         res = branching_verdict(4, 4, 2, "g1", H(5))
-        assert res.hom_nonzero
-        assert res.admissible_restriction
+        assert res.predicate
+        assert res.admissible
         res = branching_verdict(4, 4, 2, "g1", H(3))
-        assert not res.hom_nonzero
+        assert not res.predicate
 
     def test_unknown_subgroup(self):
         with pytest.raises(InvalidParameterError):
@@ -511,7 +522,7 @@ class TestInterlacing:
                             if doubled(target) <= doubled(lam)
                             else InterlaceClass.INFINITE_TYPE_1
                         )
-                        assert row.interlace is expected, (p, q, lam, subgroup, target)
+                        assert row.interlace == expected.value, (p, q, lam, subgroup, target)
 
     def test_equal_first_entries_case(self):
         # nu = lambda + 1/2 forces b1 = a1; only the non-strict first
