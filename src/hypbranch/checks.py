@@ -8,8 +8,8 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 
@@ -20,8 +20,7 @@ from .numerics import gauss_legendre_rule, sphere_rule
 __all__ = ["CheckResult", "SUITES", "run_suite"]
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     name: str
     passed: bool
     detail: str = ""

@@ -26,7 +26,7 @@ from fractions import Fraction
 
 # Only the standard library and modules built on it load here: `branch` and `period` import
 # periods, and `check` imports checks, when they run, so fj, packet, help and usage errors load no numpy.
-from .errors import DivergenceError, InvalidParameterError, ToleranceError
+from .errors import DivergenceError, ToleranceError
 from .fjrep import FJParam, SpaceTag, degree_x2, valid_lambdas_x2
 from .packets import RealForm, arthur_packet, pure_inner_forms, relevant_pairs
 

@@ -10,9 +10,9 @@ non-negative integer.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from typing import NamedTuple
 
 from .errors import InvalidParameterError
 from .exact import doubled, normal_ratio, sphere_area_exact, wallis_exact, zonal_norm_sq_exact
@@ -34,20 +34,17 @@ class SpaceTag(Enum):
     G2_SPACE = "g2"
 
 
-@dataclass(frozen=True)
-class FJParam:
+class FJParam(NamedTuple("FJParam", [("p", int), ("q", int), ("lam_x2", int), ("tag", SpaceTag)])):
     """Parameter of a discrete-series generating function, lambda doubled; validated by `checked_degree`."""
 
-    p: int
-    q: int
-    lam_x2: int
-    tag: SpaceTag = SpaceTag.G_ON_H
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.p < 4 or self.q < 4:
-            raise InvalidParameterError(f"standing assumption p, q >= 4 violated: ({self.p}, {self.q})")
-        object.__setattr__(self, "tag", SpaceTag(self.tag))  # a tag given by its value, such as "g1"
-        checked_degree(self.p, self.q, self.lam_x2, self.tag)
+    def __new__(cls, p: int, q: int, lam_x2: int, tag: SpaceTag = SpaceTag.G_ON_H):
+        if p < 4 or q < 4:
+            raise InvalidParameterError(f"standing assumption p, q >= 4 violated: ({p}, {q})")
+        tag = SpaceTag(tag)  # a tag given by its value, such as "g1"
+        checked_degree(p, q, lam_x2, tag)
+        return super().__new__(cls, p, q, lam_x2, tag)
 
     @property
     def lam(self) -> Fraction:

@@ -8,7 +8,7 @@ cosh(t), with invariant measure sinh^{p-1}(t) cosh^{q-1}(t) dt dy dy'.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -34,36 +34,31 @@ RADIAL_NODES = 200
 TRUNCATED_NODES = 400
 
 
-@dataclass(frozen=True)
-class HyperboloidChart:
+class HyperboloidChart(NamedTuple("HyperboloidChart", [("p", int), ("q", int)])):
     """Signature data for X(p, q); the standing assumption is p, q >= 4."""
 
-    p: int
-    q: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.p < 4 or self.q < 4:
-            raise AssumptionError(f"standing assumption p, q >= 4 violated: ({self.p}, {self.q})")
+    def __new__(cls, p: int, q: int):
+        if p < 4 or q < 4:
+            raise AssumptionError(f"standing assumption p, q >= 4 violated: ({p}, {q})")
+        return super().__new__(cls, p, q)
 
 
-@dataclass(frozen=True)
-class ChartPoint:
-    """A point (y, y', t) with y in S^{p-1}, y' in S^{q-1}, t >= 0."""
+class ChartPoint(NamedTuple("ChartPoint", [("y", np.ndarray), ("y_prime", np.ndarray), ("t", float)])):
+    """A point (y, y', t) with y in S^{p-1}, y' in S^{q-1}, t >= 0; y and y' are stored as float arrays."""
 
-    y: np.ndarray
-    y_prime: np.ndarray
-    t: float
+    __slots__ = ()
 
-    def __post_init__(self):
-        y = np.asarray(self.y, dtype=float)
-        yp = np.asarray(self.y_prime, dtype=float)
-        if self.t < 0:
+    def __new__(cls, y, y_prime, t: float):
+        y = np.asarray(y, dtype=float)
+        yp = np.asarray(y_prime, dtype=float)
+        if t < 0:
             raise InvalidParameterError("radial coordinate t must be >= 0")
         for name, vec in (("y", y), ("y_prime", yp)):
             if abs(np.linalg.norm(vec) - 1.0) > 1e-12:
                 raise InvalidParameterError(f"{name} must be a unit vector (1e-12)")
-        object.__setattr__(self, "y", y)
-        object.__setattr__(self, "y_prime", yp)
+        return super().__new__(cls, y, yp, t)
 
 
 def q_form(u: np.ndarray, v: np.ndarray, p: int, q: int) -> float:

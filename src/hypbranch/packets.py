@@ -10,9 +10,9 @@ closed forms replace are oracles in ``tests/coset_oracle.py``.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from typing import NamedTuple
 
 from .errors import AssumptionError, InvalidParameterError
 from .exact import doubled
@@ -22,6 +22,7 @@ __all__ = [
     "InterlaceClass",
     "RealForm",
     "interlace_classify",
+    "interlace_classify_scan",
     "arthur_packet",
     "pure_inner_forms",
     "relevant_pairs",
@@ -44,17 +45,33 @@ def interlace_classify(a: list[int], b: list[int]) -> InterlaceClass:
     Finite type:      a1 > b1 > a2 > b2 > ... through the shorter sequence.
     Infinite type 1:  b1 >= a1 > a2 > b2 > a3 > b3 > ...  (first comparison
     non-strict; the a_i > b_i > a_{i+1} alternation resumes at i = 2).
+
+    The one-head case of `interlace_classify_scan`; an empty b, against an a of at most one entry, is finite type.
     """
-    m, n = len(a), len(b)
+    _check_lengths(len(a), len(b))
+    return interlace_classify_scan(a, b[:1], b[1:])[0] if b else InterlaceClass.FINITE_TYPE
+
+
+def interlace_classify_scan(a: list[int], heads: list[int], tail: list[int]) -> list[InterlaceClass]:
+    """`interlace_classify` of a against each sequence [head, *tail], one class per head.
+
+    The tail's alternation a_{i+1} > b_{i+1} > a_{i+2} is checked once; each head then takes two comparisons.
+    """
+    m = len(a)
+    _check_lengths(m, len(tail) + 1)
+    if not (all(map(operator.gt, a[1:], tail)) and all(map(operator.gt, tail, a[2:]))):
+        return [InterlaceClass.NO_PATTERN] * len(heads)
+    if m < 2:  # no a2: finite type exactly when a1 > b1
+        return [InterlaceClass.FINITE_TYPE if a[0] > h else InterlaceClass.NO_PATTERN for h in heads]
+    a1, a2 = a[0], a[1]
+    at_or_above_a1 = InterlaceClass.INFINITE_TYPE_1 if a1 > a2 else InterlaceClass.NO_PATTERN  # the class of b1 >= a1
+    return [InterlaceClass.FINITE_TYPE if a1 > h > a2 else at_or_above_a1 if h >= a1 else InterlaceClass.NO_PATTERN
+            for h in heads]
+
+
+def _check_lengths(m: int, n: int) -> None:
     if n not in (m - 1, m):
         raise InvalidParameterError(f"length mismatch: need n in {{m-1, m}}, got m={m}, n={n}")
-    # a_i > b_i and b_i > a_{i+1} for every i the shorter sequence reaches
-    if all(map(operator.gt, a, b)) and all(map(operator.gt, b, a[1:])):
-        return InterlaceClass.FINITE_TYPE
-    tail_alternates = all(map(operator.gt, a[1:], b[1:])) and all(map(operator.gt, b[1:], a[2:]))
-    if m >= 2 and b[0] >= a[0] > a[1] and tail_alternates:
-        return InterlaceClass.INFINITE_TYPE_1
-    return InterlaceClass.NO_PATTERN
 
 
 def arthur_packet(p: int, q: int, lam) -> dict:
@@ -103,16 +120,15 @@ def arthur_packet(p: int, q: int, lam) -> dict:
     }
 
 
-@dataclass(frozen=True, order=True)
-class RealForm:
-    """Signature (p_sig, q_sig) of the real form SO0(p_sig, q_sig)."""
+class RealForm(NamedTuple("RealForm", [("p_sig", int), ("q_sig", int)])):
+    """Signature (p_sig, q_sig) of the real form SO0(p_sig, q_sig): a tuple, ordered as one."""
 
-    p_sig: int
-    q_sig: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.p_sig < 0 or self.q_sig < 0:
+    def __new__(cls, p_sig: int, q_sig: int):
+        if p_sig < 0 or q_sig < 0:
             raise InvalidParameterError("signature entries must be >= 0")
+        return super().__new__(cls, p_sig, q_sig)
 
     @property
     def total(self) -> int:
@@ -169,8 +185,7 @@ def admissibility_table(member: str, subgroup: str) -> bool:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ConjectureReport:
+class ConjectureReport(NamedTuple):
     support_s: tuple[Fraction, ...]
     support_as: tuple[Fraction, ...]
     disjoint: bool

@@ -18,7 +18,7 @@ from .exact import doubled, normal_ratio, pairing_subsphere_exact, sphere_area_e
 from .exact import wallis_exact, witness_pairing_exact, zonal_norm_sq_exact
 from .fjrep import FJParam, SpaceTag, checked_degree, inf_char_x2, make_fj_param, tag_signature, valid_lambdas
 from .harmonics import GRAM_RATIO_TOL, MAX_SCAN_DEGREE, ktype_pairings_nonzero, zonal_gram
-from .packets import InterlaceClass, interlace_classify
+from .packets import InterlaceClass, interlace_classify_scan
 
 __all__ = [
     "PeriodVerdict",
@@ -231,14 +231,14 @@ def period_integral_G1(p: int, q: int, lam, nu) -> PeriodVerdict:
 
 
 def _interlace_classes(ambient: FJParam, targets_x2) -> list[InterlaceClass]:
-    """`interlace_classify` of the ambient character against each target's.
+    """`interlace_classify` of the ambient character against each target's, in one `interlace_classify_scan`.
 
     The ambient character is built once; a target's character is its first
     entry t + (N-1)/2 followed by a tail that depends only on N = p + q.
     """
     ambient_x2 = inf_char_x2(ambient.total, ambient.lam_x2)
     head_x2, *tail_x2 = inf_char_x2(ambient.total - 1, 0)
-    return [interlace_classify(ambient_x2, [head_x2 + t, *tail_x2]) for t in targets_x2]
+    return interlace_classify_scan(ambient_x2, [head_x2 + t for t in targets_x2], tail_x2)
 
 
 def interlace_class_for_pair(p: int, q: int, lam, target, subgroup: str) -> InterlaceClass:

@@ -13,7 +13,7 @@ import pytest
 
 from hypbranch.errors import DivergenceError, InvalidParameterError
 from hypbranch.exact import doubled
-from hypbranch.fjrep import SpaceTag, inf_char, is_self_dual, l2_norm_sq, make_fj_param
+from hypbranch.fjrep import SpaceTag, is_self_dual, l2_norm_sq, make_fj_param
 from hypbranch.geometry import radial_integral_closed, radial_integral_numeric, radial_integral_truncated
 from hypbranch.harmonics import fj_eval, ktype_pairing_nonzero, zonal_norm_sq_closed
 from hypbranch.packets import (

@@ -954,7 +954,8 @@ COLD_PROBES = [
 def test_cold_start_imports(run, code, loads_numpy, loads_argparse):
     # scipy is a test dependency only, so the installed CLI runs on numpy alone; `fj`, `packet`,
     # help and usage errors are exact or argparse's own, so they run on the standard library alone;
-    # and a canonical argv is read from the verb table, so only help and usage errors load argparse
+    # a canonical argv is read from the verb table, so only help and usage errors load argparse;
+    # and every record is a NamedTuple, so no probe loads dataclasses, nor a numpy-free one inspect
     if isinstance(run, list):
         run = (
             "from hypbranch.cli import main\n"
@@ -963,12 +964,14 @@ def test_cold_start_imports(run, code, loads_numpy, loads_argparse):
         )
     probe = (
         f"import contextlib, io, sys\ncode = None\n{run}\n"
-        "print(code, 'numpy' in sys.modules, 'scipy' in sys.modules, 'argparse' in sys.modules)"
+        "print(code, *(name in sys.modules for name in ('numpy', 'scipy', 'argparse', 'dataclasses', 'inspect')))"
     )
     out = subprocess.run(
         [sys.executable, "-c", probe], env=_subprocess_env(), capture_output=True, text=True, check=True
     )
-    assert out.stdout.split() == [str(code), str(loads_numpy), "False", str(loads_argparse)]
+    *loaded, loads_inspect = out.stdout.split()
+    assert loaded == [str(code), str(loads_numpy), "False", str(loads_argparse), "False"]
+    assert loads_numpy or loads_inspect == "False"
 
 
 def test_lazy_exports_resolve_to_their_home_modules():

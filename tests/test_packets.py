@@ -1,4 +1,5 @@
 import itertools
+import random
 import time
 from collections import Counter
 from fractions import Fraction
@@ -16,6 +17,7 @@ from hypbranch.packets import (
     conjecture_explore,
     default_support_predicates,
     interlace_classify,
+    interlace_classify_scan,
     pure_inner_forms,
     relevant_pairs,
 )
@@ -138,28 +140,52 @@ class TestInterlace:
             interlace_classify([6, 4], [2, 0, -2, -4])
 
     def test_matches_chain_loops(self):
-        # the reference: the a_i > b_i > a_{i+1} chains as explicit loops over
-        # Fraction entries, on every pair of decreasing sequences from -2 to 2
-        def chain(a, b, start):
-            for i in range(start, len(b)):
-                if not a[i] > b[i] or (i + 1 < len(a) and not b[i] > a[i + 1]):
-                    return False
-            return True
-
-        def reference(a, b):
-            if chain(a, b, 0):
-                return InterlaceClass.FINITE_TYPE
-            if len(a) >= 2 and b[0] >= a[0] > a[1] and chain(a, b, 1):
-                return InterlaceClass.INFINITE_TYPE_1
-            return InterlaceClass.NO_PATTERN
-
+        # every pair of decreasing sequences from -2 to 2, against the explicit loops over Fraction entries
         values = [H(t) for t in range(4, -5, -1)]
         for m in range(5):
             for a in itertools.combinations(values, m):
                 for n in {max(m - 1, 0), m}:
                     for b in itertools.combinations(values, n):
                         args = ([doubled(v) for v in a], [doubled(v) for v in b])
-                        assert interlace_classify(*args) is reference(a, b), (a, b)
+                        assert interlace_classify(*args) is _chain_reference(a, b), (a, b)
+
+    def test_scan_matches_per_pair_classes(self):
+        # a seeded grid: a interlaced with the tail, or drawn at random (not always decreasing), and every
+        # head from below a's last entry to above its first, against the reference one pair at a time
+        rng = random.Random(36)
+        for _ in range(400):
+            m = rng.randint(1, 6)
+            n = rng.choice([k for k in (m - 1, m) if k >= 1])
+            if rng.random() < 0.5:
+                chain = sorted(rng.sample(range(-20, 21), m + n), reverse=True)
+                a, tail = chain[0::2], chain[3::2]
+            else:
+                a, tail = rng.sample(range(-20, 21), m), sorted(rng.sample(range(-20, 21), n - 1), reverse=True)
+            heads = list(range(-22, 23))
+            expected = [_chain_reference(a, [h, *tail]) for h in heads]
+            assert interlace_classify_scan(a, heads, tail) == expected, (a, tail)
+            assert [interlace_classify(a, [h, *tail]) for h in heads] == expected, (a, tail)
+        with pytest.raises(InvalidParameterError, match="length mismatch"):
+            interlace_classify_scan([6, 4], [2], [0, -2])
+
+    def test_scan_matches_closed_form_on_valid_scans(self):
+        # test-only oracle: against a valid target the character tails interlace, so the class is finite type
+        # exactly when target <= lambda, and infinite type 1 otherwise
+        for p in range(4, 17):
+            for q in range(4, 17):
+                total = p + q
+                tail_head, *tail = fjrep.inf_char_x2(total - 1, 0)
+                for sub in ("g1", "g2"):
+                    targets_x2 = fjrep.valid_lambdas_x2(p, q, 60, fjrep.SpaceTag(sub))
+                    for lam_x2 in fjrep.valid_lambdas_x2(p, q, 40):
+                        classes = interlace_classify_scan(
+                            fjrep.inf_char_x2(total, lam_x2), [tail_head + t for t in targets_x2], tail
+                        )
+                        expected = [
+                            InterlaceClass.FINITE_TYPE if t <= lam_x2 else InterlaceClass.INFINITE_TYPE_1
+                            for t in targets_x2
+                        ]
+                        assert classes == expected, (p, q, sub, lam_x2)
 
     def test_tags_mutually_exclusive(self):
         # finite requires a1 > b1, infinite requires b1 >= a1
@@ -168,6 +194,22 @@ class TestInterlace:
             b = [b1, 5, 3]
             cls = interlace_classify(a, b)
             assert cls in InterlaceClass
+
+
+def _chain_reference(a, b):
+    """The interlace class by its a_i > b_i > a_{i+1} chains, as explicit loops."""
+
+    def chain(start):
+        for i in range(start, len(b)):
+            if not a[i] > b[i] or (i + 1 < len(a) and not b[i] > a[i + 1]):
+                return False
+        return True
+
+    if chain(0):
+        return InterlaceClass.FINITE_TYPE
+    if len(a) >= 2 and b[0] >= a[0] > a[1] and chain(1):
+        return InterlaceClass.INFINITE_TYPE_1
+    return InterlaceClass.NO_PATTERN
 
 
 def _setup(p, q):

@@ -439,7 +439,7 @@ class TestParametersBuiltOnce:
         # share); the targets stay doubled ints, whatever the row count: the scan
         # reads no half-integer through `doubled`
         modules = (fjrep, periods, packets, cli)
-        params = _count_calls(monkeypatch, fjrep.FJParam, "__post_init__")
+        params = _count_calls(monkeypatch, fjrep.FJParam, "__new__")  # every construction, wherever named
         reads = [_count_calls(monkeypatch, m, "doubled") for m in modules if hasattr(m, "doubled")]
         chars = _count_calls(monkeypatch, periods, "inf_char_x2")
         assert main(["branch", *argv]) == 0

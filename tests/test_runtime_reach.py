@@ -51,6 +51,7 @@ VERBS = [
 ALLOWED_UNREACHED = {
     "cli.entry",
     "harmonics.ktype_pairing_nonzero",
+    "packets.interlace_classify",
     "periods.branching_verdict",
     "periods.interlace_class_for_pair",
     "periods.nonvanishing_G1",
