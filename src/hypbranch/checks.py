@@ -58,6 +58,12 @@ def quadrature_suite(seed: int = 0) -> list[CheckResult]:
     return out
 
 
+def _gegenbauer_table(top: int, nu: float, x: np.ndarray) -> np.ndarray:
+    """Row k is gegenbauer(k, nu, x), bit for bit, for k <= top: one `_gegenbauer_rows` pass times its own scales."""
+    scales = [math.prod((nu + j - 1) / j for j in range(1, k + 1)) for k in range(top + 1)]  # (nu)_k / k!
+    return np.array(scales, dtype=float)[:, None] * harmonics._gegenbauer_rows(top, nu, x, range(top + 1))[0]
+
+
 def harmonics_suite(seed: int = 0) -> list[CheckResult]:
     out = []
     norm_sq = functools.cache(harmonics.zonal_norm_sq_closed)  # each (degree, sphere) once per run
@@ -70,11 +76,10 @@ def harmonics_suite(seed: int = 0) -> list[CheckResult]:
 
     worst = 0.0
     for n in (4, 5, 6):
-        # every subsphere pairing of degrees a, b < 7 by quadrature, against its exact value
+        # every subsphere pairing of degrees a, b < 7 by quadrature, against its exact value: one pass per order
         x, w = sphere_rule(12, n - 4)
-        subs = [harmonics.sphere_area(n - 2) * w * harmonics.gegenbauer(b, (n - 3) / 2.0, x) for b in range(7)]
-        for a in range(7):
-            zonal = harmonics.gegenbauer(a, (n - 2) / 2.0, x)
+        subs = harmonics.sphere_area(n - 2) * w * _gegenbauer_table(6, (n - 3) / 2.0, x)
+        for a, zonal in enumerate(_gegenbauer_table(6, (n - 2) / 2.0, x)):
             for b, sub in enumerate(subs):
                 scale = math.sqrt(norm_sq(a, n) * norm_sq(b, n - 1))
                 worst = max(worst, abs(float(zonal @ sub) - harmonics.pairing_subsphere(a, b, n)) / scale)
@@ -82,10 +87,11 @@ def harmonics_suite(seed: int = 0) -> list[CheckResult]:
 
     worst = 0.0
     for n in (4, 5, 6):
-        for a in range(9):
-            # |Z_a|^2 by quadrature on the sphere rule exact to degree 2a, against its closed form
-            x, w = sphere_rule(2 * a, n - 3)
-            quadrature = float(harmonics.gegenbauer(a, (n - 2) / 2.0, x) ** 2 @ (harmonics.sphere_area(n - 1) * w))
+        # |Z_a|^2, a <= 8, by quadrature against its closed form: the rule exact to degree 2a is the one exact to 16
+        x, w = sphere_rule(16, n - 3)
+        weights = harmonics.sphere_area(n - 1) * w
+        for a, zonal in enumerate(_gegenbauer_table(8, (n - 2) / 2.0, x)):
+            quadrature = float(zonal**2 @ weights)
             closed = norm_sq(a, n)
             worst = max(worst, abs(closed - quadrature) / closed)
     out.append(_result("zonal_norm_closed_vs_quadrature", worst <= 1e-10, f"max rel {worst:.2e}"))
@@ -100,27 +106,32 @@ def harmonics_suite(seed: int = 0) -> list[CheckResult]:
     return out
 
 
+_DECAY_COMBOS = ((4, 4, 2), (4, 4, 4), (4, 4, 6), (4, 6, 4), (4, 6, 6), (4, 6, 8), (5, 5, 2), (5, 5, 4), (4, 5, 3))
+
+
+def _gegenbauer_at_one(a: int, nu: float) -> float:
+    """C_a^nu(1) = (2nu)_a / a! (DLMF 18.14(i)), the max of |C_a^nu| on [-1, 1] for nu > 0, at integral 2nu."""
+    return float(math.comb(a + round(2 * nu) - 1, a))
+
+
 def decay_suite(seed: int = 0) -> list[CheckResult]:
     rng = np.random.default_rng(seed)
-    combos = [(4, 4, 2), (4, 4, 4), (4, 4, 6), (4, 6, 4), (4, 6, 6), (4, 6, 8), (5, 5, 2), (5, 5, 4), (4, 5, 3)]
-    bound_ok = True
-    params = [fjrep.FJParam(p, q, lam_x2) for p, q, lam_x2 in combos]
-    rates = np.array([-float(param.decay_exponent) for param in params])
-    xs, fit_ts, log_vals = np.linspace(-1.0, 1.0, 2001), np.linspace(2.0, 10.0, 64), []
-    for param, rate in zip(params, rates.tolist()):
-        max_f = float(np.max(np.abs(harmonics.gegenbauer(param.degree, (param.q - 2) / 2.0, xs))))
-        c_const = 2.0**rate * max_f
-        # 100 random points per parameter, from one draw of directions and one of t
-        vecs = rng.normal(size=(100, param.q))
-        vecs /= np.linalg.norm(vecs, axis=1, keepdims=True)
-        ts = rng.uniform(1.0, 10.0, size=100)
-        if np.any(np.abs(harmonics.fj_eval(param, vecs, ts)) > c_const * np.exp(-rate * ts) + 1e-12):
-            bound_ok = False
-        pole = np.zeros(param.q)
-        pole[-1] = 1.0
-        log_vals.append(np.log(np.abs(harmonics.fj_eval(param, pole, fit_ts))))
+    params = [fjrep.FJParam(p, q, lam_x2) for p, q, lam_x2 in _DECAY_COMBOS]
+    qs = np.array([param.q for param in params])
+    rates = np.array([fjrep.decay_x2(param.total, param.lam_x2) for param in params]) / -2.0
+    c_consts = 2.0**rates * np.array([_gegenbauer_at_one(param.degree, (param.q - 2) / 2.0) for param in params])
+    # parameter i's 100 random points y', then 64 on its zonal pole (the last axis), in its last q_i columns
+    ys = np.zeros((len(params), 164, qs.max()))
+    inside = np.broadcast_to(np.arange(-qs.max(), 0) >= -qs[:, None, None], (len(params), 100, qs.max()))
+    ys[:, :100][inside] = rng.normal(size=100 * qs.sum())  # one draw of directions for all nine
+    ys[:, :100] /= np.linalg.norm(ys[:, :100], axis=2, keepdims=True)
+    ys[:, 100:, -1] = 1.0
+    ts, fit_ts = rng.uniform(1.0, 10.0, size=(len(params), 100)), np.linspace(2.0, 10.0, 64)
+    # one fj_eval call per parameter, its random points first
+    values = np.abs([harmonics.fj_eval(pm, y[:, -pm.q :], np.append(t, fit_ts)) for pm, y, t in zip(params, ys, ts)])
+    bound_ok = not np.any(values[:, :100] > c_consts[:, None] * np.exp(-rates[:, None] * ts) + 1e-12)
     # the nine log-slopes share their abscissa: one least-squares fit, one column each
-    rels = np.abs(np.polyfit(fit_ts, np.array(log_vals).T, 1)[0] + rates) / rates
+    rels = np.abs(np.polyfit(fit_ts, np.log(values[:, 100:]).T, 1)[0] + rates) / rates
     detail = " ".join(f"{param.p},{param.q},{param.lam}:{rel:.4f}" for param, rel in zip(params, rels))
     return [
         _result("decay_bound", bound_ok, "C = 2^rate * max|f_a|"),

@@ -193,28 +193,26 @@ class ConjectureReport(NamedTuple):
 
 
 def default_support_predicates(p: int, q: int, lam, subgroup: str):
-    """Model-level support predicates for the two packet members on a subgroup.
+    """Model-level support predicates for the two packet members on a subgroup, on half-integer targets.
 
     The "s" member follows the proven criteria (equality on g1, inequality
     with non-negative degree on g2); the "as" member mirrors them, exchanging
-    the roles of the two sphere factors.  lambda and the targets are half-integers.
+    the roles of the two sphere factors.  The half-integer view of `_support_predicates_x2`.
     """
-    lam_x2 = doubled(lam)
+    pred_s, pred_as = _support_predicates_x2(p, q, doubled(lam), subgroup)
+    return (lambda t: pred_s(doubled(t))), (lambda t: pred_as(doubled(t)))
 
-    def equality(t) -> bool:
-        return doubled(t) == lam_x2 + 1
+
+def _support_predicates_x2(p: int, q: int, lam_x2: int, subgroup: str):
+    """The default support predicates on doubled targets t_x2 = 2t, for a doubled lambda."""
 
     def inequality(sp: int, sq: int):
         # the g2 criterion for the ambient X(sp, sq): t + 1/2 <= lambda and an
         # integral, non-negative target degree, whose double is t_x2 + offset_x2
         offset_x2 = degree_x2(sp, sq, 0, SpaceTag.G2_SPACE)
+        return lambda t_x2: t_x2 + 1 <= lam_x2 and (t_x2 + offset_x2) % 2 == 0 and t_x2 + offset_x2 >= 0
 
-        def pred(t) -> bool:
-            t_x2 = doubled(t)
-            return t_x2 + 1 <= lam_x2 and (t_x2 + offset_x2) % 2 == 0 and t_x2 + offset_x2 >= 0
-
-        return pred
-
+    equality = (lam_x2 + 1).__eq__
     sub = subgroup.lower()
     if sub == "g1":
         return equality, inequality(q, p)
@@ -232,10 +230,16 @@ def conjecture_explore(
     predicate_s=None,
     predicate_as=None,
 ) -> ConjectureReport:
-    """Evaluate both member supports over a grid of half-integers, passed on as Fractions; report disjointness."""
-    d_s, d_as = default_support_predicates(p, q, lam, subgroup)
-    predicate_s, predicate_as = predicate_s or d_s, predicate_as or d_as
-    grid = [Fraction(doubled(t), 2) for t in target_grid]
-    support_s = tuple(t for t in grid if predicate_s(t))
-    support_as = tuple(t for t in grid if predicate_as(t))
-    return ConjectureReport(support_s, support_as, set(support_s).isdisjoint(support_as))
+    """Evaluate both member supports over a grid of half-integers; report disjointness.
+
+    The grid is doubled once.  The default predicates read the doubled ints, a custom
+    predicate receives each grid value as a Fraction, and the supports hold Fractions.
+    """
+    defaults = _support_predicates_x2(p, q, doubled(lam), subgroup)
+    grid_x2 = [doubled(t) for t in target_grid]
+    supports_x2 = [
+        [t_x2 for t_x2 in grid_x2 if (custom(Fraction(t_x2, 2)) if custom else default(t_x2))]
+        for custom, default in zip((predicate_s, predicate_as), defaults)
+    ]
+    support_s, support_as = (tuple(Fraction(t_x2, 2) for t_x2 in support) for support in supports_x2)
+    return ConjectureReport(support_s, support_as, set(supports_x2[0]).isdisjoint(supports_x2[1]))

@@ -19,7 +19,7 @@ import pytest
 
 import hypbranch
 import sweep
-from hypbranch import cli, exact, fjrep, geometry, harmonics, numerics, periods
+from hypbranch import checks, cli, exact, fjrep, geometry, harmonics, numerics, periods
 from hypbranch.checks import SUITES, CheckResult, run_suite
 from hypbranch.cli import main
 from hypbranch.fjrep import SpaceTag, make_fj_param, valid_lambdas
@@ -711,7 +711,53 @@ class TestCheck:
 
         monkeypatch.setattr(np.random, "default_rng", SpiedGenerator)
         assert all(r.passed for r in run_suite("decay", 5))
-        assert 0 < calls["normal"] <= 9 and 0 < calls["uniform"] <= 9
+        assert calls["normal"] == 1 and calls["uniform"] == 1
+
+    def test_decay_makes_one_fj_eval_per_parameter(self, monkeypatch):
+        # each parameter's 100 random points and its 64 points on the pole go through one call
+        shapes = []
+        fj_eval = harmonics.fj_eval
+
+        def counted(param, y, t):
+            shapes.append((param.q, np.shape(y), np.shape(t), np.asarray(y)[100:, -1].tolist()))
+            return fj_eval(param, y, t)
+
+        monkeypatch.setattr(harmonics, "fj_eval", counted)
+        assert all(r.passed for r in run_suite("decay", 3))
+        assert [(q, y, t) for q, y, t, _ in shapes] == [(q, (164, q), (164,)) for _, q, _ in checks._DECAY_COMBOS]
+        assert all(pole == [1.0] * 64 for *_, pole in shapes)
+
+    def test_decay_constant_is_the_gegenbauer_peak(self):
+        # C_a^nu(1) = (2nu)_a / a! against the max of |C_a^nu| on the 2001-point grid the suite once scanned
+        grid = np.linspace(-1.0, 1.0, 2001)
+        for p, q, lam_x2 in checks._DECAY_COMBOS:
+            a, nu = fjrep.FJParam(p, q, lam_x2).degree, (q - 2) / 2.0
+            peak = float(np.max(np.abs(harmonics.gegenbauer(a, nu, grid))))
+            closed = checks._gegenbauer_at_one(a, nu)
+            assert abs(closed - peak) <= 2 * math.ulp(peak), (p, q, lam_x2, closed, peak)
+
+    def test_harmonics_suite_rows_are_gegenbauer_bit_for_bit(self, monkeypatch):
+        passes, gegenbauer_calls = [], []
+        table, gegenbauer = checks._gegenbauer_table, harmonics.gegenbauer
+
+        def recorded(top, nu, x):
+            rows = table(top, nu, x)
+            passes.append((top, nu, x, rows))
+            return rows
+
+        monkeypatch.setattr(checks, "_gegenbauer_table", recorded)
+        monkeypatch.setattr(harmonics, "gegenbauer", lambda *args: gegenbauer_calls.append(args) or gegenbauer(*args))
+        assert all(r.passed for r in run_suite("harmonics"))
+        assert gegenbauer_calls == []
+        # per sphere S^{n-1}, n = 4, 5, 6: the pairing's orders (n - 3) / 2 and (n - 2) / 2, then the norms' one
+        assert [(top, nu) for top, nu, _, _ in passes] == [
+            *((6, (n - k) / 2.0) for n in (4, 5, 6) for k in (3, 2)),
+            *((8, (n - 2) / 2.0) for n in (4, 5, 6)),
+        ]
+        for top, nu, x, rows in passes:
+            assert rows.shape == (top + 1, len(x))
+            for d, row in enumerate(rows):
+                assert row.tobytes() == gegenbauer(d, nu, x).tobytes(), (top, nu, d)
 
     def test_branching_suite_scans_once_per_ambient(self, monkeypatch):
         cases, scans, single_calls = set(), [], []

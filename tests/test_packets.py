@@ -429,6 +429,32 @@ class TestConjectureExplore:
             *((4, 6, lam_x2) for lam_x2 in (4, 6, 8, 10, 12)),
         ]
 
+    def test_explore_doubles_its_grid_once(self, monkeypatch):
+        # lambda and each of the 15 grid values are doubled once; the default predicates read the doubled ints
+        calls = []
+        monkeypatch.setattr(packets, "doubled", lambda value: calls.append(value) or doubled(value))
+        grid = [H(t) for t in range(1, 16)]
+        for p, q, lam, sub in ((4, 4, H(4), "g1"), (4, 6, H(6), "g2"), (5, 7, 3, "g2")):
+            calls.clear()
+            report = conjecture_explore(p, q, lam, sub, grid)
+            assert len(calls) <= 16, (p, q, lam, sub)
+            pred_s, pred_as = default_support_predicates(p, q, lam, sub)
+            assert report.support_s == tuple(t for t in grid if pred_s(t))
+            assert report.support_as == tuple(t for t in grid if pred_as(t))
+            assert all(type(t) is Fraction for t in report.support_s + report.support_as)
+
+    def test_custom_predicates_receive_fractions(self):
+        seen = []
+
+        def custom(t):
+            seen.append(t)
+            return t > 2
+
+        report = conjecture_explore(4, 4, 2, "g1", [1, 1.5, H(5), Fraction(6, 2)], predicate_as=custom)
+        assert seen == [1, H(3), H(5), 3] and all(type(t) is Fraction for t in seen)
+        assert report.support_as == (H(5), 3) and all(type(t) is Fraction for t in report.support_as)
+        assert report.support_s == (H(5),) and not report.disjoint
+
     def test_default_predicates_exact_halfint(self):
         pred_s, pred_as = default_support_predicates(4, 4, 2, "g2")
         assert pred_s(H(3)) and pred_s(H(1))
