@@ -4,8 +4,8 @@ The branching layer of the library: restriction pairings between a degree-a
 zonal harmonic on S^{n-1} and degree-b zonal harmonics on the equatorial
 subsphere S^{n-2}, together with a K-type witness certifying when the degree-b
 component of the restricted K-type can be reached at all.  Both branching
-verdicts, the g1 period and the g2 witness, read the one zonal Gram kernel
-:func:`zonal_gram`.
+verdicts read zonal Gram ratios of the same unit rows: the g1 period from
+:func:`zonal_gram`, the g2 witness from the witness table of its sphere rule.
 """
 
 from __future__ import annotations
@@ -51,6 +51,11 @@ def _recurrence(nu: float, length: int):
 # The checked degree range: the largest ambient degree a period and target degree a `branch` scan accept.
 # The zonal layer holds a Gram row per degree on a rule of about that many nodes, so memory grows with its square.
 MAX_SCAN_DEGREE = 400
+
+
+def _in_band(n: int, nodes: int) -> bool:
+    """Whether `_lattice` and `_witness_table` cache this sphere rule of S^{n-1}; past it each grows as degree^2."""
+    return n - 1 <= MAX_SPHERE_DIM and nodes <= sphere_nodes(2 * MAX_SCAN_DEGREE, n - 3)
 
 
 def _gegenbauer_rows(n: int, nu: float, x: np.ndarray, wanted, start=None):
@@ -139,6 +144,16 @@ GRAM_RATIO_TOL = 1e-8
 # A kernel row norm off 1 by more than this is lost weight mass.  Sampled to degree 4000 on n <= 128 the row
 # norms stay within 2.3e-13 of 1; rows let through at GRAM_RATIO_TOL carried off-diagonal ratios to 5.8e-9.
 ROW_NORM_TOL = 1e-12
+_LOST_ROW = "zonal row norm at degree {} on S^{} is {}, not 1"
+
+
+def _unit_rows(rows: np.ndarray, norm_sq: np.ndarray, w: np.ndarray):
+    """Scale the rows of a `_gegenbauer_rows` pass in place to sqrt(w) D_k / sqrt(sum(w) |D_k|^2), unit vectors
+    whose dot products are Gram ratios; returns each row's norm and whether it is off 1 by more than ROW_NORM_TOL."""
+    rows *= np.sqrt(w)
+    rows /= np.sqrt(w.sum() * norm_sq)[:, None]
+    norms = np.sqrt(np.einsum("ij,ij->i", rows, rows))
+    return norms, ~(np.abs(norms - 1.0) <= ROW_NORM_TOL)  # nan too
 
 
 # Far past the checked range D_k overflows or its norm underflows, and the row-norm test refuses
@@ -154,11 +169,9 @@ def zonal_gram(ks, targets, n: int) -> np.ndarray:
     ROW_NORM_TOL: weights below the float range have lost their mass, and the ratios would no
     longer be clear of GRAM_RATIO_TOL.  `ks` and `targets` are sequences of degrees.
 
-    A pass whose degrees are all SPHERE_NODE_STEP or more, on a rule of at most the nodes of the checked range,
-    sphere_nodes(2 MAX_SCAN_DEGREE, n - 3), and on a sphere whose zonal norm the exact layer answers,
-    n - 1 <= MAX_SPHERE_DIM, resumes from the rule's `_lattice` at the highest multiple of SPHERE_NODE_STEP at
-    or below its lowest degree: a pass to 402 shares the degree-400 rule on small spheres.  Any other pass runs
-    from degree 0 and touches no lattice: past the checked range one grows with degree^2.
+    A pass whose degrees are all SPHERE_NODE_STEP or more, on a rule in the checked band (`_in_band`), resumes
+    from the rule's `_lattice` at the highest multiple of SPHERE_NODE_STEP at or below its lowest degree: a pass
+    to 402 shares the degree-400 rule on small spheres.  Any other pass runs from degree 0 and touches no lattice.
     """
     if n < 3:
         raise InvalidParameterError("zonal harmonics require sphere_dim >= 3")
@@ -166,19 +179,30 @@ def zonal_gram(ks, targets, n: int) -> np.ndarray:
     top = max(degrees, default=0)
     x, w = sphere_rule(2 * top, n - 3)
     # a scan's first degree is its lowest, so a scan from degree 0 never pays for the min
-    resumable = SPHERE_NODE_STEP <= top and degrees[0] >= SPHERE_NODE_STEP and n - 1 <= MAX_SPHERE_DIM
-    resumable = resumable and len(x) <= sphere_nodes(2 * MAX_SCAN_DEGREE, n - 3)
+    resumable = SPHERE_NODE_STEP <= top and degrees[0] >= SPHERE_NODE_STEP and _in_band(n, len(x))
     k = min(degrees) // SPHERE_NODE_STEP if resumable else 0
     start = (k * SPHERE_NODE_STEP, _lattice(n, len(x))[k - 1]) if k else None
     rows, norm_sq = _gegenbauer_rows(top, (n - 2) / 2.0, x, degrees, start)
-    rows *= np.sqrt(w)
-    rows /= np.sqrt(w.sum() * norm_sq)[:, None]
-    norms = np.sqrt(np.einsum("ij,ij->i", rows, rows))
-    lost = ~(np.abs(norms - 1.0) <= ROW_NORM_TOL)  # nan too
+    norms, lost = _unit_rows(rows, norm_sq, w)
     if lost.any():
         i = int(np.argmax(lost))
-        raise ToleranceError(f"zonal row norm at degree {degrees[i]} on S^{n - 1} is {norms[i]}, not 1")
+        raise ToleranceError(_LOST_ROW.format(degrees[i], n - 1, norms[i]))
     return np.abs(rows[len(ks) :] @ rows[: len(ks)].T)
+
+
+@lru_cache(maxsize=32)
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
+def _witness_table(n: int, nodes: int):
+    """Witness reach on the `nodes`-node sphere rule of S^{n-1}: reach[b] is the least k whose Gram ratio with b is
+    above GRAM_RATIO_TOL (none: served + 1), from one pass to the largest degree the rule serves, served, and one full
+    Gram of its unit rows, as `zonal_gram` forms them; and the norm of each lost row, by degree."""
+    served = nodes - (n - 3) // 2 - 1
+    x, w = sphere_rule(2 * served, n - 3)
+    rows, norm_sq = _gegenbauer_rows(served, (n - 2) / 2.0, x, range(served + 1))
+    norms, lost = _unit_rows(rows, norm_sq, w)
+    above = np.abs(rows @ rows.T) > GRAM_RATIO_TOL
+    reach = np.where(above.any(axis=1), above.argmax(axis=1), served + 1)
+    return tuple(reach.tolist()), dict(zip(np.flatnonzero(lost).tolist(), norms[lost].tolist()))
 
 
 def zonal_norm_sq_closed(a: int, n: int) -> float:
@@ -210,14 +234,25 @@ def ktype_pairings_nonzero(a: int, bs, n: int) -> list[bool]:
     row's maximum exceeds GRAM_RATIO_TOL: true exactly when 0 <= b <= a.
 
     Returns one verdict per b.  Raises ToleranceError when the kernel refuses a
-    row norm.
+    row norm, for the first lost degree in the order 0..a, then `bs`.
+
+    In the checked band (`_in_band`) b is reachable when reach[b] <= a in the rule's `_witness_table`:
+    one full Gram per rule, at most 416^2 doubles (1.4 MB) while it is built, and 32 cached rules of at
+    most 416 ints each.  Past the band, where a table grows with degree^2, the rows are formed directly.
     """
     if n < 4:
         raise InvalidParameterError("ktype_pairing_nonzero requires n >= 4")
     bs = list(bs)
     if a < 0 or min(bs, default=0) < 0:
         raise InvalidParameterError("degrees must be non-negative")
-    return (zonal_gram(range(a + 1), bs, n - 1).max(axis=1) > GRAM_RATIO_TOL).tolist()
+    nodes = sphere_nodes(2 * max([a, *bs]), n - 4)
+    if not _in_band(n - 1, nodes):
+        return (zonal_gram(range(a + 1), bs, n - 1).max(axis=1) > GRAM_RATIO_TOL).tolist()
+    reach, lost = _witness_table(n - 1, nodes)
+    for degree in (*range(a + 1), *bs) if lost else ():
+        if degree in lost:
+            raise ToleranceError(_LOST_ROW.format(degree, n - 2, lost[degree]))
+    return [reach[b] <= a for b in bs]
 
 
 def ktype_pairing_nonzero(a: int, b: int, n: int) -> tuple[bool, float]:

@@ -2,10 +2,11 @@
 
 The pairing of two generating functions over a codimension-one orbit factors
 exactly in the chart: a full-sphere area, a one-dimensional sphere pairing,
-and a radial cosh-power integral.  Both non-vanishing verdicts read the zonal
-Gram kernel `harmonics.zonal_gram`: g1 the ratio of the ambient and target
-zonal harmonics on S^{q-1}, g2 the K-type witness (the twisted pairing) on
-S^{q-2}; the closed-form predicates provide the independent cross-check.
+and a radial cosh-power integral.  Both non-vanishing verdicts read zonal Gram
+ratios: g1 the ratio of the ambient and target zonal harmonics on S^{q-1}
+(`harmonics.zonal_gram`), g2 the K-type witness (the twisted pairing) on
+S^{q-2}, from the witness table of its sphere rule; the closed-form predicates
+provide the independent cross-check.
 """
 
 from __future__ import annotations
@@ -164,13 +165,13 @@ class _Scan(NamedTuple):
 def _scan(ambient: FJParam, tag: SpaceTag, targets_x2, witness: bool) -> _Scan:
     """Periods sphere_area(sp) * pairing * R(sp-1, ...) of the ambient against each doubled target, as columns.
 
-    X(sp, sq) is the targets' space.  The verdicts are zonal Gram ratios from one Gegenbauer
-    pass each: g1 the row of Z_a on S^{q-1} (`zonal_gram`), g2 the K-type witnesses on S^{q-2}
-    (`ktype_pairings_nonzero`).  The sphere area, the pairing (g1: delta_{a,c} |Z_a|^2; g2: the
-    witness value with `witness`, else the plain subsphere pairing) and the Wallis integral R of
-    sin^{sp-1} cos^m, m = lambda + target - 1/2, are exact; a `branch` row builds its Wallis factor
-    and rounds (`period_value`) only where its pairing is nonzero.  Refuses an ambient degree above
-    MAX_SCAN_DEGREE before any Gram row is built.
+    X(sp, sq) is the targets' space.  The verdicts are zonal Gram ratios: g1 the row of Z_a on
+    S^{q-1} from one Gegenbauer pass (`zonal_gram`), g2 the K-type witnesses on S^{q-2}, read
+    from the witness table of the sphere rule (`ktype_pairings_nonzero`).  The sphere area, the
+    pairing (g1: delta_{a,c} |Z_a|^2; g2: the witness value with `witness`, else the plain
+    subsphere pairing) and the Wallis integral R of sin^{sp-1} cos^m, m = lambda + target - 1/2,
+    are exact; a `branch` row builds its Wallis factor and rounds (`period_value`) only where its
+    pairing is nonzero.  Refuses an ambient degree above MAX_SCAN_DEGREE before any Gram row is built.
     """
     a, p, q = ambient.degree, ambient.p, ambient.q
     if a > MAX_SCAN_DEGREE:
@@ -269,9 +270,10 @@ def branching_verdicts_x2(p: int, q: int, lam_x2: int, subgroup: str, targets_x2
     (encoded branching data); the hom decision is the closed-form predicate,
     cross-checked by the numeric verdict.  The ambient parameter is built once and
     validated even when the target list is empty, and the periods of the whole
-    target list share one Gegenbauer pass.  A row's Wallis factor is built, and its
-    value rounded, only where its exact pairing is nonzero; a value exactly nonzero
-    but not a normal double is refused (`ToleranceError`) before any row is returned.
+    target list share one Gegenbauer pass (g2: one witness table per sphere rule).
+    A row's Wallis factor is built, and its value rounded, only where its exact
+    pairing is nonzero; a value exactly nonzero but not a normal double is refused
+    (`ToleranceError`) before any row is returned.
     """
     tag = _tag(subgroup)
     scan, interlaces = branch_scan_x2(p, q, lam_x2, subgroup, targets_x2)

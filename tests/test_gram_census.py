@@ -10,6 +10,7 @@ entries on S^{q-1} and the g2 witness rows on S^{q-2} alike.
 
 import numpy as np
 
+from hypbranch import harmonics
 from hypbranch.harmonics import GRAM_RATIO_TOL, MAX_SCAN_DEGREE, zonal_gram
 from hypbranch.numerics import sphere_nodes
 
@@ -49,3 +50,14 @@ def test_every_ratio_clears_the_threshold(capsys):
             f" largest off-diagonal ratio {worst_off:.3g}, largest |1 - diagonal| {worst_diag:.3g},"
             f" largest 2 gamma_N {2 * worst_gamma:.3g}, against GRAM_RATIO_TOL = {GRAM_RATIO_TOL:g}"
         )
+
+
+def test_every_witness_reach_is_its_own_degree():
+    # a g2 verdict reads reach[b] <= a from the witness table of its rule: with reach[b] = b, each verdict is the
+    # diagonal ratio of b against the off-diagonal ratios below it, all of which the census above bounds
+    harmonics._witness_table.cache_clear()
+    for n, top in census_rules():
+        nodes = sphere_nodes(2 * top, n - 3)
+        served = nodes - (n - 3) // 2 - 1
+        assert served >= top, (n, top)
+        assert harmonics._witness_table(n, nodes) == (tuple(range(served + 1)), {}), (n, top)

@@ -496,3 +496,75 @@ class TestKTypeWitness:
     def test_guards(self):
         with pytest.raises(InvalidParameterError):
             ktype_pairing_nonzero(1, 1, 3)
+
+
+@pytest.fixture
+def cold_tables():
+    """Witness tables built inside the test, none kept after it: a test that patches the kernel leaves no table."""
+    harmonics._witness_table.cache_clear()
+    yield
+    harmonics._witness_table.cache_clear()
+
+
+def _direct_verdicts(a, bs, n):
+    # the Gram rows k = 0..a against bs, formed on the request's own rule
+    return (zonal_gram(range(a + 1), bs, n - 1).max(axis=1) > harmonics.GRAM_RATIO_TOL).tolist()
+
+
+def _outcome(verdicts, *args):
+    try:
+        return verdicts(*args)
+    except ToleranceError as error:
+        return str(error)
+
+
+class TestWitnessTable:
+    @pytest.mark.parametrize("n", range(4, 17))
+    def test_verdicts_equal_the_direct_gram(self, n, cold_tables):
+        for a in (*range(30), 50, 100, 199, 200, 201, 300, 386, 400):
+            bs = list(range(a + 4))
+            assert ktype_pairings_nonzero(a, bs, n) == _direct_verdicts(a, bs, n), (n, a)
+        assert harmonics._witness_table.cache_info().misses
+
+    def test_one_table_per_rule(self, cold_tables):
+        # every request whose largest degree selects the 16-node rule of S^4 reads its one table, which
+        # serves degrees 0..14
+        for a in range(15):
+            assert ktype_pairings_nonzero(a, range(15 - a), 6) == [b <= a for b in range(15 - a)]
+        info = harmonics._witness_table.cache_info()
+        assert (info.misses, info.hits) == (1, 14)
+        assert harmonics._witness_table(5, 16) == (tuple(range(15)), {})
+
+    @pytest.mark.parametrize(
+        "a, bs, n",
+        [(0, [0], 5), (3, [5, 1], 6), (20, range(23), 8), (7, [40, 2], 4), (100, [101, 0], 10), (400, [402], 5)],
+    )
+    def test_lost_rows_raise_as_the_direct_gram(self, a, bs, n, monkeypatch, cold_tables):
+        # with no tolerance nearly every row is lost: both paths name the first lost degree of 0..a, then bs
+        monkeypatch.setattr(harmonics, "ROW_NORM_TOL", 0.0)
+        direct = _outcome(_direct_verdicts, a, list(bs), n)
+        assert direct.startswith("zonal row norm at degree ")
+        assert _outcome(ktype_pairings_nonzero, a, bs, n) == direct
+
+    def test_an_unrequested_lost_row_refuses_nothing(self, monkeypatch, cold_tables):
+        # the 16-node rule of S^4 serves degrees 0..14; mark its degree-10 row lost
+        unit_rows = harmonics._unit_rows
+
+        def lose_degree_10(rows, norm_sq, w):
+            norms, lost = unit_rows(rows, norm_sq, w)
+            lost[10] = True
+            return norms, lost
+
+        monkeypatch.setattr(harmonics, "_unit_rows", lose_degree_10)
+        assert ktype_pairings_nonzero(5, range(8), 6) == [True] * 6 + [False] * 2
+        assert ktype_pairings_nonzero(5, [14, 9, 11], 6) == [False] * 3
+        for a, bs in ((5, [3, 10]), (12, [0])):
+            with pytest.raises(ToleranceError, match=r"^zonal row norm at degree 10 on S\^4 is [0-9.e-]+, not 1$"):
+                ktype_pairings_nonzero(a, bs, 6)
+        assert harmonics._witness_table.cache_info().misses == 1
+
+    def test_a_request_past_the_band_builds_no_table(self, cold_tables):
+        # its rule would hold a 1207-row Gram; the direct path builds the 2 rows it asks for
+        with pytest.raises(ToleranceError, match=r"^zonal row norm at degree 1200 on S\^437 is 0\.96\d*, not 1$"):
+            ktype_pairings_nonzero(0, [1200], 439)
+        assert harmonics._witness_table.cache_info().currsize == 0

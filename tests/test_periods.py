@@ -302,20 +302,24 @@ G2_GOLDEN_SCAN = ("--p", "4", "--q", "6", "--lambda-x2", "40", "--subgroup", "g2
 
 class TestBatchedScanPasses:
     @pytest.mark.parametrize(
-        "max_target_x2, rows, tops",
-        [("39", 19, [18]), ("44", 21, [20])],
+        "max_target_x2, rows",
+        [("39", 19), ("44", 21)],
         ids=["every_b_at_most_a", "golden_scan"],
     )
-    def test_g2_gegenbauer_passes(self, monkeypatch, capsys, max_target_x2, rows, tops):
-        # a = 18 at (4, 6), b = (mu_x2 - 3) / 2 from 0: one pass per sphere rule, up
-        # to the largest degree on it.  The witness zonals live on S^{q-2}, sin
-        # power q - 4 = 2 and Gegenbauer order (q - 3) / 2: degrees 2a = 36 to
-        # 2b = 40 all need 20 to 22 nodes, which the one 32-node rule covers.
+    def test_g2_gegenbauer_passes(self, monkeypatch, capsys, max_target_x2, rows):
+        # a = 18 at (4, 6), b = (mu_x2 - 3) / 2 from 0.  The witness zonals live on S^{q-2}, sin
+        # power q - 4 = 2 and Gegenbauer order (q - 3) / 2: degrees 2a = 36 to 2b = 40 all need 20 to
+        # 22 nodes, which the one 32-node rule covers.  Its witness table is one pass to the largest
+        # degree that rule serves, 32 - 1 - 1 = 30; a second scan on the rule reads the table.
+        assert numerics.sphere_nodes(2 * 18, 2) == numerics.sphere_nodes(2 * 20, 2) == 32
+        harmonics._witness_table.cache_clear()
         calls = _count_calls(monkeypatch, harmonics, "_gegenbauer_rows")
         argv = ["branch", *G2_GOLDEN_SCAN[:-1], max_target_x2]
-        assert main(argv) == 0
-        assert len(json.loads(capsys.readouterr().out)) == rows
-        assert [args[:2] for args in calls] == [(top, 1.5) for top in tops]
+        for passes in ([(30, 1.5)], []):
+            calls.clear()
+            assert main(argv) == 0
+            assert len(json.loads(capsys.readouterr().out)) == rows
+            assert [args[:2] for args in calls] == passes
 
     @pytest.mark.parametrize(
         "argv",
