@@ -33,8 +33,13 @@ def census_rules():
 def test_every_ratio_clears_the_threshold(capsys):
     rules = census_rules()
     worst_off = worst_diag = worst_gamma = 0.0
+    harmonics._witness_table.cache_clear()
     for n, top in rules:
         nodes = sphere_nodes(2 * top, n - 3)
+        # a g2 verdict on this rule reads reach[b] <= a from its witness table: with reach[b] = b and no lost row,
+        # each verdict is the diagonal ratio of b against the off-diagonal ratios below it, which this Gram bounds
+        reach, lost = harmonics._witness_table(n, nodes)
+        assert reach[: top + 1] == tuple(range(top + 1)) and not lost, (n, top)
         gamma = nodes * UNIT_ROUNDOFF / (1 - nodes * UNIT_ROUNDOFF)
         gram = zonal_gram(range(top + 1), range(top + 1), n)
         diagonal = np.diag(gram)
@@ -51,13 +56,3 @@ def test_every_ratio_clears_the_threshold(capsys):
             f" largest 2 gamma_N {2 * worst_gamma:.3g}, against GRAM_RATIO_TOL = {GRAM_RATIO_TOL:g}"
         )
 
-
-def test_every_witness_reach_is_its_own_degree():
-    # a g2 verdict reads reach[b] <= a from the witness table of its rule: with reach[b] = b, each verdict is the
-    # diagonal ratio of b against the off-diagonal ratios below it, all of which the census above bounds
-    harmonics._witness_table.cache_clear()
-    for n, top in census_rules():
-        nodes = sphere_nodes(2 * top, n - 3)
-        served = nodes - (n - 3) // 2 - 1
-        assert served >= top, (n, top)
-        assert harmonics._witness_table(n, nodes) == (tuple(range(served + 1)), {}), (n, top)
