@@ -4,8 +4,8 @@ The branching layer of the library: restriction pairings between a degree-a
 zonal harmonic on S^{n-1} and degree-b zonal harmonics on the equatorial
 subsphere S^{n-2}, together with a K-type witness certifying when the degree-b
 component of the restricted K-type can be reached at all.  Both branching
-verdicts read zonal Gram ratios of the same unit rows: the g1 period from
-:func:`zonal_gram`, the g2 witness from the witness table of its sphere rule.
+verdicts read zonal Gram ratios of the same unit rows, from the one Gram table
+of their sphere rule: the g1 period its entries, the g2 witness its reach.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 import operator
 from functools import lru_cache
-from itertools import accumulate
+from itertools import accumulate, chain
 
 import numpy as np
 
@@ -29,6 +29,7 @@ __all__ = [
     "sphere_area",
     "zonal_norm_sq_closed",
     "zonal_gram",
+    "zonal_pairings_nonzero",
     "pairing_subsphere",
     "ktype_pairing_nonzero",
     "ktype_pairings_nonzero",
@@ -54,49 +55,34 @@ MAX_SCAN_DEGREE = 400
 
 
 def _in_band(n: int, nodes: int) -> bool:
-    """Whether `_lattice` and `_witness_table` cache this sphere rule of S^{n-1}; past it each grows as degree^2."""
+    """Whether `_gram_table` caches this sphere rule of S^{n-1}; past it a table grows as degree^2."""
     return n - 1 <= MAX_SPHERE_DIM and nodes <= sphere_nodes(2 * MAX_SCAN_DEGREE, n - 3)
 
 
-def _gegenbauer_rows(n: int, nu: float, x: np.ndarray, wanted, start=None):
+def _gegenbauer_rows(n: int, nu: float, x: np.ndarray, wanted):
     """D_k = C_k^nu k! / (nu)_k at the 1-D nodes x, one row per degree k of `wanted` (all <= n), and each |D_k|^2.
 
     One pass to n on the rescaled family, 2^k times the monic one (DLMF 18.9.1): D_0 = 1, D_1 = 2x and
     D_k = 2x D_{k-1} - 4c_k D_{k-2},  4c_k = (k-1)(k+2nu-2) / ((k+nu-1)(k+nu-2)),
-    so each step is three array operations and D_k grows only like k^nu.  The norms are against the
-    weight (1-x^2)^{nu-1/2} of total mass 1.  The coefficients are cached per (nu, n + 2 rounded up
-    to SPHERE_NODE_STEP).  Requires nu > 0: the coefficients have poles at nu <= 0.
-
-    Given `start` = (k, (D_k, D_{k+1})) at x, every wanted degree k or more, the pass runs on from degree k + 2
-    with the same operations, so its rows are bit for bit those of a pass from degree 0 when the start pair is.
+    so each step is three array operations and D_k grows only like k^nu.  The norms are against the weight
+    (1-x^2)^{nu-1/2} of total mass 1.  The coefficients are cached per (nu, n + 2 rounded up to SPHERE_NODE_STEP).
+    Requires nu > 0: the coefficients have poles at nu <= 0.  Each distinct degree's row is written once into
+    one preallocated array, which is copied only when `wanted` repeats a degree.
     """
     four_c, norm_sq = _recurrence(nu, -(-(n + 2) // SPHERE_NODE_STEP) * SPHERE_NODE_STEP)
-    keep, two_x = set(wanted), 2.0 * x
-    first, (d_prev, d) = start or (0, (np.ones(len(x)), two_x))
-    rows = {first: d_prev, first + 1: d}
-    for k in range(first + 2, n + 1):
-        d_next = two_x * d
-        d_next -= four_c[k] * d_prev
-        d_prev, d = d, d_next
-        if k in keep:
-            rows[k] = d
-    return np.array([rows[k] for k in wanted]).reshape(-1, len(x)), np.array([norm_sq[k] for k in wanted])
-
-
-@lru_cache(maxsize=32)
-def _lattice(n: int, nodes: int) -> np.ndarray:
-    """The checkpoints (D_k, D_{k+1}) of `_gegenbauer_rows` on the `nodes`-node sphere rule of S^{n-1}, read-only.
-
-    Row i holds the pair at k = SPHERE_NODE_STEP (i + 1), for every such k up to the largest degree the rule
-    serves, nodes - (n-3)//2 - 1, from one pass from degree 0 that ends at the last k + 1.  The cache keeps 32
-    rules of 16 bytes a node and pair: at most 166,400 bytes each on S^2..S^15 and 249,600 on S^437 and S^438,
-    the largest spheres that resume, so at most 8 MB.
-    """
-    served = nodes - (n - 3) // 2 - 1
-    ks = [j for k in range(SPHERE_NODE_STEP, served + 1, SPHERE_NODE_STEP) for j in (k, k + 1)]
-    pairs = _gegenbauer_rows(ks[-1], (n - 2) / 2.0, sphere_rule(2 * served, n - 3)[0], ks)[0].reshape(-1, 2, nodes)
-    pairs.flags.writeable = False
-    return pairs
+    slot = {k: i for i, k in enumerate(dict.fromkeys(wanted))}
+    rows, two_x = np.empty((len(slot), len(x))), 2.0 * x
+    d_prev, d = np.zeros(len(x)), np.ones(len(x))  # D_{-1} = 0, and 4c_1 = 0: the first step gives D_1 = 2x
+    for k in range(n + 1):
+        if k in slot:
+            rows[slot[k]] = d
+        if k < n:
+            d_next = two_x * d
+            d_next -= four_c[k + 1] * d_prev
+            d_prev, d = d, d_next
+    if len(slot) < len(wanted):
+        rows = rows[[slot[k] for k in wanted]]
+    return rows, np.array([norm_sq[k] for k in wanted])
 
 
 def gegenbauer(n: int, nu: float, x):
@@ -147,13 +133,16 @@ ROW_NORM_TOL = 1e-12
 _LOST_ROW = "zonal row norm at degree {} on S^{} is {}, not 1"
 
 
-def _unit_rows(rows: np.ndarray, norm_sq: np.ndarray, w: np.ndarray):
-    """Scale the rows of a `_gegenbauer_rows` pass in place to sqrt(w) D_k / sqrt(sum(w) |D_k|^2), unit vectors
-    whose dot products are Gram ratios; returns each row's norm and whether it is off 1 by more than ROW_NORM_TOL."""
+def _unit_rows(n: int, top: int, wanted):
+    """The rows sqrt(w) D_k / sqrt(sum(w) |D_k|^2) of the degrees `wanted` on S^{n-1}, from one `_gegenbauer_rows` pass
+    to `top` on the sphere rule (x, w) exact to degree 2 top: unit vectors whose dot products are Gram ratios.  Returns
+    the rows, each one's norm and whether it is off 1 by more than ROW_NORM_TOL."""
+    x, w = sphere_rule(2 * top, n - 3)
+    rows, norm_sq = _gegenbauer_rows(top, (n - 2) / 2.0, x, wanted)
     rows *= np.sqrt(w)
     rows /= np.sqrt(w.sum() * norm_sq)[:, None]
     norms = np.sqrt(np.einsum("ij,ij->i", rows, rows))
-    return norms, ~(np.abs(norms - 1.0) <= ROW_NORM_TOL)  # nan too
+    return rows, norms, ~(np.abs(norms - 1.0) <= ROW_NORM_TOL)  # nan too
 
 
 # Far past the checked range D_k overflows or its norm underflows, and the row-norm test refuses
@@ -162,47 +151,71 @@ def _unit_rows(rows: np.ndarray, norm_sq: np.ndarray, w: np.ndarray):
 def zonal_gram(ks, targets, n: int) -> np.ndarray:
     """Normalised Gram rows |<Z_k, Z_c>| / (|Z_k| |Z_c|) of the zonal harmonics on S^{n-1}, one row per target c.
 
-    Row i holds target c = targets[i] against each degree k in `ks`, so the result has shape
-    (len(targets), len(ks)).  One Gegenbauer pass on the one sphere rule (x, w) exact to degree
-    2 max(ks, targets) gives the rows sqrt(w) D_k / sqrt(sum(w) |D_k|^2), unit vectors whose dot
-    products are the ratios.  Raises ToleranceError when a row's norm is off 1 by more than
-    ROW_NORM_TOL: weights below the float range have lost their mass, and the ratios would no
-    longer be clear of GRAM_RATIO_TOL.  `ks` and `targets` are sequences of degrees.
-
-    A pass whose degrees are all SPHERE_NODE_STEP or more, on a rule in the checked band (`_in_band`), resumes
-    from the rule's `_lattice` at the highest multiple of SPHERE_NODE_STEP at or below its lowest degree: a pass
-    to 402 shares the degree-400 rule on small spheres.  Any other pass runs from degree 0 and touches no lattice.
+    Row i holds target c = targets[i] against each degree k in `ks` (sequences of degrees), so the result has
+    shape (len(targets), len(ks)): dot products of the `_unit_rows` of one pass to max(ks, targets).  Raises
+    ToleranceError when a row's norm is off 1 by more than ROW_NORM_TOL: weights below the float range have lost
+    their mass, and the ratios would no longer be clear of GRAM_RATIO_TOL.
     """
     if n < 3:
         raise InvalidParameterError("zonal harmonics require sphere_dim >= 3")
     degrees = [*ks, *targets]
-    top = max(degrees, default=0)
-    x, w = sphere_rule(2 * top, n - 3)
-    # a scan's first degree is its lowest, so a scan from degree 0 never pays for the min
-    resumable = SPHERE_NODE_STEP <= top and degrees[0] >= SPHERE_NODE_STEP and _in_band(n, len(x))
-    k = min(degrees) // SPHERE_NODE_STEP if resumable else 0
-    start = (k * SPHERE_NODE_STEP, _lattice(n, len(x))[k - 1]) if k else None
-    rows, norm_sq = _gegenbauer_rows(top, (n - 2) / 2.0, x, degrees, start)
-    norms, lost = _unit_rows(rows, norm_sq, w)
+    rows, norms, lost = _unit_rows(n, max(degrees, default=0), degrees)
     if lost.any():
         i = int(np.argmax(lost))
         raise ToleranceError(_LOST_ROW.format(degrees[i], n - 1, norms[i]))
     return np.abs(rows[len(ks) :] @ rows[: len(ks)].T)
 
 
+_GRAM_BLOCK = 32  # columns of the Gram a table build forms at once: at most 416 x 32 doubles (106 kB) in the band
+
+
 @lru_cache(maxsize=32)
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")
-def _witness_table(n: int, nodes: int):
-    """Witness reach on the `nodes`-node sphere rule of S^{n-1}: reach[b] is the least k whose Gram ratio with b is
-    above GRAM_RATIO_TOL (none: served + 1), from one pass to the largest degree the rule serves, served, and one full
-    Gram of its unit rows, as `zonal_gram` forms them; and the norm of each lost row, by degree."""
-    served = nodes - (n - 3) // 2 - 1
-    x, w = sphere_rule(2 * served, n - 3)
-    rows, norm_sq = _gegenbauer_rows(served, (n - 2) / 2.0, x, range(served + 1))
-    norms, lost = _unit_rows(rows, norm_sq, w)
-    above = np.abs(rows @ rows.T) > GRAM_RATIO_TOL
-    reach = np.where(above.any(axis=1), above.argmax(axis=1), served + 1)
-    return tuple(reach.tolist()), dict(zip(np.flatnonzero(lost).tolist(), norms[lost].tolist()))
+def _gram_table(n: int, nodes: int):
+    """The verdict table of the `nodes`-node sphere rule of S^{n-1}: the `_unit_rows` of degrees 0 to size - 1, the
+    largest the rule serves, and their full Gram, its lower triangle formed _GRAM_BLOCK columns at a time.
+
+    Returns reach, above and lost: reach[b], the g2 view, is the least k whose Gram ratio with b is above
+    GRAM_RATIO_TOL (none: size); bit k % 8 of above[c, k // 8], the g1 view (read-only), is whether the ratio of c
+    and k is; lost maps each lost row's degree to its norm.
+    """
+    size = nodes - (n - 3) // 2
+    rows, norms, lost = _unit_rows(n, size - 1, range(size))
+    above = np.empty((size, size), dtype=bool)
+    for i in range(0, size, _GRAM_BLOCK):
+        block = np.abs(rows[i:] @ rows[i : i + _GRAM_BLOCK].T) > GRAM_RATIO_TOL
+        above[i:, i : i + _GRAM_BLOCK], above[i : i + _GRAM_BLOCK, i:] = block, block.T
+    reach = np.where(above.any(axis=1), above.argmax(axis=1), size)
+    above = np.packbits(above, axis=1, bitorder="little")
+    above.flags.writeable = False
+    return tuple(reach.tolist()), above, dict(zip(np.flatnonzero(lost).tolist(), norms[lost].tolist()))
+
+
+def _read_table(n: int, nodes: int, *degrees):
+    """The reach and g1 view of the rule's `_gram_table`; the kernel's message for the first lost one of `degrees`."""
+    reach, above, lost = _gram_table(n, nodes)
+    for degree in chain(*degrees) if lost else ():
+        if degree in lost:
+            raise ToleranceError(_LOST_ROW.format(degree, n - 1, lost[degree]))
+    return reach, above
+
+
+def zonal_pairings_nonzero(a: int, cs, n: int) -> list[bool]:
+    """The g1 verdict: whether |<Z_c, Z_a>| / (|Z_c| |Z_a|) on S^{n-1} is above GRAM_RATIO_TOL, for each c in `cs`.
+
+    The sphere rule is the one :func:`zonal_gram` picks, exact to degree 2 max(a, cs).  In the checked band
+    (`_in_band`) each verdict is entry (c, a) of the rule's `_gram_table`; past it, where a table grows with
+    degree^2, the row of a against `cs` comes from `zonal_gram` directly.  Raises ToleranceError as `zonal_gram`
+    does, for the first lost degree in the order `cs`, then a.
+    """
+    cs = list(cs)
+    if n < 3 or a < 0 or min(cs, default=0) < 0:
+        raise InvalidParameterError("zonal verdicts require sphere_dim >= 3 and non-negative degrees")
+    nodes = sphere_nodes(2 * max([a, *cs]), n - 3)
+    if not _in_band(n, nodes):
+        return (zonal_gram(cs, [a], n)[0] > GRAM_RATIO_TOL).tolist()
+    above = _read_table(n, nodes, cs, [a])[1]
+    return ((above[cs, a // 8] >> a % 8) & 1).astype(bool).tolist()
 
 
 def zonal_norm_sq_closed(a: int, n: int) -> float:
@@ -222,23 +235,17 @@ def pairing_subsphere(a: int, b: int, n: int) -> float:
 def ktype_pairings_nonzero(a: int, bs, n: int) -> list[bool]:
     """Certify, for each degree b in `bs`, whether the degree-b subsphere type is reachable from a.
 
-    The witness family spans the degree-a harmonics on S^{n-1} invariant
-    under the equatorial band: member j = a - k is the harmonic projection of
-    u^j Z_k, with u the coordinate normal to the subsphere S^{n-2} and Z_k its
-    degree-k zonal harmonic.  That projection is a multiple of
-    r^j C_j^lam(u/r) Z_k with lam = k + (n-2)/2 (Axler, Bourdon & Ramey,
-    Harmonic Function Theory, ch. 5), so every normal-derivative trace of
-    member j on S^{n-2} is a multiple of Z_k.  Pairing the traces against Z_b
-    therefore reduces to the normalised Gram row |<Z_k, Z_b>| / (|Z_k| |Z_b|),
-    k = 0..a, of :func:`zonal_gram` on S^{n-2}.  The type is reachable when the
+    The witness family spans the degree-a harmonics on S^{n-1} invariant under the equatorial band: member
+    j = a - k is the harmonic projection of u^j Z_k, with u the coordinate normal to the subsphere S^{n-2} and
+    Z_k its degree-k zonal harmonic.  That projection is a multiple of r^j C_j^lam(u/r) Z_k with
+    lam = k + (n-2)/2 (Axler, Bourdon & Ramey, Harmonic Function Theory, ch. 5), so every normal-derivative
+    trace of member j on S^{n-2} is a multiple of Z_k.  Pairing the traces against Z_b therefore reduces to the
+    normalised Gram row |<Z_k, Z_b>| / (|Z_k| |Z_b|), k = 0..a, on S^{n-2}.  The type is reachable when the
     row's maximum exceeds GRAM_RATIO_TOL: true exactly when 0 <= b <= a.
 
-    Returns one verdict per b.  Raises ToleranceError when the kernel refuses a
-    row norm, for the first lost degree in the order 0..a, then `bs`.
-
-    In the checked band (`_in_band`) b is reachable when reach[b] <= a in the rule's `_witness_table`:
-    one full Gram per rule, at most 416^2 doubles (1.4 MB) while it is built, and 32 cached rules of at
-    most 416 ints each.  Past the band, where a table grows with degree^2, the rows are formed directly.
+    Returns one verdict per b.  In the checked band (`_in_band`) b is reachable when reach[b] <= a in the rule's
+    `_gram_table`; past it, where a table grows with degree^2, the rows come from :func:`zonal_gram` directly.
+    Raises ToleranceError when the kernel refuses a row norm, for the first lost degree in the order 0..a, then `bs`.
     """
     if n < 4:
         raise InvalidParameterError("ktype_pairing_nonzero requires n >= 4")
@@ -248,10 +255,7 @@ def ktype_pairings_nonzero(a: int, bs, n: int) -> list[bool]:
     nodes = sphere_nodes(2 * max([a, *bs]), n - 4)
     if not _in_band(n - 1, nodes):
         return (zonal_gram(range(a + 1), bs, n - 1).max(axis=1) > GRAM_RATIO_TOL).tolist()
-    reach, lost = _witness_table(n - 1, nodes)
-    for degree in (*range(a + 1), *bs) if lost else ():
-        if degree in lost:
-            raise ToleranceError(_LOST_ROW.format(degree, n - 2, lost[degree]))
+    reach = _read_table(n - 1, nodes, range(a + 1), bs)[0]
     return [reach[b] <= a for b in bs]
 
 

@@ -3,10 +3,9 @@
 The pairing of two generating functions over a codimension-one orbit factors
 exactly in the chart: a full-sphere area, a one-dimensional sphere pairing,
 and a radial cosh-power integral.  Both non-vanishing verdicts read zonal Gram
-ratios: g1 the ratio of the ambient and target zonal harmonics on S^{q-1}
-(`harmonics.zonal_gram`), g2 the K-type witness (the twisted pairing) on
-S^{q-2}, from the witness table of its sphere rule; the closed-form predicates
-provide the independent cross-check.
+ratios from the Gram table of their sphere rule: g1 the ratio of the ambient and
+target zonal harmonics on S^{q-1}, g2 the K-type witness (the twisted pairing)
+on S^{q-2}; the closed-form predicates provide the independent cross-check.
 """
 
 from __future__ import annotations
@@ -18,7 +17,7 @@ from .errors import DivergenceError, InvalidParameterError
 from .exact import doubled, normal_ratio, pairing_subsphere_exact, sphere_area_exact, sqrt_pi_error, sqrt_pi_ratio
 from .exact import wallis_exact, witness_pairing_exact, zonal_norm_sq_exact
 from .fjrep import FJParam, SpaceTag, checked_degree, inf_char_x2, make_fj_param, tag_signature, valid_lambdas
-from .harmonics import GRAM_RATIO_TOL, MAX_SCAN_DEGREE, ktype_pairings_nonzero, zonal_gram
+from .harmonics import MAX_SCAN_DEGREE, ktype_pairings_nonzero, zonal_pairings_nonzero
 from .packets import InterlaceClass, interlace_classify_scan
 
 __all__ = [
@@ -165,13 +164,12 @@ class _Scan(NamedTuple):
 def _scan(ambient: FJParam, tag: SpaceTag, targets_x2, witness: bool) -> _Scan:
     """Periods sphere_area(sp) * pairing * R(sp-1, ...) of the ambient against each doubled target, as columns.
 
-    X(sp, sq) is the targets' space.  The verdicts are zonal Gram ratios: g1 the row of Z_a on
-    S^{q-1} from one Gegenbauer pass (`zonal_gram`), g2 the K-type witnesses on S^{q-2}, read
-    from the witness table of the sphere rule (`ktype_pairings_nonzero`).  The sphere area, the
-    pairing (g1: delta_{a,c} |Z_a|^2; g2: the witness value with `witness`, else the plain
-    subsphere pairing) and the Wallis integral R of sin^{sp-1} cos^m, m = lambda + target - 1/2,
-    are exact; a `branch` row builds its Wallis factor and rounds (`period_value`) only where its
-    pairing is nonzero.  Refuses an ambient degree above MAX_SCAN_DEGREE before any Gram row is built.
+    X(sp, sq) is the targets' space.  The verdicts are zonal Gram ratios from the Gram table of the sphere
+    rule: g1 the ratios of Z_a on S^{q-1} (`zonal_pairings_nonzero`), g2 the K-type witnesses on S^{q-2}
+    (`ktype_pairings_nonzero`).  The sphere area, the pairing (g1: delta_{a,c} |Z_a|^2; g2: the witness value
+    with `witness`, else the plain subsphere pairing) and the Wallis integral R of sin^{sp-1} cos^m,
+    m = lambda + target - 1/2, are exact; a `branch` row builds its Wallis factor and rounds (`period_value`)
+    only where its pairing is nonzero.  Refuses an ambient degree above MAX_SCAN_DEGREE before any Gram row.
     """
     a, p, q = ambient.degree, ambient.p, ambient.q
     if a > MAX_SCAN_DEGREE:
@@ -185,7 +183,7 @@ def _scan(ambient: FJParam, tag: SpaceTag, targets_x2, witness: bool) -> _Scan:
         if t_x2 <= 0 or b < 0 or 2 * b != t_x2 + offset_x2:
             checked_degree(p, q, t_x2, tag)  # raises, with the reason
     if tag is SpaceTag.G1_SPACE:
-        nonzeros = (zonal_gram(degrees, [a], q)[0] > GRAM_RATIO_TOL).tolist()
+        nonzeros = zonal_pairings_nonzero(a, degrees, q)
         pairings = [zonal_norm_sq_exact(a, q) if c == a else (0, 1, 0) for c in degrees]
     else:
         nonzeros = ktype_pairings_nonzero(a, degrees, q)
@@ -266,14 +264,11 @@ def branch_scan_x2(p: int, q: int, lam_x2: int, subgroup: str, targets_x2) -> tu
 def branching_verdicts_x2(p: int, q: int, lam_x2: int, subgroup: str, targets_x2) -> list[BranchingVerdict]:
     """The `branch` rows of one ambient parameter (lambda doubled) and subgroup, one per doubled target.
 
-    The restriction to SO0(p-1, q) is admissible, the one to SO0(p, q-1) is not
-    (encoded branching data); the hom decision is the closed-form predicate,
-    cross-checked by the numeric verdict.  The ambient parameter is built once and
-    validated even when the target list is empty, and the periods of the whole
-    target list share one Gegenbauer pass (g2: one witness table per sphere rule).
-    A row's Wallis factor is built, and its value rounded, only where its exact
-    pairing is nonzero; a value exactly nonzero but not a normal double is refused
-    (`ToleranceError`) before any row is returned.
+    The restriction to SO0(p-1, q) is admissible, the one to SO0(p, q-1) is not (encoded branching data); the
+    hom decision is the closed-form predicate, cross-checked by the numeric verdict.  The ambient parameter is
+    built once and validated even when the target list is empty, and the whole target list reads one Gram table
+    per sphere rule.  A row's Wallis factor is built, and its value rounded, only where its exact pairing is
+    nonzero; a value exactly nonzero but not a normal double is refused (`ToleranceError`) before any row.
     """
     tag = _tag(subgroup)
     scan, interlaces = branch_scan_x2(p, q, lam_x2, subgroup, targets_x2)

@@ -31,7 +31,7 @@ from unittest import mock
 MANIFEST = Path(__file__).parent / "golden" / "sweep_manifest.json"
 SEED = 33
 
-# ROADMAP's defect ledger, one command per open row that has one, and the lattice bound's pair of periods
+# ROADMAP's defect ledger, one command per open row that has one, and the sphere range's pair of g1 periods
 LEDGER = [
     ["branch", "--p", "4", "--q", "16", "--lambda-x2", "786", "--subgroup", "g2", "--max-target-x2", "785"],  # (e)
     ["packet", "--p", "4", "--q", "8", "--lambda-x2", "2"],  # (m)

@@ -373,8 +373,8 @@ class TestExitCodes:
     )
     def test_disagreeing_period_verdict_exits_1(self, capsys, monkeypatch, argv, flipped):
         # the rule of a branch row: nothing on stdout, and the period as one stderr line
-        gram, witness = periods.zonal_gram, periods.ktype_pairings_nonzero
-        monkeypatch.setattr(periods, "zonal_gram", lambda ks, targets, n: 1.0 - gram(ks, targets, n))
+        g1, witness = periods.zonal_pairings_nonzero, periods.ktype_pairings_nonzero
+        monkeypatch.setattr(periods, "zonal_pairings_nonzero", lambda a, cs, n: [not v for v in g1(a, cs, n)])
         monkeypatch.setattr(periods, "ktype_pairings_nonzero", lambda a, bs, n: [not v for v in witness(a, bs, n)])
         code, out, err = run_cli(capsys, "period", *argv)
         assert (code, out) == (1, "")
@@ -508,10 +508,11 @@ class TestExitCodes:
         # g1 targets on X(4, 4) have degree (nu_x2 - 2) / 2; the refusal comes
         # before any Gram row, so a regression fails here instead of allocating
         def refuse(*args):
-            raise AssertionError("zonal_gram called for a refused scan")
+            raise AssertionError("Gram rows asked for a refused scan")
 
         monkeypatch.setattr(harmonics, "zonal_gram", refuse)
-        monkeypatch.setattr(periods, "zonal_gram", refuse)
+        monkeypatch.setattr(harmonics, "_gram_table", refuse)
+        monkeypatch.setattr(periods, "zonal_pairings_nonzero", refuse)
         code, out, err = run_cli(
             capsys,
             "branch", "--p", "5", "--q", "4", "--lambda-x2", "9",
@@ -1042,8 +1043,8 @@ def test_demos_run():
         assert out.stdout == (GOLDEN / f"demo_{demo.stem}.txt").read_bytes(), demo.name
 
 
-# A g1 ladder on two spheres with p = 5: periods at a = 16, 100, 400 against c = a - 2, a, a + 2 (the
-# c = 402 pass is past the checked range) and scans at a = 16, 100, which start at degree 0.
+# A g1 ladder on two spheres with p = 5: periods at a = 16, 100, 400 against c = a - 2, a, a + 2 (c = 402 is
+# past the checked range, on the degree-400 rule) and scans at a = 16, 100, which share those rules.
 G1_LADDER = [
     *(["period", "--p", "5", "--q", str(q), "--lambda-x2", str(2 * a + q - 3), "--target-x2", str(2 * c + q - 2),
        "--subgroup", "g1"] for q in (4, 7) for a in (16, 100, 400) for c in (a - 2, a, a + 2)),
@@ -1054,7 +1055,7 @@ G1_LADDER = [
 
 
 def test_checkpoints_leave_every_output_as_a_fresh_process_prints_it(capsys):
-    # the ladder twice in one process, each time shuffled: later periods resume from a cached lattice
+    # the ladder twice in one process, each time shuffled: later requests read a cached Gram table
     def fresh(argv):
         out = subprocess.run([sys.executable, "-m", "hypbranch.cli", *argv], env=_subprocess_env(), capture_output=True)
         return out.returncode, out.stdout.decode(), out.stderr.decode()  # bytes: CSV rows end in \r\n
@@ -1062,23 +1063,23 @@ def test_checkpoints_leave_every_output_as_a_fresh_process_prints_it(capsys):
     with concurrent.futures.ThreadPoolExecutor(max_workers=3) as pool:
         expected = dict(zip(map(tuple, G1_LADDER), pool.map(fresh, G1_LADDER)))
     assert all(code == 0 for code, _, _ in expected.values())
-    harmonics._lattice.cache_clear()
+    harmonics._gram_table.cache_clear()
     rng = random.Random(30)
     for _ in range(2):
         for argv in rng.sample(G1_LADDER, len(G1_LADDER)):
             assert run_cli(capsys, *argv) == expected[tuple(argv)], argv
-    assert harmonics._lattice.cache_info().currsize == 6  # a degree-16, 100 and 400 rule per sphere
+    assert harmonics._gram_table.cache_info().currsize == 6  # a degree-16, 100 and 400 rule per sphere
 
 
 def test_no_lattice_past_the_sphere_range():
-    # on S^999 the exact layer answers no zonal norm, so no pass there builds or keeps a lattice: the period
+    # on S^999 the exact layer answers no zonal norm, so no verdict there builds or keeps a Gram table: the period
     # to 1078 refuses its sphere area, and the one to 1082 prints the bytes blessed in the sweep manifest
-    harmonics._lattice.cache_clear()
+    harmonics._gram_table.cache_clear()
     period = ["period", "--p", "5", "--q", "1000", "--lambda-x2", "1077", "--target-x2"]
     refused = sweep.run([*period, "1078", "--subgroup", "g1"])
     assert (refused["exit"], refused["stderr"]) == (4, "error: sphere area of S^998 is out of floating-point range\n")
     assert sweep.run([*period, "1082", "--subgroup", "g1"]) in sweep.load()
-    assert harmonics._lattice.cache_info().misses == 0
+    assert harmonics._gram_table.cache_info().misses == 0
 
 
 def test_runtime_has_no_assert():

@@ -16,7 +16,6 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 import exact_oracle
@@ -243,17 +242,19 @@ PERTURBED_ARGVS = [
 
 
 def test_no_printed_value_reads_the_quadrature(monkeypatch):
-    # every Gram ratio changes and none crosses the threshold: only the verdicts read the kernel
+    # every Gram ratio changes and none crosses the threshold: only the verdicts read the kernel.  The unit rows
+    # of every Gram, the tables' and the direct kernel's, scaled by 1.5 scale each ratio by 2.25
     before = [run(argv) for argv in PERTURBED_ARGVS]
-    zonal_gram = harmonics.zonal_gram
+    unit_rows = harmonics._unit_rows
 
-    def perturbed(ks, targets, n):
-        ratios = zonal_gram(ks, targets, n)
-        return np.where(ratios > harmonics.GRAM_RATIO_TOL, 2.0 + ratios, ratios / 3.0)
+    def perturbed(n, top, wanted):
+        rows, norms, lost = unit_rows(n, top, wanted)
+        return 1.5 * rows, norms, lost
 
-    for module in (harmonics, periods):
-        monkeypatch.setattr(module, "zonal_gram", perturbed)
+    harmonics._gram_table.cache_clear()
+    monkeypatch.setattr(harmonics, "_unit_rows", perturbed)
     after = [run(argv) for argv in PERTURBED_ARGVS]
+    harmonics._gram_table.cache_clear()  # no table of scaled rows outlives the test
     assert after == before
     assert all(code == 0 for code, _, _ in after)
 

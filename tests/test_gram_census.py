@@ -1,11 +1,11 @@
 """Census of the verdict threshold: every Gram ratio the kernel can form in the checked range, enumerated.
 
 A kernel ratio depends only on the sphere S^{n-1}, its sphere rule (the node count N) and the two
-degrees.  The rows come from elementwise numpy operations in a fixed order, and a resumed pass is bit for
-bit a pass from degree 0, so only the final dot product of two unit rows can sum in another order, which
-moves it by at most gamma_N = N u / (1 - N u), u = 2^-53 (Higham, Accuracy and Stability of Numerical
-Algorithms, 2nd ed., sec. 3.1).  One full Gram per rule therefore bounds every ratio on that rule: the g1
-entries on S^{q-1} and the g2 witness rows on S^{q-2} alike.
+degrees.  The rows come from elementwise numpy operations in a fixed order, so only the final dot product
+of two unit rows can sum in another order, which moves it by at most gamma_N = N u / (1 - N u), u = 2^-53
+(Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed., sec. 3.1).  One full Gram per rule
+therefore bounds every ratio on that rule: the g1 entries on S^{q-1} and the g2 witness rows on S^{q-2}
+alike, each read from the rule's Gram table.
 """
 
 import numpy as np
@@ -33,13 +33,16 @@ def census_rules():
 def test_every_ratio_clears_the_threshold(capsys):
     rules = census_rules()
     worst_off = worst_diag = worst_gamma = 0.0
-    harmonics._witness_table.cache_clear()
+    harmonics._gram_table.cache_clear()
     for n, top in rules:
         nodes = sphere_nodes(2 * top, n - 3)
-        # a g2 verdict on this rule reads reach[b] <= a from its witness table: with reach[b] = b and no lost row,
+        # a g2 verdict on this rule reads reach[b] <= a from its Gram table: with reach[b] = b and no lost row,
         # each verdict is the diagonal ratio of b against the off-diagonal ratios below it, which this Gram bounds
-        reach, lost = harmonics._witness_table(n, nodes)
+        reach, above, lost = harmonics._gram_table(n, nodes)
         assert reach[: top + 1] == tuple(range(top + 1)) and not lost, (n, top)
+        # a g1 verdict reads entry (c, a) of the table's g1 view: the identity pattern, so each is this Gram's entry
+        assert (np.unpackbits(above, axis=1, count=len(reach), bitorder="little")[: top + 1, : top + 1]
+                == np.eye(top + 1)).all(), (n, top)
         gamma = nodes * UNIT_ROUNDOFF / (1 - nodes * UNIT_ROUNDOFF)
         gram = zonal_gram(range(top + 1), range(top + 1), n)
         diagonal = np.diag(gram)

@@ -20,10 +20,26 @@ from hypbranch.harmonics import (
     sphere_area,
     zonal_gram,
     zonal_norm_sq_closed,
+    zonal_pairings_nonzero,
 )
 from hypbranch.numerics import sphere_nodes, sphere_rule
 from hypbranch.periods import _nonvanishing, period_integral_G1
 from witness_oracle import weighted_cos_integral, witness_pairings, witness_scan, zonal_norm_sq
+
+
+@pytest.fixture
+def cold_tables():
+    """Gram tables built inside the test, none kept after it: a test that patches the kernel leaves no table."""
+    harmonics._gram_table.cache_clear()
+    yield
+    harmonics._gram_table.cache_clear()
+
+
+def _outcome(verdicts, *args):
+    try:
+        return verdicts(*args)
+    except ToleranceError as error:
+        return str(error)
 
 
 class TestGegenbauer:
@@ -209,100 +225,114 @@ class TestZonalGram:
         with pytest.raises(InvalidParameterError):
             zonal_gram([1], [1], 2)
 
-    @pytest.mark.parametrize("n", [3, 4, 5, 7, 16, 40])
-    def test_resumed_rows_are_those_of_a_pass_from_degree_0(self, n, monkeypatch):
-        # min degree at, just below and just above each lattice multiple, on cold and warm lattices
-        harmonics._lattice.cache_clear()
-        rows_of, passes = harmonics._gegenbauer_rows, []
-        tops = (16, 17, 31, 32, 33, 100, 256, 400, 402)
+    def test_recurrence_misses_do_not_grow(self, monkeypatch, cold_tables):
+        # a g1 period ladder calls _recurrence once per table build and once per period past the band, and
+        # misses no more often than with every period on the direct path
+        ladder = [(q, a) for q in range(4, 8) for a in range(0, 401, 16)] * 2
+        random.Random(30).shuffle(ladder)
+        recurrence, calls = harmonics._recurrence, []
+        monkeypatch.setattr(harmonics, "_recurrence", lambda *args: calls.append(args) or recurrence(*args))
 
-        def spy(top, nu, x, wanted, start=None):
-            rows, norms = rows_of(top, nu, x, wanted, start)
-            if sys._getframe(1).f_code.co_name == "zonal_gram":  # not a lattice build
-                passes.append((top, min(wanted), start is not None, (rows.copy(), norms), rows_of(top, nu, x, wanted)))
-            return rows, norms  # zonal_gram scales rows
+        def misses(band):
+            monkeypatch.setattr(harmonics, "MAX_SCAN_DEGREE", band)  # band 0: only the 16-node rules keep a table
+            harmonics._gram_table.cache_clear()
+            recurrence.cache_clear()
+            calls.clear()
+            for q, a in ladder:
+                verdict = period_integral_G1(5, q, Fraction(2 * a + q - 3, 2), Fraction(2 * a + q - 2, 2))
+                assert verdict.nonzero and verdict.predicate_nonzero
+            direct = sum(not harmonics._in_band(q, sphere_nodes(2 * a, q - 3)) for q, a in ladder)
+            assert len(calls) == direct + harmonics._gram_table.cache_info().misses
+            return recurrence.cache_info().misses
 
-        monkeypatch.setattr(harmonics, "_gegenbauer_rows", spy)
-        for top in tops:
-            zonal_gram([top], [top], n)
-            for k in range(16, top + 1, 16):
-                for m in (k - 1, k, k + 1):
-                    zonal_gram([min(m, top)], [top], n)
-        # every pass whose degrees are all 16 or more resumes, a pass to 16 or 17 too
-        assert all(resumed == (lowest >= 16) for _, lowest, resumed, _, _ in passes)
-        assert {top for top, _, resumed, _, _ in passes if resumed} == set(tops)
-        # every pass to 402 shares the degree-400 rule and resumes, but the one from degree 15
-        to_402 = [resumed for top, _, resumed, _, _ in passes if top == 402]
-        assert len(to_402) == 76 and to_402.count(False) == 1
-        for _, _, _, (rows, norms), (rows_0, norms_0) in passes:
-            assert rows.tobytes() == rows_0.tobytes() and norms.tobytes() == norms_0.tobytes()
+        band = harmonics.MAX_SCAN_DEGREE
+        from_0 = misses(0)
+        assert harmonics._gram_table.cache_info().misses == 4  # the 16-node rule of each q
+        assert misses(band) <= from_0
+        assert harmonics._gram_table.cache_info().hits
 
-    def test_checkpoints_are_read_only(self):
-        # the degree-800 rule on S^4 serves tops to 414: checkpoints k = 16, ..., 400, each from a pass from degree 0
-        harmonics._lattice.cache_clear()
-        zonal_gram([398], [400], 5)
-        x, _ = sphere_rule(800, 2)
-        lattice = harmonics._lattice(5, len(x))
-        assert harmonics._lattice.cache_info().hits == 1
-        assert lattice.shape == (25, 2, len(x)) and not lattice.flags.writeable
-        for i, k in enumerate(range(16, 401, 16)):
-            assert lattice[i].tobytes() == harmonics._gegenbauer_rows(k + 1, 1.5, x, [k, k + 1])[0].tobytes()
-        with pytest.raises(ValueError, match="read-only"):
-            lattice[0, 0, 0] = 0.0
+
+def _g1_direct(a, cs, n):
+    # the Gram row of a against cs, formed on the request's own rule
+    return (zonal_gram(cs, [a], n)[0] > harmonics.GRAM_RATIO_TOL).tolist()
+
+
+class TestGramTable:
+    @pytest.mark.parametrize("n", range(3, 17))
+    def test_g1_verdicts_equal_the_direct_gram(self, n, cold_tables):
+        for a in (*range(30), 50, 100, 199, 200, 201, 300, 398, 400):
+            cs = list(range(a + 3))
+            assert zonal_pairings_nonzero(a, cs, n) == _g1_direct(a, cs, n), (n, a)
+        assert harmonics._gram_table.cache_info().misses
 
     @pytest.mark.parametrize(
-        "gram",
-        [
-            lambda: zonal_gram(range(41), [40], 5),  # a g1 scan
-            lambda: zonal_gram([15], [400], 5),
-            lambda: zonal_gram([20, 3], [30], 5),
-            lambda: ktype_pairings_nonzero(40, range(42), 6),  # a g2 witness
-            lambda: gegenbauer(100, 1.5, np.linspace(-1, 1, 7)),
-            lambda: zonal_gram([1036], [1036], 130),  # on a rule past the checked range's
-        ],
-        ids=["from_0", "from_15", "lowest_not_first", "witness", "gegenbauer", "top_1036"],
+        "a, cs, n",
+        [(0, [0], 4), (3, [5, 1], 6), (20, range(23), 8), (7, [40, 2], 4), (100, [101, 0], 10), (400, [402], 5)],
     )
-    def test_passes_that_touch_no_checkpoint(self, gram, monkeypatch):
-        monkeypatch.setattr(harmonics, "_lattice", _unread_lattice)
-        gram()
+    def test_g1_lost_rows_raise_as_the_direct_gram(self, a, cs, n, monkeypatch, cold_tables):
+        # with no tolerance nearly every row is lost: both paths name the first lost degree of cs, then a
+        monkeypatch.setattr(harmonics, "ROW_NORM_TOL", 0.0)
+        direct = _outcome(_g1_direct, a, list(cs), n)
+        assert direct.startswith("zonal row norm at degree ")
+        assert _outcome(zonal_pairings_nonzero, a, cs, n) == direct
+        assert harmonics._gram_table.cache_info().misses == 1
 
-    def test_a_resumable_pass_reads_the_checkpoints(self, monkeypatch):
-        # the control for test_passes_that_touch_no_checkpoint
-        monkeypatch.setattr(harmonics, "_lattice", _unread_lattice)
-        with pytest.raises(LookupError, match=r"^lattice \(5, 416\) read$"):
-            zonal_gram([16], [400], 5)
+    @pytest.mark.parametrize(
+        "target_x2, degree", [(2116, r"840 on S\^437 is 0\.99999999"), (2836, r"1200 on S\^437 is 0\.96")]
+    )
+    def test_a_g1_period_past_the_band_builds_no_table(self, target_x2, degree, cold_tables):
+        # a = 1 on X(5, 438), c = 840 and 1200: the rules of these targets would hold a Gram of 855 and 1207 rows;
+        # the direct path forms the 2 rows the period asks for, and refuses one as before
+        with pytest.raises(ToleranceError, match=rf"^zonal row norm at degree {degree}\d*, not 1$"):
+            period_integral_G1(5, 438, Fraction(437, 2), Fraction(target_x2, 2))
+        assert harmonics._gram_table.cache_info().currsize == 0
 
-    def test_a_pass_to_402_reads_the_checkpoints(self, monkeypatch):
+    def test_table_is_read_only(self, cold_tables):
+        # the degree-800 rule on S^4 serves degrees 0..414: both g1 verdicts read its one table
+        assert zonal_pairings_nonzero(400, [398, 400, 402], 5) == [False, True, False]
+        assert zonal_pairings_nonzero(16, [16], 5) == [True]
+        reach, above, lost = harmonics._gram_table(5, 416)
+        assert harmonics._gram_table.cache_info()[:2] == (1, 2)  # the 416- and the 32-node rule, then a read
+        assert (reach, lost) == (tuple(range(415)), {})
+        assert above.shape == (415, 52) and not above.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            above[0, 0] = 0
+
+    def test_a_g1_verdict_at_402_reads_the_degree_400_table(self, cold_tables):
         # degree 402 is past the checked range, but on S^4 its rule is the degree-400 rule
         assert sphere_nodes(2 * 402, 2) == sphere_nodes(2 * harmonics.MAX_SCAN_DEGREE, 2) == 416
-        monkeypatch.setattr(harmonics, "_lattice", _unread_lattice)
-        with pytest.raises(LookupError, match=r"^lattice \(5, 416\) read$"):
-            zonal_gram([398], [402], 5)
+        assert not period_integral_G1(5, 5, Fraction(802, 2), Fraction(807, 2)).nonzero  # a = 400, c = 402
+        assert period_integral_G1(5, 5, Fraction(802, 2), Fraction(803, 2)).nonzero  # c = 400
+        assert harmonics._gram_table.cache_info()[:2] == (1, 1)
 
-    def test_checkpoints_stay_within_their_byte_bound(self):
-        # the cache keeps the 32 most recently used rules, each lattice at most the bytes README states
-        harmonics._lattice.cache_clear()
+    def test_tables_stay_within_their_byte_bound(self, cold_tables):
+        # the cache keeps the 32 most recently used rules, each g1 view at most the bytes README states
         for n in range(3, 43):
-            zonal_gram([400], [400], n)
-        info = harmonics._lattice.cache_info()
+            zonal_pairings_nonzero(400, [400], n)
+        info = harmonics._gram_table.cache_info()
         assert (info.maxsize, info.currsize, info.misses) == (32, 32, 40)
-        zonal_gram([400], [400], 42)  # the most recent rule is kept ...
-        zonal_gram([400], [400], 3)  # ... and the least recent one rebuilt
-        assert harmonics._lattice.cache_info()[:2] == (1, 41)
-        assert max(harmonics._lattice(n, sphere_nodes(800, n - 3)).nbytes for n in range(3, 17)) == 166_400
-        assert harmonics._lattice(MAX_SPHERE_DIM, sphere_nodes(800, MAX_SPHERE_DIM - 3)).nbytes == 249_600
+        zonal_pairings_nonzero(400, [400], 42)  # the most recent rule is kept ...
+        zonal_pairings_nonzero(400, [400], 3)  # ... and the least recent one rebuilt
+        assert harmonics._gram_table.cache_info()[:2] == (1, 41)
+        tables = [harmonics._gram_table(n, sphere_nodes(800, n - 3)) for n in (*range(3, 17), MAX_SPHERE_DIM + 1)]
+        assert max(above.nbytes for _, above, _ in tables) == 21_632
+        assert max(len(reach) for reach, _, _ in tables) == 416
 
-    def test_threads_share_the_checkpoints(self):
-        # 4 threads build, read and evict the lattices of 40 sphere rules, more than the cache keeps, with a
-        # switch every microsecond; a race can only build one lattice twice
-        calls = [([k], [top], n) for n in range(3, 23) for top in (100, 400) for k in (16, 50, top)]
-        harmonics._lattice.cache_clear()
-        expected = [zonal_gram(*call).tobytes() for call in calls]
+    def test_threads_share_the_tables(self, cold_tables):
+        # 4 threads build, read and evict the tables of more sphere rules than the cache keeps, g1 and g2 verdicts
+        # alike, with a switch every microsecond; a race can only build one table twice
+        tops = [(top, k) for top in (100, 400) for k in (16, 50)]
+        calls = [
+            *((zonal_pairings_nonzero, (top, [k, top], n)) for n in range(3, 23) for top, k in tops),
+            *((ktype_pairings_nonzero, (top, [k, top + 1], n)) for n in range(4, 24, 3) for top, k in tops),
+        ]
+        expected = [verdicts(*args) for verdicts, args in calls]
+        assert harmonics._gram_table.cache_info().misses > 32
 
         def run(seed):
             order = list(range(len(calls))) * 2
             random.Random(seed).shuffle(order)
-            return [(i, zonal_gram(*calls[i]).tobytes()) for i in order]
+            return [(i, calls[i][0](*calls[i][1])) for i in order]
 
         switch = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
@@ -312,37 +342,8 @@ class TestZonalGram:
         finally:
             sys.setswitchinterval(switch)
         assert sum(map(len, results)) == 4 * 2 * len(calls)
-        assert all(rows == expected[i] for result in results for i, rows in result)
-        assert harmonics._lattice.cache_info().currsize == 32
-
-    def test_recurrence_misses_do_not_grow(self, monkeypatch):
-        # a g1 period ladder calls _recurrence once per pass and lattice build, and misses no more often
-        # than passes from degree 0 would
-        ladder = [(q, a) for q in range(4, 8) for a in range(0, 401, 16)] * 2
-        random.Random(30).shuffle(ladder)
-        recurrence, calls = harmonics._recurrence, []
-        monkeypatch.setattr(harmonics, "_recurrence", lambda *args: calls.append(args) or recurrence(*args))
-
-        def misses(band):
-            monkeypatch.setattr(harmonics, "MAX_SCAN_DEGREE", band)  # band 0: no rule resumes
-            harmonics._lattice.cache_clear()
-            recurrence.cache_clear()
-            calls.clear()
-            for q, a in ladder:
-                verdict = period_integral_G1(5, q, Fraction(2 * a + q - 3, 2), Fraction(2 * a + q - 2, 2))
-                assert verdict.nonzero and verdict.predicate_nonzero
-            assert len(calls) == len(ladder) + harmonics._lattice.cache_info().misses
-            return recurrence.cache_info().misses
-
-        band = harmonics.MAX_SCAN_DEGREE
-        from_0 = misses(0)
-        assert harmonics._lattice.cache_info().misses == 0
-        assert misses(band) <= from_0
-        assert harmonics._lattice.cache_info().hits
-
-
-def _unread_lattice(n, nodes):
-    raise LookupError(f"lattice ({n}, {nodes}) read")
+        assert all(verdicts == expected[i] for result in results for i, verdicts in result)
+        assert harmonics._gram_table.cache_info().currsize == 32
 
 
 class TestOrthogonality:
@@ -498,24 +499,11 @@ class TestKTypeWitness:
             ktype_pairing_nonzero(1, 1, 3)
 
 
-@pytest.fixture
-def cold_tables():
-    """Witness tables built inside the test, none kept after it: a test that patches the kernel leaves no table."""
-    harmonics._witness_table.cache_clear()
-    yield
-    harmonics._witness_table.cache_clear()
 
 
 def _direct_verdicts(a, bs, n):
     # the Gram rows k = 0..a against bs, formed on the request's own rule
     return (zonal_gram(range(a + 1), bs, n - 1).max(axis=1) > harmonics.GRAM_RATIO_TOL).tolist()
-
-
-def _outcome(verdicts, *args):
-    try:
-        return verdicts(*args)
-    except ToleranceError as error:
-        return str(error)
 
 
 class TestWitnessTable:
@@ -524,16 +512,17 @@ class TestWitnessTable:
         for a in (*range(30), 50, 100, 199, 200, 201, 300, 386, 400):
             bs = list(range(a + 4))
             assert ktype_pairings_nonzero(a, bs, n) == _direct_verdicts(a, bs, n), (n, a)
-        assert harmonics._witness_table.cache_info().misses
+        assert harmonics._gram_table.cache_info().misses
 
     def test_one_table_per_rule(self, cold_tables):
         # every request whose largest degree selects the 16-node rule of S^4 reads its one table, which
         # serves degrees 0..14
         for a in range(15):
             assert ktype_pairings_nonzero(a, range(15 - a), 6) == [b <= a for b in range(15 - a)]
-        info = harmonics._witness_table.cache_info()
+        info = harmonics._gram_table.cache_info()
         assert (info.misses, info.hits) == (1, 14)
-        assert harmonics._witness_table(5, 16) == (tuple(range(15)), {})
+        reach, _, lost = harmonics._gram_table(5, 16)
+        assert (reach, lost) == (tuple(range(15)), {})
 
     @pytest.mark.parametrize(
         "a, bs, n",
@@ -550,10 +539,10 @@ class TestWitnessTable:
         # the 16-node rule of S^4 serves degrees 0..14; mark its degree-10 row lost
         unit_rows = harmonics._unit_rows
 
-        def lose_degree_10(rows, norm_sq, w):
-            norms, lost = unit_rows(rows, norm_sq, w)
+        def lose_degree_10(n, top, wanted):
+            rows, norms, lost = unit_rows(n, top, wanted)
             lost[10] = True
-            return norms, lost
+            return rows, norms, lost
 
         monkeypatch.setattr(harmonics, "_unit_rows", lose_degree_10)
         assert ktype_pairings_nonzero(5, range(8), 6) == [True] * 6 + [False] * 2
@@ -561,10 +550,10 @@ class TestWitnessTable:
         for a, bs in ((5, [3, 10]), (12, [0])):
             with pytest.raises(ToleranceError, match=r"^zonal row norm at degree 10 on S\^4 is [0-9.e-]+, not 1$"):
                 ktype_pairings_nonzero(a, bs, 6)
-        assert harmonics._witness_table.cache_info().misses == 1
+        assert harmonics._gram_table.cache_info().misses == 1
 
     def test_a_request_past_the_band_builds_no_table(self, cold_tables):
         # its rule would hold a 1207-row Gram; the direct path builds the 2 rows it asks for
         with pytest.raises(ToleranceError, match=r"^zonal row norm at degree 1200 on S\^437 is 0\.96\d*, not 1$"):
             ktype_pairings_nonzero(0, [1200], 439)
-        assert harmonics._witness_table.cache_info().currsize == 0
+        assert harmonics._gram_table.cache_info().currsize == 0

@@ -2,7 +2,6 @@ import json
 import math
 from fractions import Fraction
 
-import numpy as np
 import pytest
 
 from hypbranch import cli, exact, fjrep, geometry, harmonics, numerics, packets, periods
@@ -182,6 +181,8 @@ class TestPeriodsG1Batched:
                         assert abs(single.value) <= 1e-12 * scale, (p, q, a, nu)
 
     def test_one_gegenbauer_pass(self, monkeypatch, capsys):
+        # targets c = 0..18 at a = 16 on X(5, 4) select the 32-node rule on S^3, which serves degrees 0..31: the
+        # first scan builds its Gram table in one pass to 31, and the period and the second scan read it
         calls = []
         kernel = harmonics._gegenbauer_rows
 
@@ -190,6 +191,7 @@ class TestPeriodsG1Batched:
             return kernel(*args)
 
         monkeypatch.setattr(harmonics, "_gegenbauer_rows", counted)
+        harmonics._gram_table.cache_clear()
         lam = H(2 * 16 + 1)  # a = 16 at (5, 4)
         nus = valid_targets(5, 4, "g1", 2 * 18 + 2)
         assert len(branching_verdicts(5, 4, lam, "g1", nus)) == 19
@@ -199,7 +201,7 @@ class TestPeriodsG1Batched:
         assert main(["period", "--p", "5", "--q", "4", "--lambda-x2", "33",
                      "--target-x2", "34", "--subgroup", "g1"]) == 0
         capsys.readouterr()
-        assert calls == [(18, 1.0), (16, 1.0), (18, 1.0), (16, 1.0)]
+        assert calls == [(31, 1.0)]
 
     @pytest.mark.parametrize("p", [5, 6, 7])
     def test_matches_one_element_calls(self, p):
@@ -309,10 +311,10 @@ class TestBatchedScanPasses:
     def test_g2_gegenbauer_passes(self, monkeypatch, capsys, max_target_x2, rows):
         # a = 18 at (4, 6), b = (mu_x2 - 3) / 2 from 0.  The witness zonals live on S^{q-2}, sin
         # power q - 4 = 2 and Gegenbauer order (q - 3) / 2: degrees 2a = 36 to 2b = 40 all need 20 to
-        # 22 nodes, which the one 32-node rule covers.  Its witness table is one pass to the largest
+        # 22 nodes, which the one 32-node rule covers.  Its Gram table is one pass to the largest
         # degree that rule serves, 32 - 1 - 1 = 30; a second scan on the rule reads the table.
         assert numerics.sphere_nodes(2 * 18, 2) == numerics.sphere_nodes(2 * 20, 2) == 32
-        harmonics._witness_table.cache_clear()
+        harmonics._gram_table.cache_clear()
         calls = _count_calls(monkeypatch, harmonics, "_gegenbauer_rows")
         argv = ["branch", *G2_GOLDEN_SCAN[:-1], max_target_x2]
         for passes in ([(30, 1.5)], []):
@@ -379,7 +381,7 @@ def factor_grid():
 
     The grid: p, q in {4, 7, 10, 13, 16}, every 5th valid lambda <= 200, both
     subgroups and every 3rd convergent target <= 200, each a `period` record.  The factors
-    do not read the pairing, so a constant Gram row, witness and pairing stand in for the
+    do not read the pairing, so constant g1 and g2 verdicts and pairings stand in for the
     zonal layer; the Wallis exponents of sin^a cos^m are recorded as the periods pass them
     to `wallis_exact`.
     """
@@ -390,7 +392,7 @@ def factor_grid():
         return wallis_exact(a, m)
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(periods, "zonal_gram", lambda cs, ks, n: np.ones((1, len(cs))))
+        patch.setattr(periods, "zonal_pairings_nonzero", lambda a, cs, n: [True] * len(cs))
         patch.setattr(periods, "ktype_pairings_nonzero", lambda a, bs, n: [True] * len(bs))
         for exact_pairing in ("zonal_norm_sq_exact", "witness_pairing_exact"):
             patch.setattr(periods, exact_pairing, lambda *degrees: (1, 1, 0))

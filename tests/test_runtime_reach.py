@@ -26,7 +26,7 @@ DEMOS = sorted((Path(__file__).parent.parent / "demos").glob("*.py"))
 VERBS = [
     (["fj", "--p", "4", "--q", "4", "--lambda-x2", "4"], 0),
     (["period", "--p", "5", "--q", "4", "--lambda-x2", "9", "--target-x2", "10", "--subgroup", "g1"], 0),
-    # a = 48: a pass from degree 48 resumes from the checkpoint lattice of its sphere rule
+    # a = 48: the g1 verdict reads the Gram table of its sphere rule
     (["period", "--p", "5", "--q", "4", "--lambda-x2", "97", "--target-x2", "98", "--subgroup", "g1"], 0),
     (["period", "--p", "4", "--q", "4", "--lambda-x2", "4", "--target-x2", "3", "--subgroup", "g2"], 0),
     (["period", "--p", "4", "--q", "6", "--lambda-x2", "8", "--target-x2", "5", "--subgroup", "g2", "--witness"], 0),
