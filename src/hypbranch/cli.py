@@ -4,10 +4,9 @@ Half-integer flags use the doubled-integer convention (`--lambda-x2 3` means
 lambda = 3/2) so no parameter ever passes through float parsing.  Exit codes:
 0 success, 1 property failure or a branch row or period whose numeric verdict
 disagrees with its predicate, 2 invalid parameters, an unwritable --out file,
-`period --witness` with `--subgroup g1` (the witness pairing is g2's), a
-`period` or `branch` ambient degree above 400 or a `branch --max-target-x2`
-that admits a target degree above 400, 3 divergent integral, 4 a verdict kernel
-row whose norm is off 1, or a printed number exactly nonzero but not a normal double.
+`period --witness` with `--subgroup g1` (the witness pairing is g2's), or an
+`fj`, `period` or `branch` request past the checked range (`fjrep.check_range`),
+3 divergent integral, 4 a printed number exactly nonzero but not a normal double.
 
 Every verb and flag is declared once, in VERBS.  `main` reads a canonical argv (each flag once by its full
 name, every required flag, every value accepted) straight from that table; argparse, whose parsers are built
@@ -27,7 +26,7 @@ from fractions import Fraction
 # Only the standard library and modules built on it load here: `branch` and `period` import
 # periods, and `check` imports checks, when they run, so fj, packet, help and usage errors load no numpy.
 from .errors import DivergenceError, ToleranceError
-from .fjrep import FJParam, SpaceTag, degree_x2, valid_lambdas_x2
+from .fjrep import MAX_TARGET_DEGREE, FJParam, SpaceTag, check_range, degree_x2, valid_lambdas_x2
 from .packets import RealForm, arthur_packet, pure_inner_forms, relevant_pairs
 
 
@@ -48,6 +47,7 @@ def _emit_json(args, obj) -> None:
 
 def cmd_fj(args) -> int:
     param = FJParam(args.p, args.q, args.lambda_x2)
+    check_range(args.q, param.degree)  # before the Wallis factor of its L2 norm
     _emit_json(args, param.to_json_dict())
     return 0
 
@@ -60,14 +60,12 @@ def _mismatches(rows) -> bool:
 
 
 def cmd_branch(args) -> int:
-    from .periods import MAX_SCAN_DEGREE, BranchingVerdict, branching_verdicts_x2
+    from .periods import BranchingVerdict, branching_verdicts_x2
     tag = SpaceTag(args.subgroup)
     top = degree_x2(args.p, args.q, args.max_target_x2, tag) // 2
-    if top > MAX_SCAN_DEGREE:
-        raise ValueError(
-            f"--max-target-x2 {args.max_target_x2} admits target degree {top};"
-            f" branch scans stop at degree {MAX_SCAN_DEGREE}"
-        )
+    if top > MAX_TARGET_DEGREE:  # before valid_lambdas_x2 lists the targets
+        raise ValueError(f"--max-target-x2 {args.max_target_x2} admits target degree {top},"
+                         f" past the checked range, which ends at {MAX_TARGET_DEGREE}")
     targets_x2 = valid_lambdas_x2(args.p, args.q, args.max_target_x2, tag)
     # every row's value is rounded, and refused, before any verdict is compared
     rows = branching_verdicts_x2(args.p, args.q, args.lambda_x2, args.subgroup, targets_x2)

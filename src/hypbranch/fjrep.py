@@ -34,6 +34,21 @@ class SpaceTag(Enum):
     G2_SPACE = "g2"
 
 
+# The checked range, enforced by every verb but `packet`: q bounds the verdict spheres S^{q-1} and S^{q-2} that the
+# Gram census enumerates, the degrees their rules (a g1 period reads a + 2 at a = MAX_DEGREE); p is not bounded.
+MAX_Q, MAX_DEGREE, MAX_TARGET_DEGREE = 16, 400, 402
+
+
+def check_range(q: int, degree: int, top: int = 0) -> None:
+    """Raise InvalidParameterError for the ambient degree, then q, then the largest target degree `top`, if past it."""
+    if degree > MAX_DEGREE:
+        raise InvalidParameterError(f"ambient degree {degree} is past the checked range, which ends at {MAX_DEGREE}")
+    if q > MAX_Q:
+        raise InvalidParameterError(f"q = {q} is past the checked range, which ends at {MAX_Q}")
+    if top > MAX_TARGET_DEGREE:
+        raise InvalidParameterError(f"target degree {top} is past the checked range, which ends at {MAX_TARGET_DEGREE}")
+
+
 class FJParam(NamedTuple("FJParam", [("p", int), ("q", int), ("lam_x2", int), ("tag", SpaceTag)])):
     """Parameter of a discrete-series generating function, lambda doubled; validated by `checked_degree`."""
 

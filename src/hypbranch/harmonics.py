@@ -19,8 +19,8 @@ import numpy as np
 
 from .errors import InvalidParameterError, ToleranceError
 from .exact import pairing_subsphere_exact, sphere_area_exact, sqrt_pi_ratio, witness_pairing_exact
-from .exact import MAX_SPHERE_DIM, normal_ratio, zonal_norm_sq_exact
-from .fjrep import FJParam, decay_x2
+from .exact import normal_ratio, zonal_norm_sq_exact
+from .fjrep import FJParam, check_range, decay_x2
 from .numerics import SPHERE_NODE_STEP, sphere_nodes, sphere_rule
 
 __all__ = [
@@ -47,16 +47,6 @@ def _recurrence(nu: float, length: int):
         (k - 1) * (k + 2 * nu - 2) / ((k + nu - 1) * (k + nu - 2)) for k in range(2, length)
     )
     return four_c, tuple(accumulate(four_c[2:], operator.mul, initial=1.0))
-
-
-# The checked degree range: the largest ambient degree a period and target degree a `branch` scan accept.
-# The zonal layer holds a Gram row per degree on a rule of about that many nodes, so memory grows with its square.
-MAX_SCAN_DEGREE = 400
-
-
-def _in_band(n: int, nodes: int) -> bool:
-    """Whether `_gram_table` caches this sphere rule of S^{n-1}; past it a table grows as degree^2."""
-    return n - 1 <= MAX_SPHERE_DIM and nodes <= sphere_nodes(2 * MAX_SCAN_DEGREE, n - 3)
 
 
 def _gegenbauer_rows(n: int, nu: float, x: np.ndarray, wanted):
@@ -166,7 +156,7 @@ def zonal_gram(ks, targets, n: int) -> np.ndarray:
     return np.abs(rows[len(ks) :] @ rows[: len(ks)].T)
 
 
-_GRAM_BLOCK = 32  # columns of the Gram a table build forms at once: at most 416 x 32 doubles (106 kB) in the band
+_GRAM_BLOCK = 32  # columns of the Gram a table build forms at once: at most 416 x 32 doubles (106 kB)
 
 
 @lru_cache(maxsize=32)
@@ -203,18 +193,16 @@ def _read_table(n: int, nodes: int, *degrees):
 def zonal_pairings_nonzero(a: int, cs, n: int) -> list[bool]:
     """The g1 verdict: whether |<Z_c, Z_a>| / (|Z_c| |Z_a|) on S^{n-1} is above GRAM_RATIO_TOL, for each c in `cs`.
 
-    The sphere rule is the one :func:`zonal_gram` picks, exact to degree 2 max(a, cs).  In the checked band
-    (`_in_band`) each verdict is entry (c, a) of the rule's `_gram_table`; past it, where a table grows with
-    degree^2, the row of a against `cs` comes from `zonal_gram` directly.  Raises ToleranceError as `zonal_gram`
-    does, for the first lost degree in the order `cs`, then a.
+    Each verdict is entry (c, a) of the `_gram_table` of the sphere rule :func:`zonal_gram` picks, exact to degree
+    2 max(a, cs).  Raises InvalidParameterError past the checked range (`fjrep.check_range`, with q = n), and
+    ToleranceError as `zonal_gram` does, for the first lost degree in the order `cs`, then a.
     """
     cs = list(cs)
     if n < 3 or a < 0 or min(cs, default=0) < 0:
         raise InvalidParameterError("zonal verdicts require sphere_dim >= 3 and non-negative degrees")
-    nodes = sphere_nodes(2 * max([a, *cs]), n - 3)
-    if not _in_band(n, nodes):
-        return (zonal_gram(cs, [a], n)[0] > GRAM_RATIO_TOL).tolist()
-    above = _read_table(n, nodes, cs, [a])[1]
+    top = max([a, *cs])  # a is checked first, so only a target can put top past the range
+    check_range(n, a, top)
+    above = _read_table(n, sphere_nodes(2 * top, n - 3), cs, [a])[1]
     return ((above[cs, a // 8] >> a % 8) & 1).astype(bool).tolist()
 
 
@@ -243,19 +231,16 @@ def ktype_pairings_nonzero(a: int, bs, n: int) -> list[bool]:
     normalised Gram row |<Z_k, Z_b>| / (|Z_k| |Z_b|), k = 0..a, on S^{n-2}.  The type is reachable when the
     row's maximum exceeds GRAM_RATIO_TOL: true exactly when 0 <= b <= a.
 
-    Returns one verdict per b.  In the checked band (`_in_band`) b is reachable when reach[b] <= a in the rule's
-    `_gram_table`; past it, where a table grows with degree^2, the rows come from :func:`zonal_gram` directly.
-    Raises ToleranceError when the kernel refuses a row norm, for the first lost degree in the order 0..a, then `bs`.
+    Returns one verdict per b: b is reachable when reach[b] <= a in the `_gram_table` of the sphere rule.  Raises
+    InvalidParameterError past the checked range (`fjrep.check_range`, with q = n), and ToleranceError when the
+    kernel refuses a row norm, for the first lost degree in the order 0..a, then `bs`.
     """
-    if n < 4:
-        raise InvalidParameterError("ktype_pairing_nonzero requires n >= 4")
     bs = list(bs)
-    if a < 0 or min(bs, default=0) < 0:
-        raise InvalidParameterError("degrees must be non-negative")
-    nodes = sphere_nodes(2 * max([a, *bs]), n - 4)
-    if not _in_band(n - 1, nodes):
-        return (zonal_gram(range(a + 1), bs, n - 1).max(axis=1) > GRAM_RATIO_TOL).tolist()
-    reach = _read_table(n - 1, nodes, range(a + 1), bs)[0]
+    if n < 4 or a < 0 or min(bs, default=0) < 0:
+        raise InvalidParameterError("the K-type witness requires n >= 4 and non-negative degrees")
+    top = max([a, *bs])
+    check_range(n, a, top)
+    reach = _read_table(n - 1, sphere_nodes(2 * top, n - 4), range(a + 1), bs)[0]
     return [reach[b] <= a for b in bs]
 
 

@@ -16,8 +16,9 @@ from typing import NamedTuple
 from .errors import DivergenceError, InvalidParameterError
 from .exact import doubled, normal_ratio, pairing_subsphere_exact, sphere_area_exact, sqrt_pi_error, sqrt_pi_ratio
 from .exact import wallis_exact, witness_pairing_exact, zonal_norm_sq_exact
-from .fjrep import FJParam, SpaceTag, checked_degree, inf_char_x2, make_fj_param, tag_signature, valid_lambdas
-from .harmonics import MAX_SCAN_DEGREE, ktype_pairings_nonzero, zonal_pairings_nonzero
+from .fjrep import FJParam, SpaceTag, check_range, checked_degree, inf_char_x2, make_fj_param, tag_signature
+from .fjrep import valid_lambdas
+from .harmonics import ktype_pairings_nonzero, zonal_pairings_nonzero
 from .packets import InterlaceClass, interlace_classify_scan
 
 __all__ = [
@@ -169,13 +170,13 @@ def _scan(ambient: FJParam, tag: SpaceTag, targets_x2, witness: bool) -> _Scan:
     (`ktype_pairings_nonzero`).  The sphere area, the pairing (g1: delta_{a,c} |Z_a|^2; g2: the witness value
     with `witness`, else the plain subsphere pairing) and the Wallis integral R of sin^{sp-1} cos^m,
     m = lambda + target - 1/2, are exact; a `branch` row builds its Wallis factor and rounds (`period_value`)
-    only where its pairing is nonzero.  Refuses an ambient degree above MAX_SCAN_DEGREE before any Gram row.
+    only where its pairing is nonzero.  Refuses an ambient degree or q past the checked range (`check_range`) before
+    it reads the targets, and a target degree past it (in the verdict) before any Gram row or exact factor.
     """
     a, p, q = ambient.degree, ambient.p, ambient.q
-    if a > MAX_SCAN_DEGREE:
-        raise InvalidParameterError(f"ambient degree {a}: periods stop at degree {MAX_SCAN_DEGREE}")
+    check_range(q, a)
     sp, sq = tag_signature(p, q, tag)
-    if not targets_x2:  # build no Gram row and read no sphere area, which a large p or q would refuse
+    if not targets_x2:  # build no Gram row and read no sphere area, which a large p would refuse
         return _Scan(a, None, sp - 1, [], [], [], [], [])
     offset_x2 = sp - sq - 2  # a target's doubled degree is t_x2 + offset_x2 (`degree_x2`)
     degrees = [(t_x2 + offset_x2) // 2 for t_x2 in targets_x2]

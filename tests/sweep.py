@@ -42,8 +42,8 @@ LEDGER = [
     ["period", "--p", "5", "--q", "1000", "--lambda-x2", "1077", "--target-x2", "1082", "--subgroup", "g1"],
 ]
 
-# the corners and edges of the checked range: degree 0 and 400, spheres S^3 to S^437, and just past each; not the
-# row-norm refusals on S^437, whose messages print numpy's digits
+# the corners and edges of the checked range (`fjrep.check_range`): degree 0 and 400, target degree 402, q = 4 and
+# 16, and just past each; and requests far past it, on spheres to S^999 and at p = 10^6
 CORNERS = [
     ["fj", "--p", "4", "--q", "4", "--lambda-x2", "2"],
     ["fj", "--p", "6", "--q", "5", "--lambda-x2", "801"],
@@ -53,6 +53,11 @@ CORNERS = [
     ["period", "--p", "5", "--q", "4", "--lambda-x2", "1", "--target-x2", "2", "--subgroup", "g1"],
     ["period", "--p", "6", "--q", "5", "--lambda-x2", "801", "--target-x2", "806", "--subgroup", "g1"],
     ["period", "--p", "6", "--q", "5", "--lambda-x2", "803", "--target-x2", "806", "--subgroup", "g1"],
+    ["period", "--p", "5", "--q", "4", "--lambda-x2", "801", "--target-x2", "806", "--subgroup", "g1"],
+    ["period", "--p", "5", "--q", "4", "--lambda-x2", "801", "--target-x2", "808", "--subgroup", "g1"],
+    ["period", "--p", "5", "--q", "16", "--lambda-x2", "813", "--target-x2", "816", "--subgroup", "g2", "--witness"],
+    ["period", "--p", "5", "--q", "17", "--lambda-x2", "14", "--target-x2", "15", "--subgroup", "g1"],
+    ["fj", "--p", "4", "--q", "17", "--lambda-x2", "15"],
     ["period", "--p", "4", "--q", "16", "--lambda-x2", "814", "--target-x2", "13", "--subgroup", "g2"],
     ["period", "--p", "4", "--q", "432", "--lambda-x2", "750", "--target-x2", "751", "--subgroup", "g1"],
     ["period", "--p", "5", "--q", "438", "--lambda-x2", "437", "--target-x2", "438", "--subgroup", "g1"],

@@ -165,10 +165,13 @@ class TestBranch:
 
     @pytest.mark.parametrize("subgroup", ["g1", "g2"])
     def test_empty_scan_past_the_sphere_range_exits_0(self, capsys, subgroup):
-        # no target: no Gram row is built, so the sphere areas of S^443 and S^442, which would refuse, are not read
+        # no target: no Gram row is built, so the sphere areas of S^443 and S^444, which would refuse, are not read;
+        # the checked range bounds q but not p, so the empty scan at q = 445 is refused like any other request there
+        argv = ("branch", "--p", "445", "--q", "5", "--lambda-x2", "2", "--subgroup", subgroup, "--max-target-x2", "0")
+        assert run_cli(capsys, *argv) == (0, "[]\n", "")
         argv = ("branch", "--p", "5", "--q", "445", "--lambda-x2", "448",
                 "--subgroup", subgroup, "--max-target-x2", "1")
-        assert run_cli(capsys, *argv) == (0, "[]\n", "")
+        assert run_cli(capsys, *argv) == (2, "", "error: q = 445 is past the checked range, which ends at 16\n")
 
     def test_half_integer_fields_are_doubled_ints(self, capsys):
         _, out, _ = run_cli(
@@ -383,27 +386,27 @@ class TestExitCodes:
         assert flipped in lines[0]
 
     @pytest.mark.parametrize(
-        "argv",
+        "code, argv",
         [
             # the degree-200 leading-trace witness value overflows
-            ("period", "--p", "4", "--q", "6", "--lambda-x2", "404", "--witness",
-             "--target-x2", "3", "--subgroup", "g2"),
-            # the L2 norm on X(4, 438) at degree 4999 is 1.5e341, above the float range
-            ("fj", "--p", "4", "--q", "438", "--lambda-x2", "10434"),
-            # sphere-rule weights on S^437 below the float range: the degree-1200 Gram row lost mass
-            ("period", "--p", "5", "--q", "438", "--lambda-x2", "437",
-             "--target-x2", "2836", "--subgroup", "g1"),
+            (4, ("period", "--p", "4", "--q", "6", "--lambda-x2", "404", "--witness",
+                 "--target-x2", "3", "--subgroup", "g2")),
+            # the L2 norm on X(4, 438) at degree 4999 would be 1.5e341: q and the degree are past the checked range
+            (2, ("fj", "--p", "4", "--q", "438", "--lambda-x2", "10434")),
+            # the degree-1200 Gram row on S^437 would lose mass (TestZonalGram): q is past the checked range
+            (2, ("period", "--p", "5", "--q", "438", "--lambda-x2", "437",
+                 "--target-x2", "2836", "--subgroup", "g1")),
             # the L2 norm on X(400, 4) is 1.3e-393, below the normal range
-            ("fj", "--p", "400", "--q", "4", "--lambda-x2", "400"),
+            (4, ("fj", "--p", "400", "--q", "4", "--lambda-x2", "400")),
             # the sphere area of S^348 times the radial factor is below the normal range
-            ("period", "--p", "350", "--q", "4", "--lambda-x2", "350",
-             "--target-x2", "351", "--subgroup", "g1"),
-            # three witness rows with nonzero true underflow to 0.0 at degree 31 on S^278
-            ("branch", "--p", "338", "--q", "280", "--lambda-x2", "6", "--subgroup", "g2",
-             "--max-target-x2", "33"),
-            # the degree-840 row on S^437 is 1.6e-10 short of 1: inside GRAM_RATIO_TOL, outside ROW_NORM_TOL
-            ("period", "--p", "5", "--q", "438", "--lambda-x2", "437",
-             "--target-x2", "2116", "--subgroup", "g1"),
+            (4, ("period", "--p", "350", "--q", "4", "--lambda-x2", "350",
+                 "--target-x2", "351", "--subgroup", "g1")),
+            # three witness rows with nonzero true would underflow to 0.0 at degree 31 on S^278: q is past the range
+            (2, ("branch", "--p", "338", "--q", "280", "--lambda-x2", "6", "--subgroup", "g2",
+                 "--max-target-x2", "33")),
+            # the degree-840 row on S^437 would be 1.6e-10 short of 1 (TestZonalGram): q is past the checked range
+            (2, ("period", "--p", "5", "--q", "438", "--lambda-x2", "437",
+                 "--target-x2", "2116", "--subgroup", "g1")),
         ],
         ids=[
             "witness_overflow", "fj_norm_not_finite", "g1_row_norm_lost_mass",
@@ -411,9 +414,10 @@ class TestExitCodes:
             "g2_nonzero_row_below_normal_range", "g1_row_norm_past_its_bound",
         ],
     )
-    def test_numeric_failure_exits_4(self, capsys, argv):
-        code, out, err = run_cli(capsys, *argv)
-        assert code == 4
+    def test_numeric_failure_exits_4(self, capsys, code, argv):
+        # in the checked range a number that is not a normal double exits 4; past it the request is refused first
+        exit_code, out, err = run_cli(capsys, *argv)
+        assert exit_code == code
         assert out == ""
         assert err.startswith("error: ") and len(err.strip().splitlines()) == 1
 
@@ -430,32 +434,37 @@ class TestExitCodes:
         assert not payload["nonzero"] and not payload["predicate_nonzero"]
         assert payload["value"] == payload["err_est"] == payload["pairing_factor"] == 0.0
 
-    def test_fj_norm_past_the_zonal_quadrature_range_exits_0(self, capsys):
-        # degree 1036 on S^129: the zonal norm is exact, with no Gegenbauer pass to overflow
+    def test_fj_norm_past_the_zonal_quadrature_range_is_exact(self, capsys):
+        # degree 1036 on S^129: past the checked range `fj` refuses it, and the library's zonal norm is still exact,
+        # with no Gegenbauer pass to overflow
         code, out, err = run_cli(capsys, "fj", "--p", "4", "--q", "130", "--lambda-x2", "2200")
-        assert (code, err) == (0, "")
+        assert (code, out) == (2, "")
+        assert err == "error: ambient degree 1036 is past the checked range, which ends at 400\n"
         exact = 8.6202590683892648783e109  # mpmath, 40 digits
-        assert abs(json.loads(out)["l2_norm_sq"] - exact) <= 1e-14 * exact
+        assert abs(fjrep.l2_norm_sq(fjrep.FJParam(4, 130, 2200)) - exact) <= 1e-14 * exact
 
     @pytest.mark.parametrize(
-        "argv",
+        "code, argv",
         [
-            ("fj", "--p", "4", "--q", "438", "--lambda-x2", "10434"),
-            ("period", "--p", "5", "--q", "438", "--lambda-x2", "437",
-             "--target-x2", "2836", "--subgroup", "g1"),
-            # the row norms on S^1999 underflow to 0 by degree 1000: the refused rows are nan
-            ("period", "--p", "5", "--q", "2000", "--lambda-x2", "1997",
-             "--target-x2", "3998", "--subgroup", "g1"),
+            (2, ("fj", "--p", "4", "--q", "438", "--lambda-x2", "10434")),
+            (2, ("period", "--p", "5", "--q", "438", "--lambda-x2", "437",
+                 "--target-x2", "2836", "--subgroup", "g1")),
+            # the row norms on S^1999 would underflow to 0 by degree 1000: refused before any row
+            (2, ("period", "--p", "5", "--q", "2000", "--lambda-x2", "1997",
+                 "--target-x2", "3998", "--subgroup", "g1")),
+            # in the checked range: a Gram table on S^4, then a witness value past the double range
+            (4, ("period", "--p", "4", "--q", "6", "--lambda-x2", "404", "--witness",
+                 "--target-x2", "3", "--subgroup", "g2")),
         ],
-        ids=["fj", "period_g1_row_norm_lost_mass", "period_g1_row_norm_nan"],
+        ids=["fj", "period_g1_row_norm_lost_mass", "period_g1_row_norm_nan", "witness_overflow"],
     )
-    def test_overflow_prints_one_error_line(self, argv):
+    def test_overflow_prints_one_error_line(self, code, argv):
         # in a fresh interpreter with warnings shown, which pytest would capture
         out = subprocess.run(
             [sys.executable, "-W", "default", "-m", "hypbranch.cli", *argv],
             env=_subprocess_env(), capture_output=True, text=True,
         )
-        assert out.returncode == 4
+        assert out.returncode == code
         assert out.stdout == ""
         lines = out.stderr.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: "), out.stderr
@@ -485,13 +494,14 @@ class TestExitCodes:
         ids=["f_period_g1_degree_1036", "period_g2_witness_degree_1000", "period_g1_q300",
              "k_branch_g1_q360", "p_branch_g1_q322", "p_period_g2_q315"],
     )
-    def test_verdicts_past_the_norm_product_range(self, capsys, argv):
-        # the kernel's rows are unit vectors: it forms no norm product to over- or underflow
+    def test_verdicts_past_the_norm_product_range(self, capsys, monkeypatch, argv):
+        # the kernel's rows are unit vectors and form no norm product (TestZonalGram::test_full_gram_is_the_identity),
+        # but each of these spheres or degrees is past the checked range: refused before any Gegenbauer pass
+        passes = []
+        monkeypatch.setattr(harmonics, "_gegenbauer_rows", lambda *args: passes.append(args[:2]))
         code, out, err = run_cli(capsys, *argv)
-        assert (code, err) == (0, "")
-        payload = json.loads(out)
-        rows = payload if isinstance(payload, list) else [payload]
-        assert rows and all(r["nonzero"] == r.get("predicate", r.get("predicate_nonzero")) for r in rows)
+        assert (code, out, passes) == (2, "", [])
+        assert err.startswith("error: ") and "is past the checked range" in err and len(err.splitlines()) == 1
 
     def test_witness_on_g1_exits_2(self, capsys):
         code, out, err = run_cli(
@@ -503,7 +513,7 @@ class TestExitCodes:
         assert out == ""
         assert err == "error: --witness applies to --subgroup g2 only\n"
 
-    @pytest.mark.parametrize("max_target_x2", ["804", "100000"], ids=["degree_401", "degree_49999"])
+    @pytest.mark.parametrize("max_target_x2", ["808", "100000"], ids=["degree_403", "degree_49999"])
     def test_oversized_branch_scan_exits_2(self, capsys, monkeypatch, max_target_x2):
         # g1 targets on X(4, 4) have degree (nu_x2 - 2) / 2; the refusal comes
         # before any Gram row, so a regression fails here instead of allocating
@@ -535,21 +545,37 @@ class TestExitCodes:
              "--subgroup", "g2", "--witness"),
             ("branch", "--p", "5", "--q", "4", "--lambda-x2", "803", "--subgroup", "g1",
              "--max-target-x2", "4"),
+            ("fj", "--p", "5", "--q", "5", "--lambda-x2", "400000"),
         ],
         ids=["branch_g2_degree_20000", "period_g1_degree_100000", "period_g1_degree_1000",
-             "period_g2_witness_degree_1000", "branch_g1_degree_401"],
+             "period_g2_witness_degree_1000", "branch_g1_degree_401", "fj_degree_199999"],
     )
     def test_ambient_degree_above_400_exits_2_fast(self, capsys, monkeypatch, argv):
-        # the refusal comes before any Gram row: the memory of the zonal layer
-        # grows with the square of the degree
+        # the refusal comes before any Gram row or exact factor: the memory of the zonal layer grows with the
+        # square of the degree, and an `fj` Wallis factor with the degree
         passes = []
         monkeypatch.setattr(harmonics, "_gegenbauer_rows", lambda *args: passes.append(args[:2]))
+        for module in (fjrep, periods):
+            monkeypatch.setattr(module, "wallis_exact", lambda *args: passes.append(args))
         start = time.monotonic()
         code, out, err = run_cli(capsys, *argv)
         assert time.monotonic() - start < 1.0
         assert (code, out, passes) == (2, "", [])
         assert err.startswith("error: ambient degree ") and len(err.strip().splitlines()) == 1
-        assert err.strip().endswith(f"periods stop at degree {periods.MAX_SCAN_DEGREE}")
+        assert err.strip().endswith(f"is past the checked range, which ends at {fjrep.MAX_DEGREE}")
+
+    def test_target_degree_above_402_exits_2_fast(self, capsys, monkeypatch):
+        # target degree 50,000 at a = 4: the one Gegenbauer pass this period once made grew with its square
+        passes = []
+        monkeypatch.setattr(harmonics, "_gegenbauer_rows", lambda *args: passes.append(args[:2]))
+        start = time.monotonic()
+        code, out, err = run_cli(capsys, "period", "--p", "5", "--q", "4", "--lambda-x2", "9",
+                                 "--target-x2", "100002", "--subgroup", "g1")
+        assert time.monotonic() - start < 1.0
+        assert (code, out, passes) == (2, "", [])
+        assert err == (
+            f"error: target degree 50000 is past the checked range, which ends at {fjrep.MAX_TARGET_DEGREE}\n"
+        )
 
     @pytest.mark.parametrize(
         "argv",
@@ -574,23 +600,25 @@ class TestExitCodes:
         assert err.endswith(f"error: unrecognized arguments: --nodes {argv[-1]}\n")
 
     @pytest.mark.parametrize(
-        "argv",
+        "code, argv, error",
         [
-            ("fj", "--p", "1000000", "--q", "4", "--lambda-x2", "1000000"),
-            ("fj", "--p", "5", "--q", "1000000", "--lambda-x2", "999997"),
-            ("period", "--p", "5", "--q", "1000000", "--lambda-x2", "999997",
-             "--target-x2", "999998", "--subgroup", "g1"),
+            (2, ("fj", "--p", "1000000", "--q", "4", "--lambda-x2", "1000000"), "ambient degree 999997 "),
+            (2, ("fj", "--p", "5", "--q", "1000000", "--lambda-x2", "999997"), "q = 1000000 "),
+            (2, ("period", "--p", "5", "--q", "1000000", "--lambda-x2", "999997",
+                 "--target-x2", "999998", "--subgroup", "g1"), "q = 1000000 "),
+            # p is not bounded by the checked range: at a = 217 the sphere area of S^438 is refused
+            (4, ("fj", "--p", "439", "--q", "4", "--lambda-x2", "1"), "sphere area of S^438 "),
         ],
-        ids=["fj_huge_p", "fj_huge_q", "period_huge_q"],
+        ids=["fj_huge_p", "fj_huge_q", "period_huge_q", "fj_p_439"],
     )
-    def test_huge_signature_exits_4_fast(self, capsys, argv):
-        # the sphere area refuses before it builds any factorial
+    def test_huge_signature_exits_4_fast(self, capsys, code, argv, error):
+        # the sphere area refuses before it builds any factorial, and the checked range before the sphere area
         start = time.monotonic()
-        code, out, err = run_cli(capsys, *argv)
+        exit_code, out, err = run_cli(capsys, *argv)
         assert time.monotonic() - start < 1.0
-        assert code == 4
+        assert exit_code == code
         assert out == ""
-        assert err.startswith("error: sphere area of S^") and len(err.strip().splitlines()) == 1
+        assert err.startswith(f"error: {error}") and len(err.strip().splitlines()) == 1
 
     def test_branch_scan_to_degree_400_exits_0(self, capsys):
         code, out, _ = run_cli(
@@ -600,6 +628,19 @@ class TestExitCodes:
         )
         assert code == 0
         assert json.loads(out)[-1]["target_x2"] == 802
+
+    def test_requests_to_target_degree_402_exit_0(self, capsys):
+        # the top of the checked range on X(5, 16): ambient degree 400, targets to degree 402
+        code, out, err = run_cli(capsys, "branch", "--p", "5", "--q", "16", "--lambda-x2", "813",
+                                 "--subgroup", "g1", "--max-target-x2", "819", "--format", "csv")
+        assert (code, err) == (0, "")
+        last = list(csv.DictReader(io.StringIO(out)))[-1]
+        assert (last["target_x2"], last["nonzero"], last["predicate"]) == ("818", "false", "false")
+        code, out, err = run_cli(capsys, "period", "--p", "5", "--q", "16", "--lambda-x2", "813",
+                                 "--target-x2", "816", "--subgroup", "g2", "--witness")
+        assert (code, err) == (0, "")
+        payload = json.loads(out)
+        assert payload["degree_target"] == 402 and not payload["nonzero"] and not payload["predicate_nonzero"]
 
     def test_packet_odd_signature(self, capsys):
         code, _, _ = run_cli(capsys, "packet", "--p", "3", "--q", "3")
@@ -986,6 +1027,7 @@ COLD_PROBES = [
     ("import-cli", "import hypbranch.cli", None, False, False),
     ("import-packets", "import hypbranch.packets", None, False, False),
     ("fj", ["fj", "--p", "4", "--q", "4", "--lambda-x2", "4"], 0, False, False),
+    ("fj-past-the-range", ["fj", "--p", "5", "--q", "5", "--lambda-x2", "400000"], 2, False, False),
     ("packet", ["packet", "--p", "4", "--q", "4", "--lambda-x2", "4"], 0, False, False),
     ("packet-inner-forms", ["packet", "--p", "4", "--q", "6", "--inner-forms-only"], 0, False, False),
     ("help", ["--help"], 0, False, True),
@@ -1072,13 +1114,15 @@ def test_checkpoints_leave_every_output_as_a_fresh_process_prints_it(capsys):
 
 
 def test_no_lattice_past_the_sphere_range():
-    # on S^999 the exact layer answers no zonal norm, so no verdict there builds or keeps a Gram table: the period
-    # to 1078 refuses its sphere area, and the one to 1082 prints the bytes blessed in the sweep manifest
+    # S^999 is past the checked range, so no verdict there builds or keeps a Gram table: both periods are refused,
+    # with the bytes blessed in the sweep manifest
     harmonics._gram_table.cache_clear()
     period = ["period", "--p", "5", "--q", "1000", "--lambda-x2", "1077", "--target-x2"]
-    refused = sweep.run([*period, "1078", "--subgroup", "g1"])
-    assert (refused["exit"], refused["stderr"]) == (4, "error: sphere area of S^998 is out of floating-point range\n")
-    assert sweep.run([*period, "1082", "--subgroup", "g1"]) in sweep.load()
+    for target_x2 in ("1078", "1082"):
+        refused = sweep.run([*period, target_x2, "--subgroup", "g1"])
+        assert refused["exit"] == 2
+        assert refused["stderr"] == "error: q = 1000 is past the checked range, which ends at 16\n"
+        assert refused in sweep.load()
     assert harmonics._gram_table.cache_info().misses == 0
 
 

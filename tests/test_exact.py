@@ -26,7 +26,8 @@ from hypbranch.cli import main
 from hypbranch.errors import ToleranceError
 from hypbranch.exact import normal_ratio, sphere_area_exact, wallis_exact, zonal_norm_sq_exact
 
-# ROADMAP defects (l), the plain g2 pairing at a = 400, and (k), g1 values past q = 300
+# ROADMAP defects (l), the plain g2 pairing at a = 400, and (k), g1 values past q = 300: past the checked range,
+# so the CLI refuses them, and their exact factors are held to the oracle here
 DEFECT_L = ["period", "--p", "4", "--q", "16", "--lambda-x2", "814", "--target-x2", "13", "--subgroup", "g2"]
 DEFECT_K = [
     ["period", "--p", "4", "--q", "432", "--lambda-x2", "750", "--target-x2", "751", "--subgroup", "g1"],
@@ -203,9 +204,17 @@ def test_defect_l_prints_the_exact_pairing():
 
 @pytest.mark.parametrize("argv", DEFECT_K, ids=["q432", "q321"])
 def test_defect_k_prints_the_exact_value(argv):
-    code, out, _ = run(argv)
-    assert code == 0
-    check_period_payload(argv, json.loads(out))
+    # q is past the checked range: one refusal line; the period the exact layer gives there is the oracle's
+    p, q, lam_x2, t_x2 = (_flag(argv, f) for f in ("--p", "--q", "--lambda-x2", "--target-x2"))
+    assert run(argv) == (2, "", f"error: q = {q} is past the checked range, which ends at 16\n")
+    a = fjrep.checked_degree(p, q, lam_x2, fjrep.SpaceTag.G_ON_H)
+    assert fjrep.checked_degree(p, q, t_x2, fjrep.SpaceTag.G1_SPACE) == a
+    sphere, pairing = sphere_area_exact(p - 1), zonal_norm_sq_exact(a, q)
+    radial = wallis_exact(p - 2, (lam_x2 + t_x2 - 1) // 2)
+    value, err_est = periods.period_value(sphere, pairing, radial, (a, a))
+    factors = {f"{name}_factor": normal_ratio(name, "", factor)
+               for name, factor in (("sphere", sphere), ("pairing", pairing), ("radial", radial))}
+    check_period_payload(argv, {"subgroup": "g1", "witness_used": False, "value": value, "err_est": err_est, **factors})
 
 
 def test_defect_e_branch_prints_the_value_whose_pairing_period_refuses():

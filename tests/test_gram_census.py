@@ -9,16 +9,20 @@ alike, each read from the rule's Gram table.
 """
 
 import numpy as np
+import pytest
 
 from hypbranch import harmonics
-from hypbranch.harmonics import GRAM_RATIO_TOL, MAX_SCAN_DEGREE, zonal_gram
+from hypbranch.errors import InvalidParameterError
+from hypbranch.fjrep import MAX_DEGREE, MAX_Q, MAX_TARGET_DEGREE
+from hypbranch.harmonics import GRAM_RATIO_TOL, ktype_pairings_nonzero, zonal_gram, zonal_pairings_nonzero
 from hypbranch.numerics import sphere_nodes
 
-# README's checked range, p, q <= 16: g1 verdicts read S^{q-1} and g2 witnesses S^{q-2}, so n = 3..16.  A period
-# reads up to the target degree a + 2 at a = MAX_SCAN_DEGREE.
-SPHERES = range(3, 17)
-TOP = MAX_SCAN_DEGREE + 2
+# The checked range of `fjrep.check_range`: g1 verdicts read S^{q-1} and g2 witnesses S^{q-2} for 4 <= q <= MAX_Q,
+# so n = 3..MAX_Q, and a request's largest degree is at most MAX_TARGET_DEGREE.
+SPHERES = range(3, MAX_Q + 1)
+TOP = MAX_TARGET_DEGREE
 UNIT_ROUNDOFF = 2.0**-53
+VERDICTS = {"g1": zonal_pairings_nonzero, "g2": ktype_pairings_nonzero}
 
 
 def census_rules():
@@ -59,3 +63,35 @@ def test_every_ratio_clears_the_threshold(capsys):
             f" largest 2 gamma_N {2 * worst_gamma:.3g}, against GRAM_RATIO_TOL = {GRAM_RATIO_TOL:g}"
         )
 
+
+class _Asked(Exception):
+    """Raised by the recording stub of `harmonics._read_table` in place of a table read."""
+
+
+def test_the_census_holds_exactly_the_rules_the_range_admits(monkeypatch):
+    # an in-range request (4 <= q <= MAX_Q, ambient degree <= MAX_DEGREE, targets <= TOP) reads the rule of its
+    # largest degree: record the rule each verdict asks for at every largest degree and q
+    asked = set()
+
+    def record(n, nodes, *degrees):
+        asked.add((n, nodes))
+        raise _Asked
+
+    monkeypatch.setattr(harmonics, "_read_table", record)
+    for q in range(4, MAX_Q + 1):
+        for top in range(TOP + 1):
+            for verdicts in VERDICTS.values():
+                with pytest.raises(_Asked):
+                    verdicts(min(top, MAX_DEGREE), [top], q)
+    assert asked == {(n, sphere_nodes(2 * top, n - 3)) for n, top in census_rules()}
+
+
+@pytest.mark.parametrize("subgroup", ["g1", "g2"])
+def test_each_verdict_answers_at_each_bound_and_refuses_past_it(subgroup):
+    verdicts = VERDICTS[subgroup]
+    harmonics._gram_table.cache_clear()
+    for a, targets, q in ((MAX_DEGREE + 1, [0], 4), (0, [TOP + 1], 4), (0, [0], MAX_Q + 1)):
+        with pytest.raises(InvalidParameterError, match="is past the checked range"):
+            verdicts(a, targets, q)
+    assert harmonics._gram_table.cache_info().currsize == 0
+    assert verdicts(MAX_DEGREE, [MAX_DEGREE, TOP], MAX_Q) == [True, False]

@@ -11,7 +11,7 @@ from scipy.special import eval_gegenbauer
 from hypbranch import harmonics
 from hypbranch.errors import InvalidParameterError, ToleranceError
 from hypbranch.exact import MAX_SPHERE_DIM
-from hypbranch.fjrep import SpaceTag
+from hypbranch.fjrep import MAX_DEGREE, MAX_TARGET_DEGREE, SpaceTag
 from hypbranch.harmonics import (
     gegenbauer,
     ktype_pairing_nonzero,
@@ -205,13 +205,10 @@ class TestZonalGram:
         assert zonal_gram([], [3], 5).shape == (1, 0)
         assert zonal_gram([], [], 5).shape == (0, 0)
 
-    @pytest.mark.parametrize(
-        "gram",
-        [lambda: zonal_gram([1200], [0], 438), lambda: ktype_pairings_nonzero(0, [1200], 439)],
-        ids=["zonal_gram", "ktype_pairings_nonzero"],
-    )
+    @pytest.mark.parametrize("gram", [lambda: zonal_gram([1200], [0], 438)], ids=["zonal_gram"])
     def test_lost_mass_raises(self, gram):
-        # sphere-rule weights on S^437 below the float range carry mass the degree-1200 row needs
+        # sphere-rule weights on S^437 below the float range carry mass the degree-1200 row needs; the verdicts
+        # refuse that sphere before any row (TestWitnessTable::test_a_request_past_the_band_builds_no_table)
         with pytest.raises(ToleranceError, match=r"^zonal row norm at degree 1200 on S\^437 is 0\.96\d*, not 1$"):
             gram()
 
@@ -226,30 +223,23 @@ class TestZonalGram:
             zonal_gram([1], [1], 2)
 
     def test_recurrence_misses_do_not_grow(self, monkeypatch, cold_tables):
-        # a g1 period ladder calls _recurrence once per table build and once per period past the band, and
-        # misses no more often than with every period on the direct path
+        # a g1 period ladder calls _recurrence once per table build and never per period, and misses at most once
+        # per table; a period past the checked range calls it not at all
         ladder = [(q, a) for q in range(4, 8) for a in range(0, 401, 16)] * 2
         random.Random(30).shuffle(ladder)
         recurrence, calls = harmonics._recurrence, []
         monkeypatch.setattr(harmonics, "_recurrence", lambda *args: calls.append(args) or recurrence(*args))
-
-        def misses(band):
-            monkeypatch.setattr(harmonics, "MAX_SCAN_DEGREE", band)  # band 0: only the 16-node rules keep a table
-            harmonics._gram_table.cache_clear()
-            recurrence.cache_clear()
-            calls.clear()
-            for q, a in ladder:
-                verdict = period_integral_G1(5, q, Fraction(2 * a + q - 3, 2), Fraction(2 * a + q - 2, 2))
-                assert verdict.nonzero and verdict.predicate_nonzero
-            direct = sum(not harmonics._in_band(q, sphere_nodes(2 * a, q - 3)) for q, a in ladder)
-            assert len(calls) == direct + harmonics._gram_table.cache_info().misses
-            return recurrence.cache_info().misses
-
-        band = harmonics.MAX_SCAN_DEGREE
-        from_0 = misses(0)
-        assert harmonics._gram_table.cache_info().misses == 4  # the 16-node rule of each q
-        assert misses(band) <= from_0
-        assert harmonics._gram_table.cache_info().hits
+        recurrence.cache_clear()
+        for q, a in ladder:
+            verdict = period_integral_G1(5, q, Fraction(2 * a + q - 3, 2), Fraction(2 * a + q - 2, 2))
+            assert verdict.nonzero and verdict.predicate_nonzero
+        tables = harmonics._gram_table.cache_info()
+        assert len(calls) == tables.misses and tables.hits
+        assert recurrence.cache_info().misses <= tables.misses
+        calls.clear()
+        with pytest.raises(InvalidParameterError, match="^ambient degree 401 is past the checked range"):
+            period_integral_G1(5, 4, Fraction(803, 2), Fraction(804, 2))
+        assert calls == []
 
 
 def _g1_direct(a, cs, n):
@@ -281,11 +271,14 @@ class TestGramTable:
         "target_x2, degree", [(2116, r"840 on S\^437 is 0\.99999999"), (2836, r"1200 on S\^437 is 0\.96")]
     )
     def test_a_g1_period_past_the_band_builds_no_table(self, target_x2, degree, cold_tables):
-        # a = 1 on X(5, 438), c = 840 and 1200: the rules of these targets would hold a Gram of 855 and 1207 rows;
-        # the direct path forms the 2 rows the period asks for, and refuses one as before
-        with pytest.raises(ToleranceError, match=rf"^zonal row norm at degree {degree}\d*, not 1$"):
+        # a = 1 on X(5, 438), c = 840 and 1200: q = 438 is past the checked range, so the period is refused before
+        # any row, where the rules of these targets would hold a Gram of 855 and 1207 rows; the kernel alone
+        # still forms the target's row, and refuses it
+        with pytest.raises(InvalidParameterError, match="^q = 438 is past the checked range"):
             period_integral_G1(5, 438, Fraction(437, 2), Fraction(target_x2, 2))
         assert harmonics._gram_table.cache_info().currsize == 0
+        with pytest.raises(ToleranceError, match=rf"^zonal row norm at degree {degree}\d*, not 1$"):
+            zonal_gram([(target_x2 - 436) // 2], [1], 438)
 
     def test_table_is_read_only(self, cold_tables):
         # the degree-800 rule on S^4 serves degrees 0..414: both g1 verdicts read its one table
@@ -299,32 +292,33 @@ class TestGramTable:
             above[0, 0] = 0
 
     def test_a_g1_verdict_at_402_reads_the_degree_400_table(self, cold_tables):
-        # degree 402 is past the checked range, but on S^4 its rule is the degree-400 rule
-        assert sphere_nodes(2 * 402, 2) == sphere_nodes(2 * harmonics.MAX_SCAN_DEGREE, 2) == 416
+        # target degree 402, the top of the checked range, on S^4 selects the rule of the ambient degree 400
+        assert sphere_nodes(2 * MAX_TARGET_DEGREE, 2) == sphere_nodes(2 * MAX_DEGREE, 2) == 416
         assert not period_integral_G1(5, 5, Fraction(802, 2), Fraction(807, 2)).nonzero  # a = 400, c = 402
         assert period_integral_G1(5, 5, Fraction(802, 2), Fraction(803, 2)).nonzero  # c = 400
         assert harmonics._gram_table.cache_info()[:2] == (1, 1)
 
     def test_tables_stay_within_their_byte_bound(self, cold_tables):
         # the cache keeps the 32 most recently used rules, each g1 view at most the bytes README states
-        for n in range(3, 43):
-            zonal_pairings_nonzero(400, [400], n)
+        rules = [(top, n) for top in (100, 200, 400) for n in range(3, 17)]
+        for top, n in rules:
+            zonal_pairings_nonzero(top, [top], n)
         info = harmonics._gram_table.cache_info()
-        assert (info.maxsize, info.currsize, info.misses) == (32, 32, 40)
-        zonal_pairings_nonzero(400, [400], 42)  # the most recent rule is kept ...
-        zonal_pairings_nonzero(400, [400], 3)  # ... and the least recent one rebuilt
-        assert harmonics._gram_table.cache_info()[:2] == (1, 41)
-        tables = [harmonics._gram_table(n, sphere_nodes(800, n - 3)) for n in (*range(3, 17), MAX_SPHERE_DIM + 1)]
+        assert (info.maxsize, info.currsize, info.misses) == (32, 32, 42)
+        zonal_pairings_nonzero(400, [400], 16)  # the most recent rule is kept ...
+        zonal_pairings_nonzero(100, [100], 3)  # ... and the least recent one rebuilt
+        assert harmonics._gram_table.cache_info()[:2] == (1, 43)
+        tables = [harmonics._gram_table(n, sphere_nodes(2 * MAX_TARGET_DEGREE, n - 3)) for n in range(3, 17)]
         assert max(above.nbytes for _, above, _ in tables) == 21_632
         assert max(len(reach) for reach, _, _ in tables) == 416
 
     def test_threads_share_the_tables(self, cold_tables):
         # 4 threads build, read and evict the tables of more sphere rules than the cache keeps, g1 and g2 verdicts
         # alike, with a switch every microsecond; a race can only build one table twice
-        tops = [(top, k) for top in (100, 400) for k in (16, 50)]
+        tops = [(top, k) for top in (100, 200, 400) for k in (16, 50)]
         calls = [
-            *((zonal_pairings_nonzero, (top, [k, top], n)) for n in range(3, 23) for top, k in tops),
-            *((ktype_pairings_nonzero, (top, [k, top + 1], n)) for n in range(4, 24, 3) for top, k in tops),
+            *((zonal_pairings_nonzero, (top, [k, top], n)) for n in range(3, 17) for top, k in tops),
+            *((ktype_pairings_nonzero, (top, [k, top + 1], n)) for n in range(4, 17, 3) for top, k in tops),
         ]
         expected = [verdicts(*args) for verdicts, args in calls]
         assert harmonics._gram_table.cache_info().misses > 32
@@ -489,10 +483,13 @@ class TestKTypeWitness:
                     expected = leading * float(gram[k]) if nonzero else 0.0
                     assert ktype_pairing_nonzero(a, b, n)[1] == pytest.approx(expected, rel=1e-12), (a, b, n)
 
-    def test_verdicts_past_the_norm_product_range(self):
-        # |Z_734|^2 overflows on S^128 and |Z_0|^2 |Z_0|^2 underflows on S^299; the unit rows need neither
-        assert ktype_pairings_nonzero(1000, [0, 1, 1001], 130) == [True, True, False]
-        assert ktype_pairings_nonzero(0, [0, 1], 301) == [True, False]
+    def test_verdicts_past_the_norm_product_range(self, cold_tables):
+        # |Z_734|^2 overflows on S^128 and |Z_0|^2 |Z_0|^2 underflows on S^299: past the checked range the witness
+        # refuses before any row (the kernel's unit rows there are TestZonalGram::test_full_gram_is_the_identity)
+        for a, bs, n, past in ((1000, [0, 1, 1001], 130, "ambient degree 1000"), (0, [0, 1], 301, "q = 301")):
+            with pytest.raises(InvalidParameterError, match=f"^{past} is past the checked range"):
+                ktype_pairings_nonzero(a, bs, n)
+        assert harmonics._gram_table.cache_info().currsize == 0
 
     def test_guards(self):
         with pytest.raises(InvalidParameterError):
@@ -510,7 +507,7 @@ class TestWitnessTable:
     @pytest.mark.parametrize("n", range(4, 17))
     def test_verdicts_equal_the_direct_gram(self, n, cold_tables):
         for a in (*range(30), 50, 100, 199, 200, 201, 300, 386, 400):
-            bs = list(range(a + 4))
+            bs = list(range(min(a + 3, MAX_TARGET_DEGREE) + 1))
             assert ktype_pairings_nonzero(a, bs, n) == _direct_verdicts(a, bs, n), (n, a)
         assert harmonics._gram_table.cache_info().misses
 
@@ -553,7 +550,7 @@ class TestWitnessTable:
         assert harmonics._gram_table.cache_info().misses == 1
 
     def test_a_request_past_the_band_builds_no_table(self, cold_tables):
-        # its rule would hold a 1207-row Gram; the direct path builds the 2 rows it asks for
-        with pytest.raises(ToleranceError, match=r"^zonal row norm at degree 1200 on S\^437 is 0\.96\d*, not 1$"):
+        # its rule would hold a 1207-row Gram on S^437: q = 439 is past the checked range, refused before any row
+        with pytest.raises(InvalidParameterError, match="^q = 439 is past the checked range, which ends at 16$"):
             ktype_pairings_nonzero(0, [1200], 439)
         assert harmonics._gram_table.cache_info().currsize == 0

@@ -40,6 +40,8 @@ VERBS = [
     (["packet", "--p", "4", "--q", "6", "--inner-forms-only"], 0),
     (["check", "--suite", "all"], 0),
     (["fj", "--p", "4", "--q", "4", "--lambda-x2", "0"], 2),
+    # a target degree past the checked range, refused by the g1 verdict before any Gram row
+    (["period", "--p", "5", "--q", "4", "--lambda-x2", "9", "--target-x2", "100002", "--subgroup", "g1"], 2),
     (["check", "--suite", "harmonics", "--seed", "-1"], 2),
     (["period", "--p", "4", "--q", "4", "--lambda-x2", "-4", "--target-x2", "2", "--subgroup", "g2"], 3),
     (["fj", "--p", "400", "--q", "4", "--lambda-x2", "400"], 4),
