@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import functools
 import json
-import operator
 import sys
 import types
 from fractions import Fraction
@@ -60,31 +59,33 @@ def _mismatches(rows) -> bool:
 
 
 def cmd_branch(args) -> int:
-    from .periods import BranchingVerdict, branching_verdicts_x2
+    from .periods import BranchingVerdict, branch_columns_x2, verdict_rows
     tag = SpaceTag(args.subgroup)
     top = degree_x2(args.p, args.q, args.max_target_x2, tag) // 2
     if top > MAX_TARGET_DEGREE:  # before valid_lambdas_x2 lists the targets
         raise ValueError(f"--max-target-x2 {args.max_target_x2} admits target degree {top},"
                          f" past the checked range, which ends at {MAX_TARGET_DEGREE}")
     targets_x2 = valid_lambdas_x2(args.p, args.q, args.max_target_x2, tag)
-    # every row's value is rounded, and refused, before any verdict is compared
-    rows = branching_verdicts_x2(args.p, args.q, args.lambda_x2, args.subgroup, targets_x2)
-    columns = BranchingVerdict._fields
-    if _mismatches([zip(columns, row) for row in rows if row.nonzero != row.predicate]):
+    # every value is rounded, and refused, before any verdict is compared
+    shared, columns = branch_columns_x2(args.p, args.q, args.lambda_x2, args.subgroup, targets_x2)
+    if columns["nonzero"] != columns["predicate"]:  # the rows of the mismatched targets only
+        wrong = [i for i, pair in enumerate(zip(columns["nonzero"], columns["predicate"])) if pair[0] != pair[1]]
+        rows = verdict_rows(shared, {k: [column[i] for i in wrong] for k, column in columns.items()})
+        _mismatches([row._asdict().items() for row in rows])
         return 1
-    # A row's text: its bools as true/false, then each value by str(), which for a float is its repr, as in
-    # csv.writer and json.dumps.  A JSON row lists its keys sorted; its two text columns hold identifiers (g1, g2
-    # and the InterlaceClass values), which JSON quotes with no escape.
-    texts = [tuple([("false", "true")[v] if v.__class__ is bool else v for v in row]) for row in rows]
+    # One line template per scan, the shared fields text in it: bools print as true/false, all else by str() (a float's
+    # repr, as in csv.writer and json.dumps); JSON quotes the identifiers of subgroup and interlace with no escape.
+    fields = BranchingVerdict._fields if args.format == "csv" else sorted(BranchingVerdict._fields)
+    text = ("false", "true").__getitem__
+    texts = {k: text(v) if v.__class__ is bool else str(v) for k, v in shared.items()}
+    cells, varying = [texts.get(k, "%s") for k in fields], [columns[k] for k in fields if k in columns]
+    rows = zip(*[map(text, c) if c and c[0].__class__ is bool else c for c in varying])
     if args.format == "csv":
         # csv.writer's lines, none of whose fields needs quoting: CRLF ends, the last one's LF left to _emit
-        line = ",".join(["%s"] * len(columns))
-        _emit(args, "\r\n".join([",".join(columns), *[line % text for text in texts]]) + "\r")
+        _emit(args, "\r\n".join([",".join(fields), *map(",".join(cells).__mod__, rows)]) + "\r")
     else:
-        keys = sorted(columns)
-        line = "{" + ", ".join(f'"{k}": ' + ('"%s"' if k in ("subgroup", "interlace") else "%s") for k in keys) + "}"
-        order = operator.itemgetter(*map(columns.index, keys))
-        _emit(args, "[" + ", ".join([line % order(text) for text in texts]) + "]")
+        quoted = [f'"{k}": ' + (f'"{c}"' if k in ("subgroup", "interlace") else c) for k, c in zip(fields, cells)]
+        _emit(args, "[" + ", ".join(map(("{" + ", ".join(quoted) + "}").__mod__, rows)) + "]")
     return 0
 
 

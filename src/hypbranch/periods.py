@@ -11,6 +11,7 @@ on S^{q-2}; the closed-form predicates provide the independent cross-check.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import repeat
 from typing import NamedTuple
 
 from .errors import DivergenceError, InvalidParameterError
@@ -117,9 +118,9 @@ def _converges(lam, target) -> bool:
 converges_G1 = converges_G2 = _converges
 
 
-def _nonvanishing(tag: SpaceTag, a: int, b: int) -> bool:
-    """The closed-form predicate on the ambient degree a and the target degree b."""
-    return b == a if tag is SpaceTag.G1_SPACE else 0 <= b <= a
+def _predicates(tag: SpaceTag, a: int, degrees) -> list[bool]:
+    """The closed-form predicate on the ambient degree a and each target degree b: g1 b == a, g2 0 <= b <= a."""
+    return [b == a for b in degrees] if tag is SpaceTag.G1_SPACE else [0 <= b <= a for b in degrees]
 
 
 def nonvanishing_G2(p: int, q: int, lam, mu) -> bool:
@@ -129,7 +130,7 @@ def nonvanishing_G2(p: int, q: int, lam, mu) -> bool:
     equivalently mu + 1/2 <= lambda with b >= 0.
     """
     a = make_fj_param(p, q, lam).degree
-    return _nonvanishing(SpaceTag.G2_SPACE, a, checked_degree(p, q, doubled(mu), SpaceTag.G2_SPACE))
+    return _predicates(SpaceTag.G2_SPACE, a, [checked_degree(p, q, doubled(mu), SpaceTag.G2_SPACE)])[0]
 
 
 def nonvanishing_G1(p: int, q: int, lam, nu) -> bool:
@@ -138,12 +139,17 @@ def nonvanishing_G1(p: int, q: int, lam, nu) -> bool:
     True iff nu = lambda + 1/2 exactly (the two full-sphere degrees match).
     """
     a = make_fj_param(p, q, lam).degree
-    return _nonvanishing(SpaceTag.G1_SPACE, a, checked_degree(p, q, doubled(nu), SpaceTag.G1_SPACE))
+    return _predicates(SpaceTag.G1_SPACE, a, [checked_degree(p, q, doubled(nu), SpaceTag.G1_SPACE)])[0]
+
+
+def _tested(targets_x2):
+    """The targets to test for a refusal: all, or a step-2 range's first, since every test is monotone in t on it."""
+    return targets_x2[:1] if isinstance(targets_x2, range) and targets_x2.step == 2 else targets_x2
 
 
 def _require_convergence(lam_x2: int, targets_x2, tag: SpaceTag) -> None:
     name = "nu" if tag is SpaceTag.G1_SPACE else "mu"
-    for t in targets_x2:
+    for t in _tested(targets_x2):
         if not _converges_x2(lam_x2, t):
             total = Fraction(lam_x2 + t, 2)
             raise DivergenceError(f"period diverges: lambda + {name} = {total} fails the > -1/2 threshold")
@@ -160,27 +166,27 @@ class _Scan(NamedTuple):
     predicates: list[bool]
     pairings: list[tuple[int, int, int]]
     wallis_ms: list[int]
+    parities: list[bool]  # whether a - degrees[i] is even
 
 
 def _scan(ambient: FJParam, tag: SpaceTag, targets_x2, witness: bool) -> _Scan:
     """Periods sphere_area(sp) * pairing * R(sp-1, ...) of the ambient against each doubled target, as columns.
 
-    X(sp, sq) is the targets' space.  The verdicts are zonal Gram ratios from the Gram table of the sphere
-    rule: g1 the ratios of Z_a on S^{q-1} (`zonal_pairings_nonzero`), g2 the K-type witnesses on S^{q-2}
-    (`ktype_pairings_nonzero`).  The sphere area, the pairing (g1: delta_{a,c} |Z_a|^2; g2: the witness value
-    with `witness`, else the plain subsphere pairing) and the Wallis integral R of sin^{sp-1} cos^m,
-    m = lambda + target - 1/2, are exact; a `branch` row builds its Wallis factor and rounds (`period_value`)
-    only where its pairing is nonzero.  Refuses an ambient degree or q past the checked range (`check_range`) before
-    it reads the targets, and a target degree past it (in the verdict) before any Gram row or exact factor.
+    X(sp, sq) is the targets' space.  The verdicts are zonal Gram ratios from the Gram table of the sphere rule:
+    g1 the ratios of Z_a on S^{q-1} (`zonal_pairings_nonzero`), g2 the K-type witnesses on S^{q-2}
+    (`ktype_pairings_nonzero`).  The sphere area, the pairing (g1: delta_{a,c} |Z_a|^2; g2: the witness value with
+    `witness`, else the plain subsphere pairing) and the Wallis exponent m = lambda + target - 1/2 of R(sp-1, m)
+    are exact.  Refuses an ambient degree or q past the checked range (`check_range`) before it reads the targets,
+    and a target degree past it (in the verdict) before any Gram row or exact factor.
     """
     a, p, q = ambient.degree, ambient.p, ambient.q
     check_range(q, a)
     sp, sq = tag_signature(p, q, tag)
     if not targets_x2:  # build no Gram row and read no sphere area, which a large p would refuse
-        return _Scan(a, None, sp - 1, [], [], [], [], [])
+        return _Scan(a, None, sp - 1, [], [], [], [], [], [])
     offset_x2 = sp - sq - 2  # a target's doubled degree is t_x2 + offset_x2 (`degree_x2`)
     degrees = [(t_x2 + offset_x2) // 2 for t_x2 in targets_x2]
-    for t_x2, b in zip(targets_x2, degrees):
+    for t_x2, b in zip(_tested(targets_x2), degrees):
         if t_x2 <= 0 or b < 0 or 2 * b != t_x2 + offset_x2:
             checked_degree(p, q, t_x2, tag)  # raises, with the reason
     if tag is SpaceTag.G1_SPACE:
@@ -190,15 +196,24 @@ def _scan(ambient: FJParam, tag: SpaceTag, targets_x2, witness: bool) -> _Scan:
         nonzeros = ktype_pairings_nonzero(a, degrees, q)
         exact = witness_pairing_exact if witness else pairing_subsphere_exact
         pairings = [exact(a, b, q) for b in degrees]
-    predicates = [_nonvanishing(tag, a, b) for b in degrees]
     wallis_ms = [(ambient.lam_x2 + t_x2 - 1) // 2 for t_x2 in targets_x2]
-    return _Scan(a, sphere_area_exact(sp), sp - 1, degrees, nonzeros, predicates, pairings, wallis_ms)
+    return _Scan(a, sphere_area_exact(sp), sp - 1, degrees, nonzeros, _predicates(tag, a, degrees), pairings,
+                 wallis_ms, [(a - b) % 2 == 0 for b in degrees])
+
+
+def scan_values(scan: _Scan) -> tuple[list[float], list[float]]:
+    """The `value` and `err` columns of a scan: a row's Wallis factor is built, and its value rounded (`period_value`,
+    which refuses one exactly nonzero but not a normal double), in row order and only where its pairing is nonzero."""
+    rows = zip(scan.degrees, scan.pairings, scan.wallis_ms)
+    pairs = [period_value(scan.sphere, pairing, wallis_exact(scan.wallis_a, m), (scan.a, b)) if pairing[0]
+             else (0.0, 0.0) for b, pairing, m in rows]
+    return [value for value, _ in pairs], [err for _, err in pairs]
 
 
 def _period(p: int, q: int, lam_x2: int, target_x2: int, tag: SpaceTag, witness: bool) -> PeriodVerdict:
     """The `period` record of one (lambda, target) pair, from a one-target scan; its numbers rounded in field order."""
     _require_convergence(lam_x2, [target_x2], tag)
-    a, sphere, wallis_a, (b,), (nonzero,), (predicate,), (pairing,), (m,) = _scan(
+    a, sphere, wallis_a, (b,), (nonzero,), (predicate,), (pairing,), (m,), (parity,) = _scan(
         FJParam(p, q, lam_x2), tag, [target_x2], witness
     )
     radial, where = wallis_exact(wallis_a, m), f"degrees {(a, b)}"
@@ -206,7 +221,7 @@ def _period(p: int, q: int, lam_x2: int, target_x2: int, tag: SpaceTag, witness:
     sphere_factor = sqrt_pi_ratio(*sphere)  # normal wherever sphere_area_exact does not refuse it
     pairing_factor = normal_ratio("pairing factor", where, pairing)
     radial_factor = normal_ratio("radial factor", where, radial)
-    return PeriodVerdict(True, (a - b) % 2 == 0, nonzero, predicate, witness, value, err, sphere_factor,
+    return PeriodVerdict(True, parity, nonzero, predicate, witness, value, err, sphere_factor,
                          pairing_factor, radial_factor, a, b, p, q, lam_x2, target_x2, tag.value)
 
 
@@ -255,33 +270,36 @@ def branching_verdicts(p: int, q: int, lam, subgroup: str, targets) -> list[Bran
 
 
 def branch_scan_x2(p: int, q: int, lam_x2: int, subgroup: str, targets_x2) -> tuple[_Scan, list[InterlaceClass]]:
-    """The one scan behind every `branch` row and `check --suite branching`: its columns and each target's class."""
+    """The one scan behind `branch` and `check --suite branching`, and each target's class; like `period`, it refuses
+    a divergent target (`DivergenceError`) before the ambient parameter."""
     tag = _tag(subgroup)
-    ambient = FJParam(p, q, lam_x2)
     _require_convergence(lam_x2, targets_x2, tag)
+    ambient = FJParam(p, q, lam_x2)
     return _scan(ambient, tag, targets_x2, witness=tag is SpaceTag.G2_SPACE), _interlace_classes(ambient, targets_x2)
 
 
-def branching_verdicts_x2(p: int, q: int, lam_x2: int, subgroup: str, targets_x2) -> list[BranchingVerdict]:
-    """The `branch` rows of one ambient parameter (lambda doubled) and subgroup, one per doubled target.
-
-    The restriction to SO0(p-1, q) is admissible, the one to SO0(p, q-1) is not (encoded branching data); the
-    hom decision is the closed-form predicate, cross-checked by the numeric verdict.  The ambient parameter is
-    built once and validated even when the target list is empty, and the whole target list reads one Gram table
-    per sphere rule.  A row's Wallis factor is built, and its value rounded, only where its exact pairing is
-    nonzero; a value exactly nonzero but not a normal double is refused (`ToleranceError`) before any row.
-    """
+def branch_columns_x2(p: int, q: int, lam_x2: int, subgroup: str, targets_x2) -> tuple[dict, dict]:
+    """`branching_verdicts_x2` by `BranchingVerdict` field: the six fields every row shares, and the seven columns."""
     tag = _tag(subgroup)
     scan, interlaces = branch_scan_x2(p, q, lam_x2, subgroup, targets_x2)
-    sub, admissible = tag.value, tag is SpaceTag.G1_SPACE
-    a, sphere, wallis_a, *columns = scan  # columns: degrees, nonzeros, predicates, pairings, wallis_ms
-    rows = []
-    for target_x2, b, nonzero, predicate, pairing, m, interlace in zip(targets_x2, *columns, interlaces):
-        value, err = period_value(sphere, pairing, wallis_exact(wallis_a, m), (a, b)) if pairing[0] else (0.0, 0.0)
-        parity = (a - b) % 2 == 0
-        rows.append(BranchingVerdict(p, q, lam_x2, sub, target_x2, True, nonzero, predicate, value, err, parity,
-                                     interlace.value, admissible))
-    return rows
+    values, errs = scan_values(scan)
+    shared = {"p": p, "q": q, "lambda_x2": lam_x2, "subgroup": tag.value, "converges": True,
+              "admissible": tag is SpaceTag.G1_SPACE}
+    return shared, {"target_x2": targets_x2, "nonzero": scan.nonzeros, "predicate": scan.predicates, "value": values,
+                    "err": errs, "parity": scan.parities, "interlace": [cls._value_ for cls in interlaces]}
+
+
+def verdict_rows(shared: dict, columns: dict) -> list[BranchingVerdict]:
+    """The `BranchingVerdict` rows of `branch_columns_x2` fields: the columns zipped, each shared field repeated."""
+    return list(map(BranchingVerdict, *[columns.get(f, repeat(shared.get(f))) for f in BranchingVerdict._fields]))
+
+
+def branching_verdicts_x2(p: int, q: int, lam_x2: int, subgroup: str, targets_x2) -> list[BranchingVerdict]:
+    """The `branch` rows of one ambient parameter (lambda doubled) and subgroup, one per doubled target: the hom
+    decision is the closed-form predicate, cross-checked by the numeric verdict; the restriction to SO0(p-1, q) is
+    admissible, the one to SO0(p, q-1) is not.  The ambient is validated even with no target, the list reads one Gram
+    table per sphere rule, and every value is rounded, and refused, by `scan_values` before any row is built."""
+    return verdict_rows(*branch_columns_x2(p, q, lam_x2, subgroup, targets_x2))
 
 
 def branching_verdict(p: int, q: int, lam, subgroup: str, target) -> BranchingVerdict:

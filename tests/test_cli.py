@@ -259,23 +259,23 @@ def _parsed_rows(out: str, fmt: str) -> list[dict]:
 
 
 class TestBranchScan:
-    """`branch` prints the rows `periods` builds from one scan's columns, and each equals its `period` record."""
+    """`branch` prints the columns `periods` builds from one scan, and each row equals its `period` record."""
+
+    @staticmethod
+    def _counted(calls, function):
+        return lambda *args, **kwargs: calls.append(args) or function(*args, **kwargs)
 
     @pytest.mark.parametrize("fmt", ["json", "csv"])
     @pytest.mark.parametrize("argv", [G1_GOLDEN_SCAN, G2_GOLDEN_SCAN], ids=["g1", "g2"])
     def test_a_scan_builds_no_verdict_object(self, monkeypatch, capsys, argv, fmt):
         records, rows, wallis = [], [], []
-
-        def counted(calls, function):
-            return lambda *args, **kwargs: calls.append(args) or function(*args, **kwargs)
-
-        # one row per target and no period record; a Wallis factor for each row whose exact pairing is nonzero
+        # no row and no period record; a Wallis factor for each row whose exact pairing is nonzero
         for cls, calls in ((periods.PeriodVerdict, records), (periods.BranchingVerdict, rows)):
-            monkeypatch.setattr(cls, "__new__", counted(calls, cls.__new__))
+            monkeypatch.setattr(cls, "__new__", self._counted(calls, cls.__new__))
         for module in (exact, periods):
-            monkeypatch.setattr(module, "wallis_exact", counted(wallis, module.wallis_exact))
+            monkeypatch.setattr(module, "wallis_exact", self._counted(wallis, module.wallis_exact))
         code, out, err = run_cli(capsys, "branch", *argv, "--format", fmt)
-        assert (code, err, records) == (0, "", [])
+        assert (code, err, records, rows) == (0, "", [], [])
         flags = dict(zip(argv[::2], argv[1::2]))
         p, q, lam_x2 = (int(flags[f]) for f in ("--p", "--q", "--lambda-x2"))
         targets_x2 = fjrep.valid_lambdas_x2(p, q, int(flags["--max-target-x2"]), SpaceTag(flags["--subgroup"]))
@@ -283,27 +283,54 @@ class TestBranchScan:
         expected = [(scan.wallis_a, m) for pairing, m in zip(scan.pairings, scan.wallis_ms) if pairing[0]]
         assert 0 < len(expected) < len(targets_x2)
         assert wallis == expected
-        assert len(_parsed_rows(out, fmt)) == len(rows) == len(targets_x2)
+        assert len(_parsed_rows(out, fmt)) == len(targets_x2)
+
+    @pytest.mark.parametrize("subgroup", ["g1", "g2"])
+    def test_a_mismatch_builds_the_rows_of_its_targets_only(self, monkeypatch, capsys, subgroup):
+        rows = []
+        TestBranch._flip_target_5(monkeypatch)
+        new = periods.BranchingVerdict.__new__
+        monkeypatch.setattr(periods.BranchingVerdict, "__new__", lambda *args: rows.append(new(*args)) or rows[-1])
+        code, out, err = run_cli(capsys, "branch", "--p", "4", "--q", "4", "--lambda-x2", "4", "--subgroup", subgroup,
+                                 "--max-target-x2", "7")
+        assert (code, out) == (1, "")
+        assert [row.target_x2 for row in rows] == [5]
+        assert err == "error: verdict mismatch: " + " ".join(f"{k}={v}" for k, v in rows[0]._asdict().items()) + "\n"
 
     @pytest.mark.parametrize("fmt", ["json", "csv"])
     @pytest.mark.parametrize("subgroup", ["g1", "g2"])
     def test_rows_equal_the_period_records(self, capsys, subgroup, fmt):
-        # a seeded grid of scans, p, q in 4..8 and ambient degree a <= 40, targets up to degree a + 3:
-        # every row is the `period` report of its (lambda, target) pair, g2 with the witness pairing
+        # a seeded grid of scans, p, q in 4..8 and ambient degree a <= 40, targets up to degree a + 3, and the golden
+        # scan: every row is the `period` report of its (lambda, target) pair, g2 with the witness pairing, and the
+        # report's bytes are the standard library's, csv.writer's or json.dumps's, of `branching_verdicts_x2`'s rows
         rng = random.Random(f"branch-rows-{subgroup}-{fmt}")
         tag = SpaceTag(subgroup)
+        golden = {"g1": G1_GOLDEN_SCAN, "g2": G2_GOLDEN_SCAN}[subgroup]
+        flags = dict(zip(golden[::2], golden[1::2]))
+        scans = [tuple(int(flags[f]) for f in ("--p", "--q", "--lambda-x2", "--max-target-x2"))]
         for _ in range(12):
             p, q, a = rng.randint(4, 8), rng.randint(4, 8), rng.randint(0, 40)
             lam_x2 = 2 * a + 2 - (p - q)
-            if lam_x2 <= 0:
-                continue
-            max_target_x2 = 2 * (a + 3) - fjrep.degree_x2(p, q, 0, tag)
+            if lam_x2 > 0:
+                scans.append((p, q, lam_x2, 2 * (a + 3) - fjrep.degree_x2(p, q, 0, tag)))
+        for p, q, lam_x2, max_target_x2 in scans:
             head = ["--p", str(p), "--q", str(q), "--lambda-x2", str(lam_x2), "--subgroup", subgroup]
             argv = ["branch", *head, "--max-target-x2", str(max_target_x2), "--format", fmt]
             code, out, err = run_cli(capsys, *argv)
             assert (code, err) == (0, ""), argv
+            targets_x2 = fjrep.valid_lambdas_x2(p, q, max_target_x2, tag)
+            verdicts = periods.branching_verdicts_x2(p, q, lam_x2, subgroup, targets_x2)
+            if fmt == "csv":
+                expected = io.StringIO()
+                writer = csv.writer(expected, lineterminator="\r\n")
+                writer.writerow(periods.BranchingVerdict._fields)
+                writer.writerows([["true" if v is True else "false" if v is False else v for v in row]
+                                  for row in verdicts])
+                assert out == expected.getvalue(), argv
+            else:
+                assert out == json.dumps([row._asdict() for row in verdicts], sort_keys=True) + "\n", argv
             rows = _parsed_rows(out, fmt)
-            assert [row["target_x2"] for row in rows] == list(fjrep.valid_lambdas_x2(p, q, max_target_x2, tag)), argv
+            assert [row["target_x2"] for row in rows] == list(targets_x2), argv
             for row in rows:
                 t_x2 = row["target_x2"]
                 witness = ["--witness"] if subgroup == "g2" else []
@@ -363,6 +390,19 @@ class TestExitCodes:
         )
         assert code == 3
         assert "-1/2" in err
+
+    @pytest.mark.parametrize("lambda_x2", ["-4", "-1", "0"])
+    @pytest.mark.parametrize("subgroup", ["g1", "g2"])
+    def test_branch_refuses_a_nonpositive_lambda_as_period_does(self, capsys, subgroup, lambda_x2):
+        # convergence first (exit 3), then the ambient parameter (exit 2): `period` at the first target `branch`
+        # lists prints the same error line as `branch` itself
+        head = ("--p", "4", "--q", "4", "--lambda-x2", lambda_x2, "--subgroup", subgroup)
+        first = fjrep.valid_lambdas_x2(4, 4, 6, SpaceTag(subgroup))[0]
+        branch = run_cli(capsys, "branch", *head, "--max-target-x2", "6")
+        period = run_cli(capsys, "period", *head, "--target-x2", str(first))
+        assert branch == period and branch[1] == ""
+        assert branch[0] == (3 if int(lambda_x2) + first <= -1 else 2), branch
+        assert branch[2].startswith("error: period diverges: " if branch[0] == 3 else "error: lambda must be positive")
 
     @pytest.mark.parametrize(
         "argv, flipped",
