@@ -97,9 +97,10 @@ def harmonics_suite(seed: int = 0) -> list[CheckResult]:
     out.append(_result("zonal_norm_closed_vs_quadrature", worst <= 1e-10, f"max rel {worst:.2e}"))
 
     ok = all(
-        harmonics.ktype_pairings_nonzero(a, range(7), n) == periods._predicates(fjrep.SpaceTag.G2_SPACE, a, range(7))
+        nonzero == periods._nonvanishing(fjrep.SpaceTag.G2_SPACE, a, b)
         for n in (4, 5, 6)
         for a in range(7)
+        for b, nonzero in enumerate(harmonics.ktype_pairings_nonzero(a, range(7), n))
     )
     out.append(_result("ktype_witness_matches_branching", ok))
     return out

@@ -56,17 +56,11 @@ def sqrt_pi_ratio(num: int, den: int, sqrt_pi_power: int) -> float:
     result can underflow while the result is normal; a result above the float
     range is inf.
     """
-    pi_num, pi_den = _pi_ratio(sqrt_pi_power)
+    pi_num, pi_den = (math.pi ** (sqrt_pi_power / 2)).as_integer_ratio()
     try:
         return num * pi_num / (den * pi_den)
     except OverflowError:
         return math.inf
-
-
-@lru_cache(maxsize=1024)
-def _pi_ratio(sqrt_pi_power: int) -> tuple[int, int]:
-    """The exact ratio of the double math.pi ** (sqrt_pi_power / 2), built once per power."""
-    return (math.pi ** (sqrt_pi_power / 2)).as_integer_ratio()
 
 
 def sqrt_pi_error(value: float, sqrt_pi_power: int) -> float:

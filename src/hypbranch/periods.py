@@ -118,9 +118,9 @@ def _converges(lam, target) -> bool:
 converges_G1 = converges_G2 = _converges
 
 
-def _predicates(tag: SpaceTag, a: int, degrees) -> list[bool]:
-    """The closed-form predicate on the ambient degree a and each target degree b: g1 b == a, g2 0 <= b <= a."""
-    return [b == a for b in degrees] if tag is SpaceTag.G1_SPACE else [0 <= b <= a for b in degrees]
+def _nonvanishing(tag: SpaceTag, a: int, b: int) -> bool:
+    """The closed-form predicate on the ambient degree a and the target degree b."""
+    return b == a if tag is SpaceTag.G1_SPACE else 0 <= b <= a
 
 
 def nonvanishing_G2(p: int, q: int, lam, mu) -> bool:
@@ -130,7 +130,7 @@ def nonvanishing_G2(p: int, q: int, lam, mu) -> bool:
     equivalently mu + 1/2 <= lambda with b >= 0.
     """
     a = make_fj_param(p, q, lam).degree
-    return _predicates(SpaceTag.G2_SPACE, a, [checked_degree(p, q, doubled(mu), SpaceTag.G2_SPACE)])[0]
+    return _nonvanishing(SpaceTag.G2_SPACE, a, checked_degree(p, q, doubled(mu), SpaceTag.G2_SPACE))
 
 
 def nonvanishing_G1(p: int, q: int, lam, nu) -> bool:
@@ -139,17 +139,12 @@ def nonvanishing_G1(p: int, q: int, lam, nu) -> bool:
     True iff nu = lambda + 1/2 exactly (the two full-sphere degrees match).
     """
     a = make_fj_param(p, q, lam).degree
-    return _predicates(SpaceTag.G1_SPACE, a, [checked_degree(p, q, doubled(nu), SpaceTag.G1_SPACE)])[0]
-
-
-def _tested(targets_x2):
-    """The targets to test for a refusal: all, or a step-2 range's first, since every test is monotone in t on it."""
-    return targets_x2[:1] if isinstance(targets_x2, range) and targets_x2.step == 2 else targets_x2
+    return _nonvanishing(SpaceTag.G1_SPACE, a, checked_degree(p, q, doubled(nu), SpaceTag.G1_SPACE))
 
 
 def _require_convergence(lam_x2: int, targets_x2, tag: SpaceTag) -> None:
     name = "nu" if tag is SpaceTag.G1_SPACE else "mu"
-    for t in _tested(targets_x2):
+    for t in targets_x2:
         if not _converges_x2(lam_x2, t):
             total = Fraction(lam_x2 + t, 2)
             raise DivergenceError(f"period diverges: lambda + {name} = {total} fails the > -1/2 threshold")
@@ -186,7 +181,7 @@ def _scan(ambient: FJParam, tag: SpaceTag, targets_x2, witness: bool) -> _Scan:
         return _Scan(a, None, sp - 1, [], [], [], [], [], [])
     offset_x2 = sp - sq - 2  # a target's doubled degree is t_x2 + offset_x2 (`degree_x2`)
     degrees = [(t_x2 + offset_x2) // 2 for t_x2 in targets_x2]
-    for t_x2, b in zip(_tested(targets_x2), degrees):
+    for t_x2, b in zip(targets_x2, degrees):
         if t_x2 <= 0 or b < 0 or 2 * b != t_x2 + offset_x2:
             checked_degree(p, q, t_x2, tag)  # raises, with the reason
     if tag is SpaceTag.G1_SPACE:
@@ -196,9 +191,10 @@ def _scan(ambient: FJParam, tag: SpaceTag, targets_x2, witness: bool) -> _Scan:
         nonzeros = ktype_pairings_nonzero(a, degrees, q)
         exact = witness_pairing_exact if witness else pairing_subsphere_exact
         pairings = [exact(a, b, q) for b in degrees]
+    predicates = [_nonvanishing(tag, a, b) for b in degrees]
     wallis_ms = [(ambient.lam_x2 + t_x2 - 1) // 2 for t_x2 in targets_x2]
-    return _Scan(a, sphere_area_exact(sp), sp - 1, degrees, nonzeros, _predicates(tag, a, degrees), pairings,
-                 wallis_ms, [(a - b) % 2 == 0 for b in degrees])
+    return _Scan(a, sphere_area_exact(sp), sp - 1, degrees, nonzeros, predicates, pairings, wallis_ms,
+                 [(a - b) % 2 == 0 for b in degrees])
 
 
 def scan_values(scan: _Scan) -> tuple[list[float], list[float]]:

@@ -261,19 +261,19 @@ def _parsed_rows(out: str, fmt: str) -> list[dict]:
 class TestBranchScan:
     """`branch` prints the columns `periods` builds from one scan, and each row equals its `period` record."""
 
-    @staticmethod
-    def _counted(calls, function):
-        return lambda *args, **kwargs: calls.append(args) or function(*args, **kwargs)
-
     @pytest.mark.parametrize("fmt", ["json", "csv"])
     @pytest.mark.parametrize("argv", [G1_GOLDEN_SCAN, G2_GOLDEN_SCAN], ids=["g1", "g2"])
     def test_a_scan_builds_no_verdict_object(self, monkeypatch, capsys, argv, fmt):
         records, rows, wallis = [], [], []
+
+        def counted(calls, function):
+            return lambda *args, **kwargs: calls.append(args) or function(*args, **kwargs)
+
         # no row and no period record; a Wallis factor for each row whose exact pairing is nonzero
         for cls, calls in ((periods.PeriodVerdict, records), (periods.BranchingVerdict, rows)):
-            monkeypatch.setattr(cls, "__new__", self._counted(calls, cls.__new__))
+            monkeypatch.setattr(cls, "__new__", counted(calls, cls.__new__))
         for module in (exact, periods):
-            monkeypatch.setattr(module, "wallis_exact", self._counted(wallis, module.wallis_exact))
+            monkeypatch.setattr(module, "wallis_exact", counted(wallis, module.wallis_exact))
         code, out, err = run_cli(capsys, "branch", *argv, "--format", fmt)
         assert (code, err, records, rows) == (0, "", [], [])
         flags = dict(zip(argv[::2], argv[1::2]))
