@@ -16,8 +16,7 @@ import importlib
 _EXPORTS = {
     "errors": "AssumptionError DivergenceError InvalidParameterError ToleranceError",
     "fjrep": "FJParam SpaceTag inf_char is_self_dual l2_norm_sq make_fj_param",
-    "geometry": "ChartPoint HyperboloidChart measure_weight phi radial_integral_closed radial_integral_numeric",
-    "harmonics": "fj_eval gegenbauer ktype_pairing_nonzero pairing_subsphere sphere_area",
+    "harmonics": "fj_eval gegenbauer ktype_pairing_nonzero",
     "numerics": "gauss_legendre_rule",
     "packets": "InterlaceClass RealForm admissibility_table arthur_packet conjecture_explore interlace_classify"
     " pure_inner_forms relevant_pairs",

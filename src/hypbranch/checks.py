@@ -6,16 +6,15 @@ deterministic for a fixed seed.
 
 from __future__ import annotations
 
-import functools
 import math
 from fractions import Fraction
 from typing import NamedTuple
 
 import numpy as np
 
-from . import fjrep, geometry, harmonics, packets, periods
+from . import fjrep, harmonics, packets, periods
 from .exact import half_gamma, sqrt_pi_ratio
-from .numerics import gauss_legendre_rule, sphere_rule
+from .numerics import gauss_legendre_rule
 
 __all__ = ["CheckResult", "SUITES", "run_suite"]
 
@@ -47,54 +46,17 @@ def quadrature_suite(seed: int = 0) -> list[CheckResult]:
         exact = math.gamma(x2 / 2)
         worst = max(worst, abs(sqrt_pi_ratio(*half_gamma(x2)) - exact) / exact)
     out.append(_result("half_gamma_vs_math_gamma", worst <= 1e-14, f"max rel err {worst:.2e}"))
-
-    worst = 0.0
-    for a_exp in (0, 1, 2, 3, 5):
-        for c_exp in (total - a_exp for total in (-2, -4, -7)):
-            value, _ = geometry.radial_integral_numeric(a_exp, c_exp)
-            closed = geometry.radial_integral_closed(a_exp, c_exp)
-            worst = max(worst, abs(value - closed) / abs(closed))
-    out.append(_result("radial_numeric_vs_closed", worst <= 1e-9, f"max rel err {worst:.2e}"))
     return out
-
-
-def _gegenbauer_table(top: int, nu: float, x: np.ndarray) -> np.ndarray:
-    """Row k is gegenbauer(k, nu, x), bit for bit, for k <= top: one `_gegenbauer_rows` pass times its own scales."""
-    scales = [math.prod((nu + j - 1) / j for j in range(1, k + 1)) for k in range(top + 1)]  # (nu)_k / k!
-    return np.array(scales, dtype=float)[:, None] * harmonics._gegenbauer_rows(top, nu, x, range(top + 1))[0]
 
 
 def harmonics_suite(seed: int = 0) -> list[CheckResult]:
     out = []
-    norm_sq = functools.cache(harmonics.zonal_norm_sq_closed)  # each (degree, sphere) once per run
     worst = 0.0
     for n in (3, 4, 5, 6):
         # Z_0..Z_8 on S^{n-1}, Gegenbauer order (n - 2) / 2: one rule exact to degree 16
         ratios = harmonics.zonal_gram(range(9), range(9), n)
         worst = max(worst, float(np.max(np.triu(ratios, 1))))
     out.append(_result("gegenbauer_orthogonality", worst <= 1e-10, f"max normalized {worst:.2e}"))
-
-    worst = 0.0
-    for n in (4, 5, 6):
-        # every subsphere pairing of degrees a, b < 7 by quadrature, against its exact value: one pass per order
-        x, w = sphere_rule(12, n - 4)
-        subs = harmonics.sphere_area(n - 2) * w * _gegenbauer_table(6, (n - 3) / 2.0, x)
-        for a, zonal in enumerate(_gegenbauer_table(6, (n - 2) / 2.0, x)):
-            for b, sub in enumerate(subs):
-                scale = math.sqrt(norm_sq(a, n) * norm_sq(b, n - 1))
-                worst = max(worst, abs(float(zonal @ sub) - harmonics.pairing_subsphere(a, b, n)) / scale)
-    out.append(_result("pairing_exact_vs_quadrature", worst <= 1e-12, f"max normalized {worst:.2e}"))
-
-    worst = 0.0
-    for n in (4, 5, 6):
-        # |Z_a|^2, a <= 8, by quadrature against its closed form: the rule exact to degree 2a is the one exact to 16
-        x, w = sphere_rule(16, n - 3)
-        weights = harmonics.sphere_area(n - 1) * w
-        for a, zonal in enumerate(_gegenbauer_table(8, (n - 2) / 2.0, x)):
-            quadrature = float(zonal**2 @ weights)
-            closed = norm_sq(a, n)
-            worst = max(worst, abs(closed - quadrature) / closed)
-    out.append(_result("zonal_norm_closed_vs_quadrature", worst <= 1e-10, f"max rel {worst:.2e}"))
 
     ok = all(
         nonzero == periods._nonvanishing(fjrep.SpaceTag.G2_SPACE, a, b)

@@ -105,12 +105,12 @@ MAX_SPHERE_DIM = 438
 
 
 def sphere_area_exact(n: int) -> tuple[int, int, int]:
-    """:func:`harmonics.sphere_area` exactly, as (num, den, r) with area = num / den * sqrt(pi)^r.
+    """Surface area 2 pi^{n/2} / Gamma(n/2) of the unit sphere S^{n-1}, as (num, den, r): num / den * sqrt(pi)^r.
 
     Raises ToleranceError above MAX_SPHERE_DIM, before any factorial is built.
     """
     if n < 1:
-        raise ValueError("sphere_area requires n >= 1")
+        raise ValueError("sphere_area_exact requires n >= 1")
     if n > MAX_SPHERE_DIM:
         raise ToleranceError(f"sphere area of S^{n - 1} is out of floating-point range")
     num, den, r = half_gamma(n)
@@ -118,14 +118,14 @@ def sphere_area_exact(n: int) -> tuple[int, int, int]:
 
 
 def zonal_norm_sq_exact(a: int, n: int) -> tuple[int, int, int]:
-    """:func:`harmonics.zonal_norm_sq_closed` exactly, as (num, den, r) with |Z_a|^2 = num / den * sqrt(pi)^r.
+    """L^2(S^{n-1}) norm squared of the degree-a zonal harmonic, as (num, den, r): |Z_a|^2 = num / den * sqrt(pi)^r.
 
     |Z_a|^2 = area(S^{n-2}) pi 2^{1-2nu} Gamma(a+2nu) / (a! (a+nu) Gamma(nu)^2), nu = (n-2)/2
     (DLMF 18.3), with Gamma(a+2nu) / a! the (n-3)-factor product (a+1) ... (a+n-3).  Raises
     ToleranceError when n - 1 exceeds MAX_SPHERE_DIM (:func:`sphere_area_exact`).
     """
     if n < 3:
-        raise InvalidParameterError("zonal_norm_sq_closed requires sphere_dim >= 3")
+        raise InvalidParameterError("zonal_norm_sq_exact requires sphere_dim >= 3")
     num, den, r = _zonal_scale(n)
     return num * math.prod(range(a + 1, a + n - 2)), den * (2 * a + n - 2), r
 
@@ -140,14 +140,17 @@ def _zonal_scale(n: int) -> tuple[int, int, int]:
 
 
 def pairing_subsphere_exact(a: int, b: int, n: int) -> tuple[int, int, int]:
-    """:func:`harmonics.pairing_subsphere` exactly, as (num, den, r); (0, 1, 0) when b > a or a - b is odd.
+    """Restriction pairing of zonal harmonics across the equatorial subsphere, as (num, den, r).
+
+    The degree-a zonal harmonic of S^{n-1} (pole inside the subsphere), restricted to S^{n-2}, against the
+    degree-b zonal harmonic of S^{n-2} about that pole; (0, 1, 0) when b > a or a - b is odd.
 
     C_a^nu = sum_l c_l C_{a-2l}^mu, nu = (n-2)/2, mu = (n-3)/2, with c_l = (1/2)_l (nu)_{a-l}
     (mu+a-2l) / (l! (mu+1)_{a-l} mu) (DLMF 18.18.16), so by orthogonality on S^{n-2} the
     pairing is c_l |Z_b|^2 at l = (a-b)/2, with (1/2)_l / l! = C(2l, l) / 4^l.
     """
     if n < 4:
-        raise InvalidParameterError("pairing_subsphere requires n >= 4")
+        raise InvalidParameterError("pairing_subsphere_exact requires n >= 4")
     if b > a or (a - b) % 2:
         return 0, 1, 0
     l, m = (a - b) // 2, (a + b) // 2

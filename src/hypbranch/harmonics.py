@@ -18,19 +18,15 @@ from itertools import accumulate, chain
 import numpy as np
 
 from .errors import InvalidParameterError, ToleranceError
-from .exact import pairing_subsphere_exact, sphere_area_exact, sqrt_pi_ratio, witness_pairing_exact
-from .exact import normal_ratio, zonal_norm_sq_exact
+from .exact import normal_ratio, witness_pairing_exact
 from .fjrep import FJParam, check_range, decay_x2
 from .numerics import SPHERE_NODE_STEP, sphere_nodes, sphere_rule
 
 __all__ = [
     "gegenbauer",
     "fj_eval",
-    "sphere_area",
-    "zonal_norm_sq_closed",
     "zonal_gram",
     "zonal_pairings_nonzero",
-    "pairing_subsphere",
     "ktype_pairing_nonzero",
     "ktype_pairings_nonzero",
 ]
@@ -104,14 +100,6 @@ def fj_eval(param: FJParam, y_prime, t) -> float:
     zonal = gegenbauer(param.degree, (sq - 2) / 2.0, y_prime[..., -1])
     out = zonal * np.cosh(t) ** (decay_x2(param.total, param.lam_x2) / 2)
     return out if out.ndim else float(out)
-
-
-def sphere_area(n: int) -> float:
-    """Surface area of the unit sphere S^{n-1} in R^n: 2 pi^{n/2} / Gamma(n/2), rounded once.
-
-    Raises ToleranceError above exact.MAX_SPHERE_DIM, before any factorial is built.
-    """
-    return sqrt_pi_ratio(*sphere_area_exact(n))
 
 
 # A Gram ratio |<Z_k, Z_c>| / (|Z_k| |Z_c|) above this is a non-zero pairing; it is scale-free, so one
@@ -204,20 +192,6 @@ def zonal_pairings_nonzero(a: int, cs, n: int) -> list[bool]:
     check_range(n, a, top)
     above = _read_table(n, sphere_nodes(2 * top, n - 3), cs, [a])[1]
     return ((above[cs, a // 8] >> a % 8) & 1).astype(bool).tolist()
-
-
-def zonal_norm_sq_closed(a: int, n: int) -> float:
-    """L^2(S^{n-1}) norm squared of the degree-a zonal harmonic, from Gegenbauer orthogonality, rounded once."""
-    return sqrt_pi_ratio(*zonal_norm_sq_exact(a, n))
-
-
-def pairing_subsphere(a: int, b: int, n: int) -> float:
-    """Restriction pairing of zonal harmonics across the equatorial subsphere, exact and rounded once.
-
-    The degree-a zonal harmonic of S^{n-1} (pole inside the subsphere), restricted to S^{n-2},
-    against the degree-b zonal harmonic of S^{n-2} about that pole.  Vanishes when b > a or a - b is odd.
-    """
-    return sqrt_pi_ratio(*pairing_subsphere_exact(a, b, n))
 
 
 def ktype_pairings_nonzero(a: int, bs, n: int) -> list[bool]:

@@ -1,4 +1,4 @@
-"""Gauss rules: Gauss-Legendre on an interval and the degree-exact sphere rules.
+"""Gauss rules: Gauss-Legendre on [-1, 1] and the degree-exact sphere rules.
 
 Floating point enters the library only inside quadrature (these rules and the
 Gegenbauer recurrence in :mod:`.harmonics`) and in the one rounding of an exact
@@ -15,7 +15,6 @@ import numpy as np
 
 __all__ = [
     "gauss_legendre_rule",
-    "gauss_legendre_on",
     "sphere_nodes",
     "sphere_rule",
 ]
@@ -58,13 +57,6 @@ def gauss_legendre_rule(n: int):
     """
     x, w = _legendre_rule(int(n))
     return x.copy(), w.copy()
-
-
-def gauss_legendre_on(a: float, b: float, n: int):
-    """The n-point Gauss-Legendre rule mapped to the interval [a, b]."""
-    x, w = _legendre_rule(int(n))
-    half = 0.5 * (b - a)
-    return a + half * (x + 1.0), half * w.copy()
 
 
 # Sphere rules take their node counts from a lattice of this step, so nearby

@@ -29,7 +29,6 @@ __all__ = [
     "admissibility_table",
     "ConjectureReport",
     "conjecture_explore",
-    "default_support_predicates",
 ]
 
 
@@ -192,19 +191,13 @@ class ConjectureReport(NamedTuple):
     model_level: bool = True
 
 
-def default_support_predicates(p: int, q: int, lam, subgroup: str):
-    """Model-level support predicates for the two packet members on a subgroup, on half-integer targets.
+def _support_predicates_x2(p: int, q: int, lam_x2: int, subgroup: str):
+    """Model-level support predicates of the two packet members on a subgroup, on doubled targets t_x2 = 2t.
 
     The "s" member follows the proven criteria (equality on g1, inequality
     with non-negative degree on g2); the "as" member mirrors them, exchanging
-    the roles of the two sphere factors.  The half-integer view of `_support_predicates_x2`.
+    the roles of the two sphere factors.
     """
-    pred_s, pred_as = _support_predicates_x2(p, q, doubled(lam), subgroup)
-    return (lambda t: pred_s(doubled(t))), (lambda t: pred_as(doubled(t)))
-
-
-def _support_predicates_x2(p: int, q: int, lam_x2: int, subgroup: str):
-    """The default support predicates on doubled targets t_x2 = 2t, for a doubled lambda."""
 
     def inequality(sp: int, sq: int):
         # the g2 criterion for the ambient X(sp, sq): t + 1/2 <= lambda and an
@@ -221,25 +214,13 @@ def _support_predicates_x2(p: int, q: int, lam_x2: int, subgroup: str):
     raise InvalidParameterError("subgroup must be 'g1' or 'g2'")
 
 
-def conjecture_explore(
-    p: int,
-    q: int,
-    lam,
-    subgroup: str,
-    target_grid,
-    predicate_s=None,
-    predicate_as=None,
-) -> ConjectureReport:
+def conjecture_explore(p: int, q: int, lam, subgroup: str, target_grid) -> ConjectureReport:
     """Evaluate both member supports over a grid of half-integers; report disjointness.
 
-    The grid is doubled once.  The default predicates read the doubled ints, a custom
-    predicate receives each grid value as a Fraction, and the supports hold Fractions.
+    The grid is doubled once, the support predicates read the doubled ints, and the supports hold Fractions.
     """
-    defaults = _support_predicates_x2(p, q, doubled(lam), subgroup)
+    predicates = _support_predicates_x2(p, q, doubled(lam), subgroup)
     grid_x2 = [doubled(t) for t in target_grid]
-    supports_x2 = [
-        [t_x2 for t_x2 in grid_x2 if (custom(Fraction(t_x2, 2)) if custom else default(t_x2))]
-        for custom, default in zip((predicate_s, predicate_as), defaults)
-    ]
+    supports_x2 = [[t_x2 for t_x2 in grid_x2 if support(t_x2)] for support in predicates]
     support_s, support_as = (tuple(Fraction(t_x2, 2) for t_x2 in support) for support in supports_x2)
     return ConjectureReport(support_s, support_as, set(supports_x2[0]).isdisjoint(supports_x2[1]))

@@ -267,8 +267,8 @@ def branching_verdicts(p: int, q: int, lam, subgroup: str, targets) -> list[Bran
 
 def branch_scan_x2(p: int, q: int, lam_x2: int, subgroup: str, targets_x2) -> tuple[_Scan, list[InterlaceClass]]:
     """The one scan behind `branch` and `check --suite branching`, and each target's class; like `period`, it refuses
-    a divergent target (`DivergenceError`) before the ambient parameter."""
-    tag = _tag(subgroup)
+    a divergent target (`DivergenceError`) before the ambient parameter.  The targets may be any iterable."""
+    tag, targets_x2 = _tag(subgroup), list(targets_x2)
     _require_convergence(lam_x2, targets_x2, tag)
     ambient = FJParam(p, q, lam_x2)
     return _scan(ambient, tag, targets_x2, witness=tag is SpaceTag.G2_SPACE), _interlace_classes(ambient, targets_x2)
@@ -276,7 +276,7 @@ def branch_scan_x2(p: int, q: int, lam_x2: int, subgroup: str, targets_x2) -> tu
 
 def branch_columns_x2(p: int, q: int, lam_x2: int, subgroup: str, targets_x2) -> tuple[dict, dict]:
     """`branching_verdicts_x2` by `BranchingVerdict` field: the six fields every row shares, and the seven columns."""
-    tag = _tag(subgroup)
+    tag, targets_x2 = _tag(subgroup), list(targets_x2)
     scan, interlaces = branch_scan_x2(p, q, lam_x2, subgroup, targets_x2)
     values, errs = scan_values(scan)
     shared = {"p": p, "q": q, "lambda_x2": lam_x2, "subgroup": tag.value, "converges": True,

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from hypbranch.errors import AssumptionError, InvalidParameterError
-from hypbranch.geometry import HyperboloidChart
+from geometry_oracle import HyperboloidChart
 
 
 class NotInGroupError(ValueError):

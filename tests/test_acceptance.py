@@ -14,8 +14,7 @@ import pytest
 from hypbranch.errors import DivergenceError, InvalidParameterError
 from hypbranch.exact import doubled
 from hypbranch.fjrep import SpaceTag, is_self_dual, l2_norm_sq, make_fj_param
-from hypbranch.geometry import radial_integral_closed, radial_integral_numeric, radial_integral_truncated
-from hypbranch.harmonics import fj_eval, ktype_pairing_nonzero, zonal_norm_sq_closed
+from hypbranch.harmonics import fj_eval, ktype_pairing_nonzero
 from hypbranch.packets import (
     InterlaceClass,
     RealForm,
@@ -35,7 +34,9 @@ from hypbranch.periods import (
 )
 from block_estimates import block_decompose, ellipsoid_gap, scale
 from coset_oracle import WeylGroup, double_cosets_brute
+from geometry_oracle import radial_integral_closed, radial_integral_numeric, radial_integral_truncated
 from group_elements import random_group_element
+from witness_oracle import zonal_norm_sq_closed
 
 
 def H(twice):

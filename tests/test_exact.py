@@ -24,7 +24,7 @@ from hypbranch import fjrep, harmonics, periods
 from hypbranch.checks import run_suite
 from hypbranch.cli import main
 from hypbranch.errors import ToleranceError
-from hypbranch.exact import normal_ratio, sphere_area_exact, wallis_exact, zonal_norm_sq_exact
+from hypbranch.exact import normal_ratio, pairing_subsphere_exact, sphere_area_exact, wallis_exact, zonal_norm_sq_exact
 
 # ROADMAP defects (l), the plain g2 pairing at a = 400, and (k), g1 values past q = 300: past the checked range,
 # so the CLI refuses them, and their exact factors are held to the oracle here
@@ -200,6 +200,15 @@ def test_defect_l_prints_the_exact_pairing():
     assert code == 0
     assert payload["pairing_factor"] == 0.04123227128515453  # one rounding on math.pi's double: 1.4 ulp low
     check_period_payload(DEFECT_L, payload)
+    # at low degree every plain pairing and zonal norm of the exact layer is the oracle's Fraction, 0 included
+    for n in (4, 5, 6):
+        for a in range(9):
+            num, den, r = zonal_norm_sq_exact(a, n)
+            assert (Fraction(num, den), r) == exact_oracle.zonal_norm_sq(a, n), (a, n)
+            for b in range(9):
+                num, den, r = pairing_subsphere_exact(a, b, n)
+                fraction, oracle_r = exact_oracle.pairing_subsphere(a, b, n)
+                assert Fraction(num, den) == fraction and (num == 0 or r == oracle_r), (a, b, n)
 
 
 @pytest.mark.parametrize("argv", DEFECT_K, ids=["q432", "q321"])

@@ -8,11 +8,12 @@ from hypbranch.errors import DivergenceError, InvalidParameterError, ToleranceEr
 from hypbranch import fjrep
 from hypbranch.exact import doubled
 from hypbranch.fjrep import SpaceTag, inf_char, is_self_dual, l2_norm_sq, make_fj_param
-from hypbranch.geometry import radial_integral_closed, radial_integral_truncated
-from hypbranch.harmonics import fj_eval, gegenbauer, sphere_area, zonal_norm_sq_closed
+from hypbranch.harmonics import fj_eval, gegenbauer
 from hypbranch.packets import conjecture_explore
 from hypbranch.periods import valid_targets
 from coset_oracle import weyl_conjugate
+from geometry_oracle import radial_integral_closed, radial_integral_truncated
+from witness_oracle import sphere_area, zonal_norm_sq_closed
 
 
 def H(twice):

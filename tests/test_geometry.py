@@ -7,7 +7,7 @@ from scipy.integrate import quad
 
 from hypbranch.errors import AssumptionError, DivergenceError, InvalidParameterError, ToleranceError
 from hypbranch.exact import half_gamma, sqrt_pi_ratio
-from hypbranch.geometry import (
+from geometry_oracle import (
     ChartPoint,
     HyperboloidChart,
     measure_weight,

@@ -16,15 +16,13 @@ from hypbranch.harmonics import (
     gegenbauer,
     ktype_pairing_nonzero,
     ktype_pairings_nonzero,
-    pairing_subsphere,
-    sphere_area,
     zonal_gram,
-    zonal_norm_sq_closed,
     zonal_pairings_nonzero,
 )
 from hypbranch.numerics import sphere_nodes, sphere_rule
 from hypbranch.periods import _nonvanishing, period_integral_G1
-from witness_oracle import weighted_cos_integral, witness_pairings, witness_scan, zonal_norm_sq
+from witness_oracle import pairing_subsphere, sphere_area, weighted_cos_integral, witness_pairings, witness_scan
+from witness_oracle import zonal_norm_sq, zonal_norm_sq_closed
 
 
 @pytest.fixture

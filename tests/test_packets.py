@@ -15,7 +15,6 @@ from hypbranch.packets import (
     admissibility_table,
     arthur_packet,
     conjecture_explore,
-    default_support_predicates,
     interlace_classify,
     interlace_classify_scan,
     pure_inner_forms,
@@ -396,10 +395,11 @@ class TestConjectureExplore:
         report = conjecture_explore(4, 4, 2, "g1", [])
         assert report.disjoint
 
-    def test_adversarial_predicates(self):
+    def test_adversarial_predicates(self, monkeypatch):
         grid = [H(t) for t in range(1, 6)]
-        always = lambda t: True
-        report = conjecture_explore(4, 4, 2, "g1", grid, always, always)
+        always = lambda t_x2: True
+        monkeypatch.setattr(packets, "_support_predicates_x2", lambda *args: (always, always))
+        report = conjecture_explore(4, 4, 2, "g1", grid)
         assert not report.disjoint
 
     def test_disjoint_on_lambda_grid(self):
@@ -438,28 +438,16 @@ class TestConjectureExplore:
             calls.clear()
             report = conjecture_explore(p, q, lam, sub, grid)
             assert len(calls) <= 16, (p, q, lam, sub)
-            pred_s, pred_as = default_support_predicates(p, q, lam, sub)
-            assert report.support_s == tuple(t for t in grid if pred_s(t))
-            assert report.support_as == tuple(t for t in grid if pred_as(t))
+            pred_s, pred_as = packets._support_predicates_x2(p, q, doubled(lam), sub)
+            assert report.support_s == tuple(t for t in grid if pred_s(doubled(t)))
+            assert report.support_as == tuple(t for t in grid if pred_as(doubled(t)))
             assert all(type(t) is Fraction for t in report.support_s + report.support_as)
 
-    def test_custom_predicates_receive_fractions(self):
-        seen = []
-
-        def custom(t):
-            seen.append(t)
-            return t > 2
-
-        report = conjecture_explore(4, 4, 2, "g1", [1, 1.5, H(5), Fraction(6, 2)], predicate_as=custom)
-        assert seen == [1, H(3), H(5), 3] and all(type(t) is Fraction for t in seen)
-        assert report.support_as == (H(5), 3) and all(type(t) is Fraction for t in report.support_as)
-        assert report.support_s == (H(5),) and not report.disjoint
-
     def test_default_predicates_exact_halfint(self):
-        pred_s, pred_as = default_support_predicates(4, 4, 2, "g2")
-        assert pred_s(H(3)) and pred_s(H(1))
-        assert not pred_s(H(5))
-        assert pred_as(H(5)) and not pred_as(H(3))
+        pred_s, pred_as = packets._support_predicates_x2(4, 4, 4, "g2")
+        assert pred_s(3) and pred_s(1)
+        assert not pred_s(5)
+        assert pred_as(5) and not pred_as(3)
 
     def test_default_supports_match_halfint_formulas(self):
         # the reference: the criteria in Fraction arithmetic, the "as" member of
@@ -474,11 +462,12 @@ class TestConjectureExplore:
             for q in range(4, 9):
                 for lam in map(H, range(1, 13)):
                     for sub in ("g1", "g2"):
-                        pred_s, pred_as = default_support_predicates(p, q, lam, sub)
-                        for t in map(H, range(-3, 21)):
+                        pred_s, pred_as = packets._support_predicates_x2(p, q, doubled(lam), sub)
+                        for t_x2 in range(-3, 21):
+                            t = H(t_x2)
                             expected = (
                                 (t == lam + half, inequality(q, p, lam, t))
                                 if sub == "g1"
                                 else (inequality(p, q, lam, t), t == lam + half)
                             )
-                            assert (pred_s(t), pred_as(t)) == expected, (p, q, lam, sub, t)
+                            assert (pred_s(t_x2), pred_as(t_x2)) == expected, (p, q, lam, sub, t)

@@ -4,13 +4,11 @@ from fractions import Fraction
 
 import pytest
 
-from hypbranch import cli, exact, fjrep, geometry, harmonics, numerics, packets, periods
+from hypbranch import cli, exact, fjrep, harmonics, numerics, packets, periods
 from hypbranch.cli import main
 from hypbranch.errors import DivergenceError, InvalidParameterError
 from hypbranch.exact import doubled, wallis_exact
 from hypbranch.fjrep import SpaceTag, inf_char, make_fj_param, valid_lambdas
-from hypbranch.geometry import radial_integral_closed
-from hypbranch.harmonics import sphere_area, zonal_norm_sq_closed
 from hypbranch.packets import InterlaceClass
 from hypbranch.periods import (
     branching_verdict,
@@ -24,7 +22,8 @@ from hypbranch.periods import (
     period_integral_G2,
     valid_targets,
 )
-from witness_oracle import zonal_norm_sq
+from geometry_oracle import gauss_legendre_on, radial_integral_closed
+from witness_oracle import sphere_area, zonal_norm_sq, zonal_norm_sq_closed
 
 
 def H(twice):
@@ -49,6 +48,10 @@ class TestNonvanishingPredicates:
     def test_g2_invalid_target_propagates(self):
         with pytest.raises(InvalidParameterError):
             nonvanishing_G2(4, 6, 3, H(1))  # b = -1 is not a degree
+        # so does a scan's, whether its targets come as a list or as an iterator
+        for targets_x2 in ([3, 1], iter([3, 1])):
+            with pytest.raises(InvalidParameterError, match="= -1 must be a non-negative integer$"):
+                periods.branching_verdicts_x2(4, 6, 6, "g2", targets_x2)
 
     def test_g1_examples(self):
         assert nonvanishing_G1(4, 4, 2, H(5))  # nu = lambda + 1/2
@@ -335,12 +338,11 @@ class TestBatchedScanPasses:
         ids=["g1", "g2", "fj", "period_g1", "period_g2_witness"],
     )
     def test_no_radial_rule_per_request(self, monkeypatch, capsys, argv):
-        # the radial factor is exact: the Gauss pair is only the cross-check
-        numeric = _count_calls(monkeypatch, geometry, "radial_integral_numeric")
-        rules = _count_calls(monkeypatch, geometry, "gauss_legendre_on")
+        # the radial factor is the exact Wallis ratio: no request builds a Gauss-Legendre rule on an interval
+        rules = _count_calls(monkeypatch, numerics, "gauss_legendre_rule")
         assert main(list(argv)) == 0
         assert capsys.readouterr().out
-        assert (numeric, rules) == ([], [])
+        assert rules == []
 
     @pytest.mark.parametrize("via", ["cli", "library"])
     def test_fj_norm_runs_no_quadrature(self, monkeypatch, capsys, via):
@@ -353,12 +355,6 @@ class TestBatchedScanPasses:
         else:
             assert fjrep.l2_norm_sq(make_fj_param(5, 7, 402)) > 0
         assert (passes, rules) == ([], [])
-
-    def test_quadrature_suite_cross_checks_the_radial_factor(self, monkeypatch, capsys):
-        numeric = _count_calls(monkeypatch, geometry, "radial_integral_numeric")
-        assert main(["check", "--suite", "quadrature"]) == 0
-        assert "[PASS] radial_numeric_vs_closed" in capsys.readouterr().out
-        assert len(numeric) == 15  # five sine powers, three exponent sums each
 
     def test_legendre_rules_per_g2_ladder(self):
         # the g2_scan mix from cold caches: the witness sphere rules of q = 6 and
@@ -545,8 +541,6 @@ class TestEndToEndOracle:
         # (theta, phi, t) product grid, using only fj_eval -- no separation,
         # no zonality shortcuts -- and compare with the factored value
         import numpy as np
-
-        from hypbranch.numerics import gauss_legendre_on
 
         p, q, lam, mu = 4, 4, 2, H(3)
         amb = make_fj_param(p, q, lam)

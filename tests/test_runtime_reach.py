@@ -49,12 +49,10 @@ VERBS = [
 
 # Kept although nothing above runs them: the console-script entry point, the
 # public one-element wrappers and closed-form predicates that the tests call,
-# the half-integer view of the doubled-int default conjecture supports, and
-# `_converges`, which is the `converges_G1`/`converges_G2` alias.
+# and `_converges`, which is the `converges_G1`/`converges_G2` alias.
 ALLOWED_UNREACHED = {
     "cli.entry",
     "harmonics.ktype_pairing_nonzero",
-    "packets.default_support_predicates",
     "packets.interlace_classify",
     "periods.branching_verdict",
     "periods.interlace_class_for_pair",

@@ -7,7 +7,9 @@ the harmonic projection of u^j times the solid degree-(a-j) zonal harmonic of
 the subsphere space, found by a dense linear solve), then pairs every
 normal-derivative trace of every member with the degree-b zonal harmonic of
 S^{n-2} by quadrature.  Its two sphere quadratures, `zonal_norm_sq` and
-`weighted_cos_integral`, also serve the tests as oracles of their own.
+`weighted_cos_integral`, also serve the tests as oracles of their own, and
+`sphere_area`, `zonal_norm_sq_closed` and `pairing_subsphere` are the exact
+ratios of ``hypbranch.exact`` rounded once, as the tests compare them.
 """
 
 from __future__ import annotations
@@ -17,8 +19,24 @@ from functools import lru_cache
 
 import numpy as np
 
-from hypbranch.harmonics import gegenbauer, sphere_area
+from hypbranch.exact import pairing_subsphere_exact, sphere_area_exact, sqrt_pi_ratio, zonal_norm_sq_exact
+from hypbranch.harmonics import gegenbauer
 from hypbranch.numerics import sphere_rule
+
+
+def sphere_area(n: int) -> float:
+    """The area of S^{n-1}, exact and rounded once."""
+    return sqrt_pi_ratio(*sphere_area_exact(n))
+
+
+def zonal_norm_sq_closed(a: int, n: int) -> float:
+    """|Z_a|^2 on S^{n-1}, exact and rounded once."""
+    return sqrt_pi_ratio(*zonal_norm_sq_exact(a, n))
+
+
+def pairing_subsphere(a: int, b: int, n: int) -> float:
+    """The restriction pairing of Z_a on S^{n-1} with Z_b on S^{n-2}, exact and rounded once."""
+    return sqrt_pi_ratio(*pairing_subsphere_exact(a, b, n))
 
 
 def zonal_norm_sq(a: int, n: int) -> float:
