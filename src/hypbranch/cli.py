@@ -1,12 +1,11 @@
 """Command-line front-end: JSON/CSV reports and the verification suites.
 
-Half-integer flags use the doubled-integer convention (`--lambda-x2 3` means
-lambda = 3/2) so no parameter ever passes through float parsing.  Exit codes:
-0 success, 1 property failure or a branch row or period whose numeric verdict
-disagrees with its predicate, 2 invalid parameters, an unwritable --out file,
-`period --witness` with `--subgroup g1` (the witness pairing is g2's), or an
-`fj`, `period` or `branch` request past the checked range (`fjrep.check_range`),
-3 divergent integral, 4 a printed number exactly nonzero but not a normal double.
+Half-integer flags use the doubled-integer convention (`--lambda-x2 3` means lambda = 3/2) so no parameter
+ever passes through float parsing.  Exit codes: 0 success, 1 property failure, or a branch row or period whose
+numeric verdict (or a branch row whose interlace class) contradicts its predicate, 2 invalid parameters, an
+unwritable --out file, `period --witness` with `--subgroup g1` (the witness pairing is g2's), or an `fj`,
+`period` or `branch` request past the checked range (`fjrep.check_range`), 3 divergent integral, 4 a printed
+number exactly nonzero but not a normal double.
 
 Every verb and flag is declared once, in VERBS.  `main` reads a canonical argv (each flag once by its full
 name, every required flag, every value accepted) straight from that table; argparse, whose parsers are built
@@ -18,6 +17,8 @@ from __future__ import annotations
 
 import functools
 import json
+import operator
+import os
 import sys
 import types
 from fractions import Fraction
@@ -40,14 +41,16 @@ def _emit(args, text: str) -> None:
         print(text)
 
 
-def _emit_json(args, obj) -> None:
-    _emit(args, json.dumps(obj, sort_keys=True))
+def _json_template(fields, cells) -> str:
+    """One JSON object of `fields` in order from their cell texts (or `%s`), identifiers quoted with no escape."""
+    return "{" + ", ".join(f'"{k}": ' + (f'"{c}"' if k in ("subgroup", "interlace") else c)
+                           for k, c in zip(fields, cells)) + "}"
 
 
 def cmd_fj(args) -> int:
     param = FJParam(args.p, args.q, args.lambda_x2)
     check_range(args.q, param.degree)  # before the Wallis factor of its L2 norm
-    _emit_json(args, param.to_json_dict())
+    _emit(args, json.dumps(param.to_json_dict(), sort_keys=True))
     return 0
 
 
@@ -68,13 +71,17 @@ def cmd_branch(args) -> int:
     targets_x2 = valid_lambdas_x2(args.p, args.q, args.max_target_x2, tag)
     # every value is rounded, and refused, before any verdict is compared
     shared, columns = branch_columns_x2(args.p, args.q, args.lambda_x2, args.subgroup, targets_x2)
-    if columns["nonzero"] != columns["predicate"]:  # the rows of the mismatched targets only
-        wrong = [i for i, pair in enumerate(zip(columns["nonzero"], columns["predicate"])) if pair[0] != pair[1]]
+    # a row is a mismatch when its numeric verdict or its interlace class contradicts its predicate (g2's predicate
+    # holds exactly on FiniteType, g1's implies InfiniteType1)
+    nonzero, predicate, g2 = columns["nonzero"], columns["predicate"], tag is SpaceTag.G2_SPACE
+    classed = [c == "FiniteType" if g2 else p and c == "InfiniteType1" for p, c in zip(predicate, columns["interlace"])]
+    if nonzero != predicate or classed != predicate:  # the rows of the mismatched targets only
+        wrong = [i for i, (n, p, c) in enumerate(zip(nonzero, predicate, classed)) if not n == p == c]
         rows = verdict_rows(shared, {k: [column[i] for i in wrong] for k, column in columns.items()})
         _mismatches([row._asdict().items() for row in rows])
         return 1
     # One line template per scan, the shared fields text in it: bools print as true/false, all else by str() (a float's
-    # repr, as in csv.writer and json.dumps); JSON quotes the identifiers of subgroup and interlace with no escape.
+    # repr, as in csv.writer and json.dumps).
     fields = BranchingVerdict._fields if args.format == "csv" else sorted(BranchingVerdict._fields)
     text = ("false", "true").__getitem__
     texts = {k: text(v) if v.__class__ is bool else str(v) for k, v in shared.items()}
@@ -84,13 +91,19 @@ def cmd_branch(args) -> int:
         # csv.writer's lines, none of whose fields needs quoting: CRLF ends, the last one's LF left to _emit
         _emit(args, "\r\n".join([",".join(fields), *map(",".join(cells).__mod__, rows)]) + "\r")
     else:
-        quoted = [f'"{k}": ' + (f'"{c}"' if k in ("subgroup", "interlace") else c) for k, c in zip(fields, cells)]
-        _emit(args, "[" + ", ".join(map(("{" + ", ".join(quoted) + "}").__mod__, rows)) + "]")
+        _emit(args, "[" + ", ".join(map(_json_template(fields, cells).__mod__, rows)) + "]")
     return 0
 
 
+@functools.cache
+def _period_template(fields):
+    """The `period` report's template, its keys sorted as json.dumps(sort_keys=True) writes them, and their places."""
+    keys = sorted(fields)
+    return _json_template(keys, ["%s"] * len(keys)), operator.itemgetter(*map(fields.index, keys))
+
+
 def cmd_period(args) -> int:
-    from .periods import period_integral_G1, period_integral_G2
+    from .periods import PeriodVerdict, period_integral_G1, period_integral_G2
     if args.witness and args.subgroup == "g1":
         raise ValueError("--witness applies to --subgroup g2 only")
     lam, target = Fraction(args.lambda_x2, 2), Fraction(args.target_x2, 2)
@@ -100,7 +113,8 @@ def cmd_period(args) -> int:
         record = period_integral_G2(args.p, args.q, lam, target, use_witness=args.witness)
     if _mismatches([record._asdict().items()] if record.nonzero != record.predicate_nonzero else []):
         return 1
-    _emit_json(args, record._asdict())
+    template, ordered = _period_template(PeriodVerdict._fields)  # as in `branch`, % writes a float's repr
+    _emit(args, template % tuple([("false", "true")[v] if v.__class__ is bool else v for v in ordered(record)]))
     return 0
 
 
@@ -108,7 +122,7 @@ def cmd_packet(args) -> int:
     form = RealForm(args.p, args.q)
     inner = [[f.p_sig, f.q_sig] for f in pure_inner_forms(form)]
     if args.inner_forms_only:
-        _emit_json(args, {"p": args.p, "q": args.q, "pure_inner_forms": inner})
+        _emit(args, json.dumps({"p": args.p, "q": args.q, "pure_inner_forms": inner}, sort_keys=True))
         return 0
     report = arthur_packet(args.p, args.q, Fraction(args.lambda_x2, 2))
     report["pure_inner_forms"] = inner
@@ -119,7 +133,7 @@ def cmd_packet(args) -> int:
         ]
         for direction in ("drop_p", "drop_q")
     }
-    _emit_json(args, report)
+    _emit(args, json.dumps(report, sort_keys=True))
     return 0
 
 
@@ -173,6 +187,11 @@ VERBS = {
 }
 
 
+# Each verb's flags by option as (attribute, type, choices), and each attribute's default, derived once.
+_ATTRS = {verb: ({o: (o[2:].replace("-", "_"), f[0], f[2]) for o, f in flags.items()},
+                 {o[2:].replace("-", "_"): f[1] for o, f in flags.items()}) for verb, (_, _, flags) in VERBS.items()}
+
+
 def _canonical(argv):
     """The namespace of a canonical argv, read from VERBS, or None when argparse must read it.
 
@@ -181,27 +200,24 @@ def _canonical(argv):
     """
     if not argv or argv[0] not in VERBS:
         return None
-    func, _, flags = VERBS[argv[0]]
+    options, defaults = _ATTRS[argv[0]]
     values, tokens = {}, iter(argv[1:])
     for option in tokens:
-        if option not in flags or option in values:
+        name, kind, choices = options.get(option, (None, None, None))
+        if name is None or name in values:
             return None
-        kind, _, choices, _ = flags[option]
         if kind is bool:
-            values[option] = True
+            values[name] = True
             continue
         text = next(tokens, "-")  # a flag with no value reads as one followed by a flag
         if text.startswith("-") or (choices and text not in choices):
             return None
         try:
-            values[option] = kind(text)
+            values[name] = kind(text)
         except Exception:  # argparse calls the type again, and words the refusal or lets it propagate
             return None
-    if any(flag[1] is REQUIRED and option not in values for option, flag in flags.items()):
-        return None
-    return types.SimpleNamespace(
-        **{option[2:].replace("-", "_"): values.get(option, flag[1]) for option, flag in flags.items()}, func=func
-    )
+    values = {**defaults, **values}
+    return None if REQUIRED in values.values() else types.SimpleNamespace(**values, func=VERBS[argv[0]][0])
 
 
 @functools.cache
@@ -254,6 +270,8 @@ def main(argv=None) -> int:
 
 
 def entry() -> None:
+    # One OpenBLAS thread unless the user sets a count (before numpy loads): its thread pool slows a Gram build.
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     sys.exit(main())
 
 

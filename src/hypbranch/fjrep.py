@@ -57,7 +57,7 @@ class FJParam(NamedTuple("FJParam", [("p", int), ("q", int), ("lam_x2", int), ("
     def __new__(cls, p: int, q: int, lam_x2: int, tag: SpaceTag = SpaceTag.G_ON_H):
         if p < 4 or q < 4:
             raise InvalidParameterError(f"standing assumption p, q >= 4 violated: ({p}, {q})")
-        tag = SpaceTag(tag)  # a tag given by its value, such as "g1"
+        tag = tag if tag.__class__ is SpaceTag else SpaceTag(tag)  # a tag given by its value, such as "g1"
         checked_degree(p, q, lam_x2, tag)
         return super().__new__(cls, p, q, lam_x2, tag)
 
@@ -82,14 +82,15 @@ class FJParam(NamedTuple("FJParam", [("p", int), ("q", int), ("lam_x2", int), ("
         return Fraction(decay_x2(self.total, self.lam_x2), 2)
 
     def to_json_dict(self) -> dict:
+        a, total, lam_x2 = self.degree, self.total, self.lam_x2
         return {
             "p": self.p,
             "q": self.q,
-            "lambda_x2": self.lam_x2,
-            "a": self.degree,
-            "exponent_x2": decay_x2(self.total, self.lam_x2),
-            "min_ktype_x2": 2 * self.degree,
-            "inf_char_x2": inf_char_x2(self.total, self.lam_x2),
+            "lambda_x2": lam_x2,
+            "a": a,
+            "exponent_x2": decay_x2(total, lam_x2),
+            "min_ktype_x2": 2 * a,
+            "inf_char_x2": inf_char_x2(total, lam_x2),
             "self_dual": is_self_dual(self),
             "l2_norm_sq": l2_norm_sq(self),
         }
@@ -106,7 +107,7 @@ def tag_signature(p: int, q: int, tag: SpaceTag) -> tuple[int, int]:
 
 def degree_x2(p: int, q: int, lam_x2: int, tag: SpaceTag) -> int:
     """Doubled harmonic degree 2a = 2 lambda - 2 + sp - sq of a doubled lambda on the tag's space."""
-    sp, sq = tag_signature(p, q, SpaceTag(tag))
+    sp, sq = tag_signature(p, q, tag if tag.__class__ is SpaceTag else SpaceTag(tag))
     return lam_x2 - 2 + sp - sq
 
 
@@ -165,10 +166,10 @@ def l2_norm_sq(param: FJParam) -> float:
     dimensions are checked first, so a huge p or q is refused before any
     factorial is built.  Raises ToleranceError when the norm is not a normal double.
     """
-    sp, sq = param.space_signature
-    sphere, zonal = sphere_area_exact(sp), zonal_norm_sq_exact(param.degree, sq)
+    (sp, sq), a = param.space_signature, param.degree
+    sphere, zonal = sphere_area_exact(sp), zonal_norm_sq_exact(a, sq)
     # R(sp-1, sq-1+2e) is the Wallis integral of sin^{sp-1} cos^m, m = -(sp+sq-2+2e)-1 = 2 lambda - 1
-    return normal_ratio("L2 norm", f"degree {param.degree}", sphere, zonal, wallis_exact(sp - 1, param.lam_x2 - 1))
+    return normal_ratio("L2 norm", f"degree {a}", sphere, zonal, wallis_exact(sp - 1, param.lam_x2 - 1))
 
 
 def inf_char_x2(total: int, lam_x2: int) -> list[int]:

@@ -181,17 +181,17 @@ def _read_table(n: int, nodes: int, *degrees):
 def zonal_pairings_nonzero(a: int, cs, n: int) -> list[bool]:
     """The g1 verdict: whether |<Z_c, Z_a>| / (|Z_c| |Z_a|) on S^{n-1} is above GRAM_RATIO_TOL, for each c in `cs`.
 
-    Each verdict is entry (c, a) of the `_gram_table` of the sphere rule :func:`zonal_gram` picks, exact to degree
-    2 max(a, cs).  Raises InvalidParameterError past the checked range (`fjrep.check_range`, with q = n), and
-    ToleranceError as `zonal_gram` does, for the first lost degree in the order `cs`, then a.
+    Each verdict is bit c of row a of the (symmetric) g1 view of the `_gram_table` of the sphere rule :func:`zonal_gram`
+    picks, exact to degree 2 max(a, cs).  Raises InvalidParameterError past the checked range (`fjrep.check_range`,
+    with q = n), and ToleranceError as `zonal_gram` does, for the first lost degree in the order `cs`, then a.
     """
     cs = list(cs)
     if n < 3 or a < 0 or min(cs, default=0) < 0:
         raise InvalidParameterError("zonal verdicts require sphere_dim >= 3 and non-negative degrees")
     top = max([a, *cs])  # a is checked first, so only a target can put top past the range
     check_range(n, a, top)
-    above = _read_table(n, sphere_nodes(2 * top, n - 3), cs, [a])[1]
-    return ((above[cs, a // 8] >> a % 8) & 1).astype(bool).tolist()
+    row = _read_table(n, sphere_nodes(2 * top, n - 3), cs, [a])[1][a].tobytes()
+    return [row[c >> 3] >> (c & 7) & 1 == 1 for c in cs]
 
 
 def ktype_pairings_nonzero(a: int, bs, n: int) -> list[bool]:

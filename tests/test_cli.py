@@ -19,7 +19,7 @@ import pytest
 
 import hypbranch
 import sweep
-from hypbranch import checks, cli, exact, fjrep, harmonics, numerics, periods
+from hypbranch import checks, cli, exact, fjrep, harmonics, numerics, packets, periods
 from hypbranch.checks import SUITES, CheckResult, run_suite
 from hypbranch.cli import main
 from hypbranch.fjrep import SpaceTag, make_fj_param, valid_lambdas
@@ -227,6 +227,32 @@ class TestBranch:
         assert " target_x2=5 " in lines[0]
         assert " nonzero=False predicate=True " in lines[0]
 
+    @pytest.mark.parametrize(
+        "subgroup, target_x2, flipped",
+        [("g1", 5, "NoPattern"), ("g2", 3, "InfiniteType1"), ("g2", 5, "FiniteType")],
+        ids=["g1_predicate_not_InfiniteType1", "g2_predicate_not_FiniteType", "g2_FiniteType_not_predicate"],
+    )
+    def test_a_class_contradicting_its_predicate_exits_1(self, capsys, monkeypatch, subgroup, target_x2, flipped):
+        # the interlace class is checked against the predicate on every row: g2's predicate holds exactly on
+        # FiniteType, and g1's implies InfiniteType1; one flipped class is one mismatch line, the numeric verdict
+        # still agreeing with the predicate
+        classify = periods.interlace_classify_scan
+        targets_x2 = list(fjrep.valid_lambdas_x2(4, 4, 7, SpaceTag(subgroup)))
+
+        def flip(a, heads, tail):
+            classes = classify(a, heads, tail)
+            if len(classes) == len(targets_x2):  # the scan's call, not a one-target one
+                classes[targets_x2.index(target_x2)] = packets.InterlaceClass(flipped)
+            return classes
+
+        monkeypatch.setattr(periods, "interlace_classify_scan", flip)
+        code, out, err = run_cli(capsys, "branch", "--p", "4", "--q", "4", "--lambda-x2", "4",
+                                 "--subgroup", subgroup, "--max-target-x2", "7")
+        (row,) = [r for r in periods.branching_verdicts_x2(4, 4, 4, subgroup, targets_x2) if r.target_x2 == target_x2]
+        assert row.interlace == flipped and row.nonzero == row.predicate
+        assert (code, out) == (1, "")
+        assert err == "error: verdict mismatch: " + " ".join(f"{k}={v}" for k, v in row._asdict().items()) + "\n"
+
     def test_high_degree_g1_verdicts_match_predicate(self, capsys):
         # ambient degree a = 100, target degrees c up to 102: exact only with a rule of degree a + c
         code, out, _ = run_cli(
@@ -363,6 +389,63 @@ class TestBranchScan:
         assert (code, out) == (4, "")
         lines = err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: period value inf is not a normal double"), err
+
+
+PERIOD_GOLDENS = {
+    "period_4_4_l4_t3_g2": ("--p", "4", "--q", "4", "--lambda-x2", "4", "--target-x2", "3", "--subgroup", "g2"),
+    "period_g1_5_4_l97_t98": ("--p", "5", "--q", "4", "--lambda-x2", "97", "--target-x2", "98", "--subgroup", "g1"),
+    "period_g1_5_4_l97_t102": ("--p", "5", "--q", "4", "--lambda-x2", "97", "--target-x2", "102", "--subgroup", "g1"),
+}
+
+
+class TestPeriodText:
+    """`period` prints its record through one template built from `PeriodVerdict._fields`: its bytes are the
+    standard library's, json.dumps(record._asdict(), sort_keys=True), of `period_integral_G1`/`_G2`'s record."""
+
+    @staticmethod
+    def _dumped(p, q, lam_x2, target_x2, subgroup, witness=False) -> str:
+        lam, target = Fraction(lam_x2, 2), Fraction(target_x2, 2)
+        if subgroup == "g1":
+            record = periods.period_integral_G1(p, q, lam, target)
+        else:
+            record = periods.period_integral_G2(p, q, lam, target, use_witness=witness)
+        return json.dumps(record._asdict(), sort_keys=True) + "\n"
+
+    @pytest.mark.parametrize("name", PERIOD_GOLDENS)
+    def test_goldens_and_out_are_the_records_json(self, tmp_path, capsys, name):
+        argv = PERIOD_GOLDENS[name]
+        flags = dict(zip(argv[::2], argv[1::2]))
+        expected = self._dumped(*(int(flags[f]) for f in ("--p", "--q", "--lambda-x2", "--target-x2")),
+                                flags["--subgroup"])
+        assert expected.encode() == (GOLDEN / f"{name}.json").read_bytes()
+        assert run_cli(capsys, "period", *argv) == (0, expected, "")
+        target = tmp_path / f"{name}.json"
+        assert run_cli(capsys, "period", *argv, "--out", str(target)) == (0, "", "")
+        assert target.read_text() == expected
+
+    @pytest.mark.parametrize("kind", ["g1_diagonal", "g1_off_diagonal", "g2", "g2_witness"])
+    def test_a_seeded_grid_prints_the_records_json(self, capsys, kind):
+        # p in 4..8 and q in 4..16; g1 ambient degrees up to 400 (400 itself first) with diagonal targets or targets
+        # up to 6 below and 2 above, g2 ambient degrees up to 40 with targets up to 3 above, reachable or not
+        rng = random.Random(f"period-text-{kind}")
+        subgroup, witness = kind[:2], ["--witness"] if kind == "g2_witness" else []
+        tag = SpaceTag(subgroup)
+        for i in range(12):
+            p, q = rng.randint(4, 8), rng.randint(4, 16)
+            a = 400 if i == 0 and subgroup == "g1" else rng.randint(0, 400 if subgroup == "g1" else 40)
+            if kind == "g1_diagonal":
+                c = a
+            elif subgroup == "g1":
+                c = rng.choice([c for c in range(max(0, a - 6), a + 3) if c != a])
+            else:
+                c = rng.randint(max(0, a - 6), a + 3)
+            lam_x2, target_x2 = 2 * a + 2 - (p - q), 2 * c - fjrep.degree_x2(p, q, 0, tag)
+            if lam_x2 <= 0 or target_x2 <= 0:
+                continue
+            argv = ["period", "--p", str(p), "--q", str(q), "--lambda-x2", str(lam_x2), "--target-x2", str(target_x2),
+                    "--subgroup", subgroup, *witness]
+            expected = self._dumped(p, q, lam_x2, target_x2, subgroup, bool(witness))
+            assert run_cli(capsys, *argv) == (0, expected, ""), argv
 
 
 class TestExitCodes:
@@ -1053,6 +1136,20 @@ COLD_PROBES = [
     ("branch", ["branch", "--p", "4", "--q", "6", "--lambda-x2", "8", "--subgroup", "g2", "--max-target-x2", "5"],
      0, True, False),
 ]
+
+
+@pytest.mark.parametrize("preset", [None, "2"], ids=["unset", "user_set"])
+def test_entry_runs_openblas_on_one_thread_unless_the_user_sets_it(monkeypatch, capsys, preset):
+    # the console script sets the count before a verb loads numpy; a count the user set is kept
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", preset or "")  # restored after the test, set or not
+    if preset is None:
+        monkeypatch.delenv("OPENBLAS_NUM_THREADS")
+    monkeypatch.setattr(sys, "argv", ["hypbranch", "fj", "--p", "4", "--q", "4", "--lambda-x2", "4"])
+    with pytest.raises(SystemExit) as exc:
+        cli.entry()
+    assert exc.value.code == 0
+    assert os.environ["OPENBLAS_NUM_THREADS"] == (preset or "1")
+    assert capsys.readouterr().out.encode() == (GOLDEN / "fj_4_4_l4.json").read_bytes()
 
 
 @pytest.mark.parametrize(

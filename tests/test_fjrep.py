@@ -84,8 +84,13 @@ class TestMakeParam:
         assert by_value.tag is SpaceTag.G1_SPACE and by_value.space_signature == (3, 4)
         assert [str(e) for e in inf_char(by_value)] == [str(e) for e in inf_char(make_fj_param(4, 4, 2.5, "g1"))]
         assert [str(e) for e in inf_char(by_value)] == ["6", "5/2", "3/2"]
+        # a tag that is already a SpaceTag is used as it is; one given by its value is looked up, in degree_x2 too
+        for tag in SpaceTag:
+            assert fjrep.degree_x2(4, 6, 9, tag.value) == fjrep.degree_x2(4, 6, 9, tag), tag
         with pytest.raises(ValueError):
             fjrep.FJParam(4, 4, 5, "g3")
+        with pytest.raises(ValueError):
+            fjrep.degree_x2(4, 4, 5, "g3")
 
 
 class TestEval:

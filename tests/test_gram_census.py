@@ -44,9 +44,11 @@ def test_every_ratio_clears_the_threshold(capsys):
         # each verdict is the diagonal ratio of b against the off-diagonal ratios below it, which this Gram bounds
         reach, above, lost = harmonics._gram_table(n, nodes)
         assert reach[: top + 1] == tuple(range(top + 1)) and not lost, (n, top)
-        # a g1 verdict reads entry (c, a) of the table's g1 view: the identity pattern, so each is this Gram's entry
-        assert (np.unpackbits(above, axis=1, count=len(reach), bitorder="little")[: top + 1, : top + 1]
-                == np.eye(top + 1)).all(), (n, top)
+        # a g1 verdict reads bit c of row a of the table's g1 view, which is entry (c, a) only as the view is
+        # symmetric: the identity pattern, so each is this Gram's entry
+        view = np.unpackbits(above, axis=1, count=len(reach), bitorder="little")
+        assert (view == view.T).all(), (n, top)
+        assert (view[: top + 1, : top + 1] == np.eye(top + 1)).all(), (n, top)
         gamma = nodes * UNIT_ROUNDOFF / (1 - nodes * UNIT_ROUNDOFF)
         gram = zonal_gram(range(top + 1), range(top + 1), n)
         diagonal = np.diag(gram)
