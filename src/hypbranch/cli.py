@@ -42,7 +42,7 @@ def _emit(args, text: str) -> None:
 
 
 def _json_template(fields, cells) -> str:
-    """One JSON object of `fields` in order from their cell texts (or `%s`), identifiers quoted with no escape."""
+    """One JSON object of `fields` in order from their cell texts (or % slots), identifiers quoted with no escape."""
     return "{" + ", ".join(f'"{k}": ' + (f'"{c}"' if k in ("subgroup", "interlace") else c)
                            for k, c in zip(fields, cells)) + "}"
 
@@ -80,19 +80,25 @@ def cmd_branch(args) -> int:
         rows = verdict_rows(shared, {k: [column[i] for i in wrong] for k, column in columns.items()})
         _mismatches([row._asdict().items() for row in rows])
         return 1
-    # One line template per scan, the shared fields text in it: bools print as true/false, all else by str() (a float's
-    # repr, as in csv.writer and json.dumps).
-    fields = BranchingVerdict._fields if args.format == "csv" else sorted(BranchingVerdict._fields)
+    # One line template per scan, the shared fields filled into the format's skeleton: bools print as true/false, all
+    # else by str() (a float's repr, as in csv.writer and json.dumps).
+    header, skeleton, varying = _branch_skeleton(args.format, BranchingVerdict._fields, tuple(columns))
     text = ("false", "true").__getitem__
-    texts = {k: text(v) if v.__class__ is bool else str(v) for k, v in shared.items()}
-    cells, varying = [texts.get(k, "%s") for k in fields], [columns[k] for k in fields if k in columns]
-    rows = zip(*[map(text, c) if c and c[0].__class__ is bool else c for c in varying])
-    if args.format == "csv":
-        # csv.writer's lines, none of whose fields needs quoting: CRLF ends, the last one's LF left to _emit
-        _emit(args, "\r\n".join([",".join(fields), *map(",".join(cells).__mod__, rows)]) + "\r")
-    else:
-        _emit(args, "[" + ", ".join(map(_json_template(fields, cells).__mod__, rows)) + "]")
+    line = skeleton % {k: text(v) if v.__class__ is bool else v for k, v in shared.items()}
+    rows = zip(*[map(text, c) if c and c[0].__class__ is bool else c for c in map(columns.__getitem__, varying)])
+    # CSV as csv.writer's lines, none of whose fields needs quoting: CRLF ends, the last one's LF left to _emit
+    _emit(args, "\r\n".join([header, *map(line.__mod__, rows)]) + "\r" if args.format == "csv"
+          else "[" + ", ".join(map(line.__mod__, rows)) + "]")
     return 0
+
+
+@functools.cache
+def _branch_skeleton(fmt, fields, columns):
+    """`branch`'s header, its line with a `%(name)s` slot per shared field and a `%%s` per column, and its columns."""
+    fields = fields if fmt == "csv" else sorted(fields)
+    cells = ["%%s" if k in columns else f"%({k})s" for k in fields]
+    line = ",".join(cells) if fmt == "csv" else _json_template(fields, cells)
+    return ",".join(fields), line, tuple(k for k in fields if k in columns)
 
 
 @functools.cache

@@ -81,6 +81,16 @@ def normal_ratio(what: str, where: str, *factors: tuple[int, int, int]) -> float
     return value
 
 
+def period_value(sphere, pairing, radial, degree_pair, what="period value") -> tuple[float, float]:
+    """`value` and `err_est` of a period's exact (num, den, r) factors, the pairing nonzero, rounded once: the one
+    rounding of a `period` or `branch` number.  ToleranceError naming `what` at `degree_pair` if it is not normal."""
+    (s_num, s_den, s_r), (p_num, p_den, p_r), (w_num, w_den, w_r) = sphere, pairing, radial
+    value = sqrt_pi_ratio(s_num * p_num * w_num, s_den * p_den * w_den, s_r + p_r + w_r)
+    if not sys.float_info.min <= abs(value) < math.inf:
+        raise ToleranceError(f"{what} {value} is not a normal double at degrees {degree_pair}")
+    return value, sqrt_pi_error(value, s_r + p_r + w_r)
+
+
 def wallis_exact(a: int, m: int) -> tuple[int, int, int]:
     """int_0^{pi/2} sin^a cos^m for integers a, m >= 0, exactly: (num, den, r) with value num / den * sqrt(pi)^r.
 

@@ -37,6 +37,9 @@ class SpaceTag(Enum):
 # The checked range, enforced by every verb but `packet`: q bounds the verdict spheres S^{q-1} and S^{q-2} that the
 # Gram census enumerates, the degrees their rules (a g1 period reads a + 2 at a = MAX_DEGREE); p is not bounded.
 MAX_Q, MAX_DEGREE, MAX_TARGET_DEGREE = 16, 400, 402
+PARAMETER_NAMES = {  # each space's parameter and harmonic degree, as a refusal names them
+    SpaceTag.G_ON_H: ("lambda", "a = lambda - 1 + (p-q)/2"), SpaceTag.G1_SPACE: ("nu", "c = nu - 1 + (p-1-q)/2"),
+    SpaceTag.G2_SPACE: ("mu", "b = mu - 1 + (p-q+1)/2")}
 
 
 def check_range(q: int, degree: int, top: int = 0) -> None:
@@ -121,16 +124,14 @@ def checked_degree(p: int, q: int, lam_x2: int, tag: SpaceTag) -> int:
 
     Rejects lambda <= 0 (square integrability) and non-integral or negative
     harmonic degree (the generating function needs an actual spherical
-    harmonic of that degree).
+    harmonic of that degree), naming both by the tag's `PARAMETER_NAMES`.
     """
     if lam_x2 <= 0:
-        raise InvalidParameterError(f"lambda must be positive, got {Fraction(lam_x2, 2)}")
+        raise InvalidParameterError(f"{PARAMETER_NAMES[tag][0]} must be positive, got {Fraction(lam_x2, 2)}")
     a_x2 = degree_x2(p, q, lam_x2, tag)
     if a_x2 % 2 or a_x2 < 0:
-        raise InvalidParameterError(
-            f"harmonic degree a = lambda - 1 + (p-q)/2 = {Fraction(a_x2, 2)}"
-            " must be a non-negative integer"
-        )
+        name = PARAMETER_NAMES[tag][1]
+        raise InvalidParameterError(f"harmonic degree {name} = {Fraction(a_x2, 2)} must be a non-negative integer")
     return a_x2 // 2
 
 

@@ -15,10 +15,10 @@ from itertools import repeat
 from typing import NamedTuple
 
 from .errors import DivergenceError, InvalidParameterError
-from .exact import doubled, normal_ratio, pairing_subsphere_exact, sphere_area_exact, sqrt_pi_error, sqrt_pi_ratio
+from .exact import doubled, pairing_subsphere_exact, period_value, sphere_area_exact, sqrt_pi_ratio
 from .exact import wallis_exact, witness_pairing_exact, zonal_norm_sq_exact
 from .fjrep import FJParam, SpaceTag, check_range, checked_degree, inf_char_x2, make_fj_param, tag_signature
-from .fjrep import valid_lambdas
+from .fjrep import PARAMETER_NAMES, valid_lambdas
 from .harmonics import ktype_pairings_nonzero, zonal_pairings_nonzero
 from .packets import InterlaceClass, interlace_classify_scan
 
@@ -36,12 +36,6 @@ __all__ = [
     "valid_targets",
     "interlace_class_for_pair",
 ]
-
-
-def period_value(sphere, pairing, radial, degree_pair) -> tuple[float, float]:
-    """`value` and `err_est` of a period from exact factors (num, den, r), the pairing nonzero: see `normal_ratio`."""
-    value = normal_ratio("period value", f"degrees {degree_pair}", sphere, pairing, radial)
-    return value, sqrt_pi_error(value, sphere[2] + pairing[2] + radial[2])
 
 
 class PeriodVerdict(NamedTuple):
@@ -79,10 +73,10 @@ class PeriodVerdict(NamedTuple):
 class BranchingVerdict(NamedTuple):
     """One `branch` row: its fields are the report's CSV columns, in CSV order.
 
-    `nonzero` is the numeric verdict and `predicate` the closed-form one (the hom decision), `value`
-    and `err` the period as in `PeriodVerdict` (g2 with the witness pairing), `interlace` the
-    `InterlaceClass` value of the two infinitesimal characters, and `admissible` whether the
-    restriction is admissible (g1: SO0(p-1, q); not g2: SO0(p, q-1)).
+    `nonzero` is the numeric verdict and `predicate` the closed-form one (the paper's non-vanishing criterion for
+    this period), `value` and `err` the period as in `PeriodVerdict` (g2 with the witness pairing), `interlace` the
+    `InterlaceClass` value of the two infinitesimal characters, and `admissible` whether the restriction is
+    admissible (g1: SO0(p-1, q); not g2: SO0(p, q-1)).
     """
 
     p: int
@@ -143,7 +137,7 @@ def nonvanishing_G1(p: int, q: int, lam, nu) -> bool:
 
 
 def _require_convergence(lam_x2: int, targets_x2, tag: SpaceTag) -> None:
-    name = "nu" if tag is SpaceTag.G1_SPACE else "mu"
+    name = PARAMETER_NAMES[tag][0]
     for t in targets_x2:
         if not _converges_x2(lam_x2, t):
             total = Fraction(lam_x2 + t, 2)
@@ -170,9 +164,9 @@ def _scan(ambient: FJParam, tag: SpaceTag, targets_x2, witness: bool) -> _Scan:
     X(sp, sq) is the targets' space.  The verdicts are zonal Gram ratios from the Gram table of the sphere rule:
     g1 the ratios of Z_a on S^{q-1} (`zonal_pairings_nonzero`), g2 the K-type witnesses on S^{q-2}
     (`ktype_pairings_nonzero`).  The sphere area, the pairing (g1: delta_{a,c} |Z_a|^2; g2: the witness value with
-    `witness`, else the plain subsphere pairing) and the Wallis exponent m = lambda + target - 1/2 of R(sp-1, m)
-    are exact.  Refuses an ambient degree or q past the checked range (`check_range`) before it reads the targets,
-    and a target degree past it (in the verdict) before any Gram row or exact factor.
+    `witness`, chained along consecutive degrees, else the plain subsphere pairing) and the Wallis exponent m =
+    lambda + target - 1/2 of R(sp-1, m) are exact.  Refuses an ambient degree or q past the checked range before it
+    reads the targets, and a target degree past it (in the verdict) before any Gram row or exact factor.
     """
     a, p, q = ambient.degree, ambient.p, ambient.q
     check_range(q, a)
@@ -189,34 +183,50 @@ def _scan(ambient: FJParam, tag: SpaceTag, targets_x2, witness: bool) -> _Scan:
         pairings = [zonal_norm_sq_exact(a, q) if c == a else (0, 1, 0) for c in degrees]
     else:
         nonzeros = ktype_pairings_nonzero(a, degrees, q)
-        exact = witness_pairing_exact if witness else pairing_subsphere_exact
-        pairings = [exact(a, b, q) for b in degrees]
-    predicates = [_nonvanishing(tag, a, b) for b in degrees]
+        pairings = _witness_pairings(a, degrees, q) if witness else [pairing_subsphere_exact(a, b, q) for b in degrees]
+    predicates = [b == a for b in degrees] if tag is SpaceTag.G1_SPACE else [0 <= b <= a for b in degrees]
     wallis_ms = [(ambient.lam_x2 + t_x2 - 1) // 2 for t_x2 in targets_x2]
     return _Scan(a, sphere_area_exact(sp), sp - 1, degrees, nonzeros, predicates, pairings, wallis_ms,
                  [(a - b) % 2 == 0 for b in degrees])
 
 
+def _witness_pairings(a: int, degrees, n: int) -> list[tuple[int, int, int]]:
+    """`witness_pairing_exact(a, b, n)` of each degree b, chained: a b <= a that follows the row before, c = b - 1, is
+    its triple times (a + c + n - 2) (c + n - 3) (2c + n - 3) / ((a - c) (c + 1) (2c + n - 1)^2)."""
+    pairings, c = [], -2
+    for b in degrees:
+        if b == c + 1 <= a:
+            num, den, r = pairings[-1]
+            pairings.append((num * (a + c + n - 2) * (c + n - 3) * (2 * c + n - 3),
+                             den * (a - c) * (c + 1) * (2 * c + n - 1) ** 2, r))
+        else:
+            pairings.append(witness_pairing_exact(a, b, n))
+        c = b
+    return pairings
+
+
 def scan_values(scan: _Scan) -> tuple[list[float], list[float]]:
-    """The `value` and `err` columns of a scan: a row's Wallis factor is built, and its value rounded (`period_value`,
-    which refuses one exactly nonzero but not a normal double), in row order and only where its pairing is nonzero."""
-    rows = zip(scan.degrees, scan.pairings, scan.wallis_ms)
-    pairs = [period_value(scan.sphere, pairing, wallis_exact(scan.wallis_a, m), (scan.a, b)) if pairing[0]
-             else (0.0, 0.0) for b, pairing, m in rows]
+    """The `value` and `err` columns of a scan: `period_value` rounds each row whose pairing is nonzero, in row order,
+    and any other is 0.0 with no Wallis factor R(A, m): R(A, m - 2) (m - 1) / (A + m) if a row built it, else closed."""
+    pairs, wallis, wallis_a = [], {}, scan.wallis_a  # wallis: the factors built, by m
+    for b, pairing, m in zip(scan.degrees, scan.pairings, scan.wallis_ms):
+        if pairing[0]:
+            num, den, r = wallis.get(m - 2) or (0, 0, 0)
+            wallis[m] = (num * (m - 1), den * (wallis_a + m), r) if num else wallis_exact(wallis_a, m)
+        pairs.append(period_value(scan.sphere, pairing, wallis[m], (scan.a, b)) if pairing[0] else (0.0, 0.0))
     return [value for value, _ in pairs], [err for _, err in pairs]
 
 
 def _period(p: int, q: int, lam_x2: int, target_x2: int, tag: SpaceTag, witness: bool) -> PeriodVerdict:
     """The `period` record of one (lambda, target) pair, from a one-target scan; its numbers rounded in field order."""
     _require_convergence(lam_x2, [target_x2], tag)
-    a, sphere, wallis_a, (b,), (nonzero,), (predicate,), (pairing,), (m,), (parity,) = _scan(
-        FJParam(p, q, lam_x2), tag, [target_x2], witness
-    )
-    radial, where = wallis_exact(wallis_a, m), f"degrees {(a, b)}"
+    scan = _scan(FJParam(p, q, lam_x2), tag, [target_x2], witness)
+    a, sphere, wallis_a, (b,), (nonzero,), (predicate,), (pairing,), (m,), (parity,) = scan
+    radial, one = wallis_exact(wallis_a, m), (1, 1, 0)
     value, err = period_value(sphere, pairing, radial, (a, b)) if pairing[0] else (0.0, 0.0)
     sphere_factor = sqrt_pi_ratio(*sphere)  # normal wherever sphere_area_exact does not refuse it
-    pairing_factor = normal_ratio("pairing factor", where, pairing)
-    radial_factor = normal_ratio("radial factor", where, radial)
+    pairing_factor = period_value(one, pairing, one, (a, b), "pairing factor")[0] if pairing[0] else 0.0
+    radial_factor = period_value(one, one, radial, (a, b), "radial factor")[0]
     return PeriodVerdict(True, parity, nonzero, predicate, witness, value, err, sphere_factor,
                          pairing_factor, radial_factor, a, b, p, q, lam_x2, target_x2, tag.value)
 
@@ -253,9 +263,7 @@ def _interlace_classes(ambient: FJParam, targets_x2) -> list[InterlaceClass]:
 
 
 def interlace_class_for_pair(p: int, q: int, lam, target, subgroup: str) -> InterlaceClass:
-    tag = _tag(subgroup)
-    ambient = make_fj_param(p, q, lam)
-    target_x2 = doubled(target)
+    tag, ambient, target_x2 = _tag(subgroup), make_fj_param(p, q, lam), doubled(target)
     checked_degree(p, q, target_x2, tag)
     return _interlace_classes(ambient, [target_x2])[0]
 
@@ -291,10 +299,10 @@ def verdict_rows(shared: dict, columns: dict) -> list[BranchingVerdict]:
 
 
 def branching_verdicts_x2(p: int, q: int, lam_x2: int, subgroup: str, targets_x2) -> list[BranchingVerdict]:
-    """The `branch` rows of one ambient parameter (lambda doubled) and subgroup, one per doubled target: the hom
-    decision is the closed-form predicate, cross-checked by the numeric verdict; the restriction to SO0(p-1, q) is
-    admissible, the one to SO0(p, q-1) is not.  The ambient is validated even with no target, the list reads one Gram
-    table per sphere rule, and every value is rounded, and refused, by `scan_values` before any row is built."""
+    """The `branch` rows of one ambient parameter (lambda doubled) and subgroup, one per doubled target: the closed-form
+    predicate is the paper's non-vanishing criterion, cross-checked by the numeric verdict; the restriction to
+    SO0(p-1, q) is admissible, the one to SO0(p, q-1) is not.  The ambient is validated even with no target, the list
+    reads one Gram table per sphere rule, and every value is rounded, and refused, by `scan_values` before any row."""
     return verdict_rows(*branch_columns_x2(p, q, lam_x2, subgroup, targets_x2))
 
 

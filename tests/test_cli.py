@@ -295,7 +295,8 @@ class TestBranchScan:
         def counted(calls, function):
             return lambda *args, **kwargs: calls.append(args) or function(*args, **kwargs)
 
-        # no row and no period record; a Wallis factor for each row whose exact pairing is nonzero
+        # no row and no period record; a closed-form Wallis factor for the first row of each parity of m whose exact
+        # pairing is nonzero, and none for the others, whose factors chain from it
         for cls, calls in ((periods.PeriodVerdict, records), (periods.BranchingVerdict, rows)):
             monkeypatch.setattr(cls, "__new__", counted(calls, cls.__new__))
         for module in (exact, periods):
@@ -306,9 +307,12 @@ class TestBranchScan:
         p, q, lam_x2 = (int(flags[f]) for f in ("--p", "--q", "--lambda-x2"))
         targets_x2 = fjrep.valid_lambdas_x2(p, q, int(flags["--max-target-x2"]), SpaceTag(flags["--subgroup"]))
         scan, _ = periods.branch_scan_x2(p, q, lam_x2, flags["--subgroup"], targets_x2)
-        expected = [(scan.wallis_a, m) for pairing, m in zip(scan.pairings, scan.wallis_ms) if pairing[0]]
-        assert 0 < len(expected) < len(targets_x2)
-        assert wallis == expected
+        nonzero = [(scan.wallis_a, m) for pairing, m in zip(scan.pairings, scan.wallis_ms) if pairing[0]]
+        assert 0 < len(nonzero) < len(targets_x2)
+        firsts = {}
+        for call in nonzero:
+            firsts.setdefault(call[1] % 2, call)
+        assert wallis == list(firsts.values())
         assert len(_parsed_rows(out, fmt)) == len(targets_x2)
 
     @pytest.mark.parametrize("subgroup", ["g1", "g2"])
@@ -474,6 +478,24 @@ class TestExitCodes:
         )
         assert code == 3
         assert "-1/2" in err
+
+    @pytest.mark.parametrize("subgroup, target_x2, message", [
+        ("g2", 2, "harmonic degree b = mu - 1 + (p-q+1)/2 = 1/2 must be a non-negative integer"),
+        ("g2", -1, "mu must be positive, got -1/2"),
+        ("g1", 2, "harmonic degree c = nu - 1 + (p-1-q)/2 = -1/2 must be a non-negative integer"),
+        ("g1", -1, "nu must be positive, got -1/2"),
+    ], ids=["g2-degree", "g2-sign", "g1-degree", "g1-sign"])
+    def test_a_refused_target_is_named_as_the_target(self, capsys, subgroup, target_x2, message):
+        # lambda = 2 is valid on X(4, 4) (a = 1): `period`, a library scan and the closed-form predicate name the
+        # target and its own degree, not lambda and a
+        head = ("--p", "4", "--q", "4", "--lambda-x2", "4", "--subgroup", subgroup)
+        assert run_cli(capsys, "period", *head, "--target-x2", str(target_x2)) == (2, "", f"error: {message}\n")
+        nonvanishing = periods.nonvanishing_G1 if subgroup == "g1" else periods.nonvanishing_G2
+        for refused in (lambda: periods.branching_verdicts_x2(4, 4, 4, subgroup, [3, target_x2]),
+                        lambda: nonvanishing(4, 4, 2, Fraction(target_x2, 2))):
+            with pytest.raises(ValueError) as info:
+                refused()
+            assert str(info.value) == message
 
     @pytest.mark.parametrize("lambda_x2", ["-4", "-1", "0"])
     @pytest.mark.parametrize("subgroup", ["g1", "g2"])

@@ -277,16 +277,22 @@ def test_no_printed_value_reads_the_quadrature(monkeypatch):
     assert all(code == 0 for code, _, _ in after)
 
 
+def _spy_rounding(monkeypatch) -> list[str]:
+    """The names of the numbers `periods.period_value`, the one rounding of a period or a branch row, rounds."""
+    calls, rounded = [], periods.period_value
+
+    def spy(sphere, pairing, radial, degree_pair, what="period value"):
+        calls.append(what)
+        return rounded(sphere, pairing, radial, degree_pair, what)
+
+    monkeypatch.setattr(periods, "period_value", spy)
+    return calls
+
+
 def test_a_branch_rounds_only_its_printed_value(monkeypatch):
     # a scan rounds and range-checks the value of each row whose exact pairing is nonzero (g2: b <= a) and
     # prints an exact 0.0 for the others; a period reads its three factors too, pairing first
-    calls = []
-
-    def spy(what, where, *factors):
-        calls.append(what)
-        return normal_ratio(what, where, *factors)
-
-    monkeypatch.setattr(periods, "normal_ratio", spy)
+    calls = _spy_rounding(monkeypatch)
     code, out, _ = run(PERTURBED_ARGVS[4])
     rows = json.loads(out)
     assert code == 0 and len(rows) == 21 and calls == ["period value"] * sum(row["predicate"] for row in rows)
@@ -297,15 +303,58 @@ def test_a_branch_rounds_only_its_printed_value(monkeypatch):
 
 def test_the_branching_suite_rounds_no_period_value(monkeypatch):
     # its properties read verdicts and predicates only, so none of its 246 rows rounds a number
-    calls = []
-
-    def spy(what, where, *factors):
-        calls.append(what)
-        return normal_ratio(what, where, *factors)
-
-    monkeypatch.setattr(periods, "normal_ratio", spy)
+    calls = _spy_rounding(monkeypatch)
     assert all(result.passed for result in run_suite("branching"))
     assert calls == []
+
+
+def _g2_scan_to(p: int, q: int, a: int) -> tuple[int, list[int]]:
+    """lambda_x2 of ambient degree a on X(p, q), and every valid g2 target up to degree a + 2."""
+    return 2 * a + 2 - p + q, fjrep.valid_lambdas_x2(p, q, 2 * a + 5 + q - p, fjrep.SpaceTag.G2_SPACE)
+
+
+def test_a_scans_chained_factors_are_the_closed_forms(monkeypatch):
+    # ROADMAP direction 4: a g2 scan chains its witness triples along consecutive target degrees and its Wallis
+    # factors along each parity of m; each equals its closed form exactly, with the same power of sqrt(pi), on every
+    # in-range sphere, to a = 400, with A = p - 1 from 3 to 19, and on a target list that skips, repeats and descends
+    built = []
+    monkeypatch.setattr(periods, "period_value", lambda sphere, pairing, radial, at: built.append(radial) or (1.0, 0.0))
+    scans = []
+    for q in range(4, 17):
+        for a in [*range(41), 100, 193, 400]:
+            p = 4 + (a + q) % 17 if 2 * a + q + 1 > 4 + (a + q) % 17 else 4  # lambda > 0
+            scans.append((p, q, *_g2_scan_to(p, q, a)))
+    offset_x2 = 5 - 6 - 1  # X(5, 6) at a = 8: a target's doubled degree is t_x2 - 2
+    scans.append((5, 6, 17, [2 * b - offset_x2 for b in (5, 3, 4, 4, 9, 0, 1, 7, 8, 2)]))
+    rows = 0
+    for p, q, lam_x2, targets_x2 in scans:
+        built.clear()
+        scan, _ = periods.branch_scan_x2(p, q, lam_x2, "g2", targets_x2)
+        periods.scan_values(scan)
+        wallis = iter(built)
+        for b, (num, den, r), m in zip(scan.degrees, scan.pairings, scan.wallis_ms, strict=True):
+            c_num, c_den, c_r = hypbranch.exact.witness_pairing_exact(scan.a, b, q)
+            assert num * c_den == c_num * den and (num == 0) == (c_num == 0) and r == c_r, (p, q, scan.a, b)
+            if num:
+                (w_num, w_den, w_r), (c_num, c_den, c_r) = next(wallis), wallis_exact(p - 1, m)
+                assert w_num * c_den == c_num * w_den and w_r == c_r, (p, q, scan.a, b, m)
+            rows += 1
+        assert next(wallis, None) is None
+    assert rows == 20_334 and len(scans) == 573
+
+
+# ROADMAP defect (e): the first g2 scan to degree a + 2 that refuses a value, per (p, q), and the row it refuses
+DEFECT_E_EDGES = [(4, 16, 194, 0), (4, 5, 197, 0), (16, 16, 198, 0), (16, 5, 204, 6)]
+
+
+@pytest.mark.parametrize("p, q, a, b", DEFECT_E_EDGES, ids=[f"X({p},{q})" for p, q, *_ in DEFECT_E_EDGES])
+def test_defect_e_scans_first_refuse_where_they_did(p, q, a, b):
+    # the chains do not move the refusal: the scan at a - 1 prints every row, and the one at a refuses row (a, b)
+    lam_x2, targets_x2 = _g2_scan_to(p, q, a - 1)
+    assert len(periods.branching_verdicts_x2(p, q, lam_x2, "g2", targets_x2)) == len(targets_x2) > 0
+    lam_x2, targets_x2 = _g2_scan_to(p, q, a)
+    with pytest.raises(ToleranceError, match=rf"^period value inf is not a normal double at degrees \({a}, {b}\)$"):
+        periods.branching_verdicts_x2(p, q, lam_x2, "g2", targets_x2)
 
 
 def test_a_scan_refuses_its_value_when_read():
