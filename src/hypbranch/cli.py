@@ -109,14 +109,10 @@ def _period_template(fields):
 
 
 def cmd_period(args) -> int:
-    from .periods import PeriodVerdict, period_integral_G1, period_integral_G2
+    from .periods import PeriodVerdict, period_x2
     if args.witness and args.subgroup == "g1":
         raise ValueError("--witness applies to --subgroup g2 only")
-    lam, target = Fraction(args.lambda_x2, 2), Fraction(args.target_x2, 2)
-    if args.subgroup == "g1":
-        record = period_integral_G1(args.p, args.q, lam, target)
-    else:
-        record = period_integral_G2(args.p, args.q, lam, target, use_witness=args.witness)
+    record = period_x2(args.p, args.q, args.lambda_x2, args.target_x2, SpaceTag(args.subgroup), args.witness)
     if _mismatches([record._asdict().items()] if record.nonzero != record.predicate_nonzero else []):
         return 1
     template, ordered = _period_template(PeriodVerdict._fields)  # as in `branch`, % writes a float's repr

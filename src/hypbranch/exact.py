@@ -72,12 +72,14 @@ def sqrt_pi_error(value: float, sqrt_pi_power: int) -> float:
     return math.nextafter(abs(value) * ((-(-abs(sqrt_pi_power) // 2) + 4) * 2.0**-53), math.inf) if value else 0.0
 
 
-def normal_ratio(what: str, where: str, *factors: tuple[int, int, int]) -> float:
-    """The exact product of (num, den, r) ratios, rounded once; ToleranceError when nonzero but not a normal double."""
+def normal_ratio(what: str, degrees: int | tuple[int, ...], *factors: tuple[int, int, int]) -> float:
+    """The exact product of (num, den, r) ratios, rounded once; ToleranceError when nonzero but not a normal double,
+    naming `what` at `degrees` (one degree, or a tuple of them), which only a refusal formats."""
     nums, dens, powers = zip(*factors)
     value = sqrt_pi_ratio(math.prod(nums), math.prod(dens), sum(powers))
     if all(nums) and not sys.float_info.min <= abs(value) < math.inf:
-        raise ToleranceError(f"{what} {value} is not a normal double at {where}")
+        where = "degrees" if isinstance(degrees, tuple) else "degree"
+        raise ToleranceError(f"{what} {value} is not a normal double at {where} {degrees}")
     return value
 
 

@@ -170,7 +170,7 @@ def l2_norm_sq(param: FJParam) -> float:
     (sp, sq), a = param.space_signature, param.degree
     sphere, zonal = sphere_area_exact(sp), zonal_norm_sq_exact(a, sq)
     # R(sp-1, sq-1+2e) is the Wallis integral of sin^{sp-1} cos^m, m = -(sp+sq-2+2e)-1 = 2 lambda - 1
-    return normal_ratio("L2 norm", f"degree {a}", sphere, zonal, wallis_exact(sp - 1, param.lam_x2 - 1))
+    return normal_ratio("L2 norm", a, sphere, zonal, wallis_exact(sp - 1, param.lam_x2 - 1))
 
 
 def inf_char_x2(total: int, lam_x2: int) -> list[int]:

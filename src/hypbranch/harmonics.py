@@ -144,45 +144,48 @@ def zonal_gram(ks, targets, n: int) -> np.ndarray:
     return np.abs(rows[len(ks) :] @ rows[: len(ks)].T)
 
 
-_GRAM_BLOCK = 32  # columns of the Gram a table build forms at once: at most 416 x 32 doubles (106 kB)
+_GRAM_BLOCK = 32  # columns of the Gram a pass forms together: a 416 x 32 product (106 kB) per block
 
 
 @lru_cache(maxsize=32)
-@np.errstate(over="ignore", invalid="ignore", divide="ignore")
-def _gram_table(n: int, nodes: int):
-    """The verdict table of the `nodes`-node sphere rule of S^{n-1}: the `_unit_rows` of degrees 0 to size - 1, the
-    largest the rule serves, and their full Gram, its lower triangle formed _GRAM_BLOCK columns at a time.
+def _gram_table(n: int, nodes: int) -> tuple[dict, dict, dict]:
+    """The verdict table of the `nodes`-node sphere rule of S^{n-1}: three dicts, empty until `_read_table` fills them
+    as requests read the table.  Its Gram is that of the `_unit_rows` of degrees 0 to size - 1, the largest the rule
+    serves, and its columns are formed in blocks of _GRAM_BLOCK.
 
-    Returns reach, above and lost: reach[b], the g2 view, is the least k whose Gram ratio with b is above
-    GRAM_RATIO_TOL (none: size); bit k % 8 of above[c, k // 8], the g1 view (read-only), is whether the ratio of c
-    and k is; lost maps each lost row's degree to its norm.
+    reach[k], the g2 view, is the least degree whose Gram ratio with k is above GRAM_RATIO_TOL (none: size); bit
+    c % 8 of bits[k][c // 8], the g1 view (bytes), is whether the ratio of c and k is; lost maps each lost row's
+    degree to its norm.  A column is formed once reach holds it (its bits are written first), and the first pass
+    fills lost.
     """
-    size = nodes - (n - 3) // 2
-    rows, norms, lost = _unit_rows(n, size - 1, range(size))
-    above = np.empty((size, size), dtype=bool)
-    for i in range(0, size, _GRAM_BLOCK):
-        block = np.abs(rows[i:] @ rows[i : i + _GRAM_BLOCK].T) > GRAM_RATIO_TOL
-        above[i:, i : i + _GRAM_BLOCK], above[i : i + _GRAM_BLOCK, i:] = block, block.T
-    reach = np.where(above.any(axis=1), above.argmax(axis=1), size)
-    above = np.packbits(above, axis=1, bitorder="little")
-    above.flags.writeable = False
-    return tuple(reach.tolist()), above, dict(zip(np.flatnonzero(lost).tolist(), norms[lost].tolist()))
+    return {}, {}, {}
 
 
-def _read_table(n: int, nodes: int, *degrees):
-    """The reach and g1 view of the rule's `_gram_table`; the kernel's message for the first lost one of `degrees`."""
-    reach, above, lost = _gram_table(n, nodes)
+def _read_table(n: int, nodes: int, columns, *degrees) -> tuple[dict, dict]:
+    """The reach and g1 view of the rule's `_gram_table`, with the blocks that hold `columns` formed from one
+    `_unit_rows` pass whose rows it drops; the kernel's message for the first lost one of `degrees`."""
+    reach, bits, lost = _gram_table(n, nodes)
+    if not reach or not all(map(reach.__contains__, columns)):
+        size = nodes - (n - 3) // 2
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            rows, norms, lost_rows = _unit_rows(n, size - 1, range(size))
+            lost.update(zip(np.flatnonzero(lost_rows).tolist(), norms[lost_rows].tolist()))
+            for i in {k // _GRAM_BLOCK for k in columns if k not in reach}:
+                ks = range(i * _GRAM_BLOCK, min(i * _GRAM_BLOCK + _GRAM_BLOCK, size))
+                above = np.abs(rows @ rows[ks.start : ks.stop].T) > GRAM_RATIO_TOL
+                bits.update(zip(ks, map(bytes, np.packbits(above.T, axis=1, bitorder="little"))))
+                reach.update(zip(ks, np.where(above.any(axis=0), above.argmax(axis=0), size).tolist()))
     for degree in chain(*degrees) if lost else ():
         if degree in lost:
             raise ToleranceError(_LOST_ROW.format(degree, n - 1, lost[degree]))
-    return reach, above
+    return reach, bits
 
 
 def zonal_pairings_nonzero(a: int, cs, n: int) -> list[bool]:
     """The g1 verdict: whether |<Z_c, Z_a>| / (|Z_c| |Z_a|) on S^{n-1} is above GRAM_RATIO_TOL, for each c in `cs`.
 
-    Each verdict is bit c of row a of the (symmetric) g1 view of the `_gram_table` of the sphere rule :func:`zonal_gram`
-    picks, exact to degree 2 max(a, cs).  Raises InvalidParameterError past the checked range (`fjrep.check_range`,
+    Each verdict is bit c of column a of the g1 view of the `_gram_table` of the sphere rule :func:`zonal_gram` picks,
+    exact to degree 2 max(a, cs).  Raises InvalidParameterError past the checked range (`fjrep.check_range`,
     with q = n), and ToleranceError as `zonal_gram` does, for the first lost degree in the order `cs`, then a.
     """
     cs = list(cs)
@@ -190,8 +193,8 @@ def zonal_pairings_nonzero(a: int, cs, n: int) -> list[bool]:
         raise InvalidParameterError("zonal verdicts require sphere_dim >= 3 and non-negative degrees")
     top = max([a, *cs])  # a is checked first, so only a target can put top past the range
     check_range(n, a, top)
-    row = _read_table(n, sphere_nodes(2 * top, n - 3), cs, [a])[1][a].tobytes()
-    return [row[c >> 3] >> (c & 7) & 1 == 1 for c in cs]
+    column = _read_table(n, sphere_nodes(2 * top, n - 3), (a,), cs, (a,))[1][a]
+    return [column[c >> 3] >> (c & 7) & 1 == 1 for c in cs]
 
 
 def ktype_pairings_nonzero(a: int, bs, n: int) -> list[bool]:
@@ -214,7 +217,7 @@ def ktype_pairings_nonzero(a: int, bs, n: int) -> list[bool]:
         raise InvalidParameterError("the K-type witness requires n >= 4 and non-negative degrees")
     top = max([a, *bs])
     check_range(n, a, top)
-    reach = _read_table(n - 1, sphere_nodes(2 * top, n - 4), range(a + 1), bs)[0]
+    reach = _read_table(n - 1, sphere_nodes(2 * top, n - 4), bs, range(a + 1), bs)[0]
     return [reach[b] <= a for b in bs]
 
 
@@ -226,4 +229,4 @@ def ktype_pairing_nonzero(a: int, b: int, n: int) -> tuple[bool, float]:
     """
     if not ktype_pairings_nonzero(a, [b], n)[0]:
         return False, 0.0
-    return True, normal_ratio("witness value", f"degrees {(a, b)}", witness_pairing_exact(a, b, n))
+    return True, normal_ratio("witness value", (a, b), witness_pairing_exact(a, b, n))

@@ -20,30 +20,39 @@ __all__ = [
 ]
 
 
-def _legendre_and_derivative(n: int, x):
-    # P_n(x) and P_n'(x) by the three-term recurrence
-    p_prev, p = np.zeros_like(x), np.ones_like(x)
-    for j in range(1, n + 1):
-        p, p_prev = ((2 * j - 1) * x * p - (j - 1) * p_prev) / j, p
-    return p, n * (p_prev - x * p) / (1.0 - x * x)
-
-
 @lru_cache(maxsize=256)
 def _legendre_rule(n: int):
-    # Newton iteration on the three-term recurrence; deterministic, no tables.
+    """Newton on the three-term recurrence for the ceil(n/2) non-negative nodes, mirrored; deterministic, no tables.
+
+    A pass runs on D_k = P_k 4^k / C(2k, k), 2^k times the monic family (`harmonics._gegenbauer_rows` at nu = 1/2):
+    D_k = 2x D_{k-1} - 4c_k D_{k-2}, 4c_k = (2k-2)^2 / ((2k-1)(2k-3)), three array operations a step.  Then
+    (1 - x^2) P_n' = n C(2n, n) 4^-n s / (2n - 1) with s = 2n D_{n-1} - (2n - 1) x D_n, so the Newton step is
+    (1 - x^2) r, r = (2n - 1) D_n / (n s), and the weight 2 / ((1 - x^2) P_n'^2) is (1 - x^2) / s^2 times the exact
+    2 (2n - 1)^2 16^n / (n C(2n, n))^2, rounded once, and times 1 + 2xr, which carries it to first order from the
+    last pass's nodes to the stepped ones (whether x there is the one or the other is a second-order difference).
+    The start is Tricomi's (1 - (n-1)/(8n^3)) cos(pi (4k - 1)/(4n + 2)), written as a sine so an odd n's middle
+    node is exactly 0.
+    """
     if n < 1:
         raise ValueError("node count must be >= 1")
-    x = np.cos(math.pi * (np.arange(n) + 0.75) / (n + 0.5))
+    four_c = [(2 * k - 2) ** 2 / ((2 * k - 1) * (2 * k - 3)) for k in range(2, n + 1)]
+    x = (1.0 - (n - 1) / (8 * n**3)) * np.sin(np.pi * np.arange(n - 1, -1, -2) / (2 * n + 1))
     for _ in range(100):
-        p, dp = _legendre_and_derivative(n, x)
-        dx = p / dp
+        two_x = 2.0 * x
+        d_prev, d = np.ones_like(x), two_x
+        for c in four_c:
+            d_next = two_x * d
+            d_next -= c * d_prev
+            d_prev, d = d, d_next
+        s = 2 * n * d_prev - (2 * n - 1) * x * d
+        r, one_minus_x2 = (2 * n - 1) * d / (n * s), (1.0 - x) * (1.0 + x)
+        dx = one_minus_x2 * r
         x = x - dx
         if np.max(np.abs(dx)) < 1e-15:
             break
-    _, dp = _legendre_and_derivative(n, x)  # derivative at the converged nodes
-    w = 2.0 / ((1.0 - x * x) * dp * dp)
-    order = np.argsort(x)
-    x, w = x[order], w[order]
+    scale = 2 * (2 * n - 1) ** 2 * 16**n / (n * math.comb(2 * n, n)) ** 2
+    w = scale * one_minus_x2 / (s * s) * (1.0 + 2.0 * x * r)
+    x, w = np.concatenate([-x[: n // 2], x[::-1]]), np.concatenate([w[: n // 2], w[::-1]])
     x.setflags(write=False)
     w.setflags(write=False)
     return x, w

@@ -217,7 +217,7 @@ def scan_values(scan: _Scan) -> tuple[list[float], list[float]]:
     return [value for value, _ in pairs], [err for _, err in pairs]
 
 
-def _period(p: int, q: int, lam_x2: int, target_x2: int, tag: SpaceTag, witness: bool) -> PeriodVerdict:
+def period_x2(p: int, q: int, lam_x2: int, target_x2: int, tag: SpaceTag, witness: bool) -> PeriodVerdict:
     """The `period` record of one (lambda, target) pair, from a one-target scan; its numbers rounded in field order."""
     _require_convergence(lam_x2, [target_x2], tag)
     scan = _scan(FJParam(p, q, lam_x2), tag, [target_x2], witness)
@@ -239,7 +239,7 @@ def period_integral_G2(p: int, q: int, lam, mu, use_witness: bool = False) -> Pe
     is the K-type witness value (its leading normal trace paired with the
     target zonal harmonic) instead of the plain zonal restriction.
     """
-    return _period(p, q, doubled(lam), doubled(mu), SpaceTag.G2_SPACE, use_witness)
+    return period_x2(p, q, doubled(lam), doubled(mu), SpaceTag.G2_SPACE, use_witness)
 
 
 def period_integral_G1(p: int, q: int, lam, nu) -> PeriodVerdict:
@@ -248,7 +248,7 @@ def period_integral_G1(p: int, q: int, lam, nu) -> PeriodVerdict:
     Factored value: sphere_area(p-1) * [full-sphere pairing on S^{q-1},
     which is delta_{a,c} |f_a|^2 by orthogonality] * R(p-2, (q-1)+e_lambda+e_nu).
     """
-    return _period(p, q, doubled(lam), doubled(nu), SpaceTag.G1_SPACE, False)
+    return period_x2(p, q, doubled(lam), doubled(nu), SpaceTag.G1_SPACE, False)
 
 
 def _interlace_classes(ambient: FJParam, targets_x2) -> list[InterlaceClass]:

@@ -874,7 +874,9 @@ class TestCheck:
             per_k = [np.sum(w * x**k) for k in range(2 * n)]
             assert np.sum(w * x ** ks[:, None], axis=1).tolist() == per_k, n
             worst = max([worst] + [abs(float(m) - (0.0 if k % 2 else 2.0 / (k + 1))) for k, m in enumerate(per_k)])
-        assert run_suite("quadrature")[0] == CheckResult("gauss_legendre_exactness", True, f"max err {worst:.2e}")
+        # the line states the bound, which these moments meet
+        assert worst <= 1e-13
+        assert run_suite("quadrature")[0] == CheckResult("gauss_legendre_exactness", True, "max err <= 1e-13")
 
     def test_decay_lines_do_not_depend_on_the_seed(self, capsys):
         # the bound holds at every random point, and the slope fit reads no random point
@@ -882,7 +884,8 @@ class TestCheck:
         assert len(outs) == 1
         (out,) = outs
         assert out.splitlines()[0] == "[PASS] decay_bound  (C = 2^rate * max|f_a|)"
-        assert out.splitlines()[1].startswith("[PASS] decay_log_slope_2pct  (4,4,1:")
+        assert out.splitlines()[1] == "[PASS] decay_log_slope_2pct  (slope rel err <= 0.02 at 4,4,1 4,4,2 4,4,3" \
+            " 4,6,2 4,6,3 4,6,4 5,5,1 5,5,2 4,5,3/2)"
         assert out.splitlines()[2:] == ["2/2 properties passed"]
 
     def test_decay_draws_once_per_parameter(self, monkeypatch):
@@ -942,7 +945,8 @@ class TestCheck:
 
         monkeypatch.setattr(periods, "branch_scan_x2", counted_scan)
         # it reads the scans' columns: no period record and no row
-        for fn in (periods.period_integral_G1, periods.period_integral_G2, periods.branching_verdicts_x2):
+        records = (periods.period_x2, periods.period_integral_G1, periods.period_integral_G2)
+        for fn in (*records, periods.branching_verdicts_x2):
             monkeypatch.setattr(periods, fn.__name__, counted_single(fn))
         assert all(r.passed for r in run_suite("branching"))
         assert single_calls == []

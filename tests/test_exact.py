@@ -221,7 +221,7 @@ def test_defect_k_prints_the_exact_value(argv):
     sphere, pairing = sphere_area_exact(p - 1), zonal_norm_sq_exact(a, q)
     radial = wallis_exact(p - 2, (lam_x2 + t_x2 - 1) // 2)
     value, err_est = periods.period_value(sphere, pairing, radial, (a, a))
-    factors = {f"{name}_factor": normal_ratio(name, "", factor)
+    factors = {f"{name}_factor": normal_ratio(name, (a, a), factor)
                for name, factor in (("sphere", sphere), ("pairing", pairing), ("radial", radial))}
     check_period_payload(argv, {"subgroup": "g1", "witness_used": False, "value": value, "err_est": err_est, **factors})
 

@@ -42,11 +42,15 @@ def test_every_ratio_clears_the_threshold(capsys):
         nodes = sphere_nodes(2 * top, n - 3)
         # a g2 verdict on this rule reads reach[b] <= a from its Gram table: with reach[b] = b and no lost row,
         # each verdict is the diagonal ratio of b against the off-diagonal ratios below it, which this Gram bounds
-        reach, above, lost = harmonics._gram_table(n, nodes)
-        assert reach[: top + 1] == tuple(range(top + 1)) and not lost, (n, top)
-        # a g1 verdict reads bit c of row a of the table's g1 view, which is entry (c, a) only as the view is
-        # symmetric: the identity pattern, so each is this Gram's entry
-        view = np.unpackbits(above, axis=1, count=len(reach), bitorder="little")
+        size = nodes - (n - 3) // 2
+        reach, bits = harmonics._read_table(n, nodes, range(size))  # every block formed
+        lost = harmonics._gram_table(n, nodes)[2]
+        assert sorted(reach) == sorted(bits) == list(range(size)), (n, top)
+        assert [reach[b] for b in range(top + 1)] == list(range(top + 1)) and not lost, (n, top)
+        # a g1 verdict reads bit c of column a's g1 bits; the columns stacked are a symmetric view with the identity
+        # pattern, so each is this Gram's entry
+        packed = np.frombuffer(b"".join(bits[k] for k in range(size)), dtype=np.uint8).reshape(size, -1)
+        view = np.unpackbits(packed, axis=1, count=size, bitorder="little")
         assert (view == view.T).all(), (n, top)
         assert (view[: top + 1, : top + 1] == np.eye(top + 1)).all(), (n, top)
         gamma = nodes * UNIT_ROUNDOFF / (1 - nodes * UNIT_ROUNDOFF)

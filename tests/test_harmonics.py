@@ -1,6 +1,7 @@
 import math
 import random
 import sys
+import weakref
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
@@ -20,7 +21,7 @@ from hypbranch.harmonics import (
     zonal_pairings_nonzero,
 )
 from hypbranch.numerics import sphere_nodes, sphere_rule
-from hypbranch.periods import _nonvanishing, period_integral_G1
+from hypbranch.periods import _nonvanishing, branch_scan_x2, period_integral_G1
 from witness_oracle import pairing_subsphere, sphere_area, weighted_cos_integral, witness_pairings, witness_scan
 from witness_oracle import zonal_norm_sq, zonal_norm_sq_closed
 
@@ -240,6 +241,19 @@ class TestZonalGram:
         assert calls == []
 
 
+def _passes(monkeypatch):
+    """The (n, top) of each `_unit_rows` pass the table reads make from here on, and a weak reference to its rows."""
+    unit_rows, passes = harmonics._unit_rows, []
+
+    def spy(n, top, wanted):
+        rows, norms, lost = unit_rows(n, top, wanted)
+        passes.append((n, top, weakref.ref(rows)))
+        return rows, norms, lost
+
+    monkeypatch.setattr(harmonics, "_unit_rows", spy)
+    return passes
+
+
 def _g1_direct(a, cs, n):
     # the Gram row of a against cs, formed on the request's own rule
     return (zonal_gram(cs, [a], n)[0] > harmonics.GRAM_RATIO_TOL).tolist()
@@ -279,15 +293,44 @@ class TestGramTable:
             zonal_gram([(target_x2 - 436) // 2], [1], 438)
 
     def test_table_is_read_only(self, cold_tables):
-        # the degree-800 rule on S^4 serves degrees 0..414: both g1 verdicts read its one table
+        # the degree-800 rule on S^4 serves degrees 0..414: both g1 verdicts at a = 400 read its one table, which
+        # forms only the block of column 400
         assert zonal_pairings_nonzero(400, [398, 400, 402], 5) == [False, True, False]
         assert zonal_pairings_nonzero(16, [16], 5) == [True]
-        reach, above, lost = harmonics._gram_table(5, 416)
+        reach, bits, lost = harmonics._gram_table(5, 416)
         assert harmonics._gram_table.cache_info()[:2] == (1, 2)  # the 416- and the 32-node rule, then a read
-        assert (reach, lost) == (tuple(range(415)), {})
-        assert above.shape == (415, 52) and not above.flags.writeable
-        with pytest.raises(ValueError, match="read-only"):
-            above[0, 0] = 0
+        assert (reach, lost) == ({k: k for k in range(384, 415)}, {}) and list(bits) == list(reach)
+        assert {(type(column), len(column)) for column in bits.values()} == {(bytes, 52)}
+        with pytest.raises(TypeError, match="does not support item assignment"):
+            bits[400][0] = 0
+
+    def test_a_cold_g1_period_forms_one_block_and_keeps_no_rows(self, monkeypatch, cold_tables):
+        # a = c = 400 on X(5, 4): the verdict reads column 400 of the 416-degree Gram on S^3, in block 12 of 13
+        passes = _passes(monkeypatch)
+        assert period_integral_G1(5, 4, Fraction(801, 2), Fraction(802, 2)).nonzero
+        assert [(n, top) for n, top, _ in passes] == [(4, 415)]
+        assert list(harmonics._gram_table(4, 416)[0]) == list(range(384, 416))
+        assert passes[0][2]() is None  # the pass's rows were dropped
+
+    def test_a_g2_scan_forms_only_the_blocks_of_its_degrees(self, monkeypatch, cold_tables):
+        # a = 100 on X(4, 6), targets of degree 40..70: the witness reads columns 40..70 of the 111-degree Gram on
+        # S^4, blocks 1 and 2 of 4, from one pass
+        passes = _passes(monkeypatch)
+        scan, _ = branch_scan_x2(4, 6, 204, "g2", range(83, 144, 2))
+        assert list(scan.degrees) == list(range(40, 71)) and list(scan.nonzeros) == [True] * 31
+        assert [(n, top) for n, top, _ in passes] == [(5, 110)]
+        assert sorted(harmonics._gram_table(5, 112)[0]) == list(range(32, 96))
+        assert passes[0][2]() is None
+
+    def test_a_repeat_read_forms_no_block(self, monkeypatch, cold_tables):
+        # the degree-200 rule on S^4 serves degrees 0..110; column 100 is in block 3 (96..110)
+        assert zonal_pairings_nonzero(100, [99, 100], 5) == [False, True]
+        passes = _passes(monkeypatch)
+        # the same column, another column of its block, and the g2 witness on the same rule
+        assert zonal_pairings_nonzero(100, [100, 101], 5) == [True, False]
+        assert zonal_pairings_nonzero(98, [100, 98], 5) == [False, True]
+        assert ktype_pairings_nonzero(100, [97, 100], 6) == [True, True]
+        assert passes == [] and list(harmonics._gram_table(5, 112)[0]) == list(range(96, 111))
 
     def test_a_g1_verdict_at_402_reads_the_degree_400_table(self, cold_tables):
         # target degree 402, the top of the checked range, on S^4 selects the rule of the ambient degree 400
@@ -306,9 +349,11 @@ class TestGramTable:
         zonal_pairings_nonzero(400, [400], 16)  # the most recent rule is kept ...
         zonal_pairings_nonzero(100, [100], 3)  # ... and the least recent one rebuilt
         assert harmonics._gram_table.cache_info()[:2] == (1, 43)
-        tables = [harmonics._gram_table(n, sphere_nodes(2 * MAX_TARGET_DEGREE, n - 3)) for n in range(3, 17)]
-        assert max(above.nbytes for _, above, _ in tables) == 21_632
-        assert max(len(reach) for reach, _, _ in tables) == 416
+        # with every block of the largest rules formed
+        tops = [(n, sphere_nodes(2 * MAX_TARGET_DEGREE, n - 3)) for n in range(3, 17)]
+        tables = [harmonics._read_table(n, nodes, range(nodes - (n - 3) // 2)) for n, nodes in tops]
+        assert max(sum(map(len, bits.values())) for _, bits in tables) == 21_632
+        assert max(len(reach) for reach, _ in tables) == 416
 
     def test_threads_share_the_tables(self, cold_tables):
         # 4 threads build, read and evict the tables of more sphere rules than the cache keeps, g1 and g2 verdicts
@@ -517,11 +562,12 @@ class TestWitnessTable:
         info = harmonics._gram_table.cache_info()
         assert (info.misses, info.hits) == (1, 14)
         reach, _, lost = harmonics._gram_table(5, 16)
-        assert (reach, lost) == (tuple(range(15)), {})
+        assert (reach, lost) == ({b: b for b in range(15)}, {})
 
     @pytest.mark.parametrize(
         "a, bs, n",
-        [(0, [0], 5), (3, [5, 1], 6), (20, range(23), 8), (7, [40, 2], 4), (100, [101, 0], 10), (400, [402], 5)],
+        [(0, [0], 5), (3, [5, 1], 6), (20, range(23), 8), (7, [40, 2], 4), (100, [101, 0], 10), (400, [402], 5),
+         (3, [], 6)],
     )
     def test_lost_rows_raise_as_the_direct_gram(self, a, bs, n, monkeypatch, cold_tables):
         # with no tolerance nearly every row is lost: both paths name the first lost degree of 0..a, then bs
