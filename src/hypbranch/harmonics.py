@@ -5,22 +5,24 @@ zonal harmonic on S^{n-1} and degree-b zonal harmonics on the equatorial
 subsphere S^{n-2}, together with a K-type witness certifying when the degree-b
 component of the restricted K-type can be reached at all.  Both branching
 verdicts read zonal Gram ratios of the same unit rows, from the one Gram table
-of their sphere rule: the g1 period its entries, the g2 witness its reach.
+of their sphere rule, whose column k lists the degrees whose ratio with k clears
+the threshold: the g1 period asks whether c is in column a, the g2 witness
+whether column b starts at a degree <= a.  The Gegenbauer pass is
+:func:`.numerics._gegenbauer_rows`, the one recurrence of the package.
 """
 
 from __future__ import annotations
 
 import math
-import operator
 from functools import lru_cache
-from itertools import accumulate, chain
+from itertools import chain
 
 import numpy as np
 
 from .errors import InvalidParameterError, ToleranceError
 from .exact import normal_ratio, witness_pairing_exact
 from .fjrep import FJParam, check_range, decay_x2
-from .numerics import SPHERE_NODE_STEP, sphere_nodes, sphere_rule
+from .numerics import _gegenbauer_rows, sphere_nodes, sphere_rule
 
 __all__ = [
     "gegenbauer",
@@ -30,45 +32,6 @@ __all__ = [
     "ktype_pairing_nonzero",
     "ktype_pairings_nonzero",
 ]
-
-
-@lru_cache(maxsize=64)
-def _recurrence(nu: float, length: int):
-    """Coefficients 4c_k of :func:`_gegenbauer_rows` for k < length, and the squared row norms of its pass.
-
-    Norm k is |D_k|^2 against the weight of total mass 1: prod_{i=1..k} 4c_{i+1}, since c_{i+1} is
-    the monic recurrence coefficient beta_i (Gautschi, Orthogonal Polynomials, 2004, sec. 1.3).
-    """
-    four_c = (0.0, 0.0) + tuple(
-        (k - 1) * (k + 2 * nu - 2) / ((k + nu - 1) * (k + nu - 2)) for k in range(2, length)
-    )
-    return four_c, tuple(accumulate(four_c[2:], operator.mul, initial=1.0))
-
-
-def _gegenbauer_rows(n: int, nu: float, x: np.ndarray, wanted):
-    """D_k = C_k^nu k! / (nu)_k at the 1-D nodes x, one row per degree k of `wanted` (all <= n), and each |D_k|^2.
-
-    One pass to n on the rescaled family, 2^k times the monic one (DLMF 18.9.1): D_0 = 1, D_1 = 2x and
-    D_k = 2x D_{k-1} - 4c_k D_{k-2},  4c_k = (k-1)(k+2nu-2) / ((k+nu-1)(k+nu-2)),
-    so each step is three array operations and D_k grows only like k^nu.  The norms are against the weight
-    (1-x^2)^{nu-1/2} of total mass 1.  The coefficients are cached per (nu, n + 2 rounded up to SPHERE_NODE_STEP).
-    Requires nu > 0: the coefficients have poles at nu <= 0.  Each distinct degree's row is written once into
-    one preallocated array, which is copied only when `wanted` repeats a degree.
-    """
-    four_c, norm_sq = _recurrence(nu, -(-(n + 2) // SPHERE_NODE_STEP) * SPHERE_NODE_STEP)
-    slot = {k: i for i, k in enumerate(dict.fromkeys(wanted))}
-    rows, two_x = np.empty((len(slot), len(x))), 2.0 * x
-    d_prev, d = np.zeros(len(x)), np.ones(len(x))  # D_{-1} = 0, and 4c_1 = 0: the first step gives D_1 = 2x
-    for k in range(n + 1):
-        if k in slot:
-            rows[slot[k]] = d
-        if k < n:
-            d_next = two_x * d
-            d_next -= four_c[k + 1] * d_prev
-            d_prev, d = d, d_next
-    if len(slot) < len(wanted):
-        rows = rows[[slot[k] for k in wanted]]
-    return rows, np.array([norm_sq[k] for k in wanted])
 
 
 def gegenbauer(n: int, nu: float, x):
@@ -148,43 +111,41 @@ _GRAM_BLOCK = 32  # columns of the Gram a pass forms together: a 416 x 32 produc
 
 
 @lru_cache(maxsize=32)
-def _gram_table(n: int, nodes: int) -> tuple[dict, dict, dict]:
-    """The verdict table of the `nodes`-node sphere rule of S^{n-1}: three dicts, empty until `_read_table` fills them
+def _gram_table(n: int, nodes: int) -> tuple[dict, dict]:
+    """The verdict table of the `nodes`-node sphere rule of S^{n-1}: two dicts, empty until `_read_table` fills them
     as requests read the table.  Its Gram is that of the `_unit_rows` of degrees 0 to size - 1, the largest the rule
     serves, and its columns are formed in blocks of _GRAM_BLOCK.
 
-    reach[k], the g2 view, is the least degree whose Gram ratio with k is above GRAM_RATIO_TOL (none: size); bit
-    c % 8 of bits[k][c // 8], the g1 view (bytes), is whether the ratio of c and k is; lost maps each lost row's
-    degree to its norm.  A column is formed once reach holds it (its bits are written first), and the first pass
-    fills lost.
+    above[k] is the ascending tuple of the degrees whose Gram ratio with k is above GRAM_RATIO_TOL, the one view both
+    verdicts read; lost maps each lost row's degree to its norm, from the first pass.  The table only gains entries,
+    so threads share it with no lock: a race can only form one block twice.
     """
-    return {}, {}, {}
+    return {}, {}
 
 
-def _read_table(n: int, nodes: int, columns, *degrees) -> tuple[dict, dict]:
-    """The reach and g1 view of the rule's `_gram_table`, with the blocks that hold `columns` formed from one
-    `_unit_rows` pass whose rows it drops; the kernel's message for the first lost one of `degrees`."""
-    reach, bits, lost = _gram_table(n, nodes)
-    if not reach or not all(map(reach.__contains__, columns)):
+def _read_table(n: int, nodes: int, columns, *degrees) -> dict:
+    """The `above` view of the rule's `_gram_table`, with the blocks that hold `columns` formed from one `_unit_rows`
+    pass whose rows it drops; the kernel's message for the first lost one of `degrees`."""
+    above, lost = _gram_table(n, nodes)
+    if not above or not all(map(above.__contains__, columns)):
         size = nodes - (n - 3) // 2
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             rows, norms, lost_rows = _unit_rows(n, size - 1, range(size))
             lost.update(zip(np.flatnonzero(lost_rows).tolist(), norms[lost_rows].tolist()))
-            for i in {k // _GRAM_BLOCK for k in columns if k not in reach}:
+            for i in {k // _GRAM_BLOCK for k in columns if k not in above}:
                 ks = range(i * _GRAM_BLOCK, min(i * _GRAM_BLOCK + _GRAM_BLOCK, size))
-                above = np.abs(rows @ rows[ks.start : ks.stop].T) > GRAM_RATIO_TOL
-                bits.update(zip(ks, map(bytes, np.packbits(above.T, axis=1, bitorder="little"))))
-                reach.update(zip(ks, np.where(above.any(axis=0), above.argmax(axis=0), size).tolist()))
+                block = np.abs(rows @ rows[ks.start : ks.stop].T) > GRAM_RATIO_TOL
+                above.update(zip(ks, (tuple(np.flatnonzero(column).tolist()) for column in block.T)))
     for degree in chain(*degrees) if lost else ():
         if degree in lost:
             raise ToleranceError(_LOST_ROW.format(degree, n - 1, lost[degree]))
-    return reach, bits
+    return above
 
 
 def zonal_pairings_nonzero(a: int, cs, n: int) -> list[bool]:
     """The g1 verdict: whether |<Z_c, Z_a>| / (|Z_c| |Z_a|) on S^{n-1} is above GRAM_RATIO_TOL, for each c in `cs`.
 
-    Each verdict is bit c of column a of the g1 view of the `_gram_table` of the sphere rule :func:`zonal_gram` picks,
+    Each verdict is whether c is in column a of the `_gram_table` of the sphere rule :func:`zonal_gram` picks,
     exact to degree 2 max(a, cs).  Raises InvalidParameterError past the checked range (`fjrep.check_range`,
     with q = n), and ToleranceError as `zonal_gram` does, for the first lost degree in the order `cs`, then a.
     """
@@ -193,8 +154,8 @@ def zonal_pairings_nonzero(a: int, cs, n: int) -> list[bool]:
         raise InvalidParameterError("zonal verdicts require sphere_dim >= 3 and non-negative degrees")
     top = max([a, *cs])  # a is checked first, so only a target can put top past the range
     check_range(n, a, top)
-    column = _read_table(n, sphere_nodes(2 * top, n - 3), (a,), cs, (a,))[1][a]
-    return [column[c >> 3] >> (c & 7) & 1 == 1 for c in cs]
+    column = _read_table(n, sphere_nodes(2 * top, n - 3), (a,), cs, (a,))[a]
+    return [c in column for c in cs]
 
 
 def ktype_pairings_nonzero(a: int, bs, n: int) -> list[bool]:
@@ -208,7 +169,8 @@ def ktype_pairings_nonzero(a: int, bs, n: int) -> list[bool]:
     normalised Gram row |<Z_k, Z_b>| / (|Z_k| |Z_b|), k = 0..a, on S^{n-2}.  The type is reachable when the
     row's maximum exceeds GRAM_RATIO_TOL: true exactly when 0 <= b <= a.
 
-    Returns one verdict per b: b is reachable when reach[b] <= a in the `_gram_table` of the sphere rule.  Raises
+    Returns one verdict per b: b is reachable when column b of the sphere rule's `_gram_table` starts at a degree <= a;
+    b's row passed the lost-row test, so b's own ratio, its norm squared, is in that column.  Raises
     InvalidParameterError past the checked range (`fjrep.check_range`, with q = n), and ToleranceError when the
     kernel refuses a row norm, for the first lost degree in the order 0..a, then `bs`.
     """
@@ -217,8 +179,8 @@ def ktype_pairings_nonzero(a: int, bs, n: int) -> list[bool]:
         raise InvalidParameterError("the K-type witness requires n >= 4 and non-negative degrees")
     top = max([a, *bs])
     check_range(n, a, top)
-    reach = _read_table(n - 1, sphere_nodes(2 * top, n - 4), bs, range(a + 1), bs)[0]
-    return [reach[b] <= a for b in bs]
+    above = _read_table(n - 1, sphere_nodes(2 * top, n - 4), bs, range(a + 1), bs)
+    return [above[b][0] <= a for b in bs]
 
 
 def ktype_pairing_nonzero(a: int, b: int, n: int) -> tuple[bool, float]:

@@ -1,15 +1,16 @@
-"""Gauss rules: Gauss-Legendre on [-1, 1] and the degree-exact sphere rules.
+"""Gauss rules and the one Gegenbauer recurrence: Gauss-Legendre on [-1, 1] and the degree-exact sphere rules.
 
-Floating point enters the library only inside quadrature (these rules and the
-Gegenbauer recurrence in :mod:`.harmonics`) and in the one rounding of an exact
-ratio.  Half-integer input and the exact Gamma ratios live in :mod:`.exact`,
-which imports no numpy.
+Floating point enters the library only inside quadrature (these rules, and the pass :func:`_gegenbauer_rows` that the
+Legendre rule's Newton steps and the Gram rows of :mod:`.harmonics` run) and in the one rounding of an exact ratio.
+Half-integer input and the exact Gamma ratios live in :mod:`.exact`, which imports no numpy.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from functools import lru_cache
+from itertools import accumulate
 
 import numpy as np
 
@@ -20,12 +21,51 @@ __all__ = [
 ]
 
 
+@lru_cache(maxsize=64)
+def _recurrence(nu: float, length: int):
+    """Coefficients 4c_k of :func:`_gegenbauer_rows` for k < length, and the squared row norms of its pass.
+
+    Norm k is |D_k|^2 against the weight of total mass 1: prod_{i=1..k} 4c_{i+1}, since c_{i+1} is
+    the monic recurrence coefficient beta_i (Gautschi, Orthogonal Polynomials, 2004, sec. 1.3).
+    """
+    four_c = (0.0, 0.0) + tuple(
+        (k - 1) * (k + 2 * nu - 2) / ((k + nu - 1) * (k + nu - 2)) for k in range(2, length)
+    )
+    return four_c, tuple(accumulate(four_c[2:], operator.mul, initial=1.0))
+
+
+def _gegenbauer_rows(n: int, nu: float, x: np.ndarray, wanted):
+    """D_k = C_k^nu k! / (nu)_k at the 1-D nodes x, one row per degree k of `wanted` (all <= n), and each |D_k|^2.
+
+    One pass to n on the rescaled family, 2^k times the monic one (DLMF 18.9.1): D_0 = 1, D_1 = 2x and
+    D_k = 2x D_{k-1} - 4c_k D_{k-2},  4c_k = (k-1)(k+2nu-2) / ((k+nu-1)(k+nu-2)),
+    so each step is three array operations and D_k grows only like k^nu.  The norms are against the weight
+    (1-x^2)^{nu-1/2} of total mass 1.  The coefficients are cached per (nu, n + 2 rounded up to SPHERE_NODE_STEP).
+    Requires nu > 0: the coefficients have poles at nu <= 0.  Each distinct degree's row is written once into
+    one preallocated array, which is copied only when `wanted` repeats a degree.
+    """
+    four_c, norm_sq = _recurrence(nu, -(-(n + 2) // SPHERE_NODE_STEP) * SPHERE_NODE_STEP)
+    slot = {k: i for i, k in enumerate(dict.fromkeys(wanted))}
+    rows, two_x = np.empty((len(slot), len(x))), 2.0 * x
+    d_prev, d = np.zeros(len(x)), np.ones(len(x))  # D_{-1} = 0, and 4c_1 = 0: the first step gives D_1 = 2x
+    for k in range(n + 1):
+        if k in slot:
+            rows[slot[k]] = d
+        if k < n:
+            d_next = two_x * d
+            d_next -= four_c[k + 1] * d_prev
+            d_prev, d = d, d_next
+    if len(slot) < len(wanted):
+        rows = rows[[slot[k] for k in wanted]]
+    return rows, np.array([norm_sq[k] for k in wanted])
+
+
 @lru_cache(maxsize=256)
 def _legendre_rule(n: int):
     """Newton on the three-term recurrence for the ceil(n/2) non-negative nodes, mirrored; deterministic, no tables.
 
-    A pass runs on D_k = P_k 4^k / C(2k, k), 2^k times the monic family (`harmonics._gegenbauer_rows` at nu = 1/2):
-    D_k = 2x D_{k-1} - 4c_k D_{k-2}, 4c_k = (2k-2)^2 / ((2k-1)(2k-3)), three array operations a step.  Then
+    A pass is :func:`_gegenbauer_rows` at nu = 1/2, on D_k = P_k 4^k / C(2k, k): its 4c_k = (k-1)^2 / ((k-1/2)(k-3/2))
+    is (2k-2)^2 / ((2k-1)(2k-3)) with both terms divided by 4, exactly, so the same double.  Then
     (1 - x^2) P_n' = n C(2n, n) 4^-n s / (2n - 1) with s = 2n D_{n-1} - (2n - 1) x D_n, so the Newton step is
     (1 - x^2) r, r = (2n - 1) D_n / (n s), and the weight 2 / ((1 - x^2) P_n'^2) is (1 - x^2) / s^2 times the exact
     2 (2n - 1)^2 16^n / (n C(2n, n))^2, rounded once, and times 1 + 2xr, which carries it to first order from the
@@ -35,15 +75,9 @@ def _legendre_rule(n: int):
     """
     if n < 1:
         raise ValueError("node count must be >= 1")
-    four_c = [(2 * k - 2) ** 2 / ((2 * k - 1) * (2 * k - 3)) for k in range(2, n + 1)]
     x = (1.0 - (n - 1) / (8 * n**3)) * np.sin(np.pi * np.arange(n - 1, -1, -2) / (2 * n + 1))
     for _ in range(100):
-        two_x = 2.0 * x
-        d_prev, d = np.ones_like(x), two_x
-        for c in four_c:
-            d_next = two_x * d
-            d_next -= c * d_prev
-            d_prev, d = d, d_next
+        (d_prev, d), _ = _gegenbauer_rows(n, 0.5, x, (n - 1, n))
         s = 2 * n * d_prev - (2 * n - 1) * x * d
         r, one_minus_x2 = (2 * n - 1) * d / (n * s), (1.0 - x) * (1.0 + x)
         dx = one_minus_x2 * r
@@ -62,9 +96,9 @@ def gauss_legendre_rule(n: int):
     """Nodes and weights of the n-point Gauss-Legendre rule on [-1, 1].
 
     Exact for polynomials of degree <= 2n-1; weights are positive and sum
-    to 2.
+    to 2.  n is an integer (`operator.index`): a float or a str raises TypeError.
     """
-    x, w = _legendre_rule(int(n))
+    x, w = _legendre_rule(operator.index(n))
     return x.copy(), w.copy()
 
 

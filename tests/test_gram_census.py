@@ -40,19 +40,16 @@ def test_every_ratio_clears_the_threshold(capsys):
     harmonics._gram_table.cache_clear()
     for n, top in rules:
         nodes = sphere_nodes(2 * top, n - 3)
-        # a g2 verdict on this rule reads reach[b] <= a from its Gram table: with reach[b] = b and no lost row,
+        # a g2 verdict on this rule reads above[b][0] <= a from its Gram table: with above[b] = (b,) and no lost row,
         # each verdict is the diagonal ratio of b against the off-diagonal ratios below it, which this Gram bounds
         size = nodes - (n - 3) // 2
-        reach, bits = harmonics._read_table(n, nodes, range(size))  # every block formed
-        lost = harmonics._gram_table(n, nodes)[2]
-        assert sorted(reach) == sorted(bits) == list(range(size)), (n, top)
-        assert [reach[b] for b in range(top + 1)] == list(range(top + 1)) and not lost, (n, top)
-        # a g1 verdict reads bit c of column a's g1 bits; the columns stacked are a symmetric view with the identity
-        # pattern, so each is this Gram's entry
-        packed = np.frombuffer(b"".join(bits[k] for k in range(size)), dtype=np.uint8).reshape(size, -1)
-        view = np.unpackbits(packed, axis=1, count=size, bitorder="little")
-        assert (view == view.T).all(), (n, top)
-        assert (view[: top + 1, : top + 1] == np.eye(top + 1)).all(), (n, top)
+        above = harmonics._read_table(n, nodes, range(size))  # every block formed
+        lost = harmonics._gram_table(n, nodes)[1]
+        assert sorted(above) == list(range(size)) and not lost, (n, top)
+        assert [above[b] for b in range(top + 1)] == [(b,) for b in range(top + 1)], (n, top)
+        # a g1 verdict asks whether c is in column a; the columns are a symmetric view, so each is this Gram's entry
+        pairs = {(k, c) for k, column in above.items() for c in column}
+        assert pairs == {(c, k) for k, c in pairs}, (n, top)
         gamma = nodes * UNIT_ROUNDOFF / (1 - nodes * UNIT_ROUNDOFF)
         gram = zonal_gram(range(top + 1), range(top + 1), n)
         diagonal = np.diag(gram)

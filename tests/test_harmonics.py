@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from scipy.special import eval_gegenbauer
 
-from hypbranch import harmonics
+from hypbranch import harmonics, numerics
 from hypbranch.errors import InvalidParameterError, ToleranceError
 from hypbranch.exact import MAX_SPHERE_DIM
 from hypbranch.fjrep import MAX_DEGREE, MAX_TARGET_DEGREE, SpaceTag
@@ -223,18 +223,27 @@ class TestZonalGram:
 
     def test_recurrence_misses_do_not_grow(self, monkeypatch, cold_tables):
         # a g1 period ladder calls _recurrence once per table build and never per period, and misses at most once
-        # per table; a period past the checked range calls it not at all
+        # per table; a period past the checked range calls it not at all.  The ladder's spheres have nu >= 1, so the
+        # nu = 1/2 calls are the Newton passes of the Legendre rules under its sphere rules, which are left out
         ladder = [(q, a) for q in range(4, 8) for a in range(0, 401, 16)] * 2
         random.Random(30).shuffle(ladder)
-        recurrence, calls = harmonics._recurrence, []
-        monkeypatch.setattr(harmonics, "_recurrence", lambda *args: calls.append(args) or recurrence(*args))
+        recurrence, calls = numerics._recurrence, []
+
+        def spy(nu, length):
+            misses = recurrence.cache_info().misses
+            result = recurrence(nu, length)
+            if nu != 0.5:
+                calls.append(recurrence.cache_info().misses - misses)
+            return result
+
+        monkeypatch.setattr(numerics, "_recurrence", spy)
         recurrence.cache_clear()
         for q, a in ladder:
             verdict = period_integral_G1(5, q, Fraction(2 * a + q - 3, 2), Fraction(2 * a + q - 2, 2))
             assert verdict.nonzero and verdict.predicate_nonzero
         tables = harmonics._gram_table.cache_info()
         assert len(calls) == tables.misses and tables.hits
-        assert recurrence.cache_info().misses <= tables.misses
+        assert sum(calls) <= tables.misses
         calls.clear()
         with pytest.raises(InvalidParameterError, match="^ambient degree 401 is past the checked range"):
             period_integral_G1(5, 4, Fraction(803, 2), Fraction(804, 2))
@@ -297,12 +306,12 @@ class TestGramTable:
         # forms only the block of column 400
         assert zonal_pairings_nonzero(400, [398, 400, 402], 5) == [False, True, False]
         assert zonal_pairings_nonzero(16, [16], 5) == [True]
-        reach, bits, lost = harmonics._gram_table(5, 416)
+        above, lost = harmonics._gram_table(5, 416)
         assert harmonics._gram_table.cache_info()[:2] == (1, 2)  # the 416- and the 32-node rule, then a read
-        assert (reach, lost) == ({k: k for k in range(384, 415)}, {}) and list(bits) == list(reach)
-        assert {(type(column), len(column)) for column in bits.values()} == {(bytes, 52)}
+        assert (above, lost) == ({k: (k,) for k in range(384, 415)}, {})
+        assert {type(column) for column in above.values()} == {tuple}
         with pytest.raises(TypeError, match="does not support item assignment"):
-            bits[400][0] = 0
+            above[400][0] = 0
 
     def test_a_cold_g1_period_forms_one_block_and_keeps_no_rows(self, monkeypatch, cold_tables):
         # a = c = 400 on X(5, 4): the verdict reads column 400 of the 416-degree Gram on S^3, in block 12 of 13
@@ -340,7 +349,7 @@ class TestGramTable:
         assert harmonics._gram_table.cache_info()[:2] == (1, 1)
 
     def test_tables_stay_within_their_byte_bound(self, cold_tables):
-        # the cache keeps the 32 most recently used rules, each g1 view at most the bytes README states
+        # the cache keeps the 32 most recently used rules, each view at most the columns and degrees README states
         rules = [(top, n) for top in (100, 200, 400) for n in range(3, 17)]
         for top, n in rules:
             zonal_pairings_nonzero(top, [top], n)
@@ -352,8 +361,8 @@ class TestGramTable:
         # with every block of the largest rules formed
         tops = [(n, sphere_nodes(2 * MAX_TARGET_DEGREE, n - 3)) for n in range(3, 17)]
         tables = [harmonics._read_table(n, nodes, range(nodes - (n - 3) // 2)) for n, nodes in tops]
-        assert max(sum(map(len, bits.values())) for _, bits in tables) == 21_632
-        assert max(len(reach) for reach, _ in tables) == 416
+        assert max(len(above) for above in tables) == 416
+        assert max(sum(map(len, above.values())) for above in tables) == 416
 
     def test_threads_share_the_tables(self, cold_tables):
         # 4 threads build, read and evict the tables of more sphere rules than the cache keeps, g1 and g2 verdicts
@@ -561,8 +570,8 @@ class TestWitnessTable:
             assert ktype_pairings_nonzero(a, range(15 - a), 6) == [b <= a for b in range(15 - a)]
         info = harmonics._gram_table.cache_info()
         assert (info.misses, info.hits) == (1, 14)
-        reach, _, lost = harmonics._gram_table(5, 16)
-        assert (reach, lost) == ({b: b for b in range(15)}, {})
+        above, lost = harmonics._gram_table(5, 16)
+        assert (above, lost) == ({b: (b,) for b in range(15)}, {})
 
     @pytest.mark.parametrize(
         "a, bs, n",
@@ -575,6 +584,14 @@ class TestWitnessTable:
         direct = _outcome(_direct_verdicts, a, list(bs), n)
         assert direct.startswith("zonal row norm at degree ")
         assert _outcome(ktype_pairings_nonzero, a, bs, n) == direct
+
+    def test_a_column_is_read_from_its_least_degree(self, monkeypatch, cold_tables):
+        # below a threshold of -1 every ratio clears it, so every column holds all its rule's degrees: each b is
+        # reachable from every a, as the direct Gram says, and each g1 target is in column a
+        monkeypatch.setattr(harmonics, "GRAM_RATIO_TOL", -1.0)
+        for a, bs, n in ((0, [0, 5], 5), (3, [5, 1, 14], 6), (20, range(23), 8)):
+            assert ktype_pairings_nonzero(a, bs, n) == _direct_verdicts(a, list(bs), n) == [True] * len(bs)
+            assert zonal_pairings_nonzero(a, bs, n) == _g1_direct(a, list(bs), n) == [True] * len(bs)
 
     def test_an_unrequested_lost_row_refuses_nothing(self, monkeypatch, cold_tables):
         # the 16-node rule of S^4 serves degrees 0..14; mark its degree-10 row lost

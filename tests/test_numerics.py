@@ -7,7 +7,7 @@ import pytest
 
 from hypbranch.errors import InvalidParameterError, ToleranceError
 from hypbranch.exact import doubled, half_gamma, normal_ratio, sqrt_pi_error, sqrt_pi_ratio
-from hypbranch.numerics import gauss_legendre_rule, sphere_nodes, sphere_rule
+from hypbranch.numerics import _legendre_rule, gauss_legendre_rule, sphere_nodes, sphere_rule
 
 
 def beta_x2(x2: int, y2: int) -> float:
@@ -83,6 +83,16 @@ class TestGaussLegendre:
         with pytest.raises(ValueError):
             gauss_legendre_rule(0)
 
+    def test_count_must_be_an_integer(self):
+        # int(n) used to truncate 2.5 to the 2-point rule and parse "16"
+        for count in (2.5, 16.0, "16"):
+            with pytest.raises(TypeError):
+                gauss_legendre_rule(count)
+        for count in (np.int64(16), np.uint8(16)):
+            x, w = gauss_legendre_rule(count)
+            assert len(x) == int(count)
+            assert x.tobytes() == _legendre_rule(int(count))[0].tobytes()
+
 
 # Every node count a sphere rule uses in the checked range (multiples of 16 to 416), and a few others.
 LEGENDRE_COUNTS = [1, 2, 3, 101, *range(16, 417, 16)]
@@ -106,7 +116,37 @@ def _mp_legendre(n: int, x0: float):
         return x, 2 / ((1 - x * x) * p_and_derivative(x)[1] ** 2)
 
 
+def _written_out_legendre_rule(n: int):
+    """The Legendre rule with its own nu = 1/2 Newton loop, as the package wrote it before the pass became
+    `numerics._gegenbauer_rows`: the reference the shared pass must equal bit for bit."""
+    four_c = [(2 * k - 2) ** 2 / ((2 * k - 1) * (2 * k - 3)) for k in range(2, n + 1)]
+    x = (1.0 - (n - 1) / (8 * n**3)) * np.sin(np.pi * np.arange(n - 1, -1, -2) / (2 * n + 1))
+    for _ in range(100):
+        two_x = 2.0 * x
+        d_prev, d = np.ones_like(x), two_x
+        for c in four_c:
+            d_next = two_x * d
+            d_next -= c * d_prev
+            d_prev, d = d, d_next
+        s = 2 * n * d_prev - (2 * n - 1) * x * d
+        r, one_minus_x2 = (2 * n - 1) * d / (n * s), (1.0 - x) * (1.0 + x)
+        dx = one_minus_x2 * r
+        x = x - dx
+        if np.max(np.abs(dx)) < 1e-15:
+            break
+    scale = 2 * (2 * n - 1) ** 2 * 16**n / (n * math.comb(2 * n, n)) ** 2
+    w = scale * one_minus_x2 / (s * s) * (1.0 + 2.0 * x * r)
+    return np.concatenate([-x[: n // 2], x[::-1]]), np.concatenate([w[: n // 2], w[::-1]])
+
+
 class TestLegendreRule:
+    def test_the_shared_pass_is_the_written_out_loop(self):
+        # 4c_k of the Gegenbauer pass at nu = 1/2 is the loop's ratio with both terms divided by 4, so every node
+        # and weight is the same double; the uncached rule leaves the cache as the other tests find it
+        for n in (*range(1, 65), *range(80, 1089, 16)):
+            x, w = _legendre_rule.__wrapped__(n)
+            x_ref, w_ref = _written_out_legendre_rule(n)
+            assert (x.tobytes(), w.tobytes()) == (x_ref.tobytes(), w_ref.tobytes()), n
     @pytest.mark.parametrize("n", LEGENDRE_COUNTS)
     def test_mirror_symmetric_bit_for_bit(self, n):
         x, w = gauss_legendre_rule(n)
