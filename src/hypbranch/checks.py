@@ -4,11 +4,17 @@ Each suite returns a list of (name, passed, detail) tuples and is
 deterministic for a fixed seed.  A detail states the bound a property is held
 to, not the figure measured, so no line moves with the last digits of numpy,
 libm or the random generator.
+
+The seeded draws come from the standard library's ``random.Random(seed)``, which
+numpy's import already loads; ``numpy.random`` would add a dozen modules and
+about 6 MB to each process that checks.  ``decay`` turns one ``randbytes`` call's
+4-byte words into uniforms, and those into Gaussian directions by Box-Muller.
 """
 
 from __future__ import annotations
 
 import math
+import random
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -32,7 +38,6 @@ def _result(name, passed, detail=""):
 
 
 def quadrature_suite(seed: int = 0) -> list[CheckResult]:
-    rng = np.random.default_rng(seed)
     out = []
     worst = 0.0
     for n in (2, 4, 8, 16, 32):
@@ -44,7 +49,7 @@ def quadrature_suite(seed: int = 0) -> list[CheckResult]:
     out.append(_result("gauss_legendre_exactness", worst <= 1e-13, "max err <= 1e-13"))
 
     worst = 0.0
-    for x2 in rng.integers(1, 343, size=200).tolist():  # math.gamma(x2 / 2) is finite to x2 = 342
+    for x2 in random.Random(seed).choices(range(1, 343), k=200):  # math.gamma(x2 / 2) is finite to x2 = 342
         exact = math.gamma(x2 / 2)
         worst = max(worst, abs(sqrt_pi_ratio(*half_gamma(x2)) - exact) / exact)
     out.append(_result("half_gamma_vs_math_gamma", worst <= 1e-14, "max rel err <= 1e-14"))
@@ -79,7 +84,6 @@ def _gegenbauer_at_one(a: int, nu: float) -> float:
 
 
 def decay_suite(seed: int = 0) -> list[CheckResult]:
-    rng = np.random.default_rng(seed)
     params = [fjrep.FJParam(p, q, lam_x2) for p, q, lam_x2 in _DECAY_COMBOS]
     qs = np.array([param.q for param in params])
     rates = np.array([fjrep.decay_x2(param.total, param.lam_x2) for param in params]) / -2.0
@@ -87,10 +91,14 @@ def decay_suite(seed: int = 0) -> list[CheckResult]:
     # parameter i's 100 random points y', then 64 on its zonal pole (the last axis), in its last q_i columns
     ys = np.zeros((len(params), 164, qs.max()))
     inside = np.broadcast_to(np.arange(-qs.max(), 0) >= -qs[:, None, None], (len(params), 100, qs.max()))
-    ys[:, :100][inside] = rng.normal(size=100 * qs.sum())  # one draw of directions for all nine
+    # one draw of uniforms in [0, 1) for all nine: Box-Muller pairs (both outputs) for the directions, then the t
+    half = 50 * qs.sum()
+    u = np.frombuffer(random.Random(seed).randbytes(4 * (2 * half + 100 * len(params))), "<u4") / 2.0**32
+    radius, angle = np.sqrt(-2.0 * np.log1p(-u[:half])), 2.0 * np.pi * u[half : 2 * half]
+    ys[:, :100][inside] = np.concatenate([radius * np.cos(angle), radius * np.sin(angle)])
     ys[:, :100] /= np.linalg.norm(ys[:, :100], axis=2, keepdims=True)
     ys[:, 100:, -1] = 1.0
-    ts, fit_ts = rng.uniform(1.0, 10.0, size=(len(params), 100)), np.linspace(2.0, 10.0, 64)
+    ts, fit_ts = 1.0 + 9.0 * u[2 * half :].reshape(len(params), 100), np.linspace(2.0, 10.0, 64)
     # one fj_eval call per parameter, its random points first
     values = np.abs([harmonics.fj_eval(pm, y[:, -pm.q :], np.append(t, fit_ts)) for pm, y, t in zip(params, ys, ts)])
     bound_ok = not np.any(values[:, :100] > c_consts[:, None] * np.exp(-rates[:, None] * ts) + 1e-12)

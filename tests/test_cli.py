@@ -1,6 +1,5 @@
 import argparse
 import ast
-import collections
 import concurrent.futures
 import csv
 import io
@@ -889,20 +888,29 @@ class TestCheck:
         assert out.splitlines()[2:] == ["2/2 properties passed"]
 
     def test_decay_draws_once_per_parameter(self, monkeypatch):
-        calls = collections.Counter()
-        default_rng = np.random.default_rng
+        # one randbytes call per run holds the 4-byte words of every parameter's directions (a Box-Muller pair per
+        # two coordinates) and of its t
+        draws = []
 
-        class SpiedGenerator:
-            def __init__(self, seed):
-                self._rng = default_rng(seed)
+        class SpiedRandom(random.Random):
+            def randbytes(self, n):
+                draws.append(n)
+                return super().randbytes(n)
 
-            def __getattr__(self, name):
-                calls[name] += 1
-                return getattr(self._rng, name)
-
-        monkeypatch.setattr(np.random, "default_rng", SpiedGenerator)
+        monkeypatch.setattr(checks.random, "Random", SpiedRandom)
         assert all(r.passed for r in run_suite("decay", 5))
-        assert calls["normal"] == 1 and calls["uniform"] == 1
+        assert draws == [4 * sum(100 * q + 100 for _, q, _ in checks._DECAY_COMBOS)]
+
+    def test_quadrature_points_depend_on_the_seed(self, monkeypatch):
+        def points(seed):
+            drawn = []
+            monkeypatch.setattr(checks, "half_gamma", lambda x2: drawn.append(x2) or exact.half_gamma(x2))
+            assert run_suite("quadrature", seed)[1].passed
+            assert len(drawn) == 200 and set(drawn) <= set(range(1, 343))
+            return drawn
+
+        assert points(4) == points(4)
+        assert points(4) != points(5)
 
     def test_decay_makes_one_fj_eval_per_parameter(self, monkeypatch):
         # each parameter's 100 random points and its 64 points on the pole go through one call
@@ -1148,19 +1156,22 @@ def _subprocess_env():
 
 
 # (id, an import or a CLI argv run in a fresh interpreter, its exit code, whether it loads numpy, whether it
-# loads argparse); `branch` is the control that shows the probe sees numpy when a verb loads it, and help and
-# the unknown verb the control that shows it sees argparse
+# loads numpy.random, whether it loads argparse); `branch` is the control that shows the probe sees numpy when a
+# verb loads it, `import numpy.random` the one that shows it sees numpy.random, and help and the unknown verb the
+# one that shows it sees argparse
 COLD_PROBES = [
-    ("import-cli", "import hypbranch.cli", None, False, False),
-    ("import-packets", "import hypbranch.packets", None, False, False),
-    ("fj", ["fj", "--p", "4", "--q", "4", "--lambda-x2", "4"], 0, False, False),
-    ("fj-past-the-range", ["fj", "--p", "5", "--q", "5", "--lambda-x2", "400000"], 2, False, False),
-    ("packet", ["packet", "--p", "4", "--q", "4", "--lambda-x2", "4"], 0, False, False),
-    ("packet-inner-forms", ["packet", "--p", "4", "--q", "6", "--inner-forms-only"], 0, False, False),
-    ("help", ["--help"], 0, False, True),
-    ("unknown-verb", ["frobnicate"], 2, False, True),
+    ("import-cli", "import hypbranch.cli", None, False, False, False),
+    ("import-packets", "import hypbranch.packets", None, False, False, False),
+    ("fj", ["fj", "--p", "4", "--q", "4", "--lambda-x2", "4"], 0, False, False, False),
+    ("fj-past-the-range", ["fj", "--p", "5", "--q", "5", "--lambda-x2", "400000"], 2, False, False, False),
+    ("packet", ["packet", "--p", "4", "--q", "4", "--lambda-x2", "4"], 0, False, False, False),
+    ("packet-inner-forms", ["packet", "--p", "4", "--q", "6", "--inner-forms-only"], 0, False, False, False),
+    ("help", ["--help"], 0, False, False, True),
+    ("unknown-verb", ["frobnicate"], 2, False, False, True),
     ("branch", ["branch", "--p", "4", "--q", "6", "--lambda-x2", "8", "--subgroup", "g2", "--max-target-x2", "5"],
-     0, True, False),
+     0, True, False, False),
+    ("check-all", ["check", "--suite", "all"], 0, True, False, False),
+    ("import-numpy-random", "import numpy.random", None, True, True, False),
 ]
 
 
@@ -1179,11 +1190,14 @@ def test_entry_runs_openblas_on_one_thread_unless_the_user_sets_it(monkeypatch, 
 
 
 @pytest.mark.parametrize(
-    "run, code, loads_numpy, loads_argparse", [c[1:] for c in COLD_PROBES], ids=[c[0] for c in COLD_PROBES]
+    "run, code, loads_numpy, loads_numpy_random, loads_argparse",
+    [c[1:] for c in COLD_PROBES],
+    ids=[c[0] for c in COLD_PROBES],
 )
-def test_cold_start_imports(run, code, loads_numpy, loads_argparse):
+def test_cold_start_imports(run, code, loads_numpy, loads_numpy_random, loads_argparse):
     # scipy is a test dependency only, so the installed CLI runs on numpy alone; `fj`, `packet`,
     # help and usage errors are exact or argparse's own, so they run on the standard library alone;
+    # `check` draws from the standard library's generator, so no verb loads numpy.random;
     # a canonical argv is read from the verb table, so only help and usage errors load argparse;
     # and every record is a NamedTuple, so no probe loads dataclasses, nor a numpy-free one inspect
     if isinstance(run, list):
@@ -1194,13 +1208,14 @@ def test_cold_start_imports(run, code, loads_numpy, loads_argparse):
         )
     probe = (
         f"import contextlib, io, sys\ncode = None\n{run}\n"
-        "print(code, *(name in sys.modules for name in ('numpy', 'scipy', 'argparse', 'dataclasses', 'inspect')))"
+        "print(code, *(name in sys.modules for name in ('numpy', 'numpy.random', 'scipy', 'argparse', 'dataclasses',"
+        " 'inspect')))"
     )
     out = subprocess.run(
         [sys.executable, "-c", probe], env=_subprocess_env(), capture_output=True, text=True, check=True
     )
     *loaded, loads_inspect = out.stdout.split()
-    assert loaded == [str(code), str(loads_numpy), "False", str(loads_argparse), "False"]
+    assert loaded == [str(code), str(loads_numpy), str(loads_numpy_random), "False", str(loads_argparse), "False"]
     assert loads_numpy or loads_inspect == "False"
 
 
