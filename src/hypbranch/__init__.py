@@ -7,7 +7,13 @@ and interlacing patterns, and enumerates the two-element packet
 combinatorics (double cosets, pure inner forms, relevant pairs).
 
 The names in ``__all__`` are exported lazily (PEP 562): each imports its home
-module on first use, so ``import hypbranch.cli`` loads no numpy.
+module on first use, so ``import hypbranch.cli`` loads no numpy.  Half-integers
+are doubled ints from argv to text, so that import loads neither ``fractions``
+(with ``decimal``) nor ``json``: ``fj`` runs on the standard library alone,
+``packet`` adds ``json``, ``branch``, ``period`` and ``check`` add numpy, and
+only help and usage errors load ``argparse``.  A public reader that returns a
+Fraction (``FJParam.lam``, ``inf_char``, ``valid_lambdas``, ...) imports
+``fractions`` when it is called.
 """
 
 import importlib

@@ -15,13 +15,12 @@ from __future__ import annotations
 
 import math
 import random
-from fractions import Fraction
 from typing import NamedTuple
 
 import numpy as np
 
 from . import fjrep, harmonics, packets, periods
-from .exact import half_gamma, sqrt_pi_ratio
+from .exact import half_gamma, half_text, sqrt_pi_ratio
 from .numerics import gauss_legendre_rule
 
 __all__ = ["CheckResult", "SUITES", "run_suite"]
@@ -104,7 +103,7 @@ def decay_suite(seed: int = 0) -> list[CheckResult]:
     bound_ok = not np.any(values[:, :100] > c_consts[:, None] * np.exp(-rates[:, None] * ts) + 1e-12)
     # the nine log-slopes share their abscissa: one least-squares fit, one column each
     rels = np.abs(np.polyfit(fit_ts, np.log(values[:, 100:]).T, 1)[0] + rates) / rates
-    detail = "slope rel err <= 0.02 at " + " ".join(f"{param.p},{param.q},{param.lam}" for param in params)
+    detail = "slope rel err <= 0.02 at " + " ".join(f"{p},{q},{half_text(lam_x2)}" for p, q, lam_x2 in _DECAY_COMBOS)
     return [
         _result("decay_bound", bound_ok, "C = 2^rate * max|f_a|"),
         _result("decay_log_slope_2pct", not np.any(rels > 0.02), detail),
@@ -164,11 +163,11 @@ def packets_suite(seed: int = 0) -> list[CheckResult]:
 
 
 def conjecture_suite(seed: int = 0) -> list[CheckResult]:
-    grid = [Fraction(t, 2) for t in range(1, 16)]
+    # the doubled grid 1/2, 1, ..., 15/2
     ok = all(
-        packets.conjecture_explore(p, q, lam, sub, grid).disjoint
+        packets.conjecture_explore_x2(p, q, lam_x2, sub, range(1, 16))[2]
         for p, q in ((4, 4), (4, 6))
-        for lam in fjrep.valid_lambdas(p, q, 2 * (p + q))[:5]  # the first five lambda of X(p, q)
+        for lam_x2 in fjrep.valid_lambdas_x2(p, q, 2 * (p + q))[:5]  # the first five lambda of X(p, q)
         for sub in ("g1", "g2")
     )
     return [_result("default_predicate_supports_disjoint", ok)]

@@ -11,23 +11,26 @@ Every verb and flag is declared once, in VERBS.  `main` reads a canonical argv (
 name, every required flag, every value accepted) straight from that table; argparse, whose parsers are built
 from the same table, reads every other argv, so help, usage and error texts are argparse's own, and neither
 argparse nor a parser is loaded for a canonical one.
+
+The standard-library modules each verb loads beyond this module's import: `fj` none, `packet` json (its report
+is json.dumps), `branch`, `period` and `check` numpy (and numpy's own imports), help and usage errors argparse.
+Flags stay doubled ints and every other report prints through a template cached per record type
+(`_report_template`, `_branch_skeleton`), so no verb loads fractions or decimal, and none but `packet` json.
 """
 
 from __future__ import annotations
 
 import functools
-import json
 import operator
 import os
 import sys
 import types
-from fractions import Fraction
 
 # Only the standard library and modules built on it load here: `branch` and `period` import
 # periods, and `check` imports checks, when they run, so fj, packet, help and usage errors load no numpy.
 from .errors import DivergenceError, ToleranceError
 from .fjrep import MAX_TARGET_DEGREE, FJParam, SpaceTag, check_range, degree_x2, valid_lambdas_x2
-from .packets import RealForm, arthur_packet, pure_inner_forms, relevant_pairs
+from .packets import RealForm, arthur_packet_x2, pure_inner_forms, relevant_pairs
 
 
 def _emit(args, text: str) -> None:
@@ -47,10 +50,25 @@ def _json_template(fields, cells) -> str:
                            for k, c in zip(fields, cells)) + "}"
 
 
+@functools.cache
+def _report_template(fields):
+    """A report's template, its keys sorted as json.dumps(sort_keys=True) writes them, and their places in `fields`."""
+    keys = sorted(fields)
+    return _json_template(keys, ["%s"] * len(keys)), operator.itemgetter(*map(fields.index, keys))
+
+
+def _report_text(fields, values) -> str:
+    """json.dumps(dict(zip(fields, values)), sort_keys=True) for a report of bools, ints, int lists, floats and quoted
+    identifiers: bools print as true/false, all else by str() (a float's repr, an int list as `[1, 2]`)."""
+    template, ordered = _report_template(fields)
+    return template % tuple([("false", "true")[v] if v.__class__ is bool else v for v in ordered(values)])
+
+
 def cmd_fj(args) -> int:
     param = FJParam(args.p, args.q, args.lambda_x2)
     check_range(args.q, param.degree)  # before the Wallis factor of its L2 norm
-    _emit(args, json.dumps(param.to_json_dict(), sort_keys=True))
+    record = param.to_json_dict()
+    _emit(args, _report_text(tuple(record), tuple(record.values())))
     return 0
 
 
@@ -101,13 +119,6 @@ def _branch_skeleton(fmt, fields, columns):
     return ",".join(fields), line, tuple(k for k in fields if k in columns)
 
 
-@functools.cache
-def _period_template(fields):
-    """The `period` report's template, its keys sorted as json.dumps(sort_keys=True) writes them, and their places."""
-    keys = sorted(fields)
-    return _json_template(keys, ["%s"] * len(keys)), operator.itemgetter(*map(fields.index, keys))
-
-
 def cmd_period(args) -> int:
     from .periods import PeriodVerdict, period_x2
     if args.witness and args.subgroup == "g1":
@@ -115,18 +126,19 @@ def cmd_period(args) -> int:
     record = period_x2(args.p, args.q, args.lambda_x2, args.target_x2, SpaceTag(args.subgroup), args.witness)
     if _mismatches([record._asdict().items()] if record.nonzero != record.predicate_nonzero else []):
         return 1
-    template, ordered = _period_template(PeriodVerdict._fields)  # as in `branch`, % writes a float's repr
-    _emit(args, template % tuple([("false", "true")[v] if v.__class__ is bool else v for v in ordered(record)]))
+    _emit(args, _report_text(PeriodVerdict._fields, record))
     return 0
 
 
 def cmd_packet(args) -> int:
+    import json
+
     form = RealForm(args.p, args.q)
     inner = [[f.p_sig, f.q_sig] for f in pure_inner_forms(form)]
     if args.inner_forms_only:
         _emit(args, json.dumps({"p": args.p, "q": args.q, "pure_inner_forms": inner}, sort_keys=True))
         return 0
-    report = arthur_packet(args.p, args.q, Fraction(args.lambda_x2, 2))
+    report = arthur_packet_x2(args.p, args.q, args.lambda_x2)
     report["pure_inner_forms"] = inner
     report["relevant_pairs"] = {
         direction: [

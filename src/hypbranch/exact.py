@@ -4,15 +4,16 @@ Every representation-theoretic parameter in this library (spectral parameters,
 harmonic degrees, decay exponents) is a half-integer.  Inside the library it
 is a doubled int; a public function reads it through :func:`doubled`.  Every
 printed number is a product of exact (num, den, r) ratios, value
-num / den * sqrt(pi)^r, rounded once by :func:`sqrt_pi_ratio`.  The CLI's
-`fj` and `packet` verbs need nothing else, so this module imports no numpy.
+num / den * sqrt(pi)^r, rounded once by :func:`sqrt_pi_ratio`, and a refusal
+text writes a doubled value by :func:`half_text`.  The CLI's `fj` and `packet`
+verbs need nothing else, so this module imports no numpy, and it imports
+neither `fractions` nor `decimal`.
 """
 
 from __future__ import annotations
 
 import math
 import sys
-from fractions import Fraction
 from functools import lru_cache
 
 from .errors import InvalidParameterError, ToleranceError
@@ -24,17 +25,26 @@ def doubled(value) -> int:
     Reads the numerator and denominator (float.as_integer_ratio for a float)
     and does no Fraction arithmetic.  Raises InvalidParameterError when the
     value is not an exact half-integer, and TypeError for any other type.
+    Imports no `fractions`: a Fraction can exist only once that module is in
+    sys.modules, so the class is looked up there.
     """
-    if isinstance(value, (int, Fraction)):
-        num, den = value.numerator, value.denominator
+    if isinstance(value, int):
+        num, den = value.numerator, 1
     elif isinstance(value, float):
         # nan and inf have no ratio; den = 0 refuses them below
         num, den = value.as_integer_ratio() if math.isfinite(value) else (0, 0)
+    elif isinstance(value, getattr(sys.modules.get("fractions"), "Fraction", ())):
+        num, den = value.numerator, value.denominator
     else:
         raise TypeError(f"a half-integer is an int, a Fraction or a float, not {type(value).__name__}")
     if den not in (1, 2):
         raise InvalidParameterError(f"{value!r} is not an exact half-integer")
     return num if den == 2 else 2 * num
+
+
+def half_text(x2: int) -> str:
+    """The half-integer x2 / 2 as str(Fraction(x2, 2)) writes it: half_text(3) == "3/2", half_text(-4) == "-2"."""
+    return f"{x2}/2" if x2 % 2 else str(x2 // 2)
 
 
 def half_gamma(x2: int) -> tuple[int, int, int]:

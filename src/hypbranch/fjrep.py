@@ -11,11 +11,13 @@ non-negative integer.
 from __future__ import annotations
 
 from enum import Enum
-from fractions import Fraction
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import InvalidParameterError
-from .exact import doubled, normal_ratio, sphere_area_exact, wallis_exact, zonal_norm_sq_exact
+from .exact import doubled, half_text, normal_ratio, sphere_area_exact, wallis_exact, zonal_norm_sq_exact
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 __all__ = [
     "SpaceTag",
@@ -66,6 +68,8 @@ class FJParam(NamedTuple("FJParam", [("p", int), ("q", int), ("lam_x2", int), ("
 
     @property
     def lam(self) -> Fraction:
+        from fractions import Fraction
+
         return Fraction(self.lam_x2, 2)
 
     @property
@@ -82,6 +86,8 @@ class FJParam(NamedTuple("FJParam", [("p", int), ("q", int), ("lam_x2", int), ("
 
     @property
     def decay_exponent(self) -> Fraction:
+        from fractions import Fraction
+
         return Fraction(decay_x2(self.total, self.lam_x2), 2)
 
     def to_json_dict(self) -> dict:
@@ -127,11 +133,11 @@ def checked_degree(p: int, q: int, lam_x2: int, tag: SpaceTag) -> int:
     harmonic of that degree), naming both by the tag's `PARAMETER_NAMES`.
     """
     if lam_x2 <= 0:
-        raise InvalidParameterError(f"{PARAMETER_NAMES[tag][0]} must be positive, got {Fraction(lam_x2, 2)}")
+        raise InvalidParameterError(f"{PARAMETER_NAMES[tag][0]} must be positive, got {half_text(lam_x2)}")
     a_x2 = degree_x2(p, q, lam_x2, tag)
     if a_x2 % 2 or a_x2 < 0:
         name = PARAMETER_NAMES[tag][1]
-        raise InvalidParameterError(f"harmonic degree {name} = {Fraction(a_x2, 2)} must be a non-negative integer")
+        raise InvalidParameterError(f"harmonic degree {name} = {half_text(a_x2)} must be a non-negative integer")
     return a_x2 // 2
 
 
@@ -155,6 +161,8 @@ def valid_lambdas_x2(p: int, q: int, max_twice: int, tag: SpaceTag = SpaceTag.G_
 
 def valid_lambdas(p: int, q: int, max_twice: int, tag: SpaceTag = SpaceTag.G_ON_H) -> list[Fraction]:
     """Every lambda that `make_fj_param` accepts, with doubled value up to max_twice: see `valid_lambdas_x2`."""
+    from fractions import Fraction
+
     return [Fraction(twice, 2) for twice in valid_lambdas_x2(p, q, max_twice, tag)]
 
 
@@ -184,6 +192,8 @@ def inf_char(param: FJParam) -> tuple[Fraction, ...]:
     N is the total dimension of the parameter's space plus one (ambient:
     p+q; restriction targets: p+q-1); the length is floor(N/2).
     """
+    from fractions import Fraction
+
     return tuple(Fraction(e, 2) for e in inf_char_x2(param.total, param.lam_x2))
 
 

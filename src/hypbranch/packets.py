@@ -11,12 +11,14 @@ from __future__ import annotations
 
 import operator
 from enum import Enum
-from fractions import Fraction
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import AssumptionError, InvalidParameterError
-from .exact import doubled
+from .exact import doubled, half_text
 from .fjrep import SpaceTag, degree_x2
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 __all__ = [
     "InterlaceClass",
@@ -24,11 +26,13 @@ __all__ = [
     "interlace_classify",
     "interlace_classify_scan",
     "arthur_packet",
+    "arthur_packet_x2",
     "pure_inner_forms",
     "relevant_pairs",
     "admissibility_table",
     "ConjectureReport",
     "conjecture_explore",
+    "conjecture_explore_x2",
 ]
 
 
@@ -74,7 +78,20 @@ def _check_lengths(m: int, n: int) -> None:
 
 
 def arthur_packet(p: int, q: int, lam) -> dict:
-    """The two-member packet attached to (p, q, lambda) for p, q even, 4 <= p <= q and lambda > 0.
+    """The two-member packet attached to (p, q, lambda) for a half-integer lambda: see `arthur_packet_x2`."""
+    _check_packet_form(p, q)
+    return arthur_packet_x2(p, q, doubled(lam))
+
+
+def _check_packet_form(p: int, q: int) -> None:
+    if p % 2 or q % 2:
+        raise AssumptionError("arthur_packet requires p and q even")
+    if not (4 <= p <= q):
+        raise AssumptionError("arthur_packet requires 4 <= p <= q")
+
+
+def arthur_packet_x2(p: int, q: int, lam_x2: int) -> dict:
+    """The two-member packet attached to (p, q, lambda), lambda doubled, for p, q even, 4 <= p <= q and lambda > 0.
 
     Member "s" (identity coset) lives in the discrete spectrum of
     SO0(p,q)/SO0(p,q-1); member "as" (the e_1-transposition coset) in that of
@@ -86,13 +103,9 @@ def arthur_packet(p: int, q: int, lam) -> dict:
     signed basis vectors of its block: there are two double cosets, one per
     block, represented by the identity and the transposition e_1 <-> e_{p/2+1}.
     """
-    if p % 2 or q % 2:
-        raise AssumptionError("arthur_packet requires p and q even")
-    if not (4 <= p <= q):
-        raise AssumptionError("arthur_packet requires 4 <= p <= q")
-    lam_x2 = doubled(lam)
+    _check_packet_form(p, q)
     if lam_x2 <= 0:
-        raise InvalidParameterError(f"lambda must be positive, got {Fraction(lam_x2, 2)}")
+        raise InvalidParameterError(f"lambda must be positive, got {half_text(lam_x2)}")
     identity = list(range(1, (p + q) // 2 + 1))
     swap = identity.copy()
     swap[0], swap[p // 2] = p // 2 + 1, 1
@@ -217,10 +230,22 @@ def _support_predicates_x2(p: int, q: int, lam_x2: int, subgroup: str):
 def conjecture_explore(p: int, q: int, lam, subgroup: str, target_grid) -> ConjectureReport:
     """Evaluate both member supports over a grid of half-integers; report disjointness.
 
-    The grid is doubled once, the support predicates read the doubled ints, and the supports hold Fractions.
+    Lambda and the grid are doubled once, and `conjecture_explore_x2` reads the doubled ints; only the support
+    members are built as Fractions.
     """
-    predicates = _support_predicates_x2(p, q, doubled(lam), subgroup)
-    grid_x2 = [doubled(t) for t in target_grid]
-    supports_x2 = [[t_x2 for t_x2 in grid_x2 if support(t_x2)] for support in predicates]
+    from fractions import Fraction
+
+    *supports_x2, disjoint = conjecture_explore_x2(p, q, doubled(lam), subgroup, map(doubled, target_grid))
     support_s, support_as = (tuple(Fraction(t_x2, 2) for t_x2 in support) for support in supports_x2)
-    return ConjectureReport(support_s, support_as, set(supports_x2[0]).isdisjoint(supports_x2[1]))
+    return ConjectureReport(support_s, support_as, disjoint)
+
+
+def conjecture_explore_x2(p: int, q: int, lam_x2: int, subgroup: str, grid_x2) -> tuple[list[int], list[int], bool]:
+    """The doubled supports of both members over an iterable of doubled targets, and whether they are disjoint.
+
+    The subgroup is checked before the grid is read.
+    """
+    predicates = _support_predicates_x2(p, q, lam_x2, subgroup)
+    grid_x2 = list(grid_x2)
+    support_s, support_as = ([t_x2 for t_x2 in grid_x2 if support(t_x2)] for support in predicates)
+    return support_s, support_as, set(support_s).isdisjoint(support_as)

@@ -10,17 +10,19 @@ on S^{q-2}; the closed-form predicates provide the independent cross-check.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import repeat
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import DivergenceError, InvalidParameterError
-from .exact import doubled, pairing_subsphere_exact, period_value, sphere_area_exact, sqrt_pi_ratio
+from .exact import doubled, half_text, pairing_subsphere_exact, period_value, sphere_area_exact, sqrt_pi_ratio
 from .exact import wallis_exact, witness_pairing_exact, zonal_norm_sq_exact
 from .fjrep import FJParam, SpaceTag, check_range, checked_degree, inf_char_x2, make_fj_param, tag_signature
 from .fjrep import PARAMETER_NAMES, valid_lambdas
 from .harmonics import ktype_pairings_nonzero, zonal_pairings_nonzero
 from .packets import InterlaceClass, interlace_classify_scan
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 __all__ = [
     "PeriodVerdict",
@@ -140,7 +142,7 @@ def _require_convergence(lam_x2: int, targets_x2, tag: SpaceTag) -> None:
     name = PARAMETER_NAMES[tag][0]
     for t in targets_x2:
         if not _converges_x2(lam_x2, t):
-            total = Fraction(lam_x2 + t, 2)
+            total = half_text(lam_x2 + t)
             raise DivergenceError(f"period diverges: lambda + {name} = {total} fails the > -1/2 threshold")
 
 

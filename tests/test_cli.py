@@ -451,6 +451,51 @@ class TestPeriodText:
             assert run_cli(capsys, *argv) == (0, expected, ""), argv
 
 
+class TestFjText:
+    """`fj` prints its record through the template `period` uses, built once from the record's keys: its bytes are
+    the standard library's, json.dumps(param.to_json_dict(), sort_keys=True)."""
+
+    @staticmethod
+    def _dumped(p, q, lam_x2) -> str:
+        return json.dumps(fjrep.FJParam(p, q, lam_x2).to_json_dict(), sort_keys=True) + "\n"
+
+    def test_golden_and_out_are_the_records_json(self, tmp_path, capsys):
+        expected = self._dumped(4, 4, 4)
+        assert expected.encode() == (GOLDEN / "fj_4_4_l4.json").read_bytes()
+        target = tmp_path / "fj.json"
+        assert run_cli(capsys, "fj", "--p", "4", "--q", "4", "--lambda-x2", "4", "--out", str(target)) == (0, "", "")
+        assert target.read_text() == expected
+
+    def test_a_grid_prints_the_records_json(self, capsys):
+        # p, q in 4..16 and the ambient degrees 0..8 and 390..400 of each: odd and even totals (inf_char_x2 of every
+        # length from 4 to 16), half-integer and integer lambda, and norms from about 3e-16 to 5e18
+        printed = 0
+        for p in range(4, 17):
+            for q in range(4, 17):
+                for a in (*range(9), *range(390, 401)):
+                    lam_x2 = 2 * a + 2 - (p - q)
+                    if lam_x2 <= 0:
+                        continue
+                    argv = ["fj", "--p", str(p), "--q", str(q), "--lambda-x2", str(lam_x2)]
+                    assert run_cli(capsys, *argv) == (0, self._dumped(p, q, lam_x2), ""), argv
+                    printed += 1
+        assert printed > 3000
+
+    def test_every_fj_command_of_the_sweep_prints_the_records_json(self, capsys):
+        parser, _ = cli._parsers()
+        commands = [argv for argv in sweep.commands() if argv[:1] == ["fj"]]
+        printed = 0
+        for argv in commands:
+            code, out, _ = run_cli(capsys, *argv)
+            if code != 0 or "-h" in argv:
+                assert code != 0 or out.startswith("usage:"), argv
+                continue
+            args = parser.parse_args(argv)  # the values a non-canonical spelling means, as argparse reads them
+            assert out == self._dumped(args.p, args.q, args.lambda_x2), argv
+            printed += 1
+        assert len(commands) == 70 and printed > 40
+
+
 class TestExitCodes:
     def test_invalid_lambda(self, capsys):
         code, _, err = run_cli(capsys, "fj", "--p", "4", "--q", "4", "--lambda-x2", "0")
@@ -476,7 +521,12 @@ class TestExitCodes:
             "--target-x2", "2", "--subgroup", "g2",
         )
         assert code == 3
-        assert "-1/2" in err
+        assert err == "error: period diverges: lambda + mu = -1 fails the > -1/2 threshold\n"
+
+    def test_a_half_integer_degree_is_written_as_a_fraction(self, capsys):
+        # the refusal writes a = 3/2 as str(Fraction(3, 2)) does, with no Fraction built (see COLD_PROBES)
+        assert run_cli(capsys, "fj", "--p", "4", "--q", "4", "--lambda-x2", "5") == (
+            2, "", "error: harmonic degree a = lambda - 1 + (p-q)/2 = 3/2 must be a non-negative integer\n")
 
     @pytest.mark.parametrize("subgroup, target_x2, message", [
         ("g2", 2, "harmonic degree b = mu - 1 + (p-q+1)/2 = 1/2 must be a non-negative integer"),
@@ -1155,23 +1205,40 @@ def _subprocess_env():
     return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
 
 
-# (id, an import or a CLI argv run in a fresh interpreter, its exit code, whether it loads numpy, whether it
-# loads numpy.random, whether it loads argparse); `branch` is the control that shows the probe sees numpy when a
-# verb loads it, `import numpy.random` the one that shows it sees numpy.random, and help and the unknown verb the
-# one that shows it sees argparse
+# The modules a cold-start probe watches.  Half-integers stay doubled ints and every report but `packet`'s prints
+# through a template, so only `packet` loads json, and only the Fraction readers load fractions (and with it decimal).
+WATCHED = ("numpy", "numpy.random", "scipy", "argparse", "dataclasses", "fractions", "decimal", "json")
+
+# (id, an import or a CLI argv run in a fresh interpreter, its exit code, the watched modules it loads); `branch` is
+# the control that shows the probe sees numpy when a verb loads it, `import numpy.random` the one that shows it sees
+# numpy.random, help and the unknown verb the ones that show it sees argparse, `packet` the one for json, and a
+# Fraction reader the one for fractions and decimal
 COLD_PROBES = [
-    ("import-cli", "import hypbranch.cli", None, False, False, False),
-    ("import-packets", "import hypbranch.packets", None, False, False, False),
-    ("fj", ["fj", "--p", "4", "--q", "4", "--lambda-x2", "4"], 0, False, False, False),
-    ("fj-past-the-range", ["fj", "--p", "5", "--q", "5", "--lambda-x2", "400000"], 2, False, False, False),
-    ("packet", ["packet", "--p", "4", "--q", "4", "--lambda-x2", "4"], 0, False, False, False),
-    ("packet-inner-forms", ["packet", "--p", "4", "--q", "6", "--inner-forms-only"], 0, False, False, False),
-    ("help", ["--help"], 0, False, False, True),
-    ("unknown-verb", ["frobnicate"], 2, False, False, True),
+    ("import-cli", "import hypbranch.cli", None, set()),
+    ("import-packets", "import hypbranch.packets", None, set()),
+    ("fj", ["fj", "--p", "4", "--q", "4", "--lambda-x2", "4"], 0, set()),
+    ("fj-past-the-range", ["fj", "--p", "5", "--q", "5", "--lambda-x2", "400000"], 2, set()),
+    ("fj-half-integer-degree", ["fj", "--p", "4", "--q", "4", "--lambda-x2", "5"], 2, set()),
+    ("packet", ["packet", "--p", "4", "--q", "4", "--lambda-x2", "4"], 0, {"json"}),
+    ("packet-inner-forms", ["packet", "--p", "4", "--q", "6", "--inner-forms-only"], 0, {"json"}),
+    ("help", ["--help"], 0, {"argparse"}),
+    ("unknown-verb", ["frobnicate"], 2, {"argparse"}),
     ("branch", ["branch", "--p", "4", "--q", "6", "--lambda-x2", "8", "--subgroup", "g2", "--max-target-x2", "5"],
-     0, True, False, False),
-    ("check-all", ["check", "--suite", "all"], 0, True, False, False),
-    ("import-numpy-random", "import numpy.random", None, True, True, False),
+     0, {"numpy"}),
+    ("branch-csv", ["branch", "--p", "5", "--q", "4", "--lambda-x2", "9", "--subgroup", "g1", "--max-target-x2", "12",
+                    "--format", "csv"], 0, {"numpy"}),
+    ("period-g1", ["period", "--p", "5", "--q", "4", "--lambda-x2", "9", "--target-x2", "10", "--subgroup", "g1"],
+     0, {"numpy"}),
+    ("period-g2-witness", ["period", "--p", "4", "--q", "6", "--lambda-x2", "8", "--target-x2", "5", "--subgroup", "g2",
+                           "--witness"], 0, {"numpy"}),
+    # a negative value is read by argparse
+    ("period-divergent", ["period", "--p", "4", "--q", "4", "--lambda-x2", "-4", "--target-x2", "2",
+                          "--subgroup", "g2"], 3, {"numpy", "argparse"}),
+    ("check-all", ["check", "--suite", "all"], 0, {"numpy"}),
+    *((f"check-{suite}", ["check", "--suite", suite], 0, {"numpy"}) for suite in SUITES),
+    ("import-numpy-random", "import numpy.random", None, {"numpy", "numpy.random"}),
+    ("fraction-reader", "from hypbranch.fjrep import valid_lambdas\nvalid_lambdas(4, 4, 7)", None,
+     {"fractions", "decimal"}),
 ]
 
 
@@ -1189,17 +1256,14 @@ def test_entry_runs_openblas_on_one_thread_unless_the_user_sets_it(monkeypatch, 
     assert capsys.readouterr().out.encode() == (GOLDEN / "fj_4_4_l4.json").read_bytes()
 
 
-@pytest.mark.parametrize(
-    "run, code, loads_numpy, loads_numpy_random, loads_argparse",
-    [c[1:] for c in COLD_PROBES],
-    ids=[c[0] for c in COLD_PROBES],
-)
-def test_cold_start_imports(run, code, loads_numpy, loads_numpy_random, loads_argparse):
+@pytest.mark.parametrize("run, code, loads", [c[1:] for c in COLD_PROBES], ids=[c[0] for c in COLD_PROBES])
+def test_cold_start_imports(run, code, loads):
     # scipy is a test dependency only, so the installed CLI runs on numpy alone; `fj`, `packet`,
     # help and usage errors are exact or argparse's own, so they run on the standard library alone;
     # `check` draws from the standard library's generator, so no verb loads numpy.random;
     # a canonical argv is read from the verb table, so only help and usage errors load argparse;
-    # and every record is a NamedTuple, so no probe loads dataclasses, nor a numpy-free one inspect
+    # every record is a NamedTuple, so no probe loads dataclasses, nor a numpy-free one inspect;
+    # and no verb but `packet` loads json, none fractions or decimal
     if isinstance(run, list):
         run = (
             "from hypbranch.cli import main\n"
@@ -1208,15 +1272,14 @@ def test_cold_start_imports(run, code, loads_numpy, loads_numpy_random, loads_ar
         )
     probe = (
         f"import contextlib, io, sys\ncode = None\n{run}\n"
-        "print(code, *(name in sys.modules for name in ('numpy', 'numpy.random', 'scipy', 'argparse', 'dataclasses',"
-        " 'inspect')))"
+        f"print(code, *(name for name in {(*WATCHED, 'inspect')!r} if name in sys.modules))"
     )
     out = subprocess.run(
         [sys.executable, "-c", probe], env=_subprocess_env(), capture_output=True, text=True, check=True
     )
-    *loaded, loads_inspect = out.stdout.split()
-    assert loaded == [str(code), str(loads_numpy), str(loads_numpy_random), "False", str(loads_argparse), "False"]
-    assert loads_numpy or loads_inspect == "False"
+    printed_code, *loaded = out.stdout.split()
+    assert (printed_code, set(loaded) - {"inspect"}) == (str(code), loads)
+    assert "numpy" in loads or "inspect" not in loaded
 
 
 def test_lazy_exports_resolve_to_their_home_modules():

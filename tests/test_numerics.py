@@ -1,12 +1,17 @@
 import math
+import os
+import subprocess
 import sys
+from decimal import Decimal
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from hypbranch.errors import InvalidParameterError, ToleranceError
-from hypbranch.exact import doubled, half_gamma, normal_ratio, sqrt_pi_error, sqrt_pi_ratio
+import hypbranch
+from hypbranch.exact import doubled, half_gamma, half_text, normal_ratio, sqrt_pi_error, sqrt_pi_ratio
 from hypbranch.numerics import _legendre_rule, gauss_legendre_rule, sphere_nodes, sphere_rule
 
 
@@ -38,6 +43,70 @@ class TestDoubled:
         rng = np.random.default_rng(7)
         for twice in rng.integers(-40, 40, size=1000).tolist():
             assert doubled(Fraction(twice, 2)) == doubled(twice / 2) == 2 * Fraction(twice, 2) == twice
+
+    # (value, its doubled int, or the exception type and text it raises); doubled looks the Fraction class up in
+    # sys.modules, so the same table must hold in an interpreter that has never imported fractions (the rows that
+    # build a Fraction or a Decimal then import their module first)
+    CASES = (
+        ("7", 14), ("True", 2), ("False", 0), ("-3", -6), ("10**40", 2 * 10**40),
+        ("1.5", 3), ("-0.5", -1), ("2.0", 4), ("2.0**50 + 0.5", 2**51 + 1),
+        ("Fraction(7, 2)", 7), ("Fraction(4, 2)", 4), ("Half(-5, 2)", -5),
+        ("0.3", (InvalidParameterError, "0.3 is not an exact half-integer")),
+        ("math.nan", (InvalidParameterError, "nan is not an exact half-integer")),
+        ("-math.inf", (InvalidParameterError, "-inf is not an exact half-integer")),
+        ("Fraction(1, 3)", (InvalidParameterError, "Fraction(1, 3) is not an exact half-integer")),
+        ("'3/2'", (TypeError, "a half-integer is an int, a Fraction or a float, not str")),
+        ("Decimal('1.5')", (TypeError, "a half-integer is an int, a Fraction or a float, not Decimal")),
+        ("None", (TypeError, "a half-integer is an int, a Fraction or a float, not NoneType")),
+    )
+
+    @staticmethod
+    def _outcome(value):
+        try:
+            return doubled(value)
+        except (InvalidParameterError, TypeError) as exc:
+            return type(exc).__name__, str(exc)
+
+    def test_accepts_and_refuses_exactly_these_types(self):
+        class Half(Fraction):
+            pass
+
+        for text, expected in self.CASES:
+            if isinstance(expected, tuple):
+                expected = expected[0].__name__, expected[1]
+            assert self._outcome(eval(text, {"math": math, "Fraction": Fraction, "Half": Half,
+                                             "Decimal": Decimal})) == expected, text
+
+    def test_the_same_table_holds_where_fractions_was_never_imported(self):
+        # each value is built only when its row runs: the rows before the first Fraction run with no fractions loaded
+        probe = (
+            "import math, sys\n"
+            "from hypbranch.exact import doubled\n"
+            "assert 'fractions' not in sys.modules and 'decimal' not in sys.modules\n"
+            f"for text in {[text for text, _ in self.CASES]!r}:\n"
+            "    if 'Fraction' in text or 'Half' in text:\n"
+            "        from fractions import Fraction\n"
+            "        class Half(Fraction): pass\n"
+            "    if 'Decimal' in text:\n"
+            "        from decimal import Decimal\n"
+            "    try:\n"
+            "        print(repr(doubled(eval(text))))\n"
+            "    except Exception as exc:\n"
+            "        print(type(exc).__name__, str(exc))\n"
+        )
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(Path(hypbranch.__file__).parents[1]),
+                                                                          os.environ.get("PYTHONPATH")]))}
+        out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
+        expected = [f"{e[0].__name__} {e[1]}" if isinstance(e, tuple) else repr(e) for _, e in self.CASES]
+        assert out.stdout.splitlines() == expected
+
+
+class TestHalfText:
+    def test_is_str_of_the_fraction(self):
+        # every refusal that names a half-integer writes it by half_text, as str(Fraction(x2, 2)) did
+        big = [10**100 + k for k in (-3, -2, -1, 0, 1, 2, 3)]
+        for x2 in [*range(-1000, 1001), *big, *(-x for x in big)]:
+            assert half_text(x2) == str(Fraction(x2, 2)), x2
 
 
 class TestGaussLegendre:

@@ -14,7 +14,9 @@ from hypbranch.packets import (
     RealForm,
     admissibility_table,
     arthur_packet,
+    arthur_packet_x2,
     conjecture_explore,
+    conjecture_explore_x2,
     interlace_classify,
     interlace_classify_scan,
     pure_inner_forms,
@@ -298,6 +300,17 @@ class TestArthurPacket:
     def test_four_six(self):
         assert arthur_packet(4, 6, 1)["size"] == 2
 
+    def test_the_doubled_core_is_the_report(self):
+        # `packet` passes its doubled flag straight to the core; the half-integer reader doubles once, after the form
+        for p, q in ((4, 4), (4, 6), (6, 8)):
+            for lam_x2 in (1, 2, 5, 8):
+                assert arthur_packet_x2(p, q, lam_x2) == arthur_packet(p, q, H(lam_x2)) == arthur_packet(
+                    p, q, lam_x2 / 2)
+        with pytest.raises(AssumptionError):
+            arthur_packet(5, 4, "not a number")
+        with pytest.raises(InvalidParameterError, match="^lambda must be positive, got -3/2$"):
+            arthur_packet_x2(4, 4, -3)
+
 
 class TestPureInnerForms:
     def test_so33(self):
@@ -412,22 +425,40 @@ class TestConjectureExplore:
 
     def test_check_suite_visits_valid_lambdas_only(self, monkeypatch):
         # `check --suite conjecture` explores the first five lambda of each signature that
-        # X(p, q) admits, so no case of default_predicate_supports_disjoint is vacuous
+        # X(p, q) admits, so no case of default_predicate_supports_disjoint is vacuous; it
+        # reads them doubled, on the doubled grid 1..15
         visited = []
 
-        def recorded(p, q, lam, subgroup, grid):
-            visited.append((p, q, lam, subgroup))
-            return conjecture_explore(p, q, lam, subgroup, grid)
+        def recorded(p, q, lam_x2, subgroup, grid_x2):
+            visited.append((p, q, lam_x2, subgroup))
+            assert list(grid_x2) == list(range(1, 16))
+            return conjecture_explore_x2(p, q, lam_x2, subgroup, range(1, 16))
 
-        monkeypatch.setattr(packets, "conjecture_explore", recorded)
+        monkeypatch.setattr(packets, "conjecture_explore_x2", recorded)
         assert [r.passed for r in checks.conjecture_suite()] == [True]
         assert len(visited) == 20
-        for p, q, lam, _ in visited:
-            assert fjrep.checked_degree(p, q, doubled(lam), fjrep.SpaceTag.G_ON_H) >= 0
-        assert sorted({(p, q, doubled(lam)) for p, q, lam, _ in visited}) == [
+        for p, q, lam_x2, _ in visited:
+            assert type(lam_x2) is int
+            assert fjrep.checked_degree(p, q, lam_x2, fjrep.SpaceTag.G_ON_H) >= 0
+        assert sorted({(p, q, lam_x2) for p, q, lam_x2, _ in visited}) == [
             *((4, 4, lam_x2) for lam_x2 in (2, 4, 6, 8, 10)),
             *((4, 6, lam_x2) for lam_x2 in (4, 6, 8, 10, 12)),
         ]
+
+    def test_the_doubled_core_is_the_report(self):
+        # the suite reads the core's doubled supports; the report holds the same supports as Fractions
+        grid = [H(t) for t in range(-3, 20)]
+        for p, q in ((4, 4), (4, 6), (5, 7)):
+            for lam_x2 in range(1, 12):
+                for sub in ("g1", "g2"):
+                    report = conjecture_explore(p, q, H(lam_x2), sub, grid)
+                    support_s, support_as, disjoint = conjecture_explore_x2(p, q, lam_x2, sub, iter(range(-3, 20)))
+                    assert (report.support_s, report.support_as) == (tuple(map(H, support_s)),
+                                                                     tuple(map(H, support_as)))
+                    assert report.disjoint == disjoint
+        # the subgroup is refused before the grid is read
+        with pytest.raises(InvalidParameterError):
+            conjecture_explore(4, 4, 2, "g3", ["not a half-integer"])
 
     def test_explore_doubles_its_grid_once(self, monkeypatch):
         # lambda and each of the 15 grid values are doubled once; the default predicates read the doubled ints

@@ -50,9 +50,11 @@ VERBS = [
 # Kept although nothing above runs them: the console-script entry point, the
 # public one-element wrappers and closed-form predicates that the tests call,
 # the half-integer readers of `period_x2`, which `period` calls with its doubled
-# ints, and `_converges`, which is the `converges_G1`/`converges_G2` alias.
+# ints, and of `FJParam.lam_x2`, which every verb and suite reads doubled, and
+# `_converges`, which is the `converges_G1`/`converges_G2` alias.
 ALLOWED_UNREACHED = {
     "cli.entry",
+    "fjrep.lam",
     "harmonics.ktype_pairing_nonzero",
     "packets.interlace_classify",
     "periods.branching_verdict",
