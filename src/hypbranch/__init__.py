@@ -13,7 +13,10 @@ are doubled ints from argv to text, so that import loads neither ``fractions``
 ``packet`` adds ``json``, ``branch``, ``period`` and ``check`` add numpy, and
 only help and usage errors load ``argparse``.  A public reader that returns a
 Fraction (``FJParam.lam``, ``inf_char``, ``valid_lambdas``, ...) imports
-``fractions`` when it is called.
+``fractions`` when it is called.  Of the package's own modules, that import
+loads neither ``packets`` nor ``interlace``: ``branch`` and ``period`` add
+``interlace``, whose classes label their rows, and only ``packet`` and
+``check`` load ``packets``.
 """
 
 import importlib
@@ -23,9 +26,9 @@ _EXPORTS = {
     "errors": "AssumptionError DivergenceError InvalidParameterError ToleranceError",
     "fjrep": "FJParam SpaceTag inf_char is_self_dual l2_norm_sq make_fj_param",
     "harmonics": "fj_eval gegenbauer ktype_pairing_nonzero",
+    "interlace": "InterlaceClass interlace_classify",
     "numerics": "gauss_legendre_rule",
-    "packets": "InterlaceClass RealForm admissibility_table arthur_packet conjecture_explore interlace_classify"
-    " pure_inner_forms relevant_pairs",
+    "packets": "RealForm admissibility_table arthur_packet conjecture_explore pure_inner_forms relevant_pairs",
     "periods": "BranchingVerdict PeriodVerdict branching_verdict converges_G1 converges_G2 nonvanishing_G1"
     " nonvanishing_G2 period_integral_G1 period_integral_G2",
 }

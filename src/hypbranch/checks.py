@@ -19,7 +19,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import fjrep, harmonics, packets, periods
+from . import fjrep, harmonics, interlace, packets, periods
 from .exact import half_gamma, half_text, sqrt_pi_ratio
 from .numerics import gauss_legendre_rule
 
@@ -36,15 +36,23 @@ def _result(name, passed, detail=""):
     return CheckResult(name, bool(passed), detail)
 
 
+def _legendre_moments(n: int) -> np.ndarray:
+    """The moments of the n-point Gauss-Legendre rule for k < 2n: each is np.sum(w * x**k), bit for bit.
+
+    One contiguous row per k, summed on its own, of the powers x**k taken with a scalar exponent: numpy squares x
+    at k = 2, but an array of exponents (x ** ks[:, None]) goes through its general power routine, whose x ** 2.0
+    is not always x * x.
+    """
+    x, w = gauss_legendre_rule(n)
+    return np.sum(w * np.array([x**k for k in range(2 * n)]), axis=1)
+
+
 def quadrature_suite(seed: int = 0) -> list[CheckResult]:
     out = []
     worst = 0.0
     for n in (2, 4, 8, 16, 32):
-        x, w = gauss_legendre_rule(n)
         ks = np.arange(2 * n)
-        # one contiguous row per k: each row sum is the pairwise sum np.sum(w * x**k), bit for bit
-        moments = np.sum(w * x ** ks[:, None], axis=1)
-        worst = max(worst, float(np.max(np.abs(moments - np.where(ks % 2, 0.0, 2.0 / (ks + 1))))))
+        worst = max(worst, float(np.max(np.abs(_legendre_moments(n) - np.where(ks % 2, 0.0, 2.0 / (ks + 1))))))
     out.append(_result("gauss_legendre_exactness", worst <= 1e-13, "max err <= 1e-13"))
 
     worst = 0.0
@@ -129,8 +137,8 @@ def branching_suite(seed: int = 0) -> list[CheckResult]:
                     scan, interlaces = periods.branch_scan_x2(p, q, lam_x2, sub, targets_x2)
                     rows[sub] += zip(scan.nonzeros, scan.predicates, interlaces)
     g1, g2 = rows["g1"], rows["g2"]
-    finite = all((cls is packets.InterlaceClass.FINITE_TYPE) == predicate for _, predicate, cls in g2)
-    type_1 = all(cls is packets.InterlaceClass.INFINITE_TYPE_1 for _, predicate, cls in g1 if predicate)
+    finite = all((cls is interlace.InterlaceClass.FINITE_TYPE) == predicate for _, predicate, cls in g2)
+    type_1 = all(cls is interlace.InterlaceClass.INFINITE_TYPE_1 for _, predicate, cls in g1 if predicate)
     return [
         _result("g2_period_matches_predicate", all(nonzero == predicate for nonzero, predicate, _ in g2)),
         _result("g1_period_matches_predicate", all(nonzero == predicate for nonzero, predicate, _ in g1)),

@@ -14,6 +14,7 @@ argparse nor a parser is loaded for a canonical one.
 
 The standard-library modules each verb loads beyond this module's import: `fj` none, `packet` json (its report
 is json.dumps), `branch`, `period` and `check` numpy (and numpy's own imports), help and usage errors argparse.
+Of the package, `branch` and `period` load `interlace` but not `packets`, which only `packet` and `check` load.
 Flags stay doubled ints and every other report prints through a template cached per record type
 (`_report_template`, `_branch_skeleton`), so no verb loads fractions or decimal, and none but `packet` json.
 """
@@ -26,11 +27,11 @@ import os
 import sys
 import types
 
-# Only the standard library and modules built on it load here: `branch` and `period` import
-# periods, and `check` imports checks, when they run, so fj, packet, help and usage errors load no numpy.
+# Only the standard library and modules built on it load here: `branch` and `period` import periods, `packet`
+# packets and `check` checks, when they run, so fj, packet, help and usage errors load no numpy, and fj, branch and
+# period no packets.
 from .errors import DivergenceError, ToleranceError
 from .fjrep import MAX_TARGET_DEGREE, FJParam, SpaceTag, check_range, degree_x2, valid_lambdas_x2
-from .packets import RealForm, arthur_packet_x2, pure_inner_forms, relevant_pairs
 
 
 def _emit(args, text: str) -> None:
@@ -133,20 +134,20 @@ def cmd_period(args) -> int:
 def cmd_packet(args) -> int:
     import json
 
+    from .packets import RealForm, arthur_packet_x2, pure_inner_forms, relevant_pairs
+
     form = RealForm(args.p, args.q)
-    inner = [[f.p_sig, f.q_sig] for f in pure_inner_forms(form)]
-    if args.inner_forms_only:
-        _emit(args, json.dumps({"p": args.p, "q": args.q, "pure_inner_forms": inner}, sort_keys=True))
-        return 0
-    report = arthur_packet_x2(args.p, args.q, args.lambda_x2)
-    report["pure_inner_forms"] = inner
-    report["relevant_pairs"] = {
-        direction: [
-            [[sub.p_sig, sub.q_sig], [amb.p_sig, amb.q_sig]]
-            for sub, amb in relevant_pairs(form, direction)
-        ]
-        for direction in ("drop_p", "drop_q")
-    }
+    # the packet refuses its form and lambda before any inner form is built
+    report = {"p": args.p, "q": args.q} if args.inner_forms_only else arthur_packet_x2(args.p, args.q, args.lambda_x2)
+    report["pure_inner_forms"] = [[f.p_sig, f.q_sig] for f in pure_inner_forms(form)]
+    if not args.inner_forms_only:
+        report["relevant_pairs"] = {
+            direction: [
+                [[sub.p_sig, sub.q_sig], [amb.p_sig, amb.q_sig]]
+                for sub, amb in relevant_pairs(form, direction)
+            ]
+            for direction in ("drop_p", "drop_q")
+        }
     _emit(args, json.dumps(report, sort_keys=True))
     return 0
 

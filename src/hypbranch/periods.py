@@ -19,7 +19,7 @@ from .exact import wallis_exact, witness_pairing_exact, zonal_norm_sq_exact
 from .fjrep import FJParam, SpaceTag, check_range, checked_degree, inf_char_x2, make_fj_param, tag_signature
 from .fjrep import PARAMETER_NAMES, valid_lambdas
 from .harmonics import ktype_pairings_nonzero, zonal_pairings_nonzero
-from .packets import InterlaceClass, interlace_classify_scan
+from .interlace import InterlaceClass, interlace_classify_scan
 
 if TYPE_CHECKING:
     from fractions import Fraction

@@ -845,6 +845,25 @@ class TestExitCodes:
         assert code == 0
         assert json.loads(out)["pure_inner_forms"] == [[1, 5], [3, 3], [5, 1]]
 
+    @pytest.mark.parametrize("argv, message", [
+        (("--p", "3", "--q", "3"), "arthur_packet requires p and q even"),
+        (("--p", "6", "--q", "4"), "arthur_packet requires 4 <= p <= q"),
+        (("--p", "2", "--q", "4"), "arthur_packet requires 4 <= p <= q"),
+        (("--p", "1000000", "--q", "4"), "arthur_packet requires 4 <= p <= q"),
+        (("--p", "4", "--q", "4", "--lambda-x2", "0"), "lambda must be positive, got 0"),
+        (("--p", "4", "--q", "6", "--lambda-x2", "-3"), "lambda must be positive, got -3/2"),
+        (("--p", "-4", "--q", "4"), "signature entries must be >= 0"),
+    ], ids=["odd", "p-above-q", "p-below-4", "p-million", "lambda-zero", "lambda-negative", "negative-signature"])
+    def test_a_refused_packet_builds_no_inner_form(self, capsys, monkeypatch, argv, message):
+        # the form and lambda are refused, with the texts they always had, before the inner forms (p/2 + q/2 + 1 of
+        # them) are listed: at p = 10^6 that list took 0.6 s and 120 MB
+        built = []
+        monkeypatch.setattr(packets, "pure_inner_forms", lambda form: built.append(form) or [])
+        assert run_cli(capsys, "packet", *argv) == (2, "", f"error: {message}\n")
+        assert built == []
+        run_cli(capsys, "packet", "--p", "4", "--q", "4")  # the control: an accepted packet lists them
+        assert built[:1] == [packets.RealForm(4, 4)]
+
 
 class TestCheck:
     def test_quadrature_suite_fast_and_green(self, capsys):
@@ -915,13 +934,14 @@ class TestCheck:
         ]
 
     def test_quadrature_moments_are_the_per_k_sums(self):
-        # the suite sums one contiguous row per k; numpy's pairwise sum makes each row np.sum(w * x**k)
+        # the suite sums one row of scalar-exponent powers per k, so each moment is np.sum(w * x**k); powers taken
+        # with an array of exponents missed that at k = 2 for some n (26 and 39 with one start of the Legendre rule,
+        # 6 and 38 with another)
         worst = 0.0
-        for n in (2, 4, 8, 16, 32):
+        for n in range(2, 65):
             x, w = numerics.gauss_legendre_rule(n)
-            ks = np.arange(2 * n)
             per_k = [np.sum(w * x**k) for k in range(2 * n)]
-            assert np.sum(w * x ** ks[:, None], axis=1).tolist() == per_k, n
+            assert checks._legendre_moments(n).tolist() == per_k, n
             worst = max([worst] + [abs(float(m) - (0.0 if k % 2 else 2.0 / (k + 1))) for k, m in enumerate(per_k)])
         # the line states the bound, which these moments meet
         assert worst <= 1e-13
@@ -1207,35 +1227,38 @@ def _subprocess_env():
 
 # The modules a cold-start probe watches.  Half-integers stay doubled ints and every report but `packet`'s prints
 # through a template, so only `packet` loads json, and only the Fraction readers load fractions (and with it decimal).
-WATCHED = ("numpy", "numpy.random", "scipy", "argparse", "dataclasses", "fractions", "decimal", "json")
+# Of the package, `branch` and `period` load the interlace classifier, and only `packet` and `check` load packets.
+PACKETS, INTERLACE = "hypbranch.packets", "hypbranch.interlace"
+WATCHED = ("numpy", "numpy.random", "scipy", "argparse", "dataclasses", "fractions", "decimal", "json", PACKETS,
+           INTERLACE)
 
 # (id, an import or a CLI argv run in a fresh interpreter, its exit code, the watched modules it loads); `branch` is
 # the control that shows the probe sees numpy when a verb loads it, `import numpy.random` the one that shows it sees
-# numpy.random, help and the unknown verb the ones that show it sees argparse, `packet` the one for json, and a
-# Fraction reader the one for fractions and decimal
+# numpy.random, help and the unknown verb the ones that show it sees argparse, `packet` the one for json and
+# packets, `period` the one for interlace, and a Fraction reader the one for fractions and decimal
 COLD_PROBES = [
     ("import-cli", "import hypbranch.cli", None, set()),
-    ("import-packets", "import hypbranch.packets", None, set()),
+    ("import-packets", "import hypbranch.packets", None, {PACKETS, INTERLACE}),
     ("fj", ["fj", "--p", "4", "--q", "4", "--lambda-x2", "4"], 0, set()),
     ("fj-past-the-range", ["fj", "--p", "5", "--q", "5", "--lambda-x2", "400000"], 2, set()),
     ("fj-half-integer-degree", ["fj", "--p", "4", "--q", "4", "--lambda-x2", "5"], 2, set()),
-    ("packet", ["packet", "--p", "4", "--q", "4", "--lambda-x2", "4"], 0, {"json"}),
-    ("packet-inner-forms", ["packet", "--p", "4", "--q", "6", "--inner-forms-only"], 0, {"json"}),
+    ("packet", ["packet", "--p", "4", "--q", "4", "--lambda-x2", "4"], 0, {"json", PACKETS, INTERLACE}),
+    ("packet-inner-forms", ["packet", "--p", "4", "--q", "6", "--inner-forms-only"], 0, {"json", PACKETS, INTERLACE}),
     ("help", ["--help"], 0, {"argparse"}),
     ("unknown-verb", ["frobnicate"], 2, {"argparse"}),
     ("branch", ["branch", "--p", "4", "--q", "6", "--lambda-x2", "8", "--subgroup", "g2", "--max-target-x2", "5"],
-     0, {"numpy"}),
+     0, {"numpy", INTERLACE}),
     ("branch-csv", ["branch", "--p", "5", "--q", "4", "--lambda-x2", "9", "--subgroup", "g1", "--max-target-x2", "12",
-                    "--format", "csv"], 0, {"numpy"}),
+                    "--format", "csv"], 0, {"numpy", INTERLACE}),
     ("period-g1", ["period", "--p", "5", "--q", "4", "--lambda-x2", "9", "--target-x2", "10", "--subgroup", "g1"],
-     0, {"numpy"}),
+     0, {"numpy", INTERLACE}),
     ("period-g2-witness", ["period", "--p", "4", "--q", "6", "--lambda-x2", "8", "--target-x2", "5", "--subgroup", "g2",
-                           "--witness"], 0, {"numpy"}),
+                           "--witness"], 0, {"numpy", INTERLACE}),
     # a negative value is read by argparse
     ("period-divergent", ["period", "--p", "4", "--q", "4", "--lambda-x2", "-4", "--target-x2", "2",
-                          "--subgroup", "g2"], 3, {"numpy", "argparse"}),
-    ("check-all", ["check", "--suite", "all"], 0, {"numpy"}),
-    *((f"check-{suite}", ["check", "--suite", suite], 0, {"numpy"}) for suite in SUITES),
+                          "--subgroup", "g2"], 3, {"numpy", "argparse", INTERLACE}),
+    ("check-all", ["check", "--suite", "all"], 0, {"numpy", PACKETS, INTERLACE}),
+    *((f"check-{suite}", ["check", "--suite", suite], 0, {"numpy", PACKETS, INTERLACE}) for suite in SUITES),
     ("import-numpy-random", "import numpy.random", None, {"numpy", "numpy.random"}),
     ("fraction-reader", "from hypbranch.fjrep import valid_lambdas\nvalid_lambdas(4, 4, 7)", None,
      {"fractions", "decimal"}),
@@ -1263,7 +1286,7 @@ def test_cold_start_imports(run, code, loads):
     # `check` draws from the standard library's generator, so no verb loads numpy.random;
     # a canonical argv is read from the verb table, so only help and usage errors load argparse;
     # every record is a NamedTuple, so no probe loads dataclasses, nor a numpy-free one inspect;
-    # and no verb but `packet` loads json, none fractions or decimal
+    # no verb but `packet` loads json, none fractions or decimal; and fj, branch and period no packets
     if isinstance(run, list):
         run = (
             "from hypbranch.cli import main\n"

@@ -12,7 +12,8 @@ import pytest
 from hypbranch.errors import InvalidParameterError, ToleranceError
 import hypbranch
 from hypbranch.exact import doubled, half_gamma, half_text, normal_ratio, sqrt_pi_error, sqrt_pi_ratio
-from hypbranch.numerics import _legendre_rule, gauss_legendre_rule, sphere_nodes, sphere_rule
+from hypbranch import numerics
+from hypbranch.numerics import _legendre_rule, _legendre_start, gauss_legendre_rule, sphere_nodes, sphere_rule
 
 
 def beta_x2(x2: int, y2: int) -> float:
@@ -163,8 +164,9 @@ class TestGaussLegendre:
             assert x.tobytes() == _legendre_rule(int(count))[0].tobytes()
 
 
-# Every node count a sphere rule uses in the checked range (multiples of 16 to 416), and a few others.
-LEGENDRE_COUNTS = [1, 2, 3, 101, *range(16, 417, 16)]
+# Every node count a sphere rule uses in the checked range (multiples of 16 to 416), a few others, and three past
+# the range, to 1,088 nodes.
+LEGENDRE_COUNTS = [1, 2, 3, 101, *range(16, 417, 16), 544, 800, 1088]
 
 
 def _mp_legendre(n: int, x0: float):
@@ -187,9 +189,10 @@ def _mp_legendre(n: int, x0: float):
 
 def _written_out_legendre_rule(n: int):
     """The Legendre rule with its own nu = 1/2 Newton loop, as the package wrote it before the pass became
-    `numerics._gegenbauer_rows`: the reference the shared pass must equal bit for bit."""
+    `numerics._gegenbauer_rows`, from the rule's start and to its stop rule: the reference the shared pass must
+    equal bit for bit."""
     four_c = [(2 * k - 2) ** 2 / ((2 * k - 1) * (2 * k - 3)) for k in range(2, n + 1)]
-    x = (1.0 - (n - 1) / (8 * n**3)) * np.sin(np.pi * np.arange(n - 1, -1, -2) / (2 * n + 1))
+    x = _legendre_start(n)
     for _ in range(100):
         two_x = 2.0 * x
         d_prev, d = np.ones_like(x), two_x
@@ -201,7 +204,7 @@ def _written_out_legendre_rule(n: int):
         r, one_minus_x2 = (2 * n - 1) * d / (n * s), (1.0 - x) * (1.0 + x)
         dx = one_minus_x2 * r
         x = x - dx
-        if np.max(np.abs(dx)) < 1e-15:
+        if np.all(dx * dx <= 2.0**-56 * one_minus_x2):
             break
     scale = 2 * (2 * n - 1) ** 2 * 16**n / (n * math.comb(2 * n, n)) ** 2
     w = scale * one_minus_x2 / (s * s) * (1.0 + 2.0 * x * r)
@@ -216,6 +219,27 @@ class TestLegendreRule:
             x, w = _legendre_rule.__wrapped__(n)
             x_ref, w_ref = _written_out_legendre_rule(n)
             assert (x.tobytes(), w.tobytes()) == (x_ref.tobytes(), w_ref.tobytes()), n
+
+    def test_one_newton_pass_from_80_nodes(self, monkeypatch):
+        # the asymptotic start is within 3.7e-9 of every node in angle from 80 nodes up, so the first step meets the
+        # stop rule; below, one more pass does (and one at n = 1 and 77..79)
+        passes = []
+        rows = numerics._gegenbauer_rows
+
+        def spy(n, nu, x, wanted):
+            passes.append(n)
+            return rows(n, nu, x, wanted)
+
+        monkeypatch.setattr(numerics, "_gegenbauer_rows", spy)
+        for n in range(1, 1089):
+            passes.clear()
+            _legendre_rule.__wrapped__(n)
+            assert len(passes) == (2 if 2 <= n < 77 else 1), n
+
+    def test_the_j0_zeros_match_mpmath(self):
+        mp = pytest.importorskip("mpmath")
+        assert numerics._J0_ZEROS == tuple(float(mp.besseljzero(0, k)) for k in range(1, 16))
+
     @pytest.mark.parametrize("n", LEGENDRE_COUNTS)
     def test_mirror_symmetric_bit_for_bit(self, n):
         x, w = gauss_legendre_rule(n)
@@ -236,6 +260,22 @@ class TestLegendreRule:
                 node, weight = _mp_legendre(n, x[i])
                 assert abs(float(x[i] - node)) <= eps / 2, (n, i)
                 assert abs(float(w[i] / weight - 1)) <= 32 * eps + 1e-17 * n**2, (n, i)
+
+
+class TestRecurrence:
+    def test_is_the_written_out_generator(self):
+        # one numpy expression and one cumprod, the same doubles as the per-k Python floats and their running product,
+        # at nu = 1/2 (the Legendre rule) and on every sphere S^{n-1} of the range, at every cached length to 432
+        for nu in (0.5, *((n - 2) / 2.0 for n in range(3, 17))):
+            for length in range(16, 433, 16):
+                four_c = (0.0, 0.0, *((k - 1) * (k + 2 * nu - 2) / ((k + nu - 1) * (k + nu - 2))
+                                      for k in range(2, length)))
+                norm_sq = [1.0]
+                for c in four_c[2:]:
+                    norm_sq.append(norm_sq[-1] * c)
+                got = numerics._recurrence.__wrapped__(nu, length)
+                assert all(type(v) is float for part in got for v in part), (nu, length)
+                assert got == (four_c, tuple(norm_sq)), (nu, length)
 
 
 class TestSphereRule:

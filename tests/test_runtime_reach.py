@@ -56,7 +56,7 @@ ALLOWED_UNREACHED = {
     "cli.entry",
     "fjrep.lam",
     "harmonics.ktype_pairing_nonzero",
-    "packets.interlace_classify",
+    "interlace.interlace_classify",
     "periods.branching_verdict",
     "periods.interlace_class_for_pair",
     "periods.nonvanishing_G1",
