@@ -14,7 +14,8 @@ argparse nor a parser is loaded for a canonical one.
 
 The standard-library modules each verb loads beyond this module's import: `fj` none, `packet` json (its report
 is json.dumps), `branch`, `period` and `check` numpy (and numpy's own imports), help and usage errors argparse.
-Of the package, `branch` and `period` load `interlace` but not `packets`, which only `packet` and `check` load.
+Of the package, `branch` and `period` load `interlace` but not `packets`, which only `packet` and the `packets` and
+`conjecture` suites of `check` load.
 Flags stay doubled ints and every other report prints through a template cached per record type
 (`_report_template`, `_branch_skeleton`), so no verb loads fractions or decimal, and none but `packet` json.
 """

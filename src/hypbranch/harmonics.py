@@ -76,9 +76,16 @@ _LOST_ROW = "zonal row norm at degree {} on S^{} is {}, not 1"
 
 def _unit_rows(n: int, top: int, wanted):
     """The rows sqrt(w) D_k / sqrt(sum(w) |D_k|^2) of the degrees `wanted` on S^{n-1}, from one `_gegenbauer_rows` pass
-    to `top` on the sphere rule (x, w) exact to degree 2 top: unit vectors whose dot products are Gram ratios.  Returns
-    the rows, each one's norm and whether it is off 1 by more than ROW_NORM_TOL."""
+    to `top` on the non-negative half of the sphere rule exact to degree 2 top.  The rule is mirror-symmetric bit for
+    bit, so D_k(-x) = (-1)^k D_k(x) exactly: the half rule's weights are doubled (an odd count's middle node, x = 0,
+    counted once), the dot product of two same-parity rows is their Gram ratio, and an opposite-parity ratio is exactly
+    0, which the rows do not carry.  Returns the rows, each one's norm and whether it is off 1 by more than
+    ROW_NORM_TOL."""
     x, w = sphere_rule(2 * top, n - 3)
+    half = len(x) // 2
+    x, w = x[half:], 2.0 * w[half:]
+    if len(x) > half:
+        w[0] *= 0.5
     rows, norm_sq = _gegenbauer_rows(top, (n - 2) / 2.0, x, wanted)
     rows *= np.sqrt(w)
     rows /= np.sqrt(w.sum() * norm_sq)[:, None]
@@ -93,9 +100,10 @@ def zonal_gram(ks, targets, n: int) -> np.ndarray:
     """Normalised Gram rows |<Z_k, Z_c>| / (|Z_k| |Z_c|) of the zonal harmonics on S^{n-1}, one row per target c.
 
     Row i holds target c = targets[i] against each degree k in `ks` (sequences of degrees), so the result has
-    shape (len(targets), len(ks)): dot products of the `_unit_rows` of one pass to max(ks, targets).  Raises
-    ToleranceError when a row's norm is off 1 by more than ROW_NORM_TOL: weights below the float range have lost
-    their mass, and the ratios would no longer be clear of GRAM_RATIO_TOL.
+    shape (len(targets), len(ks)): dot products of the `_unit_rows` of one pass to max(ks, targets) where k and c
+    have the same parity, exact zeros where they do not.  Raises ToleranceError when a row's norm is off 1 by more
+    than ROW_NORM_TOL: weights below the float range have lost their mass, and the ratios would no longer be clear of
+    GRAM_RATIO_TOL.
     """
     if n < 3:
         raise InvalidParameterError("zonal harmonics require sphere_dim >= 3")
@@ -104,17 +112,19 @@ def zonal_gram(ks, targets, n: int) -> np.ndarray:
     if lost.any():
         i = int(np.argmax(lost))
         raise ToleranceError(_LOST_ROW.format(degrees[i], n - 1, norms[i]))
-    return np.abs(rows[len(ks) :] @ rows[: len(ks)].T)
+    parity = np.array(degrees) % 2
+    same = parity[len(ks) :, None] == parity[: len(ks)]
+    return np.where(same, np.abs(rows[len(ks) :] @ rows[: len(ks)].T), 0.0)
 
 
-_GRAM_BLOCK = 32  # columns of the Gram a pass forms together: a 416 x 32 product (106 kB) per block
+_GRAM_BLOCK = 32  # columns of the Gram a pass forms together: a 416 x 32 block (106 kB), from two same-parity products
 
 
 @lru_cache(maxsize=32)
 def _gram_table(n: int, nodes: int) -> tuple[dict, dict]:
     """The verdict table of the `nodes`-node sphere rule of S^{n-1}: two dicts, empty until `_read_table` fills them
     as requests read the table.  Its Gram is that of the `_unit_rows` of degrees 0 to size - 1, the largest the rule
-    serves, and its columns are formed in blocks of _GRAM_BLOCK.
+    serves, with exact zeros between degrees of opposite parity, and its columns are formed in blocks of _GRAM_BLOCK.
 
     above[k] is the ascending tuple of the degrees whose Gram ratio with k is above GRAM_RATIO_TOL, the one view both
     verdicts read; lost maps each lost row's degree to its norm, from the first pass.  The table only gains entries,
@@ -134,7 +144,10 @@ def _read_table(n: int, nodes: int, columns, *degrees) -> dict:
             lost.update(zip(np.flatnonzero(lost_rows).tolist(), norms[lost_rows].tolist()))
             for i in {k // _GRAM_BLOCK for k in columns if k not in above}:
                 ks = range(i * _GRAM_BLOCK, min(i * _GRAM_BLOCK + _GRAM_BLOCK, size))
-                block = np.abs(rows @ rows[ks.start : ks.stop].T) > GRAM_RATIO_TOL
+                block = np.zeros((size, len(ks)))  # ks.start is even: column j has the parity of j
+                for parity in (0, 1):
+                    block[parity::2, parity::2] = rows[parity::2] @ rows[ks.start + parity : ks.stop : 2].T
+                block = np.abs(block) > GRAM_RATIO_TOL
                 above.update(zip(ks, (tuple(np.flatnonzero(column).tolist()) for column in block.T)))
     for degree in chain(*degrees) if lost else ():
         if degree in lost:

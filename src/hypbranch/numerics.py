@@ -159,13 +159,17 @@ def sphere_rule(degree: int, sin_power: int):
 
 @lru_cache(maxsize=256)
 def _sphere_rule(n: int, sin_power: int):
+    """Mirror-symmetric bit for bit.  Odd powers: the ceil(n/2) non-negative nodes cos(pi k / (n + 1)), largest first,
+    and their weights pi / (n + 1) sin(pi k / (n + 1))^(sin_power + 1), mirrored as in :func:`_legendre_rule`; only
+    sines of angles <= pi/2, so no weight near x = -1 rests on the sine of an angle rounded near pi."""
     if sin_power % 2 == 0:
         x, w = _legendre_rule(n)
         w = w * ((1.0 - x) * (1.0 + x)) ** (sin_power // 2)
     else:
-        theta = np.pi * np.arange(n, 0, -1) / (n + 1)
-        x = np.cos(theta)
-        w = np.pi / (n + 1) * np.sin(theta) ** (sin_power + 1)
+        k = np.arange(1.0, (n + 1) // 2 + 1)
+        x = np.sin(np.pi * (n + 1 - 2 * k) / (2 * (n + 1)))
+        w = np.pi / (n + 1) * np.sin(np.pi * k / (n + 1)) ** (sin_power + 1)
+        x, w = np.concatenate([-x[: n // 2], x[::-1]]), np.concatenate([w[: n // 2], w[::-1]])
         x.setflags(write=False)
     w.setflags(write=False)
     return x, w

@@ -957,6 +957,23 @@ class TestCheck:
             " 4,6,2 4,6,3 4,6,4 5,5,1 5,5,2 4,5,3/2)"
         assert out.splitlines()[2:] == ["2/2 properties passed"]
 
+    @pytest.mark.parametrize("seed", [0, 7, 13, 999])
+    def test_decay_slopes_are_the_polyfit_slopes_without_lapack(self, monkeypatch, seed):
+        # the closed-form slopes of the suite's own fit are np.polyfit's, and the suite calls neither polyfit nor the
+        # least-squares solver under it
+        fits, log_slopes, polyfit = [], checks._log_slopes, np.polyfit
+
+        def refused(*args, **kwargs):
+            raise AssertionError("the decay suite called a least-squares solver")
+
+        monkeypatch.setattr(checks, "_log_slopes", lambda ts, logs: fits.append((ts, logs)) or log_slopes(ts, logs))
+        monkeypatch.setattr(np, "polyfit", refused)
+        monkeypatch.setattr(np.linalg, "lstsq", refused)
+        assert all(r.passed for r in run_suite("decay", seed))
+        ((ts, logs),) = fits
+        assert logs.shape == (len(checks._DECAY_COMBOS), 64)
+        np.testing.assert_allclose(log_slopes(ts, logs), polyfit(ts, logs.T, 1)[0], rtol=1e-12, atol=0.0)
+
     def test_decay_draws_once_per_parameter(self, monkeypatch):
         # one randbytes call per run holds the 4-byte words of every parameter's directions (a Box-Muller pair per
         # two coordinates) and of its t
@@ -1227,15 +1244,25 @@ def _subprocess_env():
 
 # The modules a cold-start probe watches.  Half-integers stay doubled ints and every report but `packet`'s prints
 # through a template, so only `packet` loads json, and only the Fraction readers load fractions (and with it decimal).
-# Of the package, `branch` and `period` load the interlace classifier, and only `packet` and `check` load packets.
-PACKETS, INTERLACE = "hypbranch.packets", "hypbranch.interlace"
+# Of the package, `branch` and `period` load periods and with it the interlace classifier, and only `packet` loads
+# packets; each `check` suite loads the modules it certifies, so only the packets and conjecture suites load packets,
+# and the quadrature and decay suites load neither periods nor packets.
+PACKETS, INTERLACE, PERIODS = "hypbranch.packets", "hypbranch.interlace", "hypbranch.periods"
 WATCHED = ("numpy", "numpy.random", "scipy", "argparse", "dataclasses", "fractions", "decimal", "json", PACKETS,
-           INTERLACE)
+           INTERLACE, PERIODS)
+SUITE_LOADS = {
+    "quadrature": {"numpy"},
+    "harmonics": {"numpy", PERIODS, INTERLACE},
+    "decay": {"numpy"},
+    "branching": {"numpy", PERIODS, INTERLACE},
+    "packets": {"numpy", PACKETS, INTERLACE},
+    "conjecture": {"numpy", PACKETS, INTERLACE},
+}
 
 # (id, an import or a CLI argv run in a fresh interpreter, its exit code, the watched modules it loads); `branch` is
 # the control that shows the probe sees numpy when a verb loads it, `import numpy.random` the one that shows it sees
 # numpy.random, help and the unknown verb the ones that show it sees argparse, `packet` the one for json and
-# packets, `period` the one for interlace, and a Fraction reader the one for fractions and decimal
+# packets, `period` the one for periods and interlace, and a Fraction reader the one for fractions and decimal
 COLD_PROBES = [
     ("import-cli", "import hypbranch.cli", None, set()),
     ("import-packets", "import hypbranch.packets", None, {PACKETS, INTERLACE}),
@@ -1247,18 +1274,18 @@ COLD_PROBES = [
     ("help", ["--help"], 0, {"argparse"}),
     ("unknown-verb", ["frobnicate"], 2, {"argparse"}),
     ("branch", ["branch", "--p", "4", "--q", "6", "--lambda-x2", "8", "--subgroup", "g2", "--max-target-x2", "5"],
-     0, {"numpy", INTERLACE}),
+     0, {"numpy", PERIODS, INTERLACE}),
     ("branch-csv", ["branch", "--p", "5", "--q", "4", "--lambda-x2", "9", "--subgroup", "g1", "--max-target-x2", "12",
-                    "--format", "csv"], 0, {"numpy", INTERLACE}),
+                    "--format", "csv"], 0, {"numpy", PERIODS, INTERLACE}),
     ("period-g1", ["period", "--p", "5", "--q", "4", "--lambda-x2", "9", "--target-x2", "10", "--subgroup", "g1"],
-     0, {"numpy", INTERLACE}),
+     0, {"numpy", PERIODS, INTERLACE}),
     ("period-g2-witness", ["period", "--p", "4", "--q", "6", "--lambda-x2", "8", "--target-x2", "5", "--subgroup", "g2",
-                           "--witness"], 0, {"numpy", INTERLACE}),
+                           "--witness"], 0, {"numpy", PERIODS, INTERLACE}),
     # a negative value is read by argparse
     ("period-divergent", ["period", "--p", "4", "--q", "4", "--lambda-x2", "-4", "--target-x2", "2",
-                          "--subgroup", "g2"], 3, {"numpy", "argparse", INTERLACE}),
-    ("check-all", ["check", "--suite", "all"], 0, {"numpy", PACKETS, INTERLACE}),
-    *((f"check-{suite}", ["check", "--suite", suite], 0, {"numpy", PACKETS, INTERLACE}) for suite in SUITES),
+                          "--subgroup", "g2"], 3, {"numpy", "argparse", PERIODS, INTERLACE}),
+    ("check-all", ["check", "--suite", "all"], 0, {"numpy", PACKETS, INTERLACE, PERIODS}),
+    *((f"check-{suite}", ["check", "--suite", suite], 0, SUITE_LOADS[suite]) for suite in SUITES),
     ("import-numpy-random", "import numpy.random", None, {"numpy", "numpy.random"}),
     ("fraction-reader", "from hypbranch.fjrep import valid_lambdas\nvalid_lambdas(4, 4, 7)", None,
      {"fractions", "decimal"}),
@@ -1286,7 +1313,8 @@ def test_cold_start_imports(run, code, loads):
     # `check` draws from the standard library's generator, so no verb loads numpy.random;
     # a canonical argv is read from the verb table, so only help and usage errors load argparse;
     # every record is a NamedTuple, so no probe loads dataclasses, nor a numpy-free one inspect;
-    # no verb but `packet` loads json, none fractions or decimal; and fj, branch and period no packets
+    # no verb but `packet` loads json, none fractions or decimal; fj, branch and period load no packets, and the
+    # quadrature and decay suites of check neither packets nor periods
     if isinstance(run, list):
         run = (
             "from hypbranch.cli import main\n"

@@ -5,17 +5,19 @@ degrees.  The rows come from elementwise numpy operations in a fixed order, so o
 of two unit rows can sum in another order, which moves it by at most gamma_N = N u / (1 - N u), u = 2^-53
 (Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed., sec. 3.1).  One full Gram per rule
 therefore bounds every ratio on that rule: the g1 entries on S^{q-1} and the g2 witness rows on S^{q-2}
-alike, each read from the rule's Gram table.
+alike, each read from the rule's Gram table.  The kernel's rows live on the rule's non-negative half, where a
+dot product has N/2 terms, and an opposite-parity ratio is exactly 0; a full-node reference holds both to the
+Gram of every node.
 """
 
 import numpy as np
 import pytest
 
-from hypbranch import harmonics
+from hypbranch import harmonics, numerics
 from hypbranch.errors import InvalidParameterError
 from hypbranch.fjrep import MAX_DEGREE, MAX_Q, MAX_TARGET_DEGREE
 from hypbranch.harmonics import GRAM_RATIO_TOL, ktype_pairings_nonzero, zonal_gram, zonal_pairings_nonzero
-from hypbranch.numerics import sphere_nodes
+from hypbranch.numerics import sphere_nodes, sphere_rule
 
 # The checked range of `fjrep.check_range`: g1 verdicts read S^{q-1} and g2 witnesses S^{q-2} for 4 <= q <= MAX_Q,
 # so n = 3..MAX_Q, and a request's largest degree is at most MAX_TARGET_DEGREE.
@@ -65,6 +67,42 @@ def test_every_ratio_clears_the_threshold(capsys):
             f" largest off-diagonal ratio {worst_off:.3g}, largest |1 - diagonal| {worst_diag:.3g},"
             f" largest 2 gamma_N {2 * worst_gamma:.3g}, against GRAM_RATIO_TOL = {GRAM_RATIO_TOL:g}"
         )
+
+
+def _full_node_table(n, nodes):
+    """The verdict table of one rule from the unit rows on every node, as the kernel formed them before its rows moved
+    to the rule's non-negative half, and the full Gram those rows give: (above, lost, gram)."""
+    size = nodes - (n - 3) // 2
+    x, w = sphere_rule(2 * (size - 1), n - 3)
+    rows, norm_sq = numerics._gegenbauer_rows(size - 1, (n - 2) / 2.0, x, range(size))
+    rows *= np.sqrt(w)
+    rows /= np.sqrt(w.sum() * norm_sq)[:, None]
+    norms = np.sqrt(np.einsum("ij,ij->i", rows, rows))
+    lost_rows = ~(np.abs(norms - 1.0) <= harmonics.ROW_NORM_TOL)
+    gram = np.abs(rows @ rows.T)
+    above = {k: tuple(np.flatnonzero(column > GRAM_RATIO_TOL).tolist()) for k, column in enumerate(gram.T)}
+    return above, dict(zip(np.flatnonzero(lost_rows).tolist(), norms[lost_rows].tolist())), gram
+
+
+def test_the_half_node_tables_are_the_full_node_tables(capsys):
+    # on every census rule the table from the half rule equals the full-node reference's, entry for entry; the
+    # reference's opposite-parity ratios, exactly 0 in exact arithmetic and in the kernel, are rounding of a dot
+    # product whose terms cancel in pairs, so at most gamma_N times the product of two unit norms
+    worst_opposite = 0.0
+    harmonics._gram_table.cache_clear()
+    for n, top in census_rules():
+        nodes = sphere_nodes(2 * top, n - 3)
+        size = nodes - (n - 3) // 2
+        above, lost, gram = _full_node_table(n, nodes)
+        assert harmonics._read_table(n, nodes, range(size)) == above, (n, top)
+        assert harmonics._gram_table(n, nodes)[1] == lost, (n, top)
+        harmonics._gram_table.cache_clear()  # one table at a time
+        opposite = float(np.max(gram[np.add.outer(range(size), range(size)) % 2 == 1], initial=0.0))
+        gamma = nodes * UNIT_ROUNDOFF / (1 - nodes * UNIT_ROUNDOFF)
+        assert opposite <= 2 * gamma < GRAM_RATIO_TOL, (n, top, opposite)
+        worst_opposite = max(worst_opposite, opposite)
+    with capsys.disabled():
+        print(f"\nFull-node reference: largest opposite-parity ratio {worst_opposite:.3g}")
 
 
 class _Asked(Exception):

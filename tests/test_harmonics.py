@@ -278,10 +278,11 @@ class TestGramTable:
 
     @pytest.mark.parametrize(
         "a, cs, n",
-        [(0, [0], 4), (3, [5, 1], 6), (20, range(23), 8), (7, [40, 2], 4), (100, [101, 0], 10), (400, [402], 5)],
+        [(0, [0, 1], 4), (3, [5, 1], 6), (20, range(23), 8), (7, [40, 2], 4), (100, [101, 0], 10), (400, [402], 5)],
     )
     def test_g1_lost_rows_raise_as_the_direct_gram(self, a, cs, n, monkeypatch, cold_tables):
-        # with no tolerance nearly every row is lost: both paths name the first lost degree of cs, then a
+        # with no tolerance nearly every row is lost: both paths name the first lost degree of cs, then a.  The
+        # degree-0 row of the 16-node rule on S^3 has norm exactly 1.0, so the first case's first lost degree is 1
         monkeypatch.setattr(harmonics, "ROW_NORM_TOL", 0.0)
         direct = _outcome(_g1_direct, a, list(cs), n)
         assert direct.startswith("zonal row norm at degree ")
@@ -575,11 +576,12 @@ class TestWitnessTable:
 
     @pytest.mark.parametrize(
         "a, bs, n",
-        [(0, [0], 5), (3, [5, 1], 6), (20, range(23), 8), (7, [40, 2], 4), (100, [101, 0], 10), (400, [402], 5),
+        [(0, [0, 1], 5), (3, [5, 1], 6), (20, range(23), 8), (7, [40, 2], 4), (100, [101, 0], 10), (400, [402], 5),
          (3, [], 6)],
     )
     def test_lost_rows_raise_as_the_direct_gram(self, a, bs, n, monkeypatch, cold_tables):
-        # with no tolerance nearly every row is lost: both paths name the first lost degree of 0..a, then bs
+        # with no tolerance nearly every row is lost: both paths name the first lost degree of 0..a, then bs (in the
+        # first case degree 1: the degree-0 row of the 16-node rule on S^3 has norm exactly 1.0)
         monkeypatch.setattr(harmonics, "ROW_NORM_TOL", 0.0)
         direct = _outcome(_direct_verdicts, a, list(bs), n)
         assert direct.startswith("zonal row norm at degree ")
