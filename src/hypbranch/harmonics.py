@@ -147,8 +147,10 @@ def _read_table(n: int, nodes: int, columns, *degrees) -> dict:
                 block = np.zeros((size, len(ks)))  # ks.start is even: column j has the parity of j
                 for parity in (0, 1):
                     block[parity::2, parity::2] = rows[parity::2] @ rows[ks.start + parity : ks.stop : 2].T
-                block = np.abs(block) > GRAM_RATIO_TOL
-                above.update(zip(ks, (tuple(np.flatnonzero(column).tolist()) for column in block.T)))
+                # one nonzero of the transpose lists each column's degrees in turn, ascending
+                js, found = np.nonzero((np.abs(block) > GRAM_RATIO_TOL).T)
+                ends, found = np.bincount(js, minlength=len(ks)).cumsum().tolist(), found.tolist()
+                above.update(zip(ks, (tuple(found[start:end]) for start, end in zip([0, *ends], ends))))
     for degree in chain(*degrees) if lost else ():
         if degree in lost:
             raise ToleranceError(_LOST_ROW.format(degree, n - 1, lost[degree]))

@@ -6,6 +6,8 @@ and a radial cosh-power integral.  Both non-vanishing verdicts read zonal Gram
 ratios from the Gram table of their sphere rule: g1 the ratio of the ambient and
 target zonal harmonics on S^{q-1}, g2 the K-type witness (the twisted pairing)
 on S^{q-2}; the closed-form predicates provide the independent cross-check.
+A scan builds its verdicts before, and apart from, its exact factors, so a
+caller that reads only verdicts builds no exact number.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from typing import TYPE_CHECKING, NamedTuple
 from .errors import DivergenceError, InvalidParameterError
 from .exact import doubled, half_text, pairing_subsphere_exact, period_value, sphere_area_exact, sqrt_pi_ratio
 from .exact import wallis_exact, witness_pairing_exact, zonal_norm_sq_exact
-from .fjrep import FJParam, SpaceTag, check_range, checked_degree, inf_char_x2, make_fj_param, tag_signature
+from .fjrep import FJParam, SpaceTag, check_range, checked_degree, degree_x2, inf_char_x2, make_fj_param, tag_signature
 from .fjrep import PARAMETER_NAMES, valid_lambdas
 from .harmonics import ktype_pairings_nonzero, zonal_pairings_nonzero
 from .interlace import InterlaceClass, interlace_classify_scan
@@ -147,49 +149,63 @@ def _require_convergence(lam_x2: int, targets_x2, tag: SpaceTag) -> None:
 
 
 class _Scan(NamedTuple):
-    """Per-target columns of one scan (`_scan`): row i is sphere * pairings[i] * R(wallis_a, wallis_ms[i])."""
+    """The verdict stage of one scan (`_scan`), per-target columns: no exact number is built for it."""
 
     a: int
-    sphere: tuple[int, int, int] | None
-    wallis_a: int
     degrees: list[int]
     nonzeros: list[bool]
     predicates: list[bool]
-    pairings: list[tuple[int, int, int]]
-    wallis_ms: list[int]
     parities: list[bool]  # whether a - degrees[i] is even
 
 
-def _scan(ambient: FJParam, tag: SpaceTag, targets_x2, witness: bool) -> _Scan:
-    """Periods sphere_area(sp) * pairing * R(sp-1, ...) of the ambient against each doubled target, as columns.
+class _Factors(NamedTuple):
+    """The exact factors of one scan (`scan_factors`): row i is sphere * pairings[i] * R(wallis_a, wallis_ms[i])."""
 
-    X(sp, sq) is the targets' space.  The verdicts are zonal Gram ratios from the Gram table of the sphere rule:
-    g1 the ratios of Z_a on S^{q-1} (`zonal_pairings_nonzero`), g2 the K-type witnesses on S^{q-2}
-    (`ktype_pairings_nonzero`).  The sphere area, the pairing (g1: delta_{a,c} |Z_a|^2; g2: the witness value with
-    `witness`, chained along consecutive degrees, else the plain subsphere pairing) and the Wallis exponent m =
-    lambda + target - 1/2 of R(sp-1, m) are exact.  Refuses an ambient degree or q past the checked range before it
-    reads the targets, and a target degree past it (in the verdict) before any Gram row or exact factor.
+    sphere: tuple[int, int, int] | None
+    wallis_a: int
+    pairings: list[tuple[int, int, int]]
+    wallis_ms: list[int]
+
+
+def _scan(ambient: FJParam, tag: SpaceTag, targets_x2) -> _Scan:
+    """The verdicts of the ambient against each doubled target, as columns; X(sp, sq) is the targets' space.
+
+    The verdicts are zonal Gram ratios from the Gram table of the sphere rule: g1 the ratios of Z_a on S^{q-1}
+    (`zonal_pairings_nonzero`), g2 the K-type witnesses on S^{q-2} (`ktype_pairings_nonzero`).  Refuses an ambient
+    degree or q past the checked range before it reads the targets, and a target degree past it (in the verdict)
+    before any Gram row; `scan_factors` builds the exact factors of the same targets, after it.
     """
     a, p, q = ambient.degree, ambient.p, ambient.q
     check_range(q, a)
-    sp, sq = tag_signature(p, q, tag)
-    if not targets_x2:  # build no Gram row and read no sphere area, which a large p would refuse
-        return _Scan(a, None, sp - 1, [], [], [], [], [], [])
-    offset_x2 = sp - sq - 2  # a target's doubled degree is t_x2 + offset_x2 (`degree_x2`)
+    if not targets_x2:  # build no Gram row
+        return _Scan(a, [], [], [], [])
+    offset_x2 = degree_x2(p, q, 0, tag)  # a target's doubled degree is t_x2 + offset_x2
     degrees = [(t_x2 + offset_x2) // 2 for t_x2 in targets_x2]
     for t_x2, b in zip(targets_x2, degrees):
         if t_x2 <= 0 or b < 0 or 2 * b != t_x2 + offset_x2:
             checked_degree(p, q, t_x2, tag)  # raises, with the reason
     if tag is SpaceTag.G1_SPACE:
-        nonzeros = zonal_pairings_nonzero(a, degrees, q)
+        nonzeros, predicates = zonal_pairings_nonzero(a, degrees, q), [b == a for b in degrees]
+    else:
+        nonzeros, predicates = ktype_pairings_nonzero(a, degrees, q), [0 <= b <= a for b in degrees]
+    return _Scan(a, degrees, nonzeros, predicates, [(a - b) % 2 == 0 for b in degrees])
+
+
+def scan_factors(scan: _Scan, p: int, q: int, lam_x2: int, tag: SpaceTag, targets_x2, witness: bool) -> _Factors:
+    """The exact factors of a scan's rows, periods sphere_area(sp) * pairing * R(sp-1, m) of X(sp, sq).
+
+    The pairing is g1: delta_{a,c} |Z_a|^2; g2: the witness value with `witness`, chained along consecutive degrees,
+    else the plain subsphere pairing; the Wallis exponent is m = lambda + target - 1/2.  With no target it reads no
+    sphere area, which a large p would refuse.
+    """
+    a, degrees = scan.a, scan.degrees
+    sp = tag_signature(p, q, tag)[0]
+    if tag is SpaceTag.G1_SPACE:
         pairings = [zonal_norm_sq_exact(a, q) if c == a else (0, 1, 0) for c in degrees]
     else:
-        nonzeros = ktype_pairings_nonzero(a, degrees, q)
         pairings = _witness_pairings(a, degrees, q) if witness else [pairing_subsphere_exact(a, b, q) for b in degrees]
-    predicates = [b == a for b in degrees] if tag is SpaceTag.G1_SPACE else [0 <= b <= a for b in degrees]
-    wallis_ms = [(ambient.lam_x2 + t_x2 - 1) // 2 for t_x2 in targets_x2]
-    return _Scan(a, sphere_area_exact(sp), sp - 1, degrees, nonzeros, predicates, pairings, wallis_ms,
-                 [(a - b) % 2 == 0 for b in degrees])
+    wallis_ms = [(lam_x2 + t_x2 - 1) // 2 for t_x2 in targets_x2]
+    return _Factors(sphere_area_exact(sp) if degrees else None, sp - 1, pairings, wallis_ms)
 
 
 def _witness_pairings(a: int, degrees, n: int) -> list[tuple[int, int, int]]:
@@ -207,23 +223,25 @@ def _witness_pairings(a: int, degrees, n: int) -> list[tuple[int, int, int]]:
     return pairings
 
 
-def scan_values(scan: _Scan) -> tuple[list[float], list[float]]:
+def scan_values(scan: _Scan, factors: _Factors) -> tuple[list[float], list[float]]:
     """The `value` and `err` columns of a scan: `period_value` rounds each row whose pairing is nonzero, in row order,
     and any other is 0.0 with no Wallis factor R(A, m): R(A, m - 2) (m - 1) / (A + m) if a row built it, else closed."""
-    pairs, wallis, wallis_a = [], {}, scan.wallis_a  # wallis: the factors built, by m
-    for b, pairing, m in zip(scan.degrees, scan.pairings, scan.wallis_ms):
+    pairs, wallis, wallis_a = [], {}, factors.wallis_a  # wallis: the factors built, by m
+    for b, pairing, m in zip(scan.degrees, factors.pairings, factors.wallis_ms):
         if pairing[0]:
             num, den, r = wallis.get(m - 2) or (0, 0, 0)
             wallis[m] = (num * (m - 1), den * (wallis_a + m), r) if num else wallis_exact(wallis_a, m)
-        pairs.append(period_value(scan.sphere, pairing, wallis[m], (scan.a, b)) if pairing[0] else (0.0, 0.0))
+        pairs.append(period_value(factors.sphere, pairing, wallis[m], (scan.a, b)) if pairing[0] else (0.0, 0.0))
     return [value for value, _ in pairs], [err for _, err in pairs]
 
 
 def period_x2(p: int, q: int, lam_x2: int, target_x2: int, tag: SpaceTag, witness: bool) -> PeriodVerdict:
-    """The `period` record of one (lambda, target) pair, from a one-target scan; its numbers rounded in field order."""
+    """The `period` record of one (lambda, target) pair, from a one-target scan and its factors; its numbers rounded in
+    field order."""
     _require_convergence(lam_x2, [target_x2], tag)
-    scan = _scan(FJParam(p, q, lam_x2), tag, [target_x2], witness)
-    a, sphere, wallis_a, (b,), (nonzero,), (predicate,), (pairing,), (m,), (parity,) = scan
+    scan = _scan(FJParam(p, q, lam_x2), tag, [target_x2])
+    a, (b,), (nonzero,), (predicate,), (parity,) = scan
+    sphere, wallis_a, (pairing,), (m,) = scan_factors(scan, p, q, lam_x2, tag, [target_x2], witness)
     radial, one = wallis_exact(wallis_a, m), (1, 1, 0)
     value, err = period_value(sphere, pairing, radial, (a, b)) if pairing[0] else (0.0, 0.0)
     sphere_factor = sqrt_pi_ratio(*sphere)  # normal wherever sphere_area_exact does not refuse it
@@ -276,19 +294,20 @@ def branching_verdicts(p: int, q: int, lam, subgroup: str, targets) -> list[Bran
 
 
 def branch_scan_x2(p: int, q: int, lam_x2: int, subgroup: str, targets_x2) -> tuple[_Scan, list[InterlaceClass]]:
-    """The one scan behind `branch` and `check --suite branching`, and each target's class; like `period`, it refuses
-    a divergent target (`DivergenceError`) before the ambient parameter.  The targets may be any iterable."""
+    """The one scan behind `branch` and `check --suite branching`, its verdict stage, and each target's class; like
+    `period`, it refuses a divergent target (`DivergenceError`) before the ambient parameter.  The targets may be any
+    iterable."""
     tag, targets_x2 = _tag(subgroup), list(targets_x2)
     _require_convergence(lam_x2, targets_x2, tag)
     ambient = FJParam(p, q, lam_x2)
-    return _scan(ambient, tag, targets_x2, witness=tag is SpaceTag.G2_SPACE), _interlace_classes(ambient, targets_x2)
+    return _scan(ambient, tag, targets_x2), _interlace_classes(ambient, targets_x2)
 
 
 def branch_columns_x2(p: int, q: int, lam_x2: int, subgroup: str, targets_x2) -> tuple[dict, dict]:
     """`branching_verdicts_x2` by `BranchingVerdict` field: the six fields every row shares, and the seven columns."""
     tag, targets_x2 = _tag(subgroup), list(targets_x2)
     scan, interlaces = branch_scan_x2(p, q, lam_x2, subgroup, targets_x2)
-    values, errs = scan_values(scan)
+    values, errs = scan_values(scan, scan_factors(scan, p, q, lam_x2, tag, targets_x2, tag is SpaceTag.G2_SPACE))
     shared = {"p": p, "q": q, "lambda_x2": lam_x2, "subgroup": tag.value, "converges": True,
               "admissible": tag is SpaceTag.G1_SPACE}
     return shared, {"target_x2": targets_x2, "nonzero": scan.nonzeros, "predicate": scan.predicates, "value": values,

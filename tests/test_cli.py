@@ -304,9 +304,11 @@ class TestBranchScan:
         assert (code, err, records, rows) == (0, "", [], [])
         flags = dict(zip(argv[::2], argv[1::2]))
         p, q, lam_x2 = (int(flags[f]) for f in ("--p", "--q", "--lambda-x2"))
-        targets_x2 = fjrep.valid_lambdas_x2(p, q, int(flags["--max-target-x2"]), SpaceTag(flags["--subgroup"]))
+        tag = SpaceTag(flags["--subgroup"])
+        targets_x2 = fjrep.valid_lambdas_x2(p, q, int(flags["--max-target-x2"]), tag)
         scan, _ = periods.branch_scan_x2(p, q, lam_x2, flags["--subgroup"], targets_x2)
-        nonzero = [(scan.wallis_a, m) for pairing, m in zip(scan.pairings, scan.wallis_ms) if pairing[0]]
+        factors = periods.scan_factors(scan, p, q, lam_x2, tag, targets_x2, tag is SpaceTag.G2_SPACE)
+        nonzero = [(factors.wallis_a, m) for pairing, m in zip(factors.pairings, factors.wallis_ms) if pairing[0]]
         assert 0 < len(nonzero) < len(targets_x2)
         firsts = {}
         for call in nonzero:
@@ -989,11 +991,13 @@ class TestCheck:
         assert draws == [4 * sum(100 * q + 100 for _, q, _ in checks._DECAY_COMBOS)]
 
     def test_quadrature_points_depend_on_the_seed(self, monkeypatch):
+        # the suite evaluates each distinct argument of its 200 seeded draws once
         def points(seed):
             drawn = []
             monkeypatch.setattr(checks, "half_gamma", lambda x2: drawn.append(x2) or exact.half_gamma(x2))
             assert run_suite("quadrature", seed)[1].passed
-            assert len(drawn) == 200 and set(drawn) <= set(range(1, 343))
+            distinct = set(random.Random(seed).choices(range(1, 343), k=200))
+            assert len(drawn) == len(set(drawn)) and set(drawn) == distinct and distinct <= set(range(1, 343))
             return drawn
 
         assert points(4) == points(4)

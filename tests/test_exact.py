@@ -308,6 +308,21 @@ def test_the_branching_suite_rounds_no_period_value(monkeypatch):
     assert calls == []
 
 
+def test_the_branching_suite_builds_no_exact_factor(monkeypatch):
+    # its scans stop at the verdict stage: no sphere area, pairing or Wallis factor, as `periods` reads them
+    built = []
+    for name in ("sphere_area_exact", "witness_pairing_exact", "pairing_subsphere_exact", "zonal_norm_sq_exact",
+                 "wallis_exact"):
+        factor = getattr(periods, name)
+        monkeypatch.setattr(periods, name, lambda *args, name=name, factor=factor: built.append(name) or factor(*args))
+    assert all(result.passed for result in run_suite("branching"))
+    assert built == []
+    # the spies see what a scan's factors build
+    code, _, _ = run(["branch", "--p", "4", "--q", "4", "--lambda-x2", "4", "--subgroup", "g2", "--max-target-x2", "7"])
+    assert code == 0
+    assert {"sphere_area_exact", "witness_pairing_exact", "wallis_exact"} <= set(built)
+
+
 def _g2_scan_to(p: int, q: int, a: int) -> tuple[int, list[int]]:
     """lambda_x2 of ambient degree a on X(p, q), and every valid g2 target up to degree a + 2."""
     return 2 * a + 2 - p + q, fjrep.valid_lambdas_x2(p, q, 2 * a + 5 + q - p, fjrep.SpaceTag.G2_SPACE)
@@ -330,9 +345,10 @@ def test_a_scans_chained_factors_are_the_closed_forms(monkeypatch):
     for p, q, lam_x2, targets_x2 in scans:
         built.clear()
         scan, _ = periods.branch_scan_x2(p, q, lam_x2, "g2", targets_x2)
-        periods.scan_values(scan)
+        factors = periods.scan_factors(scan, p, q, lam_x2, fjrep.SpaceTag.G2_SPACE, targets_x2, True)
+        periods.scan_values(scan, factors)
         wallis = iter(built)
-        for b, (num, den, r), m in zip(scan.degrees, scan.pairings, scan.wallis_ms, strict=True):
+        for b, (num, den, r), m in zip(scan.degrees, factors.pairings, factors.wallis_ms, strict=True):
             c_num, c_den, c_r = hypbranch.exact.witness_pairing_exact(scan.a, b, q)
             assert num * c_den == c_num * den and (num == 0) == (c_num == 0) and r == c_r, (p, q, scan.a, b)
             if num:
