@@ -117,40 +117,57 @@ def zonal_gram(ks, targets, n: int) -> np.ndarray:
     return np.where(same, np.abs(rows[len(ks) :] @ rows[: len(ks)].T), 0.0)
 
 
-_GRAM_BLOCK = 32  # columns of the Gram a pass forms together: a 416 x 32 block (106 kB), from two same-parity products
+# Columns of one parity that a pass forms together, the degrees 64i + p to 64i + 62 + p: at most a 208 x 32 block
+# (53 kB), from one same-parity product
+_GRAM_BLOCK = 32
 
 
 @lru_cache(maxsize=32)
-def _gram_table(n: int, nodes: int) -> tuple[dict, dict]:
+def _gram_table(n: int, nodes: int) -> tuple[dict, dict, set]:
     """The verdict table of the `nodes`-node sphere rule of S^{n-1}: two dicts, empty until `_read_table` fills them
-    as requests read the table.  Its Gram is that of the `_unit_rows` of degrees 0 to size - 1, the largest the rule
-    serves, with exact zeros between degrees of opposite parity, and its columns are formed in blocks of _GRAM_BLOCK.
+    as requests read the table, and a set.  Its Gram is that of the `_unit_rows` of degrees 0 to size - 1, the largest
+    the rule serves.  Its ratios between degrees of opposite parity are exact zeros, so it is two Grams, one per
+    parity class, and the columns of each are formed in blocks of _GRAM_BLOCK.
 
     above[k] is the ascending tuple of the degrees whose Gram ratio with k is above GRAM_RATIO_TOL, the one view both
-    verdicts read; lost maps each lost row's degree to its norm, from the first pass.  The table only gains entries,
-    so threads share it with no lock: a race can only form one block twice.
+    verdicts read; lost maps each lost row's degree to its norm, and unchecked holds the parities whose rows no pass
+    has norm-checked yet, so lost is complete for the others.  The table only gains entries and unchecked only loses
+    them, lost before unchecked before above, so threads share it with no lock: a race can only run one pass twice.
     """
-    return {}, {}
+    return {}, {}, {0, 1}
 
 
 def _read_table(n: int, nodes: int, columns, *degrees) -> dict:
-    """The `above` view of the rule's `_gram_table`, with the blocks that hold `columns` formed from one `_unit_rows`
-    pass whose rows it drops; the kernel's message for the first lost one of `degrees`."""
-    above, lost = _gram_table(n, nodes)
-    if not above or not all(map(above.__contains__, columns)):
+    """The `above` view of the rule's `_gram_table`, with the blocks that hold `columns` formed; the kernel's message
+    for the first lost one of `degrees`.
+
+    A read that lacks a column, or the norm check of a parity of `degrees`, runs one `_unit_rows` pass over the degrees
+    of the parities it needs, and drops its rows: a g1 read of one parity passes, holds and multiplies half of them.  In
+    each parity the pass holds it forms the blocks of the degree ranges that hold the missing columns, so a read that
+    holds both parities forms both halves of those ranges, as one two-parity block did."""
+    above, lost, unchecked = _gram_table(n, nodes)
+    if not all(map(above.__contains__, columns)) or (
+        unchecked and any(degree % 2 in unchecked for degree in chain(*degrees))
+    ):
         size = nodes - (n - 3) // 2
+        missing = [k for k in columns if k not in above]
+        ranges = {k // (2 * _GRAM_BLOCK) for k in missing}
+        parities = {k % 2 for k in missing} | unchecked & {degree % 2 for degree in chain(*degrees)}
+        wanted = range(size) if len(parities) == 2 else range(min(parities), size, 2)
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            rows, norms, lost_rows = _unit_rows(n, size - 1, range(size))
-            lost.update(zip(np.flatnonzero(lost_rows).tolist(), norms[lost_rows].tolist()))
-            for i in {k // _GRAM_BLOCK for k in columns if k not in above}:
-                ks = range(i * _GRAM_BLOCK, min(i * _GRAM_BLOCK + _GRAM_BLOCK, size))
-                block = np.zeros((size, len(ks)))  # ks.start is even: column j has the parity of j
-                for parity in (0, 1):
-                    block[parity::2, parity::2] = rows[parity::2] @ rows[ks.start + parity : ks.stop : 2].T
-                # one nonzero of the transpose lists each column's degrees in turn, ascending
-                js, found = np.nonzero((np.abs(block) > GRAM_RATIO_TOL).T)
-                ends, found = np.bincount(js, minlength=len(ks)).cumsum().tolist(), found.tolist()
-                above.update(zip(ks, (tuple(found[start:end]) for start, end in zip([0, *ends], ends))))
+            rows, norms, lost_rows = _unit_rows(n, size - 1, wanted)
+            lost.update(zip(np.arange(wanted.start, size, wanted.step)[lost_rows].tolist(), norms[lost_rows].tolist()))
+            unchecked.difference_update(parities)
+            for parity in parities:
+                same = rows[parity::2] if wanted.step == 1 else rows  # degrees parity, parity + 2, ...
+                for i in ranges:
+                    block = same @ same[i * _GRAM_BLOCK : i * _GRAM_BLOCK + _GRAM_BLOCK].T
+                    # one nonzero of the thresholded transpose lists each column's rows in turn, ascending
+                    js, found = np.nonzero((np.abs(block, out=block) > GRAM_RATIO_TOL).T)
+                    ends = np.bincount(js, minlength=block.shape[1]).cumsum().tolist()
+                    found = (2 * found + parity).tolist()
+                    ks = range(2 * i * _GRAM_BLOCK + parity, size, 2)
+                    above.update(zip(ks, (tuple(found[start:end]) for start, end in zip([0, *ends], ends))))
     for degree in chain(*degrees) if lost else ():
         if degree in lost:
             raise ToleranceError(_LOST_ROW.format(degree, n - 1, lost[degree]))

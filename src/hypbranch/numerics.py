@@ -22,14 +22,18 @@ __all__ = [
 
 @lru_cache(maxsize=64)
 def _recurrence(nu: float, length: int):
-    """Coefficients 4c_k of :func:`_gegenbauer_rows` for k < length, and the squared row norms of its pass.
+    """Coefficients 4c_k of :func:`_gegenbauer_rows` for k < length, and the squared row norms of its pass, as two
+    read-only float64 arrays.
 
     Norm k is |D_k|^2 against the weight of total mass 1: prod_{i=1..k} 4c_{i+1}, since c_{i+1} is
     the monic recurrence coefficient beta_i (Gautschi, Orthogonal Polynomials, 2004, sec. 1.3).
     """
     k = np.arange(2.0, length)
-    four_c = (k - 1) * (k + 2 * nu - 2) / ((k + nu - 1) * (k + nu - 2))
-    return (0.0, 0.0, *four_c.tolist()), (1.0, *np.cumprod(four_c).tolist())
+    four_c = np.concatenate(([0.0, 0.0], (k - 1) * (k + 2 * nu - 2) / ((k + nu - 1) * (k + nu - 2))))
+    norm_sq = np.concatenate(([1.0], np.cumprod(four_c[2:])))
+    four_c.setflags(write=False)
+    norm_sq.setflags(write=False)
+    return four_c, norm_sq
 
 
 def _gegenbauer_rows(n: int, nu: float, x: np.ndarray, wanted):
@@ -43,6 +47,7 @@ def _gegenbauer_rows(n: int, nu: float, x: np.ndarray, wanted):
     one preallocated array, which is copied only when `wanted` repeats a degree.
     """
     four_c, norm_sq = _recurrence(nu, -(-(n + 2) // SPHERE_NODE_STEP) * SPHERE_NODE_STEP)
+    four_c = four_c[: n + 1].tolist()  # a Python float times an array costs less than a numpy scalar
     slot = {k: i for i, k in enumerate(dict.fromkeys(wanted))}
     rows, two_x = np.empty((len(slot), len(x))), 2.0 * x
     d_prev, d = np.zeros(len(x)), np.ones(len(x))  # D_{-1} = 0, and 4c_1 = 0: the first step gives D_1 = 2x
@@ -55,7 +60,7 @@ def _gegenbauer_rows(n: int, nu: float, x: np.ndarray, wanted):
             d_prev, d = d, d_next
     if len(slot) < len(wanted):
         rows = rows[[slot[k] for k in wanted]]
-    return rows, np.array([norm_sq[k] for k in wanted])
+    return rows, norm_sq[list(wanted)]
 
 
 # The first zeros j_k of J_0 (DLMF 10.21(i)), for Gatteschi's start at the largest Legendre nodes

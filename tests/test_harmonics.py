@@ -1,6 +1,7 @@
 import math
 import random
 import sys
+import tracemalloc
 import weakref
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
@@ -304,43 +305,77 @@ class TestGramTable:
 
     def test_table_is_read_only(self, cold_tables):
         # the degree-800 rule on S^4 serves degrees 0..414: both g1 verdicts at a = 400 read its one table, which
-        # forms only the block of column 400
+        # forms only the even block of column 400 and norm-checks only the even rows
         assert zonal_pairings_nonzero(400, [398, 400, 402], 5) == [False, True, False]
         assert zonal_pairings_nonzero(16, [16], 5) == [True]
-        above, lost = harmonics._gram_table(5, 416)
+        above, lost, unchecked = harmonics._gram_table(5, 416)
         assert harmonics._gram_table.cache_info()[:2] == (1, 2)  # the 416- and the 32-node rule, then a read
-        assert (above, lost) == ({k: (k,) for k in range(384, 415)}, {})
+        assert (above, lost, unchecked) == ({k: (k,) for k in range(384, 415, 2)}, {}, {1})
         assert {type(column) for column in above.values()} == {tuple}
         with pytest.raises(TypeError, match="does not support item assignment"):
             above[400][0] = 0
 
     def test_a_cold_g1_period_forms_one_block_and_keeps_no_rows(self, monkeypatch, cold_tables):
-        # a = c = 400 on X(5, 4): the verdict reads column 400 of the 416-degree Gram on S^3, in block 12 of 13
+        # a = c = 400 on X(5, 4): the verdict reads column 400 of the 416-degree Gram on S^3, in the last of the 7
+        # even blocks
         passes = _passes(monkeypatch)
         assert period_integral_G1(5, 4, Fraction(801, 2), Fraction(802, 2)).nonzero
         assert [(n, top) for n, top, _ in passes] == [(4, 415)]
-        assert list(harmonics._gram_table(4, 416)[0]) == list(range(384, 416))
+        assert list(harmonics._gram_table(4, 416)[0]) == list(range(384, 416, 2))
         assert passes[0][2]() is None  # the pass's rows were dropped
 
+    def test_a_g1_period_passes_and_forms_only_its_parity(self, monkeypatch, cold_tables):
+        # a = c = 400 on X(5, 4) passes only the even degrees of the 416-degree rule on S^3 and forms only the even
+        # columns of its block; a later odd target needs the odd rows' norm check, so one more pass runs over the odd
+        # degrees, and it forms nothing
+        unit_rows, wanted = harmonics._unit_rows, []
+
+        def spy(n, top, degrees):
+            wanted.append(list(degrees))
+            return unit_rows(n, top, degrees)
+
+        monkeypatch.setattr(harmonics, "_unit_rows", spy)
+        assert period_integral_G1(5, 4, Fraction(801, 2), Fraction(802, 2)).nonzero
+        assert wanted == [list(range(0, 415, 2))]
+        above = harmonics._gram_table(4, 416)[0]
+        formed = dict(above)
+        assert formed == {k: (k,) for k in range(384, 415, 2)}
+        assert zonal_pairings_nonzero(400, [401], 4) == [False]
+        assert wanted[1:] == [list(range(1, 416, 2))]
+        assert above == formed and harmonics._gram_table(4, 416)[1:] == ({}, set())
+
+    def test_a_cold_one_parity_read_holds_half_the_rows(self, cold_tables):
+        # a = 400 on S^4, its 416-node sphere rule already built: the read holds the 208 even rows on 208 nodes
+        # (346 kB) and one 208 x 16 block, where both parities' rows alone take 692 kB
+        assert len(sphere_rule(800, 2)[0]) == 416
+        tracemalloc.start()
+        try:
+            assert zonal_pairings_nonzero(400, [400], 5) == [True]
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 500_000, peak
+
     def test_a_g2_scan_forms_only_the_blocks_of_its_degrees(self, monkeypatch, cold_tables):
-        # a = 100 on X(4, 6), targets of degree 40..70: the witness reads columns 40..70 of the 111-degree Gram on
-        # S^4, blocks 1 and 2 of 4, from one pass
+        # a = 200 on X(4, 6), targets of degree 130..160: the witness reads columns 130..160 of the 207-degree Gram
+        # on S^4, the third block of each parity (128..190 and 129..191) of 4, from one pass over both parities
         passes = _passes(monkeypatch)
-        scan, _ = branch_scan_x2(4, 6, 204, "g2", range(83, 144, 2))
-        assert list(scan.degrees) == list(range(40, 71)) and list(scan.nonzeros) == [True] * 31
-        assert [(n, top) for n, top, _ in passes] == [(5, 110)]
-        assert sorted(harmonics._gram_table(5, 112)[0]) == list(range(32, 96))
+        scan, _ = branch_scan_x2(4, 6, 404, "g2", range(263, 324, 2))
+        assert list(scan.degrees) == list(range(130, 161)) and list(scan.nonzeros) == [True] * 31
+        assert [(n, top) for n, top, _ in passes] == [(5, 206)]
+        assert sorted(harmonics._gram_table(5, 208)[0]) == list(range(128, 192))
         assert passes[0][2]() is None
 
     def test_a_repeat_read_forms_no_block(self, monkeypatch, cold_tables):
-        # the degree-200 rule on S^4 serves degrees 0..110; column 100 is in block 3 (96..110)
+        # the degree-200 rule on S^4 serves degrees 0..110; column 100 is in the range 64..127, and the odd target
+        # puts both parities in the pass, which forms both halves of that range, 64..110
         assert zonal_pairings_nonzero(100, [99, 100], 5) == [False, True]
         passes = _passes(monkeypatch)
-        # the same column, another column of its block, and the g2 witness on the same rule
+        # the same column, other columns of its range, and the g2 witness on the same rule
         assert zonal_pairings_nonzero(100, [100, 101], 5) == [True, False]
         assert zonal_pairings_nonzero(98, [100, 98], 5) == [False, True]
         assert ktype_pairings_nonzero(100, [97, 100], 6) == [True, True]
-        assert passes == [] and list(harmonics._gram_table(5, 112)[0]) == list(range(96, 111))
+        assert passes == [] and sorted(harmonics._gram_table(5, 112)[0]) == list(range(64, 111))
 
     def test_a_g1_verdict_at_402_reads_the_degree_400_table(self, cold_tables):
         # target degree 402, the top of the checked range, on S^4 selects the rule of the ambient degree 400
@@ -571,8 +606,8 @@ class TestWitnessTable:
             assert ktype_pairings_nonzero(a, range(15 - a), 6) == [b <= a for b in range(15 - a)]
         info = harmonics._gram_table.cache_info()
         assert (info.misses, info.hits) == (1, 14)
-        above, lost = harmonics._gram_table(5, 16)
-        assert (above, lost) == ({b: (b,) for b in range(15)}, {})
+        above, lost, unchecked = harmonics._gram_table(5, 16)
+        assert (above, lost, unchecked) == ({b: (b,) for b in range(15)}, {}, set())
 
     @pytest.mark.parametrize(
         "a, bs, n",
@@ -588,12 +623,15 @@ class TestWitnessTable:
         assert _outcome(ktype_pairings_nonzero, a, bs, n) == direct
 
     def test_a_column_is_read_from_its_least_degree(self, monkeypatch, cold_tables):
-        # below a threshold of -1 every ratio clears it, so every column holds all its rule's degrees: each b is
-        # reachable from every a, as the direct Gram says, and each g1 target is in column a
+        # below a threshold of -1 every formed ratio clears it, so every column holds all its rule's degrees of its
+        # parity (the opposite-parity zeros are never formed): b is reachable from a exactly when the least degree of
+        # b's parity is <= a, and a g1 target is in column a exactly when it has a's parity
         monkeypatch.setattr(harmonics, "GRAM_RATIO_TOL", -1.0)
         for a, bs, n in ((0, [0, 5], 5), (3, [5, 1, 14], 6), (20, range(23), 8)):
-            assert ktype_pairings_nonzero(a, bs, n) == _direct_verdicts(a, list(bs), n) == [True] * len(bs)
-            assert zonal_pairings_nonzero(a, bs, n) == _g1_direct(a, list(bs), n) == [True] * len(bs)
+            assert ktype_pairings_nonzero(a, bs, n) == [b % 2 <= a for b in bs]
+            assert zonal_pairings_nonzero(a, bs, n) == [b % 2 == a % 2 for b in bs]
+        above = harmonics._gram_table(4, 16)[0]  # the 16-node rule of S^3 serves degrees 0..15
+        assert above == {k: tuple(range(k % 2, 16, 2)) for k in range(16)}
 
     def test_an_unrequested_lost_row_refuses_nothing(self, monkeypatch, cold_tables):
         # the 16-node rule of S^4 serves degrees 0..14; mark its degree-10 row lost

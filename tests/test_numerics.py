@@ -266,7 +266,8 @@ class TestLegendreRule:
 class TestRecurrence:
     def test_is_the_written_out_generator(self):
         # one numpy expression and one cumprod, the same doubles as the per-k Python floats and their running product,
-        # at nu = 1/2 (the Legendre rule) and on every sphere S^{n-1} of the range, at every cached length to 432
+        # at nu = 1/2 (the Legendre rule) and on every sphere S^{n-1} of the range, at every cached length to 432;
+        # cached as read-only float64 arrays
         for nu in (0.5, *((n - 2) / 2.0 for n in range(3, 17))):
             for length in range(16, 433, 16):
                 four_c = (0.0, 0.0, *((k - 1) * (k + 2 * nu - 2) / ((k + nu - 1) * (k + nu - 2))
@@ -275,8 +276,8 @@ class TestRecurrence:
                 for c in four_c[2:]:
                     norm_sq.append(norm_sq[-1] * c)
                 got = numerics._recurrence.__wrapped__(nu, length)
-                assert all(type(v) is float for part in got for v in part), (nu, length)
-                assert got == (four_c, tuple(norm_sq)), (nu, length)
+                assert all(part.dtype == np.float64 and not part.flags.writeable for part in got), (nu, length)
+                assert (got[0].tolist(), got[1].tolist()) == (list(four_c), norm_sq), (nu, length)
 
 
 class TestSphereRule:
