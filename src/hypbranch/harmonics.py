@@ -79,17 +79,23 @@ def _unit_rows(n: int, top: int, wanted):
     to `top` on the non-negative half of the sphere rule exact to degree 2 top.  The rule is mirror-symmetric bit for
     bit, so D_k(-x) = (-1)^k D_k(x) exactly: the half rule's weights are doubled (an odd count's middle node, x = 0,
     counted once), the dot product of two same-parity rows is their Gram ratio, and an opposite-parity ratio is exactly
-    0, which the rows do not carry.  Returns the rows, each one's norm and whether it is off 1 by more than
-    ROW_NORM_TOL."""
+    0, which the rows do not carry.  Returns the rows, the norm of the row of each degree 0..top, and whether each is
+    off 1 by more than ROW_NORM_TOL: the pass scales the other degrees' rows as it spills them, by the same
+    operations, for their norms alone."""
     x, w = sphere_rule(2 * top, n - 3)
     half = len(x) // 2
     x, w = x[half:], 2.0 * w[half:]
     if len(x) > half:
         w[0] *= 0.5
-    rows, norm_sq = _gegenbauer_rows(top, (n - 2) / 2.0, x, wanted)
-    rows *= np.sqrt(w)
-    rows /= np.sqrt(w.sum() * norm_sq)[:, None]
-    norms = np.sqrt(np.einsum("ij,ij->i", rows, rows))
+    root_w, mass, norms = np.sqrt(w), w.sum(), np.empty(top + 1)
+
+    def unit(ks, rows, norm_sq):  # scales the rows of the degrees ks in place, and keeps their norms
+        rows *= root_w
+        rows /= np.sqrt(mass * norm_sq)[:, None]
+        norms[ks] = np.sqrt(np.einsum("ij,ij->i", rows, rows))
+
+    rows, norm_sq = _gegenbauer_rows(top, (n - 2) / 2.0, x, wanted, unit)
+    unit(list(wanted), rows, norm_sq)
     return rows, norms, ~(np.abs(norms - 1.0) <= ROW_NORM_TOL)  # nan too
 
 
@@ -109,9 +115,9 @@ def zonal_gram(ks, targets, n: int) -> np.ndarray:
         raise InvalidParameterError("zonal harmonics require sphere_dim >= 3")
     degrees = [*ks, *targets]
     rows, norms, lost = _unit_rows(n, max(degrees, default=0), degrees)
-    if lost.any():
-        i = int(np.argmax(lost))
-        raise ToleranceError(_LOST_ROW.format(degrees[i], n - 1, norms[i]))
+    for degree in degrees if lost.any() else ():
+        if lost[degree]:
+            raise ToleranceError(_LOST_ROW.format(degree, n - 1, norms[degree]))
     parity = np.array(degrees) % 2
     same = parity[len(ks) :, None] == parity[: len(ks)]
     return np.where(same, np.abs(rows[len(ks) :] @ rows[: len(ks)].T), 0.0)
@@ -123,41 +129,41 @@ _GRAM_BLOCK = 32
 
 
 @lru_cache(maxsize=32)
-def _gram_table(n: int, nodes: int) -> tuple[dict, dict, set]:
+def _gram_table(n: int, nodes: int) -> tuple[dict, dict]:
     """The verdict table of the `nodes`-node sphere rule of S^{n-1}: two dicts, empty until `_read_table` fills them
-    as requests read the table, and a set.  Its Gram is that of the `_unit_rows` of degrees 0 to size - 1, the largest
-    the rule serves.  Its ratios between degrees of opposite parity are exact zeros, so it is two Grams, one per
-    parity class, and the columns of each are formed in blocks of _GRAM_BLOCK.
+    as requests read the table.  Its Gram is that of the `_unit_rows` of degrees 0 to size - 1, the largest the rule
+    serves.  Its ratios between degrees of opposite parity are exact zeros, so it is two Grams, one per parity class,
+    and the columns of each are formed in blocks of _GRAM_BLOCK.
 
     above[k] is the ascending tuple of the degrees whose Gram ratio with k is above GRAM_RATIO_TOL, the one view both
-    verdicts read; lost maps each lost row's degree to its norm, and unchecked holds the parities whose rows no pass
-    has norm-checked yet, so lost is complete for the others.  The table only gains entries and unchecked only loses
-    them, lost before unchecked before above, so threads share it with no lock: a race can only run one pass twice.
+    verdicts read; lost maps each lost row's degree to its norm, from the first pass, which norm-checks every degree.
+    The table only gains entries, lost before above, so threads share it with no lock: a race can only run one pass
+    twice.
     """
-    return {}, {}, {0, 1}
+    return {}, {}
 
 
 def _read_table(n: int, nodes: int, columns, *degrees) -> dict:
     """The `above` view of the rule's `_gram_table`, with the blocks that hold `columns` formed; the kernel's message
     for the first lost one of `degrees`.
 
-    A read that lacks a column, or the norm check of a parity of `degrees`, runs one `_unit_rows` pass over the degrees
-    of the parities it needs, and drops its rows: a g1 read of one parity passes, holds and multiplies half of them.  In
-    each parity the pass holds it forms the blocks of the degree ranges that hold the missing columns, so a read that
-    holds both parities forms both halves of those ranges, as one two-parity block did."""
-    above, lost, unchecked = _gram_table(n, nodes)
-    if not all(map(above.__contains__, columns)) or (
-        unchecked and any(degree % 2 in unchecked for degree in chain(*degrees))
-    ):
+    A read that lacks a column, or finds the table empty, runs one `_unit_rows` pass, which norm-checks every degree
+    but holds only the rows of the parities of the missing columns, and drops them: a g1 read of one parity holds and
+    multiplies half of them.  In each parity the pass holds it forms the blocks of the 64-degree ranges that hold the
+    missing columns."""
+    above, lost = _gram_table(n, nodes)
+    if not above or not all(map(above.__contains__, columns)):
         size = nodes - (n - 3) // 2
-        missing = [k for k in columns if k not in above]
+        missing = [k for k in columns if k not in above]  # none if another thread formed them since the check
+        # a table of one range, at most 64 degrees, is formed whole: the other parity adds at most 32 short rows,
+        # where a later read of it would pay a pass
+        parities = {0, 1} if missing and size <= 2 * _GRAM_BLOCK else {k % 2 for k in missing}
+        # the degrees of both parities, of one, or of none (a pass that only norm-checks)
+        wanted = range(size) if len(parities) == 2 else range(min(parities, default=size), size, 2)
         ranges = {k // (2 * _GRAM_BLOCK) for k in missing}
-        parities = {k % 2 for k in missing} | unchecked & {degree % 2 for degree in chain(*degrees)}
-        wanted = range(size) if len(parities) == 2 else range(min(parities), size, 2)
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             rows, norms, lost_rows = _unit_rows(n, size - 1, wanted)
-            lost.update(zip(np.arange(wanted.start, size, wanted.step)[lost_rows].tolist(), norms[lost_rows].tolist()))
-            unchecked.difference_update(parities)
+            lost.update(zip(np.flatnonzero(lost_rows).tolist(), norms[lost_rows].tolist()))
             for parity in parities:
                 same = rows[parity::2] if wanted.step == 1 else rows  # degrees parity, parity + 2, ...
                 for i in ranges:

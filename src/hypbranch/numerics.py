@@ -20,6 +20,10 @@ __all__ = [
 ]
 
 
+# The rows of unwanted degrees a pass hands its `spill` at a time: a 16 x 208 buffer (27 kB) on the largest half rule
+_SPILL_ROWS = 16
+
+
 @lru_cache(maxsize=64)
 def _recurrence(nu: float, length: int):
     """Coefficients 4c_k of :func:`_gegenbauer_rows` for k < length, and the squared row norms of its pass, as two
@@ -36,7 +40,7 @@ def _recurrence(nu: float, length: int):
     return four_c, norm_sq
 
 
-def _gegenbauer_rows(n: int, nu: float, x: np.ndarray, wanted):
+def _gegenbauer_rows(n: int, nu: float, x: np.ndarray, wanted, spill=None):
     """D_k = C_k^nu k! / (nu)_k at the 1-D nodes x, one row per degree k of `wanted` (all <= n), and each |D_k|^2.
 
     One pass to n on the rescaled family, 2^k times the monic one (DLMF 18.9.1): D_0 = 1, D_1 = 2x and
@@ -44,20 +48,32 @@ def _gegenbauer_rows(n: int, nu: float, x: np.ndarray, wanted):
     so each step is three array operations and D_k grows only like k^nu.  The norms are against the weight
     (1-x^2)^{nu-1/2} of total mass 1.  The coefficients are cached per (nu, n + 2 rounded up to SPHERE_NODE_STEP).
     Requires nu > 0: the coefficients have poles at nu <= 0.  Each distinct degree's row is written once into
-    one preallocated array, which is copied only when `wanted` repeats a degree.
+    one preallocated array, which is copied only when `wanted` repeats a degree.  With `spill`, the rows of the
+    other degrees are written in turn into one buffer of _SPILL_ROWS rows, and spill(ks, buffer, norm_sq) is called
+    with its degrees, rows and squared norms each time it fills, and at the end: the caller reads every degree's row
+    but holds only the wanted ones.
     """
     four_c, norm_sq = _recurrence(nu, -(-(n + 2) // SPHERE_NODE_STEP) * SPHERE_NODE_STEP)
     four_c = four_c[: n + 1].tolist()  # a Python float times an array costs less than a numpy scalar
     slot = {k: i for i, k in enumerate(dict.fromkeys(wanted))}
     rows, two_x = np.empty((len(slot), len(x))), 2.0 * x
+    spare, spilled = np.empty((_SPILL_ROWS if spill else 0, len(x))), []
     d_prev, d = np.zeros(len(x)), np.ones(len(x))  # D_{-1} = 0, and 4c_1 = 0: the first step gives D_1 = 2x
     for k in range(n + 1):
         if k in slot:
             rows[slot[k]] = d
+        elif spill:
+            spare[len(spilled)] = d
+            spilled.append(k)
+            if len(spilled) == _SPILL_ROWS:
+                spill(spilled, spare, norm_sq[spilled])
+                spilled = []
         if k < n:
             d_next = two_x * d
             d_next -= four_c[k + 1] * d_prev
             d_prev, d = d, d_next
+    if spilled:
+        spill(spilled, spare[: len(spilled)], norm_sq[spilled])
     if len(slot) < len(wanted):
         rows = rows[[slot[k] for k in wanted]]
     return rows, norm_sq[list(wanted)]

@@ -305,12 +305,12 @@ class TestGramTable:
 
     def test_table_is_read_only(self, cold_tables):
         # the degree-800 rule on S^4 serves degrees 0..414: both g1 verdicts at a = 400 read its one table, which
-        # forms only the even block of column 400 and norm-checks only the even rows
+        # forms only the even block of column 400
         assert zonal_pairings_nonzero(400, [398, 400, 402], 5) == [False, True, False]
         assert zonal_pairings_nonzero(16, [16], 5) == [True]
-        above, lost, unchecked = harmonics._gram_table(5, 416)
+        above, lost = harmonics._gram_table(5, 416)
         assert harmonics._gram_table.cache_info()[:2] == (1, 2)  # the 416- and the 32-node rule, then a read
-        assert (above, lost, unchecked) == ({k: (k,) for k in range(384, 415, 2)}, {}, {1})
+        assert (above, lost) == ({k: (k,) for k in range(384, 415, 2)}, {})
         assert {type(column) for column in above.values()} == {tuple}
         with pytest.raises(TypeError, match="does not support item assignment"):
             above[400][0] = 0
@@ -325,28 +325,42 @@ class TestGramTable:
         assert passes[0][2]() is None  # the pass's rows were dropped
 
     def test_a_g1_period_passes_and_forms_only_its_parity(self, monkeypatch, cold_tables):
-        # a = c = 400 on X(5, 4) passes only the even degrees of the 416-degree rule on S^3 and forms only the even
-        # columns of its block; a later odd target needs the odd rows' norm check, so one more pass runs over the odd
-        # degrees, and it forms nothing
+        # a = c = 400 on X(5, 4) holds only the even rows of the 416-degree rule on S^3 and forms only the even
+        # columns of its block; its pass norm-checks every degree, so a later odd target runs no pass, and an odd
+        # column runs one more, over the odd degrees, which leaves the even columns as they were
         unit_rows, wanted = harmonics._unit_rows, []
 
         def spy(n, top, degrees):
-            wanted.append(list(degrees))
-            return unit_rows(n, top, degrees)
+            rows, norms, lost = unit_rows(n, top, degrees)
+            wanted.append((list(degrees), len(rows), len(norms)))
+            return rows, norms, lost
 
         monkeypatch.setattr(harmonics, "_unit_rows", spy)
         assert period_integral_G1(5, 4, Fraction(801, 2), Fraction(802, 2)).nonzero
-        assert wanted == [list(range(0, 415, 2))]
+        assert wanted == [(list(range(0, 415, 2)), 208, 416)]
         above = harmonics._gram_table(4, 416)[0]
-        formed = dict(above)
-        assert formed == {k: (k,) for k in range(384, 415, 2)}
+        even = dict(above)
+        assert even == {k: (k,) for k in range(384, 415, 2)}
         assert zonal_pairings_nonzero(400, [401], 4) == [False]
-        assert wanted[1:] == [list(range(1, 416, 2))]
-        assert above == formed and harmonics._gram_table(4, 416)[1:] == ({}, set())
+        assert len(wanted) == 1
+        assert zonal_pairings_nonzero(399, [399, 400], 4) == [True, False]
+        assert wanted[1:] == [(list(range(1, 416, 2)), 208, 416)]
+        assert {k: above[k] for k in even} == even and len(above) == 32
+        assert harmonics._gram_table(4, 416)[1] == {}
+
+    def test_a_one_range_table_is_formed_whole(self, monkeypatch, cold_tables):
+        # the degree-96 rule on S^3 serves degrees 0..63, one range: a g1 read of one parity forms both, so a read
+        # of the other parity runs no pass
+        passes = _passes(monkeypatch)
+        assert zonal_pairings_nonzero(48, [48], 4) == [True]
+        assert zonal_pairings_nonzero(47, [47, 48], 4) == [True, False]
+        assert [(n, top) for n, top, _ in passes] == [(4, 63)]
+        assert harmonics._gram_table(4, 64) == ({k: (k,) for k in range(64)}, {})
 
     def test_a_cold_one_parity_read_holds_half_the_rows(self, cold_tables):
         # a = 400 on S^4, its 416-node sphere rule already built: the read holds the 208 even rows on 208 nodes
-        # (346 kB) and one 208 x 16 block, where both parities' rows alone take 692 kB
+        # (346 kB), the odd ones 16 at a time for their norms, and one 208 x 16 block, where both parities' rows
+        # alone take 692 kB
         assert len(sphere_rule(800, 2)[0]) == 416
         tracemalloc.start()
         try:
@@ -367,15 +381,38 @@ class TestGramTable:
         assert passes[0][2]() is None
 
     def test_a_repeat_read_forms_no_block(self, monkeypatch, cold_tables):
-        # the degree-200 rule on S^4 serves degrees 0..110; column 100 is in the range 64..127, and the odd target
-        # puts both parities in the pass, which forms both halves of that range, 64..110
-        assert zonal_pairings_nonzero(100, [99, 100], 5) == [False, True]
+        # the degree-200 rule on S^4 serves degrees 0..110; the g2 witness's columns 97 and 100 are in the range
+        # 64..127, and its pass over both parities forms both halves of that range, 64..110
+        assert ktype_pairings_nonzero(100, [97, 100], 6) == [True, True]
         passes = _passes(monkeypatch)
-        # the same column, other columns of its range, and the g2 witness on the same rule
+        # the same columns, and g1 columns of either parity in their range on the same rule
+        assert ktype_pairings_nonzero(100, [97, 100], 6) == [True, True]
         assert zonal_pairings_nonzero(100, [100, 101], 5) == [True, False]
         assert zonal_pairings_nonzero(98, [100, 98], 5) == [False, True]
-        assert ktype_pairings_nonzero(100, [97, 100], 6) == [True, True]
+        assert zonal_pairings_nonzero(101, [99, 101], 5) == [False, True]
         assert passes == [] and sorted(harmonics._gram_table(5, 112)[0]) == list(range(64, 111))
+
+    def test_a_column_formed_since_the_check_forms_nothing(self, monkeypatch, cold_tables):
+        # the degree-200 rule on S^4 holds the even columns 64..110; another thread forms column 16 between a
+        # read's check and its pass, so the read finds no column missing and its pass, the race's second, only
+        # norm-checks
+        assert zonal_pairings_nonzero(100, [100], 5) == [True]
+        other, formed = [], {}
+
+        def stale_all(columns):
+            if other:
+                return all(columns)
+            other.append("racing")
+            other.append(zonal_pairings_nonzero(16, [16, 100], 5))  # the other thread's read, in full
+            formed.update(harmonics._gram_table(5, 112)[0])
+            return False  # what the check read before it
+
+        monkeypatch.setattr(harmonics, "all", stale_all, raising=False)
+        passes = _passes(monkeypatch)
+        assert zonal_pairings_nonzero(16, [16, 100], 5) == [True, False]
+        assert other == ["racing", [True, False]] and formed == {k: (k,) for k in range(0, 111, 2)}
+        assert [(n, top) for n, top, _ in passes] == [(5, 110), (5, 110)]
+        assert harmonics._gram_table(5, 112) == (formed, {})
 
     def test_a_g1_verdict_at_402_reads_the_degree_400_table(self, cold_tables):
         # target degree 402, the top of the checked range, on S^4 selects the rule of the ambient degree 400
@@ -606,8 +643,8 @@ class TestWitnessTable:
             assert ktype_pairings_nonzero(a, range(15 - a), 6) == [b <= a for b in range(15 - a)]
         info = harmonics._gram_table.cache_info()
         assert (info.misses, info.hits) == (1, 14)
-        above, lost, unchecked = harmonics._gram_table(5, 16)
-        assert (above, lost, unchecked) == ({b: (b,) for b in range(15)}, {}, set())
+        above, lost = harmonics._gram_table(5, 16)
+        assert (above, lost) == ({b: (b,) for b in range(15)}, {})
 
     @pytest.mark.parametrize(
         "a, bs, n",
